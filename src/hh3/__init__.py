@@ -7,9 +7,10 @@ corrected midpoint rule
 
 admits a-priori error bounds built only from |f'''| at the division points.
 This package parses an expression for f, evaluates derivatives exactly with
-jet arithmetic, computes three competing bounds (and their best combination),
-and checks its own hypotheses and identities against a high-accuracy
-reference integrator.  The ``hh3`` command line tool exposes all of it.
+jet arithmetic, computes three competing bounds (the direct one is never
+beaten, so it is also the "best" method), and checks its own hypotheses and
+identities against a high-accuracy reference integrator.  The ``hh3``
+command line tool exposes all of it.
 """
 
 from .analysis import (CatalogEntry, ConvexityReport, GridSamples,
@@ -17,9 +18,8 @@ from .analysis import (CatalogEntry, ConvexityReport, GridSamples,
                        check_log_convexity, check_log_convexity_pow,
                        grid_samples)
 from .bounds import (BoundReport, DerivEndpoints, HolderExponents, RatioPair,
-                     best_bound, default_q_grid, direct_bound, holder_bound,
-                     holder_exponents, holder_factor, mu, mu_q,
-                     power_mean_bound, ratio_pair)
+                     best_bound, direct_bound, holder_bound, holder_exponents,
+                     holder_factor, mu, mu_q, power_mean_bound, ratio_pair)
 from .errors import (BadInterval, DomainError, ExprSyntaxError, Hh3Error,
                      NonConvergence, NonPositiveThirdDerivative, NotConvex,
                      ToleranceUnreachable, UnknownIdentifier)
@@ -38,7 +38,7 @@ __all__ = [
     "parse", "to_text", "evaluate", "eval_jet3", "Jet3", "Node",
     # bounds
     "mu", "mu_q", "holder_factor", "direct_bound", "holder_bound",
-    "power_mean_bound", "best_bound", "default_q_grid", "ratio_pair",
+    "power_mean_bound", "best_bound", "ratio_pair",
     "holder_exponents", "DerivEndpoints", "RatioPair", "HolderExponents",
     "BoundReport",
     # quadrature

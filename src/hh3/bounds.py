@@ -19,13 +19,19 @@ specific to the route taken:
                       1/p + 1/q = 1   and  hf(K, q) = (2/(q ln K)) (K^(q/2)-1)
   chi3 (power mean, q>=1):  W(K) = (1/4)^(1-1/q) * mu(K^q)^(1/q)
 
-chi3 at q = 1 collapses to chi1 by the same code path, and best_bound takes
-the minimum of the three over a grid of q.
+chi3 at q = 1 collapses to chi1 by the same code path.  No q lets chi2 or
+chi3 undercut chi1: on the kernel path |f'''| <= G(t) = |f'''(b)| K^(t/2),
+chi1 integrates t^3 G exactly, and chi2 (Holder) and chi3 (the power mean
+under the weight t^3 dt) are upper bounds for that same integral.  So
+best_bound reports chi2 and chi3 at the single exponent DEFAULT_Q, and the
+composite "best" method is chi1.
 
 ``mu`` and the Holder factor both degenerate to removable singularities as
 K -> 1 (mu(1) = 1/4, hf(1, q) = 1); both are computed from the log of the
 ratio through a series/closed-form split so that no cancellation is possible
-near that point.
+near that point.  Where q ln(K)/2 is too large for exp(), chi2 and chi3
+take their q-th roots in log space, so neither overflows while chi1 is
+finite.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ __all__ = [
     "L_SWITCH", "DerivEndpoints", "RatioPair", "HolderExponents",
     "BoundReport", "ratio_pair", "holder_exponents", "mu", "mu_q",
     "holder_factor", "direct_bound", "holder_bound", "power_mean_bound",
-    "best_bound", "default_q_grid", "METHOD_NAMES",
+    "best_bound", "DEFAULT_Q", "METHOD_NAMES",
 ]
 
 #: |ln K| at or below which the moment series is used instead of the closed
@@ -50,8 +56,12 @@ L_SWITCH = 0.5
 _SERIES_RELTOL = 1e-18
 _HALF_LOG_LIMIT = 700.0  # exp() overflows just above exp(709)
 
-#: Method tokens accepted by the composite layer and the CLI.
+#: Method tokens accepted by the composite layer and the CLI; "best" is
+#: an alias of "thm1".
 METHOD_NAMES = ("thm1", "thm2", "thm3", "best")
+
+#: The exponent of chi2 and chi3 when none is given.
+DEFAULT_Q = 2.0
 
 
 # --------------------------------------------------------------------------
@@ -206,6 +216,29 @@ def holder_factor(k: float, q: float) -> float:
     return math.expm1(u) / u
 
 
+def _qth_root(weight, k: float, q: float) -> float:
+    """weight(k, q) ** (1/q), for weight holder_factor or mu_q.
+
+    Where u = q ln(k)/2 exceeds the exp() limit the weight itself may not fit
+    in a float, so the root is taken in log space from
+
+        ln holder_factor(k, q) = u - ln u
+        ln mu_q(k, q)          = u - ln u + ln(1 - 3/u + 6/u^2 - 6/u^3)
+
+    which drop only terms of relative size e^-u < 1e-304.  Elsewhere the
+    power is taken directly, as it always was.
+    """
+    log_k = math.log(_require_ratio(k))
+    u = q * log_k / 2.0  # as the weights compute it, so the branches agree
+    if u <= _HALF_LOG_LIMIT:
+        return weight(k, q) ** (1.0 / q)
+    half = log_k / 2.0
+    log_root = half - (math.log(q) + math.log(half)) / q
+    if weight is mu_q:
+        log_root += math.log1p((-3.0 + (6.0 - 6.0 / u) / u) / u) / q
+    return math.exp(log_root)
+
+
 # --------------------------------------------------------------------------
 # The three bounds
 # --------------------------------------------------------------------------
@@ -228,8 +261,8 @@ def holder_bound(e: DerivEndpoints, q: float) -> float:
     scale = e.width ** 3 / 96.0
     kernel = (1.0 / (3.0 * exps.p + 1.0)) ** (1.0 / exps.p)
     return scale * kernel * (
-        e.f3b_abs * holder_factor(r.K, q) ** (1.0 / q)
-        + e.f3a_abs * holder_factor(r.M, q) ** (1.0 / q)
+        e.f3b_abs * _qth_root(holder_factor, r.K, q)
+        + e.f3a_abs * _qth_root(holder_factor, r.M, q)
     )
 
 
@@ -249,127 +282,40 @@ def power_mean_bound(e: DerivEndpoints, q: float) -> float:
     scale = e.width ** 3 / 96.0
     kernel = 0.25 ** (1.0 - 1.0 / q)
     return scale * kernel * (
-        e.f3b_abs * mu_q(r.K, q) ** (1.0 / q)
-        + e.f3a_abs * mu_q(r.M, q) ** (1.0 / q)
+        e.f3b_abs * _qth_root(mu_q, r.K, q)
+        + e.f3a_abs * _qth_root(mu_q, r.M, q)
     )
 
 
 # --------------------------------------------------------------------------
-# Best-of search over q
+# The best of the three
 # --------------------------------------------------------------------------
-
-def default_q_grid(lo: float = 1.001, hi: float = 64.0,
-                   count: int = 64) -> tuple[float, ...]:
-    """Logarithmically spaced exponent grid; endpoints are hit exactly."""
-    if count < 1:
-        raise DomainError(f"q grid needs at least one point, got {count}")
-    if count == 1:
-        return (lo,)
-    step = (hi / lo) ** (1.0 / (count - 1))
-    grid = [lo * step ** i for i in range(count)]
-    grid[-1] = hi
-    return tuple(grid)
-
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_refine(fn, lo: float, hi: float,
-                   iters: int = 20) -> tuple[float, float]:
-    """Golden-section minimisation of fn on [lo, hi]; returns (argmin, min).
-
-    Deterministic: fixed iteration count, no tolerance-dependent exits.  The
-    best point actually evaluated is returned, so a non-unimodal fn still
-    yields a value no worse than the bracket endpoints.
-    """
-    best_q, best_v = lo, fn(lo)
-    v_hi = fn(hi)
-    if v_hi < best_v:
-        best_q, best_v = hi, v_hi
-    c = hi - _INV_GOLDEN * (hi - lo)
-    d = lo + _INV_GOLDEN * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_GOLDEN * (hi - lo)
-            fc = fn(c)
-            q, v = c, fc
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_GOLDEN * (hi - lo)
-            fd = fn(d)
-            q, v = d, fd
-        if v < best_v:
-            best_q, best_v = q, v
-    return best_q, best_v
-
 
 @dataclass(frozen=True)
 class BoundReport:
-    """The three bounds, their optimal exponents, and the winner.
-
-    ``chi2`` is ``math.inf`` (and ``chi2_q`` is None) when the exponent grid
-    contains no q > 1, since the Holder route is undefined there.
-    """
+    """The three bounds, chi2 and chi3 at exponent ``q``, and the winner."""
 
     chi1: float
     chi2: float
-    chi2_q: float | None
     chi3: float
-    chi3_q: float
+    q: float
     min_value: float
     argmin_label: str  # "chi1" | "chi2" | "chi3"
 
 
-def _grid_min(fn, grid: tuple[float, ...]) -> tuple[float, float]:
-    """Minimise fn over the grid, then golden-refine around the grid argmin."""
-    best_i = 0
-    best_v = fn(grid[0])
-    for i in range(1, len(grid)):
-        v = fn(grid[i])
-        if v < best_v:
-            best_i, best_v = i, v
-    best_q = grid[best_i]
-    lo = grid[max(0, best_i - 1)]
-    hi = grid[min(len(grid) - 1, best_i + 1)]
-    if lo < hi:
-        q, v = _golden_refine(fn, lo, hi)
-        if v < best_v:
-            best_q, best_v = q, v
-    return best_q, best_v
+def best_bound(e: DerivEndpoints) -> BoundReport:
+    """chi1, plus chi2 and chi3 at q = DEFAULT_Q, and the least of them.
 
-
-def best_bound(e: DerivEndpoints,
-               q_grid: tuple[float, ...] | None = None) -> BoundReport:
-    """Minimum of chi1, chi2 and chi3 with q searched over a grid.
-
-    The grid minimum of each q-dependent bound is polished by golden-section
-    search on the bracketing grid cell.  Ties resolve toward chi1, then chi2,
-    so the report is deterministic for a fixed grid.
+    The minimum is chi1 up to rounding for every q (see the module
+    docstring); ties resolve toward chi1, then chi2.
     """
-    grid = tuple(q_grid) if q_grid is not None else default_q_grid()
-    if not grid:
-        raise DomainError("q grid must not be empty")
-    for q in grid:
-        if not (math.isfinite(q) and q >= 1.0):
-            raise DomainError(f"q grid entries must satisfy q >= 1, got {q!r}")
-
     chi1 = direct_bound(e)
-
-    grid2 = tuple(q for q in grid if q > 1.0)
-    if grid2:
-        chi2_q, chi2 = _grid_min(lambda q: holder_bound(e, q), grid2)
-    else:
-        chi2_q, chi2 = None, math.inf
-
-    chi3_q, chi3 = _grid_min(lambda q: power_mean_bound(e, q), grid)
-
+    chi2 = holder_bound(e, DEFAULT_Q)
+    chi3 = power_mean_bound(e, DEFAULT_Q)
     min_value, argmin_label = chi1, "chi1"
     if chi2 < min_value:
         min_value, argmin_label = chi2, "chi2"
     if chi3 < min_value:
         min_value, argmin_label = chi3, "chi3"
-    return BoundReport(chi1=chi1, chi2=chi2, chi2_q=chi2_q,
-                       chi3=chi3, chi3_q=chi3_q,
+    return BoundReport(chi1=chi1, chi2=chi2, chi3=chi3, q=DEFAULT_Q,
                        min_value=min_value, argmin_label=argmin_label)

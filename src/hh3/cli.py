@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass
 
@@ -36,7 +35,6 @@ EXIT_OK = 0
 EXIT_MATH = 2
 EXIT_USAGE = 64
 
-DEFAULT_Q_GRID_SPEC = "1.001:64:64(log)"
 _ORACLE_TOL = 1e-13
 
 
@@ -76,8 +74,6 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("bounds", help="single-interval error bound report")
     common(p)
-    p.add_argument("--q-grid", dest="q_grid", metavar="LO:HI:N(log|lin)",
-                   help=f"exponent grid (default {DEFAULT_Q_GRID_SPEC})")
     p.add_argument("--grid-n", dest="grid_points", type=int,
                    help="sample count for the log-convexity check "
                         "(odd, default 257)")
@@ -87,10 +83,10 @@ def build_parser() -> _ArgumentParser:
     common(p)
     p.add_argument("--n", type=int, help="number of subintervals (default 1)")
     p.add_argument("--method", choices=bounds.METHOD_NAMES,
-                   help="bound selection (default best)")
+                   help="bound selection (default best, which is thm1: "
+                        "thm2 and thm3 never beat it)")
     p.add_argument("--q", type=float, help="exponent for thm2/thm3 "
                                            "(default 2)")
-    p.add_argument("--q-grid", dest="q_grid", metavar="LO:HI:N(log|lin)")
     p.add_argument("--per-interval", action="store_true",
                    help="include each subinterval's bound in the report")
     p.add_argument("--oracle", action="store_true",
@@ -103,7 +99,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--tol", type=float, help="target certified bound")
     p.add_argument("--method", choices=bounds.METHOD_NAMES)
     p.add_argument("--q", type=float)
-    p.add_argument("--q-grid", dest="q_grid", metavar="LO:HI:N(log|lin)")
     p.add_argument("--n-max", dest="n_max", type=int,
                    help="give up beyond this many subintervals "
                         "(default 2^20)")
@@ -117,7 +112,6 @@ def build_parser() -> _ArgumentParser:
     common(p, with_format=False)
     p.add_argument("--n-list", dest="n_list", metavar="N1,N2,...",
                    help="comma-separated subinterval counts")
-    p.add_argument("--q-grid", dest="q_grid", metavar="LO:HI:N(log|lin)")
 
     return parser
 
@@ -139,8 +133,6 @@ class RunConfig:
     tol: float | None = None
     method: str = "best"
     q: float | None = None
-    q_grid: tuple[float, ...] | None = None
-    q_grid_spec: str = DEFAULT_Q_GRID_SPEC
     n_list: tuple[int, ...] = ()
     grid_points: int = analysis.GRID_POINTS_DEFAULT
     n_max: int = 2 ** 20
@@ -148,9 +140,9 @@ class RunConfig:
     oracle: bool = False
 
 
-_CONFIG_KEYS = ("f", "a", "b", "n", "tol", "method", "q", "q_grid",
-                "n_list", "grid_points", "n_max", "format", "out",
-                "per_interval", "oracle")
+_CONFIG_KEYS = ("f", "a", "b", "n", "tol", "method", "q", "n_list",
+                "grid_points", "n_max", "format", "out", "per_interval",
+                "oracle")
 
 
 def _load_config(path: str) -> dict:
@@ -169,44 +161,17 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _merged(args: argparse.Namespace, config: dict, name: str,
-            config_name: str | None = None):
+def _merged(args: argparse.Namespace, config: dict, name: str):
+    """The flag's value if it was given, else the config file's, if any.
+
+    An unset flag reads None, or False for a switch; a flag set to 0 is set
+    (0 == False, so this must test identity, not membership).
+    """
     value = getattr(args, name, None)
-    if value not in (None, False):
+    if value is not None and value is not False:
         return value
-    fallback = config.get(config_name or name)
-    if fallback is None and value is False:
-        return False
-    return fallback if fallback is not None else value
-
-
-_QGRID_RE = re.compile(r"^([^:]+):([^:]+):(\d+)\((log|lin)\)$")
-
-
-def parse_q_grid(spec: str) -> tuple[float, ...]:
-    """Parse ``LO:HI:COUNT(log)`` / ``LO:HI:COUNT(lin)`` into a grid."""
-    match = _QGRID_RE.match(spec)
-    if match is None:
-        raise UsageError(
-            f"--q-grid: {spec!r} does not match LO:HI:COUNT(log|lin)")
-    try:
-        lo, hi = float(match.group(1)), float(match.group(2))
-    except ValueError:
-        raise UsageError(f"--q-grid: bad numbers in {spec!r}") from None
-    count = int(match.group(3))
-    kind = match.group(4)
-    if not (math.isfinite(lo) and math.isfinite(hi) and 1.0 <= lo <= hi):
-        raise UsageError(f"--q-grid: need 1 <= LO <= HI, got {spec!r}")
-    if count < 1:
-        raise UsageError(f"--q-grid: COUNT must be >= 1, got {count}")
-    if count == 1:
-        return (lo,)
-    if kind == "log":
-        return bounds.default_q_grid(lo, hi, count)
-    step = (hi - lo) / (count - 1)
-    grid = [lo + i * step for i in range(count)]
-    grid[-1] = hi
-    return tuple(grid)
+    fallback = config.get(name)
+    return value if fallback is None else fallback
 
 
 def _parse_n_list(raw) -> tuple[int, ...]:
@@ -274,17 +239,13 @@ def resolve(args: argparse.Namespace) -> RunConfig:
         q = _require_number("--q", q)
     if method in ("thm2", "thm3"):
         if q is None:
-            q = 2.0
+            q = bounds.DEFAULT_Q
         if method == "thm2" and not q > 1.0:
             raise UsageError(f"--q: thm2 needs q > 1, got {q!r}")
         if not q >= 1.0:
             raise UsageError(f"--q: thm3 needs q >= 1, got {q!r}")
     else:
         q = None
-
-    spec = _merged(args, config, "q_grid")
-    q_grid_spec = str(spec) if spec else DEFAULT_Q_GRID_SPEC
-    q_grid = parse_q_grid(q_grid_spec)
 
     grid_points = _merged(args, config, "grid_points")
     if grid_points is None:
@@ -322,8 +283,7 @@ def resolve(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command, expression=str(expression), ast=ast,
         a=a, b=b, fmt=fmt, out=out, n=n, tol=tol, method=method, q=q,
-        q_grid=q_grid, q_grid_spec=q_grid_spec, n_list=n_list,
-        grid_points=grid_points, n_max=n_max,
+        n_list=n_list, grid_points=grid_points, n_max=n_max,
         per_interval=bool(_merged(args, config, "per_interval")),
         oracle=bool(_merged(args, config, "oracle")),
     )
@@ -355,18 +315,16 @@ def cmd_bounds(cfg: RunConfig) -> dict:
     e = bounds.DerivEndpoints(f3a_abs=abs(jet_a.d3), f3b_abs=abs(jet_b.d3),
                               a=cfg.a, b=cfg.b)
     ratios = bounds.ratio_pair(e)
-    report = bounds.best_bound(e, cfg.q_grid)
+    report = bounds.best_bound(e)
     convexity = analysis.check_log_convexity(cfg.ast, cfg.a, cfg.b,
                                              cfg.grid_points)
     doc = _envelope(cfg)
     doc.update({
         "f3a_abs": e.f3a_abs, "f3b_abs": e.f3b_abs,
         "K": ratios.K, "M": ratios.M,
-        "chi1": report.chi1,
-        "chi2": report.chi2, "chi2_q": report.chi2_q,
-        "chi3": report.chi3, "chi3_q": report.chi3_q,
+        "chi1": report.chi1, "chi2": report.chi2, "chi3": report.chi3,
+        "q": report.q,
         "min_value": report.min_value, "argmin": report.argmin_label,
-        "q_grid": cfg.q_grid_spec,
         "log_convexity": _convexity_doc(convexity, cfg.grid_points),
         "hypothesis_supported": convexity.passed,
     })
@@ -382,7 +340,7 @@ def _interval_doc(ib: quadrature.IntervalBound) -> dict:
 def cmd_integrate(cfg: RunConfig) -> dict:
     division = quadrature.uniform_division(cfg.a, cfg.b, cfg.n)
     result = quadrature.composite_bound(cfg.ast, division, method=cfg.method,
-                                        q=cfg.q, q_grid=cfg.q_grid)
+                                        q=cfg.q)
     doc = _envelope(cfg)
     doc.update({
         "n": cfg.n, "method": cfg.method, "q": cfg.q,
@@ -407,7 +365,7 @@ def cmd_integrate(cfg: RunConfig) -> dict:
 def cmd_certify(cfg: RunConfig) -> dict:
     outcome = quadrature.certify(cfg.ast, cfg.a, cfg.b, cfg.tol,
                                  method=cfg.method, q=cfg.q,
-                                 q_grid=cfg.q_grid, n_max=cfg.n_max)
+                                 n_max=cfg.n_max)
     doc = _envelope(cfg)
     doc.update({
         "tol": cfg.tol, "method": cfg.method, "q": cfg.q,
@@ -456,13 +414,12 @@ def cmd_sweep(cfg: RunConfig) -> str:
     rows = []
     for n in cfg.n_list:
         division = quadrature.uniform_division(cfg.a, cfg.b, n)
-        direct = quadrature.composite_bound(cfg.ast, division, method="thm1")
-        best = quadrature.composite_bound(cfg.ast, division, method="best",
-                                          q_grid=cfg.q_grid)
-        error = abs(best.corrected_sum - truth)
-        ratio = best.certified_bound / error if error > 0.0 else math.inf
-        rows.append((n, best.midpoint_sum, best.corrected_sum,
-                     direct.certified_bound, best.certified_bound,
+        # "best" is thm1, so one bound fills both bound columns
+        result = quadrature.composite_bound(cfg.ast, division, method="thm1")
+        error = abs(result.corrected_sum - truth)
+        ratio = result.certified_bound / error if error > 0.0 else math.inf
+        rows.append((n, result.midpoint_sum, result.corrected_sum,
+                     result.certified_bound, result.certified_bound,
                      error, ratio))
     return rows_to_csv(_SWEEP_HEADER, rows)
 

@@ -30,9 +30,7 @@ noise when a tight absolute tolerance meets a large integrand.
 from __future__ import annotations
 
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -144,7 +142,7 @@ class IntervalBound:
     bound: float
     k_ratio: float      # |f'''(lo)| / |f'''(hi)|
     m_ratio: float      # |f'''(hi)| / |f'''(lo)|
-    method: str         # which bound produced `bound` ("thm1"... or chi label)
+    method: str         # which bound produced `bound`: thm1, thm2 or thm3
     q: float | None
 
 
@@ -159,34 +157,14 @@ class QuadResult:
     midpoint_bound_heuristic: bool
 
 
-def _worker_count() -> int:
-    """Parallelism cap from the HH3_THREADS environment variable (default 1)."""
-    raw = os.environ.get("HH3_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    """Map preserving order; thread count is advisory and never affects
-    results because aggregation always happens in index order."""
-    workers = _worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def composite_bound(f: Node, d: Division, method: str = "best",
-                    q: float | None = None,
-                    q_grid: tuple[float, ...] | None = None) -> QuadResult:
+                    q: float | None = None) -> QuadResult:
     """Corrected-midpoint sums plus a certified bound on the corrected one.
 
     ``method`` is one of ``thm1`` (direct), ``thm2`` (Holder, needs q > 1),
-    ``thm3`` (power mean, needs q >= 1) or ``best`` (per-subinterval minimum
-    over ``q_grid``).  Requires |f'''| > 0 at every division point.
+    ``thm3`` (power mean, needs q >= 1) or ``best``, which is ``thm1``: no
+    exponent lets the other two beat it (see :mod:`hh3.bounds`).  Requires
+    |f'''| > 0 at every division point.
     """
     if method not in _bounds.METHOD_NAMES:
         raise ValueError(f"unknown method {method!r}; "
@@ -194,43 +172,29 @@ def composite_bound(f: Node, d: Division, method: str = "best",
     if method in ("thm2", "thm3") and q is None:
         raise ValueError(f"method {method!r} needs an exponent q")
 
-    point_jets = _map_ordered(lambda x: eval_jet3(f, x), d.points)
     f3 = []
-    for x, jet in zip(d.points, point_jets):
+    for x in d.points:
+        jet = eval_jet3(f, x)
         mag = abs(jet.d3)
         if not (math.isfinite(mag) and mag > 0.0):
             raise NonPositiveThirdDerivative(x, jet.d3)
         f3.append(mag)
 
-    mid_jets = _map_ordered(lambda m: eval_jet3(f, m), d.midpoints())
+    mid_jets = [eval_jet3(f, m) for m in d.midpoints()]
 
-    pairs = list(zip(d.points, d.points[1:]))
-
-    def one_interval(i: int) -> IntervalBound:
-        lo, hi = pairs[i]
-        e = _bounds.DerivEndpoints(f3a_abs=f3[i], f3b_abs=f3[i + 1],
-                                   a=lo, b=hi)
+    intervals = []
+    for lo, hi, f3a, f3b in zip(d.points, d.points[1:], f3, f3[1:]):
+        e = _bounds.DerivEndpoints(f3a_abs=f3a, f3b_abs=f3b, a=lo, b=hi)
         r = _bounds.ratio_pair(e)
-        h = e.width
-        if method == "thm1":
-            return IntervalBound(lo, hi, h * _bounds.direct_bound(e),
-                                 r.K, r.M, "thm1", None)
         if method == "thm2":
-            return IntervalBound(lo, hi, h * _bounds.holder_bound(e, q),
-                                 r.K, r.M, "thm2", q)
-        if method == "thm3":
-            return IntervalBound(lo, hi, h * _bounds.power_mean_bound(e, q),
-                                 r.K, r.M, "thm3", q)
-        report = _bounds.best_bound(e, q_grid)
-        label = {"chi1": "thm1", "chi2": "thm2", "chi3": "thm3"}[
-            report.argmin_label]
-        best_q = {"thm1": None, "thm2": report.chi2_q,
-                  "thm3": report.chi3_q}[label]
-        return IntervalBound(lo, hi, h * report.min_value,
-                             r.K, r.M, label, best_q)
-
-    per_interval = tuple(_map_ordered(one_interval, range(len(pairs))))
-    certified = math.fsum(ib.bound for ib in per_interval)
+            bound, label, used_q = _bounds.holder_bound(e, q), "thm2", q
+        elif method == "thm3":
+            bound, label, used_q = _bounds.power_mean_bound(e, q), "thm3", q
+        else:
+            bound, label, used_q = _bounds.direct_bound(e), "thm1", None
+        intervals.append(IntervalBound(lo, hi, e.width * bound,
+                                       r.K, r.M, label, used_q))
+    certified = math.fsum(ib.bound for ib in intervals)
 
     widths = d.widths()
     mid_terms = [h * jet.d0 + h ** 3 / 24.0 * jet.d2
@@ -246,7 +210,7 @@ def composite_bound(f: Node, d: Division, method: str = "best",
         midpoint_sum=plain,
         corrected_sum=corrected,
         certified_bound=certified,
-        per_interval=per_interval,
+        per_interval=tuple(intervals),
         method=method,
         midpoint_bound=certified,
         midpoint_bound_heuristic=heuristic,
@@ -400,9 +364,7 @@ class CertifyOutcome:
 
 
 def certify(f: Node, a: float, b: float, tol: float, method: str = "best",
-            q: float | None = None,
-            q_grid: tuple[float, ...] | None = None,
-            n_max: int = 2 ** 20) -> CertifyOutcome:
+            q: float | None = None, n_max: int = 2 ** 20) -> CertifyOutcome:
     """Double a uniform division until the certified bound meets ``tol``.
 
     Starts at one subinterval.  Raises :class:`ToleranceUnreachable`
@@ -416,7 +378,7 @@ def certify(f: Node, a: float, b: float, tol: float, method: str = "best",
     last_n = 1
     while n <= n_max:
         result = composite_bound(f, uniform_division(a, b, n),
-                                 method=method, q=q, q_grid=q_grid)
+                                 method=method, q=q)
         iterations += 1
         if result.certified_bound <= tol:
             return CertifyOutcome(result=result, n_final=n,

@@ -1,18 +1,22 @@
+import dataclasses
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hh3.bounds import (L_SWITCH, BoundReport, DerivEndpoints,
+from hh3.bounds import (DEFAULT_Q, L_SWITCH, BoundReport, DerivEndpoints,
                         _moment_closed, _moment_series, best_bound,
-                        default_q_grid, direct_bound, holder_bound,
-                        holder_exponents, holder_factor, mu, mu_q,
-                        power_mean_bound, ratio_pair)
+                        direct_bound, holder_bound, holder_exponents,
+                        holder_factor, mu, mu_q, power_mean_bound,
+                        ratio_pair)
 from hh3.errors import (BadInterval, DomainError,
                         NonPositiveThirdDerivative)
-from hh3.quadrature import integrate_adaptive
+from hh3.expr import parse
+from hh3.quadrature import composite_bound, integrate_adaptive, \
+    uniform_division
 
 
 # --------------------------------------------------------------------------
@@ -243,40 +247,58 @@ def test_bounds_scale_with_width_cubed():
                                                rel=1e-14)
 
 
+# Holder's inequality and the power-mean inequality each bound the integral
+# that chi1 evaluates exactly, so neither route can undercut chi1 for any q.
+# chi2 stays far above chi1.  chi3 tends to chi1 as q -> 1, and mu's closed
+# form rounds to within about 6000 ulps just past L_SWITCH (cancellation in
+# e^L poly(L) + 6), so near q = 1 the two computed values may cross by that
+# much: mu at ln K and at q ln K, one ulp apart, round independently.
+_MU_CLOSED_ULPS = 8000
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=-60.0, max_value=60.0),
+       st.floats(min_value=-20.0, max_value=20.0),
+       st.floats(min_value=1.0, max_value=64.0, exclude_min=True))
+@example(log_k=1.0625, log_f3b=0.0, q=1.0 + 2.0 ** -52)
+def test_holder_and_power_mean_never_undercut_direct(log_k, log_f3b, q):
+    f3b = math.exp(log_f3b)
+    e = DerivEndpoints(f3b * math.exp(log_k), f3b, 0.0, 1.0)
+    chi1 = direct_bound(e)
+    eps = sys.float_info.epsilon
+    assert holder_bound(e, q) >= chi1 * (1.0 - 4.0 * eps)
+    assert power_mean_bound(e, q) >= \
+        chi1 * (1.0 - (4.0 + 2.0 * _MU_CLOSED_ULPS) * eps)
+    if q >= 1.0 + 1e-6:  # far enough from 1 that rounding cannot cross
+        assert power_mean_bound(e, q) >= chi1 * (1.0 - 4.0 * eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=-60.0, max_value=60.0).filter(
+           lambda c: abs(c) >= 1e-3),
+       st.integers(min_value=1, max_value=8))
+def test_best_method_is_thm1(c, n):
+    f = parse(f"exp({c!r}*x)")
+    d = uniform_division(0.0, 1.0, n)
+    best = composite_bound(f, d, method="best")
+    assert best.method == "best"
+    assert dataclasses.replace(best, method="thm1") == \
+        composite_bound(f, d, method="thm1")
+
+
 # --------------------------------------------------------------------------
-# best-of search
+# best_bound
 # --------------------------------------------------------------------------
-
-def test_default_q_grid_shape():
-    grid = default_q_grid()
-    assert len(grid) == 64
-    assert grid[0] == 1.001
-    assert grid[-1] == 64.0
-    assert all(lo < hi for lo, hi in zip(grid, grid[1:]))
-
-
-def test_best_bound_singleton_grid():
-    # only q = 1: the Holder route is empty and chi3 collapses onto chi1
-    e = DerivEndpoints(1.0, 1.0, 0.0, 2.0)
-    report = best_bound(e, q_grid=(1.0,))
-    assert report.chi1 == pytest.approx(8.0 / 192.0, rel=1e-15)
-    assert report.chi2 == math.inf
-    assert report.chi2_q is None
-    assert report.chi3 == report.chi1
-    assert report.argmin_label == "chi1"  # ties resolve toward chi1
-    assert report.min_value == report.chi1
-
 
 def test_best_bound_dominates_each_method():
-    grid = default_q_grid()
     rng = random.Random(11)
     for _ in range(25):
         e = DerivEndpoints(math.exp(rng.uniform(-4, 4)),
                            math.exp(rng.uniform(-4, 4)),
                            0.0, rng.uniform(0.5, 2.0))
-        report = best_bound(e, grid)
+        report = best_bound(e)
         assert report.min_value <= direct_bound(e) * (1 + 1e-15)
-        for q in grid[::7]:
+        for q in (1.001, 1.5, 2.0, 8.0, 64.0):
             assert report.min_value <= holder_bound(e, q) * (1 + 1e-15)
             assert report.min_value <= power_mean_bound(e, q) * (1 + 1e-15)
 
@@ -287,18 +309,6 @@ def test_best_bound_labels_are_consistent():
                 "chi3": report.chi3}
     assert report.min_value == by_label[report.argmin_label]
     assert isinstance(report, BoundReport)
-
-
-def test_best_bound_refinement_improves_on_coarse_grid():
-    # with a very coarse grid the golden polish must do the work
-    e = DerivEndpoints(1.0, 1000.0, 0.0, 1.0)
-    coarse = best_bound(e, q_grid=(1.0, 2.0, 32.0))
-    fine = best_bound(e, q_grid=default_q_grid(1.001, 64.0, 512))
-    assert coarse.min_value <= fine.min_value * 1.05
-
-
-def test_best_bound_rejects_bad_grid():
-    with pytest.raises(DomainError):
-        best_bound(_EXP_ENDPOINTS, q_grid=())
-    with pytest.raises(DomainError):
-        best_bound(_EXP_ENDPOINTS, q_grid=(0.5, 2.0))
+    assert report.q == DEFAULT_Q == 2.0
+    assert report.chi2 == holder_bound(_EXP_ENDPOINTS, 2.0)
+    assert report.chi3 == power_mean_bound(_EXP_ENDPOINTS, 2.0)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,10 +7,11 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from hh3.cli import (DEFAULT_Q_GRID_SPEC, EXIT_MATH, EXIT_OK, EXIT_USAGE,
-                     UsageError, main, parse_q_grid)
+from hh3.cli import _CONFIG_KEYS, EXIT_MATH, EXIT_OK, EXIT_USAGE, \
+    build_parser, main
 
 EXP01 = ["--f", "exp(x)", "--a", "0", "--b", "1"]
+STEEP = ["--f", "exp(30*x)", "--a", "0", "--b", "1"]   # |ln K| = 30
 
 
 def run(capsys, *argv):
@@ -49,9 +51,9 @@ def test_success_is_zero(capsys):
     ["certify", *EXP01, "--tol", "-1"],
     ["sweep", *EXP01],                                    # missing --n-list
     ["sweep", *EXP01, "--n-list", "1,0"],
-    ["bounds", *EXP01, "--q-grid", "4:2:8(log)"],
-    ["bounds", *EXP01, "--q-grid", "0.5:2:8(log)"],
-    ["bounds", *EXP01, "--q-grid", "1:2:8"],
+    ["sweep", *EXP01, "--n-list", "1,x"],                 # not an integer
+    ["certify", *EXP01, "--tol", "1e-3", "--n-max", "0"],
+    ["bounds", *EXP01, "--q-grid", "1:2:8(log)"],         # flag was removed
     ["bounds", "--a", "0", "--b", "1"],                   # missing --f
     ["frobnicate", *EXP01],                               # unknown command
 ])
@@ -107,19 +109,31 @@ def test_bounds_report_values(capsys):
     assert doc["chi1"] == pytest.approx(0.008658969383756087, rel=1e-15)
     assert doc["min_value"] <= doc["chi1"]
     assert doc["argmin"] in ("chi1", "chi2", "chi3")
-    assert doc["q_grid"] == DEFAULT_Q_GRID_SPEC
+    assert doc["q"] == 2
     assert doc["hypothesis_supported"] is True
     assert doc["log_convexity"]["passed"] is True
     assert doc["log_convexity"]["kind"] == "sampled-evidence"
 
 
-def test_singleton_q_grid_renders_null_chi2(capsys):
-    _, out, _ = run(capsys, "bounds", *EXP01, "--q-grid", "1:1:1(log)")
+def test_steep_ratio_bounds_report(capsys):
+    code, out, _ = run(capsys, "bounds", *STEEP)
+    assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["chi2"] is None          # +inf serialises as null
-    assert doc["chi2_q"] is None
-    assert doc["chi3"] == doc["chi1"]   # q = 1 collapses thm3 onto thm1
     jsonschema.validate(doc, schema())
+    assert doc["chi2"] >= doc["chi1"]
+    assert doc["chi3"] >= doc["chi1"]
+    assert doc["min_value"] == doc["chi1"]
+
+
+@pytest.mark.parametrize("method", ["thm2", "thm3"])
+def test_large_q_on_steep_ratio_does_not_overflow(capsys, method):
+    # q * |ln K| / 2 = 960 puts K^(q/2) far beyond float range
+    code, out, _ = run(capsys, "integrate", *STEEP, "--method", method,
+                       "--q", "64")
+    assert code == EXIT_OK
+    _, direct, _ = run(capsys, "integrate", *STEEP, "--method", "thm1")
+    assert json.loads(out)["certified_bound"] >= \
+        json.loads(direct)["certified_bound"]
 
 
 def test_integrate_oracle_soundness(capsys):
@@ -167,13 +181,6 @@ def test_reports_are_byte_deterministic(capsys):
     _, second, _ = run(capsys, "integrate", *EXP01, "--n", "16",
                        "--per-interval", "--oracle")
     assert first == second
-
-
-def test_thread_count_does_not_change_bytes(capsys, monkeypatch):
-    _, serial, _ = run(capsys, "integrate", *EXP01, "--n", "16")
-    monkeypatch.setenv("HH3_THREADS", "3")
-    _, threaded, _ = run(capsys, "integrate", *EXP01, "--n", "16")
-    assert serial == threaded
 
 
 def test_json_ends_with_single_newline(capsys):
@@ -227,6 +234,30 @@ def test_flags_override_config(capsys, tmp_path):
     assert json.loads(out)["n"] == 8
 
 
+def test_flags_set_to_zero_override_config(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"f": "exp(x)", "a": 0.5, "b": 1, "n": 4}))
+    code, out, _ = run(capsys, "integrate", "--config", str(path),
+                       "--a", "0")
+    assert code == EXIT_OK
+    assert json.loads(out)["a"] == 0
+    code, out, err = run(capsys, "integrate", "--config", str(path),
+                         "--n", "0")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--n" in err
+
+
+def test_config_keys_match_flags():
+    parser = build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    dests = {action.dest for sub in commands.choices.values()
+             for action in sub._actions
+             if not isinstance(action, argparse._HelpAction)}
+    assert sorted(_CONFIG_KEYS) == sorted(dests - {"config"})
+
+
 def test_config_rejects_unknown_keys(capsys, tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"f": "exp(x)", "a": 0, "b": 1, "steps": 4}))
@@ -272,29 +303,6 @@ def test_csv_format_flattens_keys(capsys):
     keys = {line.split(",", 1)[0] for line in lines[1:]}
     assert "log_convexity.passed" in keys
     assert "hermite_hadamard.lower_slack" in keys
-
-
-# --------------------------------------------------------------------------
-# Grid-spec parsing
-# --------------------------------------------------------------------------
-
-def test_parse_q_grid_log_and_lin():
-    log_grid = parse_q_grid("1.001:64:64(log)")
-    assert len(log_grid) == 64
-    assert log_grid[0] == 1.001
-    assert log_grid[-1] == 64.0
-    lin_grid = parse_q_grid("1:4:7(lin)")
-    assert lin_grid == (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
-    assert parse_q_grid("2:5:1(log)") == (2.0,)
-
-
-@pytest.mark.parametrize("spec", [
-    "1:2:0(log)", "2:1:8(log)", "0:2:8(lin)", "1:2:8(exp)", "one:2:8(log)",
-    "1:2(log)", "",
-])
-def test_parse_q_grid_rejects(spec):
-    with pytest.raises(UsageError):
-        parse_q_grid(spec)
 
 
 # --------------------------------------------------------------------------

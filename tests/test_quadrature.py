@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hh3.bounds import DerivEndpoints, default_q_grid, direct_bound, mu
+from hh3.bounds import DerivEndpoints, direct_bound, mu
 from hh3.errors import (BadInterval, NonConvergence,
                         NonPositiveThirdDerivative, ToleranceUnreachable)
 from hh3.expr import parse
@@ -291,16 +291,6 @@ def test_composite_soundness_spot_check():
                                      method="best")
             error = abs(result.corrected_sum - truth)
             assert result.certified_bound >= error - 1e-12
-
-
-def test_composite_threads_do_not_change_bytes(monkeypatch):
-    f = parse("exp(x) + exp(2*x)")
-    d = uniform_division(0.0, 1.0, 16)
-    monkeypatch.delenv("HH3_THREADS", raising=False)
-    serial = composite_bound(f, d, method="best")
-    monkeypatch.setenv("HH3_THREADS", "4")
-    threaded = composite_bound(f, d, method="best")
-    assert serial == threaded  # dataclass equality: every float identical
 
 
 # --------------------------------------------------------------------------
