@@ -44,14 +44,15 @@ from .errors import BadInterval, DomainError, NonPositiveThirdDerivative
 __all__ = [
     "L_SWITCH", "DerivEndpoints", "RatioPair", "HolderExponents",
     "BoundReport", "ratio_pair", "holder_exponents", "mu", "mu_q",
-    "holder_factor", "direct_bound", "holder_bound", "power_mean_bound",
-    "best_bound", "DEFAULT_Q", "METHOD_NAMES",
+    "holder_factor", "chi1", "direct_bound", "holder_bound",
+    "power_mean_bound", "best_bound", "DEFAULT_Q", "METHOD_NAMES",
 ]
 
 #: |ln K| at or below which the moment series is used instead of the closed
-#: form.  At 0.5 the series needs ~15 terms and the closed form still has six
-#: safe digits of headroom, so the two agree to ~1e-12 across the seam.
-L_SWITCH = 0.5
+#: form, which cancels in e^L poly(L) + 6: against mpmath it is off by up to
+#: ~5300 ulps for |ln K| in (0.5, 1] and ~120 in (2, 2.5], but ~12 beyond 4,
+#: where the series (within ~11 ulps below 4, about 30 terms at 4) loses more.
+L_SWITCH = 4.0
 
 _SERIES_RELTOL = 1e-18
 _HALF_LOG_LIMIT = 700.0  # exp() overflows just above exp(709)
@@ -126,9 +127,9 @@ def _moment_series(lam: float) -> float:
     """mu as a power series in L = lam/2: sum of L^n / (n! (n+4)).
 
     Term-by-term integration of t^3 e^(L t); every term is positive for
-    lam > 0 and the series alternates mildly for lam < 0, so there is no
-    cancellation for the small |lam| this is used on.  Truncates when a term
-    falls below 1e-18 of the running sum.
+    lam > 0 and the series alternates for lam < 0, where its terms exceed
+    the sum by at most a factor ~24 for the |lam| <= L_SWITCH it is used on.
+    Truncates when a term falls below 1e-18 of the running sum.
     """
     half = lam / 2.0
     total = 0.25  # n = 0
@@ -243,11 +244,15 @@ def _qth_root(weight, k: float, q: float) -> float:
 # The three bounds
 # --------------------------------------------------------------------------
 
+def chi1(f3a_abs: float, f3b_abs: float, width: float) -> float:
+    """direct_bound from checked magnitudes; K and M are checked by mu."""
+    return width ** 3 / 96.0 * (f3b_abs * mu(f3a_abs / f3b_abs)
+                                + f3a_abs * mu(f3b_abs / f3a_abs))
+
+
 def direct_bound(e: DerivEndpoints) -> float:
     """chi1: ((b-a)^3/96) * (|f'''(b)| mu(K) + |f'''(a)| mu(M))."""
-    r = ratio_pair(e)
-    scale = e.width ** 3 / 96.0
-    return scale * (e.f3b_abs * mu(r.K) + e.f3a_abs * mu(r.M))
+    return chi1(e.f3a_abs, e.f3b_abs, e.width)
 
 
 def holder_bound(e: DerivEndpoints, q: float) -> float:

@@ -20,24 +20,27 @@ one level up the chain, so ``x^-2`` and ``x^2^3`` (= ``x^(2^3)``) both parse.
 package needs three derivatives, and |.| does not supply them.
 
 Evaluation is done on jets: a :class:`Jet3` carries ``(f, f', f'', f''')`` at
-a point and the arithmetic below propagates all four components exactly
-(Leibniz for products, a triangular back-substitution for quotients, and the
-order-3 chain rule for function application).  No finite differencing is done
-anywhere.
+a point and the rules below propagate all four components exactly (Leibniz
+for products, a triangular back-substitution for quotients, and the order-3
+chain rule for function application).  No finite differencing is done
+anywhere.  :func:`compile_jet3` writes the rules' float operations for one
+tree, in the order a recursive walk would perform them, as a straight-line
+Python function of x, compiled once and cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
 __all__ = [
     "Num", "Var", "Const", "Neg", "BinOp", "Func", "Node",
-    "Jet3", "parse", "to_text", "evaluate", "eval_jet3",
+    "Jet3", "parse", "to_text", "compile_jet3", "evaluate", "eval_jet3",
 ]
 
 _FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
@@ -297,161 +300,215 @@ class Jet3:
         return (self.d0, self.d1, self.d2, self.d3)
 
 
-def _const_jet(c: float) -> Jet3:
-    return Jet3(c, 0.0, 0.0, 0.0)
+# The jet rules as the float expressions they evaluate.  Every operand put in
+# a brace is the name of a local or the literal 0.0 or 1.0, so Python's own
+# precedence and association fix the order of every operation.
+_MUL = ("{a0} * {b0}", "{a1} * {b0} + {a0} * {b1}",          # Leibniz
+        "{a2} * {b0} + 2.0 * {a1} * {b1} + {a0} * {b2}",
+        "{a3} * {b0} + 3.0 * {a2} * {b1} + 3.0 * {a1} * {b2} + {a0} * {b3}")
+_DIV = ("{a0} / {b0}", "({a1} - {q0} * {b1}) / {b0}",       # solve q*b = a
+        "({a2} - {q0} * {b2} - 2.0 * {q1} * {b1}) / {b0}",
+        "({a3} - {q0} * {b3} - 3.0 * {q1} * {b2} - 3.0 * {q2} * {b1}) / {b0}")
+_COMPOSE = ("{g0}", "{g1} * {u1}",                  # order-3 chain rule
+            "{g2} * {u1} * {u1} + {g1} * {u2}",
+            "{g3} * {u1} ** 3 + 3.0 * {g2} * {u1} * {u2} + {g1} * {u3}")
+_OUTER = {  # outer derivatives g0..g3 at v = u0
+    "exp": ("{ev}", "{ev}", "{ev}", "{ev}"),
+    "log": ("log({v})", "{iv}", "-{iv} * {iv}", "2.0 * {iv} ** 3"),
+    "sin": ("{s}", "{c}", "-{s}", "-{c}"),
+    "cos": ("{c}", "-{s}", "-{c}", "{s}"),
+    "sqrt": ("{r}", "0.5 / {r}", "-0.25 / ({r} * {v})",
+             "0.375 / ({r} * {v} * {v})"),
+    "pow": ("{v} ** {c}", "{c} * {g0} / {v}",        # u^c, c constant
+            "{c} * ({c} - 1.0) * {g0} / ({v} * {v})",
+            "{c} * ({c} - 1.0) * ({c} - 2.0) * {g0} / ({v} ** 3)"),
+}
+_ONE = ("1.0", "0.0", "0.0", "0.0")
+_MAX_INT_EXPONENT = 2 ** 16
 
-
-def _add(a: Jet3, b: Jet3) -> Jet3:
-    return Jet3(a.d0 + b.d0, a.d1 + b.d1, a.d2 + b.d2, a.d3 + b.d3)
-
-
-def _sub(a: Jet3, b: Jet3) -> Jet3:
-    return Jet3(a.d0 - b.d0, a.d1 - b.d1, a.d2 - b.d2, a.d3 - b.d3)
-
-
-def _neg(a: Jet3) -> Jet3:
-    return Jet3(-a.d0, -a.d1, -a.d2, -a.d3)
-
-
-def _mul(a: Jet3, b: Jet3) -> Jet3:
-    # Leibniz: (fg)''' = f'''g + 3 f''g' + 3 f'g'' + f g'''
-    return Jet3(
-        a.d0 * b.d0,
-        a.d1 * b.d0 + a.d0 * b.d1,
-        a.d2 * b.d0 + 2.0 * a.d1 * b.d1 + a.d0 * b.d2,
-        a.d3 * b.d0 + 3.0 * a.d2 * b.d1 + 3.0 * a.d1 * b.d2 + a.d0 * b.d3,
-    )
-
-
-def _div(a: Jet3, b: Jet3) -> Jet3:
-    # Solve q*b = a order by order (b.d0 != 0 is checked by the caller).
-    q0 = a.d0 / b.d0
-    q1 = (a.d1 - q0 * b.d1) / b.d0
-    q2 = (a.d2 - q0 * b.d2 - 2.0 * q1 * b.d1) / b.d0
-    q3 = (a.d3 - q0 * b.d3 - 3.0 * q1 * b.d2 - 3.0 * q2 * b.d1) / b.d0
-    return Jet3(q0, q1, q2, q3)
-
-
-def _compose(g: tuple[float, float, float, float], u: Jet3) -> Jet3:
-    # Order-3 chain rule with outer derivatives g = (g, g', g'', g''') at u.d0.
-    g0, g1, g2, g3 = g
-    u1, u2, u3 = u.d1, u.d2, u.d3
-    return Jet3(
-        g0,
-        g1 * u1,
-        g2 * u1 * u1 + g1 * u2,
-        g3 * u1 ** 3 + 3.0 * g2 * u1 * u2 + g1 * u3,
-    )
-
-
-def _int_pow(u: Jet3, n: int) -> Jet3:
-    """u**n for integer n >= 0 by repeated jet multiplication."""
-    result = _const_jet(1.0)
-    base = u
-    k = n
-    while k:
-        if k & 1:
-            result = _mul(result, base)
-        base = _mul(base, base)
-        k >>= 1
-    return result
-
-
-# --------------------------------------------------------------------------
-# Evaluation
-# --------------------------------------------------------------------------
 
 def _domain(node: Node, x: float, why: str) -> DomainError:
     return DomainError(why, expr_text=to_text(node), x=x)
 
 
-def _eval(node: Node, x: float) -> Jet3:
-    if isinstance(node, Num):
-        return _const_jet(node.value)
-    if isinstance(node, Var):
-        return Jet3(x, 1.0, 0.0, 0.0)
-    if isinstance(node, Const):
-        return _const_jet(_CONSTANTS[node.name])
-    if isinstance(node, Neg):
-        return _neg(_eval(node.operand, x))
-    if isinstance(node, Func):
-        u = _eval(node.arg, x)
-        return _apply_func(node, u, x)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, x)
-        if node.op == "^":
-            return _apply_pow(node, a, x)
-        b = _eval(node.right, x)
-        if node.op == "+":
-            return _add(a, b)
-        if node.op == "-":
-            return _sub(a, b)
-        if node.op == "*":
-            return _mul(a, b)
-        if b.d0 == 0.0:
-            raise _domain(node, x, "division by zero")
-        return _div(a, b)
-    raise TypeError(f"not an expression node: {node!r}")
+class _JetCompiler:
+    """Writes the jet of one tree as the body of a Python function.  An
+    operand is source text: a local's name or the literal 0.0 or 1.0; the
+    tree's numbers and nodes appear only as names of globals bound to them.
+    """
+
+    def __init__(self):
+        self.lines, self.pool, self.indent = [], [], "    "
+
+    def emit(self, line: str):
+        self.lines.append(self.indent + line)
+
+    def open(self, header: str):
+        self.emit(header)
+        self.indent += "    "
+
+    def close(self):
+        self.indent = self.indent[:-4]
+
+    def fresh(self) -> str:  # unique, as a line is emitted before the next
+        return f"t{len(self.lines)}"
+
+    def name(self, v) -> str:
+        self.pool.append(v)
+        return f"k{len(self.pool) - 1}"
+
+    def assign(self, expr: str) -> str:
+        if expr.isidentifier() or expr in ("0.0", "1.0"):
+            return expr
+        t = self.fresh()
+        self.emit(f"{t} = {expr}")
+        return t
+
+    def fail(self, test: str, node, why: str, chain: str = ""):
+        ref = node if isinstance(node, str) else self.name(node)
+        self.emit(test)
+        self.emit(f"    raise _domain({ref}, x, {why!r}){chain}")
+
+    def rule(self, templates, out: str = "_", **operands) -> tuple:
+        """Emit the templates in turn; entry i is also bound as out + i."""
+        env = {}
+        for key, v in operands.items():
+            env.update({f"{key}{i}": w for i, w in enumerate(v)}
+                       if isinstance(v, tuple) else {key: v})
+        for i, text in enumerate(templates):
+            env[f"{out}{i}"] = self.assign(text.format(**env))
+        return tuple(env[f"{out}{i}"] for i in range(4))
+
+    def node(self, node: Node) -> tuple:
+        if isinstance(node, Var):
+            return ("x", "1.0", "0.0", "0.0")
+        if isinstance(node, (Num, Const)):
+            c = node.value if isinstance(node, Num) else _CONSTANTS[node.name]
+            return (self.name(c), "0.0", "0.0", "0.0")
+        if isinstance(node, Neg):
+            return tuple(self.assign(f"-{v}")
+                         for v in self.node(node.operand))
+        if isinstance(node, Func):
+            return self.func(node.name, node, self.node(node.arg))
+        if isinstance(node, BinOp):
+            a = self.node(node.left)
+            if node.op == "^":
+                return self.power(node, a)
+            b = self.node(node.right)
+            if node.op in ("+", "-"):
+                return tuple(self.assign(f"{p} {node.op} {q}")
+                             for p, q in zip(a, b))
+            if node.op == "*":
+                return self.rule(_MUL, a=a, b=b)
+            self.fail(f"if {b[0]} == 0.0:", node, "division by zero")
+            return self.rule(_DIV, "q", a=a, b=b)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def func(self, name: str, node: Node, u: tuple) -> tuple:
+        v = u[0]
+        if name in ("log", "sqrt"):  # derivatives blow up at 0: need v > 0
+            self.fail(f"if {v} <= 0.0:", node,
+                      f"{name} needs a positive argument")
+        env = {"v": v}
+        if name == "exp":
+            env["ev"] = self.fresh()
+            self.emit(f"try:\n{self.indent}    {env['ev']} = exp({v})")
+            self.fail("except OverflowError:", node, "exp overflow",
+                      " from None")
+        elif name == "log":
+            env["iv"] = self.assign(f"1.0 / {v}")
+        elif name == "sqrt":
+            env["r"] = self.assign(f"sqrt({v})")
+        else:
+            env.update(s=self.assign(f"sin({v})"), c=self.assign(f"cos({v})"))
+        return self.rule(_COMPOSE, g=self.rule(_OUTER[name], **env), u=u)
+
+    def power(self, node: BinOp, base: tuple) -> tuple:
+        # Only a literal integer exponent is unrolled here; any other takes
+        # its branches when the function runs, as the tree walk did.
+        lit = node.right.operand if isinstance(node.right, Neg) else node.right
+        c = (lit.value if lit is node.right else -lit.value) \
+            if isinstance(lit, Num) else math.nan
+        if math.isfinite(c) and c == int(c) and abs(c) <= _MAX_INT_EXPONENT:
+            return self.int_pow(node, base, int(c))
+        e, v = self.node(node.right), base[0]
+        k, out = e[0], ", ".join(f"{self.fresh()}_{i}" for i in range(4))
+        zero = " and ".join(f"{w} == 0.0" for w in e[1:])
+        self.open(f"if {zero} and {k} == int({k}) "
+                  f"and abs({k}) <= {_MAX_INT_EXPONENT}:")
+        self.emit(f"{out} = _int_power(int({k}))"
+                  f"(x, {self.name(node)}, {', '.join(base)})")
+        self.close()
+        self.open(f"elif {zero}:")
+        self.fail(f"if {v} <= 0.0:", node,
+                  "non-integer exponent needs a positive base")
+        g = self.rule(_OUTER["pow"], "g", v=v, c=k)
+        self.emit(f"{out} = {', '.join(self.rule(_COMPOSE, g=g, u=base))}")
+        self.close()
+        self.open("else:")
+        self.fail(f"if {v} <= 0.0:", node,
+                  "variable exponent needs a positive base")
+        log_base = self.func("log", Func("log", node.left), base)
+        jet = self.func("exp", Func("exp", node),
+                        self.rule(_MUL, a=e, b=log_base))
+        self.emit(f"{out} = {', '.join(jet)}")
+        self.close()
+        return tuple(out.split(", "))
+
+    def int_pow(self, node, u: tuple, n: int) -> tuple:
+        """u**n unrolled by repeated squaring; n < 0 needs u0 != 0."""
+        if n < 0:
+            self.fail(f"if {u[0]} == 0.0:", node,
+                      "zero raised to a negative power")
+            return self.rule(_DIV, "q", a=_ONE, b=self.int_pow(node, u, -n))
+        result = _ONE
+        while n:
+            if n & 1:
+                result = self.rule(_MUL, a=result, b=u)
+            n >>= 1
+            if n:
+                u = self.rule(_MUL, a=u, b=u)
+        return result
+
+    def build(self, jet: tuple, params: str = "x") -> Callable:
+        self.emit(f"return ({', '.join(jet)})")
+        namespace = {f"k{i}": v for i, v in enumerate(self.pool)}
+        namespace.update(_domain=_domain, DomainError=DomainError,
+                         _int_power=_int_power, **{f: getattr(math, f) for f in
+                         ("exp", "log", "sin", "cos", "sqrt", "isfinite")})
+        source = "\n".join([f"def jet({params}):", *self.lines])
+        exec(compile(source, "<hh3 jet>", "exec"), namespace)
+        return namespace["jet"]
 
 
-def _apply_func(node: Func, u: Jet3, x: float) -> Jet3:
-    v = u.d0
-    name = node.name
-    if name == "exp":
-        try:
-            ev = math.exp(v)
-        except OverflowError:
-            raise _domain(node, x, "exp overflow") from None
-        return _compose((ev, ev, ev, ev), u)
-    if name == "log":
-        if v <= 0.0:
-            raise _domain(node, x, "log needs a positive argument")
-        iv = 1.0 / v
-        return _compose((math.log(v), iv, -iv * iv, 2.0 * iv ** 3), u)
-    if name == "sin":
-        s, c = math.sin(v), math.cos(v)
-        return _compose((s, c, -s, -c), u)
-    if name == "cos":
-        s, c = math.sin(v), math.cos(v)
-        return _compose((c, -s, -c, s), u)
-    # sqrt: derivatives blow up at 0, so the open condition v > 0 is required
-    if v <= 0.0:
-        raise _domain(node, x, "sqrt needs a positive argument")
-    r = math.sqrt(v)
-    return _compose(
-        (r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)), u
-    )
+@functools.lru_cache(maxsize=256)
+def _int_power(n: int) -> Callable:
+    """base**n for an n known at run time: (x, ^ node, base jet) -> jet."""
+    c = _JetCompiler()
+    return c.build(c.int_pow("node", ("b0", "b1", "b2", "b3"), n),
+                   "x, node, b0, b1, b2, b3")
 
 
-_MAX_INT_EXPONENT = 2 ** 16
+@functools.lru_cache(maxsize=256)
+def _compiled(node: Node, text: str) -> Callable:
+    c = _JetCompiler()
+    c.emit("if not isfinite(x):")
+    c.emit("    raise DomainError('evaluation point must be finite', x=x)")
+    jet = c.node(node)
+    c.fail(f"if not ({' and '.join(f'isfinite({v})' for v in jet)}):", node,
+           "result is not finite")
+    return c.build(jet)
 
 
-def _apply_pow(node: BinOp, base: Jet3, x: float) -> Jet3:
-    exponent = _eval(node.right, x)
-    if exponent.d1 == 0.0 and exponent.d2 == 0.0 and exponent.d3 == 0.0:
-        c = exponent.d0
-        if c == int(c) and abs(c) <= _MAX_INT_EXPONENT:
-            n = int(c)
-            if n >= 0:
-                return _int_pow(base, n)
-            if base.d0 == 0.0:
-                raise _domain(node, x, "zero raised to a negative power")
-            return _div(_const_jet(1.0), _int_pow(base, -n))
-        if base.d0 <= 0.0:
-            raise _domain(
-                node, x, "non-integer exponent needs a positive base")
-        # u^c = exp(c*log u): compose the closed-form outer derivatives
-        v = base.d0
-        g0 = v ** c
-        g1 = c * g0 / v
-        g2 = c * (c - 1.0) * g0 / (v * v)
-        g3 = c * (c - 1.0) * (c - 2.0) * g0 / (v ** 3)
-        return _compose((g0, g1, g2, g3), base)
-    if base.d0 <= 0.0:
-        raise _domain(node, x, "variable exponent needs a positive base")
-    log_base = _apply_func(Func("log", node.left), base, x)
-    product = _mul(exponent, log_base)
-    return _apply_func(Func("exp", node), product, x)
+def compile_jet3(node: Node) -> Callable[[float], tuple[float, ...]]:
+    """The jet of ``node`` as one function of x returning (f, f', f'', f''').
+
+    It performs the float operations of the jet rules in the order a
+    recursive walk of the tree would and raises what :func:`eval_jet3`
+    documents.  Compiled once per tree and kept in a bounded cache, keyed
+    on the tree and its text (Num(0.0) == Num(-0.0)).
+    """
+    return _compiled(node, to_text(node))
 
 
 def eval_jet3(node: Node, x: float) -> Jet3:
@@ -460,14 +517,9 @@ def eval_jet3(node: Node, x: float) -> Jet3:
     Raises :class:`DomainError` naming the offending subexpression when the
     point leaves a function's domain or the result is not finite.
     """
-    if not math.isfinite(x):
-        raise DomainError("evaluation point must be finite", x=x)
-    jet = _eval(node, x)
-    if not all(map(math.isfinite, jet.entries())):
-        raise _domain(node, x, "result is not finite")
-    return jet
+    return Jet3(*compile_jet3(node)(x))
 
 
 def evaluate(node: Node, x: float) -> float:
     """The value component of :func:`eval_jet3`; errors are identical."""
-    return eval_jet3(node, x).d0
+    return compile_jet3(node)(x)[0]

@@ -37,7 +37,8 @@ from typing import Callable, Sequence
 from . import bounds as _bounds
 from .errors import BadInterval, NonConvergence, NonPositiveThirdDerivative, \
     ToleranceUnreachable
-from .expr import Node, eval_jet3, evaluate
+# eval_jet3 and evaluate stay attributes here for bench/tracer.py to wrap.
+from .expr import Node, compile_jet3, eval_jet3, evaluate  # noqa: F401
 
 __all__ = [
     "Division", "IntervalBound", "QuadResult", "CertifyOutcome",
@@ -116,17 +117,14 @@ def uniform_division(a: float, b: float, n: int) -> Division:
 # --------------------------------------------------------------------------
 
 def midpoint_sum(f: Node, d: Division) -> float:
-    terms = [h * evaluate(f, m)
-             for h, m in zip(d.widths(), d.midpoints())]
-    return math.fsum(terms)
+    jet = compile_jet3(f)
+    return math.fsum(h * jet(m)[0] for h, m in zip(d.widths(), d.midpoints()))
 
 
 def corrected_midpoint_sum(f: Node, d: Division) -> float:
-    terms = []
-    for h, m in zip(d.widths(), d.midpoints()):
-        jet = eval_jet3(f, m)
-        terms.append(h * jet.d0 + h ** 3 / 24.0 * jet.d2)
-    return math.fsum(terms)
+    jet = compile_jet3(f)
+    return math.fsum(h * j[0] + h ** 3 / 24.0 * j[2] for h, j in
+                     zip(d.widths(), map(jet, d.midpoints())))
 
 
 # --------------------------------------------------------------------------
@@ -172,38 +170,40 @@ def composite_bound(f: Node, d: Division, method: str = "best",
     if method in ("thm2", "thm3") and q is None:
         raise ValueError(f"method {method!r} needs an exponent q")
 
+    jet = compile_jet3(f)
     f3 = []
     for x in d.points:
-        jet = eval_jet3(f, x)
-        mag = abs(jet.d3)
+        d3 = jet(x)[3]
+        mag = abs(d3)
         if not (math.isfinite(mag) and mag > 0.0):
-            raise NonPositiveThirdDerivative(x, jet.d3)
+            raise NonPositiveThirdDerivative(x, d3)
         f3.append(mag)
 
-    mid_jets = [eval_jet3(f, m) for m in d.midpoints()]
+    mid_jets = [jet(m) for m in d.midpoints()]
 
     intervals = []
+    label = "thm1" if method == "best" else method
+    used_q = None if label == "thm1" else q
     for lo, hi, f3a, f3b in zip(d.points, d.points[1:], f3, f3[1:]):
-        e = _bounds.DerivEndpoints(f3a_abs=f3a, f3b_abs=f3b, a=lo, b=hi)
-        r = _bounds.ratio_pair(e)
-        if method == "thm2":
-            bound, label, used_q = _bounds.holder_bound(e, q), "thm2", q
-        elif method == "thm3":
-            bound, label, used_q = _bounds.power_mean_bound(e, q), "thm3", q
+        width = hi - lo
+        if method in ("thm2", "thm3"):
+            e = _bounds.DerivEndpoints(f3a_abs=f3a, f3b_abs=f3b, a=lo, b=hi)
+            bound = (_bounds.holder_bound if method == "thm2"
+                     else _bounds.power_mean_bound)(e, q)
         else:
-            bound, label, used_q = _bounds.direct_bound(e), "thm1", None
-        intervals.append(IntervalBound(lo, hi, e.width * bound,
-                                       r.K, r.M, label, used_q))
+            bound = _bounds.chi1(f3a, f3b, width)
+        intervals.append(IntervalBound(lo, hi, width * bound, f3a / f3b,
+                                       f3b / f3a, label, used_q))
     certified = math.fsum(ib.bound for ib in intervals)
 
     widths = d.widths()
-    mid_terms = [h * jet.d0 + h ** 3 / 24.0 * jet.d2
-                 for h, jet in zip(widths, mid_jets)]
-    plain = math.fsum(h * jet.d0 for h, jet in zip(widths, mid_jets))
+    mid_terms = [h * j[0] + h ** 3 / 24.0 * j[2]
+                 for h, j in zip(widths, mid_jets)]
+    plain = math.fsum(h * j[0] for h, j in zip(widths, mid_jets))
     corrected = math.fsum(mid_terms)
 
-    second_scale = max(1.0, max(abs(jet.d0) for jet in mid_jets))
-    max_second = max(abs(jet.d2) for jet in mid_jets)
+    second_scale = max(1.0, max(abs(j[0]) for j in mid_jets))
+    max_second = max(abs(j[2]) for j in mid_jets)
     heuristic = max_second > _MIDPOINT_RIGOROUS_TOL * second_scale
 
     return QuadResult(
@@ -311,7 +311,8 @@ def reference_integral(f: Node, a: float, b: float, tol: float = 1e-13,
     """
     if not (tol >= 1e-14):
         raise ValueError(f"tol must be at least 1e-14, got {tol!r}")
-    return integrate_adaptive(lambda x: evaluate(f, x), a, b, tol, budget)
+    jet = compile_jet3(f)
+    return integrate_adaptive(lambda x: jet(x)[0], a, b, tol, budget)
 
 
 # --------------------------------------------------------------------------
@@ -336,15 +337,16 @@ def identity_residual(f: Node, a: float, b: float,
         raise BadInterval(f"need finite a < b, got [{a!r}, {b!r}]")
     h = b - a
     m = 0.5 * (a + b)
-    mean = integrate_adaptive(lambda x: evaluate(f, x), a, b, tol) / h
-    jet = eval_jet3(f, m)
-    lhs = mean - jet.d0 - h * h / 24.0 * jet.d2
+    jet = compile_jet3(f)
+    mean = integrate_adaptive(lambda x: jet(x)[0], a, b, tol) / h
+    f0, _, f2, _ = jet(m)
+    lhs = mean - f0 - h * h / 24.0 * f2
 
     def kernel_from_b(t: float) -> float:
-        return t ** 3 * eval_jet3(f, b - 0.5 * t * h).d3
+        return t ** 3 * jet(b - 0.5 * t * h)[3]
 
     def kernel_from_a(t: float) -> float:
-        return t ** 3 * eval_jet3(f, a + 0.5 * t * h).d3
+        return t ** 3 * jet(a + 0.5 * t * h)[3]
 
     i1 = integrate_adaptive(kernel_from_b, 0.0, 1.0, tol)
     i2 = integrate_adaptive(kernel_from_a, 0.0, 1.0, tol)

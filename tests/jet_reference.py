@@ -1,0 +1,171 @@
+"""Reference jet evaluator: a recursive walk of the AST, one Jet3 per node.
+
+This is the tree-walker that :func:`hh3.expr.compile_jet3` replaces.  The
+compiled functions perform the same float operations in the same order, so
+the tests hold them to identical bits and identical errors against
+:func:`eval_jet3_reference`.
+"""
+
+from __future__ import annotations
+
+import math
+
+from hh3.errors import DomainError
+from hh3.expr import (_CONSTANTS, _MAX_INT_EXPONENT, BinOp, Const, Func, Jet3,
+                      Neg, Node, Num, Var, _domain)
+
+
+def _const_jet(c: float) -> Jet3:
+    return Jet3(c, 0.0, 0.0, 0.0)
+
+
+def _add(a: Jet3, b: Jet3) -> Jet3:
+    return Jet3(a.d0 + b.d0, a.d1 + b.d1, a.d2 + b.d2, a.d3 + b.d3)
+
+
+def _sub(a: Jet3, b: Jet3) -> Jet3:
+    return Jet3(a.d0 - b.d0, a.d1 - b.d1, a.d2 - b.d2, a.d3 - b.d3)
+
+
+def _neg(a: Jet3) -> Jet3:
+    return Jet3(-a.d0, -a.d1, -a.d2, -a.d3)
+
+
+def _mul(a: Jet3, b: Jet3) -> Jet3:
+    # Leibniz: (fg)''' = f'''g + 3 f''g' + 3 f'g'' + f g'''
+    return Jet3(
+        a.d0 * b.d0,
+        a.d1 * b.d0 + a.d0 * b.d1,
+        a.d2 * b.d0 + 2.0 * a.d1 * b.d1 + a.d0 * b.d2,
+        a.d3 * b.d0 + 3.0 * a.d2 * b.d1 + 3.0 * a.d1 * b.d2 + a.d0 * b.d3,
+    )
+
+
+def _div(a: Jet3, b: Jet3) -> Jet3:
+    # Solve q*b = a order by order (b.d0 != 0 is checked by the caller).
+    q0 = a.d0 / b.d0
+    q1 = (a.d1 - q0 * b.d1) / b.d0
+    q2 = (a.d2 - q0 * b.d2 - 2.0 * q1 * b.d1) / b.d0
+    q3 = (a.d3 - q0 * b.d3 - 3.0 * q1 * b.d2 - 3.0 * q2 * b.d1) / b.d0
+    return Jet3(q0, q1, q2, q3)
+
+
+def _compose(g: tuple[float, float, float, float], u: Jet3) -> Jet3:
+    # Order-3 chain rule with outer derivatives g = (g, g', g'', g''') at u.d0.
+    g0, g1, g2, g3 = g
+    u1, u2, u3 = u.d1, u.d2, u.d3
+    return Jet3(
+        g0,
+        g1 * u1,
+        g2 * u1 * u1 + g1 * u2,
+        g3 * u1 ** 3 + 3.0 * g2 * u1 * u2 + g1 * u3,
+    )
+
+
+def _int_pow(u: Jet3, n: int) -> Jet3:
+    """u**n for integer n >= 0 by repeated jet multiplication."""
+    result = _const_jet(1.0)
+    base = u
+    k = n
+    while k:
+        if k & 1:
+            result = _mul(result, base)
+        base = _mul(base, base)
+        k >>= 1
+    return result
+
+
+def _eval(node: Node, x: float) -> Jet3:
+    if isinstance(node, Num):
+        return _const_jet(node.value)
+    if isinstance(node, Var):
+        return Jet3(x, 1.0, 0.0, 0.0)
+    if isinstance(node, Const):
+        return _const_jet(_CONSTANTS[node.name])
+    if isinstance(node, Neg):
+        return _neg(_eval(node.operand, x))
+    if isinstance(node, Func):
+        u = _eval(node.arg, x)
+        return _apply_func(node, u, x)
+    if isinstance(node, BinOp):
+        a = _eval(node.left, x)
+        if node.op == "^":
+            return _apply_pow(node, a, x)
+        b = _eval(node.right, x)
+        if node.op == "+":
+            return _add(a, b)
+        if node.op == "-":
+            return _sub(a, b)
+        if node.op == "*":
+            return _mul(a, b)
+        if b.d0 == 0.0:
+            raise _domain(node, x, "division by zero")
+        return _div(a, b)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _apply_func(node: Func, u: Jet3, x: float) -> Jet3:
+    v = u.d0
+    name = node.name
+    if name == "exp":
+        try:
+            ev = math.exp(v)
+        except OverflowError:
+            raise _domain(node, x, "exp overflow") from None
+        return _compose((ev, ev, ev, ev), u)
+    if name == "log":
+        if v <= 0.0:
+            raise _domain(node, x, "log needs a positive argument")
+        iv = 1.0 / v
+        return _compose((math.log(v), iv, -iv * iv, 2.0 * iv ** 3), u)
+    if name == "sin":
+        s, c = math.sin(v), math.cos(v)
+        return _compose((s, c, -s, -c), u)
+    if name == "cos":
+        s, c = math.sin(v), math.cos(v)
+        return _compose((c, -s, -c, s), u)
+    # sqrt: derivatives blow up at 0, so the open condition v > 0 is required
+    if v <= 0.0:
+        raise _domain(node, x, "sqrt needs a positive argument")
+    r = math.sqrt(v)
+    return _compose(
+        (r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)), u
+    )
+
+
+def _apply_pow(node: BinOp, base: Jet3, x: float) -> Jet3:
+    exponent = _eval(node.right, x)
+    if exponent.d1 == 0.0 and exponent.d2 == 0.0 and exponent.d3 == 0.0:
+        c = exponent.d0
+        if c == int(c) and abs(c) <= _MAX_INT_EXPONENT:
+            n = int(c)
+            if n >= 0:
+                return _int_pow(base, n)
+            if base.d0 == 0.0:
+                raise _domain(node, x, "zero raised to a negative power")
+            return _div(_const_jet(1.0), _int_pow(base, -n))
+        if base.d0 <= 0.0:
+            raise _domain(
+                node, x, "non-integer exponent needs a positive base")
+        # u^c = exp(c*log u): compose the closed-form outer derivatives
+        v = base.d0
+        g0 = v ** c
+        g1 = c * g0 / v
+        g2 = c * (c - 1.0) * g0 / (v * v)
+        g3 = c * (c - 1.0) * (c - 2.0) * g0 / (v ** 3)
+        return _compose((g0, g1, g2, g3), base)
+    if base.d0 <= 0.0:
+        raise _domain(node, x, "variable exponent needs a positive base")
+    log_base = _apply_func(Func("log", node.left), base, x)
+    product = _mul(exponent, log_base)
+    return _apply_func(Func("exp", node), product, x)
+
+
+def eval_jet3_reference(node: Node, x: float) -> Jet3:
+    """The tree-walk counterpart of :func:`hh3.expr.eval_jet3`."""
+    if not math.isfinite(x):
+        raise DomainError("evaluation point must be finite", x=x)
+    jet = _eval(node, x)
+    if not all(map(math.isfinite, jet.entries())):
+        raise _domain(node, x, "result is not finite")
+    return jet

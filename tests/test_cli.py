@@ -136,6 +136,16 @@ def test_large_q_on_steep_ratio_does_not_overflow(capsys, method):
         json.loads(direct)["certified_bound"]
 
 
+def test_underflowing_ratio_is_a_math_error(capsys):
+    # |f'''| is finite and positive at both ends, but K = f3a/f3b underflows
+    # to 0; the ratio check must report it rather than fail in log(0.0)
+    code, out, err = run(capsys, "integrate", "--f", "exp(690*x)",
+                         "--a", "-1", "--b", "1", "--n", "1")
+    assert code == EXIT_MATH
+    assert out == ""
+    assert "derivative ratio must be finite and positive" in err
+
+
 def test_integrate_oracle_soundness(capsys):
     _, out, _ = run(capsys, "integrate", *EXP01, "--n", "8", "--oracle")
     doc = json.loads(out)

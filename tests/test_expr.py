@@ -2,12 +2,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hh3.errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from hh3.expr import (BinOp, Const, Func, Jet3, Neg, Num, Var, _div, _mul,
+from hh3.expr import (BinOp, Const, Func, Jet3, Neg, Num, Var, compile_jet3,
                       eval_jet3, evaluate, parse, to_text)
+from jet_reference import _div, _mul, eval_jet3_reference
 
 
 # --------------------------------------------------------------------------
@@ -259,6 +260,58 @@ def test_jet_quotient_inverts_product(a0, a1, a2, a3, b0, b1, b2, b3):
                 *(abs(v) for v in quotient.entries()))
     for got, want in zip(back.entries(), a.entries()):
         assert got == pytest.approx(want, abs=1e-10 * scale)
+
+
+def _outcome(evaluator, ast, x):
+    """The bits of the jet, or the type and text of what was raised."""
+    try:
+        jet = evaluator(ast, x)
+    except (ArithmeticError, ValueError, DomainError) as exc:
+        where = (exc.expr_text, exc.x) if isinstance(exc, DomainError) else ()
+        return type(exc), str(exc), where
+    return tuple(float(v).hex() for v in jet.entries())  # keeps -0.0
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_ast_strategy(), st.floats(min_value=-5.0, max_value=5.0))
+@example(parse("sqrt(exp(x))"), 3.0)
+def test_compiled_jet_matches_tree_walk_bit_for_bit(ast, x):
+    assert _outcome(eval_jet3, ast, x) == \
+        _outcome(eval_jet3_reference, ast, x)
+
+
+@pytest.mark.parametrize("source,a,b", _SMOOTH_CASES)
+def test_compiled_jet_matches_tree_walk_on_smooth_cases(source, a, b):
+    # draws from the whole interval, where rounding differs far more often
+    # than at the simple floats hypothesis favours
+    ast = parse(source)
+    rng = random.Random(source)
+    for x in (rng.uniform(a, b) for _ in range(200)):
+        assert _outcome(eval_jet3, ast, x) == \
+            _outcome(eval_jet3_reference, ast, x)
+
+
+@pytest.mark.parametrize("source", [
+    "x^x", "x^2.5", "x^(x - x + 3)", "x^(x - x - 2)", "(x - 1)^(x - x + 2)",
+    "x^-3", "0^-1", "2^(1e999)", "exp(1e200*x)", "log(2)/(x - x)",
+])
+@pytest.mark.parametrize("x", [-2.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+def test_compiled_power_and_error_paths_match_tree_walk(source, x):
+    ast = parse(source)
+    assert _outcome(eval_jet3, ast, x) == \
+        _outcome(eval_jet3_reference, ast, x)
+
+
+def test_compile_is_cached_and_keeps_signed_zero_constants():
+    assert compile_jet3(parse("x*2")) is compile_jet3(parse("x*2"))
+    plus, minus = BinOp("*", Var(), Num(0.0)), BinOp("*", Var(), Num(-0.0))
+    assert math.copysign(1.0, compile_jet3(minus)(1.0)[0]) == -1.0
+    assert math.copysign(1.0, compile_jet3(plus)(1.0)[0]) == 1.0
+
+
+def test_expression_constants_are_not_compiled_as_source():
+    code = compile_jet3(parse("x*12345.678 + 0.125")).__code__
+    assert 12345.678 not in code.co_consts and 0.125 not in code.co_consts
 
 
 def test_pow_on_negative_base_integer_exponent():
