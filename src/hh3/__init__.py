@@ -17,9 +17,9 @@ from .analysis import (CatalogEntry, ConvexityReport, GridSamples,
                        HermiteHadamardReport, catalog, check_hermite_hadamard,
                        check_log_convexity, check_log_convexity_pow,
                        grid_samples)
-from .bounds import (BoundReport, DerivEndpoints, HolderExponents, RatioPair,
-                     best_bound, direct_bound, holder_bound, holder_exponents,
-                     holder_factor, mu, mu_q, power_mean_bound, ratio_pair)
+from .bounds import (BoundReport, DerivEndpoints, best_bound, bound_function,
+                     chi1, chi2, chi3, direct_bound, holder_bound,
+                     holder_factor, mu, mu_q, power_mean_bound)
 from .errors import (BadInterval, DomainError, ExprSyntaxError, Hh3Error,
                      NonConvergence, NonPositiveThirdDerivative, NotConvex,
                      ToleranceUnreachable, UnknownIdentifier)
@@ -37,10 +37,9 @@ __all__ = [
     # expr
     "parse", "to_text", "evaluate", "eval_jet3", "Jet3", "Node",
     # bounds
-    "mu", "mu_q", "holder_factor", "direct_bound", "holder_bound",
-    "power_mean_bound", "best_bound", "ratio_pair",
-    "holder_exponents", "DerivEndpoints", "RatioPair", "HolderExponents",
-    "BoundReport",
+    "mu", "mu_q", "holder_factor", "chi1", "chi2", "chi3", "bound_function",
+    "direct_bound", "holder_bound", "power_mean_bound", "best_bound",
+    "DerivEndpoints", "BoundReport",
     # quadrature
     "Division", "IntervalBound", "QuadResult", "CertifyOutcome",
     "uniform_division", "division_from_points", "midpoint_sum",

@@ -36,16 +36,18 @@ finite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import BadInterval, DomainError, NonPositiveThirdDerivative
 
 __all__ = [
-    "L_SWITCH", "DerivEndpoints", "RatioPair", "HolderExponents",
-    "BoundReport", "ratio_pair", "holder_exponents", "mu", "mu_q",
-    "holder_factor", "chi1", "direct_bound", "holder_bound",
-    "power_mean_bound", "best_bound", "DEFAULT_Q", "METHOD_NAMES",
+    "L_SWITCH", "DerivEndpoints", "BoundReport", "mu", "mu_q",
+    "holder_factor", "chi1", "chi2", "chi3", "bound_function",
+    "direct_bound", "holder_bound", "power_mean_bound", "best_bound",
+    "DEFAULT_Q", "METHOD_NAMES",
 ]
 
 #: |ln K| at or below which the moment series is used instead of the closed
@@ -66,7 +68,7 @@ DEFAULT_Q = 2.0
 
 
 # --------------------------------------------------------------------------
-# Input records
+# The checked one-interval input
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -89,34 +91,6 @@ class DerivEndpoints:
     @property
     def width(self) -> float:
         return self.b - self.a
-
-
-@dataclass(frozen=True)
-class RatioPair:
-    """The two endpoint derivative ratios; K * M == 1 up to rounding."""
-
-    K: float
-    M: float
-
-
-def ratio_pair(e: DerivEndpoints) -> RatioPair:
-    # Both ratios are formed directly from the magnitudes (not as 1/K) so
-    # that swapping the endpoints swaps K and M exactly.
-    return RatioPair(K=e.f3a_abs / e.f3b_abs, M=e.f3b_abs / e.f3a_abs)
-
-
-@dataclass(frozen=True)
-class HolderExponents:
-    """A conjugate pair 1/p + 1/q = 1 with q > 1."""
-
-    q: float
-    p: float
-
-
-def holder_exponents(q: float) -> HolderExponents:
-    if not (math.isfinite(q) and q > 1.0):
-        raise DomainError(f"Holder exponent q must satisfy q > 1, got {q!r}")
-    return HolderExponents(q=q, p=q / (q - 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -169,12 +143,37 @@ def _require_ratio(k: float) -> float:
     return float(k)
 
 
+def _log_ratio(num: float, den: float) -> float:
+    """ln(num / den), once the ratio is checked finite and positive."""
+    return math.log(_require_ratio(num / den))
+
+
+def _require_q(q: float, strict: bool, name: str) -> None:
+    """The exponent rule: finite q > 1 if ``strict`` (Holder), else q >= 1."""
+    if not (math.isfinite(q) and (q > 1.0 if strict else q >= 1.0)):
+        raise DomainError(
+            f"{name} needs q {'>' if strict else '>='} 1, got {q!r}")
+
+
 def mu(k: float) -> float:
     """The weight in the direct bound: integral of t^3 k^(t/2), t in [0,1].
 
     mu(1) = 1/4 exactly; mu is increasing and positive.
     """
     return _moment_from_log(math.log(_require_ratio(k)))
+
+
+def _weight_log(k: float, q: float, name: str) -> float:
+    """q ln(k), once k and q are checked and exp(q ln(k)/2) fits a float."""
+    k = _require_ratio(k)
+    _require_q(q, False, name)
+    lam = q * math.log(k)
+    if lam / 2.0 > _HALF_LOG_LIMIT:
+        raise OverflowError(
+            f"q*ln(K)/2 = {lam / 2.0!r} exceeds {_HALF_LOG_LIMIT}; "
+            "the ratio is too extreme for this q"
+        )
+    return lam
 
 
 def mu_q(k: float, q: float) -> float:
@@ -185,16 +184,11 @@ def mu_q(k: float, q: float) -> float:
     stays accurate.  Raises the builtin OverflowError when q*ln(k)/2 > 700,
     where the closed form's exp() would overflow.
     """
-    k = _require_ratio(k)
-    if not (math.isfinite(q) and q >= 1.0):
-        raise DomainError(f"power-mean exponent q must satisfy q >= 1, got {q!r}")
-    lam = q * math.log(k)
-    if lam / 2.0 > _HALF_LOG_LIMIT:
-        raise OverflowError(
-            f"q*ln(K)/2 = {lam / 2.0!r} exceeds {_HALF_LOG_LIMIT}; "
-            "the ratio is too extreme for this q"
-        )
-    return _moment_from_log(lam)
+    return _moment_from_log(_weight_log(k, q, "mu_q"))
+
+
+def _expm1_mean(u: float) -> float:
+    return 1.0 if u == 0.0 else math.expm1(u) / u
 
 
 def holder_factor(k: float, q: float) -> float:
@@ -203,39 +197,28 @@ def holder_factor(k: float, q: float) -> float:
     Equals expm1(u)/u at u = q*ln(k)/2, which tends to 1 as k -> 1; expm1
     keeps that limit exact to machine precision.
     """
-    k = _require_ratio(k)
-    if not (math.isfinite(q) and q >= 1.0):
-        raise DomainError(f"Holder factor needs q >= 1, got {q!r}")
-    u = q * math.log(k) / 2.0
-    if u > _HALF_LOG_LIMIT:
-        raise OverflowError(
-            f"q*ln(K)/2 = {u!r} exceeds {_HALF_LOG_LIMIT}; "
-            "the ratio is too extreme for this q"
-        )
-    if u == 0.0:
-        return 1.0
-    return math.expm1(u) / u
+    return _expm1_mean(_weight_log(k, q, "holder_factor") / 2.0)
 
 
-def _qth_root(weight, k: float, q: float) -> float:
-    """weight(k, q) ** (1/q), for weight holder_factor or mu_q.
+def _qth_root(log_k: float, q: float, power_mean: bool) -> float:
+    """mu_q(K, q) ** (1/q) if ``power_mean``, else holder_factor(K, q) ** (1/q).
 
-    Where u = q ln(k)/2 exceeds the exp() limit the weight itself may not fit
+    Where u = q ln(K)/2 exceeds the exp() limit the weight itself may not fit
     in a float, so the root is taken in log space from
 
-        ln holder_factor(k, q) = u - ln u
-        ln mu_q(k, q)          = u - ln u + ln(1 - 3/u + 6/u^2 - 6/u^3)
+        ln holder_factor(K, q) = u - ln u
+        ln mu_q(K, q)          = u - ln u + ln(1 - 3/u + 6/u^2 - 6/u^3)
 
     which drop only terms of relative size e^-u < 1e-304.  Elsewhere the
-    power is taken directly, as it always was.
+    power is taken directly.
     """
-    log_k = math.log(_require_ratio(k))
-    u = q * log_k / 2.0  # as the weights compute it, so the branches agree
+    u = q * log_k / 2.0
     if u <= _HALF_LOG_LIMIT:
-        return weight(k, q) ** (1.0 / q)
+        weight = _moment_from_log(q * log_k) if power_mean else _expm1_mean(u)
+        return weight ** (1.0 / q)
     half = log_k / 2.0
     log_root = half - (math.log(q) + math.log(half)) / q
-    if weight is mu_q:
+    if power_mean:
         log_root += math.log1p((-3.0 + (6.0 - 6.0 / u) / u) / u) / q
     return math.exp(log_root)
 
@@ -243,53 +226,70 @@ def _qth_root(weight, k: float, q: float) -> float:
 # --------------------------------------------------------------------------
 # The three bounds
 # --------------------------------------------------------------------------
+# Each takes |f'''(a)|, |f'''(b)| (finite, positive) and the width b - a, and
+# checks K and M where it takes their logs; bound_function checks q.
 
 def chi1(f3a_abs: float, f3b_abs: float, width: float) -> float:
-    """direct_bound from checked magnitudes; K and M are checked by mu."""
+    """((b-a)^3/96) * (|f'''(b)| mu(K) + |f'''(a)| mu(M))."""
     return width ** 3 / 96.0 * (f3b_abs * mu(f3a_abs / f3b_abs)
                                 + f3a_abs * mu(f3b_abs / f3a_abs))
 
 
+def chi2(f3a_abs: float, f3b_abs: float, width: float, q: float) -> float:
+    """((b-a)^3/96) (1/(3p+1))^(1/p) (|f'''(b)| hf(K,q)^(1/q)
+                                     + |f'''(a)| hf(M,q)^(1/q)), q > 1.
+    """
+    p = q / (q - 1.0)
+    return width ** 3 / 96.0 * (1.0 / (3.0 * p + 1.0)) ** (1.0 / p) * (
+        f3b_abs * _qth_root(_log_ratio(f3a_abs, f3b_abs), q, False)
+        + f3a_abs * _qth_root(_log_ratio(f3b_abs, f3a_abs), q, False))
+
+
+def chi3(f3a_abs: float, f3b_abs: float, width: float, q: float) -> float:
+    """((b-a)^3/96) (1/4)^(1-1/q) (|f'''(b)| mu_q(K,q)^(1/q)
+                                  + |f'''(a)| mu_q(M,q)^(1/q)), q >= 1.
+
+    At q = 1 every factor reduces literally to chi1's: the prefactor is
+    (1/4)^0 == 1.0 and x ** 1.0 == x, so the two agree bit for bit.
+    """
+    return width ** 3 / 96.0 * 0.25 ** (1.0 - 1.0 / q) * (
+        f3b_abs * _qth_root(_log_ratio(f3a_abs, f3b_abs), q, True)
+        + f3a_abs * _qth_root(_log_ratio(f3b_abs, f3a_abs), q, True))
+
+
+def bound_function(method: str, q: float | None = None
+                   ) -> Callable[[float, float, float], float]:
+    """The bound of ``method`` as a function of (f3a_abs, f3b_abs, width).
+
+    The one place that maps a method to its bound and checks its exponent:
+    thm1 and best give chi1 and ignore q, thm2 gives chi2 and needs q > 1,
+    thm3 gives chi3 and needs q >= 1 (DomainError otherwise).  An unknown
+    method or a missing q is a ValueError.
+    """
+    if method not in METHOD_NAMES:
+        raise ValueError(f"unknown method {method!r}; "
+                         f"expected one of {METHOD_NAMES}")
+    if method in ("thm1", "best"):
+        return chi1
+    if q is None:
+        raise ValueError(f"method {method!r} needs an exponent q")
+    _require_q(q, method == "thm2", method)
+    return functools.partial(chi2 if method == "thm2" else chi3, q=q)
+
+
 def direct_bound(e: DerivEndpoints) -> float:
-    """chi1: ((b-a)^3/96) * (|f'''(b)| mu(K) + |f'''(a)| mu(M))."""
+    """chi1 on a checked interval."""
     return chi1(e.f3a_abs, e.f3b_abs, e.width)
 
 
 def holder_bound(e: DerivEndpoints, q: float) -> float:
-    """chi2 with exponent q > 1:
-
-    ((b-a)^3/96) (1/(3p+1))^(1/p) (|f'''(b)| hf(K,q)^(1/q)
-                                   + |f'''(a)| hf(M,q)^(1/q)).
-    """
-    exps = holder_exponents(q)
-    r = ratio_pair(e)
-    scale = e.width ** 3 / 96.0
-    kernel = (1.0 / (3.0 * exps.p + 1.0)) ** (1.0 / exps.p)
-    return scale * kernel * (
-        e.f3b_abs * _qth_root(holder_factor, r.K, q)
-        + e.f3a_abs * _qth_root(holder_factor, r.M, q)
-    )
+    """chi2 on a checked interval; q > 1."""
+    return bound_function("thm2", q)(e.f3a_abs, e.f3b_abs, e.width)
 
 
 def power_mean_bound(e: DerivEndpoints, q: float) -> float:
-    """chi3 with exponent q >= 1:
-
-    ((b-a)^3/96) (1/4)^(1-1/q) (|f'''(b)| mu_q(K,q)^(1/q)
-                                + |f'''(a)| mu_q(M,q)^(1/q)).
-
-    At q = 1 every factor reduces literally to the direct bound's: the
-    prefactor is (1/4)^0 == 1.0 and x ** 1.0 == x, so the two agree bit for
-    bit.
-    """
-    if not (math.isfinite(q) and q >= 1.0):
-        raise DomainError(f"power-mean exponent q must satisfy q >= 1, got {q!r}")
-    r = ratio_pair(e)
-    scale = e.width ** 3 / 96.0
-    kernel = 0.25 ** (1.0 - 1.0 / q)
-    return scale * kernel * (
-        e.f3b_abs * _qth_root(mu_q, r.K, q)
-        + e.f3a_abs * _qth_root(mu_q, r.M, q)
-    )
+    """chi3 on a checked interval; q >= 1."""
+    return bound_function("thm3", q)(e.f3a_abs, e.f3b_abs, e.width)
 
 
 # --------------------------------------------------------------------------
@@ -317,10 +317,7 @@ def best_bound(e: DerivEndpoints) -> BoundReport:
     chi1 = direct_bound(e)
     chi2 = holder_bound(e, DEFAULT_Q)
     chi3 = power_mean_bound(e, DEFAULT_Q)
-    min_value, argmin_label = chi1, "chi1"
-    if chi2 < min_value:
-        min_value, argmin_label = chi2, "chi2"
-    if chi3 < min_value:
-        min_value, argmin_label = chi3, "chi3"
+    min_value, argmin_label = min((chi1, "chi1"), (chi2, "chi2"),
+                                  (chi3, "chi3"), key=lambda c: c[0])
     return BoundReport(chi1=chi1, chi2=chi2, chi3=chi3, q=DEFAULT_Q,
                        min_value=min_value, argmin_label=argmin_label)

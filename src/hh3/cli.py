@@ -140,9 +140,21 @@ class RunConfig:
     oracle: bool = False
 
 
-_CONFIG_KEYS = ("f", "a", "b", "n", "tol", "method", "q", "n_list",
-                "grid_points", "n_max", "format", "out", "per_interval",
-                "oracle")
+# What a config value must be: its flag's type.  json.load makes exact
+# ints, floats, strs, bools and lists, so ``type(v) is int`` leaves out bools.
+_STRING = ("a string", lambda v: type(v) is str)
+_NUMBER = ("a number", lambda v: type(v) in (int, float))
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_SWITCH = ("true or false", lambda v: type(v) is bool)
+_COUNTS = ("a string or a list of integers", lambda v: type(v) is str
+           or type(v) is list and all(type(i) is int for i in v))
+
+_CONFIG_KEYS = {
+    "f": _STRING, "a": _NUMBER, "b": _NUMBER, "n": _INTEGER, "tol": _NUMBER,
+    "method": _STRING, "q": _NUMBER, "n_list": _COUNTS,
+    "grid_points": _INTEGER, "n_max": _INTEGER, "format": _STRING,
+    "out": _STRING, "per_interval": _SWITCH, "oracle": _SWITCH,
+}
 
 
 def _load_config(path: str) -> dict:
@@ -155,9 +167,13 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"--config: {path}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise UsageError(f"--config: {path}: must hold a JSON object")
-    for key in data:
+    for key, value in data.items():
         if key not in _CONFIG_KEYS:
             raise UsageError(f"--config: unknown key {key!r}")
+        what, has_type = _CONFIG_KEYS[key]
+        if not has_type(value):
+            raise UsageError(f"--config: {key!r} must be {what}, "
+                             f"got {json.dumps(value)}")
     return data
 
 
@@ -193,12 +209,12 @@ def _parse_n_list(raw) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _require_number(name: str, value, *, integer: bool = False):
+def _require_finite(name: str, value) -> float:
     try:
-        number = int(value) if integer else float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{name}: {value!r} is not a number") from None
-    if not integer and not math.isfinite(number):
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
+    if not math.isfinite(number):
         raise UsageError(f"{name}: must be finite, got {value!r}")
     return number
 
@@ -220,8 +236,8 @@ def resolve(args: argparse.Namespace) -> RunConfig:
     b = _merged(args, config, "b")
     if a is None or b is None:
         raise UsageError("--a and --b are required")
-    a = _require_number("--a", a)
-    b = _require_number("--b", b)
+    a = _require_finite("--a", a)
+    b = _require_finite("--b", b)
     if not a < b:
         raise UsageError(f"--a/--b: need a < b, got [{a!r}, {b!r}]")
 
@@ -236,26 +252,25 @@ def resolve(args: argparse.Namespace) -> RunConfig:
                          f"{'/'.join(bounds.METHOD_NAMES)}, got {method!r}")
     q = _merged(args, config, "q")
     if q is not None:
-        q = _require_number("--q", q)
-    if method in ("thm2", "thm3"):
-        if q is None:
-            q = bounds.DEFAULT_Q
-        if method == "thm2" and not q > 1.0:
-            raise UsageError(f"--q: thm2 needs q > 1, got {q!r}")
-        if not q >= 1.0:
-            raise UsageError(f"--q: thm3 needs q >= 1, got {q!r}")
-    else:
+        q = _require_finite("--q", q)
+    if method in ("thm1", "best"):
         q = None
+    elif q is None:
+        q = bounds.DEFAULT_Q
+    try:
+        bounds.bound_function(method, q)
+    except DomainError as exc:
+        raise UsageError(f"--q: {exc}") from None
 
     grid_points = _merged(args, config, "grid_points")
     if grid_points is None:
         grid_points = analysis.GRID_POINTS_DEFAULT
-    grid_points = _require_number("--grid-n", grid_points, integer=True)
     if grid_points < 3 or grid_points % 2 == 0:
         raise UsageError(f"--grid-n: must be odd and >= 3, got {grid_points}")
 
     n = _merged(args, config, "n")
-    n = 1 if n is None else _require_number("--n", n, integer=True)
+    if n is None:
+        n = 1
     if n < 1:
         raise UsageError(f"--n: need at least one subinterval, got {n}")
 
@@ -263,13 +278,13 @@ def resolve(args: argparse.Namespace) -> RunConfig:
     if args.command == "certify":
         if tol is None:
             raise UsageError("--tol is required for certify")
-        tol = _require_number("--tol", tol)
+        tol = _require_finite("--tol", tol)
         if not tol > 0.0:
             raise UsageError(f"--tol: must be positive, got {tol!r}")
 
     n_max = _merged(args, config, "n_max")
-    n_max = 2 ** 20 if n_max is None else _require_number(
-        "--n-max", n_max, integer=True)
+    if n_max is None:
+        n_max = 2 ** 20
     if n_max < 1:
         raise UsageError(f"--n-max: must be >= 1, got {n_max}")
 
@@ -314,14 +329,13 @@ def cmd_bounds(cfg: RunConfig) -> dict:
     jet_b = eval_jet3(cfg.ast, cfg.b)
     e = bounds.DerivEndpoints(f3a_abs=abs(jet_a.d3), f3b_abs=abs(jet_b.d3),
                               a=cfg.a, b=cfg.b)
-    ratios = bounds.ratio_pair(e)
     report = bounds.best_bound(e)
     convexity = analysis.check_log_convexity(cfg.ast, cfg.a, cfg.b,
                                              cfg.grid_points)
     doc = _envelope(cfg)
     doc.update({
         "f3a_abs": e.f3a_abs, "f3b_abs": e.f3b_abs,
-        "K": ratios.K, "M": ratios.M,
+        "K": e.f3a_abs / e.f3b_abs, "M": e.f3b_abs / e.f3a_abs,
         "chi1": report.chi1, "chi2": report.chi2, "chi3": report.chi3,
         "q": report.q,
         "min_value": report.min_value, "argmin": report.argmin_label,
@@ -347,7 +361,7 @@ def cmd_integrate(cfg: RunConfig) -> dict:
         "midpoint_sum": result.midpoint_sum,
         "corrected_sum": result.corrected_sum,
         "certified_bound": result.certified_bound,
-        "midpoint_bound": result.midpoint_bound,
+        "midpoint_bound": result.certified_bound,
         "midpoint_bound_heuristic": result.midpoint_bound_heuristic,
     })
     if cfg.per_interval:

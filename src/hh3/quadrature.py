@@ -151,8 +151,7 @@ class QuadResult:
     certified_bound: float
     per_interval: tuple[IntervalBound, ...]
     method: str
-    midpoint_bound: float
-    midpoint_bound_heuristic: bool
+    midpoint_bound_heuristic: bool  # certified_bound is heuristic for midpoint_sum
 
 
 def composite_bound(f: Node, d: Division, method: str = "best",
@@ -164,11 +163,9 @@ def composite_bound(f: Node, d: Division, method: str = "best",
     exponent lets the other two beat it (see :mod:`hh3.bounds`).  Requires
     |f'''| > 0 at every division point.
     """
-    if method not in _bounds.METHOD_NAMES:
-        raise ValueError(f"unknown method {method!r}; "
-                         f"expected one of {_bounds.METHOD_NAMES}")
-    if method in ("thm2", "thm3") and q is None:
-        raise ValueError(f"method {method!r} needs an exponent q")
+    bound = _bounds.bound_function(method, q)
+    label = "thm1" if method == "best" else method
+    used_q = None if label == "thm1" else q
 
     jet = compile_jet3(f)
     f3 = []
@@ -182,18 +179,10 @@ def composite_bound(f: Node, d: Division, method: str = "best",
     mid_jets = [jet(m) for m in d.midpoints()]
 
     intervals = []
-    label = "thm1" if method == "best" else method
-    used_q = None if label == "thm1" else q
     for lo, hi, f3a, f3b in zip(d.points, d.points[1:], f3, f3[1:]):
         width = hi - lo
-        if method in ("thm2", "thm3"):
-            e = _bounds.DerivEndpoints(f3a_abs=f3a, f3b_abs=f3b, a=lo, b=hi)
-            bound = (_bounds.holder_bound if method == "thm2"
-                     else _bounds.power_mean_bound)(e, q)
-        else:
-            bound = _bounds.chi1(f3a, f3b, width)
-        intervals.append(IntervalBound(lo, hi, width * bound, f3a / f3b,
-                                       f3b / f3a, label, used_q))
+        intervals.append(IntervalBound(lo, hi, width * bound(f3a, f3b, width),
+                                       f3a / f3b, f3b / f3a, label, used_q))
     certified = math.fsum(ib.bound for ib in intervals)
 
     widths = d.widths()
@@ -212,7 +201,6 @@ def composite_bound(f: Node, d: Division, method: str = "best",
         certified_bound=certified,
         per_interval=tuple(intervals),
         method=method,
-        midpoint_bound=certified,
         midpoint_bound_heuristic=heuristic,
     )
 

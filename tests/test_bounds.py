@@ -7,14 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bound_reference as reference
+from bound_reference import (holder_bound_reference,
+                             power_mean_bound_reference)
 from hh3.bounds import (DEFAULT_Q, L_SWITCH, BoundReport, DerivEndpoints,
-                        _moment_closed, _moment_series, best_bound,
-                        direct_bound, holder_bound, holder_exponents,
-                        holder_factor, mu, mu_q, power_mean_bound,
-                        ratio_pair)
+                        _moment_closed, _moment_series, _qth_root, best_bound,
+                        bound_function, chi1, chi2, chi3, direct_bound,
+                        holder_bound, holder_factor, mu, mu_q,
+                        power_mean_bound)
 from hh3.errors import (BadInterval, DomainError,
                         NonPositiveThirdDerivative)
-from hh3.expr import parse
+from hh3.expr import eval_jet3, parse
 from hh3.quadrature import composite_bound, integrate_adaptive, \
     uniform_division
 
@@ -117,7 +120,7 @@ def test_mu_q_rejects_small_q():
 
 
 # --------------------------------------------------------------------------
-# Holder factor and exponents
+# Holder factor
 # --------------------------------------------------------------------------
 
 def test_holder_factor_frozen_values():
@@ -146,21 +149,8 @@ def test_holder_factor_is_exponential_mean(k, q):
         _holder_factor_by_quadrature(k, q), rel=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=1.0 + 1e-9, max_value=1e6))
-def test_holder_exponents_conjugate(q):
-    pair = holder_exponents(q)
-    assert 1.0 / pair.p + 1.0 / pair.q == pytest.approx(1.0, abs=1e-12)
-
-
-def test_holder_exponents_reject_q_at_most_one():
-    for q in (1.0, 0.3, -2.0, math.nan):
-        with pytest.raises(DomainError):
-            holder_exponents(q)
-
-
 # --------------------------------------------------------------------------
-# endpoint records
+# the checked one-interval input
 # --------------------------------------------------------------------------
 
 def test_deriv_endpoints_validation():
@@ -172,14 +162,6 @@ def test_deriv_endpoints_validation():
         DerivEndpoints(1.0, 1.0, 1.0, 1.0)
     with pytest.raises(BadInterval):
         DerivEndpoints(1.0, 1.0, 2.0, 1.0)
-
-
-def test_ratio_pair_swap_is_exact():
-    e = DerivEndpoints(3.7, 11.1, 0.0, 2.0)
-    swapped = DerivEndpoints(11.1, 3.7, 0.0, 2.0)
-    r, rs = ratio_pair(e), ratio_pair(swapped)
-    assert (r.K, r.M) == (rs.M, rs.K)
-    assert r.K * r.M == pytest.approx(1.0, rel=1e-15)
 
 
 # --------------------------------------------------------------------------
@@ -223,9 +205,20 @@ def test_holder_bound_constant_third_derivative_q2():
         8.0 * 6.0 / (48.0 * math.sqrt(7.0)), rel=1e-14)
 
 
+def test_holder_exponents_reject_q_at_most_one():
+    # the Holder exponent rule q > 1 is checked where thm2 gets its bound
+    for q in (1.0, 0.3, -2.0, math.nan):
+        with pytest.raises(DomainError):
+            bound_function("thm2", q)
+
+
 def test_holder_bound_needs_q_above_one():
-    with pytest.raises(DomainError):
-        holder_bound(_EXP_ENDPOINTS, 1.0)
+    f, d = parse("exp(x)"), uniform_division(0.0, 1.0, 2)
+    for q in (1.0, 0.3, -2.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            holder_bound(_EXP_ENDPOINTS, q)
+        with pytest.raises(DomainError):
+            composite_bound(f, d, method="thm2", q=q)
 
 
 def test_power_mean_bound_at_q1_equals_direct_bitwise():
@@ -238,8 +231,101 @@ def test_power_mean_bound_at_q1_equals_direct_bitwise():
 
 
 def test_power_mean_bound_rejects_q_below_one():
-    with pytest.raises(DomainError):
-        power_mean_bound(_EXP_ENDPOINTS, 0.99)
+    f, d = parse("exp(x)"), uniform_division(0.0, 1.0, 2)
+    for q in (0.99, -2.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            power_mean_bound(_EXP_ENDPOINTS, q)
+        with pytest.raises(DomainError):
+            composite_bound(f, d, method="thm3", q=q)
+
+
+def test_bound_function_maps_each_method_and_checks_q():
+    assert bound_function("thm1") is chi1
+    assert bound_function("best", 0.5) is chi1     # q is ignored
+    assert bound_function("thm2", 3.0)(2.0, 5.0, 0.5) == \
+        chi2(2.0, 5.0, 0.5, 3.0)
+    assert bound_function("thm3", 1.0)(2.0, 5.0, 0.5) == chi1(2.0, 5.0, 0.5)
+    for method in ("thm2", "thm3"):
+        with pytest.raises(ValueError, match="needs an exponent q"):
+            bound_function(method)
+    with pytest.raises(ValueError, match="unknown method"):
+        bound_function("simpson", 2.0)
+    with pytest.raises(DomainError, match=r"^thm2 needs q > 1, got 1\.0$"):
+        bound_function("thm2", 1.0)
+    with pytest.raises(DomainError, match=r"^thm3 needs q >= 1, got 0\.5$"):
+        bound_function("thm3", 0.5)
+
+
+# chi2 and chi3 against the record-based bounds they replaced, bit for bit:
+# q ln K / 2 > 700 takes the roots in log space, ln K = 0 hits u == 0.
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(min_value=-60.0, max_value=60.0),
+       st.floats(min_value=-20.0, max_value=20.0),
+       st.floats(min_value=1e-3, max_value=8.0),
+       st.floats(min_value=1.0, max_value=64.0, exclude_min=True))
+@example(log_k=30.0, log_f3b=0.0, width=1.0, q=64.0)
+@example(log_k=-59.5, log_f3b=3.0, width=0.25, q=48.0)
+@example(log_k=0.0, log_f3b=0.0, width=2.0, q=2.0)
+@example(log_k=1.0625, log_f3b=0.0, width=1.0, q=1.0 + 2.0 ** -52)
+def test_chi2_chi3_match_record_reference_bit_for_bit(log_k, log_f3b, width,
+                                                      q):
+    f3b = math.exp(log_f3b)
+    f3a = f3b * math.exp(log_k)
+    e = DerivEndpoints(f3a, f3b, 0.0, width)
+    holder = holder_bound_reference(e, q).hex()
+    assert chi2(f3a, f3b, width, q).hex() == holder
+    assert holder_bound(e, q).hex() == holder
+    power_mean = power_mean_bound_reference(e, q).hex()
+    assert chi3(f3a, f3b, width, q).hex() == power_mean
+    assert power_mean_bound(e, q).hex() == power_mean
+    assert chi3(f3a, f3b, width, 1.0).hex() == \
+        power_mean_bound_reference(e, 1.0).hex()
+
+
+# Draws with q ln K / 2 > 700 are rare above, so the log-space roots get
+# their own draws: |ln K| in (21.875, 60] and q between 1400/|ln K| and 64.
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=21.875, max_value=60.0, exclude_min=True),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.booleans())
+def test_log_space_roots_match_record_reference_bit_for_bit(log_ratio, frac,
+                                                            steep_at_a):
+    q = min(64.0, 1400.0 / log_ratio + frac * (64.0 - 1400.0 / log_ratio))
+    log_k = log_ratio if steep_at_a else -log_ratio
+    e = DerivEndpoints(math.exp(log_k), 1.0, 0.0, 1.0)
+    assert chi2(e.f3a_abs, 1.0, 1.0, q).hex() == \
+        holder_bound_reference(e, q).hex()
+    assert chi3(e.f3a_abs, 1.0, 1.0, q).hex() == \
+        power_mean_bound_reference(e, q).hex()
+    # the steep side's root adds below the last bit of either bound, so
+    # hold the roots themselves to the reference as well
+    k = max(e.f3a_abs, 1.0 / e.f3a_abs)
+    for power_mean, weight in ((False, reference.holder_factor),
+                               (True, reference.mu_q)):
+        assert _qth_root(math.log(k), q, power_mean).hex() == \
+            reference._qth_root(weight, k, q).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=-60.0, max_value=60.0).filter(
+           lambda c: abs(c) >= 1e-3),
+       st.integers(min_value=1, max_value=6),
+       st.floats(min_value=1.0, max_value=64.0, exclude_min=True),
+       st.sampled_from(["thm2", "thm3"]))
+@example(c=60.0, n=1, q=64.0, method="thm2")    # ln M = 60: log-space roots
+@example(c=-60.0, n=2, q=64.0, method="thm3")
+@example(c=7.0, n=3, q=1.0, method="thm3")
+def test_composite_thm2_thm3_intervals_match_record_reference(c, n, q,
+                                                              method):
+    f = parse(f"exp({c!r}*x)")
+    result = composite_bound(f, uniform_division(0.0, 1.0, n), method=method,
+                             q=q)
+    reference = (holder_bound_reference if method == "thm2"
+                 else power_mean_bound_reference)
+    for ib in result.per_interval:
+        e = DerivEndpoints(abs(eval_jet3(f, ib.lo).d3),
+                           abs(eval_jet3(f, ib.hi).d3), ib.lo, ib.hi)
+        assert ib.bound.hex() == (e.width * reference(e, q)).hex()
 
 
 def test_bounds_scale_with_width_cubed():

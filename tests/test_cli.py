@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -7,6 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import hh3
 from hh3.cli import _CONFIG_KEYS, EXIT_MATH, EXIT_OK, EXIT_USAGE, \
     build_parser, main
 
@@ -276,6 +278,31 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert "steps" in err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n", 2.7),              # ran n = 2
+    ("oracle", "false"),     # turned the oracle on
+    ("out", 2),              # wrote the report to file descriptor 2
+    ("a", True),             # numbers reject booleans
+    ("q", "3"),
+    ("n_max", 64.0),
+    ("grid_points", None),
+    ("n_list", [1, 2.0]),
+    ("per_interval", 1),
+    ("f", 3),
+    ("method", ["thm1"]),
+])
+def test_config_values_must_have_their_flags_type(capsys, tmp_path, key,
+                                                  value):
+    config = {"f": "exp(x)", "a": 0, "b": 1, key: value}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "sweep" if key == "n_list" else "integrate",
+                         "--config", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert repr(key) in err
+
+
 def test_config_rejects_non_object(capsys, tmp_path):
     path = tmp_path / "run.json"
     path.write_text("[1, 2]")
@@ -320,9 +347,13 @@ def test_csv_format_flattens_keys(capsys):
 # --------------------------------------------------------------------------
 
 def test_python_dash_m_entry_point():
+    # run the hh3 under test, installed or not
+    src = os.path.dirname(os.path.dirname(hh3.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "hh3", "bounds", *EXP01],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["command"] == "bounds"
