@@ -24,11 +24,10 @@ from .errors import (BadInterval, DomainError, ExprSyntaxError, Hh3Error,
                      NonConvergence, NonPositiveThirdDerivative, NotConvex,
                      ToleranceUnreachable, UnknownIdentifier)
 from .expr import Jet3, Node, eval_jet3, evaluate, parse, to_text
-from .quadrature import (CertifyOutcome, Division, IntervalBound, QuadResult,
-                         certify, composite_bound, corrected_midpoint_sum,
-                         division_from_points, identity_residual,
-                         integrate_adaptive, midpoint_sum, reference_integral,
-                         uniform_division)
+from .quadrature import (CertifyOutcome, IntervalBound, QuadResult, certify,
+                         composite_bound, corrected_midpoint_sum,
+                         identity_residual, integrate_adaptive, midpoint_sum,
+                         reference_integral, uniform_division)
 
 __version__ = "0.1.0"
 
@@ -41,10 +40,10 @@ __all__ = [
     "direct_bound", "holder_bound", "power_mean_bound", "best_bound",
     "DerivEndpoints", "BoundReport",
     # quadrature
-    "Division", "IntervalBound", "QuadResult", "CertifyOutcome",
-    "uniform_division", "division_from_points", "midpoint_sum",
-    "corrected_midpoint_sum", "composite_bound", "reference_integral",
-    "integrate_adaptive", "identity_residual", "certify",
+    "IntervalBound", "QuadResult", "CertifyOutcome", "uniform_division",
+    "midpoint_sum", "corrected_midpoint_sum", "composite_bound",
+    "reference_integral", "integrate_adaptive", "identity_residual",
+    "certify",
     # analysis
     "GridSamples", "ConvexityReport", "HermiteHadamardReport", "CatalogEntry",
     "grid_samples", "check_log_convexity", "check_log_convexity_pow",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import NotConvex
 # eval_jet3 stays an attribute here for bench/tracer.py to wrap.
 from .expr import Node, compile_jet3, eval_jet3, parse  # noqa: F401
-from .quadrature import integrate_adaptive
+from .quadrature import integrate_adaptive, uniform_division
 
 __all__ = [
     "GRID_POINTS_DEFAULT", "PAIR_RELTOL", "GridSamples", "ConvexityReport",
@@ -56,14 +56,12 @@ class GridSamples:
 
 def grid_samples(f: Node, a: float, b: float,
                  n: int = GRID_POINTS_DEFAULT) -> GridSamples:
-    """Sample |f'''| on a uniform n-point grid including both endpoints."""
+    """Sample |f'''| at the n points of ``uniform_division(a, b, n - 1)``."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"grid size must be odd and >= 3, got {n}")
-    h = (b - a) / (n - 1)
-    xs = [a + i * h for i in range(n - 1)]
-    xs.append(b)
+    xs = uniform_division(a, b, n - 1)
     gs = tuple(abs(jet[3]) for jet in map(compile_jet3(f), xs))
-    return GridSamples(xs=tuple(xs), gs=gs)
+    return GridSamples(xs=xs, gs=gs)
 
 
 @dataclass(frozen=True)
@@ -152,9 +150,7 @@ def check_hermite_hadamard(f: Node, a: float, b: float,
     """
     if n < 3:
         raise ValueError(f"grid size must be >= 3, got {n}")
-    h = (b - a) / (n - 1)
-    xs = [a + i * h for i in range(n - 1)]
-    xs.append(b)
+    xs = uniform_division(a, b, n - 1)
     jet = compile_jet3(f)
     jets = [jet(x) for x in xs]
     second_scale = max(1.0, max(abs(j[2]) for j in jets))

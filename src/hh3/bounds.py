@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import BadInterval, DomainError, NonPositiveThirdDerivative
+from .errors import DomainError, NonPositiveThirdDerivative, require_interval
 
 __all__ = [
     "L_SWITCH", "DerivEndpoints", "BoundReport", "mu", "mu_q",
@@ -84,9 +84,7 @@ class DerivEndpoints:
         for x, v in ((self.a, self.f3a_abs), (self.b, self.f3b_abs)):
             if not (math.isfinite(v) and v > 0.0):
                 raise NonPositiveThirdDerivative(x, v)
-        if not (math.isfinite(self.a) and math.isfinite(self.b)
-                and self.a < self.b):
-            raise BadInterval(f"need finite a < b, got [{self.a!r}, {self.b!r}]")
+        require_interval(self.a, self.b)
 
     @property
     def width(self) -> float:

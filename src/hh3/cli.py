@@ -203,6 +203,7 @@ def _parse_n_list(raw) -> tuple[int, ...]:
             raise UsageError(f"--n-list: {item!r} is not an integer") from None
         if n < 1:
             raise UsageError(f"--n-list: counts must be >= 1, got {n}")
+        _require_float_sized("--n-list", n)
         values.append(n)
     if not values:
         raise UsageError("--n-list: needs at least one count")
@@ -217,6 +218,12 @@ def _require_finite(name: str, value) -> float:
     if not math.isfinite(number):
         raise UsageError(f"{name}: must be finite, got {value!r}")
     return number
+
+
+def _require_float_sized(name: str, count: int) -> None:
+    """A subinterval count enters float arithmetic, so it must fit a float."""
+    if count > sys.float_info.max:
+        raise UsageError(f"{name}: too large for a float, got {count}")
 
 
 def resolve(args: argparse.Namespace) -> RunConfig:
@@ -273,6 +280,7 @@ def resolve(args: argparse.Namespace) -> RunConfig:
         n = 1
     if n < 1:
         raise UsageError(f"--n: need at least one subinterval, got {n}")
+    _require_float_sized("--n", n)
 
     tol = _merged(args, config, "tol")
     if args.command == "certify":

@@ -1,11 +1,14 @@
 """Exception types shared across the package.
 
 Everything raised deliberately by this library derives from ``Hh3Error``,
-so callers can catch one type.  Overflow inside the moment helpers uses the
+so callers can catch one type.  ``require_interval`` is the one check that
+an interval is finite with a < b.  Overflow inside the moment helpers uses the
 builtin ``OverflowError`` (it is an overflow, and the builtin name says so).
 """
 
 from __future__ import annotations
+
+import math
 
 
 class Hh3Error(Exception):
@@ -71,6 +74,12 @@ class NonPositiveThirdDerivative(Hh3Error):
 
 class BadInterval(Hh3Error):
     """Interval endpoints are not finite numbers with a < b."""
+
+
+def require_interval(a: float, b: float) -> None:
+    """Raise :class:`BadInterval` unless a and b are finite with a < b."""
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise BadInterval(f"need finite a < b, got [{a!r}, {b!r}]")
 
 
 class NonConvergence(Hh3Error):

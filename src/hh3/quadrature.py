@@ -1,6 +1,7 @@
 """Composite corrected-midpoint quadrature with certified error bounds.
 
-A division a = x_0 < x_1 < ... < x_n = b induces the two sums
+A division a = x_0 < x_1 < ... < x_n = b, passed around as the tuple of its
+points, induces the two sums
 
     midpoint:   sum_i h_i f(m_i)
     corrected:  sum_i h_i f(m_i) + (h_i^3 / 24) f''(m_i)
@@ -36,16 +37,15 @@ from typing import Callable, Sequence
 
 from . import bounds as _bounds
 from .errors import BadInterval, NonConvergence, NonPositiveThirdDerivative, \
-    ToleranceUnreachable
+    ToleranceUnreachable, require_interval
 # eval_jet3 and evaluate stay attributes here for bench/tracer.py to wrap.
 from .expr import Node, compile_jet3, eval_jet3, evaluate  # noqa: F401
 
 __all__ = [
-    "Division", "IntervalBound", "QuadResult", "CertifyOutcome",
-    "uniform_division", "division_from_points", "midpoint_sum",
-    "corrected_midpoint_sum", "composite_bound", "reference_integral",
-    "integrate_adaptive", "identity_residual", "certify",
-    "DEFAULT_EVAL_BUDGET",
+    "IntervalBound", "QuadResult", "CertifyOutcome", "uniform_division",
+    "midpoint_sum", "corrected_midpoint_sum", "composite_bound",
+    "reference_integral", "integrate_adaptive", "identity_residual",
+    "certify", "DEFAULT_EVAL_BUDGET",
 ]
 
 DEFAULT_EVAL_BUDGET = 1_000_000
@@ -56,75 +56,52 @@ _MIDPOINT_RIGOROUS_TOL = 1e-12
 
 
 # --------------------------------------------------------------------------
-# Divisions
+# Divisions: strictly increasing tuples of points
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Division:
-    """Strictly increasing division points of an interval."""
-
-    points: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.points) < 2:
-            raise BadInterval("a division needs at least two points")
-        for p in self.points:
-            if not math.isfinite(p):
-                raise BadInterval(f"division point {p!r} is not finite")
-        for lo, hi in zip(self.points, self.points[1:]):
-            if not lo < hi:
-                raise BadInterval(
-                    f"division points must be strictly increasing; "
-                    f"{lo!r} >= {hi!r}")
-
-    @property
-    def a(self) -> float:
-        return self.points[0]
-
-    @property
-    def b(self) -> float:
-        return self.points[-1]
-
-    def __len__(self) -> int:
-        return len(self.points) - 1
-
-    def widths(self) -> tuple[float, ...]:
-        return tuple(hi - lo for lo, hi in zip(self.points, self.points[1:]))
-
-    def midpoints(self) -> tuple[float, ...]:
-        return tuple(0.5 * (lo + hi)
-                     for lo, hi in zip(self.points, self.points[1:]))
-
-
-def division_from_points(points: Sequence[float]) -> Division:
-    return Division(tuple(float(p) for p in points))
-
-
-def uniform_division(a: float, b: float, n: int) -> Division:
-    """n equal subintervals of [a, b]; endpoints are reproduced exactly."""
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise BadInterval(f"need finite a < b, got [{a!r}, {b!r}]")
+def uniform_division(a: float, b: float, n: int) -> tuple[float, ...]:
+    """The n + 1 points of n equal subintervals of [a, b]; b is exact."""
+    require_interval(a, b)
     if n < 1:
         raise BadInterval(f"need at least one subinterval, got n = {n}")
     h = (b - a) / n
-    pts = [a + i * h for i in range(n)]
-    pts.append(b)
-    return Division(tuple(pts))
+    return (*(a + i * h for i in range(n)), b)
 
 
-# --------------------------------------------------------------------------
-# Plain sums
-# --------------------------------------------------------------------------
+def _checked(points: Sequence[float]) -> tuple[float, ...]:
+    """The points, once they are at least two, finite, strictly increasing."""
+    points = tuple(points)
+    if len(points) < 2:
+        raise BadInterval("a division needs at least two points")
+    for p in points:
+        if not math.isfinite(p):
+            raise BadInterval(f"division point {p!r} is not finite")
+    for lo, hi in zip(points, points[1:]):
+        if not lo < hi:
+            raise BadInterval(
+                f"division points must be strictly increasing; "
+                f"{lo!r} >= {hi!r}")
+    return points
 
-def midpoint_sum(f: Node, d: Division) -> float:
-    jet = compile_jet3(f)
-    return math.fsum(h * jet(m)[0] for h, m in zip(d.widths(), d.midpoints()))
+
+def _midpoint_jets(jet: Callable, points: tuple[float, ...]) -> list[tuple]:
+    """(h, jet at the midpoint) for each subinterval, left to right."""
+    return [(hi - lo, jet(0.5 * (lo + hi)))
+            for lo, hi in zip(points, points[1:])]
 
 
-def corrected_midpoint_sum(f: Node, d: Division) -> float:
-    jet = compile_jet3(f)
-    return math.fsum(h * j[0] + h ** 3 / 24.0 * j[2] for h, j in
-                     zip(d.widths(), map(jet, d.midpoints())))
+def _sums(mids: list[tuple]) -> tuple[float, float]:
+    """The midpoint sum and the corrected midpoint sum."""
+    return (math.fsum(h * j[0] for h, j in mids),
+            math.fsum(h * j[0] + h ** 3 / 24.0 * j[2] for h, j in mids))
+
+
+def midpoint_sum(f: Node, points: Sequence[float]) -> float:
+    return _sums(_midpoint_jets(compile_jet3(f), _checked(points)))[0]
+
+
+def corrected_midpoint_sum(f: Node, points: Sequence[float]) -> float:
+    return _sums(_midpoint_jets(compile_jet3(f), _checked(points)))[1]
 
 
 # --------------------------------------------------------------------------
@@ -150,57 +127,53 @@ class QuadResult:
     corrected_sum: float
     certified_bound: float
     per_interval: tuple[IntervalBound, ...]
-    method: str
     midpoint_bound_heuristic: bool  # certified_bound is heuristic for midpoint_sum
 
 
-def composite_bound(f: Node, d: Division, method: str = "best",
+def composite_bound(f: Node, points: Sequence[float], method: str = "best",
                     q: float | None = None) -> QuadResult:
     """Corrected-midpoint sums plus a certified bound on the corrected one.
 
-    ``method`` is one of ``thm1`` (direct), ``thm2`` (Holder, needs q > 1),
-    ``thm3`` (power mean, needs q >= 1) or ``best``, which is ``thm1``: no
-    exponent lets the other two beat it (see :mod:`hh3.bounds`).  Requires
-    |f'''| > 0 at every division point.
+    ``points`` is any strictly increasing division of [a, b], such as
+    :func:`uniform_division` returns.  ``method`` is one of ``thm1``
+    (direct), ``thm2`` (Holder, needs q > 1), ``thm3`` (power mean, needs
+    q >= 1) or ``best``, which is ``thm1``: no exponent lets the other two
+    beat it (see :mod:`hh3.bounds`).  Requires |f'''| > 0 at every division
+    point.
     """
+    points = _checked(points)
     bound = _bounds.bound_function(method, q)
     label = "thm1" if method == "best" else method
     used_q = None if label == "thm1" else q
 
     jet = compile_jet3(f)
     f3 = []
-    for x in d.points:
+    for x in points:
         d3 = jet(x)[3]
         mag = abs(d3)
         if not (math.isfinite(mag) and mag > 0.0):
             raise NonPositiveThirdDerivative(x, d3)
         f3.append(mag)
 
-    mid_jets = [jet(m) for m in d.midpoints()]
+    mids = _midpoint_jets(jet, points)
 
-    intervals = []
-    for lo, hi, f3a, f3b in zip(d.points, d.points[1:], f3, f3[1:]):
-        width = hi - lo
-        intervals.append(IntervalBound(lo, hi, width * bound(f3a, f3b, width),
-                                       f3a / f3b, f3b / f3a, label, used_q))
+    intervals = tuple(
+        IntervalBound(lo, hi, h * bound(f3a, f3b, h), f3a / f3b, f3b / f3a,
+                      label, used_q)
+        for lo, hi, f3a, f3b, (h, _) in
+        zip(points, points[1:], f3, f3[1:], mids))
     certified = math.fsum(ib.bound for ib in intervals)
+    plain, corrected = _sums(mids)
 
-    widths = d.widths()
-    mid_terms = [h * j[0] + h ** 3 / 24.0 * j[2]
-                 for h, j in zip(widths, mid_jets)]
-    plain = math.fsum(h * j[0] for h, j in zip(widths, mid_jets))
-    corrected = math.fsum(mid_terms)
-
-    second_scale = max(1.0, max(abs(j[0]) for j in mid_jets))
-    max_second = max(abs(j[2]) for j in mid_jets)
+    second_scale = max(1.0, max(abs(j[0]) for _, j in mids))
+    max_second = max(abs(j[2]) for _, j in mids)
     heuristic = max_second > _MIDPOINT_RIGOROUS_TOL * second_scale
 
     return QuadResult(
         midpoint_sum=plain,
         corrected_sum=corrected,
         certified_bound=certified,
-        per_interval=tuple(intervals),
-        method=method,
+        per_interval=intervals,
         midpoint_bound_heuristic=heuristic,
     )
 
@@ -256,8 +229,7 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
     :class:`NonConvergence` once more than ``budget`` evaluations would be
     needed.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise BadInterval(f"need finite a < b, got [{a!r}, {b!r}]")
+    require_interval(a, b)
     span = b - a
     stack = [(a, b, 0)]
     pieces: list[float] = []
@@ -321,8 +293,6 @@ def identity_residual(f: Node, a: float, b: float,
     their difference is returned; it should sit at rounding level for any
     smooth f, log-convex |f'''| or not.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise BadInterval(f"need finite a < b, got [{a!r}, {b!r}]")
     h = b - a
     m = 0.5 * (a + b)
     jet = compile_jet3(f)

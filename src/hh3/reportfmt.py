@@ -17,7 +17,10 @@ __all__ = ["format_float", "format_float_short", "to_json", "to_csv",
 
 
 def format_float(x: float) -> str:
-    """Shortest-faithful decimal: 17 significant digits round-trip exactly."""
+    """17 significant digits: they round-trip every float exactly.
+
+    Not the shortest such form (``repr``): 0.1 prints as 0.10000000000000001.
+    """
     return format(x, ".17g")
 
 
@@ -107,7 +110,7 @@ def to_csv(doc: dict) -> str:
 def to_text(doc: dict) -> str:
     """Aligned ``key = value`` lines with 6-significant-digit floats."""
     rows = _flatten(doc)
-    width = max(len(key) for key, _ in rows)
+    width = max((len(key) for key, _ in rows), default=0)
     lines = [f"{key.ljust(width)} = {_cell(value, format_float_short)}"
              for key, value in rows]
     return "\n".join(lines) + "\n"

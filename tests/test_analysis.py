@@ -5,7 +5,7 @@ import pytest
 from hh3.analysis import (GRID_POINTS_DEFAULT, CatalogEntry, catalog,
                           check_hermite_hadamard, check_log_convexity,
                           check_log_convexity_pow, grid_samples)
-from hh3.errors import NotConvex
+from hh3.errors import BadInterval, NotConvex
 from hh3.expr import parse
 
 
@@ -28,6 +28,15 @@ def test_grid_samples_rejects_even_or_tiny_grids():
         grid_samples(parse("x"), 0.0, 1.0, 256)
     with pytest.raises(ValueError):
         grid_samples(parse("x"), 0.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 1.0)])
+@pytest.mark.parametrize("check", [grid_samples, check_log_convexity,
+                                   check_hermite_hadamard])
+def test_degenerate_intervals_are_refused(check, a, b):
+    # a grid over an empty or reversed interval holds no evidence
+    with pytest.raises(BadInterval):
+        check(parse("exp(x)"), a, b)
 
 
 def test_log_convexity_exponential_passes():

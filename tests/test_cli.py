@@ -303,6 +303,22 @@ def test_config_values_must_have_their_flags_type(capsys, tmp_path, key,
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("command", ["integrate", "sweep"])
+def test_counts_beyond_float_range_are_usage_errors(capsys, tmp_path,
+                                                    command):
+    huge = 10 ** 400
+    if command == "integrate":
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"n": huge}))
+        argv, flag = ["--config", str(path)], "--n:"
+    else:
+        argv, flag = ["--n-list", f"1,{huge}"], "--n-list:"
+    code, out, err = run(capsys, command, *EXP01, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"hh3: error: {flag} too large for a float")
+
+
 def test_config_rejects_non_object(capsys, tmp_path):
     path = tmp_path / "run.json"
     path.write_text("[1, 2]")

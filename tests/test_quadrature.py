@@ -8,9 +8,8 @@ from hh3.errors import (BadInterval, NonConvergence,
                         NonPositiveThirdDerivative, ToleranceUnreachable)
 from hh3.expr import parse
 from hh3.quadrature import (_CC_NODES, _CC_W_COARSE, _CC_W_FINE,
-                            CertifyOutcome, Division, certify,
-                            composite_bound, corrected_midpoint_sum,
-                            division_from_points, identity_residual,
+                            CertifyOutcome, certify, composite_bound,
+                            corrected_midpoint_sum, identity_residual,
                             integrate_adaptive, midpoint_sum,
                             reference_integral, uniform_division)
 
@@ -20,32 +19,45 @@ from hh3.quadrature import (_CC_NODES, _CC_W_COARSE, _CC_W_FINE,
 # --------------------------------------------------------------------------
 
 def test_uniform_division_basic():
-    d = uniform_division(0.0, 1.0, 4)
-    assert d.points == (0.0, 0.25, 0.5, 0.75, 1.0)
-    assert len(d) == 4
-    assert d.midpoints() == (0.125, 0.375, 0.625, 0.875)
-    assert d.widths() == (0.25, 0.25, 0.25, 0.25)
+    assert uniform_division(0.0, 1.0, 4) == (0.0, 0.25, 0.5, 0.75, 1.0)
+    # the grid is a + i*h with h = (b - a)/n, closed with the exact b
+    a, b, n = 0.1, 0.7, 7
+    h = (b - a) / n
+    assert uniform_division(a, b, n) == \
+        tuple(a + i * h for i in range(n)) + (b,)
 
 
 def test_uniform_division_hits_endpoints_exactly():
     d = uniform_division(0.1, 0.7, 7)
-    assert d.points[0] == 0.1
-    assert d.points[-1] == 0.7
+    assert d[0] == 0.1
+    assert d[-1] == 0.7
 
 
 def test_division_validation():
-    with pytest.raises(BadInterval):
-        Division((0.0,))
-    with pytest.raises(BadInterval):
-        Division((0.0, 1.0, 0.5))
-    with pytest.raises(BadInterval):
-        Division((0.0, 0.0, 1.0))
-    with pytest.raises(BadInterval):
-        uniform_division(1.0, 0.0, 4)
-    with pytest.raises(BadInterval):
-        uniform_division(0.0, 1.0, 0)
-    d = division_from_points([0, 0.5, 2])
-    assert d.points == (0.0, 0.5, 2.0)
+    # every entry point that takes points checks them the same way
+    f = parse("exp(x)")
+    for points in ((0.0,), (), (0.0, 1.0, 0.5), (0.0, 0.0, 1.0), (1.0, 0.0),
+                   (0.0, math.inf), (math.nan, 1.0), (0.0, 0.5, math.nan)):
+        for use in (midpoint_sum, corrected_midpoint_sum, composite_bound):
+            with pytest.raises(BadInterval):
+                use(f, points)
+    for a, b, n in ((1.0, 0.0, 4), (1.0, 1.0, 4), (0.0, math.inf, 4),
+                    (math.nan, 1.0, 4), (0.0, 1.0, 0)):
+        with pytest.raises(BadInterval):
+            uniform_division(a, b, n)
+
+
+def test_non_uniform_points_are_accepted():
+    # any strictly increasing sequence is a division, ints and lists too
+    f = parse("exp(x)")
+    points = [0, 0.5, 2]
+    result = composite_bound(f, points, method="thm1")
+    assert [(ib.lo, ib.hi) for ib in result.per_interval] == \
+        [(0, 0.5), (0.5, 2)]
+    want = 0.5 * math.exp(0.25) + 1.5 * math.exp(1.25)
+    assert midpoint_sum(f, points) == result.midpoint_sum
+    assert result.midpoint_sum == pytest.approx(want, rel=1e-15)
+    assert corrected_midpoint_sum(f, iter(points)) == result.corrected_sum
 
 
 # --------------------------------------------------------------------------
@@ -179,7 +191,7 @@ def test_composite_thm1_matches_independent_formula():
         result = composite_bound(f, d, method="thm1")
         want = math.fsum(
             _independent_interval_bound(math.exp(lo), math.exp(hi), lo, hi)
-            for lo, hi in zip(d.points, d.points[1:]))
+            for lo, hi in zip(d, d[1:]))
         assert result.certified_bound == pytest.approx(want, rel=1e-11)
 
 
@@ -261,7 +273,7 @@ def test_composite_per_interval_records():
     d = uniform_division(0.0, 1.0, 3)
     result = composite_bound(f, d, method="thm3", q=2.0)
     assert len(result.per_interval) == 3
-    for ib, lo, hi in zip(result.per_interval, d.points, d.points[1:]):
+    for ib, lo, hi in zip(result.per_interval, d, d[1:]):
         assert (ib.lo, ib.hi) == (lo, hi)
         assert ib.method == "thm3" and ib.q == 2.0
         assert ib.bound > 0.0

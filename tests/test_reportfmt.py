@@ -1,0 +1,97 @@
+import csv
+import io
+import json
+import math
+import random
+
+import pytest
+
+from hh3.reportfmt import (format_float, format_float_short, rows_to_csv,
+                           to_csv, to_json, to_text)
+
+
+def test_format_float_round_trips_17_digits():
+    rng = random.Random(11)
+    draws = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+             for _ in range(2000)]
+    for x in (*draws, 0.1, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, -0.0):
+        assert float(format_float(x)) == x
+    # round-trip, not shortest: 0.1 keeps all 17 digits
+    assert format_float(0.1) == "0.10000000000000001"
+    assert format_float(0.5) == "0.5"
+    assert format_float_short(math.pi) == "3.14159"
+
+
+def test_json_renders_non_finite_floats_as_null():
+    doc = {"inf": math.inf, "ninf": -math.inf, "nan": math.nan,
+           "none": None, "nested": [{"x": math.inf}]}
+    text = to_json(doc)
+    assert json.loads(text) == {"inf": None, "ninf": None, "nan": None,
+                                "none": None, "nested": [{"x": None}]}
+    assert "Infinity" not in text and "NaN" not in text
+
+
+def test_json_layout_is_pinned():
+    doc = {"a": 1, "b": 2.0, "c": [True, "s"], "d": {}, "e": []}
+    assert to_json(doc) == (
+        '{\n'
+        '  "a": 1,\n'
+        '  "b": 2,\n'
+        '  "c": [\n'
+        '    true,\n'
+        '    "s"\n'
+        '  ],\n'
+        '  "d": {},\n'
+        '  "e": []\n'
+        '}\n')
+
+
+def test_empty_documents():
+    assert to_json({}) == "{}\n"
+    assert to_csv({}) == "key,value\n"
+    assert to_text({}) == "\n"
+    # empty containers vanish from the flattened formats
+    assert to_csv({"d": {}, "e": [], "x": 1}) == "key,value\nx,1\n"
+    assert to_text({"d": {}, "e": [], "x": 1}) == "x = 1\n"
+
+
+def test_csv_none_is_an_empty_cell_and_non_finite_floats_are_spelled():
+    text = to_csv({"none": None, "inf": math.inf, "nan": math.nan})
+    assert text == "key,value\nnone,\ninf,inf\nnan,nan\n"
+
+
+@pytest.mark.parametrize("value", ["a,b", 'say "hi"', "two\nlines",
+                                   'all, "three"\n'])
+def test_csv_quotes_commas_quotes_and_newlines(value):
+    text = to_csv({"k": value, "plain": "x"})
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows == [["key", "value"], ["k", value], ["plain", "x"]]
+    assert "plain,x\n" in text  # no quotes where none are needed
+
+
+def test_csv_flattens_nested_keys_with_dots():
+    doc = {"a": {"b": 1, "c": [3, {"d": False}]}}
+    assert to_csv(doc) == "key,value\na.b,1\na.c.0,3\na.c.1.d,false\n"
+
+
+def test_text_aligns_keys_and_uses_six_digits():
+    doc = {"x": math.pi, "longer_key": None, "flag": True,
+           "inner": {"y": 2}}
+    assert to_text(doc) == ("x          = 3.14159\n"
+                            "longer_key = \n"
+                            "flag       = true\n"
+                            "inner.y    = 2\n")
+
+
+def test_rows_to_csv_keeps_full_precision():
+    text = rows_to_csv(("n", "value", "ratio", "note"),
+                       [(1, 0.1, math.inf, None), (2, -2.5, 3.0, True)])
+    assert text == ("n,value,ratio,note\n"
+                    "1,0.10000000000000001,inf,\n"
+                    "2,-2.5,3,true\n")
+    assert rows_to_csv(("n",), []) == "n\n"
+
+
+def test_unrenderable_values_are_refused():
+    with pytest.raises(TypeError):
+        to_json({"x": object()})
