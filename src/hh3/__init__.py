@@ -13,39 +13,37 @@ identities against a high-accuracy reference integrator.  The ``hh3``
 command line tool exposes all of it.
 """
 
-from .analysis import (CatalogEntry, ConvexityReport, GridSamples,
-                       HermiteHadamardReport, catalog, check_hermite_hadamard,
-                       check_log_convexity, check_log_convexity_pow,
-                       grid_samples)
+from .analysis import (CatalogEntry, ConvexityReport, HermiteHadamardReport,
+                       catalog, check_hermite_hadamard, check_log_convexity,
+                       check_log_convexity_pow, grid_samples)
 from .bounds import (BoundReport, DerivEndpoints, best_bound, bound_function,
                      chi1, chi2, chi3, direct_bound, holder_bound,
                      holder_factor, mu, mu_q, power_mean_bound)
 from .errors import (BadInterval, DomainError, ExprSyntaxError, Hh3Error,
                      NonConvergence, NonPositiveThirdDerivative, NotConvex,
                      ToleranceUnreachable, UnknownIdentifier)
-from .expr import Jet3, Node, eval_jet3, evaluate, parse, to_text
-from .quadrature import (CertifyOutcome, IntervalBound, QuadResult, certify,
-                         composite_bound, corrected_midpoint_sum,
-                         identity_residual, integrate_adaptive, midpoint_sum,
-                         reference_integral, uniform_division)
+from .expr import Node, eval_jet3, evaluate, parse, to_text
+from .quadrature import (CertifyOutcome, QuadResult, certify, composite_bound,
+                         corrected_midpoint_sum, identity_residual,
+                         integrate_adaptive, midpoint_sum, reference_integral,
+                         uniform_division)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     # expr
-    "parse", "to_text", "evaluate", "eval_jet3", "Jet3", "Node",
+    "parse", "to_text", "evaluate", "eval_jet3", "Node",
     # bounds
     "mu", "mu_q", "holder_factor", "chi1", "chi2", "chi3", "bound_function",
     "direct_bound", "holder_bound", "power_mean_bound", "best_bound",
     "DerivEndpoints", "BoundReport",
     # quadrature
-    "IntervalBound", "QuadResult", "CertifyOutcome", "uniform_division",
-    "midpoint_sum", "corrected_midpoint_sum", "composite_bound",
-    "reference_integral", "integrate_adaptive", "identity_residual",
-    "certify",
+    "QuadResult", "CertifyOutcome", "uniform_division", "midpoint_sum",
+    "corrected_midpoint_sum", "composite_bound", "reference_integral",
+    "integrate_adaptive", "identity_residual", "certify",
     # analysis
-    "GridSamples", "ConvexityReport", "HermiteHadamardReport", "CatalogEntry",
+    "ConvexityReport", "HermiteHadamardReport", "CatalogEntry",
     "grid_samples", "check_log_convexity", "check_log_convexity_pow",
     "check_hermite_hadamard", "catalog",
     # errors

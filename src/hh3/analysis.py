@@ -29,15 +29,19 @@ from .expr import Node, compile_jet3, eval_jet3, parse  # noqa: F401
 from .quadrature import integrate_adaptive, uniform_division
 
 __all__ = [
-    "GRID_POINTS_DEFAULT", "PAIR_RELTOL", "GridSamples", "ConvexityReport",
-    "HermiteHadamardReport", "CatalogEntry", "grid_samples",
-    "check_log_convexity", "check_log_convexity_pow",
+    "GRID_POINTS_DEFAULT", "GRID_POINTS_MAX", "PAIR_RELTOL",
+    "ConvexityReport", "HermiteHadamardReport", "CatalogEntry",
+    "grid_samples", "check_log_convexity", "check_log_convexity_pow",
     "check_hermite_hadamard", "catalog",
 ]
 
 #: 2^8 + 1 points: a uniform grid this size is closed under taking midpoints
 #: of same-parity index pairs, which is what the pair test needs.
 GRID_POINTS_DEFAULT = 257
+
+#: The largest grid the command line accepts.  The pair test is quadratic:
+#: 4097 points are about 4.2 million pairs and a second of work.
+GRID_POINTS_MAX = 4097
 
 #: Multiplicative slack in the midpoint criterion.
 PAIR_RELTOL = 1e-9
@@ -46,22 +50,16 @@ _CONVEXITY_TOL = 1e-12
 _HH_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GridSamples:
-    """|f'''| sampled on an ordered grid over [a, b]."""
+def grid_samples(f: Node, a: float, b: float, n: int = GRID_POINTS_DEFAULT
+                 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The n points xs of ``uniform_division(a, b, n - 1)`` and |f'''| there.
 
-    xs: tuple[float, ...]
-    gs: tuple[float, ...]
-
-
-def grid_samples(f: Node, a: float, b: float,
-                 n: int = GRID_POINTS_DEFAULT) -> GridSamples:
-    """Sample |f'''| at the n points of ``uniform_division(a, b, n - 1)``."""
+    Returns ``(xs, gs)``.
+    """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"grid size must be odd and >= 3, got {n}")
     xs = uniform_division(a, b, n - 1)
-    gs = tuple(abs(jet[3]) for jet in map(compile_jet3(f), xs))
-    return GridSamples(xs=xs, gs=gs)
+    return xs, tuple(abs(jet[3]) for jet in map(compile_jet3(f), xs))
 
 
 @dataclass(frozen=True)
@@ -80,8 +78,8 @@ class ConvexityReport:
     pairs_tested: int
 
 
-def _midpoint_pairs(samples: GridSamples, power: float) -> ConvexityReport:
-    xs, gs = samples.xs, samples.gs
+def _midpoint_pairs(xs: tuple[float, ...], gs: tuple[float, ...],
+                    power: float) -> ConvexityReport:
     n = len(xs)
     for x, g in zip(xs, gs):
         if not (math.isfinite(g) and g > 0.0):
@@ -111,7 +109,7 @@ def _midpoint_pairs(samples: GridSamples, power: float) -> ConvexityReport:
 def check_log_convexity(f: Node, a: float, b: float,
                         n: int = GRID_POINTS_DEFAULT) -> ConvexityReport:
     """Midpoint log-convexity evidence for |f'''| on [a, b]."""
-    return _midpoint_pairs(grid_samples(f, a, b, n), 1.0)
+    return _midpoint_pairs(*grid_samples(f, a, b, n), 1.0)
 
 
 def check_log_convexity_pow(f: Node, a: float, b: float, q: float,
@@ -119,7 +117,7 @@ def check_log_convexity_pow(f: Node, a: float, b: float, q: float,
     """The same criterion applied to |f'''|^q; equivalent for any q >= 1."""
     if not (math.isfinite(q) and q >= 1.0):
         raise ValueError(f"q must be >= 1, got {q!r}")
-    return _midpoint_pairs(grid_samples(f, a, b, n), q)
+    return _midpoint_pairs(*grid_samples(f, a, b, n), q)
 
 
 @dataclass(frozen=True)

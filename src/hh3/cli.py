@@ -135,7 +135,7 @@ class RunConfig:
     q: float | None = None
     n_list: tuple[int, ...] = ()
     grid_points: int = analysis.GRID_POINTS_DEFAULT
-    n_max: int = 2 ** 20
+    n_max: int = quadrature.MAX_SUBINTERVALS
     per_interval: bool = False
     oracle: bool = False
 
@@ -203,7 +203,7 @@ def _parse_n_list(raw) -> tuple[int, ...]:
             raise UsageError(f"--n-list: {item!r} is not an integer") from None
         if n < 1:
             raise UsageError(f"--n-list: counts must be >= 1, got {n}")
-        _require_float_sized("--n-list", n)
+        _require_at_most("--n-list", n, quadrature.MAX_SUBINTERVALS)
         values.append(n)
     if not values:
         raise UsageError("--n-list: needs at least one count")
@@ -220,10 +220,10 @@ def _require_finite(name: str, value) -> float:
     return number
 
 
-def _require_float_sized(name: str, count: int) -> None:
-    """A subinterval count enters float arithmetic, so it must fit a float."""
-    if count > sys.float_info.max:
-        raise UsageError(f"{name}: too large for a float, got {count}")
+def _require_at_most(name: str, count: int, limit: int) -> None:
+    """Refuse a count whose run would outgrow memory or time."""
+    if count > limit:
+        raise UsageError(f"{name}: must be <= {limit}, got {count}")
 
 
 def resolve(args: argparse.Namespace) -> RunConfig:
@@ -274,13 +274,14 @@ def resolve(args: argparse.Namespace) -> RunConfig:
         grid_points = analysis.GRID_POINTS_DEFAULT
     if grid_points < 3 or grid_points % 2 == 0:
         raise UsageError(f"--grid-n: must be odd and >= 3, got {grid_points}")
+    _require_at_most("--grid-n", grid_points, analysis.GRID_POINTS_MAX)
 
     n = _merged(args, config, "n")
     if n is None:
         n = 1
     if n < 1:
         raise UsageError(f"--n: need at least one subinterval, got {n}")
-    _require_float_sized("--n", n)
+    _require_at_most("--n", n, quadrature.MAX_SUBINTERVALS)
 
     tol = _merged(args, config, "tol")
     if args.command == "certify":
@@ -292,9 +293,10 @@ def resolve(args: argparse.Namespace) -> RunConfig:
 
     n_max = _merged(args, config, "n_max")
     if n_max is None:
-        n_max = 2 ** 20
+        n_max = quadrature.MAX_SUBINTERVALS
     if n_max < 1:
         raise UsageError(f"--n-max: must be >= 1, got {n_max}")
+    _require_at_most("--n-max", n_max, quadrature.MAX_SUBINTERVALS)
 
     n_list: tuple[int, ...] = ()
     if args.command == "sweep":
@@ -335,7 +337,7 @@ def _convexity_doc(report: analysis.ConvexityReport, grid_points: int) -> dict:
 def cmd_bounds(cfg: RunConfig) -> dict:
     jet_a = eval_jet3(cfg.ast, cfg.a)
     jet_b = eval_jet3(cfg.ast, cfg.b)
-    e = bounds.DerivEndpoints(f3a_abs=abs(jet_a.d3), f3b_abs=abs(jet_b.d3),
+    e = bounds.DerivEndpoints(f3a_abs=abs(jet_a[3]), f3b_abs=abs(jet_b[3]),
                               a=cfg.a, b=cfg.b)
     report = bounds.best_bound(e)
     convexity = analysis.check_log_convexity(cfg.ast, cfg.a, cfg.b,
@@ -353,12 +355,6 @@ def cmd_bounds(cfg: RunConfig) -> dict:
     return doc
 
 
-def _interval_doc(ib: quadrature.IntervalBound) -> dict:
-    return {"lo": ib.lo, "hi": ib.hi, "bound": ib.bound,
-            "k_ratio": ib.k_ratio, "m_ratio": ib.m_ratio,
-            "method": ib.method, "q": ib.q}
-
-
 def cmd_integrate(cfg: RunConfig) -> dict:
     division = quadrature.uniform_division(cfg.a, cfg.b, cfg.n)
     result = quadrature.composite_bound(cfg.ast, division, method=cfg.method,
@@ -373,7 +369,13 @@ def cmd_integrate(cfg: RunConfig) -> dict:
         "midpoint_bound_heuristic": result.midpoint_bound_heuristic,
     })
     if cfg.per_interval:
-        doc["intervals"] = [_interval_doc(ib) for ib in result.per_interval]
+        label = "thm1" if cfg.method == "best" else cfg.method
+        f3 = result.f3
+        doc["intervals"] = [
+            {"lo": lo, "hi": hi, "bound": bound, "k_ratio": f3a / f3b,
+             "m_ratio": f3b / f3a, "method": label, "q": cfg.q}
+            for lo, hi, f3a, f3b, bound in zip(division, division[1:], f3,
+                                               f3[1:], result.interval_bounds)]
     if cfg.oracle:
         truth = quadrature.reference_integral(cfg.ast, cfg.a, cfg.b,
                                               _ORACLE_TOL)

@@ -85,12 +85,11 @@ def require_interval(a: float, b: float) -> None:
 class NonConvergence(Hh3Error):
     """The adaptive reference integrator exhausted its evaluation budget."""
 
-    def __init__(self, evals: int, message: str = ""):
+    def __init__(self, evals: int):
         self.evals = evals
-        text = message or (
+        super().__init__(
             f"reference integration did not converge within {evals} evaluations"
         )
-        super().__init__(text)
 
 
 class ToleranceUnreachable(Hh3Error):

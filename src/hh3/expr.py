@@ -19,8 +19,8 @@ one level up the chain, so ``x^-2`` and ``x^2^3`` (= ``x^(2^3)``) both parse.
 ``log`` is the natural logarithm.  There is no ``abs``: every bound in this
 package needs three derivatives, and |.| does not supply them.
 
-Evaluation is done on jets: a :class:`Jet3` carries ``(f, f', f'', f''')`` at
-a point and the rules below propagate all four components exactly (Leibniz
+Evaluation is done on jets: a jet is the tuple ``(f, f', f'', f''')`` at a
+point, and the rules below propagate all four components exactly (Leibniz
 for products, a triangular back-substitution for quotients, and the order-3
 chain rule for function application).  No finite differencing is done
 anywhere.  :func:`compile_jet3` writes the rules' float operations for one
@@ -40,7 +40,7 @@ from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
 __all__ = [
     "Num", "Var", "Const", "Neg", "BinOp", "Func", "Node",
-    "Jet3", "parse", "to_text", "compile_jet3", "evaluate", "eval_jet3",
+    "parse", "to_text", "compile_jet3", "evaluate", "eval_jet3",
 ]
 
 _FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
@@ -287,19 +287,6 @@ def to_text(node: Node) -> str:
 # Jets
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Jet3:
-    """Value and first three derivatives of a function at one point."""
-
-    d0: float
-    d1: float
-    d2: float
-    d3: float
-
-    def entries(self) -> tuple[float, float, float, float]:
-        return (self.d0, self.d1, self.d2, self.d3)
-
-
 # The jet rules as the float expressions they evaluate.  Every operand put in
 # a brace is the name of a local or the literal 0.0 or 1.0, so Python's own
 # precedence and association fix the order of every operation.
@@ -511,13 +498,13 @@ def compile_jet3(node: Node) -> Callable[[float], tuple[float, ...]]:
     return _compiled(node, to_text(node))
 
 
-def eval_jet3(node: Node, x: float) -> Jet3:
+def eval_jet3(node: Node, x: float) -> tuple[float, float, float, float]:
     """Evaluate ``(f(x), f'(x), f''(x), f'''(x))`` exactly via jet arithmetic.
 
     Raises :class:`DomainError` naming the offending subexpression when the
     point leaves a function's domain or the result is not finite.
     """
-    return Jet3(*compile_jet3(node)(x))
+    return compile_jet3(node)(x)
 
 
 def evaluate(node: Node, x: float) -> float:

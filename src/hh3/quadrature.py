@@ -42,13 +42,18 @@ from .errors import BadInterval, NonConvergence, NonPositiveThirdDerivative, \
 from .expr import Node, compile_jet3, eval_jet3, evaluate  # noqa: F401
 
 __all__ = [
-    "IntervalBound", "QuadResult", "CertifyOutcome", "uniform_division",
-    "midpoint_sum", "corrected_midpoint_sum", "composite_bound",
-    "reference_integral", "integrate_adaptive", "identity_residual",
-    "certify", "DEFAULT_EVAL_BUDGET",
+    "QuadResult", "CertifyOutcome", "uniform_division", "midpoint_sum",
+    "corrected_midpoint_sum", "composite_bound", "reference_integral",
+    "integrate_adaptive", "identity_residual", "certify",
+    "DEFAULT_EVAL_BUDGET", "MAX_SUBINTERVALS",
 ]
 
 DEFAULT_EVAL_BUDGET = 1_000_000
+
+#: The most subintervals the command line accepts and ``certify`` refines
+#: to by default.  A per-interval report takes about 100 MiB at 2^16
+#: subintervals, so more than 1 GB at this size.
+MAX_SUBINTERVALS = 2 ** 20
 
 #: Correction terms at or below 1e-12 * scale make the midpoint bound
 #: rigorous rather than heuristic.
@@ -109,24 +114,12 @@ def corrected_midpoint_sum(f: Node, points: Sequence[float]) -> float:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IntervalBound:
-    """One subinterval's certified contribution."""
-
-    lo: float
-    hi: float
-    bound: float
-    k_ratio: float      # |f'''(lo)| / |f'''(hi)|
-    m_ratio: float      # |f'''(hi)| / |f'''(lo)|
-    method: str         # which bound produced `bound`: thm1, thm2 or thm3
-    q: float | None
-
-
-@dataclass(frozen=True)
 class QuadResult:
     midpoint_sum: float
     corrected_sum: float
-    certified_bound: float
-    per_interval: tuple[IntervalBound, ...]
+    certified_bound: float          # fsum of interval_bounds
+    f3: tuple[float, ...]           # |f'''| at each division point
+    interval_bounds: tuple[float, ...]  # one bound per subinterval
     midpoint_bound_heuristic: bool  # certified_bound is heuristic for midpoint_sum
 
 
@@ -143,8 +136,6 @@ def composite_bound(f: Node, points: Sequence[float], method: str = "best",
     """
     points = _checked(points)
     bound = _bounds.bound_function(method, q)
-    label = "thm1" if method == "best" else method
-    used_q = None if label == "thm1" else q
 
     jet = compile_jet3(f)
     f3 = []
@@ -157,12 +148,9 @@ def composite_bound(f: Node, points: Sequence[float], method: str = "best",
 
     mids = _midpoint_jets(jet, points)
 
-    intervals = tuple(
-        IntervalBound(lo, hi, h * bound(f3a, f3b, h), f3a / f3b, f3b / f3a,
-                      label, used_q)
-        for lo, hi, f3a, f3b, (h, _) in
-        zip(points, points[1:], f3, f3[1:], mids))
-    certified = math.fsum(ib.bound for ib in intervals)
+    interval_bounds = tuple(h * bound(f3a, f3b, h)
+                            for f3a, f3b, (h, _) in zip(f3, f3[1:], mids))
+    certified = math.fsum(interval_bounds)
     plain, corrected = _sums(mids)
 
     second_scale = max(1.0, max(abs(j[0]) for _, j in mids))
@@ -173,7 +161,8 @@ def composite_bound(f: Node, points: Sequence[float], method: str = "best",
         midpoint_sum=plain,
         corrected_sum=corrected,
         certified_bound=certified,
-        per_interval=intervals,
+        f3=tuple(f3),
+        interval_bounds=interval_bounds,
         midpoint_bound_heuristic=heuristic,
     )
 
@@ -324,7 +313,8 @@ class CertifyOutcome:
 
 
 def certify(f: Node, a: float, b: float, tol: float, method: str = "best",
-            q: float | None = None, n_max: int = 2 ** 20) -> CertifyOutcome:
+            q: float | None = None,
+            n_max: int = MAX_SUBINTERVALS) -> CertifyOutcome:
     """Double a uniform division until the certified bound meets ``tol``.
 
     Starts at one subinterval.  Raises :class:`ToleranceUnreachable`

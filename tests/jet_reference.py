@@ -1,4 +1,4 @@
-"""Reference jet evaluator: a recursive walk of the AST, one Jet3 per node.
+"""Reference jet evaluator: a recursive walk of the AST, one Jet per node.
 
 This is the tree-walker that :func:`hh3.expr.compile_jet3` replaces.  The
 compiled functions perform the same float operations in the same order, so
@@ -9,31 +9,41 @@ the tests hold them to identical bits and identical errors against
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from hh3.errors import DomainError
-from hh3.expr import (_CONSTANTS, _MAX_INT_EXPONENT, BinOp, Const, Func, Jet3,
-                      Neg, Node, Num, Var, _domain)
+from hh3.expr import (_CONSTANTS, _MAX_INT_EXPONENT, BinOp, Const, Func, Neg,
+                      Node, Num, Var, _domain)
 
 
-def _const_jet(c: float) -> Jet3:
-    return Jet3(c, 0.0, 0.0, 0.0)
+class Jet(NamedTuple):
+    """Value and first three derivatives of a function at one point."""
+
+    d0: float
+    d1: float
+    d2: float
+    d3: float
 
 
-def _add(a: Jet3, b: Jet3) -> Jet3:
-    return Jet3(a.d0 + b.d0, a.d1 + b.d1, a.d2 + b.d2, a.d3 + b.d3)
+def _const_jet(c: float) -> Jet:
+    return Jet(c, 0.0, 0.0, 0.0)
 
 
-def _sub(a: Jet3, b: Jet3) -> Jet3:
-    return Jet3(a.d0 - b.d0, a.d1 - b.d1, a.d2 - b.d2, a.d3 - b.d3)
+def _add(a: Jet, b: Jet) -> Jet:
+    return Jet(a.d0 + b.d0, a.d1 + b.d1, a.d2 + b.d2, a.d3 + b.d3)
 
 
-def _neg(a: Jet3) -> Jet3:
-    return Jet3(-a.d0, -a.d1, -a.d2, -a.d3)
+def _sub(a: Jet, b: Jet) -> Jet:
+    return Jet(a.d0 - b.d0, a.d1 - b.d1, a.d2 - b.d2, a.d3 - b.d3)
 
 
-def _mul(a: Jet3, b: Jet3) -> Jet3:
+def _neg(a: Jet) -> Jet:
+    return Jet(-a.d0, -a.d1, -a.d2, -a.d3)
+
+
+def _mul(a: Jet, b: Jet) -> Jet:
     # Leibniz: (fg)''' = f'''g + 3 f''g' + 3 f'g'' + f g'''
-    return Jet3(
+    return Jet(
         a.d0 * b.d0,
         a.d1 * b.d0 + a.d0 * b.d1,
         a.d2 * b.d0 + 2.0 * a.d1 * b.d1 + a.d0 * b.d2,
@@ -41,20 +51,20 @@ def _mul(a: Jet3, b: Jet3) -> Jet3:
     )
 
 
-def _div(a: Jet3, b: Jet3) -> Jet3:
+def _div(a: Jet, b: Jet) -> Jet:
     # Solve q*b = a order by order (b.d0 != 0 is checked by the caller).
     q0 = a.d0 / b.d0
     q1 = (a.d1 - q0 * b.d1) / b.d0
     q2 = (a.d2 - q0 * b.d2 - 2.0 * q1 * b.d1) / b.d0
     q3 = (a.d3 - q0 * b.d3 - 3.0 * q1 * b.d2 - 3.0 * q2 * b.d1) / b.d0
-    return Jet3(q0, q1, q2, q3)
+    return Jet(q0, q1, q2, q3)
 
 
-def _compose(g: tuple[float, float, float, float], u: Jet3) -> Jet3:
+def _compose(g: tuple[float, float, float, float], u: Jet) -> Jet:
     # Order-3 chain rule with outer derivatives g = (g, g', g'', g''') at u.d0.
     g0, g1, g2, g3 = g
     u1, u2, u3 = u.d1, u.d2, u.d3
-    return Jet3(
+    return Jet(
         g0,
         g1 * u1,
         g2 * u1 * u1 + g1 * u2,
@@ -62,7 +72,7 @@ def _compose(g: tuple[float, float, float, float], u: Jet3) -> Jet3:
     )
 
 
-def _int_pow(u: Jet3, n: int) -> Jet3:
+def _int_pow(u: Jet, n: int) -> Jet:
     """u**n for integer n >= 0 by repeated jet multiplication."""
     result = _const_jet(1.0)
     base = u
@@ -75,11 +85,11 @@ def _int_pow(u: Jet3, n: int) -> Jet3:
     return result
 
 
-def _eval(node: Node, x: float) -> Jet3:
+def _eval(node: Node, x: float) -> Jet:
     if isinstance(node, Num):
         return _const_jet(node.value)
     if isinstance(node, Var):
-        return Jet3(x, 1.0, 0.0, 0.0)
+        return Jet(x, 1.0, 0.0, 0.0)
     if isinstance(node, Const):
         return _const_jet(_CONSTANTS[node.name])
     if isinstance(node, Neg):
@@ -104,7 +114,7 @@ def _eval(node: Node, x: float) -> Jet3:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _apply_func(node: Func, u: Jet3, x: float) -> Jet3:
+def _apply_func(node: Func, u: Jet, x: float) -> Jet:
     v = u.d0
     name = node.name
     if name == "exp":
@@ -133,7 +143,7 @@ def _apply_func(node: Func, u: Jet3, x: float) -> Jet3:
     )
 
 
-def _apply_pow(node: BinOp, base: Jet3, x: float) -> Jet3:
+def _apply_pow(node: BinOp, base: Jet, x: float) -> Jet:
     exponent = _eval(node.right, x)
     if exponent.d1 == 0.0 and exponent.d2 == 0.0 and exponent.d3 == 0.0:
         c = exponent.d0
@@ -161,11 +171,11 @@ def _apply_pow(node: BinOp, base: Jet3, x: float) -> Jet3:
     return _apply_func(Func("exp", node), product, x)
 
 
-def eval_jet3_reference(node: Node, x: float) -> Jet3:
+def eval_jet3_reference(node: Node, x: float) -> Jet:
     """The tree-walk counterpart of :func:`hh3.expr.eval_jet3`."""
     if not math.isfinite(x):
         raise DomainError("evaluation point must be finite", x=x)
     jet = _eval(node, x)
-    if not all(map(math.isfinite, jet.entries())):
+    if not all(map(math.isfinite, jet)):
         raise _domain(node, x, "result is not finite")
     return jet

@@ -10,17 +10,18 @@ from hh3.expr import parse
 
 
 def test_grid_samples_layout():
-    s = grid_samples(parse("exp(x)"), 0.0, 1.0, 5)
-    assert s.xs == (0.0, 0.25, 0.5, 0.75, 1.0)
-    assert s.gs == tuple(math.exp(x) for x in s.xs)
-    assert len(grid_samples(parse("x^3"), 0.0, 1.0).xs) == GRID_POINTS_DEFAULT
+    xs, gs = grid_samples(parse("exp(x)"), 0.0, 1.0, 5)
+    assert xs == (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert gs == tuple(math.exp(x) for x in xs)
+    xs, gs = grid_samples(parse("x^3"), 0.0, 1.0)
+    assert len(xs) == len(gs) == GRID_POINTS_DEFAULT
 
 
 def test_grid_samples_takes_magnitudes():
     # f''' of 1/x is -6/x^4: samples must be absolute values
-    s = grid_samples(parse("1/x"), 1.0, 2.0, 5)
-    assert all(g > 0 for g in s.gs)
-    assert s.gs[0] == pytest.approx(6.0, rel=1e-15)
+    _, gs = grid_samples(parse("1/x"), 1.0, 2.0, 5)
+    assert all(g > 0 for g in gs)
+    assert gs[0] == pytest.approx(6.0, rel=1e-15)
 
 
 def test_grid_samples_rejects_even_or_tiny_grids():

@@ -317,14 +317,15 @@ def test_log_space_roots_match_record_reference_bit_for_bit(log_ratio, frac,
 def test_composite_thm2_thm3_intervals_match_record_reference(c, n, q,
                                                               method):
     f = parse(f"exp({c!r}*x)")
-    result = composite_bound(f, uniform_division(0.0, 1.0, n), method=method,
-                             q=q)
+    d = uniform_division(0.0, 1.0, n)
+    result = composite_bound(f, d, method=method, q=q)
     reference = (holder_bound_reference if method == "thm2"
                  else power_mean_bound_reference)
-    for ib in result.per_interval:
-        e = DerivEndpoints(abs(eval_jet3(f, ib.lo).d3),
-                           abs(eval_jet3(f, ib.hi).d3), ib.lo, ib.hi)
-        assert ib.bound.hex() == (e.width * reference(e, q)).hex()
+    assert len(result.interval_bounds) == n
+    for lo, hi, bound in zip(d, d[1:], result.interval_bounds):
+        e = DerivEndpoints(abs(eval_jet3(f, lo)[3]), abs(eval_jet3(f, hi)[3]),
+                           lo, hi)
+        assert bound.hex() == (e.width * reference(e, q)).hex()
 
 
 def test_bounds_scale_with_width_cubed():

@@ -10,7 +10,7 @@ import pytest
 
 import hh3
 from hh3.cli import _CONFIG_KEYS, EXIT_MATH, EXIT_OK, EXIT_USAGE, \
-    build_parser, main
+    UsageError, build_parser, main, resolve
 
 EXP01 = ["--f", "exp(x)", "--a", "0", "--b", "1"]
 STEEP = ["--f", "exp(30*x)", "--a", "0", "--b", "1"]   # |ln K| = 30
@@ -316,7 +316,42 @@ def test_counts_beyond_float_range_are_usage_errors(capsys, tmp_path,
     code, out, err = run(capsys, command, *EXP01, *argv)
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith(f"hh3: error: {flag} too large for a float")
+    assert err.startswith(f"hh3: error: {flag} must be <= 1048576, got 1000")
+
+
+def resolved(*argv):
+    return resolve(build_parser().parse_args(list(argv)))
+
+
+@pytest.mark.parametrize("argv,flag,limit", [
+    (["integrate", "--n", "1048577"], "--n", 2 ** 20),
+    (["integrate", "--n", "10000000000000000"], "--n", 2 ** 20),
+    (["sweep", "--n-list", "1,1048577"], "--n-list", 2 ** 20),
+    (["certify", "--tol", "1e-6", "--n-max", "1048577"], "--n-max", 2 ** 20),
+    (["bounds", "--grid-n", "4099"], "--grid-n", 4097),
+    (["verify", "--grid-n", "1000001"], "--grid-n", 4097),
+])
+def test_counts_above_their_caps_are_refused_before_any_work(argv, flag,
+                                                             limit):
+    # a per-interval run at 2^20 subintervals needs more than a gigabyte;
+    # the pair test on a 4097-point grid takes about a second, and it grows
+    # as the square of the grid
+    with pytest.raises(UsageError) as info:
+        resolved(argv[0], *EXP01, *argv[1:])
+    assert str(info.value).startswith(f"{flag}: must be <= {limit}, got ")
+
+
+def test_counts_at_their_caps_are_accepted(tmp_path):
+    assert resolved("integrate", *EXP01, "--n", "1048576").n == 2 ** 20
+    assert resolved("verify", *EXP01, "--grid-n", "4097").grid_points == 4097
+    assert resolved("sweep", *EXP01, "--n-list", "1048576").n_list == (2 ** 20,)
+    # config keys meet the same caps, under any command
+    for key, value, flag in (("grid_points", 4099, "--grid-n"),
+                             ("n_max", 2 ** 20 + 1, "--n-max")):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(UsageError, match=f"^{flag}: must be <= "):
+            resolved("integrate", *EXP01, "--config", str(path))
 
 
 def test_config_rejects_non_object(capsys, tmp_path):

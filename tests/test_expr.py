@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hh3.errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from hh3.expr import (BinOp, Const, Func, Jet3, Neg, Num, Var, compile_jet3,
+from hh3.expr import (BinOp, Const, Func, Neg, Num, Var, compile_jet3,
                       eval_jet3, evaluate, parse, to_text)
-from jet_reference import _div, _mul, eval_jet3_reference
+from jet_reference import Jet, _div, _mul, eval_jet3_reference
 
 
 # --------------------------------------------------------------------------
@@ -135,13 +135,13 @@ def test_round_trip_property(ast):
     ("1/x", 1.0, (1.0, -1.0, 2.0, -6.0)),
 ])
 def test_jet_examples(source, x, jet):
-    assert eval_jet3(parse(source), x).entries() == jet
+    assert eval_jet3(parse(source), x) == jet
 
 
 def test_evaluate_is_jet_value_component():
     ast = parse("exp(x)*sin(x)")
     for x in (0.1, 1.0, 2.5):
-        assert evaluate(ast, x) == eval_jet3(ast, x).d0
+        assert evaluate(ast, x) == eval_jet3(ast, x)[0]
 
 
 _SMOOTH_CASES = [
@@ -205,17 +205,17 @@ def test_jets_match_finite_differences(source, a, b):
             jet = eval_jet3(ast, x)
             # absolute floors (scaled to the jet's own magnitude) take over
             # where a derivative crosses zero and relative error is moot
-            scale = max(1.0, *(abs(v) for v in jet.entries()))
+            scale = max(1.0, *(abs(v) for v in jet))
             xm = mpmath.mpf(x)
             f = [_mp_eval(ast, xm + k * h) for k in (-2, -1, 0, 1, 2)]
             d1 = float((f[3] - f[1]) / (2 * h))
             d2 = float((f[3] - 2 * f[2] + f[1]) / (h * h))
             d3 = float((f[4] - 2 * f[3] + 2 * f[1] - f[0]) / (2 * h ** 3))
-            assert jet.d0 == pytest.approx(float(f[2]), rel=1e-14,
+            assert jet[0] == pytest.approx(float(f[2]), rel=1e-14,
                                            abs=1e-12 * scale)
-            assert jet.d1 == pytest.approx(d1, rel=1e-6, abs=1e-8 * scale)
-            assert jet.d2 == pytest.approx(d2, rel=1e-6, abs=1e-8 * scale)
-            assert jet.d3 == pytest.approx(d3, rel=1e-4, abs=1e-6 * scale)
+            assert jet[1] == pytest.approx(d1, rel=1e-6, abs=1e-8 * scale)
+            assert jet[2] == pytest.approx(d2, rel=1e-6, abs=1e-8 * scale)
+            assert jet[3] == pytest.approx(d3, rel=1e-4, abs=1e-6 * scale)
 
 
 def test_jet_linearity():
@@ -225,8 +225,7 @@ def test_jet_linearity():
     for x in (0.0, 0.5, 1.3):
         jf, jg, jc = eval_jet3(f, x), eval_jet3(g, x), eval_jet3(combined, x)
         for want, got in zip(
-                (2 * a + 3 * b for a, b in zip(jf.entries(), jg.entries())),
-                jc.entries()):
+                (2 * a + 3 * b for a, b in zip(jf, jg)), jc):
             assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
@@ -236,8 +235,8 @@ _finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 @settings(max_examples=200, deadline=None)
 @given(_finite, _finite, _finite, _finite, _finite, _finite, _finite, _finite)
 def test_jet_product_rule(a0, a1, a2, a3, b0, b1, b2, b3):
-    a = Jet3(a0, a1, a2, a3)
-    b = Jet3(b0, b1, b2, b3)
+    a = Jet(a0, a1, a2, a3)
+    b = Jet(b0, b1, b2, b3)
     product = _mul(a, b)
     assert product.d0 == a0 * b0
     assert product.d1 == pytest.approx(a1 * b0 + a0 * b1, rel=1e-15, abs=1e-12)
@@ -252,13 +251,12 @@ def test_jet_product_rule(a0, a1, a2, a3, b0, b1, b2, b3):
 @given(_finite, _finite, _finite, _finite,
        st.floats(min_value=0.5, max_value=100.0), _finite, _finite, _finite)
 def test_jet_quotient_inverts_product(a0, a1, a2, a3, b0, b1, b2, b3):
-    a = Jet3(a0, a1, a2, a3)
-    b = Jet3(b0, b1, b2, b3)
+    a = Jet(a0, a1, a2, a3)
+    b = Jet(b0, b1, b2, b3)
     quotient = _div(a, b)
     back = _mul(quotient, b)
-    scale = max(1.0, *(abs(v) for v in a.entries()),
-                *(abs(v) for v in quotient.entries()))
-    for got, want in zip(back.entries(), a.entries()):
+    scale = max(1.0, *(abs(v) for v in a), *(abs(v) for v in quotient))
+    for got, want in zip(back, a):
         assert got == pytest.approx(want, abs=1e-10 * scale)
 
 
@@ -269,7 +267,7 @@ def _outcome(evaluator, ast, x):
     except (ArithmeticError, ValueError, DomainError) as exc:
         where = (exc.expr_text, exc.x) if isinstance(exc, DomainError) else ()
         return type(exc), str(exc), where
-    return tuple(float(v).hex() for v in jet.entries())  # keeps -0.0
+    return tuple(float(v).hex() for v in jet)  # keeps -0.0
 
 
 @settings(max_examples=2000, deadline=None)
@@ -316,7 +314,7 @@ def test_expression_constants_are_not_compiled_as_source():
 
 def test_pow_on_negative_base_integer_exponent():
     jet = eval_jet3(parse("x^3"), -2.0)
-    assert jet.entries() == (-8.0, 12.0, -12.0, 6.0)
+    assert jet == (-8.0, 12.0, -12.0, 6.0)
     assert evaluate(parse("x^-2"), -2.0) == 0.25
 
 

@@ -1,9 +1,11 @@
+import json
 import math
 import random
 
 import pytest
 
 from hh3.bounds import DerivEndpoints, direct_bound, mu
+from hh3.cli import main
 from hh3.errors import (BadInterval, NonConvergence,
                         NonPositiveThirdDerivative, ToleranceUnreachable)
 from hh3.expr import parse
@@ -52,8 +54,9 @@ def test_non_uniform_points_are_accepted():
     f = parse("exp(x)")
     points = [0, 0.5, 2]
     result = composite_bound(f, points, method="thm1")
-    assert [(ib.lo, ib.hi) for ib in result.per_interval] == \
-        [(0, 0.5), (0.5, 2)]
+    assert len(result.interval_bounds) == 2
+    assert result.f3 == pytest.approx([math.exp(x) for x in points],
+                                      rel=1e-15)
     want = 0.5 * math.exp(0.25) + 1.5 * math.exp(1.25)
     assert midpoint_sum(f, points) == result.midpoint_sum
     assert result.midpoint_sum == pytest.approx(want, rel=1e-15)
@@ -230,9 +233,9 @@ def test_best_method_dominates_fixed_methods():
         for q in q_values:
             fixed = composite_bound(f, d, method=method, q=q)
             assert best.certified_bound <= fixed.certified_bound * slack
-            for ib_best, ib_fixed in zip(best.per_interval,
-                                         fixed.per_interval):
-                assert ib_best.bound <= ib_fixed.bound * slack
+            for bound_best, bound_fixed in zip(best.interval_bounds,
+                                               fixed.interval_bounds):
+                assert bound_best <= bound_fixed * slack
 
 
 def test_certified_bound_decreases_under_doubling():
@@ -251,8 +254,7 @@ def test_max_interval_bound_ratio_for_coarse_doubling():
     f = parse("exp(x)")
     one = composite_bound(f, uniform_division(0.0, 1.0, 1), method="thm1")
     two = composite_bound(f, uniform_division(0.0, 1.0, 2), method="thm1")
-    ratio = max(ib.bound for ib in two.per_interval) / \
-        max(ib.bound for ib in one.per_interval)
+    ratio = max(two.interval_bounds) / max(one.interval_bounds)
     assert 1.0 / 14.0 <= ratio <= 1.0 / 12.0
 
 
@@ -263,23 +265,27 @@ def test_max_interval_bound_scales_as_h4_once_resolved():
                                  method="thm1")
         fine = composite_bound(f, uniform_division(0.0, 1.0, 2 * n),
                                method="thm1")
-        ratio = max(ib.bound for ib in coarse.per_interval) / \
-            max(ib.bound for ib in fine.per_interval)
+        ratio = max(coarse.interval_bounds) / max(fine.interval_bounds)
         assert 14.0 <= ratio <= 16.5
 
 
-def test_composite_per_interval_records():
+def test_composite_per_interval_records(capsys):
     f = parse("exp(x)")
     d = uniform_division(0.0, 1.0, 3)
     result = composite_bound(f, d, method="thm3", q=2.0)
-    assert len(result.per_interval) == 3
-    for ib, lo, hi in zip(result.per_interval, d, d[1:]):
-        assert (ib.lo, ib.hi) == (lo, hi)
-        assert ib.method == "thm3" and ib.q == 2.0
-        assert ib.bound > 0.0
-        assert ib.k_ratio == pytest.approx(math.exp(lo - hi), rel=1e-14)
-    assert result.certified_bound == pytest.approx(
-        math.fsum(ib.bound for ib in result.per_interval), abs=0.0)
+    assert len(result.f3) == 4 and len(result.interval_bounds) == 3
+    assert result.certified_bound == math.fsum(result.interval_bounds)
+    assert main(["integrate", "--f", "exp(x)", "--a", "0", "--b", "1",
+                 "--n", "3", "--method", "thm3", "--q", "2",
+                 "--per-interval"]) == 0
+    rows = json.loads(capsys.readouterr().out)["intervals"]
+    assert len(rows) == 3
+    for row, lo, hi, bound in zip(rows, d, d[1:], result.interval_bounds):
+        assert (row["lo"], row["hi"]) == (lo, hi)
+        assert row["method"] == "thm3" and row["q"] == 2.0
+        assert row["bound"] == bound > 0.0
+        assert row["k_ratio"] == pytest.approx(math.exp(lo - hi), rel=1e-14)
+        assert row["m_ratio"] == pytest.approx(math.exp(hi - lo), rel=1e-14)
 
 
 def test_midpoint_bound_heuristic_flag():
