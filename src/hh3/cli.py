@@ -29,7 +29,7 @@ from .errors import (BadInterval, DomainError, ExprSyntaxError, NonConvergence,
                      NonPositiveThirdDerivative, NotConvex,
                      ToleranceUnreachable)
 from .expr import Node, eval_jet3, parse
-from .reportfmt import rows_to_csv, to_csv, to_json, to_text
+from .reportfmt import Table, rows_to_csv, to_csv, to_json, to_text
 
 EXIT_OK = 0
 EXIT_MATH = 2
@@ -371,11 +371,12 @@ def cmd_integrate(cfg: RunConfig) -> dict:
     if cfg.per_interval:
         label = "thm1" if cfg.method == "best" else cfg.method
         f3 = result.f3
-        doc["intervals"] = [
-            {"lo": lo, "hi": hi, "bound": bound, "k_ratio": f3a / f3b,
-             "m_ratio": f3b / f3a, "method": label, "q": cfg.q}
-            for lo, hi, f3a, f3b, bound in zip(division, division[1:], f3,
-                                               f3[1:], result.interval_bounds)]
+        keys = ("lo", "hi", "bound", "k_ratio", "m_ratio", "method", "q")
+        rows = zip(division, division[1:], f3, f3[1:],
+                   result.interval_bounds)
+        doc["intervals"] = Table(keys, [
+            (lo, hi, bound, f3a / f3b, f3b / f3a, label, cfg.q)
+            for lo, hi, f3a, f3b, bound in rows])
     if cfg.oracle:
         truth = quadrature.reference_integral(cfg.ast, cfg.a, cfg.b,
                                               _ORACLE_TOL)
@@ -479,8 +480,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_MATH
     if cfg.out:
         try:
-            with open(cfg.out, "wb") as handle:
-                handle.write(text.encode("utf-8"))
+            with open(cfg.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
         except OSError as exc:
             print(f"hh3: error: --out: {exc}", file=sys.stderr)
             return EXIT_USAGE

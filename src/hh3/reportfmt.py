@@ -3,17 +3,26 @@
 The JSON emitter is hand-rolled on purpose: report bytes are part of the
 interface (same inputs => identical bytes), so float formatting is pinned to
 %.17g, keys keep insertion order, and non-finite floats become null (JSON
-has no Infinity; the schema types those fields number-or-null).
+has no Infinity; the schema types those fields number-or-null).  A
+:class:`Table` renders as a list of objects, from one %-template per format.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from itertools import islice
+from typing import Any, NamedTuple
 
-__all__ = ["format_float", "format_float_short", "to_json", "to_csv",
-           "to_text", "rows_to_csv"]
+__all__ = ["Table", "format_float", "format_float_short", "to_json",
+           "to_csv", "to_text", "rows_to_csv"]
+
+
+class Table(NamedTuple):
+    """Rows of scalars, each row as long as ``keys``."""
+
+    keys: tuple[str, ...]
+    rows: list[tuple]
 
 
 def format_float(x: float) -> str:
@@ -29,7 +38,7 @@ def format_float_short(x: float) -> str:
     return format(x, ".6g")
 
 
-def _json_scalar(value: Any, fmt) -> str:
+def _json_scalar(value: Any) -> str:
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -39,45 +48,84 @@ def _json_scalar(value: Any, fmt) -> str:
     if isinstance(value, float):
         if not math.isfinite(value):
             return "null"
-        return fmt(value)
+        return format_float(value)
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot render {value!r} in a report")
 
 
-def _emit(value: Any, indent: int, fmt) -> str:
+def _rows(table: Table, spec: str, cell, template, indexed=False) -> list:
+    """One string per row of ``table``, from ``template(specs, digits)``.
+
+    A column of finite floats goes in as it is, under ``spec``; any other
+    goes in under ``%s``, rendered by ``cell`` (once if every row holds one
+    object).  Rows whose indices have equally many ``digits`` share one
+    %-template; ``indexed`` passes the row's index before each value.
+    """
+    n, specs, columns = len(table.rows), [], []
+    for column in zip(*table.rows):
+        if set(map(type, column)) == {float} \
+                and all(map(math.isfinite, column)):
+            specs.append(spec)
+        else:
+            specs.append("%s")
+            column = ([cell(column[0])] * n if len(set(map(id, column))) == 1
+                      else list(map(cell, column)))
+        columns += [range(n), column] if indexed else [column]
+    arguments = zip(*columns) if columns else iter([()] * n)
+    out, start, digits = [], 0, 1
+    while start < n:
+        stop = min(n, 10 ** digits)
+        out += map(template(specs, digits).__mod__,
+                   islice(arguments, stop - start))
+        start, digits = stop, digits + 1
+    return out
+
+
+def _literal(text: str) -> str:
+    return text.replace("%", "%%")
+
+
+def _emit(value: Any, indent: int) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        parts = [f"{inner}{json.dumps(k)}: {_emit(v, indent + 1, fmt)}"
+        parts = [f"{inner}{json.dumps(k)}: {_emit(v, indent + 1)}"
                  for k, v in value.items()]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [f"{inner}{_emit(v, indent + 1, fmt)}" for v in value]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    return _json_scalar(value, fmt)
+    if isinstance(value, Table):
+        def item(specs, digits):
+            fields = ",\n".join(f"{inner}  {_literal(json.dumps(k))}: {s}"
+                                for k, s in zip(value.keys, specs))
+            return f"{inner}{{\n{fields}\n{inner}}}" if fields else \
+                f"{inner}{{}}"
+        parts = _rows(value, "%.17g", _json_scalar, item)
+    elif isinstance(value, (list, tuple)):
+        parts = [f"{inner}{_json_scalar(v)}" for v in value]
+    else:
+        return _json_scalar(value)
+    text = ",\n".join(parts)
+    return f"[\n{text}\n{pad}]" if text else "[]"
 
 
 def to_json(doc: dict) -> str:
-    return _emit(doc, 0, format_float) + "\n"
+    return _emit(doc, 0) + "\n"
 
 
 def _flatten(doc: dict, prefix: str = "") -> list[tuple[str, Any]]:
+    """(dotted key, scalar or Table) pairs, leaving out empty Tables."""
     rows: list[tuple[str, Any]] = []
     for key, value in doc.items():
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             rows.extend(_flatten(value, name + "."))
+        elif isinstance(value, Table):
+            if value.rows and value.keys:   # else it prints no line
+                rows.append((name, value))
         elif isinstance(value, (list, tuple)):
-            for i, item in enumerate(value):
-                if isinstance(item, dict):
-                    rows.extend(_flatten(item, f"{name}.{i}."))
-                else:
-                    rows.append((f"{name}.{i}", item))
+            rows.extend((f"{name}.{i}", item) for i, item in enumerate(value))
         else:
             rows.append((name, value))
     return rows
@@ -89,36 +137,63 @@ def _csv_quote(text: str) -> str:
     return text
 
 
-def _cell(value: Any, fmt) -> str:
+def _cell(value: Any, fmt=format_float_short) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return fmt(value)
-    return str(value)
+    if isinstance(value, (int, str)):
+        return str(value)
+    raise TypeError(f"cannot render {value!r} in a report")
+
+
+def _csv_cell(value: Any) -> str:
+    return _csv_quote(_cell(value, format_float))
+
+
+def _flat_lines(doc: dict, spec: str, cell, line) -> list:
+    """A line per scalar and a string of lines per table row of ``doc``.
+
+    ``line(key, length)`` is the template text that starts a line, given the
+    key as template text and the length that the key prints at.
+    """
+    lines = []
+    for name, value in _flatten(doc):
+        if not isinstance(value, Table):
+            lines.append((line(_literal(name), len(name)) + "%s")
+                         % cell(value))
+            continue
+
+        def row(specs, digits):   # the key name.i.key, i of digits digits
+            return "\n".join(
+                line(f"{_literal(name)}.%d.{_literal(key)}",
+                     len(name) + digits + len(key) + 2) + s
+                for key, s in zip(value.keys, specs))
+        lines += _rows(value, spec, cell, row, indexed=True)
+    return lines
 
 
 def to_csv(doc: dict) -> str:
     """Flattened key,value rows (nested keys are dotted)."""
-    lines = ["key,value"]
-    for key, value in _flatten(doc):
-        lines.append(f"{_csv_quote(key)},{_csv_quote(_cell(value, format_float))}")
-    return "\n".join(lines) + "\n"
+    lines = _flat_lines(doc, "%.17g", _csv_cell,
+                        lambda key, length: _csv_quote(key) + ",")
+    return "\n".join(["key,value", *lines]) + "\n"
 
 
 def to_text(doc: dict) -> str:
     """Aligned ``key = value`` lines with 6-significant-digit floats."""
-    rows = _flatten(doc)
-    width = max((len(key) for key, _ in rows), default=0)
-    lines = [f"{key.ljust(width)} = {_cell(value, format_float_short)}"
-             for key, value in rows]
+    width = max((len(f"{k}.{len(v.rows) - 1}.{max(v.keys, key=len)}")
+                 if isinstance(v, Table) else len(k)
+                 for k, v in _flatten(doc)), default=0)
+    lines = _flat_lines(doc, "%.6g", _cell, lambda key, length:
+                        key + " " * (width - length) + " = ")
     return "\n".join(lines) + "\n"
 
 
 def rows_to_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
     """A real CSV table (used by sweep), floats at full precision."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v, format_float) for v in row))
-    return "\n".join(lines) + "\n"
+    lines = _rows(Table(tuple(header), rows), "%.17g", _csv_cell,
+                  lambda specs, digits: ",".join(specs))
+    return "\n".join([",".join(map(_csv_quote, header)), *lines]) + "\n"

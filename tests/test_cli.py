@@ -376,6 +376,18 @@ def test_out_matches_stdout_bytes(capsys, tmp_path):
     assert path.read_bytes() == stdout_text.encode("utf-8")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_out_matches_stdout_bytes_per_interval(capsys, tmp_path, fmt):
+    argv = ["integrate", *EXP01, "--n", "12", "--method", "thm3",
+            "--per-interval", "--format", fmt]
+    _, stdout_text, _ = run(capsys, *argv)
+    path = tmp_path / f"report.{fmt}"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == EXIT_OK
+    assert out == ""
+    assert path.read_bytes() == stdout_text.encode("utf-8")
+
+
 def test_text_format(capsys):
     _, out, _ = run(capsys, "bounds", *EXP01, "--format", "text")
     assert "chi1" in out

@@ -16,6 +16,8 @@ import pytest
 
 import hh3
 import hh3.quadrature
+from hh3 import cli
+from hh3.reportfmt import Table
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -28,6 +30,14 @@ def test_bench_tracer_resolves_every_target():
     with tracer.Tracer().installed():  # a KeyError names a missing target
         assert hh3.quadrature.composite_bound is not original
     assert hh3.quadrature.composite_bound is original
+
+
+@pytest.mark.parametrize("fmt", sorted(cli._RENDERERS))
+def test_renderers_return_str(fmt):
+    # the tracer counts rendered bytes with ``text.encode``
+    doc = {"a": 1.0, "t": Table(("x", "y"), [(0.5, None), (1.5, "s")])}
+    assert type(cli._RENDERERS[fmt](doc)) is str
+    assert type(cli.rows_to_csv(("n", "v"), [(1, 0.5)])) is str
 
 
 @pytest.mark.parametrize("name", ["hh3"] + [

@@ -27,6 +27,8 @@ GOLDEN = pathlib.Path(__file__).with_name("golden") / "cli_reports.json"
 _EXP = ["--f", "exp(x)", "--a", "0", "--b", "1"]
 _MIX = ["--f", "exp(x)+exp(2*x)", "--a", "0", "--b", "1"]
 _ORACLE = ["integrate", *_EXP, "--n", "16", "--per-interval", "--oracle"]
+_THM3 = ["integrate", *_MIX, "--n", "8", "--method", "thm3", "--q", "1.5",
+         "--per-interval"]
 
 CASES = {
     "integrate-oracle-json": _ORACLE,
@@ -34,8 +36,11 @@ CASES = {
     "integrate-oracle-text": [*_ORACLE, "--format", "text"],
     "integrate-thm2-q3": ["integrate", *_MIX, "--n", "8", "--method", "thm2",
                           "--q", "3", "--per-interval"],
-    "integrate-thm3-q1.5": ["integrate", *_MIX, "--n", "8", "--method",
-                            "thm3", "--q", "1.5", "--per-interval"],
+    "integrate-thm3-q1.5": _THM3,
+    "integrate-thm3-q1.5-csv": [*_THM3, "--format", "csv"],
+    "integrate-thm3-q1.5-text": [*_THM3, "--format", "text"],
+    "integrate-steep-json": ["integrate", "--f", "exp(20*x)", "--a", "0",
+                             "--b", "1", "--n", "64", "--per-interval"],
     "integrate-non-dyadic": ["integrate", "--f", "exp(x)", "--a", "0.3",
                              "--b", "1.7", "--n", "11", "--per-interval",
                              "--oracle"],

@@ -5,9 +5,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hh3.reportfmt import (format_float, format_float_short, rows_to_csv,
-                           to_csv, to_json, to_text)
+import report_reference as ref
+from hh3.reportfmt import (Table, format_float, format_float_short,
+                           rows_to_csv, to_csv, to_json, to_text)
 
 
 def test_format_float_round_trips_17_digits():
@@ -24,7 +27,7 @@ def test_format_float_round_trips_17_digits():
 
 def test_json_renders_non_finite_floats_as_null():
     doc = {"inf": math.inf, "ninf": -math.inf, "nan": math.nan,
-           "none": None, "nested": [{"x": math.inf}]}
+           "none": None, "nested": Table(("x",), [(math.inf,)])}
     text = to_json(doc)
     assert json.loads(text) == {"inf": None, "ninf": None, "nan": None,
                                 "none": None, "nested": [{"x": None}]}
@@ -70,8 +73,9 @@ def test_csv_quotes_commas_quotes_and_newlines(value):
 
 
 def test_csv_flattens_nested_keys_with_dots():
-    doc = {"a": {"b": 1, "c": [3, {"d": False}]}}
-    assert to_csv(doc) == "key,value\na.b,1\na.c.0,3\na.c.1.d,false\n"
+    doc = {"a": {"b": 1, "c": [3, 4], "t": Table(("d",), [(False,)])}}
+    assert to_csv(doc) == ("key,value\na.b,1\na.c.0,3\na.c.1,4\n"
+                           "a.t.0.d,false\n")
 
 
 def test_text_aligns_keys_and_uses_six_digits():
@@ -95,3 +99,66 @@ def test_rows_to_csv_keeps_full_precision():
 def test_unrenderable_values_are_refused():
     with pytest.raises(TypeError):
         to_json({"x": object()})
+
+
+@pytest.mark.parametrize("render", [to_json, to_csv, to_text])
+@pytest.mark.parametrize("value", [object(), [{"d": 1}], [[1]]])
+def test_lists_hold_scalars_only(render, value):
+    # rows of records go in a Table, not in a list of dicts
+    with pytest.raises(TypeError):
+        render({"x": value})
+
+
+# --------------------------------------------------------------------------
+# Tables against the reference renderer
+# --------------------------------------------------------------------------
+
+_SCALARS = st.one_of(st.floats(), st.none(), st.integers(), st.booleans(),
+                     st.text(max_size=5))
+_COLUMN_POOLS = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False),
+             min_size=1, max_size=4),      # the template's own float path
+    st.lists(_SCALARS, min_size=1, max_size=4),
+    _SCALARS.map(lambda v: [v]),           # one object in every row
+)
+
+
+@st.composite
+def tables(draw) -> Table:
+    """Up to 4 columns, each cycling through a few drawn values."""
+    keys = draw(st.lists(st.text(max_size=4), max_size=4, unique=True))
+    n = draw(st.one_of(st.integers(0, 12), st.integers(95, 120)))
+    pools = [draw(_COLUMN_POOLS) for _ in keys]
+    return Table(tuple(keys), [tuple(p[i % len(p)] for p in pools)
+                               for i in range(n)])
+
+
+def _assert_like_reference(doc: dict) -> None:
+    old = ref.as_dicts(doc)
+    assert to_json(doc) == ref.to_json(old)
+    assert to_csv(doc) == ref.to_csv(old)
+    assert to_text(doc) == ref.to_text(old)
+
+
+@settings(deadline=None)
+@given(tables(), st.text(max_size=4))
+def test_tables_render_like_the_reference(table, name):
+    _assert_like_reference({"head": 0.1, "nested": {name: table},
+                            "list": [1, None], "table": table, "z": True})
+    assert rows_to_csv(table.keys, table.rows) == \
+        ref.rows_to_csv(table.keys, table.rows)
+
+
+_AWKWARD = (math.inf, -math.inf, math.nan, -0.0, None, 7, True, False,
+            'say "hi"', "a,b", "two\nlines", "100%", "\u00e9\\", "")
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 11, 1001])
+def test_awkward_values_render_like_the_reference(n):
+    rows = [tuple(_AWKWARD[(i + j) % len(_AWKWARD)] for j in range(5))
+            + (0.5 + i, "thm1") for i in range(n)]
+    keys = ("lo", "x,y", 'q"', "%d", "a\nb", "bound", "method")
+    _assert_like_reference({"a": 1, "intervals": Table(keys, rows),
+                            "empty": Table(keys, []),
+                            "no_keys": Table((), [()] * n)})
+    assert rows_to_csv(keys, rows) == ref.rows_to_csv(keys, rows)
