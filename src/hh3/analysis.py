@@ -21,7 +21,7 @@ equivalence can be exercised rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotConvex
 # eval_jet3 stays an attribute here for bench/tracer.py to wrap.
@@ -62,8 +62,7 @@ def grid_samples(f: Node, a: float, b: float, n: int = GRID_POINTS_DEFAULT
     return xs, tuple(abs(jet[3]) for jet in map(compile_jet3(f), xs))
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(NamedTuple):
     """Outcome of the sampled midpoint criterion.
 
     ``worst_violation`` is max over tested pairs of g(m)^2/(g(x)g(y)) - 1,
@@ -120,8 +119,7 @@ def check_log_convexity_pow(f: Node, a: float, b: float, q: float,
     return _midpoint_pairs(*grid_samples(f, a, b, n), q)
 
 
-@dataclass(frozen=True)
-class HermiteHadamardReport:
+class HermiteHadamardReport(NamedTuple):
     """Both Hermite-Hadamard inequalities for a convex f, with slacks.
 
     lower_slack = mean - f(midpoint) and upper_slack = endpoint average -
@@ -174,8 +172,7 @@ def check_hermite_hadamard(f: Node, a: float, b: float,
 # Worked examples with known log-convexity status
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     expression: str
     a: float
     b: float

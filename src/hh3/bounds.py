@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, NonPositiveThirdDerivative, require_interval
 
@@ -71,20 +70,28 @@ DEFAULT_Q = 2.0
 # The checked one-interval input
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DerivEndpoints:
-    """|f'''| magnitudes at the interval endpoints, plus the interval."""
-
+class _Endpoints(NamedTuple):
     f3a_abs: float
     f3b_abs: float
     a: float
     b: float
 
-    def __post_init__(self):
-        for x, v in ((self.a, self.f3a_abs), (self.b, self.f3b_abs)):
+
+class DerivEndpoints(_Endpoints):
+    """|f'''| magnitudes at the interval endpoints, plus the interval."""
+
+    __slots__ = ()
+
+    def __new__(cls, f3a_abs: float, f3b_abs: float, a: float, b: float):
+        for x, v in ((a, f3a_abs), (b, f3b_abs)):
             if not (math.isfinite(v) and v > 0.0):
                 raise NonPositiveThirdDerivative(x, v)
-        require_interval(self.a, self.b)
+        require_interval(a, b)
+        return super().__new__(cls, f3a_abs, f3b_abs, a, b)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: check it too
+        return cls(*iterable)
 
     @property
     def width(self) -> float:
@@ -294,8 +301,7 @@ def power_mean_bound(e: DerivEndpoints, q: float) -> float:
 # The best of the three
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """The three bounds, chi2 and chi3 at exponent ``q``, and the winner."""
 
     chi1: float

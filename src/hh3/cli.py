@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import analysis, bounds, quadrature
 from .errors import (BadInterval, DomainError, ExprSyntaxError, NonConvergence,
@@ -120,8 +120,7 @@ def build_parser() -> _ArgumentParser:
 # Config resolution
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     expression: str
     ast: Node

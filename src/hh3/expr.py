@@ -33,8 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
@@ -51,35 +50,29 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 # AST
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     """The integration variable ``x``."""
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     name: str  # "pi" or "e"
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Node"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of "+", "-", "*", "/", "^"
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Func:
+class Func(NamedTuple):
     name: str  # one of _FUNCTIONS
     arg: "Node"
 
@@ -98,8 +91,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num", "ident", "op", "end"
     text: str
     pos: int

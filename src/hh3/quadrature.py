@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import bounds as _bounds
 from .errors import BadInterval, NonConvergence, NonPositiveThirdDerivative, \
@@ -51,7 +50,7 @@ __all__ = [
 DEFAULT_EVAL_BUDGET = 1_000_000
 
 #: The most subintervals the command line accepts and ``certify`` refines
-#: to by default.  A per-interval report takes about 100 MiB at 2^16
+#: to by default.  A per-interval report takes about 85 MiB at 2^16
 #: subintervals, so more than 1 GB at this size.
 MAX_SUBINTERVALS = 2 ** 20
 
@@ -113,8 +112,7 @@ def corrected_midpoint_sum(f: Node, points: Sequence[float]) -> float:
 # Composite certified bound
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     midpoint_sum: float
     corrected_sum: float
     certified_bound: float          # fsum of interval_bounds
@@ -305,8 +303,7 @@ def identity_residual(f: Node, a: float, b: float,
 # Certification loop
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CertifyOutcome:
+class CertifyOutcome(NamedTuple):
     result: QuadResult
     n_final: int
     iterations: int

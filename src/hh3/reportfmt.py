@@ -102,7 +102,7 @@ def _emit(value: Any, indent: int) -> str:
             return f"{inner}{{\n{fields}\n{inner}}}" if fields else \
                 f"{inner}{{}}"
         parts = _rows(value, "%.17g", _json_scalar, item)
-    elif isinstance(value, (list, tuple)):
+    elif type(value) in (list, tuple):   # a record is a tuple, not a list
         parts = [f"{inner}{_json_scalar(v)}" for v in value]
     else:
         return _json_scalar(value)
@@ -124,7 +124,7 @@ def _flatten(doc: dict, prefix: str = "") -> list[tuple[str, Any]]:
         elif isinstance(value, Table):
             if value.rows and value.keys:   # else it prints no line
                 rows.append((name, value))
-        elif isinstance(value, (list, tuple)):
+        elif type(value) in (list, tuple):
             rows.extend((f"{name}.{i}", item) for i, item in enumerate(value))
         else:
             rows.append((name, value))

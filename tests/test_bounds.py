@@ -161,6 +161,14 @@ def test_deriv_endpoints_validation():
         DerivEndpoints(1.0, 1.0, 1.0, 1.0)
     with pytest.raises(BadInterval):
         DerivEndpoints(1.0, 1.0, 2.0, 1.0)
+    # magnitudes before the interval, a before b, keywords as positions
+    with pytest.raises(NonPositiveThirdDerivative) as caught:
+        DerivEndpoints(0.0, math.nan, 2.0, 1.0)
+    assert caught.value.x == 2.0
+    with pytest.raises(NonPositiveThirdDerivative):
+        DerivEndpoints(f3a_abs=1.0, f3b_abs=0.0, a=0.0, b=1.0)
+    with pytest.raises(BadInterval):
+        DerivEndpoints(1.0, 1.0, 0.0, 1.0)._replace(a=2.0)
 
 
 # --------------------------------------------------------------------------

@@ -3,12 +3,14 @@ import io
 import json
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import report_reference as ref
+from hh3.analysis import ConvexityReport
 from hh3.reportfmt import (Table, format_float, format_float_short,
                            rows_to_csv, to_csv, to_json, to_text)
 
@@ -107,6 +109,22 @@ def test_lists_hold_scalars_only(render, value):
     # rows of records go in a Table, not in a list of dicts
     with pytest.raises(TypeError):
         render({"x": value})
+
+
+class _Pair(NamedTuple):
+    lo: float
+    hi: float
+
+
+@pytest.mark.parametrize("render", [to_json, to_csv, to_text])
+@pytest.mark.parametrize("record", [
+    _Pair(0.0, 1.0), ConvexityReport(True, 0.0, None, 3),
+    {"nested": _Pair(0.0, 1.0)}])
+def test_records_are_refused_not_printed_as_lists(render, record):
+    # a named tuple is a tuple, but only a plain list or tuple is a list
+    with pytest.raises(TypeError):
+        render({"x": record})
+    assert render({"x": tuple(_Pair(0.0, 1.0))}) == render({"x": [0.0, 1.0]})
 
 
 # --------------------------------------------------------------------------
