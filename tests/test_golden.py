@@ -58,6 +58,7 @@ CASES = {
                            "--n", "2"],
     "exit2-unreachable-tol": ["certify", *_EXP, "--tol", "1e-30",
                               "--n-max", "16"],
+    "exit2-n-max-cap": ["certify", *_EXP, "--tol", "1e-12", "--n-max", "16"],
     "exit64-zero-n": ["integrate", *_EXP, "--n", "0"],
 }
 
