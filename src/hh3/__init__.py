@@ -19,8 +19,9 @@ from .analysis import (CatalogEntry, ConvexityReport, HermiteHadamardReport,
 from .bounds import (BoundReport, DerivEndpoints, best_bound, bound_function,
                      chi1, chi2, chi3, direct_bound, holder_bound,
                      holder_factor, mu, mu_q, power_mean_bound)
-from .errors import (BadInterval, DomainError, ExprSyntaxError, Hh3Error,
-                     NonConvergence, NonPositiveThirdDerivative, NotConvex,
+from .errors import (BadInterval, BelowRoundingFloor, DomainError,
+                     ExprSyntaxError, Hh3Error, NonConvergence,
+                     NonPositiveThirdDerivative, NotConvex,
                      ToleranceUnreachable, UnknownIdentifier)
 from .expr import Node, eval_jet3, evaluate, parse, to_text
 from .quadrature import (CertifyOutcome, QuadResult, certify, composite_bound,
@@ -49,5 +50,5 @@ __all__ = [
     # errors
     "Hh3Error", "ExprSyntaxError", "UnknownIdentifier", "DomainError",
     "NonPositiveThirdDerivative", "BadInterval", "NonConvergence",
-    "ToleranceUnreachable", "NotConvex",
+    "ToleranceUnreachable", "BelowRoundingFloor", "NotConvex",
 ]

@@ -105,6 +105,23 @@ class ToleranceUnreachable(Hh3Error):
         )
 
 
+class BelowRoundingFloor(ToleranceUnreachable):
+    """The tolerance is below half an ulp of every corrected sum that this
+    or a later level could print with a bound that meets it, so no
+    refinement can certify it; ``floor`` is that half ulp."""
+
+    def __init__(self, tol: float, best_bound: float, n_final: int,
+                 floor: float):
+        self.tol = tol
+        self.best_bound = best_bound
+        self.n_final = n_final
+        self.floor = floor
+        Hh3Error.__init__(
+            self, f"tol {tol!r} is below the rounding floor {floor!r} of "
+                  f"the corrected sum at n = {n_final}; no certified bound "
+                  f"can reach it")
+
+
 class NotConvex(Hh3Error):
     """Sampled convexity check failed; carries a witness point."""
 

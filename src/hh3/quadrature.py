@@ -35,8 +35,8 @@ import sys
 from typing import Callable, NamedTuple, Sequence
 
 from . import bounds as _bounds
-from .errors import BadInterval, NonConvergence, NonPositiveThirdDerivative, \
-    ToleranceUnreachable, require_interval
+from .errors import BadInterval, BelowRoundingFloor, NonConvergence, \
+    NonPositiveThirdDerivative, ToleranceUnreachable, require_interval
 # eval_jet3 and evaluate stay attributes here for bench/tracer.py to wrap.
 from .expr import Node, compile_jet3, eval_jet3, evaluate  # noqa: F401
 
@@ -134,8 +134,13 @@ def composite_bound(f: Node, points: Sequence[float], method: str = "best",
     """
     points = _checked(points)
     bound = _bounds.bound_function(method, q)
-
     jet = compile_jet3(f)
+    return _level(bound, _f3_magnitudes(jet, points),
+                  _midpoint_jets(jet, points))
+
+
+def _f3_magnitudes(jet: Callable, points: Sequence[float]) -> list[float]:
+    """|f'''| at each point, left to right, once each is finite and > 0."""
     f3 = []
     for x in points:
         d3 = jet(x)[3]
@@ -143,9 +148,12 @@ def composite_bound(f: Node, points: Sequence[float], method: str = "best",
         if not (math.isfinite(mag) and mag > 0.0):
             raise NonPositiveThirdDerivative(x, d3)
         f3.append(mag)
+    return f3
 
-    mids = _midpoint_jets(jet, points)
 
+def _level(bound: Callable, f3: list[float], mids: list[tuple]) -> QuadResult:
+    """One division's result from |f'''| at its points and its midpoint
+    jets: the level that :func:`composite_bound` and :func:`certify` share."""
     interval_bounds = tuple(h * bound(f3a, f3b, h)
                             for f3a, f3b, (h, _) in zip(f3, f3[1:], mids))
     certified = math.fsum(interval_bounds)
@@ -309,28 +317,88 @@ class CertifyOutcome(NamedTuple):
     iterations: int
 
 
+#: The rounding allowance R of the floor stop in :func:`certify`, in units
+#: of eps times the absolute mass of a level's midpoint terms.
+_ROUNDING_ULPS = 2048.0
+
+
 def certify(f: Node, a: float, b: float, tol: float, method: str = "best",
             q: float | None = None,
             n_max: int = MAX_SUBINTERVALS) -> CertifyOutcome:
     """Double a uniform division until the certified bound meets ``tol``.
 
-    Starts at one subinterval.  Raises :class:`ToleranceUnreachable`
-    (carrying the best bound achieved) if n exceeds ``n_max`` first.
+    Starts at one subinterval.  Each level's result equals
+    ``composite_bound(f, uniform_division(a, b, n))`` in every field, but
+    costs fewer jets: point i of n is bit for bit point 2i of 2n, because
+    (b - a)/(2n) is exactly half of (b - a)/n, so a doubling evaluates
+    |f'''| only at its n new odd points, plus the jets at its 2n midpoints.
+    Where halving is inexact (a subnormal width) the old points no longer
+    match, and the level evaluates every point.
+
+    Raises :class:`ToleranceUnreachable` (carrying the best bound achieved)
+    if n exceeds ``n_max`` first, and its subclass
+    :class:`BelowRoundingFloor` as soon as ``tol`` is below the rounding
+    floor.  After each level, with corrected sum s and bound B, let
+
+        L = |s| - B - tol - R,    R = 2048 eps A,
+
+    with eps the machine epsilon and A the sum over the level's midpoint
+    terms of |h f(m)| + |h^3 f''(m) / 24|.  The run stops once
+    tol < ulp(max(L, 0)) / 2.
+
+    Why no level from n on can certify tol then: B bounds |I - S| for the
+    exact corrected sum S at the level's points, and the printed s is
+    within r of S, so |I - s| <= B + r.  A level n' >= n whose bound meets
+    tol prints an s' with |I - s'| <= tol + r', so
+    |s'| >= |s| - B - tol - (r + r') >= L as long as R >= r + r'.  A
+    double can be guaranteed no closer than half its ulp to a real it
+    approximates, so a certificate for the printed s' needs
+    tol >= ulp(s')/2, and ulp grows with magnitude: ulp(s')/2 >= ulp(L)/2.
+
+    R is an allowance for r + r', not a proof of it.  Each term takes six
+    roundings and fsum one half-ulp; the jets, the width h and the midpoint
+    m carry rounding of their own.  Granting each sum 512 ulps of its mass,
+    and the later level a mass of at most 2A (both masses are midpoint sums
+    for the integral of |f|), gives r + r' <= 1536 eps A; the other 512
+    cover the three roundings in forming L.  A larger R only delays a stop.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise BadInterval(f"tolerance must be positive, got {tol!r}")
+    bound = _bounds.bound_function(method, q)
+    jet = compile_jet3(f)
+    points: tuple[float, ...] = ()
+    f3: list[float] = []
     best_seen = math.inf
     n = 1
     iterations = 0
     last_n = 1
     while n <= n_max:
-        result = composite_bound(f, uniform_division(a, b, n),
-                                 method=method, q=q)
+        division = _checked(uniform_division(a, b, n))
+        if division[::2] == points:
+            nested = [0.0] * len(division)
+            nested[::2] = f3
+            nested[1::2] = _f3_magnitudes(jet, division[1::2])
+            f3 = nested
+        else:
+            f3 = _f3_magnitudes(jet, division)
+        points = division
+        mids = _midpoint_jets(jet, points)
+        result = _level(bound, f3, mids)
         iterations += 1
+        best_seen = min(best_seen, result.certified_bound)
+
+        lower = abs(result.corrected_sum) - result.certified_bound - tol
+        if tol < 0.5 * math.ulp(max(lower, 0.0)):  # R >= 0 only lowers L
+            mass = sum(abs(h * j[0]) + abs(h ** 3 / 24.0 * j[2])
+                       for h, j in mids)
+            lower -= _ROUNDING_ULPS * sys.float_info.epsilon * mass
+            floor = 0.5 * math.ulp(max(lower, 0.0))
+            if tol < floor:
+                raise BelowRoundingFloor(tol, best_seen, n, floor)
+
         if result.certified_bound <= tol:
             return CertifyOutcome(result=result, n_final=n,
                                   iterations=iterations)
-        best_seen = min(best_seen, result.certified_bound)
         last_n = n
         n *= 2
     raise ToleranceUnreachable(tol, best_seen, last_n)

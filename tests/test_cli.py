@@ -165,6 +165,40 @@ def test_certify_report(capsys):
     assert doc["iterations"] == 6
 
 
+def test_certify_below_rounding_floor_exits_2(capsys):
+    # ulp(e - 1)/2 = 1.11e-16 > tol: no printed double can carry 1e-16.
+    # Doubling used to "certify" at n = 65536 with a bound of 3.2e-17,
+    # below the 7.7e-17 error of the printed corrected_sum.
+    code, out, err = run(capsys, "certify", *EXP01, "--tol", "1e-16")
+    assert code == EXIT_MATH
+    assert out == ""
+    assert err == ("hh3: tol 1e-16 is below the rounding floor "
+                   "1.1102230246251565e-16 of the corrected sum at n = 1; "
+                   "no certified bound can reach it\n")
+
+
+def test_certify_just_above_rounding_floor_keeps_its_bytes(capsys):
+    # recorded before the floor stop existed; a certifying run is unchanged
+    code, out, err = run(capsys, "certify", *EXP01, "--tol", "1e-14")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == """{
+  "schema": 1,
+  "command": "certify",
+  "expression": "exp(x)",
+  "a": 0,
+  "b": 1,
+  "tol": 1e-14,
+  "method": "best",
+  "q": null,
+  "n_final": 16384,
+  "iterations": 15,
+  "midpoint_sum": 1.7182818281923329,
+  "corrected_sum": 1.7182818284590453,
+  "certified_bound": 2.0348544517475812e-15
+}
+"""
+
+
 def test_verify_report(capsys):
     _, out, _ = run(capsys, "verify", *EXP01)
     doc = json.loads(out)

@@ -3,10 +3,13 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from hh3 import quadrature
 from hh3.bounds import DerivEndpoints, direct_bound, mu
 from hh3.cli import main
-from hh3.errors import (BadInterval, NonConvergence,
+from hh3.errors import (BadInterval, BelowRoundingFloor, NonConvergence,
                         NonPositiveThirdDerivative, ToleranceUnreachable)
 from hh3.expr import parse
 from hh3.quadrature import (_CC_NODES, _CC_W_COARSE, _CC_W_FINE,
@@ -357,7 +360,7 @@ def test_certify_exp_to_microtolerance():
 
 def test_certify_tolerance_unreachable():
     with pytest.raises(ToleranceUnreachable) as info:
-        certify(parse("exp(x)"), 0.0, 1.0, 1e-30, method="thm1", n_max=16)
+        certify(parse("exp(x)"), 0.0, 1.0, 1e-12, method="thm1", n_max=16)
     err = info.value
     assert err.n_final == 16
     assert 0.0 < err.best_bound
@@ -369,3 +372,115 @@ def test_certify_tolerance_unreachable():
 def test_certify_rejects_bad_tolerance():
     with pytest.raises(BadInterval):
         certify(parse("exp(x)"), 0.0, 1.0, 0.0)
+
+
+# --------------------------------------------------------------------------
+# certify: the rounding floor, nested divisions and jet reuse
+# --------------------------------------------------------------------------
+
+def test_certify_stops_at_the_rounding_floor():
+    # ulp(|I|) = 16384 for exp(50x) on [0, 1], so no n reaches 1e-6; the
+    # doubling used to run to n = 2^20 before it gave up
+    with pytest.raises(BelowRoundingFloor) as info:
+        certify(parse("exp(50*x)"), 0.0, 1.0, 1e-6)
+    err = info.value
+    assert isinstance(err, ToleranceUnreachable)   # the CLI's exit 2
+    assert err.n_final <= 64
+    assert err.tol == 1e-6 < err.floor <= 8192.0
+    assert math.isfinite(err.best_bound)
+    assert str(err) == (f"tol 1e-06 is below the rounding floor "
+                        f"{err.floor!r} of the corrected sum at "
+                        f"n = {err.n_final}; no certified bound can reach it")
+
+
+def _counting_jets(monkeypatch) -> list[float]:
+    """Every point at which certify or composite_bound evaluates a jet."""
+    calls = []
+    compile_real = quadrature.compile_jet3
+
+    def compile_counted(f):
+        jet = compile_real(f)
+
+        def counted(x):
+            calls.append(x)
+            return jet(x)
+        return counted
+    monkeypatch.setattr(quadrature, "compile_jet3", compile_counted)
+    return calls
+
+
+def test_certify_evaluates_each_division_point_once(monkeypatch):
+    # levels n = 1, 2, 4, 8: 2 + 1 + 2 + 4 = 9 division points and
+    # 1 + 2 + 4 + 8 = 15 midpoints, where evaluating every point of every
+    # level took 3 + 5 + 9 + 17 = 34 jets
+    calls = _counting_jets(monkeypatch)
+    outcome = certify(parse("8*x^3"), 0.0, 1.0, 1e-3)
+    assert (outcome.n_final, outcome.iterations) == (8, 4)
+    assert len(calls) == 24
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=-1e3, max_value=1e3),
+       st.floats(min_value=1e-6, max_value=1e3),
+       st.integers(min_value=1, max_value=2048))
+def test_doubled_division_nests_bit_for_bit(a, width, n):
+    b = a + width
+    assume(a < b)
+    coarse = uniform_division(a, b, n)
+    fine = uniform_division(a, b, 2 * n)
+    assert [x.hex() for x in fine[::2]] == [x.hex() for x in coarse]
+
+
+def test_subnormal_width_breaks_nesting():
+    # h = 11/8 of the least subnormal rounds to 1 of it, but h = 11/4 to 3
+    b = 11 * 5e-324
+    assert uniform_division(0.0, b, 8)[::2] != uniform_division(0.0, b, 4)
+
+
+_FAMILIES = ("exp({c}*x)", "exp({c}*x)+exp({d}*x)", "1/(x+{s})")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_FAMILIES),
+       st.floats(min_value=-6.0, max_value=6.0).filter(lambda c: abs(c) > 0.1),
+       st.floats(min_value=0.1, max_value=3.0),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.05, max_value=1.0),
+       st.floats(min_value=-9.0, max_value=-4.0),
+       st.sampled_from(["thm1", "thm3"]))
+@example(family="exp({c}*x)", c=1.0, d=1.0, a=0.0, width=1.0, log_rel=-9.0,
+         method="thm1")
+def test_certify_result_is_composite_bound_at_n_final(family, c, d, a, width,
+                                                      log_rel, method):
+    # tolerances of 1e-9 of |I| and up sit far above the rounding floor
+    f = parse(family.format(c=c, d=d, s=1.0 + d))
+    b = a + width
+    q = 1.5 if method == "thm3" else None
+    tol = 10.0 ** log_rel * abs(composite_bound(
+        f, uniform_division(a, b, 64), "thm1").corrected_sum)
+    outcome = certify(f, a, b, tol, method=method, q=q, n_max=2 ** 14)
+    expected = composite_bound(f, uniform_division(a, b, outcome.n_final),
+                               method=method, q=q)
+    assert repr(outcome.result) == repr(expected)
+
+
+def _jittered_division(a, b, n):
+    """uniform_division with its interior points one ulp up where log2(n)
+    is odd, so no level from n = 4 on nests the one before."""
+    points = list(uniform_division(a, b, n))
+    if n.bit_length() % 2 == 0:
+        points[1:-1] = [math.nextafter(x, math.inf) for x in points[1:-1]]
+    return tuple(points)
+
+
+def test_certify_evaluates_every_point_when_levels_do_not_nest(monkeypatch):
+    monkeypatch.setattr(quadrature, "uniform_division", _jittered_division)
+    calls = _counting_jets(monkeypatch)
+    f = parse("exp(x)+exp(2*x)")
+    outcome = certify(f, 0.1, 0.8, 1e-9)
+    # n = 2 still nests n = 1, whose only points are the endpoints
+    levels = [2 ** i for i in range(outcome.iterations)]
+    assert len(calls) == sum(2 * n + 1 for n in levels) - 2
+    expected = composite_bound(f, _jittered_division(0.1, 0.8,
+                                                     outcome.n_final))
+    assert repr(outcome.result) == repr(expected)
