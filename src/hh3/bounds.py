@@ -142,12 +142,9 @@ def _moment_from_log(lam: float) -> float:
     return _moment_closed(lam)
 
 
-_BAD_RATIO = "derivative ratio must be finite and positive, got "
-
-
 def _require_ratio(k: float) -> float:
     if not (isinstance(k, (int, float)) and math.isfinite(k) and k > 0.0):
-        raise DomainError(f"{_BAD_RATIO}{k!r}")
+        raise DomainError(f"derivative ratio must be finite and positive, got {k!r}")
     return float(k)
 
 
@@ -166,28 +163,9 @@ def _require_q(q: float, strict: bool, name: str) -> None:
 def mu(k: float) -> float:
     """The weight in the direct bound: integral of t^3 k^(t/2), t in [0,1].
 
-    mu(1) = 1/4 exactly; mu is increasing and positive.  chi1 takes two mu
-    per subinterval, so each runs in this one frame: the ratio check of
-    _require_ratio, the log, then the series or the closed form of
-    _moment_from_log, with their float operations in their order.
+    mu(1) = 1/4 exactly; mu is increasing and positive.
     """
-    if not (isinstance(k, (int, float)) and math.isfinite(k) and k > 0.0):
-        raise DomainError(f"{_BAD_RATIO}{k!r}")
-    lam = math.log(float(k))
-    half = lam / 2.0
-    if abs(lam) <= L_SWITCH:
-        total = 0.25
-        coeff = 1.0
-        n = 0
-        while True:
-            n += 1
-            coeff *= half / n
-            term = coeff / (n + 4.0)
-            total += term
-            if abs(term) <= _SERIES_RELTOL * abs(total):
-                return total
-    poly = ((half - 3.0) * half + 6.0) * half - 6.0
-    return (math.exp(half) * poly + 6.0) / half ** 4
+    return _moment_from_log(math.log(_require_ratio(k)))
 
 
 def _weight_log(k: float, q: float, name: str) -> float:

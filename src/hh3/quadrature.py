@@ -122,7 +122,9 @@ class QuadResult(NamedTuple):
 
 
 def composite_bound(f: Node, points: Sequence[float], method: str = "best",
-                    q: float | None = None) -> QuadResult:
+                    q: float | None = None, *,
+                    coarse: tuple[Sequence[float], Sequence[float]]
+                    | None = None) -> QuadResult:
     """Corrected-midpoint sums plus a certified bound on the corrected one.
 
     ``points`` is any strictly increasing division of [a, b], such as
@@ -131,29 +133,24 @@ def composite_bound(f: Node, points: Sequence[float], method: str = "best",
     q >= 1) or ``best``, which is ``thm1``: no exponent lets the other two
     beat it (see :mod:`hh3.bounds`).  Requires |f'''| > 0 at every division
     point.
+
+    ``coarse`` is a division and |f'''| at its points (the ``f3`` of its
+    result).  Where ``points[::2]`` equals that division bit for bit, as
+    ``uniform_division(a, b, 2 * n)`` does at n, those values are taken as
+    given and only the odd points are evaluated; otherwise every point is.
     """
     points = _checked(points)
     bound = _bounds.bound_function(method, q)
     jet = compile_jet3(f)
-    return _level(bound, _f3_magnitudes(jet, points),
-                  _midpoint_jets(jet, points))
+    if coarse is not None and points[::2] == tuple(coarse[0]):
+        f3 = [0.0] * len(points)
+        f3[::2] = coarse[1]
+        f3[1::2] = _f3_magnitudes(jet, points[1::2])
+    else:
+        f3 = _f3_magnitudes(jet, points)
 
+    mids = _midpoint_jets(jet, points)
 
-def _f3_magnitudes(jet: Callable, points: Sequence[float]) -> list[float]:
-    """|f'''| at each point, left to right, once each is finite and > 0."""
-    f3 = []
-    for x in points:
-        d3 = jet(x)[3]
-        mag = abs(d3)
-        if not (math.isfinite(mag) and mag > 0.0):
-            raise NonPositiveThirdDerivative(x, d3)
-        f3.append(mag)
-    return f3
-
-
-def _level(bound: Callable, f3: list[float], mids: list[tuple]) -> QuadResult:
-    """One division's result from |f'''| at its points and its midpoint
-    jets: the level that :func:`composite_bound` and :func:`certify` share."""
     interval_bounds = tuple(h * bound(f3a, f3b, h)
                             for f3a, f3b, (h, _) in zip(f3, f3[1:], mids))
     certified = math.fsum(interval_bounds)
@@ -171,6 +168,18 @@ def _level(bound: Callable, f3: list[float], mids: list[tuple]) -> QuadResult:
         interval_bounds=interval_bounds,
         midpoint_bound_heuristic=heuristic,
     )
+
+
+def _f3_magnitudes(jet: Callable, points: Sequence[float]) -> list[float]:
+    """|f'''| at each point, left to right, once each is finite and > 0."""
+    f3 = []
+    for x in points:
+        d3 = jet(x)[3]
+        mag = abs(d3)
+        if not (math.isfinite(mag) and mag > 0.0):
+            raise NonPositiveThirdDerivative(x, d3)
+        f3.append(mag)
+    return f3
 
 
 # --------------------------------------------------------------------------
@@ -327,13 +336,12 @@ def certify(f: Node, a: float, b: float, tol: float, method: str = "best",
             n_max: int = MAX_SUBINTERVALS) -> CertifyOutcome:
     """Double a uniform division until the certified bound meets ``tol``.
 
-    Starts at one subinterval.  Each level's result equals
-    ``composite_bound(f, uniform_division(a, b, n))`` in every field, but
-    costs fewer jets: point i of n is bit for bit point 2i of 2n, because
-    (b - a)/(2n) is exactly half of (b - a)/n, so a doubling evaluates
-    |f'''| only at its n new odd points, plus the jets at its 2n midpoints.
-    Where halving is inexact (a subnormal width) the old points no longer
-    match, and the level evaluates every point.
+    Starts at one subinterval.  Each level is one :func:`composite_bound`
+    call, given the level before as ``coarse``: point i of n is bit for bit
+    point 2i of 2n, because (b - a)/(2n) is exactly half of (b - a)/n, so
+    a doubling evaluates |f'''| only at its n new odd points, plus the jets
+    at its 2n midpoints.  Where halving is inexact (a subnormal width) the
+    old points no longer match, and the level evaluates every point.
 
     Raises :class:`ToleranceUnreachable` (carrying the best bound achieved)
     if n exceeds ``n_max`` first, and its subclass
@@ -342,56 +350,46 @@ def certify(f: Node, a: float, b: float, tol: float, method: str = "best",
 
         L = |s| - B - tol - R,    R = 2048 eps A,
 
-    with eps the machine epsilon and A the sum over the level's midpoint
-    terms of |h f(m)| + |h^3 f''(m) / 24|.  The run stops once
+    with eps the machine epsilon and A the sum over the level's midpoints m
+    of |h f(m)| + |h^3 f''(m) / 24| + |h m f'(m)|.  The run stops once
     tol < ulp(max(L, 0)) / 2.
 
-    Why no level from n on can certify tol then: B bounds |I - S| for the
-    exact corrected sum S at the level's points, and the printed s is
-    within r of S, so |I - s| <= B + r.  A level n' >= n whose bound meets
-    tol prints an s' with |I - s'| <= tol + r', so
-    |s'| >= |s| - B - tol - (r + r') >= L as long as R >= r + r'.  A
-    double can be guaranteed no closer than half its ulp to a real it
-    approximates, so a certificate for the printed s' needs
-    tol >= ulp(s')/2, and ulp grows with magnitude: ulp(s')/2 >= ulp(L)/2.
+    The argument, granted R: B bounds |I - S| for the exact corrected sum
+    S at the level's points, and the printed s is within r of S, so
+    |I - s| <= B + r.  A level n' >= n whose bound meets tol prints an s'
+    with |I - s'| <= tol + r', so |s'| >= |s| - B - tol - (r + r') >= L
+    whenever R >= r + r'.  A double is guaranteed no closer than half its
+    ulp to the real it stands for, so a certificate for the printed s'
+    needs tol >= ulp(s')/2, and ulp(s')/2 >= ulp(L)/2.
 
-    R is an allowance for r + r', not a proof of it.  Each term takes six
-    roundings and fsum one half-ulp; the jets, the width h and the midpoint
-    m carry rounding of their own.  Granting each sum 512 ulps of its mass,
-    and the later level a mass of at most 2A (both masses are midpoint sums
-    for the integral of |f|), gives r + r' <= 1536 eps A; the other 512
-    cover the three roundings in forming L.  A larger R only delays a stop.
+    R >= r + r' is assumed, not proved, so the stop is a heuristic.  Each
+    term takes six roundings and fsum one half-ulp; rounding the midpoint m
+    moves h f(m) by up to |h m f'(m)| eps/2, the last part of A.  But the
+    jets come from arbitrary expression code, whose rounding has no bound
+    known in advance.  R grants each sum 512 ulps of its mass, the later
+    level a mass of at most 2A (both are midpoint sums for the integral of
+    |f|), and 512 more to forming L.  Enclosing each term in an interval
+    (ROADMAP item 4) would make the stop a guarantee; a larger R only
+    delays it.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise BadInterval(f"tolerance must be positive, got {tol!r}")
-    bound = _bounds.bound_function(method, q)
-    jet = compile_jet3(f)
-    points: tuple[float, ...] = ()
-    f3: list[float] = []
+    coarse = None
     best_seen = math.inf
     n = 1
     iterations = 0
     last_n = 1
     while n <= n_max:
-        division = _checked(uniform_division(a, b, n))
-        if division[::2] == points:
-            nested = [0.0] * len(division)
-            nested[::2] = f3
-            nested[1::2] = _f3_magnitudes(jet, division[1::2])
-            f3 = nested
-        else:
-            f3 = _f3_magnitudes(jet, division)
-        points = division
-        mids = _midpoint_jets(jet, points)
-        result = _level(bound, f3, mids)
+        points = uniform_division(a, b, n)
+        result = composite_bound(f, points, method=method, q=q, coarse=coarse)
+        coarse = (points, result.f3)
         iterations += 1
         best_seen = min(best_seen, result.certified_bound)
 
         lower = abs(result.corrected_sum) - result.certified_bound - tol
         if tol < 0.5 * math.ulp(max(lower, 0.0)):  # R >= 0 only lowers L
-            mass = sum(abs(h * j[0]) + abs(h ** 3 / 24.0 * j[2])
-                       for h, j in mids)
-            lower -= _ROUNDING_ULPS * sys.float_info.epsilon * mass
+            lower -= (_ROUNDING_ULPS * sys.float_info.epsilon
+                      * _rounding_mass(compile_jet3(f), points))
             floor = 0.5 * math.ulp(max(lower, 0.0))
             if tol < floor:
                 raise BelowRoundingFloor(tol, best_seen, n, floor)
@@ -402,3 +400,14 @@ def certify(f: Node, a: float, b: float, tol: float, method: str = "best",
         last_n = n
         n *= 2
     raise ToleranceUnreachable(tol, best_seen, last_n)
+
+
+def _rounding_mass(jet: Callable, points: tuple[float, ...]) -> float:
+    """A of :func:`certify`: the sum over the midpoints m of
+    |h f(m)| + |h^3 f''(m) / 24| + |h m f'(m)|."""
+    mass = 0.0
+    for lo, hi in zip(points, points[1:]):
+        h, m = hi - lo, 0.5 * (lo + hi)
+        j = jet(m)
+        mass += abs(h * j[0]) + abs(h ** 3 / 24.0 * j[2]) + abs(h * m * j[1])
+    return mass

@@ -1,4 +1,4 @@
-"""Reference mu, chi2 and chi3: the record-based one-interval bounds.
+"""Reference chi2 and chi3: the record-based one-interval bounds.
 
 These are the Holder and power-mean bounds as they were computed before
 :func:`hh3.bounds.chi2` and :func:`hh3.bounds.chi3` replaced them: a
@@ -6,9 +6,8 @@ These are the Holder and power-mean bounds as they were computed before
 each exponent and ratio checked again inside every weight.  The float-level
 functions perform the same float operations in the same order, so the tests
 hold them to identical bits against :func:`holder_bound_reference` and
-:func:`power_mean_bound_reference`.  :func:`mu` is the chain of calls that
-:func:`hh3.bounds.mu` now runs in one frame.  Only the series/closed-form
-split of the moment is shared with the package.
+:func:`power_mean_bound_reference`.  Only the moment ``mu`` (the
+series/closed-form split, unchanged) is shared with the package.
 """
 
 from __future__ import annotations
@@ -49,12 +48,6 @@ def _require_ratio(k: float) -> float:
         raise DomainError(
             f"derivative ratio must be finite and positive, got {k!r}")
     return float(k)
-
-
-def mu(k: float) -> float:
-    """mu as it was taken before it ran in one frame: the ratio check, the
-    log, then the package's series/closed-form split."""
-    return _moment_from_log(math.log(_require_ratio(k)))
 
 
 def mu_q(k: float, q: float) -> float:

@@ -406,45 +406,3 @@ def test_best_bound_labels_are_consistent():
     assert report.q == DEFAULT_Q == 2.0
     assert report.chi2 == holder_bound(_EXP_ENDPOINTS, 2.0)
     assert report.chi3 == power_mean_bound(_EXP_ENDPOINTS, 2.0)
-
-
-# --------------------------------------------------------------------------
-# mu and chi1 in one frame per mu, against the chain of calls they replaced
-# --------------------------------------------------------------------------
-
-@settings(max_examples=1000, deadline=None)
-@given(st.floats(min_value=-60.0, max_value=60.0),
-       st.floats(min_value=-20.0, max_value=20.0),
-       st.floats(min_value=1e-3, max_value=8.0))
-@example(log_k=L_SWITCH, log_f3b=0.0, width=1.0)
-@example(log_k=-L_SWITCH, log_f3b=0.0, width=1.0)
-@example(log_k=0.0, log_f3b=0.0, width=1.0)
-def test_chi1_matches_mu_reference_bit_for_bit(log_k, log_f3b, width):
-    f3b = math.exp(log_f3b)
-    f3a = f3b * math.exp(log_k)
-    k, m = f3a / f3b, f3b / f3a
-    assert mu(k).hex() == reference.mu(k).hex()
-    expected = width ** 3 / 96.0 * (f3b * reference.mu(k)
-                                    + f3a * reference.mu(m))
-    assert chi1(f3a, f3b, width).hex() == expected.hex()
-
-
-@pytest.mark.parametrize("seam", [L_SWITCH, -L_SWITCH])
-def test_mu_matches_reference_on_both_sides_of_the_seam(seam):
-    k = math.exp(seam)
-    ks = [k]
-    for _ in range(4):
-        ks = [math.nextafter(ks[0], 0.0), *ks, math.nextafter(ks[-1], 2 * k)]
-    logs = [abs(math.log(k)) for k in ks]
-    assert min(logs) <= L_SWITCH < max(logs)   # both branches are taken
-    for k in ks:
-        assert mu(k).hex() == reference.mu(k).hex()
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, "2"])
-def test_mu_rejects_bad_ratio_with_the_reference_text(bad):
-    with pytest.raises(DomainError) as want:
-        reference.mu(bad)
-    with pytest.raises(DomainError) as got:
-        mu(bad)
-    assert str(got.value) == str(want.value)

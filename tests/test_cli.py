@@ -177,28 +177,6 @@ def test_certify_below_rounding_floor_exits_2(capsys):
                    "no certified bound can reach it\n")
 
 
-def test_certify_just_above_rounding_floor_keeps_its_bytes(capsys):
-    # recorded before the floor stop existed; a certifying run is unchanged
-    code, out, err = run(capsys, "certify", *EXP01, "--tol", "1e-14")
-    assert (code, err) == (EXIT_OK, "")
-    assert out == """{
-  "schema": 1,
-  "command": "certify",
-  "expression": "exp(x)",
-  "a": 0,
-  "b": 1,
-  "tol": 1e-14,
-  "method": "best",
-  "q": null,
-  "n_final": 16384,
-  "iterations": 15,
-  "midpoint_sum": 1.7182818281923329,
-  "corrected_sum": 1.7182818284590453,
-  "certified_bound": 2.0348544517475812e-15
-}
-"""
-
-
 def test_verify_report(capsys):
     _, out, _ = run(capsys, "verify", *EXP01)
     doc = json.loads(out)

@@ -45,6 +45,7 @@ CASES = {
                              "--b", "1.7", "--n", "11", "--per-interval",
                              "--oracle"],
     "certify": ["certify", *_MIX, "--tol", "1e-9"],
+    "certify-tol-1e-14": ["certify", *_EXP, "--tol", "1e-14"],
     "sweep": ["sweep", *_EXP, "--n-list", "1,2,4,8,16"],
     "bounds-json": ["bounds", *_MIX],
     "bounds-text": ["bounds", *_MIX, "--format", "text"],
