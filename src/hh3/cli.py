@@ -13,21 +13,18 @@ Diagnostics go to stderr; stdout carries only the report, whose bytes are
 deterministic for identical inputs.
 
 Inputs may come from flags or from a JSON config file (``--config``); flags
-win when both supply a value.
+win when both supply a value.  ``OPTIONS`` defines both: a flag is its exact
+long name, as ``--flag VALUE`` or ``--flag=VALUE``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
 from typing import NamedTuple
 
 from . import analysis, bounds, quadrature
-from .errors import (BadInterval, DomainError, ExprSyntaxError, NonConvergence,
-                     NonPositiveThirdDerivative, NotConvex,
-                     ToleranceUnreachable)
+from .errors import DomainError, ExprSyntaxError, Hh3Error, NotConvex
 from .expr import Node, eval_jet3, parse
 from .reportfmt import Table, rows_to_csv, to_csv, to_json, to_text
 
@@ -42,78 +39,119 @@ class UsageError(Exception):
     """Bad flags or config; reported on stderr with exit code 64."""
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); route to 64 instead
-        raise UsageError(message)
-
-
 # --------------------------------------------------------------------------
-# Flag definitions
+# Flags: one table serves the command line, the config file and --help
 # --------------------------------------------------------------------------
 
-def build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(
-        prog="hh3",
-        description="Certified corrected-midpoint quadrature for integrands "
-                    "with log-convex |f'''|.")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    sub.required = True
+COMMANDS = {
+    "bounds": "single-interval error bound report",
+    "integrate": "composite sums and certified bound at fixed n",
+    "certify": "refine until the certified bound meets --tol",
+    "verify": "hypothesis checks and the identity residual",
+    "sweep": "CSV table of sums/bounds over many n",
+}
 
-    def common(p: _ArgumentParser, with_format: bool = True):
-        p.add_argument("--f", dest="f", metavar="EXPR",
-                       help="integrand as an expression in x")
-        p.add_argument("--a", type=float, help="left endpoint")
-        p.add_argument("--b", type=float, help="right endpoint")
-        p.add_argument("--config", metavar="PATH",
-                       help="JSON file supplying any of the other flags")
-        p.add_argument("--out", metavar="PATH",
-                       help="write the report to PATH instead of stdout")
-        if with_format:
-            p.add_argument("--format", choices=("json", "csv", "text"),
-                           default=None, help="report format (default json)")
+# A kind of value: how flag text converts (None: a switch takes no text),
+# and what a config value must be.  json.load makes exact ints, floats,
+# strs, bools and lists, so ``type(v) is int`` leaves out bools.
+_KINDS = {
+    "string": (str, "a string", lambda v: type(v) is str),
+    "number": (float, "a number", lambda v: type(v) in (int, float)),
+    "integer": (int, "an integer", lambda v: type(v) is int),
+    "switch": (None, "true or false", lambda v: type(v) is bool),
+    "counts": (str, "a string or a list of integers", lambda v: type(v) is str
+               or type(v) is list and all(type(i) is int for i in v)),
+}
 
-    p = sub.add_parser("bounds", help="single-interval error bound report")
-    common(p)
-    p.add_argument("--grid-n", dest="grid_points", type=int,
-                   help="sample count for the log-convexity check "
-                        "(odd, default 257)")
 
-    p = sub.add_parser("integrate",
-                       help="composite sums and certified bound at fixed n")
-    common(p)
-    p.add_argument("--n", type=int, help="number of subintervals (default 1)")
-    p.add_argument("--method", choices=bounds.METHOD_NAMES,
-                   help="bound selection (default best, which is thm1: "
-                        "thm2 and thm3 never beat it)")
-    p.add_argument("--q", type=float, help="exponent for thm2/thm3 "
-                                           "(default 2)")
-    p.add_argument("--per-interval", action="store_true",
-                   help="include each subinterval's bound in the report")
-    p.add_argument("--oracle", action="store_true",
-                   help="also compute the reference integral and the true "
-                        "error of the corrected sum")
+class Option(NamedTuple):
+    flag: str
+    kind: str
+    commands: tuple[str, ...]
+    help: str
 
-    p = sub.add_parser("certify",
-                       help="refine until the certified bound meets --tol")
-    common(p)
-    p.add_argument("--tol", type=float, help="target certified bound")
-    p.add_argument("--method", choices=bounds.METHOD_NAMES)
-    p.add_argument("--q", type=float)
-    p.add_argument("--n-max", dest="n_max", type=int,
-                   help="give up beyond this many subintervals "
-                        "(default 2^20)")
 
-    p = sub.add_parser("verify",
-                       help="hypothesis checks and the identity residual")
-    common(p)
-    p.add_argument("--grid-n", dest="grid_points", type=int)
+_ALL, _BOUNDED = tuple(COMMANDS), ("integrate", "certify")
+OPTIONS = {
+    "f": Option("--f", "string", _ALL, "integrand, an expression in x"),
+    "a": Option("--a", "number", _ALL, "left endpoint"),
+    "b": Option("--b", "number", _ALL, "right endpoint"),
+    "config": Option("--config", "string", _ALL, "JSON file of flag values"),
+    "out": Option("--out", "string", _ALL, "write the report to this file"),
+    "format": Option("--format", "string", _ALL[:4],
+                     "json (the default), csv or text"),
+    "grid_points": Option("--grid-n", "integer", ("bounds", "verify"),
+                          "odd grid of the log-convexity check (default 257)"),
+    "n": Option("--n", "integer", ("integrate",), "subintervals (default 1)"),
+    "method": Option("--method", "string", _BOUNDED,
+                     "/".join(bounds.METHOD_NAMES) + " (default best: thm1)"),
+    "q": Option("--q", "number", _BOUNDED, "thm2/thm3 exponent (default 2)"),
+    "per_interval": Option("--per-interval", "switch", ("integrate",),
+                           "include each subinterval's bound in the report"),
+    "oracle": Option("--oracle", "switch", ("integrate",),
+                     "add the reference integral and the sum's true error"),
+    "tol": Option("--tol", "number", ("certify",), "target certified bound"),
+    "n_max": Option("--n-max", "integer", ("certify",),
+                    "give up beyond this many subintervals (default 2^20)"),
+    "n_list": Option("--n-list", "counts", ("sweep",),
+                     "subinterval counts, comma-separated"),
+}
+_KEY_OF_FLAG = {option.flag: key for key, option in OPTIONS.items()}
 
-    p = sub.add_parser("sweep", help="CSV table of sums/bounds over many n")
-    common(p, with_format=False)
-    p.add_argument("--n-list", dest="n_list", metavar="N1,N2,...",
-                   help="comma-separated subinterval counts")
 
-    return parser
+def _usage(command: str | None) -> str:
+    """The help text of ``command``, or of hh3 as a whole for None."""
+    if command is None:
+        title = "commands ('hh3 COMMAND -h' lists the flags of COMMAND)"
+        rows = list(COMMANDS.items())
+    else:
+        title = f"{COMMANDS[command]}\n\nflags"
+        rows = [(f"{o.flag} {o.kind.upper()}".removesuffix(" SWITCH"), o.help)
+                for o in OPTIONS.values() if command in o.commands]
+        rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(name) for name, _ in rows)
+    return "".join([f"usage: hh3 {command or 'COMMAND'} [--flag VALUE | "
+                    f"--flag=VALUE ...]\n\n{title}:\n",
+                    *(f"  {name:<{width}}  {text}\n" for name, text in rows)])
+
+
+def parse_args(argv: list[str]) -> tuple[str | None, dict | None]:
+    """The command and its flags by key, each converted by its kind.
+
+    A value is the text after ``=``, or else the next argument as it stands,
+    so it may begin with ``-``.  A repeated flag keeps its last value.  The
+    flags are None after ``-h`` or ``--help``, as is a command before it.
+    """
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return None, None
+    if command not in COMMANDS:
+        problem = f"unknown command {command!r}" if argv else "no command"
+        raise UsageError(f"{problem}: expected one of {', '.join(COMMANDS)}")
+    given, rest = {}, iter(argv[1:])
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            return command, None
+        flag, has_value, text = arg.partition("=")
+        key = _KEY_OF_FLAG.get(flag)
+        if key is None:
+            raise UsageError(f"{command}: unrecognized argument {arg!r}")
+        if command not in OPTIONS[key].commands:
+            raise UsageError(f"{flag}: not a flag of {command}")
+        convert, what, _ = _KINDS[OPTIONS[key].kind]
+        if convert is None:   # a switch
+            if has_value:
+                raise UsageError(f"{flag}: takes no value, got {text!r}")
+            given[key] = True
+        elif not has_value and (text := next(rest, None)) is None:
+            raise UsageError(f"{flag}: expected a value")
+        else:
+            try:
+                given[key] = convert(text)
+            except ValueError:
+                raise UsageError(f"{flag}: expected {what}, got {text!r}") \
+                    from None
+    return command, given
 
 
 # --------------------------------------------------------------------------
@@ -139,24 +177,10 @@ class RunConfig(NamedTuple):
     oracle: bool = False
 
 
-# What a config value must be: its flag's type.  json.load makes exact
-# ints, floats, strs, bools and lists, so ``type(v) is int`` leaves out bools.
-_STRING = ("a string", lambda v: type(v) is str)
-_NUMBER = ("a number", lambda v: type(v) in (int, float))
-_INTEGER = ("an integer", lambda v: type(v) is int)
-_SWITCH = ("true or false", lambda v: type(v) is bool)
-_COUNTS = ("a string or a list of integers", lambda v: type(v) is str
-           or type(v) is list and all(type(i) is int for i in v))
-
-_CONFIG_KEYS = {
-    "f": _STRING, "a": _NUMBER, "b": _NUMBER, "n": _INTEGER, "tol": _NUMBER,
-    "method": _STRING, "q": _NUMBER, "n_list": _COUNTS,
-    "grid_points": _INTEGER, "n_max": _INTEGER, "format": _STRING,
-    "out": _STRING, "per_interval": _SWITCH, "oracle": _SWITCH,
-}
-
-
 def _load_config(path: str) -> dict:
+    """The JSON object in ``path``: any keys but ``config``, each holding a
+    value of its kind, so that one file can serve every command."""
+    import json   # here, so that a run without --config does not load it
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -167,38 +191,21 @@ def _load_config(path: str) -> dict:
     if not isinstance(data, dict):
         raise UsageError(f"--config: {path}: must hold a JSON object")
     for key, value in data.items():
-        if key not in _CONFIG_KEYS:
+        if key not in OPTIONS or key == "config":
             raise UsageError(f"--config: unknown key {key!r}")
-        what, has_type = _CONFIG_KEYS[key]
-        if not has_type(value):
+        _, what, has_kind = _KINDS[OPTIONS[key].kind]
+        if not has_kind(value):
             raise UsageError(f"--config: {key!r} must be {what}, "
                              f"got {json.dumps(value)}")
     return data
 
 
-def _merged(args: argparse.Namespace, config: dict, name: str):
-    """The flag's value if it was given, else the config file's, if any.
-
-    An unset flag reads None, or False for a switch; a flag set to 0 is set
-    (0 == False, so this must test identity, not membership).
-    """
-    value = getattr(args, name, None)
-    if value is not None and value is not False:
-        return value
-    fallback = config.get(name)
-    return value if fallback is None else fallback
-
-
-def _parse_n_list(raw) -> tuple[int, ...]:
-    if isinstance(raw, (list, tuple)):
-        items = list(raw)
-    else:
-        items = [piece.strip() for piece in str(raw).split(",")]
+def _parse_n_list(raw: str | list[int]) -> tuple[int, ...]:
     values = []
-    for item in items:
+    for item in raw if type(raw) is list else raw.split(","):
         try:
             n = int(item)
-        except (TypeError, ValueError):
+        except ValueError:
             raise UsageError(f"--n-list: {item!r} is not an integer") from None
         if n < 1:
             raise UsageError(f"--n-list: counts must be >= 1, got {n}")
@@ -225,91 +232,79 @@ def _require_at_most(name: str, count: int, limit: int) -> None:
         raise UsageError(f"{name}: must be <= {limit}, got {count}")
 
 
-def resolve(args: argparse.Namespace) -> RunConfig:
+def resolve(command: str, flags: dict) -> RunConfig:
     """Merge flags and config file into a validated RunConfig."""
-    config = _load_config(args.config) if args.config else {}
+    path = flags.get("config")
+    values = {**_load_config(path), **flags} if path else flags
 
-    expression = _merged(args, config, "f")
+    expression = values.get("f")
     if not expression:
         raise UsageError("--f is required (set it on the command line "
                          "or in --config)")
     try:
-        ast = parse(str(expression))
+        ast = parse(expression)
     except ExprSyntaxError as exc:
         raise UsageError(f"--f: {exc}") from None
 
-    a = _merged(args, config, "a")
-    b = _merged(args, config, "b")
-    if a is None or b is None:
+    if "a" not in values or "b" not in values:
         raise UsageError("--a and --b are required")
-    a = _require_finite("--a", a)
-    b = _require_finite("--b", b)
+    a = _require_finite("--a", values["a"])
+    b = _require_finite("--b", values["b"])
     if not a < b:
         raise UsageError(f"--a/--b: need a < b, got [{a!r}, {b!r}]")
 
-    fmt = _merged(args, config, "format") or "json"
+    fmt = values.get("format") or "json"
     if fmt not in ("json", "csv", "text"):
         raise UsageError(f"--format: unknown format {fmt!r}")
-    out = _merged(args, config, "out")
+    out = values.get("out")
 
-    method = _merged(args, config, "method") or "best"
+    method = values.get("method") or "best"
     if method not in bounds.METHOD_NAMES:
         raise UsageError(f"--method: expected one of "
                          f"{'/'.join(bounds.METHOD_NAMES)}, got {method!r}")
-    q = _merged(args, config, "q")
-    if q is not None:
-        q = _require_finite("--q", q)
+    q = _require_finite("--q", values.get("q", bounds.DEFAULT_Q))
     if method in ("thm1", "best"):
         q = None
-    elif q is None:
-        q = bounds.DEFAULT_Q
     try:
         bounds.bound_function(method, q)
     except DomainError as exc:
         raise UsageError(f"--q: {exc}") from None
 
-    grid_points = _merged(args, config, "grid_points")
-    if grid_points is None:
-        grid_points = analysis.GRID_POINTS_DEFAULT
+    grid_points = values.get("grid_points", analysis.GRID_POINTS_DEFAULT)
     if grid_points < 3 or grid_points % 2 == 0:
         raise UsageError(f"--grid-n: must be odd and >= 3, got {grid_points}")
     _require_at_most("--grid-n", grid_points, analysis.GRID_POINTS_MAX)
 
-    n = _merged(args, config, "n")
-    if n is None:
-        n = 1
+    n = values.get("n", 1)
     if n < 1:
         raise UsageError(f"--n: need at least one subinterval, got {n}")
     _require_at_most("--n", n, quadrature.MAX_SUBINTERVALS)
 
-    tol = _merged(args, config, "tol")
-    if args.command == "certify":
+    tol = values.get("tol")
+    if command == "certify":
         if tol is None:
             raise UsageError("--tol is required for certify")
         tol = _require_finite("--tol", tol)
         if not tol > 0.0:
             raise UsageError(f"--tol: must be positive, got {tol!r}")
 
-    n_max = _merged(args, config, "n_max")
-    if n_max is None:
-        n_max = quadrature.MAX_SUBINTERVALS
+    n_max = values.get("n_max", quadrature.MAX_SUBINTERVALS)
     if n_max < 1:
         raise UsageError(f"--n-max: must be >= 1, got {n_max}")
     _require_at_most("--n-max", n_max, quadrature.MAX_SUBINTERVALS)
 
     n_list: tuple[int, ...] = ()
-    if args.command == "sweep":
-        raw = _merged(args, config, "n_list")
-        if raw is None:
+    if command == "sweep":
+        if "n_list" not in values:
             raise UsageError("--n-list is required for sweep")
-        n_list = _parse_n_list(raw)
+        n_list = _parse_n_list(values["n_list"])
 
     return RunConfig(
-        command=args.command, expression=str(expression), ast=ast,
+        command=command, expression=expression, ast=ast,
         a=a, b=b, fmt=fmt, out=out, n=n, tol=tol, method=method, q=q,
         n_list=n_list, grid_points=grid_points, n_max=n_max,
-        per_interval=bool(_merged(args, config, "per_interval")),
-        oracle=bool(_merged(args, config, "oracle")),
+        per_interval=values.get("per_interval", False),
+        oracle=values.get("oracle", False),
     )
 
 
@@ -465,16 +460,17 @@ def _run(cfg: RunConfig) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        cfg = resolve(args)
+        command, flags = parse_args(sys.argv[1:] if argv is None else argv)
+        if flags is None:
+            sys.stdout.write(_usage(command))
+            return EXIT_OK
+        cfg = resolve(command, flags)
     except UsageError as exc:
         print(f"hh3: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         text = _run(cfg)
-    except (DomainError, NonPositiveThirdDerivative, BadInterval,
-            NonConvergence, ToleranceUnreachable, NotConvex,
-            OverflowError) as exc:
+    except (Hh3Error, OverflowError) as exc:   # the mathematics said no
         print(f"hh3: {exc}", file=sys.stderr)
         return EXIT_MATH
     if cfg.out:

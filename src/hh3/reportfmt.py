@@ -9,7 +9,6 @@ has no Infinity; the schema types those fields number-or-null).  A
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import islice
 from typing import Any, NamedTuple
@@ -49,7 +48,11 @@ def _json_scalar(value: Any) -> str:
         if not math.isfinite(value):
             return "null"
         return format_float(value)
-    if isinstance(value, str):
+    if isinstance(value, str):   # json.dumps, loading json only to escape
+        if value.isascii() and value.isprintable() and '"' not in value \
+                and "\\" not in value:
+            return f'"{value}"'
+        import json
         return json.dumps(value)
     raise TypeError(f"cannot render {value!r} in a report")
 
@@ -92,12 +95,12 @@ def _emit(value: Any, indent: int) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        parts = [f"{inner}{json.dumps(k)}: {_emit(v, indent + 1)}"
+        parts = [f"{inner}{_json_scalar(k)}: {_emit(v, indent + 1)}"
                  for k, v in value.items()]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
     if isinstance(value, Table):
         def item(specs, digits):
-            fields = ",\n".join(f"{inner}  {_literal(json.dumps(k))}: {s}"
+            fields = ",\n".join(f"{inner}  {_literal(_json_scalar(k))}: {s}"
                                 for k, s in zip(value.keys, specs))
             return f"{inner}{{\n{fields}\n{inner}}}" if fields else \
                 f"{inner}{{}}"

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import subprocess
@@ -9,8 +8,8 @@ import jsonschema
 import pytest
 
 import hh3
-from hh3.cli import _CONFIG_KEYS, EXIT_MATH, EXIT_OK, EXIT_USAGE, \
-    UsageError, build_parser, main, resolve
+from hh3.cli import COMMANDS, EXIT_MATH, EXIT_OK, EXIT_USAGE, OPTIONS, \
+    UsageError, main, parse_args, resolve
 
 EXP01 = ["--f", "exp(x)", "--a", "0", "--b", "1"]
 STEEP = ["--f", "exp(30*x)", "--a", "0", "--b", "1"]   # |ln K| = 30
@@ -64,6 +63,81 @@ def test_usage_errors_are_64(capsys, argv):
     assert code == EXIT_USAGE
     assert out == ""
     assert err
+
+
+# --------------------------------------------------------------------------
+# Flag parsing
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,named", [
+    (["bounds", *EXP01, "--bogus", "1"], "'--bogus'"),        # unknown flag
+    (["integrate", *EXP01, "--per"], "'--per'"),             # no prefixes
+    (["bounds", *EXP01, "--n", "4"], "--n: not a flag of bounds"),
+    (["sweep", *EXP01, "--n-list", "1", "--format", "csv"],
+     "--format: not a flag of sweep"),
+    (["integrate", *EXP01, "--n"], "--n: expected a value"),
+    (["integrate", *EXP01, "--oracle=yes"], "--oracle: takes no value"),
+    (["integrate", *EXP01, "--oracle", "yes"], "'yes'"),
+    (["integrate", *EXP01, "--n", "2.5"], "--n: expected an integer"),
+    (["integrate", *EXP01, "--n="], "--n: expected an integer"),
+    (["bounds", "--f", "exp(x)", "--a", "zero", "--b", "1"],
+     "--a: expected a number, got 'zero'"),
+    ([], "no command"),
+    (["--f", "exp(x)"], "unknown command '--f'"),
+    (["frobnicate", *EXP01], "unknown command 'frobnicate'"),
+])
+def test_parser_refusals_name_the_flag_or_command(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("hh3: error: ") and named in err
+
+
+@pytest.mark.parametrize("argv,spaced", [
+    # argparse took only -\d+ and -\d*\.\d+ as values, so these exited 64
+    (["bounds", "--f", "exp(x)", "--a", "-1e-3", "--b", "1"],
+     ["bounds", "--f", "exp(x)", "--a=-1e-3", "--b", "1"]),
+    (["integrate", "--f", "-exp(x)", "--a", "0", "--b", "1"],
+     ["integrate", "--f=-exp(x)", "--a", "0", "--b", "1"]),
+    # --flag=value is --flag value
+    (["integrate", *EXP01, "--n=4", "--method=thm2", "--q=3",
+      "--format=csv"],
+     ["integrate", *EXP01, "--n", "4", "--method", "thm2", "--q", "3",
+      "--format", "csv"]),
+    # a repeated flag keeps its last value
+    (["integrate", *EXP01, "--n", "2", "--format", "csv", "--n", "4"],
+     ["integrate", *EXP01, "--format", "csv", "--n", "4"]),
+])
+def test_values_are_taken_as_given(capsys, argv, spaced):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out and run(capsys, *spaced) == (EXIT_OK, out, "")
+
+
+def listed(usage: str) -> set[str]:
+    """The first word of each indented line of a help text."""
+    return {line.split()[0] for line in usage.splitlines()
+            if line.startswith("  ")}
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"]])
+def test_top_level_help_lists_every_command(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("usage: hh3 COMMAND")
+    assert listed(out) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("help_flag", ["-h", "--help"])
+def test_command_help_lists_every_flag_of_the_command(capsys, command,
+                                                      help_flag):
+    # help wins wherever it stands among the flags, as it did in argparse
+    code, out, err = run(capsys, command, *EXP01, help_flag, "--bogus")
+    assert (code, err) == (EXIT_OK, "")
+    assert listed(out) == {"-h,"} | {option.flag for option in
+                                     OPTIONS.values()
+                                     if command in option.commands}
 
 
 @pytest.mark.parametrize("argv", [
@@ -272,14 +346,46 @@ def test_flags_set_to_zero_override_config(capsys, tmp_path):
     assert "--n" in err
 
 
-def test_config_keys_match_flags():
-    parser = build_parser()
-    commands = next(action for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    dests = {action.dest for sub in commands.choices.values()
-             for action in sub._actions
-             if not isinstance(action, argparse._HelpAction)}
-    assert sorted(_CONFIG_KEYS) == sorted(dests - {"config"})
+# A valid value of each key, under a run on [0, 1] with the flags of BASE
+VALID = {"f": "exp(2*x)", "a": 0.25, "b": 0.75, "out": "report.txt",
+         "format": "csv", "grid_points": 5, "n": 3, "method": "thm2",
+         "q": 3.0, "per_interval": True, "oracle": True, "tol": 1e-3,
+         "n_max": 8, "n_list": "1,2"}
+BASE = {"certify": {"tol": 1e-2}, "sweep": {"n_list": "4"}}
+NEEDS = {"q": {"method": "thm3"}}   # best, the default, takes no q
+
+
+def flag_argv(values: dict) -> list[str]:
+    argv = []
+    for key, value in values.items():
+        flag = OPTIONS[key].flag
+        argv += [flag] if value is True else [flag, str(value)]
+    return argv
+
+
+def test_config_keys_match_flags(tmp_path):
+    # the one table: each key is a flag of exactly its commands, and its
+    # --config key sets the same value under each of them
+    assert sorted(OPTIONS) == sorted([*VALID, "config"])
+    for key, value in VALID.items():
+        option = OPTIONS[key]
+        for command in COMMANDS:
+            argv = [command, *flag_argv({key: value})]
+            if command not in option.commands:
+                with pytest.raises(UsageError, match=(
+                        f"^{option.flag}: not a flag of {command}$")):
+                    parse_args(argv)
+                continue
+            assert parse_args(argv) == (command, {key: value})
+            unset = {"f": "exp(x)", "a": 0, "b": 1, **BASE.get(command, {}),
+                     **NEEDS.get(key, {})}
+            values = {**unset, key: value}
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(values))
+            from_flags = resolve(*parse_args([command, *flag_argv(values)]))
+            from_config = resolve(command, {"config": str(path)})
+            assert from_flags == from_config != resolve(command, unset), \
+                (key, command)
 
 
 def test_config_rejects_unknown_keys(capsys, tmp_path):
@@ -288,6 +394,12 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     code, _, err = run(capsys, "integrate", "--config", str(path))
     assert code == EXIT_USAGE
     assert "steps" in err
+    # --config is a flag, not a key: one file cannot name another
+    path.write_text(json.dumps({"f": "exp(x)", "a": 0, "b": 1,
+                                "config": str(path)}))
+    code, _, err = run(capsys, "integrate", "--config", str(path))
+    assert code == EXIT_USAGE
+    assert "unknown key 'config'" in err
 
 
 @pytest.mark.parametrize("key,value", [
@@ -332,7 +444,7 @@ def test_counts_beyond_float_range_are_usage_errors(capsys, tmp_path,
 
 
 def resolved(*argv):
-    return resolve(build_parser().parse_args(list(argv)))
+    return resolve(*parse_args(list(argv)))
 
 
 @pytest.mark.parametrize("argv,flag,limit", [

@@ -61,7 +61,8 @@ def test_every_exported_name_exists(name):
 
 # --------------------------------------------------------------------------
 # Start-up cost: records are named tuples, so importing the CLI needs
-# neither ``dataclasses`` nor the code-inspection modules it pulls in.
+# neither ``dataclasses`` nor the code-inspection modules it pulls in, and
+# a run parses its flags without ``argparse`` and renders without ``json``.
 # --------------------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -75,6 +76,21 @@ def test_cli_import_leaves_out_dataclasses_and_inspection_modules():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def test_a_run_without_config_leaves_out_argparse_and_json():
+    # flags are parsed from cli.OPTIONS, and reports quote plain text
+    # themselves, so neither module, nor what argparse loads, is imported
+    code = ("import io, sys; sys.path.insert(0, sys.argv[1]); import hh3.cli; "
+            "out, sys.stdout = sys.stdout, io.StringIO(); "
+            "code = hh3.cli.main(['bounds', '--f', 'exp(x)', '--a', '0', "
+            "'--b', '1']); sys.stdout = out; "
+            "print(code, *(m for m in ('argparse', 'json', 'gettext', "
+            "'locale') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
 
 
 # --------------------------------------------------------------------------

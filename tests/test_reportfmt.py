@@ -6,10 +6,11 @@ import random
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import report_reference as ref
+from hh3 import reportfmt
 from hh3.analysis import ConvexityReport
 from hh3.reportfmt import (Table, format_float, format_float_short,
                            rows_to_csv, to_csv, to_json, to_text)
@@ -96,6 +97,22 @@ def test_rows_to_csv_keeps_full_precision():
                     "1,0.10000000000000001,inf,\n"
                     "2,-2.5,3,true\n")
     assert rows_to_csv(("n",), []) == "n\n"
+
+
+# Text near the edges of the plain-ASCII shortcut: control characters,
+# DEL, the first non-ASCII code points, quotes and backslashes
+_EDGES = st.text(st.sampled_from(["\x00", "\x1f", " ", "~", "\x7f", "\x80",
+                                  "\xe9", "\u2028", '"', "\\", "/", "a"]))
+
+
+@given(st.one_of(st.text(), _EDGES))
+@example("")
+@example('say "hi"\\n')
+def test_quoting_is_json_dumps(text):
+    # keys and string values skip json.dumps when it would not escape
+    assert reportfmt._json_scalar(text) == json.dumps(text)
+    doc = {text: text, "t": Table((text,), [(text,)])}
+    assert json.loads(to_json(doc)) == {text: text, "t": [{text: text}]}
 
 
 def test_unrenderable_values_are_refused():
