@@ -44,6 +44,10 @@ CASES = {
     "integrate-non-dyadic": ["integrate", "--f", "exp(x)", "--a", "0.3",
                              "--b", "1.7", "--n", "11", "--per-interval",
                              "--oracle"],
+    "integrate-distinct-ratios-csv": ["integrate", "--f", "1/(x+2.679)",
+                                      "--a", "0.9", "--b", "1.427",
+                                      "--n", "33", "--per-interval",
+                                      "--format", "csv"],
     "certify": ["certify", *_MIX, "--tol", "1e-9"],
     "certify-tol-1e-14": ["certify", *_EXP, "--tol", "1e-14"],
     "sweep": ["sweep", *_EXP, "--n-list", "1,2,4,8,16"],
