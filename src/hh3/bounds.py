@@ -38,15 +38,15 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, NonPositiveThirdDerivative, require_interval
 
 __all__ = [
     "L_SWITCH", "DerivEndpoints", "BoundReport", "mu", "mu_q",
-    "holder_factor", "chi1", "chi2", "chi3", "bound_function",
-    "direct_bound", "holder_bound", "power_mean_bound", "best_bound",
-    "DEFAULT_Q", "METHOD_NAMES",
+    "holder_factor", "chi1", "chi2", "chi3", "interval_chi1",
+    "bound_function", "direct_bound", "holder_bound", "power_mean_bound",
+    "best_bound", "DEFAULT_Q", "METHOD_NAMES",
 ]
 
 #: |ln K| at or below which the moment series is used instead of the closed
@@ -57,6 +57,10 @@ L_SWITCH = 4.0
 
 _SERIES_RELTOL = 1e-18
 _HALF_LOG_LIMIT = 700.0  # exp() overflows just above exp(709)
+
+#: The most ratios whose moments interval_chi1 keeps at once; past it the
+#: cache starts again empty, so its memory does not grow with the cells.
+_MOMENT_CACHE_SIZE = 1024
 
 #: Method tokens accepted by the composite layer and the CLI; "best" is
 #: an alias of "thm1".
@@ -142,9 +146,13 @@ def _moment_from_log(lam: float) -> float:
     return _moment_closed(lam)
 
 
+def _bad_ratio(k: float) -> DomainError:
+    return DomainError(f"derivative ratio must be finite and positive, got {k!r}")
+
+
 def _require_ratio(k: float) -> float:
     if not (isinstance(k, (int, float)) and math.isfinite(k) and k > 0.0):
-        raise DomainError(f"derivative ratio must be finite and positive, got {k!r}")
+        raise _bad_ratio(k)
     return float(k)
 
 
@@ -260,6 +268,42 @@ def chi3(f3a_abs: float, f3b_abs: float, width: float, q: float) -> float:
     return width ** 3 / 96.0 * 0.25 ** (1.0 - 1.0 / q) * (
         f3b_abs * _qth_root(_log_ratio(f3a_abs, f3b_abs), q, True)
         + f3a_abs * _qth_root(_log_ratio(f3b_abs, f3a_abs), q, True))
+
+
+def interval_chi1(f3: Sequence[float],
+                  widths: Sequence[float]) -> tuple[float, ...]:
+    """h * chi1(f3[i], f3[i + 1], h) for each cell i of width h = widths[i].
+
+    The same float operations in the same order as that expression, so
+    equal to it bit for bit, and each ratio is checked where chi1 checks
+    it.  But mu of a ratio is computed only the first time the ratio is
+    seen, in a cache of at most _MOMENT_CACHE_SIZE ratios per call.  That
+    pays where |f'''| is log-affine, as for exp(c x): then K = e^(-c h) on
+    every cell of a uniform division, and only rounding makes the computed
+    ratios differ, so a few dozen distinct values serve any number of cells.
+    """
+    moments: dict[float, float] = {}
+    known = moments.get
+    out = []
+    for f3a, f3b, h in zip(f3, f3[1:], widths):
+        k = f3a / f3b
+        mu_k = known(k)
+        if mu_k is None:  # a first sight: check, then compute and keep
+            if not 0.0 < k < math.inf:
+                raise _bad_ratio(k)
+            if len(moments) >= _MOMENT_CACHE_SIZE:
+                moments.clear()
+            mu_k = moments[k] = _moment_from_log(math.log(k))
+        m = f3b / f3a
+        mu_m = known(m)
+        if mu_m is None:
+            if not 0.0 < m < math.inf:
+                raise _bad_ratio(m)
+            if len(moments) >= _MOMENT_CACHE_SIZE:
+                moments.clear()
+            mu_m = moments[m] = _moment_from_log(math.log(m))
+        out.append(h * (h ** 3 / 96.0 * (f3b * mu_k + f3a * mu_m)))
+    return tuple(out)
 
 
 def bound_function(method: str, q: float | None = None

@@ -30,6 +30,7 @@ noise when a tight absolute tolerance meets a large integrand.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from typing import Callable, NamedTuple, Sequence
@@ -88,24 +89,38 @@ def _checked(points: Sequence[float]) -> tuple[float, ...]:
     return points
 
 
-def _midpoint_jets(jet: Callable, points: tuple[float, ...]) -> list[tuple]:
-    """(h, jet at the midpoint) for each subinterval, left to right."""
-    return [(hi - lo, jet(0.5 * (lo + hi)))
-            for lo, hi in zip(points, points[1:])]
-
-
-def _sums(mids: list[tuple]) -> tuple[float, float]:
-    """The midpoint sum and the corrected midpoint sum."""
-    return (math.fsum(h * j[0] for h, j in mids),
-            math.fsum(h * j[0] + h ** 3 / 24.0 * j[2] for h, j in mids))
+def _midpoint_pass(jet: Callable, points: tuple[float, ...],
+                   keep: Callable | None = None) -> tuple:
+    """One pass over the subintervals, left to right: their widths, the
+    terms of the midpoint and the corrected sums, and whether the bound is
+    only a heuristic for the midpoint sum.  ``keep``, if given, is called
+    with the jet at each midpoint."""
+    widths, plain, corrected = [], [], []
+    top0 = top2 = 0.0  # max |f(m)| and |f''(m)|; jets are finite
+    for lo, hi in zip(points, points[1:]):
+        h = hi - lo
+        j = jet(0.5 * (lo + hi))
+        if keep is not None:
+            keep(j)
+        f0, _, f2, _ = j
+        widths.append(h)
+        hf = h * f0
+        plain.append(hf)
+        corrected.append(hf + h ** 3 / 24.0 * f2)
+        if abs(f0) > top0:
+            top0 = abs(f0)
+        if abs(f2) > top2:
+            top2 = abs(f2)
+    heuristic = top2 > _MIDPOINT_RIGOROUS_TOL * max(1.0, top0)
+    return widths, plain, corrected, heuristic
 
 
 def midpoint_sum(f: Node, points: Sequence[float]) -> float:
-    return _sums(_midpoint_jets(compile_jet3(f), _checked(points)))[0]
+    return math.fsum(_midpoint_pass(compile_jet3(f), _checked(points))[1])
 
 
 def corrected_midpoint_sum(f: Node, points: Sequence[float]) -> float:
-    return _sums(_midpoint_jets(compile_jet3(f), _checked(points)))[1]
+    return math.fsum(_midpoint_pass(compile_jet3(f), _checked(points))[2])
 
 
 # --------------------------------------------------------------------------
@@ -123,8 +138,9 @@ class QuadResult(NamedTuple):
 
 def composite_bound(f: Node, points: Sequence[float], method: str = "best",
                     q: float | None = None, *,
-                    coarse: tuple[Sequence[float], Sequence[float]]
-                    | None = None) -> QuadResult:
+                    coarse: tuple[Sequence[float], Sequence[float],
+                                  Sequence[tuple]] | None = None,
+                    midpoint_jets: list | None = None) -> QuadResult:
     """Corrected-midpoint sums plus a certified bound on the corrected one.
 
     ``points`` is any strictly increasing division of [a, b], such as
@@ -132,12 +148,25 @@ def composite_bound(f: Node, points: Sequence[float], method: str = "best",
     (direct), ``thm2`` (Holder, needs q > 1), ``thm3`` (power mean, needs
     q >= 1) or ``best``, which is ``thm1``: no exponent lets the other two
     beat it (see :mod:`hh3.bounds`).  Requires |f'''| > 0 at every division
-    point.
+    point.  Errors surface in this order: the points, the method, |f'''| at
+    each point, the jet at each midpoint, then each subinterval's ratios.
 
-    ``coarse`` is a division and |f'''| at its points (the ``f3`` of its
-    result).  Where ``points[::2]`` equals that division bit for bit, as
-    ``uniform_division(a, b, 2 * n)`` does at n, those values are taken as
-    given and only the odd points are evaluated; otherwise every point is.
+    For ``thm1`` and ``best`` the subinterval bounds come from
+    :func:`hh3.bounds.interval_chi1`: mu of each distinct ratio
+    K = |f'''(lo)| / |f'''(hi)| is computed once per call, in a cache of
+    bounded size, and the bounds equal chi1 on each cell bit for bit.
+    Where |f'''| is log-affine, as for exp(c x), K = e^(-c h) on every cell
+    of width h, so a uniform division repeats a few dozen rounded ratios
+    over all its cells.
+
+    ``coarse`` is a coarser division, |f'''| at its points (the ``f3`` of
+    its result) and the jets at its midpoints (as ``midpoint_jets``
+    received them).  Where ``points[::2]`` equals that division bit for
+    bit, as ``uniform_division(a, b, 2 * n)`` does at n, its values are
+    taken as given, and an odd point that is its midpoint bit for bit
+    takes |f'''| from that midpoint's jet; every other point is evaluated.
+    ``midpoint_jets``, if a list, receives the jet at each midpoint of
+    ``points``, left to right.
     """
     points = _checked(points)
     bound = _bounds.bound_function(method, q)
@@ -145,24 +174,28 @@ def composite_bound(f: Node, points: Sequence[float], method: str = "best",
     if coarse is not None and points[::2] == tuple(coarse[0]):
         f3 = [0.0] * len(points)
         f3[::2] = coarse[1]
-        f3[1::2] = _f3_magnitudes(jet, points[1::2])
+        # the sign test keeps the midpoint +0.0 from standing for -0.0
+        f3[1::2] = _f3_magnitudes(jet, points[1::2], [
+            j if 0.5 * (lo + hi) == x and (x or math.copysign(1.0, x) > 0.0)
+            else None
+            for lo, x, hi, j in zip(points[::2], points[1::2], points[2::2],
+                                    coarse[2])])
     else:
         f3 = _f3_magnitudes(jet, points)
 
-    mids = _midpoint_jets(jet, points)
+    keep = None if midpoint_jets is None else midpoint_jets.append
+    widths, plain, corrected, heuristic = _midpoint_pass(jet, points, keep)
 
-    interval_bounds = tuple(h * bound(f3a, f3b, h)
-                            for f3a, f3b, (h, _) in zip(f3, f3[1:], mids))
+    if bound is _bounds.chi1:
+        interval_bounds = _bounds.interval_chi1(f3, widths)
+    else:
+        interval_bounds = tuple(h * bound(f3a, f3b, h)
+                                for f3a, f3b, h in zip(f3, f3[1:], widths))
     certified = math.fsum(interval_bounds)
-    plain, corrected = _sums(mids)
-
-    second_scale = max(1.0, max(abs(j[0]) for _, j in mids))
-    max_second = max(abs(j[2]) for _, j in mids)
-    heuristic = max_second > _MIDPOINT_RIGOROUS_TOL * second_scale
 
     return QuadResult(
-        midpoint_sum=plain,
-        corrected_sum=corrected,
+        midpoint_sum=math.fsum(plain),
+        corrected_sum=math.fsum(corrected),
         certified_bound=certified,
         f3=tuple(f3),
         interval_bounds=interval_bounds,
@@ -170,11 +203,15 @@ def composite_bound(f: Node, points: Sequence[float], method: str = "best",
     )
 
 
-def _f3_magnitudes(jet: Callable, points: Sequence[float]) -> list[float]:
-    """|f'''| at each point, left to right, once each is finite and > 0."""
+def _f3_magnitudes(jet: Callable, points: Sequence[float],
+                   given: Sequence[tuple | None] = ()) -> list[float]:
+    """|f'''| at each point, left to right, once each is finite and > 0.
+
+    ``given`` holds, in step with ``points``, the jet already evaluated at
+    a point, or None where the point is still to be evaluated."""
     f3 = []
-    for x in points:
-        d3 = jet(x)[3]
+    for x, j in zip(points, given or itertools.repeat(None)):
+        d3 = (j or jet(x))[3]
         mag = abs(d3)
         if not (math.isfinite(mag) and mag > 0.0):
             raise NonPositiveThirdDerivative(x, d3)
@@ -338,10 +375,13 @@ def certify(f: Node, a: float, b: float, tol: float, method: str = "best",
 
     Starts at one subinterval.  Each level is one :func:`composite_bound`
     call, given the level before as ``coarse``: point i of n is bit for bit
-    point 2i of 2n, because (b - a)/(2n) is exactly half of (b - a)/n, so
-    a doubling evaluates |f'''| only at its n new odd points, plus the jets
-    at its 2n midpoints.  Where halving is inexact (a subnormal width) the
-    old points no longer match, and the level evaluates every point.
+    point 2i of 2n, because (b - a)/(2n) is exactly half of (b - a)/n.
+    Each odd point of 2n that equals the midpoint of n it splits, as all
+    do on a dyadic [a, b], takes |f'''| from the jet there.  So a doubling
+    evaluates the jets at its 2n midpoints, and |f'''| only at the odd points
+    that differ from the old midpoints.  Where halving is inexact (a
+    subnormal width) the old points no longer match, and the level
+    evaluates every point.
 
     Raises :class:`ToleranceUnreachable` (carrying the best bound achieved)
     if n exceeds ``n_max`` first, and its subclass
@@ -381,15 +421,17 @@ def certify(f: Node, a: float, b: float, tol: float, method: str = "best",
     last_n = 1
     while n <= n_max:
         points = uniform_division(a, b, n)
-        result = composite_bound(f, points, method=method, q=q, coarse=coarse)
-        coarse = (points, result.f3)
+        jets: list[tuple] = []
+        result = composite_bound(f, points, method=method, q=q, coarse=coarse,
+                                 midpoint_jets=jets)
+        coarse = (points, result.f3, jets)
         iterations += 1
         best_seen = min(best_seen, result.certified_bound)
 
         lower = abs(result.corrected_sum) - result.certified_bound - tol
         if tol < 0.5 * math.ulp(max(lower, 0.0)):  # R >= 0 only lowers L
             lower -= (_ROUNDING_ULPS * sys.float_info.epsilon
-                      * _rounding_mass(compile_jet3(f), points))
+                      * _rounding_mass(points, jets))
             floor = 0.5 * math.ulp(max(lower, 0.0))
             if tol < floor:
                 raise BelowRoundingFloor(tol, best_seen, n, floor)
@@ -402,12 +444,11 @@ def certify(f: Node, a: float, b: float, tol: float, method: str = "best",
     raise ToleranceUnreachable(tol, best_seen, last_n)
 
 
-def _rounding_mass(jet: Callable, points: tuple[float, ...]) -> float:
+def _rounding_mass(points: tuple[float, ...], jets: list[tuple]) -> float:
     """A of :func:`certify`: the sum over the midpoints m of
-    |h f(m)| + |h^3 f''(m) / 24| + |h m f'(m)|."""
+    |h f(m)| + |h^3 f''(m) / 24| + |h m f'(m)|, from the jets there."""
     mass = 0.0
-    for lo, hi in zip(points, points[1:]):
+    for lo, hi, j in zip(points, points[1:], jets):
         h, m = hi - lo, 0.5 * (lo + hi)
-        j = jet(m)
         mass += abs(h * j[0]) + abs(h ** 3 / 24.0 * j[2]) + abs(h * m * j[1])
     return mass

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 import bound_reference as reference
 from bound_reference import (holder_bound_reference,
                              power_mean_bound_reference)
+from hh3 import bounds
 from hh3.bounds import (DEFAULT_Q, L_SWITCH, BoundReport, DerivEndpoints,
                         _moment_closed, _moment_series, _qth_root, best_bound,
                         bound_function, chi1, chi2, chi3, direct_bound,
-                        holder_bound, holder_factor, mu, mu_q,
+                        holder_bound, holder_factor, interval_chi1, mu, mu_q,
                         power_mean_bound)
 from hh3.errors import (BadInterval, DomainError,
                         NonPositiveThirdDerivative)
@@ -406,3 +407,97 @@ def test_best_bound_labels_are_consistent():
     assert report.q == DEFAULT_Q == 2.0
     assert report.chi2 == holder_bound(_EXP_ENDPOINTS, 2.0)
     assert report.chi3 == power_mean_bound(_EXP_ENDPOINTS, 2.0)
+
+
+# --------------------------------------------------------------------------
+# interval_chi1: one h * chi1 per cell, each distinct ratio's mu once
+# --------------------------------------------------------------------------
+
+def _f3_sequence(kind: str, n: int, log_k: float, seed: int) -> list[float]:
+    """|f'''| at n + 1 points: log-affine (one ratio e^log_k up to rounding,
+    which repeats), log-random (every ratio new) or the two run together."""
+    rng = random.Random(seed)
+    steps = {"log-affine": [log_k] * n,
+             "log-random": [rng.uniform(-12.0, 12.0) for _ in range(n)]}
+    if kind == "mixed":
+        steps = [steps["log-random"][i] if i % 7 < 3 else log_k
+                 for i in range(n)]
+    else:
+        steps = steps[kind]
+    # keep the logs within [-300, 300] by reflecting the walk
+    logs, level = [0.0], 0.0
+    for step in steps:
+        if abs(level - step) > 300.0:
+            step = -step
+        level -= step
+        logs.append(level)
+    return [math.exp(v) for v in logs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["log-affine", "log-random", "mixed"]),
+       st.integers(min_value=1, max_value=2500),
+       st.floats(min_value=-10.0, max_value=10.0),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(kind="log-affine", n=2000, log_k=6.0, seed=0)    # |ln K| > L_SWITCH
+@example(kind="log-affine", n=2000, log_k=0.003, seed=0)  # |ln K| < L_SWITCH
+@example(kind="log-random", n=2500, log_k=0.0, seed=1)   # > cache size
+@example(kind="mixed", n=2500, log_k=-4.0, seed=2)
+def test_interval_chi1_is_h_times_chi1_bit_for_bit(kind, n, log_k, seed):
+    f3 = _f3_sequence(kind, n, log_k, seed)
+    rng = random.Random(seed)
+    widths = [rng.uniform(1e-3, 2.0) for _ in range(n)]
+    assert interval_chi1(f3, widths) == tuple(
+        h * chi1(f3a, f3b, h) for f3a, f3b, h in zip(f3, f3[1:], widths))
+
+
+def test_interval_chi1_computes_each_distinct_ratio_once(monkeypatch):
+    result = composite_bound(parse("exp(6*x)"), uniform_division(0.0, 1.0,
+                                                                 4096))
+    f3 = result.f3
+    ks = {f3a / f3b for f3a, f3b in zip(f3, f3[1:])}
+    ms = {f3b / f3a for f3a, f3b in zip(f3, f3[1:])}
+    calls = []
+    moment = bounds._moment_from_log
+    monkeypatch.setattr(bounds, "_moment_from_log",
+                        lambda lam: calls.append(lam) or moment(lam))
+    again = composite_bound(parse("exp(6*x)"), uniform_division(0.0, 1.0,
+                                                                 4096))
+    assert again == result
+    assert len(calls) == len(ks | ms) <= 2 * len(ks) < 4096 // 20
+
+
+def test_interval_chi1_starts_its_cache_again_once_full(monkeypatch):
+    f3 = _f3_sequence("log-random", 50, 0.0, 3) * 3   # each ratio thrice
+    widths = [0.5] * (len(f3) - 1)
+    expected = interval_chi1(f3, widths)
+    calls = []
+    moment = bounds._moment_from_log
+    monkeypatch.setattr(bounds, "_moment_from_log",
+                        lambda lam: calls.append(lam) or moment(lam))
+    monkeypatch.setattr(bounds, "_MOMENT_CACHE_SIZE", 8)
+    assert interval_chi1(f3, widths) == expected
+    assert len(calls) == 2 * len(widths)   # 8 ratios never span a repeat
+
+
+@pytest.mark.parametrize("f3, got", [
+    ([0.0, 1.0], "0.0"),
+    ([1.0, 1.0, 1e-300, 1e300], "0.0"),    # K underflows in the last cell
+    ([1.0, 1.0, 1e300, 1e-300], "inf"),    # and overflows
+    ([1.0, 1.0, 1e300, 1e300, 1e-300], "inf"),
+    ([math.nan, 1.0], "nan"),
+])
+def test_interval_chi1_refuses_a_ratio_as_chi1_does(f3, got):
+    widths = [1.0] * (len(f3) - 1)
+    message = f"derivative ratio must be finite and positive, got {got}$"
+    with pytest.raises(DomainError, match=message):
+        [chi1(f3a, f3b, h) for f3a, f3b, h in zip(f3, f3[1:], widths)]
+    with pytest.raises(DomainError, match=message):
+        interval_chi1(f3, widths)
+
+
+def test_steep_exponential_ratio_underflow_is_a_domain_error():
+    # K = e^-1380 underflows to 0.0 before M = e^1380 overflows
+    with pytest.raises(DomainError, match="derivative ratio must be finite "
+                                          "and positive, got 0.0"):
+        composite_bound(parse("exp(690*x)"), (-1.0, 1.0))

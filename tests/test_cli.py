@@ -8,8 +8,10 @@ import jsonschema
 import pytest
 
 import hh3
+from hh3 import quadrature
 from hh3.cli import COMMANDS, EXIT_MATH, EXIT_OK, EXIT_USAGE, OPTIONS, \
     UsageError, main, parse_args, resolve
+from hh3.expr import parse
 
 EXP01 = ["--f", "exp(x)", "--a", "0", "--b", "1"]
 STEEP = ["--f", "exp(30*x)", "--a", "0", "--b", "1"]   # |ln K| = 30
@@ -309,6 +311,37 @@ def test_sweep_csv_shape(capsys):
     # and they stay sound
     for row in rows[1:]:
         assert float(row[4]) >= float(row[5])
+
+
+@pytest.mark.parametrize("n_list, jets", [
+    ("1,2,4,8", 17),       # the 9 points and 8 midpoints of n = 8, once each
+    ("1,3", 3 + 7),        # 3 does not refine 1: every point is evaluated
+])
+def test_sweep_evaluates_only_new_points_of_doubled_counts(
+        capsys, monkeypatch, n_list, jets):
+    calls = []
+    compile_real = quadrature.compile_jet3
+
+    def compile_counted(f):
+        jet = compile_real(f)
+
+        def counted(x):
+            calls.append(x)
+            return jet(x)
+        return counted
+    # the reference integral's evaluations are not the sweep's to count
+    reference = quadrature.reference_integral(parse("exp(x)"), 0.0, 1.0)
+    monkeypatch.setattr(quadrature, "reference_integral",
+                        lambda *args: reference)
+    monkeypatch.setattr(quadrature, "compile_jet3", compile_counted)
+    code, out, _ = run(capsys, "sweep", *EXP01, "--n-list", n_list)
+    assert code == EXIT_OK
+    assert len(calls) == jets
+    monkeypatch.undo()
+    # each row is what a sweep of its count alone prints
+    for row in out.splitlines()[1:]:
+        alone = run(capsys, "sweep", *EXP01, "--n-list", row.split(",")[0])
+        assert alone[1].splitlines()[1] == row
 
 
 # --------------------------------------------------------------------------

@@ -410,13 +410,54 @@ def _counting_jets(monkeypatch) -> list[float]:
 
 
 def test_certify_evaluates_each_division_point_once(monkeypatch):
-    # levels n = 1, 2, 4, 8: 2 + 1 + 2 + 4 = 9 division points and
-    # 1 + 2 + 4 + 8 = 15 midpoints, where evaluating every point of every
+    # levels n = 1, 2, 4, 8: the odd points of each level are the midpoints
+    # of the one before, so the jets are the 9 points of n = 8 and its 8
+    # midpoints, each once; evaluating every point and midpoint of every
     # level took 3 + 5 + 9 + 17 = 34 jets
     calls = _counting_jets(monkeypatch)
     outcome = certify(parse("8*x^3"), 0.0, 1.0, 1e-3)
     assert (outcome.n_final, outcome.iterations) == (8, 4)
-    assert len(calls) == 24
+    assert len(calls) == 17
+    assert len(set(calls)) == len(calls)
+
+
+def test_certify_reuses_matching_midpoints_on_a_non_dyadic_interval(
+        monkeypatch):
+    f = parse("exp(x)+exp(2*x)")
+    calls = _counting_jets(monkeypatch)
+    outcome = certify(f, 0.1, 0.8, 1e-9)
+    levels = [2 ** i for i in range(outcome.iterations)]
+    # evaluating every odd point again, as certify once did
+    every_odd_point = 3 + sum(n // 2 + n for n in levels[1:])
+    assert len(set(calls)) == len(calls) < every_odd_point
+    monkeypatch.undo()
+    expected = composite_bound(f, uniform_division(0.1, 0.8, outcome.n_final))
+    assert repr(outcome.result) == repr(expected)
+
+
+def test_rounding_floor_reads_the_level_jets(monkeypatch):
+    calls = _counting_jets(monkeypatch)
+    with pytest.raises(BelowRoundingFloor) as info:
+        certify(parse("exp(50*x)"), 0.0, 1.0, 1e-6)
+    # the points and midpoints of the last level, each once
+    assert len(calls) == len(set(calls)) == 2 * info.value.n_final + 1
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_coarse_midpoint_stands_only_for_its_own_bits(monkeypatch, zero):
+    f = parse("exp(x)")
+    jets = []
+    coarse = composite_bound(f, (-1.0, 1.0), midpoint_jets=jets)
+    assert len(jets) == 1
+    calls = _counting_jets(monkeypatch)
+    fine = composite_bound(f, (-1.0, zero, 1.0),
+                           coarse=((-1.0, 1.0), coarse.f3, jets))
+    # the midpoint is +0.0: it stands for 0.0, but not for -0.0
+    assert [x.hex() for x in calls] == (
+        ["-0x0.0p+0", "-0x1.0000000000000p-1", "0x1.0000000000000p-1"]
+        if math.copysign(1.0, zero) < 0.0 else
+        ["-0x1.0000000000000p-1", "0x1.0000000000000p-1"])
+    assert fine.f3 == (coarse.f3[0], 1.0, coarse.f3[1])
 
 
 @settings(max_examples=40, deadline=None)
