@@ -90,18 +90,18 @@ def _checked(points: Sequence[float]) -> tuple[float, ...]:
 
 
 def _midpoint_pass(jet: Callable, points: tuple[float, ...],
-                   keep: Callable | None = None) -> tuple:
+                   jets: list | None = None) -> tuple:
     """One pass over the subintervals, left to right: their widths, the
     terms of the midpoint and the corrected sums, and whether the bound is
-    only a heuristic for the midpoint sum.  ``keep``, if given, is called
-    with the jet at each midpoint."""
+    only a heuristic for the midpoint sum.  ``jets``, if a list, receives
+    the jet at each midpoint."""
     widths, plain, corrected = [], [], []
     top0 = top2 = 0.0  # max |f(m)| and |f''(m)|; jets are finite
     for lo, hi in zip(points, points[1:]):
         h = hi - lo
         j = jet(0.5 * (lo + hi))
-        if keep is not None:
-            keep(j)
+        if jets is not None:
+            jets.append(j)
         f0, _, f2, _ = j
         widths.append(h)
         hf = h * f0
@@ -151,22 +151,18 @@ def composite_bound(f: Node, points: Sequence[float], method: str = "best",
     point.  Errors surface in this order: the points, the method, |f'''| at
     each point, the jet at each midpoint, then each subinterval's ratios.
 
-    For ``thm1`` and ``best`` the subinterval bounds come from
-    :func:`hh3.bounds.interval_chi1`: mu of each distinct ratio
-    K = |f'''(lo)| / |f'''(hi)| is computed once per call, in a cache of
-    bounded size, and the bounds equal chi1 on each cell bit for bit.
-    Where |f'''| is log-affine, as for exp(c x), K = e^(-c h) on every cell
-    of width h, so a uniform division repeats a few dozen rounded ratios
-    over all its cells.
+    For ``thm1`` and ``best``, :func:`hh3.bounds.interval_chi1` computes mu
+    once per distinct ratio K = |f'''(lo)| / |f'''(hi)| in the call, in a
+    cache of bounded size.  Where |f'''| is log-affine, as for exp(c x),
+    K = e^(-c h) on every cell of width h, so a uniform division repeats a
+    few dozen rounded ratios over all its cells.
 
     ``coarse`` is a coarser division, |f'''| at its points (the ``f3`` of
-    its result) and the jets at its midpoints (as ``midpoint_jets``
-    received them).  Where ``points[::2]`` equals that division bit for
-    bit, as ``uniform_division(a, b, 2 * n)`` does at n, its values are
-    taken as given, and an odd point that is its midpoint bit for bit
-    takes |f'''| from that midpoint's jet; every other point is evaluated.
-    ``midpoint_jets``, if a list, receives the jet at each midpoint of
-    ``points``, left to right.
+    its result) and the jets at its midpoints, which ``midpoint_jets``
+    receives if it is a list.  Where ``points[::2]`` equals that division
+    bit for bit, as ``uniform_division(a, b, 2 * n)`` does at n, its values
+    are taken as given, and an odd point equal to the midpoint it splits
+    takes |f'''| from the jet there; every other point is evaluated.
     """
     points = _checked(points)
     bound = _bounds.bound_function(method, q)
@@ -174,17 +170,15 @@ def composite_bound(f: Node, points: Sequence[float], method: str = "best",
     if coarse is not None and points[::2] == tuple(coarse[0]):
         f3 = [0.0] * len(points)
         f3[::2] = coarse[1]
-        # the sign test keeps the midpoint +0.0 from standing for -0.0
         f3[1::2] = _f3_magnitudes(jet, points[1::2], [
-            j if 0.5 * (lo + hi) == x and (x or math.copysign(1.0, x) > 0.0)
-            else None
+            j if 0.5 * (lo + hi) == x else None
             for lo, x, hi, j in zip(points[::2], points[1::2], points[2::2],
                                     coarse[2])])
     else:
         f3 = _f3_magnitudes(jet, points)
 
-    keep = None if midpoint_jets is None else midpoint_jets.append
-    widths, plain, corrected, heuristic = _midpoint_pass(jet, points, keep)
+    widths, plain, corrected, heuristic = _midpoint_pass(jet, points,
+                                                         midpoint_jets)
 
     if bound is _bounds.chi1:
         interval_bounds = _bounds.interval_chi1(f3, widths)
@@ -376,12 +370,12 @@ def certify(f: Node, a: float, b: float, tol: float, method: str = "best",
     Starts at one subinterval.  Each level is one :func:`composite_bound`
     call, given the level before as ``coarse``: point i of n is bit for bit
     point 2i of 2n, because (b - a)/(2n) is exactly half of (b - a)/n.
-    Each odd point of 2n that equals the midpoint of n it splits, as all
-    do on a dyadic [a, b], takes |f'''| from the jet there.  So a doubling
-    evaluates the jets at its 2n midpoints, and |f'''| only at the odd points
-    that differ from the old midpoints.  Where halving is inexact (a
-    subnormal width) the old points no longer match, and the level
-    evaluates every point.
+    Each odd point of 2n that equals the midpoint of n it splits, as all do
+    where the points are exact binary fractions (on [0, 1], say), takes
+    |f'''| from the jet there.  So a doubling evaluates the jets at its 2n
+    midpoints, and |f'''| only at the odd points that differ from the old
+    midpoints.  Where halving is inexact (a subnormal width) the old points
+    no longer match, and the level evaluates every point.
 
     Raises :class:`ToleranceUnreachable` (carrying the best bound achieved)
     if n exceeds ``n_max`` first, and its subclass

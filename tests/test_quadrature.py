@@ -443,21 +443,22 @@ def test_rounding_floor_reads_the_level_jets(monkeypatch):
     assert len(calls) == len(set(calls)) == 2 * info.value.n_final + 1
 
 
-@pytest.mark.parametrize("zero", [0.0, -0.0])
-def test_a_coarse_midpoint_stands_only_for_its_own_bits(monkeypatch, zero):
+@pytest.mark.parametrize("x, evaluated", [
+    (0.0, False), (-0.0, False),   # the midpoint 0.0 of [-1, 1]: one real
+    (0.25, True),
+])
+def test_an_odd_point_takes_the_jet_of_an_equal_coarse_midpoint(
+        monkeypatch, x, evaluated):
     f = parse("exp(x)")
     jets = []
     coarse = composite_bound(f, (-1.0, 1.0), midpoint_jets=jets)
-    assert len(jets) == 1
     calls = _counting_jets(monkeypatch)
-    fine = composite_bound(f, (-1.0, zero, 1.0),
+    fine = composite_bound(f, (-1.0, x, 1.0),
                            coarse=((-1.0, 1.0), coarse.f3, jets))
-    # the midpoint is +0.0: it stands for 0.0, but not for -0.0
-    assert [x.hex() for x in calls] == (
-        ["-0x0.0p+0", "-0x1.0000000000000p-1", "0x1.0000000000000p-1"]
-        if math.copysign(1.0, zero) < 0.0 else
-        ["-0x1.0000000000000p-1", "0x1.0000000000000p-1"])
-    assert fine.f3 == (coarse.f3[0], 1.0, coarse.f3[1])
+    midpoints = [0.5 * (-1.0 + x), 0.5 * (x + 1.0)]
+    assert calls == [x] * evaluated + midpoints
+    monkeypatch.undo()
+    assert fine == composite_bound(f, (-1.0, x, 1.0))
 
 
 @settings(max_examples=40, deadline=None)
