@@ -55,6 +55,10 @@ CASES = {
     "bounds-text": ["bounds", *_MIX, "--format", "text"],
     "verify-exp": ["verify", "--f", "exp(x)", "--a", "1", "--b", "2"],
     "verify-x4": ["verify", "--f", "x^4", "--a", "1", "--b", "2"],
+    "bounds-interior-witness": ["bounds", "--f", "1/(1+25*(x-0.5)^2)",
+                                "--a", "0.1", "--b", "0.7"],
+    "verify-witness-order": ["verify", "--f", "x^4+exp(4*x)", "--a", "0.1",
+                             "--b", "0.7"],
     "exit2-log-domain": ["integrate", "--f", "log(x)", "--a", "-1",
                          "--b", "1"],
     "exit2-reciprocal-pole": ["integrate", "--f", "1/x", "--a", "-1",
