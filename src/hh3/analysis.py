@@ -13,6 +13,18 @@ continuous function is equivalent to log-convexity, and the grid family of
 pairs covers every scale and location the grid can express, so a pass is
 strong evidence while any failure comes with a concrete witness pair.
 
+The pairs are tested one diagonal at a time: for each offset d, the ratios
+g(x_{i+d})^2 / (g(x_i) g(x_{i+2d})) of all pairs (i, i + 2d) come from one
+C-level pass, each by the same float operations a loop over i, then j,
+would do.  The witness is the first pair in that (i, j) order whose
+violation equals the worst.  Before the passes, every sample is multiplied
+by the power of two that brings the smallest and the largest near 1.  That
+is exact, and the criterion does not depend on scale, so each ratio keeps
+the bits it has unscaled wherever the products are normal floats, and no
+product overflows or underflows.  Samples whose binary exponents differ by
+more than 1021 cannot all be brought into range; the check then raises
+:class:`DomainError` with the range (exit 2 on the command line).
+
 The same criterion applied to g^q is mathematically equivalent for every
 q >= 1 (log g^q = q log g); ``check_log_convexity_pow`` exists so that the
 equivalence can be exercised rather than assumed.
@@ -21,9 +33,11 @@ equivalence can be exercised rather than assumed.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
+from itertools import repeat
+from operator import mul, sub, truediv
 
-from .errors import NotConvex
+from .errors import DomainError, NotConvex
 # eval_jet3 stays an attribute here for bench/tracer.py to wrap.
 from .expr import Node, compile_jet3, eval_jet3, parse  # noqa: F401
 from .quadrature import integrate_adaptive, uniform_division
@@ -40,11 +54,16 @@ __all__ = [
 GRID_POINTS_DEFAULT = 257
 
 #: The largest grid the command line accepts.  The pair test is quadratic:
-#: 4097 points are about 4.2 million pairs and a second of work.
+#: 4097 points are about 4.2 million pairs and a third of a second of work.
 GRID_POINTS_MAX = 4097
 
 #: Multiplicative slack in the midpoint criterion.
 PAIR_RELTOL = 1e-9
+
+#: The widest spread of binary exponents among the samples that the pair
+#: test accepts: rescaled into [2^-511, 2^511), every product of two
+#: samples is a normal float.
+_SPAN_MAX = 1021
 
 _CONVEXITY_TOL = 1e-12
 _HH_TOL = 1e-12
@@ -62,19 +81,19 @@ def grid_samples(f: Node, a: float, b: float, n: int = GRID_POINTS_DEFAULT
     return xs, tuple(abs(jet[3]) for jet in map(compile_jet3(f), xs))
 
 
-class ConvexityReport(NamedTuple):
-    """Outcome of the sampled midpoint criterion.
+ConvexityReport = namedtuple("ConvexityReport", [
+    "passed",           # bool
+    "worst_violation",  # float
+    "witness",          # (x, y) floats, or None
+    "pairs_tested",     # int
+])
+ConvexityReport.__doc__ = """Outcome of the sampled midpoint criterion.
 
     ``worst_violation`` is max over tested pairs of g(m)^2/(g(x)g(y)) - 1,
     so ``passed`` holds exactly when it is at most :data:`PAIR_RELTOL`.  A
     zero or non-finite sample fails immediately with that point as its own
     witness and an infinite violation.
     """
-
-    passed: bool
-    worst_violation: float
-    witness: tuple[float, float] | None
-    pairs_tested: int
 
 
 def _midpoint_pairs(xs: tuple[float, ...], gs: tuple[float, ...],
@@ -84,25 +103,30 @@ def _midpoint_pairs(xs: tuple[float, ...], gs: tuple[float, ...],
         if not (math.isfinite(g) and g > 0.0):
             return ConvexityReport(passed=False, worst_violation=math.inf,
                                    witness=(x, x), pairs_tested=0)
-    worst = -math.inf
-    witness = None
-    pairs = 0
-    for i in range(n):
-        gi = gs[i]
-        for j in range(i + 2, n, 2):
-            mid = (i + j) // 2
-            ratio = gs[mid] * gs[mid] / (gi * gs[j])
-            if power != 1.0:
-                ratio = ratio ** power
-            violation = ratio - 1.0
-            pairs += 1
-            if violation > worst:
-                worst = violation
-                witness = (xs[i], xs[j])
+    lo, hi = min(gs), max(gs)
+    e_lo, e_hi = math.frexp(lo)[1], math.frexp(hi)[1]
+    if e_hi - e_lo > _SPAN_MAX:
+        raise DomainError(f"|f'''| spans [{lo!r}, {hi!r}] on the grid, too "
+                          f"wide a range for the midpoint pair test")
+    # exact: a power of two changes no product that stays a normal float
+    gs = list(map(math.ldexp, gs, repeat(-((e_lo + e_hi) // 2), n)))
+    sq = list(map(mul, gs, gs))
+
+    def ratios(d: int):  # of the pairs (i, i + 2d), i ascending
+        r = map(truediv, sq[d:n - d], map(mul, gs[:n - 2 * d], gs[2 * d:]))
+        return r if power == 1.0 else map(pow, r, repeat(power))
+
+    tops = [max(ratios(d)) for d in range(1, (n + 1) // 2)]
+    worst = max(tops, default=-math.inf) - 1.0
     passed = worst <= PAIR_RELTOL
+    witness = None
+    if not passed:  # the first pair in (i, j) order at the worst violation
+        i, d = min((list(map(sub, ratios(d), repeat(1.0))).index(worst), d)
+                   for d, top in enumerate(tops, 1) if top - 1.0 == worst)
+        witness = (xs[i], xs[i + 2 * d])
+    m = len(tops)
     return ConvexityReport(passed=passed, worst_violation=worst,
-                           witness=None if passed else witness,
-                           pairs_tested=pairs)
+                           witness=witness, pairs_tested=m * (n - m - 1))
 
 
 def check_log_convexity(f: Node, a: float, b: float,
@@ -119,19 +143,17 @@ def check_log_convexity_pow(f: Node, a: float, b: float, q: float,
     return _midpoint_pairs(*grid_samples(f, a, b, n), q)
 
 
-class HermiteHadamardReport(NamedTuple):
+HermiteHadamardReport = namedtuple("HermiteHadamardReport", [
+    "midpoint_value", "integral_mean", "endpoint_mean",  # floats
+    "lower_slack", "upper_slack",                        # floats
+    "passed",                                            # bool
+])
+HermiteHadamardReport.__doc__ = (
     """Both Hermite-Hadamard inequalities for a convex f, with slacks.
 
     lower_slack = mean - f(midpoint) and upper_slack = endpoint average -
     mean; both must be >= -1e-12 * max(1, |mean|) to pass.
-    """
-
-    midpoint_value: float
-    integral_mean: float
-    endpoint_mean: float
-    lower_slack: float
-    upper_slack: float
-    passed: bool
+    """)
 
 
 def check_hermite_hadamard(f: Node, a: float, b: float,
@@ -172,11 +194,11 @@ def check_hermite_hadamard(f: Node, a: float, b: float,
 # Worked examples with known log-convexity status
 # --------------------------------------------------------------------------
 
-class CatalogEntry(NamedTuple):
-    expression: str
-    a: float
-    b: float
-    log_convex: bool
+class CatalogEntry(namedtuple("CatalogEntry", "expression a b log_convex")):
+    """An integrand's text (str) and interval (floats), and whether its
+    |f'''| is log-convex there (bool)."""
+
+    __slots__ = ()
 
     def ast(self) -> Node:
         return parse(self.expression)

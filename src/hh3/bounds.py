@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Callable, Sequence
 
 from .errors import DomainError, NonPositiveThirdDerivative, require_interval
 
@@ -74,11 +75,7 @@ DEFAULT_Q = 2.0
 # The checked one-interval input
 # --------------------------------------------------------------------------
 
-class _Endpoints(NamedTuple):
-    f3a_abs: float
-    f3b_abs: float
-    a: float
-    b: float
+_Endpoints = namedtuple("_Endpoints", "f3a_abs f3b_abs a b")  # floats
 
 
 class DerivEndpoints(_Endpoints):
@@ -345,15 +342,12 @@ def power_mean_bound(e: DerivEndpoints, q: float) -> float:
 # The best of the three
 # --------------------------------------------------------------------------
 
-class BoundReport(NamedTuple):
-    """The three bounds, chi2 and chi3 at exponent ``q``, and the winner."""
-
-    chi1: float
-    chi2: float
-    chi3: float
-    q: float
-    min_value: float
-    argmin_label: str  # "chi1" | "chi2" | "chi3"
+BoundReport = namedtuple("BoundReport", [
+    "chi1", "chi2", "chi3", "q", "min_value",  # floats
+    "argmin_label",                            # "chi1" | "chi2" | "chi3"
+])
+BoundReport.__doc__ = (
+    """The three bounds, chi2 and chi3 at exponent ``q``, and the winner.""")
 
 
 def best_bound(e: DerivEndpoints) -> BoundReport:

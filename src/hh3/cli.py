@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import analysis, bounds, quadrature
 from .errors import DomainError, ExprSyntaxError, Hh3Error, NotConvex
-from .expr import Node, eval_jet3, parse
+from .expr import eval_jet3, parse
 from .reportfmt import Table, rows_to_csv, to_csv, to_json, to_text
 
 EXIT_OK = 0
@@ -64,11 +64,8 @@ _KINDS = {
 }
 
 
-class Option(NamedTuple):
-    flag: str
-    kind: str
-    commands: tuple[str, ...]
-    help: str
+# the flag, a key of _KINDS, a tuple of commands and the help text
+Option = namedtuple("Option", "flag kind commands help")
 
 
 _ALL, _BOUNDED = tuple(COMMANDS), ("integrate", "certify")
@@ -158,23 +155,21 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict | None]:
 # Config resolution
 # --------------------------------------------------------------------------
 
-class RunConfig(NamedTuple):
-    command: str
-    expression: str
-    ast: Node
-    a: float
-    b: float
-    fmt: str
-    out: str | None
-    n: int = 1
-    tol: float | None = None
-    method: str = "best"
-    q: float | None = None
-    n_list: tuple[int, ...] = ()
-    grid_points: int = analysis.GRID_POINTS_DEFAULT
-    n_max: int = quadrature.MAX_SUBINTERVALS
-    per_interval: bool = False
-    oracle: bool = False
+RunConfig = namedtuple("RunConfig", [
+    "command", "expression",  # str
+    "ast",                    # Node
+    "a", "b",                 # float
+    "fmt",                    # str
+    "out",                    # str or None
+    "n",                      # int
+    "tol",                    # float or None
+    "method",                 # str
+    "q",                      # float or None
+    "n_list",                 # tuple of ints
+    "grid_points", "n_max",   # int
+    "per_interval", "oracle",  # bool
+], defaults=(1, None, "best", None, (), analysis.GRID_POINTS_DEFAULT,
+             quadrature.MAX_SUBINTERVALS, False, False))
 
 
 def _load_config(path: str) -> dict:

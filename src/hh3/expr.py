@@ -33,7 +33,8 @@ from __future__ import annotations
 import functools
 import math
 import re
-from typing import Callable, NamedTuple, Union
+from collections import namedtuple
+from typing import Callable, Union
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
@@ -50,32 +51,15 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 # AST
 # --------------------------------------------------------------------------
 
-class Num(NamedTuple):
-    value: float
-
-
-class Var(NamedTuple):
-    """The integration variable ``x``."""
-
-
-class Const(NamedTuple):
-    name: str  # "pi" or "e"
-
-
-class Neg(NamedTuple):
-    operand: "Node"
-
-
-class BinOp(NamedTuple):
-    op: str  # one of "+", "-", "*", "/", "^"
-    left: "Node"
-    right: "Node"
-
-
-class Func(NamedTuple):
-    name: str  # one of _FUNCTIONS
-    arg: "Node"
-
+# Num.value is a float, Const.name "pi" or "e", BinOp.op one of "+", "-",
+# "*", "/", "^" and Func.name one of _FUNCTIONS; every other field is a Node.
+Num = namedtuple("Num", "value")
+Var = namedtuple("Var", ())
+Var.__doc__ = """The integration variable ``x``."""
+Const = namedtuple("Const", "name")
+Neg = namedtuple("Neg", "operand")
+BinOp = namedtuple("BinOp", "op left right")
+Func = namedtuple("Func", "name arg")
 
 Node = Union[Num, Var, Const, Neg, BinOp, Func]
 
@@ -91,10 +75,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token(NamedTuple):
-    kind: str  # "num", "ident", "op", "end"
-    text: str
-    pos: int
+# kind is "num", "ident", "op" or "end"; text a str, pos an int
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(source: str) -> list[_Token]:

@@ -33,7 +33,8 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import Callable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Callable, Sequence
 
 from . import bounds as _bounds
 from .errors import BadInterval, BelowRoundingFloor, NonConvergence, \
@@ -127,13 +128,14 @@ def corrected_midpoint_sum(f: Node, points: Sequence[float]) -> float:
 # Composite certified bound
 # --------------------------------------------------------------------------
 
-class QuadResult(NamedTuple):
-    midpoint_sum: float
-    corrected_sum: float
-    certified_bound: float          # fsum of interval_bounds
-    f3: tuple[float, ...]           # |f'''| at each division point
-    interval_bounds: tuple[float, ...]  # one bound per subinterval
-    midpoint_bound_heuristic: bool  # certified_bound is heuristic for midpoint_sum
+QuadResult = namedtuple("QuadResult", [
+    "midpoint_sum", "corrected_sum",  # floats
+    "certified_bound",  # float: fsum of interval_bounds
+    "f3",               # floats: |f'''| at each division point
+    "interval_bounds",  # floats: one bound per subinterval
+    # bool: certified_bound is heuristic for midpoint_sum
+    "midpoint_bound_heuristic",
+])
 
 
 def composite_bound(f: Node, points: Sequence[float], method: str = "best",
@@ -351,10 +353,8 @@ def identity_residual(f: Node, a: float, b: float,
 # Certification loop
 # --------------------------------------------------------------------------
 
-class CertifyOutcome(NamedTuple):
-    result: QuadResult
-    n_final: int
-    iterations: int
+# a QuadResult, and two ints
+CertifyOutcome = namedtuple("CertifyOutcome", "result n_final iterations")
 
 
 #: The rounding allowance R of the floor stop in :func:`certify`, in units

@@ -10,18 +10,16 @@ has no Infinity; the schema types those fields number-or-null).  A
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import islice
-from typing import Any, NamedTuple
+from typing import Any
 
 __all__ = ["Table", "format_float", "format_float_short", "to_json",
            "to_csv", "to_text", "rows_to_csv"]
 
 
-class Table(NamedTuple):
-    """Rows of scalars, each row as long as ``keys``."""
-
-    keys: tuple[str, ...]
-    rows: list[tuple]
+Table = namedtuple("Table", "keys rows")  # tuple of str, list of tuples
+Table.__doc__ = """Rows of scalars, each row as long as ``keys``."""
 
 
 def format_float(x: float) -> str:

@@ -1,0 +1,43 @@
+"""Reference midpoint pair test: the double loop over index pairs.
+
+This is the loop that :func:`hh3.analysis._midpoint_pairs` replaces with one
+pass per diagonal over exactly rescaled samples.  Where every product of two
+samples is a normal float, both perform the same float operations on each
+pair, so the tests hold the report of the one to that of the other: the
+worst violation to its bits, the witness (the first pair, i then j, that
+attains it) and the number of pairs.
+"""
+
+from __future__ import annotations
+
+import math
+
+from hh3.analysis import PAIR_RELTOL, ConvexityReport
+
+
+def midpoint_pairs_reference(xs: tuple[float, ...], gs: tuple[float, ...],
+                             power: float) -> ConvexityReport:
+    n = len(xs)
+    for x, g in zip(xs, gs):
+        if not (math.isfinite(g) and g > 0.0):
+            return ConvexityReport(passed=False, worst_violation=math.inf,
+                                   witness=(x, x), pairs_tested=0)
+    worst = -math.inf
+    witness = None
+    pairs = 0
+    for i in range(n):
+        gi = gs[i]
+        for j in range(i + 2, n, 2):
+            mid = (i + j) // 2
+            ratio = gs[mid] * gs[mid] / (gi * gs[j])
+            if power != 1.0:
+                ratio = ratio ** power
+            violation = ratio - 1.0
+            pairs += 1
+            if violation > worst:
+                worst = violation
+                witness = (xs[i], xs[j])
+    passed = worst <= PAIR_RELTOL
+    return ConvexityReport(passed=passed, worst_violation=worst,
+                           witness=None if passed else witness,
+                           pairs_tested=pairs)

@@ -1,12 +1,17 @@
 import math
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hh3.analysis import (GRID_POINTS_DEFAULT, CatalogEntry, catalog,
-                          check_hermite_hadamard, check_log_convexity,
-                          check_log_convexity_pow, grid_samples)
-from hh3.errors import BadInterval, NotConvex
+from hh3.analysis import (GRID_POINTS_DEFAULT, CatalogEntry,
+                          _midpoint_pairs, catalog, check_hermite_hadamard,
+                          check_log_convexity, check_log_convexity_pow,
+                          grid_samples)
+from hh3.errors import BadInterval, DomainError, NotConvex
 from hh3.expr import parse
+from pair_reference import midpoint_pairs_reference
 
 
 def test_grid_samples_layout():
@@ -138,3 +143,99 @@ def test_catalog_verdicts_match_checker():
     for entry in catalog():
         report = check_log_convexity(entry.ast(), entry.a, entry.b)
         assert report.passed == entry.log_convex, entry.expression
+
+
+# --------------------------------------------------------------------------
+# The pair test by diagonals against the double loop it replaces
+# --------------------------------------------------------------------------
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _same_report(got, want) -> None:
+    assert _bits(got.worst_violation) == _bits(want.worst_violation)
+    assert (got.passed, got.witness, got.pairs_tested) == (
+        want.passed, want.witness, want.pairs_tested)
+
+
+@st.composite
+def _grids(draw):
+    """An odd number of points from 3 to 65 and positive samples there."""
+    n = 2 * draw(st.integers(min_value=1, max_value=32)) + 1
+    kind = draw(st.sampled_from(["ties", "log-affine", "log-random",
+                                 "quartic"]))
+    if kind == "ties":  # repeated values: many pairs share the worst ratio
+        gs = draw(st.lists(st.sampled_from([0.5, 1.0, 1.0 + 2 ** -40, 3.0]),
+                           min_size=n, max_size=n))
+    elif kind == "log-affine":  # every ratio is 1 up to rounding
+        c = draw(st.floats(min_value=-30.0, max_value=30.0))
+        s = draw(st.floats(min_value=-20.0, max_value=20.0))
+        gs = [math.exp(c + s * i / (n - 1)) for i in range(n)]
+    elif kind == "log-random":
+        gs = [math.exp(v) for v in draw(st.lists(
+            st.floats(min_value=-30.0, max_value=30.0),
+            min_size=n, max_size=n))]
+    else:  # |f'''| of c x^4 on [1, 2]: log-concave, so the test fails
+        c = draw(st.floats(min_value=1e-3, max_value=1e3))
+        gs = [c * 24.0 * (1.0 + i / (n - 1)) for i in range(n)]
+    return tuple(i / (n - 1) for i in range(n)), tuple(gs)
+
+
+_POWERS = st.one_of(st.just(1.0), st.just(2.5),
+                    st.floats(min_value=1.0, max_value=3.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grids(), _POWERS)
+@example(((0.0, 0.5, 1.0), (1.0, 1.0, 1.0)), 1.0)
+@example(((0.0, 0.25, 0.5, 0.75, 1.0), (3.0, 1.0, 3.0, 1.0, 3.0)), 1.0)
+def test_pair_test_matches_the_double_loop_bit_for_bit(grid, power):
+    xs, gs = grid
+    _same_report(_midpoint_pairs(xs, gs, power),
+                 midpoint_pairs_reference(xs, gs, power))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grids(), _POWERS, st.integers(min_value=-400, max_value=400))
+def test_pair_test_does_not_depend_on_a_power_of_two_scale(grid, power, k):
+    xs, gs = grid
+    scaled = tuple(math.ldexp(g, k) for g in gs)
+    _same_report(_midpoint_pairs(xs, scaled, power),
+                 _midpoint_pairs(xs, gs, power))
+
+
+def test_pair_test_witness_is_first_in_loop_order():
+    # the interior pair (0.4984375, 0.7) is the worst; the loop meets it
+    # before any pair that ties it
+    report = check_log_convexity(parse("1/(1+25*(x-0.5)^2)"), 0.1, 0.7)
+    assert report.witness == (0.4984375, 0.7)
+    report = check_log_convexity(parse("x^4+exp(4*x)"), 0.1, 0.7)
+    assert report.witness == (0.1, 0.671875)
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+def test_pair_test_at_extreme_magnitudes_matches_the_unscaled_one(scale):
+    # |f'''| = 24 c x: every product of two samples leaves the float range
+    # at c = 1e200 (inf/inf) and at c = 1e-200 (0/0) unless rescaled
+    plain = check_log_convexity(parse("x^4"), 1.0, 2.0)
+    report = check_log_convexity(parse(f"{scale}*x^4"), 1.0, 2.0)
+    assert not report.passed
+    assert report.witness == plain.witness == (1.0, 2.0)
+    assert report.worst_violation == pytest.approx(plain.worst_violation,
+                                                   rel=1e-12)
+    assert report.pairs_tested == plain.pairs_tested
+
+
+def test_pair_test_on_underflowing_products_passes_a_log_affine_sample():
+    # |f'''| = 700^3 exp(-700 x) is about 1e-296 on [0.9, 1]
+    report = check_log_convexity(parse("exp(-700*x)"), 0.9, 1.0)
+    assert report.passed
+    assert report.pairs_tested == 16384
+
+
+def test_pair_test_refuses_samples_beyond_any_common_scale():
+    # |f'''| runs from about 2.7e-295 to 2.3e307: no power of two brings
+    # every product of two samples into the float range
+    with pytest.raises(DomainError, match=r"\[2\.70.*e-295, 2\.31.*e\+307\]"):
+        check_log_convexity(parse("exp(1400*x)"), -0.5, 0.49)

@@ -149,6 +149,8 @@ def test_command_help_lists_every_flag_of_the_command(capsys, command,
     ["certify", "--f", "exp(x)", "--a", "0", "--b", "1",
      "--tol", "1e-30", "--n-max", "64"],                   # unreachable tol
     ["verify", "--f", "sqrt(x)", "--a", "-1", "--b", "1"],  # domain error
+    ["verify", "--f", "exp(1400*x)", "--a", "-0.5",
+     "--b", "0.49"],                                       # |f'''| range
 ])
 def test_math_errors_are_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -222,6 +224,35 @@ def test_underflowing_ratio_is_a_math_error(capsys):
     assert code == EXIT_MATH
     assert out == ""
     assert "derivative ratio must be finite and positive" in err
+
+
+def _log_convexity(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    return json.loads(out)["log_convexity"]
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+def test_log_convexity_evidence_does_not_depend_on_scale(capsys, command,
+                                                         scale):
+    # unscaled, the products of samples leave the float range: 1e200 read
+    # every ratio as inf/inf and passed, 1e-200 divided by zero
+    interval = ("--a", "1", "--b", "2")
+    plain = _log_convexity(capsys, command, "--f", "x^4", *interval)
+    scaled = _log_convexity(capsys, command, "--f", f"{scale}*x^4",
+                            *interval)
+    assert scaled["passed"] is plain["passed"] is False
+    assert scaled["witness"] == plain["witness"]
+    assert scaled["worst_violation"] == pytest.approx(
+        plain["worst_violation"], rel=1e-12)
+
+
+def test_verify_passes_a_log_affine_sample_near_underflow(capsys):
+    report = _log_convexity(capsys, "verify", "--f", "exp(-700*x)",
+                            "--a", "0.9", "--b", "1")
+    assert report["passed"] is True
+    assert report["witness"] is None
 
 
 def test_integrate_oracle_soundness(capsys):

@@ -78,6 +78,24 @@ def test_cli_import_leaves_out_dataclasses_and_inspection_modules():
     assert done.stdout.split() == []
 
 
+def test_cli_import_builds_no_record_through_typing_namedtuple():
+    # typing.NamedTuple leaves the field annotations in the class's own
+    # __dict__; collections.namedtuple builds the same record in about half
+    # the time and leaves none
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hh3.cli; "
+            "records = {c for name, m in list(sys.modules.items()) "
+            "if name.split('.')[0] == 'hh3' for c in vars(m).values() "
+            "if isinstance(c, type) and issubclass(c, tuple) "
+            "and hasattr(c, '_fields')}; "
+            "print(len(records), *sorted(c.__qualname__ for c in records "
+            "if '__annotations__' in vars(c)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    # the 17 record types and DerivEndpoints, built on _Endpoints
+    assert done.stdout.split() == ["18"]
+
+
 def test_a_run_without_config_leaves_out_argparse_and_json():
     # flags are parsed from cli.OPTIONS, and reports quote plain text
     # themselves, so neither module, nor what argparse loads, is imported
@@ -145,6 +163,41 @@ def test_record_semantics(cls, fields):
         with pytest.raises(AttributeError):
             setattr(record, name, 0.0)
     assert record == twin == tuple(fields.values())
+
+
+_FIELDS = {
+    Num: ("value",),
+    Var: (),
+    Const: ("name",),
+    Neg: ("operand",),
+    BinOp: ("op", "left", "right"),
+    Func: ("name", "arg"),
+    DerivEndpoints: ("f3a_abs", "f3b_abs", "a", "b"),
+    BoundReport: ("chi1", "chi2", "chi3", "q", "min_value", "argmin_label"),
+    QuadResult: ("midpoint_sum", "corrected_sum", "certified_bound", "f3",
+                 "interval_bounds", "midpoint_bound_heuristic"),
+    CertifyOutcome: ("result", "n_final", "iterations"),
+    ConvexityReport: ("passed", "worst_violation", "witness",
+                      "pairs_tested"),
+    HermiteHadamardReport: ("midpoint_value", "integral_mean",
+                            "endpoint_mean", "lower_slack", "upper_slack",
+                            "passed"),
+    CatalogEntry: ("expression", "a", "b", "log_convex"),
+    cli.RunConfig: ("command", "expression", "ast", "a", "b", "fmt", "out",
+                    "n", "tol", "method", "q", "n_list", "grid_points",
+                    "n_max", "per_interval", "oracle"),
+    cli.Option: ("flag", "kind", "commands", "help"),
+    Table: ("keys", "rows"),
+}
+
+
+@pytest.mark.parametrize("cls", _FIELDS, ids=lambda cls: cls.__name__)
+def test_record_fields_and_defaults_are_pinned(cls):
+    assert cls._fields == _FIELDS[cls]
+    assert cls._field_defaults == ({
+        "n": 1, "tol": None, "method": "best", "q": None, "n_list": (),
+        "grid_points": 257, "n_max": 2 ** 20, "per_interval": False,
+        "oracle": False} if cls is cli.RunConfig else {})
 
 
 def test_record_repr_text_is_pinned():
