@@ -190,6 +190,10 @@ _POWERS = st.one_of(st.just(1.0), st.just(2.5),
 @given(_grids(), _POWERS)
 @example(((0.0, 0.5, 1.0), (1.0, 1.0, 1.0)), 1.0)
 @example(((0.0, 0.25, 0.5, 0.75, 1.0), (3.0, 1.0, 3.0, 1.0, 3.0)), 1.0)
+# the ratios 2^53 + 4 of (0, 2) and 2^53 + 6 of (1, 3) both give the
+# violation 2^53 + 4: the witness is the first pair, not the largest ratio
+@example(((0.0, 0.25, 0.5, 0.75, 1.0),
+          (1.0, 94906265.62425157, 1.0, 1.1698100408045752e-24, 1.0)), 1.0)
 def test_pair_test_matches_the_double_loop_bit_for_bit(grid, power):
     xs, gs = grid
     _same_report(_midpoint_pairs(xs, gs, power),
@@ -227,9 +231,11 @@ def test_pair_test_at_extreme_magnitudes_matches_the_unscaled_one(scale):
     assert report.pairs_tested == plain.pairs_tested
 
 
-def test_pair_test_on_underflowing_products_passes_a_log_affine_sample():
-    # |f'''| = 700^3 exp(-700 x) is about 1e-296 on [0.9, 1]
-    report = check_log_convexity(parse("exp(-700*x)"), 0.9, 1.0)
+@pytest.mark.parametrize("a", [0.9, 0.0])
+def test_pair_test_on_underflowing_products_passes_a_log_affine_sample(a):
+    # |f'''| = 700^3 exp(-700 x) is about 1e-296 at x = 1; from x = 0 the
+    # samples span 1010 binary orders, close to the most the test takes
+    report = check_log_convexity(parse("exp(-700*x)"), a, 1.0)
     assert report.passed
     assert report.pairs_tested == 16384
 
@@ -239,3 +245,23 @@ def test_pair_test_refuses_samples_beyond_any_common_scale():
     # every product of two samples into the float range
     with pytest.raises(DomainError, match=r"\[2\.70.*e-295, 2\.31.*e\+307\]"):
         check_log_convexity(parse("exp(1400*x)"), -0.5, 0.49)
+
+
+@pytest.mark.parametrize("span", [1021, 1022])
+def test_pair_test_takes_binary_exponent_spans_up_to_1021(span):
+    # frexp exponents -600 and span - 600.  At 1021 the rescale puts lo just
+    # above 2^-511, so the products in the worst pair, (0, 2), made of the
+    # smallest samples, are normal floats rounded once; one power of two
+    # less and they would lose bits as subnormals
+    lo = math.ldexp(0.5 + 2.0 ** -53, -600)
+    hi = math.ldexp(1.0 - 2.0 ** -53, span - 600)
+    xs = (0.0, 0.25, 0.5, 0.75, 1.0)
+    gs = (lo, 1.5 * lo, lo, math.sqrt(lo) * math.sqrt(hi), hi)
+    if span > 1021:
+        with pytest.raises(DomainError):
+            _midpoint_pairs(xs, gs, 1.0)
+        return
+    centred = tuple(math.ldexp(g, 90) for g in gs)
+    report = _midpoint_pairs(xs, gs, 1.0)
+    assert report.witness == (0.0, 0.5)
+    _same_report(report, midpoint_pairs_reference(xs, centred, 1.0))
