@@ -10,7 +10,9 @@ Exit codes: 0 on success, 2 when the mathematics rejects the input (domain
 errors, vanishing third derivative, non-convergence, unreachable tolerance),
 64 for usage errors (bad flags, malformed expressions, invalid intervals).
 Diagnostics go to stderr; stdout carries only the report, whose bytes are
-deterministic for identical inputs.
+deterministic for identical inputs.  ``hh3`` and ``python -m hh3`` call
+``run()``: ``main()``, the exit handlers, a flush and an exit that skips
+interpreter teardown.  ``main()`` just returns the code, for library callers.
 
 Inputs may come from flags or from a JSON config file (``--config``); flags
 win when both supply a value.  ``OPTIONS`` defines both: a flag is its exact
@@ -19,7 +21,9 @@ long name, as ``--flag VALUE`` or ``--flag=VALUE``.
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 import sys
 from collections import namedtuple
 
@@ -484,5 +488,15 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def run() -> int:
+    """``main()``, the exit handlers and a flush of stdout and stderr (each
+    None if its descriptor was closed), then exit without teardown.  Returns
+    the code only if a flush fails, for the interpreter to exit and report."""
+    code = main()
+    atexit._run_exitfuncs()   # and clears them, so none runs twice
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+    except (OSError, ValueError):
+        return code
+    os._exit(code)

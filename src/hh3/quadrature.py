@@ -30,6 +30,7 @@ noise when a tight absolute tolerance meets a large integrand.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -241,11 +242,14 @@ def _cc_weights(n: int) -> tuple[float, ...]:
     return tuple(weights)
 
 
-_CC_FINE_N = 32
-_CC_NODES = tuple(math.cos(math.pi * j / _CC_FINE_N)
-                  for j in range(_CC_FINE_N + 1))
-_CC_W_FINE = _cc_weights(_CC_FINE_N)
-_CC_W_COARSE = _cc_weights(_CC_FINE_N // 2)
+@functools.cache
+def _cc_rule() -> tuple[tuple[float, ...], ...]:
+    """Nodes cos(j*pi/32) on [-1, 1], weights of all 33 and of the even 17;
+    built on first use, as bounds and certify never integrate."""
+    nodes = tuple(math.cos(math.pi * j / 32) for j in range(33))
+    return nodes, _cc_weights(32), _cc_weights(16)
+
+
 _ROUNDOFF_ULPS = 10.0 * sys.float_info.epsilon
 
 #: No panel is accepted above this bisection depth, so every integral sees
@@ -267,6 +271,7 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
     needed.
     """
     require_interval(a, b)
+    nodes, w_fine, w_coarse = _cc_rule()
     span = b - a
     stack = [(a, b, 0)]
     pieces: list[float] = []
@@ -278,18 +283,18 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
             stack.append((mid, hi, depth + 1))  # pushed first, popped second
             stack.append((lo, mid, depth + 1))
             continue
-        evals += len(_CC_NODES)
+        evals += len(nodes)
         if evals > budget:
             raise NonConvergence(budget)
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        values = [fn(mid + half * t) for t in _CC_NODES]
-        fine = half * math.fsum(w * v for w, v in zip(_CC_W_FINE, values))
+        values = [fn(mid + half * t) for t in nodes]
+        fine = half * math.fsum(w * v for w, v in zip(w_fine, values))
         coarse = half * math.fsum(w * v for w, v in
-                                  zip(_CC_W_COARSE, values[::2]))
+                                  zip(w_coarse, values[::2]))
         err = abs(fine - coarse)
         magnitude = half * math.fsum(w * abs(v) for w, v in
-                                     zip(_CC_W_FINE, values))
+                                     zip(w_fine, values))
         floor = _ROUNDOFF_ULPS * magnitude
         if err <= tol * (hi - lo) / span or err <= floor:
             pieces.append(fine)

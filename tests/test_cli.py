@@ -597,14 +597,93 @@ def test_csv_format_flattens_keys(capsys):
 # Module execution
 # --------------------------------------------------------------------------
 
-def test_python_dash_m_entry_point():
-    # run the hh3 under test, installed or not
+def _child(argv, **kwargs):
+    """Run ``python *argv`` on the hh3 under test, installed or not, with
+    stdout block-buffered as it is by default into a pipe or a file."""
     src = os.path.dirname(os.path.dirname(hh3.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hh3", "bounds", *EXP01],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
-    assert doc["command"] == "bounds"
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *argv], stderr=subprocess.PIPE,
+                          timeout=60, env=env, **kwargs)
+
+
+def _into_closed_pipe(argv):
+    """Run ``python *argv`` with a stdout whose reader is gone."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _child(argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["bounds", *EXP01], EXIT_OK),
+    (["bounds", "--f", "x", "--a", "0", "--b", "1"], EXIT_MATH),
+    (["bounds", "--f", "exp(", "--a", "0", "--b", "1"], EXIT_USAGE),
+    # over 4 MB through a pipe: the exit must not cut the report short
+    (["integrate", *EXP01, "--n", "20000", "--per-interval"], EXIT_OK),
+], ids=["exit-0", "exit-2", "exit-64", "report-4mb"])
+def test_python_dash_m_entry_point(capsys, argv, code):
+    main_code, out, err = run(capsys, *argv)
+    proc = _child(["-m", "hh3", *argv])
+    assert proc.returncode == main_code == code
+    assert proc.stdout == out.encode("utf-8")
+    assert proc.stderr == err.encode("utf-8")
+
+
+def test_dash_m_with_stdout_closed_writes_out_file(tmp_path):
+    # with descriptor 1 closed, sys.stdout is None in the child
+    path = tmp_path / "report.json"
+    proc = _child(["-m", "hh3", "bounds", *EXP01, "--out", str(path)],
+                  preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(path.read_text())["command"] == "bounds"
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    # the write itself fails inside main(): a traceback and exit 1
+    (["integrate", *EXP01, "--n", "20000", "--per-interval"], 1,
+     b"Traceback (most recent call last)"),
+    # a buffered report fails only at the flush after main(), which the
+    # interpreter then reports on its own: exit 120
+    (["bounds", *EXP01], 120, b"Exception ignored in"),
+], ids=["write", "flush"])
+def test_dash_m_into_closed_pipe(argv, code, message):
+    proc = _into_closed_pipe(["-m", "hh3", *argv])
+    assert proc.returncode == code
+    assert proc.stderr.startswith(message)
+    assert b"BrokenPipeError: [Errno 32] Broken pipe" in proc.stderr
+
+
+@pytest.mark.parametrize("reader_gone", [False, True],
+                         ids=["exit", "flush-fails"])
+def test_exit_handlers_run_once(reader_gone):
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(sys.stderr.write, 'handler ran\\n')\n"
+              f"sys.argv = ['hh3', 'bounds', *{EXP01!r}]\n"
+              "runpy.run_module('hh3', run_name='__main__')\n")
+    argv = ["-c", script]
+    proc = _into_closed_pipe(argv) if reader_gone else _child(argv)
+    assert proc.returncode == (120 if reader_gone else 0)
+    assert proc.stderr.count(b"handler ran") == 1
+
+
+def test_command_and_dash_m_end_through_the_same_function():
+    tomllib = pytest.importorskip("tomllib")
+    import ast
+    import importlib
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["hh3"]
+    module_name, _, name = target.partition(":")
+    script = getattr(importlib.import_module(module_name), name)
+    main_module = importlib.import_module("hh3.__main__")
+    tree = ast.parse(open(main_module.__file__, encoding="utf-8").read())
+    exits = [node.args[0].func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "SystemExit"]
+    assert exits == [script.__name__]
+    assert getattr(main_module, exits[0]) is script

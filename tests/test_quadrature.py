@@ -12,11 +12,11 @@ from hh3.cli import main
 from hh3.errors import (BadInterval, BelowRoundingFloor, NonConvergence,
                         NonPositiveThirdDerivative, ToleranceUnreachable)
 from hh3.expr import parse
-from hh3.quadrature import (_CC_NODES, _CC_W_COARSE, _CC_W_FINE,
-                            CertifyOutcome, certify, composite_bound,
-                            corrected_midpoint_sum, identity_residual,
-                            integrate_adaptive, midpoint_sum,
-                            reference_integral, uniform_division)
+from hh3.quadrature import (_cc_rule, CertifyOutcome, certify,
+                            composite_bound, corrected_midpoint_sum,
+                            identity_residual, integrate_adaptive,
+                            midpoint_sum, reference_integral,
+                            uniform_division)
 
 
 # --------------------------------------------------------------------------
@@ -110,21 +110,23 @@ def test_corrected_sum_exp_single_interval():
 # --------------------------------------------------------------------------
 
 def test_panel_rule_weights_are_consistent():
-    assert len(_CC_NODES) == 33
-    assert math.fsum(_CC_W_FINE) == pytest.approx(2.0, abs=1e-14)
-    assert math.fsum(_CC_W_COARSE) == pytest.approx(2.0, abs=1e-14)
-    assert all(w > 0 for w in _CC_W_FINE)
+    nodes, w_fine, w_coarse = _cc_rule()
+    assert len(nodes) == 33
+    assert math.fsum(w_fine) == pytest.approx(2.0, abs=1e-14)
+    assert math.fsum(w_coarse) == pytest.approx(2.0, abs=1e-14)
+    assert all(w > 0 for w in w_fine)
     # coarse nodes are the even-indexed fine nodes
     for j in range(0, 33, 2):
-        assert _CC_NODES[j] == pytest.approx(
+        assert nodes[j] == pytest.approx(
             math.cos(math.pi * (j // 2) / 16), abs=1e-15)
 
 
 def test_panel_rule_polynomial_exactness():
     # one panel integrates x^k exactly for k well past the coarse rule's 17
+    nodes, w_fine, _ = _cc_rule()
     for k in range(0, 30):
         exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
-        fine = math.fsum(w * t ** k for w, t in zip(_CC_W_FINE, _CC_NODES))
+        fine = math.fsum(w * t ** k for w, t in zip(w_fine, nodes))
         assert fine == pytest.approx(exact, abs=5e-15)
 
 
