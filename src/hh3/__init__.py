@@ -8,17 +8,17 @@ corrected midpoint rule
 admits a-priori error bounds built only from |f'''| at the division points.
 This package parses an expression for f, evaluates derivatives exactly with
 jet arithmetic, computes three competing bounds (the direct one is never
-beaten, so it is also the "best" method), and checks its own hypotheses and
-identities against a high-accuracy reference integrator.  The ``hh3``
+beaten, so it alone certifies composite sums), and checks its own hypotheses
+and identities against a high-accuracy reference integrator.  The ``hh3``
 command line tool exposes all of it.
 """
 
 from .analysis import (CatalogEntry, ConvexityReport, HermiteHadamardReport,
                        catalog, check_hermite_hadamard, check_log_convexity,
                        check_log_convexity_pow, grid_samples)
-from .bounds import (BoundReport, DerivEndpoints, best_bound, bound_function,
-                     chi1, chi2, chi3, direct_bound, holder_bound,
-                     holder_factor, mu, mu_q, power_mean_bound)
+from .bounds import (BoundReport, DerivEndpoints, best_bound, chi1, chi2,
+                     chi3, direct_bound, holder_bound, holder_factor, mu,
+                     mu_q, power_mean_bound)
 from .errors import (BadInterval, BelowRoundingFloor, DomainError,
                      ExprSyntaxError, Hh3Error, NonConvergence,
                      NonPositiveThirdDerivative, NotConvex,
@@ -36,9 +36,9 @@ __all__ = [
     # expr
     "parse", "to_text", "evaluate", "eval_jet3", "Node",
     # bounds
-    "mu", "mu_q", "holder_factor", "chi1", "chi2", "chi3", "bound_function",
-    "direct_bound", "holder_bound", "power_mean_bound", "best_bound",
-    "DerivEndpoints", "BoundReport",
+    "mu", "mu_q", "holder_factor", "chi1", "chi2", "chi3", "direct_bound",
+    "holder_bound", "power_mean_bound", "best_bound", "DerivEndpoints",
+    "BoundReport",
     # quadrature
     "QuadResult", "CertifyOutcome", "uniform_division", "midpoint_sum",
     "corrected_midpoint_sum", "composite_bound", "reference_integral",

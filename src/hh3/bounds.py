@@ -23,8 +23,8 @@ chi3 at q = 1 collapses to chi1 by the same code path.  No q lets chi2 or
 chi3 undercut chi1: on the kernel path |f'''| <= G(t) = |f'''(b)| K^(t/2),
 chi1 integrates t^3 G exactly, and chi2 (Holder) and chi3 (the power mean
 under the weight t^3 dt) are upper bounds for that same integral.  So
-best_bound reports chi2 and chi3 at the single exponent DEFAULT_Q, and the
-composite "best" method is chi1.
+best_bound reports chi2 and chi3 at one exponent q, for the record, and the
+composite bound of :mod:`hh3.quadrature` is chi1 alone.
 
 ``mu`` and the Holder factor both degenerate to removable singularities as
 K -> 1 (mu(1) = 1/4, hf(1, q) = 1); both are computed from the log of the
@@ -36,18 +36,17 @@ finite.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, NonPositiveThirdDerivative, require_interval
 
 __all__ = [
     "L_SWITCH", "DerivEndpoints", "BoundReport", "mu", "mu_q",
     "holder_factor", "chi1", "chi2", "chi3", "interval_chi1",
-    "bound_function", "direct_bound", "holder_bound", "power_mean_bound",
-    "best_bound", "DEFAULT_Q", "METHOD_NAMES",
+    "direct_bound", "holder_bound", "power_mean_bound", "best_bound",
+    "DEFAULT_Q",
 ]
 
 #: |ln K| at or below which the moment series is used instead of the closed
@@ -62,10 +61,6 @@ _HALF_LOG_LIMIT = 700.0  # exp() overflows just above exp(709)
 #: The most ratios whose moments interval_chi1 keeps at once; past it the
 #: cache starts again empty, so its memory does not grow with the cells.
 _MOMENT_CACHE_SIZE = 1024
-
-#: Method tokens accepted by the composite layer and the CLI; "best" is
-#: an alias of "thm1".
-METHOD_NAMES = ("thm1", "thm2", "thm3", "best")
 
 #: The exponent of chi2 and chi3 when none is given.
 DEFAULT_Q = 2.0
@@ -237,7 +232,8 @@ def _qth_root(log_k: float, q: float, power_mean: bool) -> float:
 # The three bounds
 # --------------------------------------------------------------------------
 # Each takes |f'''(a)|, |f'''(b)| (finite, positive) and the width b - a, and
-# checks K and M where it takes their logs; bound_function checks q.
+# checks K and M where it takes their logs; holder_bound and
+# power_mean_bound check q.
 
 def chi1(f3a_abs: float, f3b_abs: float, width: float) -> float:
     """((b-a)^3/96) * (|f'''(b)| mu(K) + |f'''(a)| mu(M))."""
@@ -303,39 +299,21 @@ def interval_chi1(f3: Sequence[float],
     return tuple(out)
 
 
-def bound_function(method: str, q: float | None = None
-                   ) -> Callable[[float, float, float], float]:
-    """The bound of ``method`` as a function of (f3a_abs, f3b_abs, width).
-
-    The one place that maps a method to its bound and checks its exponent:
-    thm1 and best give chi1 and ignore q, thm2 gives chi2 and needs q > 1,
-    thm3 gives chi3 and needs q >= 1 (DomainError otherwise).  An unknown
-    method or a missing q is a ValueError.
-    """
-    if method not in METHOD_NAMES:
-        raise ValueError(f"unknown method {method!r}; "
-                         f"expected one of {METHOD_NAMES}")
-    if method in ("thm1", "best"):
-        return chi1
-    if q is None:
-        raise ValueError(f"method {method!r} needs an exponent q")
-    _require_q(q, method == "thm2", method)
-    return functools.partial(chi2 if method == "thm2" else chi3, q=q)
-
-
 def direct_bound(e: DerivEndpoints) -> float:
     """chi1 on a checked interval."""
     return chi1(e.f3a_abs, e.f3b_abs, e.width)
 
 
 def holder_bound(e: DerivEndpoints, q: float) -> float:
-    """chi2 on a checked interval; q > 1."""
-    return bound_function("thm2", q)(e.f3a_abs, e.f3b_abs, e.width)
+    """chi2 on a checked interval; q > 1 (DomainError otherwise)."""
+    _require_q(q, True, "holder_bound")
+    return chi2(e.f3a_abs, e.f3b_abs, e.width, q)
 
 
 def power_mean_bound(e: DerivEndpoints, q: float) -> float:
-    """chi3 on a checked interval; q >= 1."""
-    return bound_function("thm3", q)(e.f3a_abs, e.f3b_abs, e.width)
+    """chi3 on a checked interval; q >= 1 (DomainError otherwise)."""
+    _require_q(q, False, "power_mean_bound")
+    return chi3(e.f3a_abs, e.f3b_abs, e.width, q)
 
 
 # --------------------------------------------------------------------------
@@ -350,16 +328,16 @@ BoundReport.__doc__ = (
     """The three bounds, chi2 and chi3 at exponent ``q``, and the winner.""")
 
 
-def best_bound(e: DerivEndpoints) -> BoundReport:
-    """chi1, plus chi2 and chi3 at q = DEFAULT_Q, and the least of them.
+def best_bound(e: DerivEndpoints, q: float = DEFAULT_Q) -> BoundReport:
+    """chi1, plus chi2 and chi3 at exponent q > 1, and the least of them.
 
     The minimum is chi1 up to rounding for every q (see the module
     docstring); ties resolve toward chi1, then chi2.
     """
     chi1 = direct_bound(e)
-    chi2 = holder_bound(e, DEFAULT_Q)
-    chi3 = power_mean_bound(e, DEFAULT_Q)
+    chi2 = holder_bound(e, q)
+    chi3 = power_mean_bound(e, q)
     min_value, argmin_label = min((chi1, "chi1"), (chi2, "chi2"),
                                   (chi3, "chi3"), key=lambda c: c[0])
-    return BoundReport(chi1=chi1, chi2=chi2, chi3=chi3, q=DEFAULT_Q,
+    return BoundReport(chi1=chi1, chi2=chi2, chi3=chi3, q=q,
                        min_value=min_value, argmin_label=argmin_label)

@@ -4,7 +4,9 @@ Five subcommands: ``bounds`` (single-interval bound report plus log-convexity
 evidence), ``integrate`` (composite sums and certified bound for a fixed n),
 ``certify`` (double n until a target tolerance is certified), ``verify``
 (hypothesis checks and the kernel-identity residual) and ``sweep`` (a CSV
-table over a list of n).
+table over a list of n).  ``bounds`` reports the paper's chi1, and chi2 and
+chi3 at the exponent ``--q``; the composite commands certify with chi1
+alone, which no exponent undercuts.
 
 Exit codes: 0 on success, 2 when the mathematics rejects the input (domain
 errors, vanishing third derivative, non-convergence, unreachable tolerance),
@@ -28,7 +30,7 @@ import sys
 from collections import namedtuple
 
 from . import analysis, bounds, quadrature
-from .errors import DomainError, ExprSyntaxError, Hh3Error, NotConvex
+from .errors import ExprSyntaxError, Hh3Error, NotConvex
 from .expr import eval_jet3, parse
 from .reportfmt import Table, rows_to_csv, to_csv, to_json, to_text
 
@@ -85,8 +87,9 @@ OPTIONS = {
                           "odd grid of the log-convexity check (default 257)"),
     "n": Option("--n", "integer", ("integrate",), "subintervals (default 1)"),
     "method": Option("--method", "string", _BOUNDED,
-                     "/".join(bounds.METHOD_NAMES) + " (default best: thm1)"),
-    "q": Option("--q", "number", _BOUNDED, "thm2/thm3 exponent (default 2)"),
+                     "thm1 or best, both chi1 (default best)"),
+    "q": Option("--q", "number", ("bounds",),
+                "chi2/chi3 exponent, > 1 (default 2)"),
     "per_interval": Option("--per-interval", "switch", ("integrate",),
                            "include each subinterval's bound in the report"),
     "oracle": Option("--oracle", "switch", ("integrate",),
@@ -168,12 +171,13 @@ RunConfig = namedtuple("RunConfig", [
     "n",                      # int
     "tol",                    # float or None
     "method",                 # str
-    "q",                      # float or None
+    "q",                      # float > 1
     "n_list",                 # tuple of ints
     "grid_points", "n_max",   # int
     "per_interval", "oracle",  # bool
-], defaults=(1, None, "best", None, (), analysis.GRID_POINTS_DEFAULT,
-             quadrature.MAX_SUBINTERVALS, False, False))
+], defaults=(1, None, "best", bounds.DEFAULT_Q, (),
+             analysis.GRID_POINTS_DEFAULT, quadrature.MAX_SUBINTERVALS,
+             False, False))
 
 
 def _load_config(path: str) -> dict:
@@ -258,16 +262,11 @@ def resolve(command: str, flags: dict) -> RunConfig:
     out = values.get("out")
 
     method = values.get("method") or "best"
-    if method not in bounds.METHOD_NAMES:
-        raise UsageError(f"--method: expected one of "
-                         f"{'/'.join(bounds.METHOD_NAMES)}, got {method!r}")
+    if method not in ("thm1", "best"):
+        raise UsageError(f"--method: expected thm1 or best, got {method!r}")
     q = _require_finite("--q", values.get("q", bounds.DEFAULT_Q))
-    if method in ("thm1", "best"):
-        q = None
-    try:
-        bounds.bound_function(method, q)
-    except DomainError as exc:
-        raise UsageError(f"--q: {exc}") from None
+    if not q > 1.0:
+        raise UsageError(f"--q: must be > 1, got {q!r}")
 
     grid_points = values.get("grid_points", analysis.GRID_POINTS_DEFAULT)
     if grid_points < 3 or grid_points % 2 == 0:
@@ -332,7 +331,7 @@ def cmd_bounds(cfg: RunConfig) -> dict:
     jet_b = eval_jet3(cfg.ast, cfg.b)
     e = bounds.DerivEndpoints(f3a_abs=abs(jet_a[3]), f3b_abs=abs(jet_b[3]),
                               a=cfg.a, b=cfg.b)
-    report = bounds.best_bound(e)
+    report = bounds.best_bound(e, cfg.q)
     convexity = analysis.check_log_convexity(cfg.ast, cfg.a, cfg.b,
                                              cfg.grid_points)
     doc = _envelope(cfg)
@@ -350,25 +349,26 @@ def cmd_bounds(cfg: RunConfig) -> dict:
 
 def cmd_integrate(cfg: RunConfig) -> dict:
     division = quadrature.uniform_division(cfg.a, cfg.b, cfg.n)
-    result = quadrature.composite_bound(cfg.ast, division, method=cfg.method,
-                                        q=cfg.q)
+    result = quadrature.composite_bound(cfg.ast, division)
+    # |I - midpoint_sum| <= certified_bound + |corrected_sum - midpoint_sum|;
+    # one step up covers the rounding of the difference and of the sum.
+    gap = abs(result.corrected_sum - result.midpoint_sum)
     doc = _envelope(cfg)
     doc.update({
-        "n": cfg.n, "method": cfg.method, "q": cfg.q,
+        "n": cfg.n, "method": cfg.method,
         "midpoint_sum": result.midpoint_sum,
         "corrected_sum": result.corrected_sum,
         "certified_bound": result.certified_bound,
-        "midpoint_bound": result.certified_bound,
-        "midpoint_bound_heuristic": result.midpoint_bound_heuristic,
+        "midpoint_bound": math.nextafter(result.certified_bound + gap,
+                                         math.inf),
     })
     if cfg.per_interval:
-        label = "thm1" if cfg.method == "best" else cfg.method
         f3 = result.f3
-        keys = ("lo", "hi", "bound", "k_ratio", "m_ratio", "method", "q")
+        keys = ("lo", "hi", "bound", "k_ratio", "m_ratio")
         rows = zip(division, division[1:], f3, f3[1:],
                    result.interval_bounds)
         doc["intervals"] = Table(keys, [
-            (lo, hi, bound, f3a / f3b, f3b / f3a, label, cfg.q)
+            (lo, hi, bound, f3a / f3b, f3b / f3a)
             for lo, hi, f3a, f3b, bound in rows])
     if cfg.oracle:
         truth = quadrature.reference_integral(cfg.ast, cfg.a, cfg.b,
@@ -382,11 +382,10 @@ def cmd_integrate(cfg: RunConfig) -> dict:
 
 def cmd_certify(cfg: RunConfig) -> dict:
     outcome = quadrature.certify(cfg.ast, cfg.a, cfg.b, cfg.tol,
-                                 method=cfg.method, q=cfg.q,
                                  n_max=cfg.n_max)
     doc = _envelope(cfg)
     doc.update({
-        "tol": cfg.tol, "method": cfg.method, "q": cfg.q,
+        "tol": cfg.tol, "method": cfg.method,
         "n_final": outcome.n_final, "iterations": outcome.iterations,
         "midpoint_sum": outcome.result.midpoint_sum,
         "corrected_sum": outcome.result.corrected_sum,
@@ -435,8 +434,8 @@ def cmd_sweep(cfg: RunConfig) -> str:
         # "best" is thm1, so one bound fills both bound columns.  Given the
         # count before as coarse, a count twice it evaluates only new points.
         jets: list[tuple] = []
-        result = quadrature.composite_bound(cfg.ast, division, method="thm1",
-                                            coarse=coarse, midpoint_jets=jets)
+        result = quadrature.composite_bound(cfg.ast, division, coarse=coarse,
+                                            midpoint_jets=jets)
         coarse = (division, result.f3, jets)
         error = abs(result.corrected_sum - truth)
         ratio = result.certified_bound / error if error > 0.0 else math.inf

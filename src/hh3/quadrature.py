@@ -7,15 +7,11 @@ points, induces the two sums
     corrected:  sum_i h_i f(m_i) + (h_i^3 / 24) f''(m_i)
 
 with h_i = x_{i+1} - x_i and m_i the subinterval midpoints.  When |f'''| is
-positive at every division point, each subinterval contributes a rigorous
-bound from :mod:`hh3.bounds` (scaled by h_i, turning the mean-value bound
-into an integral one), and their sum certifies the corrected sum:
+positive at every division point, each subinterval contributes the bound
+chi1 of :mod:`hh3.bounds` (scaled by h_i, turning the mean-value bound into
+an integral one), and their sum certifies the corrected sum:
 
     | integral - corrected_sum |  <=  certified_bound.
-
-The same number is attached to the plain midpoint sum only as a heuristic:
-it becomes rigorous exactly when the correction terms vanish, so the flag
-flips to rigorous when max_i |f''(m_i)| <= 1e-12 * scale.
 
 The reference integrator used for truth values and residual checks is an
 adaptive bisection scheme whose panel rule is a nested Clenshaw-Curtis pair
@@ -57,10 +53,6 @@ DEFAULT_EVAL_BUDGET = 1_000_000
 #: subintervals, so more than 1 GB at this size.
 MAX_SUBINTERVALS = 2 ** 20
 
-#: Correction terms at or below 1e-12 * scale make the midpoint bound
-#: rigorous rather than heuristic.
-_MIDPOINT_RIGOROUS_TOL = 1e-12
-
 
 # --------------------------------------------------------------------------
 # Divisions: strictly increasing tuples of points
@@ -93,12 +85,10 @@ def _checked(points: Sequence[float]) -> tuple[float, ...]:
 
 def _midpoint_pass(jet: Callable, points: tuple[float, ...],
                    jets: list | None = None) -> tuple:
-    """One pass over the subintervals, left to right: their widths, the
-    terms of the midpoint and the corrected sums, and whether the bound is
-    only a heuristic for the midpoint sum.  ``jets``, if a list, receives
-    the jet at each midpoint."""
+    """One pass over the subintervals, left to right: their widths and the
+    terms of the midpoint and the corrected sums.  ``jets``, if a list,
+    receives the jet at each midpoint."""
     widths, plain, corrected = [], [], []
-    top0 = top2 = 0.0  # max |f(m)| and |f''(m)|; jets are finite
     for lo, hi in zip(points, points[1:]):
         h = hi - lo
         j = jet(0.5 * (lo + hi))
@@ -109,12 +99,7 @@ def _midpoint_pass(jet: Callable, points: tuple[float, ...],
         hf = h * f0
         plain.append(hf)
         corrected.append(hf + h ** 3 / 24.0 * f2)
-        if abs(f0) > top0:
-            top0 = abs(f0)
-        if abs(f2) > top2:
-            top2 = abs(f2)
-    heuristic = top2 > _MIDPOINT_RIGOROUS_TOL * max(1.0, top0)
-    return widths, plain, corrected, heuristic
+    return widths, plain, corrected
 
 
 def midpoint_sum(f: Node, points: Sequence[float]) -> float:
@@ -134,31 +119,27 @@ QuadResult = namedtuple("QuadResult", [
     "certified_bound",  # float: fsum of interval_bounds
     "f3",               # floats: |f'''| at each division point
     "interval_bounds",  # floats: one bound per subinterval
-    # bool: certified_bound is heuristic for midpoint_sum
-    "midpoint_bound_heuristic",
 ])
 
 
-def composite_bound(f: Node, points: Sequence[float], method: str = "best",
-                    q: float | None = None, *,
+def composite_bound(f: Node, points: Sequence[float], *,
                     coarse: tuple[Sequence[float], Sequence[float],
                                   Sequence[tuple]] | None = None,
                     midpoint_jets: list | None = None) -> QuadResult:
     """Corrected-midpoint sums plus a certified bound on the corrected one.
 
     ``points`` is any strictly increasing division of [a, b], such as
-    :func:`uniform_division` returns.  ``method`` is one of ``thm1``
-    (direct), ``thm2`` (Holder, needs q > 1), ``thm3`` (power mean, needs
-    q >= 1) or ``best``, which is ``thm1``: no exponent lets the other two
-    beat it (see :mod:`hh3.bounds`).  Requires |f'''| > 0 at every division
-    point.  Errors surface in this order: the points, the method, |f'''| at
-    each point, the jet at each midpoint, then each subinterval's ratios.
+    :func:`uniform_division` returns.  Each subinterval's bound is chi1: no
+    exponent lets chi2 or chi3 beat it (see :mod:`hh3.bounds`).  Requires
+    |f'''| > 0 at every division point.  Errors surface in this order: the
+    points, |f'''| at each point, the jet at each midpoint, then each
+    subinterval's ratios.
 
-    For ``thm1`` and ``best``, :func:`hh3.bounds.interval_chi1` computes mu
-    once per distinct ratio K = |f'''(lo)| / |f'''(hi)| in the call, in a
-    cache of bounded size.  Where |f'''| is log-affine, as for exp(c x),
-    K = e^(-c h) on every cell of width h, so a uniform division repeats a
-    few dozen rounded ratios over all its cells.
+    :func:`hh3.bounds.interval_chi1` computes mu once per distinct ratio
+    K = |f'''(lo)| / |f'''(hi)| in the call, in a cache of bounded size.
+    Where |f'''| is log-affine, as for exp(c x), K = e^(-c h) on every cell
+    of width h, so a uniform division repeats a few dozen rounded ratios
+    over all its cells.
 
     ``coarse`` is a coarser division, |f'''| at its points (the ``f3`` of
     its result) and the jets at its midpoints, which ``midpoint_jets``
@@ -168,7 +149,6 @@ def composite_bound(f: Node, points: Sequence[float], method: str = "best",
     takes |f'''| from the jet there; every other point is evaluated.
     """
     points = _checked(points)
-    bound = _bounds.bound_function(method, q)
     jet = compile_jet3(f)
     if coarse is not None and points[::2] == tuple(coarse[0]):
         f3 = [0.0] * len(points)
@@ -180,14 +160,8 @@ def composite_bound(f: Node, points: Sequence[float], method: str = "best",
     else:
         f3 = _f3_magnitudes(jet, points)
 
-    widths, plain, corrected, heuristic = _midpoint_pass(jet, points,
-                                                         midpoint_jets)
-
-    if bound is _bounds.chi1:
-        interval_bounds = _bounds.interval_chi1(f3, widths)
-    else:
-        interval_bounds = tuple(h * bound(f3a, f3b, h)
-                                for f3a, f3b, h in zip(f3, f3[1:], widths))
+    widths, plain, corrected = _midpoint_pass(jet, points, midpoint_jets)
+    interval_bounds = _bounds.interval_chi1(f3, widths)
     certified = math.fsum(interval_bounds)
 
     return QuadResult(
@@ -196,7 +170,6 @@ def composite_bound(f: Node, points: Sequence[float], method: str = "best",
         certified_bound=certified,
         f3=tuple(f3),
         interval_bounds=interval_bounds,
-        midpoint_bound_heuristic=heuristic,
     )
 
 
@@ -367,8 +340,7 @@ CertifyOutcome = namedtuple("CertifyOutcome", "result n_final iterations")
 _ROUNDING_ULPS = 2048.0
 
 
-def certify(f: Node, a: float, b: float, tol: float, method: str = "best",
-            q: float | None = None,
+def certify(f: Node, a: float, b: float, tol: float,
             n_max: int = MAX_SUBINTERVALS) -> CertifyOutcome:
     """Double a uniform division until the certified bound meets ``tol``.
 
@@ -421,8 +393,7 @@ def certify(f: Node, a: float, b: float, tol: float, method: str = "best",
     while n <= n_max:
         points = uniform_division(a, b, n)
         jets: list[tuple] = []
-        result = composite_bound(f, points, method=method, q=q, coarse=coarse,
-                                 midpoint_jets=jets)
+        result = composite_bound(f, points, coarse=coarse, midpoint_jets=jets)
         coarse = (points, result.f3, jets)
         iterations += 1
         best_seen = min(best_seen, result.certified_bound)

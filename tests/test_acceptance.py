@@ -90,29 +90,30 @@ def test_criterion_03_power_mean_at_q1_degenerates_to_direct():
 def test_criterion_04_certified_bounds_are_sound():
     failures = []
     start = time.perf_counter()
-    methods = (("thm1", None), ("thm3", 2.0), ("thm2", 2.0), ("best", None))
     for entry in analysis.catalog():
         if not entry.log_convex:
             continue
         ast = entry.ast()
         truth = quadrature.reference_integral(ast, entry.a, entry.b, 1e-13)
         for n in (1, 2, 4, 8, 16, 32, 64):
-            division = quadrature.uniform_division(entry.a, entry.b, n)
             error = None
-            for method, q in methods:
-                result = quadrature.composite_bound(ast, division,
-                                                    method=method, q=q)
+            for method in ("thm1", "best"):
+                cfg = cli.resolve("integrate", {
+                    "f": entry.expression, "a": entry.a, "b": entry.b,
+                    "n": n, "method": method})
+                result = cli.cmd_integrate(cfg)
                 if error is None:
-                    error = abs(result.corrected_sum - truth)
-                if result.certified_bound < error - 1e-12:
+                    error = abs(result["corrected_sum"] - truth)
+                if result["certified_bound"] < error - 1e-12:
                     failures.append(
                         f"{entry.expression} n={n} {method}: bound "
-                        f"{result.certified_bound:.3e} < error {error:.3e}")
+                        f"{result['certified_bound']:.3e} < error "
+                        f"{error:.3e}")
     elapsed = time.perf_counter() - start
     if elapsed >= 30.0:
         failures.append(f"runtime {elapsed:.2f}s >= 30s")
     check(4, "certified bound covers the true corrected-sum error for every "
-             "catalog function, n in 1..64, all four methods (under 30s)",
+             "catalog function, n in 1..64, both methods (under 30s)",
           failures)
 
 
@@ -120,7 +121,7 @@ def test_criterion_05_worked_exponential_example():
     failures = []
     ast = parse("exp(x)")
     division = quadrature.uniform_division(0.0, 1.0, 1)
-    result = quadrature.composite_bound(ast, division, method="thm1")
+    result = quadrature.composite_bound(ast, division)
     truth = math.e - 1.0
     defect = abs(result.corrected_sum - truth)
     bound = result.certified_bound
@@ -140,7 +141,7 @@ def test_criterion_06_sharpest_interval_bound_scales_like_h4():
 
     def max_interval_bound(n: int) -> float:
         division = quadrature.uniform_division(0.0, 1.0, n)
-        result = quadrature.composite_bound(ast, division, method="thm1")
+        result = quadrature.composite_bound(ast, division)
         return max(result.interval_bounds)
 
     for n in (8, 16, 32):

@@ -12,12 +12,13 @@ from bound_reference import (holder_bound_reference,
 from hh3 import bounds
 from hh3.bounds import (DEFAULT_Q, L_SWITCH, BoundReport, DerivEndpoints,
                         _moment_closed, _moment_series, _qth_root, best_bound,
-                        bound_function, chi1, chi2, chi3, direct_bound,
-                        holder_bound, holder_factor, interval_chi1, mu, mu_q,
+                        chi1, chi2, chi3, direct_bound, holder_bound,
+                        holder_factor, interval_chi1, mu, mu_q,
                         power_mean_bound)
+from hh3.cli import cmd_integrate, resolve
 from hh3.errors import (BadInterval, DomainError,
                         NonPositiveThirdDerivative)
-from hh3.expr import eval_jet3, parse
+from hh3.expr import parse
 from hh3.quadrature import composite_bound, integrate_adaptive, \
     uniform_division
 
@@ -214,19 +215,16 @@ def test_holder_bound_constant_third_derivative_q2():
 
 
 def test_holder_exponents_reject_q_at_most_one():
-    # the Holder exponent rule q > 1 is checked where thm2 gets its bound
+    # the Holder exponent rule q > 1 holds wherever chi2 takes its exponent
     for q in (1.0, 0.3, -2.0, math.nan):
-        with pytest.raises(DomainError):
-            bound_function("thm2", q)
+        with pytest.raises(DomainError, match="^holder_bound needs q > 1"):
+            best_bound(_EXP_ENDPOINTS, q)
 
 
 def test_holder_bound_needs_q_above_one():
-    f, d = parse("exp(x)"), uniform_division(0.0, 1.0, 2)
     for q in (1.0, 0.3, -2.0, math.nan, math.inf):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^holder_bound needs q > 1"):
             holder_bound(_EXP_ENDPOINTS, q)
-        with pytest.raises(DomainError):
-            composite_bound(f, d, method="thm2", q=q)
 
 
 def test_power_mean_bound_at_q1_equals_direct_bitwise():
@@ -239,29 +237,10 @@ def test_power_mean_bound_at_q1_equals_direct_bitwise():
 
 
 def test_power_mean_bound_rejects_q_below_one():
-    f, d = parse("exp(x)"), uniform_division(0.0, 1.0, 2)
     for q in (0.99, -2.0, math.nan, math.inf):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match="^power_mean_bound needs q >= 1"):
             power_mean_bound(_EXP_ENDPOINTS, q)
-        with pytest.raises(DomainError):
-            composite_bound(f, d, method="thm3", q=q)
-
-
-def test_bound_function_maps_each_method_and_checks_q():
-    assert bound_function("thm1") is chi1
-    assert bound_function("best", 0.5) is chi1     # q is ignored
-    assert bound_function("thm2", 3.0)(2.0, 5.0, 0.5) == \
-        chi2(2.0, 5.0, 0.5, 3.0)
-    assert bound_function("thm3", 1.0)(2.0, 5.0, 0.5) == chi1(2.0, 5.0, 0.5)
-    for method in ("thm2", "thm3"):
-        with pytest.raises(ValueError, match="needs an exponent q"):
-            bound_function(method)
-    with pytest.raises(ValueError, match="unknown method"):
-        bound_function("simpson", 2.0)
-    with pytest.raises(DomainError, match=r"^thm2 needs q > 1, got 1\.0$"):
-        bound_function("thm2", 1.0)
-    with pytest.raises(DomainError, match=r"^thm3 needs q >= 1, got 0\.5$"):
-        bound_function("thm3", 0.5)
 
 
 # chi2 and chi3 against the record-based bounds they replaced, bit for bit:
@@ -314,27 +293,20 @@ def test_log_space_roots_match_record_reference_bit_for_bit(log_ratio, frac,
             reference._qth_root(weight, k, q).hex()
 
 
-@settings(max_examples=100, deadline=None)
+# --method best and thm1 both name chi1: their reports differ only in the
+# echoed method.
+@settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=-60.0, max_value=60.0).filter(
            lambda c: abs(c) >= 1e-3),
-       st.integers(min_value=1, max_value=6),
-       st.floats(min_value=1.0, max_value=64.0, exclude_min=True),
-       st.sampled_from(["thm2", "thm3"]))
-@example(c=60.0, n=1, q=64.0, method="thm2")    # ln M = 60: log-space roots
-@example(c=-60.0, n=2, q=64.0, method="thm3")
-@example(c=7.0, n=3, q=1.0, method="thm3")
-def test_composite_thm2_thm3_intervals_match_record_reference(c, n, q,
-                                                              method):
-    f = parse(f"exp({c!r}*x)")
-    d = uniform_division(0.0, 1.0, n)
-    result = composite_bound(f, d, method=method, q=q)
-    reference = (holder_bound_reference if method == "thm2"
-                 else power_mean_bound_reference)
-    assert len(result.interval_bounds) == n
-    for lo, hi, bound in zip(d, d[1:], result.interval_bounds):
-        e = DerivEndpoints(abs(eval_jet3(f, lo)[3]), abs(eval_jet3(f, hi)[3]),
-                           lo, hi)
-        assert bound.hex() == (e.width * reference(e, q)).hex()
+       st.integers(min_value=1, max_value=8))
+def test_best_method_is_thm1(c, n):
+    def report(method: str) -> dict:
+        return cmd_integrate(resolve("integrate", {
+            "f": f"exp({c!r}*x)", "a": 0.0, "b": 1.0, "n": n,
+            "method": method, "per_interval": True}))
+    best, thm1 = report("best"), report("thm1")
+    assert (best.pop("method"), thm1.pop("method")) == ("best", "thm1")
+    assert best == thm1
 
 
 def test_bounds_scale_with_width_cubed():
@@ -370,17 +342,6 @@ def test_holder_and_power_mean_never_undercut_direct(log_k, log_f3b, q):
         assert power_mean_bound(e, q) >= chi1 * (1.0 - 4.0 * eps)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=-60.0, max_value=60.0).filter(
-           lambda c: abs(c) >= 1e-3),
-       st.integers(min_value=1, max_value=8))
-def test_best_method_is_thm1(c, n):
-    f = parse(f"exp({c!r}*x)")
-    d = uniform_division(0.0, 1.0, n)
-    assert composite_bound(f, d, method="best") == \
-        composite_bound(f, d, method="thm1")
-
-
 # --------------------------------------------------------------------------
 # best_bound
 # --------------------------------------------------------------------------
@@ -407,6 +368,14 @@ def test_best_bound_labels_are_consistent():
     assert report.q == DEFAULT_Q == 2.0
     assert report.chi2 == holder_bound(_EXP_ENDPOINTS, 2.0)
     assert report.chi3 == power_mean_bound(_EXP_ENDPOINTS, 2.0)
+
+
+def test_best_bound_takes_the_exponent_of_chi2_and_chi3():
+    report = best_bound(_EXP_ENDPOINTS, 1.5)
+    assert report.q == 1.5
+    assert report.chi1 == direct_bound(_EXP_ENDPOINTS)
+    assert report.chi2 == holder_bound(_EXP_ENDPOINTS, 1.5)
+    assert report.chi3 == power_mean_bound(_EXP_ENDPOINTS, 1.5)
 
 
 # --------------------------------------------------------------------------

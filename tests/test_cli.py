@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -48,8 +49,8 @@ def test_success_is_zero(capsys):
     ["bounds", *EXP01, "--grid-n", "4"],                  # even grid
     ["integrate", *EXP01, "--n", "0"],
     ["integrate", *EXP01, "--method", "simpson"],         # unknown choice
-    ["integrate", *EXP01, "--method", "thm2", "--q", "1"],
-    ["integrate", *EXP01, "--method", "thm3", "--q", "0.5"],
+    ["integrate", *EXP01, "--method", "thm2"],            # chi1 only
+    ["integrate", *EXP01, "--method", "thm3"],
     ["certify", *EXP01],                                  # missing --tol
     ["certify", *EXP01, "--tol", "-1"],
     ["sweep", *EXP01],                                    # missing --n-list
@@ -59,6 +60,10 @@ def test_success_is_zero(capsys):
     ["bounds", *EXP01, "--q-grid", "1:2:8(log)"],         # flag was removed
     ["bounds", "--a", "0", "--b", "1"],                   # missing --f
     ["frobnicate", *EXP01],                               # unknown command
+    ["certify", *EXP01, "--tol", "1e-3", "--method", "thm2"],
+    ["certify", *EXP01, "--tol", "1e-3", "--method", "thm3"],
+    ["integrate", *EXP01, "--q", "2"],                    # a flag of bounds
+    ["bounds", *EXP01, "--q", "1"],                       # chi2 needs q > 1
 ])
 def test_usage_errors_are_64(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -102,10 +107,9 @@ def test_parser_refusals_name_the_flag_or_command(capsys, argv, named):
     (["integrate", "--f", "-exp(x)", "--a", "0", "--b", "1"],
      ["integrate", "--f=-exp(x)", "--a", "0", "--b", "1"]),
     # --flag=value is --flag value
-    (["integrate", *EXP01, "--n=4", "--method=thm2", "--q=3",
-      "--format=csv"],
-     ["integrate", *EXP01, "--n", "4", "--method", "thm2", "--q", "3",
-      "--format", "csv"]),
+    (["integrate", *EXP01, "--n=4", "--method=thm1", "--format=csv"],
+     ["integrate", *EXP01, "--n", "4", "--method", "thm1", "--format",
+      "csv"]),
     # a repeated flag keeps its last value
     (["integrate", *EXP01, "--n", "2", "--format", "csv", "--n", "4"],
      ["integrate", *EXP01, "--format", "csv", "--n", "4"]),
@@ -168,7 +172,7 @@ def test_math_errors_are_2(capsys, argv):
     ["bounds", "--f", "x^4", "--a", "1", "--b", "2"],     # failing evidence
     ["integrate", *EXP01, "--n", "4"],
     ["integrate", *EXP01, "--n", "4", "--per-interval", "--oracle"],
-    ["integrate", *EXP01, "--method", "thm2", "--q", "2"],
+    ["integrate", *EXP01, "--method", "thm1"],
     ["certify", *EXP01, "--tol", "1e-6"],
     ["verify", *EXP01],
     ["verify", "--f", "log(x)", "--a", "1", "--b", "2"],  # concave branch
@@ -208,12 +212,28 @@ def test_steep_ratio_bounds_report(capsys):
 @pytest.mark.parametrize("method", ["thm2", "thm3"])
 def test_large_q_on_steep_ratio_does_not_overflow(capsys, method):
     # q * |ln K| / 2 = 960 puts K^(q/2) far beyond float range
-    code, out, _ = run(capsys, "integrate", *STEEP, "--method", method,
-                       "--q", "64")
+    code, out, _ = run(capsys, "bounds", *STEEP, "--q", "64")
     assert code == EXIT_OK
-    _, direct, _ = run(capsys, "integrate", *STEEP, "--method", "thm1")
-    assert json.loads(out)["certified_bound"] >= \
-        json.loads(direct)["certified_bound"]
+    doc = json.loads(out)
+    chi = doc["chi2" if method == "thm2" else "chi3"]
+    assert math.isfinite(chi) and chi >= doc["chi1"]
+
+
+# The single-interval bounds that integrate --n 1 --per-interval printed
+# for exp(x)+exp(2*x) on [0, 1] with --method thm2 --q 3 and with --method
+# thm3 --q 1.5, before chi2 and chi3 left the composite path.
+@pytest.mark.parametrize("q, key, bits", [
+    ("3", "chi2", "0x1.92d0265961c9ep-3"),     # 0.19668607673904587
+    ("1.5", "chi3", "0x1.0534f6d184f37p-3"),   # 0.12754242731954843
+])
+def test_bounds_q_gives_the_old_composite_thm2_thm3_bits(capsys, q, key,
+                                                         bits):
+    code, out, _ = run(capsys, "bounds", "--f", "exp(x)+exp(2*x)",
+                       "--a", "0", "--b", "1", "--q", q)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["q"] == float(q)
+    assert (doc[key] * (doc["b"] - doc["a"])).hex() == bits
 
 
 def test_underflowing_ratio_is_a_math_error(capsys):
@@ -260,8 +280,11 @@ def test_integrate_oracle_soundness(capsys):
     doc = json.loads(out)
     assert doc["sound"] is True
     assert doc["true_error"] <= doc["certified_bound"]
-    assert doc["midpoint_bound"] == doc["certified_bound"]
-    assert doc["midpoint_bound_heuristic"] is True   # exp has f'' != 0
+    gap = abs(doc["corrected_sum"] - doc["midpoint_sum"])
+    assert doc["midpoint_bound"] == math.nextafter(
+        doc["certified_bound"] + gap, math.inf)
+    assert abs(doc["true_value"] - doc["midpoint_sum"]) <= \
+        doc["midpoint_bound"]
 
 
 def test_certify_report(capsys):
@@ -412,11 +435,10 @@ def test_flags_set_to_zero_override_config(capsys, tmp_path):
 
 # A valid value of each key, under a run on [0, 1] with the flags of BASE
 VALID = {"f": "exp(2*x)", "a": 0.25, "b": 0.75, "out": "report.txt",
-         "format": "csv", "grid_points": 5, "n": 3, "method": "thm2",
+         "format": "csv", "grid_points": 5, "n": 3, "method": "thm1",
          "q": 3.0, "per_interval": True, "oracle": True, "tol": 1e-3,
          "n_max": 8, "n_list": "1,2"}
 BASE = {"certify": {"tol": 1e-2}, "sweep": {"n_list": "4"}}
-NEEDS = {"q": {"method": "thm3"}}   # best, the default, takes no q
 
 
 def flag_argv(values: dict) -> list[str]:
@@ -441,8 +463,7 @@ def test_config_keys_match_flags(tmp_path):
                     parse_args(argv)
                 continue
             assert parse_args(argv) == (command, {key: value})
-            unset = {"f": "exp(x)", "a": 0, "b": 1, **BASE.get(command, {}),
-                     **NEEDS.get(key, {})}
+            unset = {"f": "exp(x)", "a": 0, "b": 1, **BASE.get(command, {})}
             values = {**unset, key: value}
             path = tmp_path / "run.json"
             path.write_text(json.dumps(values))
@@ -566,7 +587,7 @@ def test_out_matches_stdout_bytes(capsys, tmp_path):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_out_matches_stdout_bytes_per_interval(capsys, tmp_path, fmt):
-    argv = ["integrate", *EXP01, "--n", "12", "--method", "thm3",
+    argv = ["integrate", *EXP01, "--n", "12", "--method", "thm1",
             "--per-interval", "--format", fmt]
     _, stdout_text, _ = run(capsys, *argv)
     path = tmp_path / f"report.{fmt}"

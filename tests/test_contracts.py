@@ -41,6 +41,40 @@ def test_bench_tracer_resolves_every_target():
     assert hh3.quadrature.composite_bound is original
 
 
+#: Every (module, name) whose binding bench/tracer.py replaces.
+_TRACED = {
+    "hh3.cli": ("main", "resolve", "parse", "eval_jet3", "rows_to_csv",
+                "_RENDERERS"),
+    "hh3.analysis": ("parse", "eval_jet3", "integrate_adaptive",
+                     "check_log_convexity", "grid_samples",
+                     "check_hermite_hadamard"),
+    "hh3.quadrature": ("eval_jet3", "evaluate", "composite_bound",
+                       "certify", "integrate_adaptive", "identity_residual"),
+    "hh3.bounds": ("direct_bound", "best_bound", "holder_bound",
+                   "power_mean_bound"),
+}
+
+
+@pytest.mark.parametrize("module, name", [
+    (module, name) for module, names in _TRACED.items() for name in names])
+def test_every_name_the_bench_tracer_wraps_exists(module, name):
+    value = getattr(importlib.import_module(module), name)
+    for fn in value.values() if name == "_RENDERERS" else (value,):
+        assert callable(fn)
+
+
+def test_traced_names_are_the_bench_tracers_targets():
+    spec = importlib.util.spec_from_file_location("hh3_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = {(module.__name__, attr)
+               for attr, modules in tracer._TARGETS.values()
+               for module in modules}
+    targets |= {("hh3.cli", "rows_to_csv"), ("hh3.cli", "_RENDERERS")}
+    assert targets == {(module, name) for module, names in _TRACED.items()
+                       for name in names}
+
+
 @pytest.mark.parametrize("fmt", sorted(cli._RENDERERS))
 def test_renderers_return_str(fmt):
     # the tracer counts rendered bytes with ``text.encode``
@@ -130,10 +164,9 @@ _RECORDS = [
                    "min_value": 0.1, "argmin_label": "chi1"}),
     (QuadResult, {"midpoint_sum": 1.0, "corrected_sum": 1.5,
                   "certified_bound": 0.01, "f3": (1.0, 2.0),
-                  "interval_bounds": (0.01,),
-                  "midpoint_bound_heuristic": True}),
+                  "interval_bounds": (0.01,)}),
     (CertifyOutcome, {"result": QuadResult(1.0, 1.5, 0.01, (1.0, 2.0),
-                                           (0.01,), True),
+                                           (0.01,)),
                       "n_final": 1, "iterations": 1}),
     (ConvexityReport, {"passed": False, "worst_violation": 0.5,
                        "witness": (0.0, 1.0), "pairs_tested": 3}),
@@ -175,7 +208,7 @@ _FIELDS = {
     DerivEndpoints: ("f3a_abs", "f3b_abs", "a", "b"),
     BoundReport: ("chi1", "chi2", "chi3", "q", "min_value", "argmin_label"),
     QuadResult: ("midpoint_sum", "corrected_sum", "certified_bound", "f3",
-                 "interval_bounds", "midpoint_bound_heuristic"),
+                 "interval_bounds"),
     CertifyOutcome: ("result", "n_final", "iterations"),
     ConvexityReport: ("passed", "worst_violation", "witness",
                       "pairs_tested"),
@@ -195,7 +228,7 @@ _FIELDS = {
 def test_record_fields_and_defaults_are_pinned(cls):
     assert cls._fields == _FIELDS[cls]
     assert cls._field_defaults == ({
-        "n": 1, "tol": None, "method": "best", "q": None, "n_list": (),
+        "n": 1, "tol": None, "method": "best", "q": 2.0, "n_list": (),
         "grid_points": 257, "n_max": 2 ** 20, "per_interval": False,
         "oracle": False} if cls is cli.RunConfig else {})
 
@@ -210,7 +243,7 @@ def test_run_config_defaults():
     cfg = cli.RunConfig("bounds", "x", _X, 0.0, 1.0, "json", None)
     assert (cfg.n, cfg.tol, cfg.method, cfg.q, cfg.n_list, cfg.grid_points,
             cfg.n_max, cfg.per_interval, cfg.oracle) == (
-        1, None, "best", None, (), 257, 2 ** 20, False, False)
+        1, None, "best", 2.0, (), 257, 2 ** 20, False, False)
 
 
 def test_ast_nodes_key_the_jet_cache():

@@ -27,18 +27,16 @@ GOLDEN = pathlib.Path(__file__).with_name("golden") / "cli_reports.json"
 _EXP = ["--f", "exp(x)", "--a", "0", "--b", "1"]
 _MIX = ["--f", "exp(x)+exp(2*x)", "--a", "0", "--b", "1"]
 _ORACLE = ["integrate", *_EXP, "--n", "16", "--per-interval", "--oracle"]
-_THM3 = ["integrate", *_MIX, "--n", "8", "--method", "thm3", "--q", "1.5",
-         "--per-interval"]
+_Q15 = ["bounds", *_MIX, "--q", "1.5"]
 
 CASES = {
     "integrate-oracle-json": _ORACLE,
     "integrate-oracle-csv": [*_ORACLE, "--format", "csv"],
     "integrate-oracle-text": [*_ORACLE, "--format", "text"],
-    "integrate-thm2-q3": ["integrate", *_MIX, "--n", "8", "--method", "thm2",
-                          "--q", "3", "--per-interval"],
-    "integrate-thm3-q1.5": _THM3,
-    "integrate-thm3-q1.5-csv": [*_THM3, "--format", "csv"],
-    "integrate-thm3-q1.5-text": [*_THM3, "--format", "text"],
+    "bounds-q3": ["bounds", *_MIX, "--q", "3"],
+    "bounds-q1.5": _Q15,
+    "bounds-q1.5-csv": [*_Q15, "--format", "csv"],
+    "bounds-q1.5-text": [*_Q15, "--format", "text"],
     "integrate-steep-json": ["integrate", "--f", "exp(20*x)", "--a", "0",
                              "--b", "1", "--n", "64", "--per-interval"],
     "integrate-non-dyadic": ["integrate", "--f", "exp(x)", "--a", "0.3",

@@ -2,13 +2,14 @@ import json
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hh3 import quadrature
 from hh3.bounds import DerivEndpoints, direct_bound, mu
-from hh3.cli import main
+from hh3.cli import cmd_integrate, main, resolve
 from hh3.errors import (BadInterval, BelowRoundingFloor, NonConvergence,
                         NonPositiveThirdDerivative, ToleranceUnreachable)
 from hh3.expr import parse
@@ -56,7 +57,7 @@ def test_non_uniform_points_are_accepted():
     # any strictly increasing sequence is a division, ints and lists too
     f = parse("exp(x)")
     points = [0, 0.5, 2]
-    result = composite_bound(f, points, method="thm1")
+    result = composite_bound(f, points)
     assert len(result.interval_bounds) == 2
     assert result.f3 == pytest.approx([math.exp(x) for x in points],
                                       rel=1e-15)
@@ -196,7 +197,7 @@ def test_composite_thm1_matches_independent_formula():
     f = parse("exp(x)")
     for n in (1, 2, 5):
         d = uniform_division(0.0, 1.0, n)
-        result = composite_bound(f, d, method="thm1")
+        result = composite_bound(f, d)
         want = math.fsum(
             _independent_interval_bound(math.exp(lo), math.exp(hi), lo, hi)
             for lo, hi in zip(d, d[1:]))
@@ -205,18 +206,9 @@ def test_composite_thm1_matches_independent_formula():
 
 def test_composite_single_interval_equals_direct_bound():
     f = parse("exp(x)")
-    result = composite_bound(f, uniform_division(0.0, 1.0, 1), method="thm1")
+    result = composite_bound(f, uniform_division(0.0, 1.0, 1))
     e = DerivEndpoints(1.0, math.e, 0.0, 1.0)
     assert result.certified_bound == pytest.approx(direct_bound(e), rel=1e-15)
-
-
-def test_composite_methods_need_q():
-    f = parse("exp(x)")
-    d = uniform_division(0.0, 1.0, 2)
-    with pytest.raises(ValueError):
-        composite_bound(f, d, method="thm2")
-    with pytest.raises(ValueError):
-        composite_bound(f, d, method="nope")
 
 
 def test_composite_rejects_vanishing_third_derivative():
@@ -228,27 +220,12 @@ def test_composite_rejects_vanishing_third_derivative():
         composite_bound(parse("x^4"), uniform_division(-1.0, 1.0, 2))
 
 
-def test_best_method_dominates_fixed_methods():
-    f = parse("1/x")
-    d = uniform_division(1.0, 2.0, 4)
-    best = composite_bound(f, d, method="best")
-    slack = 1.0 + 1e-12
-    for method, q_values in (("thm1", (None,)), ("thm2", (1.5, 2.0, 8.0)),
-                             ("thm3", (1.0, 2.0, 8.0))):
-        for q in q_values:
-            fixed = composite_bound(f, d, method=method, q=q)
-            assert best.certified_bound <= fixed.certified_bound * slack
-            for bound_best, bound_fixed in zip(best.interval_bounds,
-                                               fixed.interval_bounds):
-                assert bound_best <= bound_fixed * slack
-
-
 def test_certified_bound_decreases_under_doubling():
     f = parse("exp(2*x)")
     previous = None
     for n in (1, 2, 4, 8, 16):
-        got = composite_bound(f, uniform_division(-1.0, 1.0, n),
-                              method="thm1").certified_bound
+        got = composite_bound(f,
+                              uniform_division(-1.0, 1.0, n)).certified_bound
         if previous is not None:
             assert got < previous
         previous = got
@@ -257,8 +234,8 @@ def test_certified_bound_decreases_under_doubling():
 def test_max_interval_bound_ratio_for_coarse_doubling():
     # the largest per-interval bound drops by 12x-14x from n=1 to n=2
     f = parse("exp(x)")
-    one = composite_bound(f, uniform_division(0.0, 1.0, 1), method="thm1")
-    two = composite_bound(f, uniform_division(0.0, 1.0, 2), method="thm1")
+    one = composite_bound(f, uniform_division(0.0, 1.0, 1))
+    two = composite_bound(f, uniform_division(0.0, 1.0, 2))
     ratio = max(two.interval_bounds) / max(one.interval_bounds)
     assert 1.0 / 14.0 <= ratio <= 1.0 / 12.0
 
@@ -266,10 +243,8 @@ def test_max_interval_bound_ratio_for_coarse_doubling():
 def test_max_interval_bound_scales_as_h4_once_resolved():
     f = parse("exp(x)")
     for n in (8, 16, 32):
-        coarse = composite_bound(f, uniform_division(0.0, 1.0, n),
-                                 method="thm1")
-        fine = composite_bound(f, uniform_division(0.0, 1.0, 2 * n),
-                               method="thm1")
+        coarse = composite_bound(f, uniform_division(0.0, 1.0, n))
+        fine = composite_bound(f, uniform_division(0.0, 1.0, 2 * n))
         ratio = max(coarse.interval_bounds) / max(fine.interval_bounds)
         assert 14.0 <= ratio <= 16.5
 
@@ -277,30 +252,82 @@ def test_max_interval_bound_scales_as_h4_once_resolved():
 def test_composite_per_interval_records(capsys):
     f = parse("exp(x)")
     d = uniform_division(0.0, 1.0, 3)
-    result = composite_bound(f, d, method="thm3", q=2.0)
+    result = composite_bound(f, d)
     assert len(result.f3) == 4 and len(result.interval_bounds) == 3
     assert result.certified_bound == math.fsum(result.interval_bounds)
     assert main(["integrate", "--f", "exp(x)", "--a", "0", "--b", "1",
-                 "--n", "3", "--method", "thm3", "--q", "2",
-                 "--per-interval"]) == 0
+                 "--n", "3", "--per-interval"]) == 0
     rows = json.loads(capsys.readouterr().out)["intervals"]
     assert len(rows) == 3
     for row, lo, hi, bound in zip(rows, d, d[1:], result.interval_bounds):
+        assert list(row) == ["lo", "hi", "bound", "k_ratio", "m_ratio"]
         assert (row["lo"], row["hi"]) == (lo, hi)
-        assert row["method"] == "thm3" and row["q"] == 2.0
         assert row["bound"] == bound > 0.0
         assert row["k_ratio"] == pytest.approx(math.exp(lo - hi), rel=1e-14)
         assert row["m_ratio"] == pytest.approx(math.exp(hi - lo), rel=1e-14)
 
 
-def test_midpoint_bound_heuristic_flag():
-    exp_result = composite_bound(parse("exp(x)"), uniform_division(0, 1, 2))
-    assert exp_result.midpoint_bound_heuristic
-    # odd cubic on a symmetric interval: f''(m) == 0, correction vanishes,
-    # and the midpoint sum equals the corrected sum; the bound is rigorous
-    cubic = composite_bound(parse("x^3"), uniform_division(-1, 1, 1))
-    assert not cubic.midpoint_bound_heuristic
-    assert cubic.midpoint_sum == cubic.corrected_sum
+def _integrate(expression: str, a: float, b: float, n: int) -> dict:
+    return cmd_integrate(resolve("integrate", {"f": expression, "a": a,
+                                               "b": b, "n": n}))
+
+
+def test_midpoint_bound_covers_the_midpoint_error_of_exp_at_n64():
+    # the report used to print the certified bound, 3.41e-8, here; the
+    # midpoint sum is off by 1.748e-5 (mpmath, 40 digits)
+    doc = _integrate("exp(x)", 0.0, 1.0, 64)
+    with mpmath.workdps(40):
+        error = abs(mpmath.e - 1 - mpmath.mpf(doc["midpoint_sum"]))
+    assert error == pytest.approx(1.748e-5, rel=1e-3)
+    assert doc["certified_bound"] < 3.5e-8
+    assert error <= doc["midpoint_bound"] == pytest.approx(1.7513e-5,
+                                                           rel=1e-4)
+    assert doc["midpoint_bound"] == math.nextafter(
+        doc["certified_bound"]
+        + abs(doc["corrected_sum"] - doc["midpoint_sum"]), math.inf)
+    # odd cubic on a symmetric interval: f''(m) == 0, so the two sums agree
+    # and the midpoint bound is the certified bound, one step up
+    cubic = _integrate("x^3", -1.0, 1.0, 1)
+    assert cubic["midpoint_sum"] == cubic["corrected_sum"]
+    assert cubic["midpoint_bound"] == math.nextafter(
+        cubic["certified_bound"], math.inf)
+
+
+# Families with log-convex |f'''| on x >= 0, the range of their constant c,
+# and their antiderivative in mpmath.  The parser reads "-c*x" as (-c)*x,
+# so exp(-{c}*x) is exp(k x) at the double k = -c.
+_MIDPOINT_FAMILIES = {
+    "exp({c}*x)": (0.5, 4.0, lambda c, x: mpmath.exp(c * x) / c),
+    "exp(-{c}*x)": (0.5, 4.0, lambda c, x: -mpmath.exp(-c * x) / c),
+    "exp(x)+exp({c}*x)": (1.5, 4.0, lambda c, x: (mpmath.exp(x)
+                                                  + mpmath.exp(c * x) / c)),
+    "x^3+exp({c}*x)": (0.5, 3.0, lambda c, x: (x ** 4 / 4
+                                               + mpmath.exp(c * x) / c)),
+    "1/(x+{c})": (0.2, 2.0, lambda c, x: mpmath.log(x + c)),
+    "log(x+{c})": (0.2, 2.0, lambda c, x: ((x + c) * mpmath.log(x + c)
+                                           - (x + c))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_MIDPOINT_FAMILIES)),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.5, max_value=2.0),
+       st.integers(min_value=1, max_value=256))
+@example(template="exp({c}*x)", share=1.0, a=0.0, width=1.0, n=256)
+@example(template="log(x+{c})", share=0.0, a=1.0, width=2.0, n=1)
+def test_midpoint_bound_covers_midpoint_error_on_log_convex_families(
+        template, share, a, width, n):
+    lo, hi, antiderivative = _MIDPOINT_FAMILIES[template]
+    c = f"{lo + share * (hi - lo):.4g}"
+    b = a + width
+    doc = _integrate(template.format(c=c), a, b, n)
+    with mpmath.workdps(40):
+        cv, av, bv = (mpmath.mpf(float(v)) for v in (c, a, b))
+        truth = antiderivative(cv, bv) - antiderivative(cv, av)
+        error = abs(truth - mpmath.mpf(doc["midpoint_sum"]))
+    assert error <= doc["midpoint_bound"]
 
 
 def test_composite_soundness_spot_check():
@@ -309,8 +336,7 @@ def test_composite_soundness_spot_check():
         f = parse(source)
         truth = reference_integral(f, a, b, 1e-13)
         for n in (1, 2, 4, 8):
-            result = composite_bound(f, uniform_division(a, b, n),
-                                     method="best")
+            result = composite_bound(f, uniform_division(a, b, n))
             error = abs(result.corrected_sum - truth)
             assert result.certified_bound >= error - 1e-12
 
@@ -342,7 +368,7 @@ def test_identity_residual_quartic_sides_frozen():
 def test_certify_doubles_until_tolerance():
     # f''' == 48 makes the n-interval bound 0.25/n^3 (= (b-a)^3 c/192 per
     # interval summed); the first doubling below 1e-3 is n = 8
-    outcome = certify(parse("8*x^3"), 0.0, 1.0, 1e-3, method="thm1")
+    outcome = certify(parse("8*x^3"), 0.0, 1.0, 1e-3)
     assert isinstance(outcome, CertifyOutcome)
     assert outcome.n_final == 8
     assert outcome.iterations == 4
@@ -352,7 +378,7 @@ def test_certify_doubles_until_tolerance():
 
 
 def test_certify_exp_to_microtolerance():
-    outcome = certify(parse("exp(x)"), 0.0, 1.0, 1e-6, method="thm1")
+    outcome = certify(parse("exp(x)"), 0.0, 1.0, 1e-6)
     assert outcome.n_final == 32
     assert outcome.result.certified_bound <= 1e-6
     truth = math.e - 1.0
@@ -362,13 +388,14 @@ def test_certify_exp_to_microtolerance():
 
 def test_certify_tolerance_unreachable():
     with pytest.raises(ToleranceUnreachable) as info:
-        certify(parse("exp(x)"), 0.0, 1.0, 1e-12, method="thm1", n_max=16)
+        certify(parse("exp(x)"), 0.0, 1.0, 1e-12, n_max=16)
     err = info.value
     assert err.n_final == 16
     assert 0.0 < err.best_bound
     assert err.best_bound == pytest.approx(
-        composite_bound(parse("exp(x)"), uniform_division(0, 1, 16),
-                        method="thm1").certified_bound, rel=1e-15)
+        composite_bound(parse("exp(x)"),
+                        uniform_division(0, 1, 16)).certified_bound,
+        rel=1e-15)
 
 
 def test_certify_rejects_bad_tolerance():
@@ -490,21 +517,17 @@ _FAMILIES = ("exp({c}*x)", "exp({c}*x)+exp({d}*x)", "1/(x+{s})")
        st.floats(min_value=0.1, max_value=3.0),
        st.floats(min_value=0.0, max_value=1.0),
        st.floats(min_value=0.05, max_value=1.0),
-       st.floats(min_value=-9.0, max_value=-4.0),
-       st.sampled_from(["thm1", "thm3"]))
-@example(family="exp({c}*x)", c=1.0, d=1.0, a=0.0, width=1.0, log_rel=-9.0,
-         method="thm1")
+       st.floats(min_value=-9.0, max_value=-4.0))
+@example(family="exp({c}*x)", c=1.0, d=1.0, a=0.0, width=1.0, log_rel=-9.0)
 def test_certify_result_is_composite_bound_at_n_final(family, c, d, a, width,
-                                                      log_rel, method):
+                                                      log_rel):
     # tolerances of 1e-9 of |I| and up sit far above the rounding floor
     f = parse(family.format(c=c, d=d, s=1.0 + d))
     b = a + width
-    q = 1.5 if method == "thm3" else None
     tol = 10.0 ** log_rel * abs(composite_bound(
-        f, uniform_division(a, b, 64), "thm1").corrected_sum)
-    outcome = certify(f, a, b, tol, method=method, q=q, n_max=2 ** 14)
-    expected = composite_bound(f, uniform_division(a, b, outcome.n_final),
-                               method=method, q=q)
+        f, uniform_division(a, b, 64)).corrected_sum)
+    outcome = certify(f, a, b, tol, n_max=2 ** 14)
+    expected = composite_bound(f, uniform_division(a, b, outcome.n_final))
     assert repr(outcome.result) == repr(expected)
 
 
