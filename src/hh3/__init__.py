@@ -18,7 +18,7 @@ from .analysis import (CatalogEntry, ConvexityReport, HermiteHadamardReport,
                        check_log_convexity_pow, grid_samples)
 from .bounds import (BoundReport, DerivEndpoints, best_bound, chi1, chi2,
                      chi3, direct_bound, holder_bound, holder_factor, mu,
-                     mu_q, power_mean_bound)
+                     power_mean_bound)
 from .errors import (BadInterval, BelowRoundingFloor, DomainError,
                      ExprSyntaxError, Hh3Error, NonConvergence,
                      NonPositiveThirdDerivative, NotConvex,
@@ -36,7 +36,7 @@ __all__ = [
     # expr
     "parse", "to_text", "evaluate", "eval_jet3", "Node",
     # bounds
-    "mu", "mu_q", "holder_factor", "chi1", "chi2", "chi3", "direct_bound",
+    "mu", "holder_factor", "chi1", "chi2", "chi3", "direct_bound",
     "holder_bound", "power_mean_bound", "best_bound", "DerivEndpoints",
     "BoundReport",
     # quadrature

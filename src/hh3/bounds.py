@@ -26,27 +26,28 @@ under the weight t^3 dt) are upper bounds for that same integral.  So
 best_bound reports chi2 and chi3 at one exponent q, for the record, and the
 composite bound of :mod:`hh3.quadrature` is chi1 alone.
 
-``mu`` and the Holder factor both degenerate to removable singularities as
-K -> 1 (mu(1) = 1/4, hf(1, q) = 1); both are computed from the log of the
-ratio through a series/closed-form split so that no cancellation is possible
-near that point.  Where q ln(K)/2 is too large for exp(), chi2 and chi3
-take their q-th roots in log space, so neither overflows while chi1 is
-finite.
+Every weight is a function of ln K, formed in one place, ``_log_ratio``:
+as ln of the quotient, or as ln |f'''(a)| - ln |f'''(b)| where the quotient
+leaves float range, so such a K is still bounded.  ``mu`` and the Holder
+factor both degenerate to removable singularities as K -> 1 (mu(1) = 1/4,
+hf(1, q) = 1); both are computed from ln K through a series/closed-form
+split so that no cancellation is possible near that point.  Where q ln(K)/2
+is too large for exp(), chi2 and chi3 take their q-th roots in log space.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from typing import Sequence
 
 from .errors import DomainError, NonPositiveThirdDerivative, require_interval
 
 __all__ = [
-    "L_SWITCH", "DerivEndpoints", "BoundReport", "mu", "mu_q",
-    "holder_factor", "chi1", "chi2", "chi3", "interval_chi1",
-    "direct_bound", "holder_bound", "power_mean_bound", "best_bound",
-    "DEFAULT_Q",
+    "L_SWITCH", "DerivEndpoints", "BoundReport", "mu", "holder_factor",
+    "chi1", "chi2", "chi3", "interval_chi1", "direct_bound", "holder_bound",
+    "power_mean_bound", "best_bound", "DEFAULT_Q",
 ]
 
 #: |ln K| at or below which the moment series is used instead of the closed
@@ -125,10 +126,17 @@ def _moment_closed(lam: float) -> float:
     With L = lam/2, four integrations by parts of t^3 e^(L t) give
 
         mu = ( e^L (L^3 - 3 L^2 + 6 L - 6) + 6 ) / L^4.
+
+    Past L ~ 690, where e^L times the cubic overflows first, mu is
+    exp(L + ln(cubic) - 4 ln L): the 6 dropped is below e^-690 of the sum.
     """
     half = lam / 2.0
     poly = ((half - 3.0) * half + 6.0) * half - 6.0
-    return (math.exp(half) * poly + 6.0) / half ** 4
+    if half <= _HALF_LOG_LIMIT:
+        big = math.exp(half) * poly
+        if big < math.inf:
+            return (big + 6.0) / half ** 4
+    return math.exp(half + math.log(poly) - 4.0 * math.log(half))
 
 
 def _moment_from_log(lam: float) -> float:
@@ -138,19 +146,19 @@ def _moment_from_log(lam: float) -> float:
     return _moment_closed(lam)
 
 
-def _bad_ratio(k: float) -> DomainError:
-    return DomainError(f"derivative ratio must be finite and positive, got {k!r}")
-
-
-def _require_ratio(k: float) -> float:
-    if not (isinstance(k, (int, float)) and math.isfinite(k) and k > 0.0):
-        raise _bad_ratio(k)
-    return float(k)
-
-
-def _log_ratio(num: float, den: float) -> float:
-    """ln(num / den), once the ratio is checked finite and positive."""
-    return math.log(_require_ratio(num / den))
+def _log_ratio(num: float, den: float = 1.0) -> float:
+    """ln(num / den) where the quotient is a positive normal float, else
+    ln num - ln den where both are finite and positive (so a quotient that
+    under- or overflows keeps its log); DomainError otherwise."""
+    k = num / den
+    # sys.float_info.min and max, spelled out: looking them up on every
+    # interval_chi1 cache miss cost ~5% of a miss-heavy call
+    if 2.2250738585072014e-308 <= k <= 1.7976931348623157e308:
+        return math.log(k)
+    if 0.0 < num < math.inf and 0.0 < den < math.inf:
+        return math.log(num) - math.log(den)
+    raise DomainError(
+        f"derivative ratio must be finite and positive, got {k!r}")
 
 
 def _require_q(q: float, strict: bool, name: str) -> None:
@@ -165,31 +173,7 @@ def mu(k: float) -> float:
 
     mu(1) = 1/4 exactly; mu is increasing and positive.
     """
-    return _moment_from_log(math.log(_require_ratio(k)))
-
-
-def _weight_log(k: float, q: float, name: str) -> float:
-    """q ln(k), once k and q are checked and exp(q ln(k)/2) fits a float."""
-    k = _require_ratio(k)
-    _require_q(q, False, name)
-    lam = q * math.log(k)
-    if lam / 2.0 > _HALF_LOG_LIMIT:
-        raise OverflowError(
-            f"q*ln(K)/2 = {lam / 2.0!r} exceeds {_HALF_LOG_LIMIT}; "
-            "the ratio is too extreme for this q"
-        )
-    return lam
-
-
-def mu_q(k: float, q: float) -> float:
-    """mu evaluated on the q-th power of the ratio, computed in log space.
-
-    Never forms k**q: the substitution ln K -> q ln K feeds the same
-    series/closed-form split, so mu_q(k, 1) == mu(k) exactly and large q
-    stays accurate.  Raises the builtin OverflowError when q*ln(k)/2 > 700,
-    where the closed form's exp() would overflow.
-    """
-    return _moment_from_log(_weight_log(k, q, "mu_q"))
+    return _moment_from_log(_log_ratio(k))
 
 
 def _expm1_mean(u: float) -> float:
@@ -200,16 +184,24 @@ def holder_factor(k: float, q: float) -> float:
     """(2 / (q ln k)) * (k^(q/2) - 1), the Holder route's ratio weight.
 
     Equals expm1(u)/u at u = q*ln(k)/2, which tends to 1 as k -> 1; expm1
-    keeps that limit exact to machine precision.
+    keeps that limit exact to machine precision.  Needs q >= 1, and raises
+    the builtin OverflowError when u > 700, where expm1 would overflow.
     """
-    return _expm1_mean(_weight_log(k, q, "holder_factor") / 2.0)
+    log_k = _log_ratio(k)
+    _require_q(q, False, "holder_factor")
+    u = q * log_k / 2.0
+    if u > _HALF_LOG_LIMIT:
+        raise OverflowError(f"q*ln(K)/2 = {u!r} exceeds {_HALF_LOG_LIMIT}; "
+                            "the ratio is too extreme for this q")
+    return _expm1_mean(u)
 
 
 def _qth_root(log_k: float, q: float, power_mean: bool) -> float:
     """mu_q(K, q) ** (1/q) if ``power_mean``, else holder_factor(K, q) ** (1/q).
 
-    Where u = q ln(K)/2 exceeds the exp() limit the weight itself may not fit
-    in a float, so the root is taken in log space from
+    mu_q(K, q) = mu(K^q) is the paper's notation, taken as the moment at
+    q ln K.  Where u = q ln(K)/2 exceeds the exp() limit the weight itself
+    may not fit in a float, so the root is taken in log space from
 
         ln holder_factor(K, q) = u - ln u
         ln mu_q(K, q)          = u - ln u + ln(1 - 3/u + 6/u^2 - 6/u^3)
@@ -232,13 +224,14 @@ def _qth_root(log_k: float, q: float, power_mean: bool) -> float:
 # The three bounds
 # --------------------------------------------------------------------------
 # Each takes |f'''(a)|, |f'''(b)| (finite, positive) and the width b - a, and
-# checks K and M where it takes their logs; holder_bound and
-# power_mean_bound check q.
+# forms ln K and ln M with _log_ratio, which checks the magnitudes;
+# holder_bound and power_mean_bound check q.
 
 def chi1(f3a_abs: float, f3b_abs: float, width: float) -> float:
     """((b-a)^3/96) * (|f'''(b)| mu(K) + |f'''(a)| mu(M))."""
-    return width ** 3 / 96.0 * (f3b_abs * mu(f3a_abs / f3b_abs)
-                                + f3a_abs * mu(f3b_abs / f3a_abs))
+    return width ** 3 / 96.0 * (
+        f3b_abs * _moment_from_log(_log_ratio(f3a_abs, f3b_abs))
+        + f3a_abs * _moment_from_log(_log_ratio(f3b_abs, f3a_abs)))
 
 
 def chi2(f3a_abs: float, f3b_abs: float, width: float, q: float) -> float:
@@ -274,27 +267,30 @@ def interval_chi1(f3: Sequence[float],
     pays where |f'''| is log-affine, as for exp(c x): then K = e^(-c h) on
     every cell of a uniform division, and only rounding makes the computed
     ratios differ, so a few dozen distinct values serve any number of cells.
+    Only quotients that are positive normal floats are kept: one that is
+    0.0, subnormal or inf does not fix ln K, so its cell computes its own.
     """
     moments: dict[float, float] = {}
     known = moments.get
+    tiny, inf = sys.float_info.min, math.inf
     out = []
     for f3a, f3b, h in zip(f3, f3[1:], widths):
         k = f3a / f3b
         mu_k = known(k)
-        if mu_k is None:  # a first sight: check, then compute and keep
-            if not 0.0 < k < math.inf:
-                raise _bad_ratio(k)
-            if len(moments) >= _MOMENT_CACHE_SIZE:
-                moments.clear()
-            mu_k = moments[k] = _moment_from_log(math.log(k))
+        if mu_k is None:  # a first sight: check, compute, keep if in range
+            mu_k = _moment_from_log(_log_ratio(f3a, f3b))
+            if tiny <= k < inf:
+                if len(moments) >= _MOMENT_CACHE_SIZE:
+                    moments.clear()
+                moments[k] = mu_k
         m = f3b / f3a
         mu_m = known(m)
         if mu_m is None:
-            if not 0.0 < m < math.inf:
-                raise _bad_ratio(m)
-            if len(moments) >= _MOMENT_CACHE_SIZE:
-                moments.clear()
-            mu_m = moments[m] = _moment_from_log(math.log(m))
+            mu_m = _moment_from_log(_log_ratio(f3b, f3a))
+            if tiny <= m < inf:
+                if len(moments) >= _MOMENT_CACHE_SIZE:
+                    moments.clear()
+                moments[m] = mu_m
         out.append(h * (h ** 3 / 96.0 * (f3b * mu_k + f3a * mu_m)))
     return tuple(out)
 

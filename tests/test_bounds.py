@@ -2,6 +2,7 @@ import math
 import random
 import sys
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,7 @@ from hh3 import bounds
 from hh3.bounds import (DEFAULT_Q, L_SWITCH, BoundReport, DerivEndpoints,
                         _moment_closed, _moment_series, _qth_root, best_bound,
                         chi1, chi2, chi3, direct_bound, holder_bound,
-                        holder_factor, interval_chi1, mu, mu_q,
-                        power_mean_bound)
+                        holder_factor, interval_chi1, mu, power_mean_bound)
 from hh3.cli import cmd_integrate, resolve
 from hh3.errors import (BadInterval, DomainError,
                         NonPositiveThirdDerivative)
@@ -88,36 +88,6 @@ def test_mu_monotone_increasing(k, factor):
 def test_mu_rejects_bad_ratio(bad):
     with pytest.raises(DomainError):
         mu(bad)
-
-
-# --------------------------------------------------------------------------
-# mu_q
-# --------------------------------------------------------------------------
-
-def test_mu_q_at_one_is_mu_exactly():
-    rng = random.Random(7)
-    for _ in range(50):
-        k = math.exp(rng.uniform(-18.0, 18.0))
-        assert mu_q(k, 1.0) == mu(k)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=0.5, max_value=2.0),
-       st.floats(min_value=1.0, max_value=8.0))
-def test_mu_q_matches_powered_ratio(k, q):
-    assert mu_q(k, q) == pytest.approx(mu(k ** q), rel=1e-12)
-
-
-def test_mu_q_overflow_guard():
-    k = math.e ** 2  # ln k = 2, so q * ln(k) / 2 == q
-    assert mu_q(k, 699.0) > 0.0
-    with pytest.raises(OverflowError):
-        mu_q(k, 701.0)
-
-
-def test_mu_q_rejects_small_q():
-    with pytest.raises(DomainError):
-        mu_q(2.0, 0.5)
 
 
 # --------------------------------------------------------------------------
@@ -449,12 +419,15 @@ def test_interval_chi1_starts_its_cache_again_once_full(monkeypatch):
     assert len(calls) == 2 * len(widths)   # 8 ratios never span a repeat
 
 
+# A zero, infinite, nan or negative magnitude is refused, even where the
+# quotient of two negative ones under- or overflows to a positive 0.0 or inf.
 @pytest.mark.parametrize("f3, got", [
     ([0.0, 1.0], "0.0"),
-    ([1.0, 1.0, 1e-300, 1e300], "0.0"),    # K underflows in the last cell
-    ([1.0, 1.0, 1e300, 1e-300], "inf"),    # and overflows
-    ([1.0, 1.0, 1e300, 1e300, 1e-300], "inf"),
+    ([-1e-300, -1e300], "0.0"),
+    ([math.inf, 1.0], "inf"),
+    ([-1e300, -1e-300], "inf"),
     ([math.nan, 1.0], "nan"),
+    ([1.0, 1.0, math.inf], "0.0"),   # after a cell whose ratio is kept
 ])
 def test_interval_chi1_refuses_a_ratio_as_chi1_does(f3, got):
     widths = [1.0] * (len(f3) - 1)
@@ -465,8 +438,83 @@ def test_interval_chi1_refuses_a_ratio_as_chi1_does(f3, got):
         interval_chi1(f3, widths)
 
 
-def test_steep_exponential_ratio_underflow_is_a_domain_error():
-    # K = e^-1380 underflows to 0.0 before M = e^1380 overflows
-    with pytest.raises(DomainError, match="derivative ratio must be finite "
-                                          "and positive, got 0.0"):
-        composite_bound(parse("exp(690*x)"), (-1.0, 1.0))
+# Finite positive magnitudes whose quotient leaves float range: K underflows
+# to 0.0 (or M overflows to inf) in the last cell.  The two cells of the
+# last row both have K == 0.0 but ln K of -921 and -1151, so they must not
+# share a moment.
+@pytest.mark.parametrize("f3", [
+    [1.0, 1.0, 1e-300, 1e300],
+    [1.0, 1.0, 1e300, 1e-300],
+    [1.0, 1.0, 1e300, 1e300, 1e-300],
+    [1e-300, 1e100, 1e-200, 1e300],
+])
+def test_interval_chi1_takes_a_ratio_outside_float_range_apart(f3):
+    widths = [1.0] * (len(f3) - 1)
+    cells = interval_chi1(f3, widths)
+    assert cells == tuple(h * chi1(f3a, f3b, h)
+                          for f3a, f3b, h in zip(f3, f3[1:], widths))
+    assert all(0.0 < cell < math.inf for cell in cells)
+    assert len(set(cells[-2:])) == 2
+
+
+def test_steep_exponential_ratio_outside_float_range_is_bounded():
+    # K = e^-1380 underflows to 0.0 and M = e^1380 overflows; h * chi1 by
+    # mpmath at 50 digits is 6.6733426156275212e296 either way round
+    for c in ("690", "-690"):
+        result = composite_bound(parse(f"exp({c}*x)"), (-1.0, 1.0))
+        assert result.certified_bound == pytest.approx(
+            6.6733426156275212e296, rel=1e-12)
+
+
+def _moment_mpmath(lam):
+    """mu at ln K = lam in 50 digits, by the closed form, for |lam| far
+    enough from 0 that the closed form does not cancel."""
+    with mpmath.workdps(50):
+        half = mpmath.mpf(lam) / 2
+        return (mpmath.exp(half) * (((half - 3) * half + 6) * half - 6)
+                + 6) / half ** 4
+
+
+def _chi1_mpmath(f3a: float, f3b: float, width: float) -> float:
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(f3a), mpmath.mpf(f3b)
+        lam = mpmath.log(a) - mpmath.log(b)
+        return float(mpmath.mpf(width) ** 3 / 96
+                     * (b * _moment_mpmath(lam) + a * _moment_mpmath(-lam)))
+
+
+# |f'''| log-uniform on [1e-300, 1e300], so |ln K| reaches ~1381.  Past
+# |ln K| ~ 708 the quotient under- or overflows and ln K is taken apart;
+# past ~1380 e^(ln K / 2) times mu's cubic overflows although mu does not.
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(min_value=-300.0, max_value=300.0),
+                min_size=2, max_size=6),
+       st.floats(min_value=0.0, max_value=2.0, exclude_min=True))
+@example(exponents=[-300.0, 300.0], width=2.0)
+@example(exponents=[300.0, -300.0], width=2.0)
+@example(exponents=[-300.0, 8.0, -300.0, 9.0], width=1.0)
+def test_chi1_across_the_float_range_of_magnitudes(exponents, width):
+    f3 = [10.0 ** e for e in exponents]
+    widths = [width] * (len(f3) - 1)
+    assert interval_chi1(f3, widths) == tuple(
+        h * chi1(f3a, f3b, h) for f3a, f3b, h in zip(f3, f3[1:], widths))
+    for f3a, f3b in zip(f3, f3[1:]):
+        got = chi1(f3a, f3b, width)
+        if sys.float_info.min <= f3a / f3b < math.inf:
+            e = DerivEndpoints(f3a, f3b, 0.0, width)
+            assert got.hex() == power_mean_bound_reference(e, 1.0).hex()
+            continue
+        assert math.isfinite(got)
+        if width ** 3 / 96.0 >= sys.float_info.min:  # no underflow on the way
+            assert got == pytest.approx(_chi1_mpmath(f3a, f3b, width),
+                                        rel=1e-12)
+
+
+def test_power_mean_weight_past_the_overflow_of_the_closed_form_numerator():
+    # u = q ln(M)/2 = 695: e^u times mu's cubic overflows but mu does not,
+    # so chi3 at q = 139 is finite and above chi1
+    e = DerivEndpoints(1.0, math.exp(10.0), 0.0, 1.0)
+    assert direct_bound(e) < power_mean_bound(e, 139.0) < math.inf
+    for lam in (1381.0, 1400.0, 1432.0):
+        assert _moment_closed(lam) == pytest.approx(
+            float(_moment_mpmath(lam)), rel=1e-12)

@@ -176,6 +176,8 @@ def test_math_errors_are_2(capsys, argv):
     ["certify", *EXP01, "--tol", "1e-6"],
     ["verify", *EXP01],
     ["verify", "--f", "log(x)", "--a", "1", "--b", "2"],  # concave branch
+    ["integrate", "--f", "exp(690*x)", "--a", "-1", "--b", "1", "--n", "1",
+     "--per-interval"],                                   # K = 0, M = inf
 ])
 def test_json_reports_validate(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -236,14 +238,34 @@ def test_bounds_q_gives_the_old_composite_thm2_thm3_bits(capsys, q, key,
     assert (doc[key] * (doc["b"] - doc["a"])).hex() == bits
 
 
-def test_underflowing_ratio_is_a_math_error(capsys):
-    # |f'''| is finite and positive at both ends, but K = f3a/f3b underflows
-    # to 0; the ratio check must report it rather than fail in log(0.0)
-    code, out, err = run(capsys, "integrate", "--f", "exp(690*x)",
-                         "--a", "-1", "--b", "1", "--n", "1")
-    assert code == EXIT_MATH
-    assert out == ""
-    assert "derivative ratio must be finite and positive" in err
+_K_OUT_OF_RANGE = ["--a", "-1", "--b", "1"]   # |ln K| = 1380 for exp(690*x)
+
+
+@pytest.mark.parametrize("f", ["exp(690*x)", "exp(-690*x)"])
+def test_ratio_outside_float_range_is_certified(capsys, f):
+    # |f'''| is 7.13e-292 and 1.51e308 at the ends, so K underflows to 0 and
+    # M overflows to inf; h * chi1 by mpmath at 50 digits is 6.673...e296
+    code, out, err = run(capsys, "integrate", "--f", f, *_K_OUT_OF_RANGE,
+                         "--n", "1")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["certified_bound"] == pytest.approx(
+        6.6733426156275212e296, rel=1e-12)
+    code, out, err = run(capsys, "certify", "--f", f, *_K_OUT_OF_RANGE,
+                         "--tol", "1e297")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["n_final"] == 1
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_ratio_outside_float_range_fails_the_pair_test_span(capsys, command):
+    # the pair test's 2^1021 span limit refuses the grid before any report,
+    # so K and M in a bounds report are always floats
+    code, out, err = run(capsys, command, "--f", "exp(690*x)",
+                         *_K_OUT_OF_RANGE)
+    assert (code, out) == (EXIT_MATH, "")
+    assert err == ("hh3: |f'''| spans [7.1343557108109075e-292, "
+                   "1.5126546454288551e+308] on the grid, too wide a range "
+                   "for the midpoint pair test\n")
 
 
 def _log_convexity(capsys, *argv):

@@ -28,6 +28,8 @@ _EXP = ["--f", "exp(x)", "--a", "0", "--b", "1"]
 _MIX = ["--f", "exp(x)+exp(2*x)", "--a", "0", "--b", "1"]
 _ORACLE = ["integrate", *_EXP, "--n", "16", "--per-interval", "--oracle"]
 _Q15 = ["bounds", *_MIX, "--q", "1.5"]
+_K_OUT = ["integrate", "--f", "exp(690*x)", "--a", "-1", "--b", "1",
+          "--n", "1", "--per-interval"]   # K underflows to 0, M to inf
 
 CASES = {
     "integrate-oracle-json": _ORACLE,
@@ -57,6 +59,8 @@ CASES = {
                                 "--a", "0.1", "--b", "0.7"],
     "verify-witness-order": ["verify", "--f", "x^4+exp(4*x)", "--a", "0.1",
                              "--b", "0.7"],
+    "integrate-k-out-of-range-json": _K_OUT,
+    "integrate-k-out-of-range-csv": [*_K_OUT, "--format", "csv"],
     "exit2-log-domain": ["integrate", "--f", "log(x)", "--a", "-1",
                          "--b", "1"],
     "exit2-reciprocal-pole": ["integrate", "--f", "1/x", "--a", "-1",
