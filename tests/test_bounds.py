@@ -493,6 +493,7 @@ def _chi1_mpmath(f3a: float, f3b: float, width: float) -> float:
 @example(exponents=[-300.0, 300.0], width=2.0)
 @example(exponents=[300.0, -300.0], width=2.0)
 @example(exponents=[-300.0, 8.0, -300.0, 9.0], width=1.0)
+@example(exponents=[47.25, -260.5], width=1.0)  # K normal, M subnormal
 def test_chi1_across_the_float_range_of_magnitudes(exponents, width):
     f3 = [10.0 ** e for e in exponents]
     widths = [width] * (len(f3) - 1)
@@ -500,7 +501,10 @@ def test_chi1_across_the_float_range_of_magnitudes(exponents, width):
         h * chi1(f3a, f3b, h) for f3a, f3b, h in zip(f3, f3[1:], widths))
     for f3a, f3b in zip(f3, f3[1:]):
         got = chi1(f3a, f3b, width)
-        if sys.float_info.min <= f3a / f3b < math.inf:
+        # the reference takes math.log of K and of M, so it agrees only
+        # where both are normal: a subnormal M has lost bits before its log
+        if all(sys.float_info.min <= r < math.inf
+               for r in (f3a / f3b, f3b / f3a)):
             e = DerivEndpoints(f3a, f3b, 0.0, width)
             assert got.hex() == power_mean_bound_reference(e, 1.0).hex()
             continue
