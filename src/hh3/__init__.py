@@ -26,7 +26,7 @@ from .errors import (BadInterval, BelowRoundingFloor, DomainError,
 from .expr import Node, eval_jet3, evaluate, parse, to_text
 from .quadrature import (CertifyOutcome, QuadResult, certify, composite_bound,
                          corrected_midpoint_sum, identity_residual,
-                         integrate_adaptive, midpoint_sum, reference_integral,
+                         integrate_adaptive, reference_integral,
                          uniform_division)
 
 __version__ = "0.1.0"
@@ -40,7 +40,7 @@ __all__ = [
     "holder_bound", "power_mean_bound", "best_bound", "DerivEndpoints",
     "BoundReport",
     # quadrature
-    "QuadResult", "CertifyOutcome", "uniform_division", "midpoint_sum",
+    "QuadResult", "CertifyOutcome", "uniform_division",
     "corrected_midpoint_sum", "composite_bound", "reference_integral",
     "integrate_adaptive", "identity_residual", "certify",
     # analysis

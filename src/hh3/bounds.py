@@ -33,16 +33,20 @@ factor both degenerate to removable singularities as K -> 1 (mu(1) = 1/4,
 hf(1, q) = 1); both are computed from ln K through a series/closed-form
 split so that no cancellation is possible near that point.  Where q ln(K)/2
 is too large for exp(), chi2 and chi3 take their q-th roots in log space.
+
+chi1 is written once: interval_chi1, the composite bound, is h * chi1 per
+cell, and chi1 reads mu from one memo, kept for the process and keyed by K.
+DerivEndpoints and the composite pass refuse a subnormal |f'''|, so |ln K|
+<= 1418 and mu <= e^702.5, and chi1 stays in float range.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from typing import Sequence
 
-from .errors import DomainError, NonPositiveThirdDerivative, require_interval
+from .errors import DomainError, require_f3, require_interval
 
 __all__ = [
     "L_SWITCH", "DerivEndpoints", "BoundReport", "mu", "holder_factor",
@@ -59,8 +63,8 @@ L_SWITCH = 4.0
 _SERIES_RELTOL = 1e-18
 _HALF_LOG_LIMIT = 700.0  # exp() overflows just above exp(709)
 
-#: The most ratios whose moments interval_chi1 keeps at once; past it the
-#: cache starts again empty, so its memory does not grow with the cells.
+#: The most ratios whose moments chi1 keeps at once; past it the memo
+#: starts again empty, so its memory does not grow with the cells.
 _MOMENT_CACHE_SIZE = 1024
 
 #: The exponent of chi2 and chi3 when none is given.
@@ -80,9 +84,8 @@ class DerivEndpoints(_Endpoints):
     __slots__ = ()
 
     def __new__(cls, f3a_abs: float, f3b_abs: float, a: float, b: float):
-        for x, v in ((a, f3a_abs), (b, f3b_abs)):
-            if not (math.isfinite(v) and v > 0.0):
-                raise NonPositiveThirdDerivative(x, v)
+        require_f3(a, f3a_abs)
+        require_f3(b, f3b_abs)
         require_interval(a, b)
         return super().__new__(cls, f3a_abs, f3b_abs, a, b)
 
@@ -152,13 +155,30 @@ def _log_ratio(num: float, den: float = 1.0) -> float:
     under- or overflows keeps its log); DomainError otherwise."""
     k = num / den
     # sys.float_info.min and max, spelled out: looking them up on every
-    # interval_chi1 cache miss cost ~5% of a miss-heavy call
+    # moment memo miss cost ~5% of a miss-heavy interval_chi1 call
     if 2.2250738585072014e-308 <= k <= 1.7976931348623157e308:
         return math.log(k)
     if 0.0 < num < math.inf and 0.0 < den < math.inf:
         return math.log(num) - math.log(den)
     raise DomainError(
         f"derivative ratio must be finite and positive, got {k!r}")
+
+
+_moments: dict[float, float] = {}  # mu by quotient K: chi1's memo
+
+
+def _moment(num: float, den: float) -> float:
+    """mu(num / den) with ln K from _log_ratio, kept in the memo for the
+    life of the process where K is a positive normal float, which alone
+    fixes ln K, so that a hit is bit for bit what this computes.  The memo
+    starts again empty once it holds _MOMENT_CACHE_SIZE moments."""
+    moment = _moment_from_log(_log_ratio(num, den))
+    k = num / den
+    if 2.2250738585072014e-308 <= k < math.inf:  # _log_ratio's range
+        if len(_moments) >= _MOMENT_CACHE_SIZE:
+            _moments.clear()
+        _moments[k] = moment
+    return moment
 
 
 def _require_q(q: float, strict: bool, name: str) -> None:
@@ -228,10 +248,14 @@ def _qth_root(log_k: float, q: float, power_mean: bool) -> float:
 # holder_bound and power_mean_bound check q.
 
 def chi1(f3a_abs: float, f3b_abs: float, width: float) -> float:
-    """((b-a)^3/96) * (|f'''(b)| mu(K) + |f'''(a)| mu(M))."""
+    """((b-a)^3/96) * (|f'''(b)| mu(K) + |f'''(a)| mu(M)).
+
+    Each mu is the memo's, or on a miss (None) the one _moment computes."""
     return width ** 3 / 96.0 * (
-        f3b_abs * _moment_from_log(_log_ratio(f3a_abs, f3b_abs))
-        + f3a_abs * _moment_from_log(_log_ratio(f3b_abs, f3a_abs)))
+        f3b_abs * (_moments.get(f3a_abs / f3b_abs)
+                   or _moment(f3a_abs, f3b_abs))
+        + f3a_abs * (_moments.get(f3b_abs / f3a_abs)
+                     or _moment(f3b_abs, f3a_abs)))
 
 
 def chi2(f3a_abs: float, f3b_abs: float, width: float, q: float) -> float:
@@ -260,39 +284,11 @@ def interval_chi1(f3: Sequence[float],
                   widths: Sequence[float]) -> tuple[float, ...]:
     """h * chi1(f3[i], f3[i + 1], h) for each cell i of width h = widths[i].
 
-    The same float operations in the same order as that expression, so
-    equal to it bit for bit, and each ratio is checked where chi1 checks
-    it.  But mu of a ratio is computed only the first time the ratio is
-    seen, in a cache of at most _MOMENT_CACHE_SIZE ratios per call.  That
-    pays where |f'''| is log-affine, as for exp(c x): then K = e^(-c h) on
-    every cell of a uniform division, and only rounding makes the computed
-    ratios differ, so a few dozen distinct values serve any number of cells.
-    Only quotients that are positive normal floats are kept: one that is
-    0.0, subnormal or inf does not fix ln K, so its cell computes its own.
-    """
-    moments: dict[float, float] = {}
-    known = moments.get
-    tiny, inf = sys.float_info.min, math.inf
-    out = []
-    for f3a, f3b, h in zip(f3, f3[1:], widths):
-        k = f3a / f3b
-        mu_k = known(k)
-        if mu_k is None:  # a first sight: check, compute, keep if in range
-            mu_k = _moment_from_log(_log_ratio(f3a, f3b))
-            if tiny <= k < inf:
-                if len(moments) >= _MOMENT_CACHE_SIZE:
-                    moments.clear()
-                moments[k] = mu_k
-        m = f3b / f3a
-        mu_m = known(m)
-        if mu_m is None:
-            mu_m = _moment_from_log(_log_ratio(f3b, f3a))
-            if tiny <= m < inf:
-                if len(moments) >= _MOMENT_CACHE_SIZE:
-                    moments.clear()
-                moments[m] = mu_m
-        out.append(h * (h ** 3 / 96.0 * (f3b * mu_k + f3a * mu_m)))
-    return tuple(out)
+    Where |f'''| is log-affine, as for exp(c x), K = e^(-c h) on every cell
+    of a uniform division up to rounding, so chi1's moment memo serves any
+    number of cells from a few dozen distinct moments."""
+    return tuple([h * chi1(f3a, f3b, h)
+                  for f3a, f3b, h in zip(f3, f3[1:], widths)])
 
 
 def direct_bound(e: DerivEndpoints) -> float:

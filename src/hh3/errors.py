@@ -2,13 +2,16 @@
 
 Everything raised deliberately by this library derives from ``Hh3Error``,
 so callers can catch one type.  ``require_interval`` is the one check that
-an interval is finite with a < b.  Overflow inside the moment helpers uses the
-builtin ``OverflowError`` (it is an overflow, and the builtin name says so).
+an interval is finite with a < b, ``require_f3`` that a sample of |f'''| is
+finite and normal, and ``require_finite`` that a printed sum or bound is
+finite.  Overflow inside the moment helpers uses the builtin
+``OverflowError`` (it is an overflow, and the builtin name says so).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 
 class Hh3Error(Exception):
@@ -32,14 +35,13 @@ class ExprSyntaxError(Hh3Error):
 
 
 class UnknownIdentifier(ExprSyntaxError):
-    """Raised for names that are not ``x``, a known constant or function."""
+    """Raised for names that are not ``x``, a known constant or function;
+    ``expected`` holds the names the parser knows."""
 
-    def __init__(self, offset: int, name: str):
+    def __init__(self, offset: int, name: str, expected: tuple[str, ...]):
         self.name = name
         Hh3Error.__init__(self, f"offset {offset}: unknown identifier {name!r}")
-        self.offset = offset
-        self.expected = ("x", "pi", "e", "exp", "log", "sin", "cos", "sqrt")
-        self.found = name
+        self.offset, self.expected, self.found = offset, expected, name
 
 
 class DomainError(Hh3Error):
@@ -62,14 +64,25 @@ class DomainError(Hh3Error):
 
 
 class NonPositiveThirdDerivative(Hh3Error):
-    """|f'''| vanished (or was not finite) where a bound needs it positive."""
+    """|f'''| vanished, was not finite or was subnormal where a bound needs
+    it positive, finite and normal."""
 
     def __init__(self, x: float, value: float):
         self.x = x
         self.value = value
-        super().__init__(
-            f"|f'''| must be positive and finite; got {value!r} at x = {x!r}"
-        )
+        rule = ("a normal float; got subnormal"
+                if 0.0 < value < sys.float_info.min
+                else "positive and finite; got")
+        super().__init__(f"|f'''| must be {rule} {value!r} at x = {x!r}")
+
+
+def require_f3(x: float, magnitude: float) -> float:
+    """``magnitude``, |f'''(x)|, once it is a finite normal float, else
+    :class:`NonPositiveThirdDerivative`.  A subnormal one carries fewer bits
+    than ln K needs: exp(-743.13) rounds to 4 * 2^-1074, 7.9% off."""
+    if 2.2250738585072014e-308 <= magnitude < math.inf:  # sys.float_info.min
+        return magnitude
+    raise NonPositiveThirdDerivative(x, magnitude)
 
 
 class BadInterval(Hh3Error):
@@ -80,6 +93,13 @@ def require_interval(a: float, b: float) -> None:
     """Raise :class:`BadInterval` unless a and b are finite with a < b."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise BadInterval(f"need finite a < b, got [{a!r}, {b!r}]")
+
+
+def require_finite(name: str, value: float) -> float:
+    """``value`` once it is finite, else :class:`DomainError` naming it."""
+    if math.isfinite(value):
+        return value
+    raise DomainError(f"{name} leaves float range")
 
 
 class NonConvergence(Hh3Error):

@@ -45,6 +45,7 @@ __all__ = [
 
 _FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
+_NAMES = ("x", *_CONSTANTS, *_FUNCTIONS)
 
 
 # --------------------------------------------------------------------------
@@ -181,7 +182,7 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 return Func(t.text, arg)
-            raise UnknownIdentifier(t.pos, t.text)
+            raise UnknownIdentifier(t.pos, t.text, _NAMES)
         if t.kind == "op" and t.text == "(":
             self.advance()
             node = self.expr()

@@ -35,12 +35,12 @@ from typing import Callable, Sequence
 
 from . import bounds as _bounds
 from .errors import BadInterval, BelowRoundingFloor, NonConvergence, \
-    NonPositiveThirdDerivative, ToleranceUnreachable, require_interval
+    ToleranceUnreachable, require_f3, require_finite, require_interval
 # eval_jet3 and evaluate stay attributes here for bench/tracer.py to wrap.
 from .expr import Node, compile_jet3, eval_jet3, evaluate  # noqa: F401
 
 __all__ = [
-    "QuadResult", "CertifyOutcome", "uniform_division", "midpoint_sum",
+    "QuadResult", "CertifyOutcome", "uniform_division",
     "corrected_midpoint_sum", "composite_bound", "reference_integral",
     "integrate_adaptive", "identity_residual", "certify",
     "DEFAULT_EVAL_BUDGET", "MAX_SUBINTERVALS",
@@ -102,10 +102,6 @@ def _midpoint_pass(jet: Callable, points: tuple[float, ...],
     return widths, plain, corrected
 
 
-def midpoint_sum(f: Node, points: Sequence[float]) -> float:
-    return math.fsum(_midpoint_pass(compile_jet3(f), _checked(points))[1])
-
-
 def corrected_midpoint_sum(f: Node, points: Sequence[float]) -> float:
     return math.fsum(_midpoint_pass(compile_jet3(f), _checked(points))[2])
 
@@ -131,15 +127,10 @@ def composite_bound(f: Node, points: Sequence[float], *,
     ``points`` is any strictly increasing division of [a, b], such as
     :func:`uniform_division` returns.  Each subinterval's bound is chi1: no
     exponent lets chi2 or chi3 beat it (see :mod:`hh3.bounds`).  Requires
-    |f'''| > 0 at every division point.  Errors surface in this order: the
-    points, |f'''| at each point, the jet at each midpoint, then each
-    subinterval's ratios.
-
-    :func:`hh3.bounds.interval_chi1` computes mu once per distinct ratio
-    K = |f'''(lo)| / |f'''(hi)| in the call, in a cache of bounded size.
-    Where |f'''| is log-affine, as for exp(c x), K = e^(-c h) on every cell
-    of width h, so a uniform division repeats a few dozen rounded ratios
-    over all its cells.
+    |f'''| positive and normal at every division point.  Errors surface in
+    this order: the points, |f'''| at each point, the jet at each midpoint,
+    each subinterval's ratios, then the sums and the bound, which must be
+    finite.
 
     ``coarse`` is a coarser division, |f'''| at its points (the ``f3`` of
     its result) and the jets at its midpoints, which ``midpoint_jets``
@@ -162,31 +153,34 @@ def composite_bound(f: Node, points: Sequence[float], *,
 
     widths, plain, corrected = _midpoint_pass(jet, points, midpoint_jets)
     interval_bounds = _bounds.interval_chi1(f3, widths)
-    certified = math.fsum(interval_bounds)
 
     return QuadResult(
-        midpoint_sum=math.fsum(plain),
-        corrected_sum=math.fsum(corrected),
-        certified_bound=certified,
+        midpoint_sum=_finite_sum("midpoint_sum", plain),
+        corrected_sum=_finite_sum("corrected_sum", corrected),
+        certified_bound=_finite_sum("certified_bound", interval_bounds),
         f3=tuple(f3),
         interval_bounds=interval_bounds,
     )
 
 
+def _finite_sum(name: str, terms: Sequence[float]) -> float:
+    """fsum of ``terms``, once it is finite: DomainError naming the sum
+    where a term or a partial sum leaves float range."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # a partial sum overflows, inf - inf
+        total = math.nan
+    return require_finite(name, total)
+
+
 def _f3_magnitudes(jet: Callable, points: Sequence[float],
                    given: Sequence[tuple | None] = ()) -> list[float]:
-    """|f'''| at each point, left to right, once each is finite and > 0.
+    """|f'''| at each point, left to right, once each is finite and normal.
 
     ``given`` holds, in step with ``points``, the jet already evaluated at
     a point, or None where the point is still to be evaluated."""
-    f3 = []
-    for x, j in zip(points, given or itertools.repeat(None)):
-        d3 = (j or jet(x))[3]
-        mag = abs(d3)
-        if not (math.isfinite(mag) and mag > 0.0):
-            raise NonPositiveThirdDerivative(x, d3)
-        f3.append(mag)
-    return f3
+    return [require_f3(x, abs((j or jet(x))[3]))
+            for x, j in zip(points, given or itertools.repeat(None))]
 
 
 # --------------------------------------------------------------------------
@@ -232,16 +226,15 @@ _MIN_DEPTH = 2
 
 
 def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
-                       tol: float,
-                       budget: int = DEFAULT_EVAL_BUDGET) -> float:
+                       tol: float) -> float:
     """Adaptive bisection driver around the nested panel rule.
 
     Accepts a panel when |fine - coarse| fits the panel's width-proportional
     share of ``tol`` (or its rounding floor); otherwise bisects.  Panels are
     processed left to right and the accepted values are fsum-ed in that
     order, so results are bitwise deterministic.  Raises
-    :class:`NonConvergence` once more than ``budget`` evaluations would be
-    needed.
+    :class:`NonConvergence` once more than DEFAULT_EVAL_BUDGET evaluations
+    would be needed.
     """
     require_interval(a, b)
     nodes, w_fine, w_coarse = _cc_rule()
@@ -257,8 +250,8 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
             stack.append((lo, mid, depth + 1))
             continue
         evals += len(nodes)
-        if evals > budget:
-            raise NonConvergence(budget)
+        if evals > DEFAULT_EVAL_BUDGET:
+            raise NonConvergence(DEFAULT_EVAL_BUDGET)
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         values = [fn(mid + half * t) for t in nodes]
@@ -277,8 +270,8 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
     return math.fsum(pieces)
 
 
-def reference_integral(f: Node, a: float, b: float, tol: float = 1e-13,
-                       budget: int = DEFAULT_EVAL_BUDGET) -> float:
+def reference_integral(f: Node, a: float, b: float,
+                       tol: float = 1e-13) -> float:
     """High-accuracy integral of an expression, used as ground truth.
 
     ``tol`` below 1e-14 is rejected: that is the scheme's trust limit in
@@ -287,15 +280,14 @@ def reference_integral(f: Node, a: float, b: float, tol: float = 1e-13,
     if not (tol >= 1e-14):
         raise ValueError(f"tol must be at least 1e-14, got {tol!r}")
     jet = compile_jet3(f)
-    return integrate_adaptive(lambda x: jet(x)[0], a, b, tol, budget)
+    return integrate_adaptive(lambda x: jet(x)[0], a, b, tol)
 
 
 # --------------------------------------------------------------------------
 # The third-derivative kernel identity behind every bound
 # --------------------------------------------------------------------------
 
-def identity_residual(f: Node, a: float, b: float,
-                      tol: float = 1e-13) -> float:
+def identity_residual(f: Node, a: float, b: float) -> float:
     """Residual of the integral identity that the bounds rest on.
 
     For three-times differentiable f, with h = b - a and m the midpoint,
@@ -304,13 +296,14 @@ def identity_residual(f: Node, a: float, b: float,
           =  (h^3/96) * ( I1 - I2 )
 
     where I1 = integral over [0,1] of t^3 f'''(b - t h/2) and I2 likewise at
-    a + t h/2.  Both sides are evaluated with the reference integrator and
-    their difference is returned; it should sit at rounding level for any
-    smooth f, log-convex |f'''| or not.
+    a + t h/2.  Both sides are evaluated with the reference integrator at
+    tolerance 1e-13 and their difference is returned; it should sit at
+    rounding level for any smooth f, log-convex |f'''| or not.
     """
     h = b - a
     m = 0.5 * (a + b)
     jet = compile_jet3(f)
+    tol = 1e-13
     mean = integrate_adaptive(lambda x: jet(x)[0], a, b, tol) / h
     f0, _, f2, _ = jet(m)
     lhs = mean - f0 - h * h / 24.0 * f2

@@ -143,6 +143,15 @@ def test_deriv_endpoints_validation():
         DerivEndpoints(1.0, 1.0, 0.0, 1.0)._replace(a=2.0)
 
 
+def test_deriv_endpoints_refuses_a_subnormal_magnitude():
+    # a subnormal magnitude has lost the bits that ln K needs
+    with pytest.raises(NonPositiveThirdDerivative,
+                       match="got subnormal 5e-320 at x = 1.0$"):
+        DerivEndpoints(1.0, 5e-320, 0.0, 1.0)
+    with pytest.raises(NonPositiveThirdDerivative, match="got -1.0 at"):
+        DerivEndpoints(-1.0, 1.0, 0.0, 1.0)
+
+
 # --------------------------------------------------------------------------
 # the three bounds
 # --------------------------------------------------------------------------
@@ -400,10 +409,15 @@ def test_interval_chi1_computes_each_distinct_ratio_once(monkeypatch):
     moment = bounds._moment_from_log
     monkeypatch.setattr(bounds, "_moment_from_log",
                         lambda lam: calls.append(lam) or moment(lam))
+    monkeypatch.setattr(bounds, "_moments", {})   # an empty memo
     again = composite_bound(parse("exp(6*x)"), uniform_division(0.0, 1.0,
                                                                  4096))
     assert again == result
     assert len(calls) == len(ks | ms) <= 2 * len(ks) < 4096 // 20
+    # the memo lives on: the same cells again compute no moment
+    calls.clear()
+    assert interval_chi1(f3, [1.0 / 4096] * 4096) == again.interval_bounds
+    assert calls == []
 
 
 def test_interval_chi1_starts_its_cache_again_once_full(monkeypatch):
@@ -414,6 +428,7 @@ def test_interval_chi1_starts_its_cache_again_once_full(monkeypatch):
     moment = bounds._moment_from_log
     monkeypatch.setattr(bounds, "_moment_from_log",
                         lambda lam: calls.append(lam) or moment(lam))
+    monkeypatch.setattr(bounds, "_moments", {})   # an empty memo
     monkeypatch.setattr(bounds, "_MOMENT_CACHE_SIZE", 8)
     assert interval_chi1(f3, widths) == expected
     assert len(calls) == 2 * len(widths)   # 8 ratios never span a repeat

@@ -268,6 +268,43 @@ def test_ratio_outside_float_range_fails_the_pair_test_span(capsys, command):
                    "for the midpoint pair test\n")
 
 
+@pytest.mark.parametrize("command", ["integrate", "bounds"])
+def test_a_subnormal_f3_sample_is_refused(capsys, command):
+    # |f'''(-1.077)| rounds to 6.492e-315 where it is 6.016e-315: ln K off
+    # by 0.076 could put chi1, the error itself for exp, below the error
+    code, out, err = run(capsys, command, "--f", "exp(690*x)",
+                         "--a", "-1.077", "--b", "1")
+    assert (code, out) == (EXIT_MATH, "")
+    assert err == ("hh3: |f'''| must be a normal float; got subnormal "
+                   "6.49220045e-315 at x = -1.077\n")
+    code, out, err = run(capsys, "integrate", "--f", "exp(690*x)",
+                         *_K_OUT_OF_RANGE)
+    assert json.loads(out)["certified_bound"] == 6.6733426156275206e+296
+
+
+_OVERFLOW = ["--f", "1e280*x^3+x", "--a", "1", "--b", "1e8"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", *_OVERFLOW],
+    ["integrate", *_OVERFLOW, "--format", "text"],
+    ["certify", *_OVERFLOW, "--tol", "1e300"],
+])
+def test_a_sum_outside_float_range_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_MATH, "",
+                                "hh3: midpoint_sum leaves float range\n")
+
+
+def test_a_midpoint_bound_outside_float_range_exits_2(capsys, monkeypatch):
+    # finite sums of opposite signs whose difference overflows
+    result = quadrature.QuadResult(-1e308, 1e308, 1.0, (1.0, 1.0), (1.0,))
+    monkeypatch.setattr(quadrature, "composite_bound", lambda f, d: result)
+    code, out, err = run(capsys, "integrate", *EXP01)
+    assert (code, out, err) == (EXIT_MATH, "",
+                                "hh3: midpoint_bound leaves float range\n")
+
+
 def _log_convexity(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (EXIT_OK, "")

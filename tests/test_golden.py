@@ -70,6 +70,10 @@ CASES = {
     "exit2-unreachable-tol": ["certify", *_EXP, "--tol", "1e-30",
                               "--n-max", "16"],
     "exit2-n-max-cap": ["certify", *_EXP, "--tol", "1e-12", "--n-max", "16"],
+    "exit2-subnormal-f3": ["integrate", "--f", "exp(690*x)", "--a", "-1.077",
+                           "--b", "1", "--n", "1"],
+    "exit2-sum-overflow": ["integrate", "--f", "1e280*x^3+x", "--a", "1",
+                           "--b", "1e8", "--n", "1"],
     "exit64-zero-n": ["integrate", *_EXP, "--n", "0"],
 }
 

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from hh3 import quadrature
 from hh3.bounds import DerivEndpoints, direct_bound, mu
 from hh3.cli import cmd_integrate, main, resolve
-from hh3.errors import (BadInterval, BelowRoundingFloor, NonConvergence,
-                        NonPositiveThirdDerivative, ToleranceUnreachable)
+from hh3.errors import (BadInterval, BelowRoundingFloor, DomainError,
+                        NonConvergence, NonPositiveThirdDerivative,
+                        ToleranceUnreachable)
 from hh3.expr import parse
 from hh3.quadrature import (_cc_rule, CertifyOutcome, certify,
                             composite_bound, corrected_midpoint_sum,
                             identity_residual, integrate_adaptive,
-                            midpoint_sum, reference_integral,
-                            uniform_division)
+                            reference_integral, uniform_division)
 
 
 # --------------------------------------------------------------------------
@@ -44,7 +44,7 @@ def test_division_validation():
     f = parse("exp(x)")
     for points in ((0.0,), (), (0.0, 1.0, 0.5), (0.0, 0.0, 1.0), (1.0, 0.0),
                    (0.0, math.inf), (math.nan, 1.0), (0.0, 0.5, math.nan)):
-        for use in (midpoint_sum, corrected_midpoint_sum, composite_bound):
+        for use in (corrected_midpoint_sum, composite_bound):
             with pytest.raises(BadInterval):
                 use(f, points)
     for a, b, n in ((1.0, 0.0, 4), (1.0, 1.0, 4), (0.0, math.inf, 4),
@@ -62,7 +62,6 @@ def test_non_uniform_points_are_accepted():
     assert result.f3 == pytest.approx([math.exp(x) for x in points],
                                       rel=1e-15)
     want = 0.5 * math.exp(0.25) + 1.5 * math.exp(1.25)
-    assert midpoint_sum(f, points) == result.midpoint_sum
     assert result.midpoint_sum == pytest.approx(want, rel=1e-15)
     assert corrected_midpoint_sum(f, iter(points)) == result.corrected_sum
 
@@ -73,7 +72,8 @@ def test_non_uniform_points_are_accepted():
 
 def test_midpoint_sum_single_interval():
     # f(x) = x^3/6 on [0, 1]: one midpoint value is (1/2)^3/6 = 1/48
-    assert midpoint_sum(parse("x^3/6"), uniform_division(0, 1, 1)) == 1.0 / 48.0
+    result = composite_bound(parse("x^3/6"), uniform_division(0, 1, 1))
+    assert result.midpoint_sum == 1.0 / 48.0
 
 
 def test_corrected_sum_is_exact_on_cubics():
@@ -96,7 +96,8 @@ def test_corrected_sum_is_exact_on_cubics():
 
 def test_midpoint_sum_exp_two_intervals():
     want = 0.5 * (math.exp(0.25) + math.exp(0.75))
-    got = midpoint_sum(parse("exp(x)"), uniform_division(0, 1, 2))
+    got = composite_bound(parse("exp(x)"),
+                          uniform_division(0, 1, 2)).midpoint_sum
     assert got == pytest.approx(want, rel=1e-15)
 
 
@@ -149,9 +150,10 @@ def test_reference_integral_rejects_overtight_tolerance():
         reference_integral(parse("x"), 0.0, 1.0, 1e-15)
 
 
-def test_reference_integral_budget_exhaustion():
+def test_reference_integral_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(quadrature, "DEFAULT_EVAL_BUDGET", 20)
     with pytest.raises(NonConvergence) as info:
-        reference_integral(parse("exp(x)"), 0.0, 1.0, 1e-13, budget=20)
+        reference_integral(parse("exp(x)"), 0.0, 1.0, 1e-13)
     assert info.value.evals == 20
 
 
@@ -218,6 +220,23 @@ def test_composite_rejects_vanishing_third_derivative():
     # x^4 has f''' = 24x, zero exactly at a division point here
     with pytest.raises(NonPositiveThirdDerivative):
         composite_bound(parse("x^4"), uniform_division(-1.0, 1.0, 2))
+
+
+def test_composite_rejects_a_subnormal_third_derivative():
+    # |f'''(-1.077)| of exp(690*x) is 6.49e-315, below sys.float_info.min
+    with pytest.raises(NonPositiveThirdDerivative,
+                       match="got subnormal 6.49220045e-315 at x = -1.077$"):
+        composite_bound(parse("exp(690*x)"), (-1.077, 1.0))
+
+
+@pytest.mark.parametrize("source, points, name", [
+    ("9e307+x^3", (0.0, 1.0, 2.0), "midpoint_sum"),   # fsum overflows
+    ("x^3+1e300*x^2", (-1e3, 1e3), "corrected_sum"),  # h^3 f''(m)/24
+    ("1/(x+1e-76)", (0.0, 1e10), "certified_bound"),  # h^4 |f'''(0)|
+])
+def test_composite_refuses_a_sum_outside_float_range(source, points, name):
+    with pytest.raises(DomainError, match=f"^{name} leaves float range$"):
+        composite_bound(parse(source), points)
 
 
 def test_certified_bound_decreases_under_doubling():
