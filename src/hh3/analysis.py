@@ -33,7 +33,6 @@ equivalence can be exercised rather than assumed.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from itertools import repeat
 from operator import mul, sub, truediv
 
@@ -41,6 +40,7 @@ from .errors import DomainError, NotConvex
 # eval_jet3 stays an attribute here for bench/tracer.py to wrap.
 from .expr import Node, compile_jet3, eval_jet3, parse  # noqa: F401
 from .quadrature import integrate_adaptive, uniform_division
+from .record import Record
 
 __all__ = [
     "GRID_POINTS_DEFAULT", "GRID_POINTS_MAX", "PAIR_RELTOL",
@@ -81,19 +81,19 @@ def grid_samples(f: Node, a: float, b: float, n: int = GRID_POINTS_DEFAULT
     return xs, tuple(abs(jet[3]) for jet in map(compile_jet3(f), xs))
 
 
-ConvexityReport = namedtuple("ConvexityReport", [
-    "passed",           # bool
-    "worst_violation",  # float
-    "witness",          # (x, y) floats, or None
-    "pairs_tested",     # int
-])
-ConvexityReport.__doc__ = """Outcome of the sampled midpoint criterion.
+class ConvexityReport(Record):
+    """Outcome of the sampled midpoint criterion.
 
     ``worst_violation`` is max over tested pairs of g(m)^2/(g(x)g(y)) - 1,
     so ``passed`` holds exactly when it is at most :data:`PAIR_RELTOL`.  A
     zero or non-finite sample fails immediately with that point as its own
     witness and an infinite violation.
     """
+    __slots__, _fields = (), (
+        "passed",           # bool
+        "worst_violation",  # float
+        "witness",          # (x, y) floats, or None
+        "pairs_tested")     # int
 
 
 def _midpoint_pairs(xs: tuple[float, ...], gs: tuple[float, ...],
@@ -143,17 +143,16 @@ def check_log_convexity_pow(f: Node, a: float, b: float, q: float,
     return _midpoint_pairs(*grid_samples(f, a, b, n), q)
 
 
-HermiteHadamardReport = namedtuple("HermiteHadamardReport", [
-    "midpoint_value", "integral_mean", "endpoint_mean",  # floats
-    "lower_slack", "upper_slack",                        # floats
-    "passed",                                            # bool
-])
-HermiteHadamardReport.__doc__ = (
+class HermiteHadamardReport(Record):
     """Both Hermite-Hadamard inequalities for a convex f, with slacks.
 
     lower_slack = mean - f(midpoint) and upper_slack = endpoint average -
     mean; both must be >= -1e-12 * max(1, |mean|) to pass.
-    """)
+    """
+    __slots__, _fields = (), (
+        "midpoint_value", "integral_mean", "endpoint_mean",  # floats
+        "lower_slack", "upper_slack",                        # floats
+        "passed")                                            # bool
 
 
 def check_hermite_hadamard(f: Node, a: float, b: float,
@@ -194,11 +193,10 @@ def check_hermite_hadamard(f: Node, a: float, b: float,
 # Worked examples with known log-convexity status
 # --------------------------------------------------------------------------
 
-class CatalogEntry(namedtuple("CatalogEntry", "expression a b log_convex")):
+class CatalogEntry(Record):
     """An integrand's text (str) and interval (floats), and whether its
     |f'''| is log-convex there (bool)."""
-
-    __slots__ = ()
+    __slots__, _fields = (), ("expression", "a", "b", "log_convex")
 
     def ast(self) -> Node:
         return parse(self.expression)

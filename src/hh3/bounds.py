@@ -43,10 +43,10 @@ DerivEndpoints and the composite pass refuse a subnormal |f'''|, so |ln K|
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DomainError, require_f3, require_interval
+from .record import Record
 
 __all__ = [
     "L_SWITCH", "DerivEndpoints", "BoundReport", "mu", "holder_factor",
@@ -75,23 +75,15 @@ DEFAULT_Q = 2.0
 # The checked one-interval input
 # --------------------------------------------------------------------------
 
-_Endpoints = namedtuple("_Endpoints", "f3a_abs f3b_abs a b")  # floats
-
-
-class DerivEndpoints(_Endpoints):
-    """|f'''| magnitudes at the interval endpoints, plus the interval."""
-
-    __slots__ = ()
+class DerivEndpoints(Record):
+    """|f'''| magnitudes at the interval endpoints, and the interval."""
+    __slots__, _fields = (), ("f3a_abs", "f3b_abs", "a", "b")  # floats
 
     def __new__(cls, f3a_abs: float, f3b_abs: float, a: float, b: float):
         require_f3(a, f3a_abs)
         require_f3(b, f3b_abs)
         require_interval(a, b)
         return super().__new__(cls, f3a_abs, f3b_abs, a, b)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through here: check it too
-        return cls(*iterable)
 
     @property
     def width(self) -> float:
@@ -312,12 +304,11 @@ def power_mean_bound(e: DerivEndpoints, q: float) -> float:
 # The best of the three
 # --------------------------------------------------------------------------
 
-BoundReport = namedtuple("BoundReport", [
-    "chi1", "chi2", "chi3", "q", "min_value",  # floats
-    "argmin_label",                            # "chi1" | "chi2" | "chi3"
-])
-BoundReport.__doc__ = (
-    """The three bounds, chi2 and chi3 at exponent ``q``, and the winner.""")
+class BoundReport(Record):
+    """The three bounds, chi2 and chi3 at exponent ``q``, and the winner."""
+    __slots__, _fields = (), (
+        "chi1", "chi2", "chi3", "q", "min_value",  # floats
+        "argmin_label")                            # "chi1" | "chi2" | "chi3"
 
 
 def best_bound(e: DerivEndpoints, q: float = DEFAULT_Q) -> BoundReport:

@@ -27,11 +27,11 @@ import atexit
 import math
 import os
 import sys
-from collections import namedtuple
 
 from . import analysis, bounds, quadrature
 from .errors import ExprSyntaxError, Hh3Error, NotConvex, require_finite
 from .expr import eval_jet3, parse
+from .record import Record
 from .reportfmt import Table, rows_to_csv, to_csv, to_json, to_text
 
 EXIT_OK = 0
@@ -68,8 +68,8 @@ _KINDS = {
 }
 
 
-# the flag, a key of _KINDS, a tuple of commands and the help text
-Option = namedtuple("Option", "flag kind commands help")
+class Option(Record):  # the flag, a key of _KINDS, commands, help text
+    __slots__, _fields = (), ("flag", "kind", "commands", "help")
 
 
 _ALL, _BOUNDED = tuple(COMMANDS), ("integrate", "certify")
@@ -160,22 +160,24 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict | None]:
 # Config resolution
 # --------------------------------------------------------------------------
 
-RunConfig = namedtuple("RunConfig", [
-    "command", "expression",  # str
-    "ast",                    # Node
-    "a", "b",                 # float
-    "fmt",                    # str
-    "out",                    # str or None
-    "n",                      # int
-    "tol",                    # float or None
-    "method",                 # str
-    "q",                      # float > 1
-    "n_list",                 # tuple of ints
-    "grid_points", "n_max",   # int
-    "per_interval", "oracle",  # bool
-], defaults=(1, None, "best", bounds.DEFAULT_Q, (),
-             analysis.GRID_POINTS_DEFAULT, quadrature.MAX_SUBINTERVALS,
-             False, False))
+class RunConfig(Record):
+    __slots__, _fields = (), (
+        "command", "expression",  # str
+        "ast",                    # Node
+        "a", "b",                 # float
+        "fmt",                    # str
+        "out",                    # str or None
+        "n",                      # int
+        "tol",                    # float or None
+        "method",                 # str
+        "q",                      # float > 1
+        "n_list",                 # tuple of ints
+        "grid_points", "n_max",   # int
+        "per_interval", "oracle")  # bool
+    _field_defaults = dict(
+        n=1, tol=None, method="best", q=bounds.DEFAULT_Q, n_list=(),
+        grid_points=analysis.GRID_POINTS_DEFAULT,
+        n_max=quadrature.MAX_SUBINTERVALS, per_interval=False, oracle=False)
 
 
 def _load_config(path: str) -> dict:

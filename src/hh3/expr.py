@@ -11,8 +11,12 @@ In EBNF, lowest precedence first:
            | FUNC , "(" , expr , ")"
            | "(" , expr , ")" ;
     FUNC   = "exp" | "log" | "sin" | "cos" | "sqrt" ;
-    NUMBER = digits [ "." digits ] [ ( "e" | "E" ) [ "+" | "-" ] digits ]
-           | "." digits [ exponent ] ;
+    NUMBER = ( digits [ "." [ digits ] ] | "." digits )
+             [ ( "e" | "E" ) [ "+" | "-" ] digits ] ;
+
+Tokens are scanned by hand: blanks are ``str.isspace``, digits
+``str.isdecimal``, names ASCII ``[A-Za-z_][A-Za-z_0-9]*``, and a number is
+the longest NUMBER there, so ``1e`` is the number ``1`` and the name ``e``.
 
 Unary minus binds looser than ``^``: ``-x^2`` is ``-(x^2)``.  Exponents sit
 one level up the chain, so ``x^-2`` and ``x^2^3`` (= ``x^(2^3)``) both parse.
@@ -32,11 +36,10 @@ from __future__ import annotations
 
 import functools
 import math
-import re
-from collections import namedtuple
-from typing import Callable, Union
+from collections.abc import Callable
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
+from .record import Record
 
 __all__ = [
     "Num", "Var", "Const", "Neg", "BinOp", "Func", "Node",
@@ -46,6 +49,8 @@ __all__ = [
 _FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _NAMES = ("x", *_CONSTANTS, *_FUNCTIONS)
+_NAME_CHARS = frozenset("_abcdefghijklmnopqrstuvwxyz"
+                        "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
 
 
 # --------------------------------------------------------------------------
@@ -54,51 +59,69 @@ _NAMES = ("x", *_CONSTANTS, *_FUNCTIONS)
 
 # Num.value is a float, Const.name "pi" or "e", BinOp.op one of "+", "-",
 # "*", "/", "^" and Func.name one of _FUNCTIONS; every other field is a Node.
-Num = namedtuple("Num", "value")
-Var = namedtuple("Var", ())
-Var.__doc__ = """The integration variable ``x``."""
-Const = namedtuple("Const", "name")
-Neg = namedtuple("Neg", "operand")
-BinOp = namedtuple("BinOp", "op left right")
-Func = namedtuple("Func", "name arg")
+class Num(Record):
+    __slots__, _fields = (), ("value",)
 
-Node = Union[Num, Var, Const, Neg, BinOp, Func]
+
+class Var(Record):
+    """The integration variable ``x``."""
+    __slots__, _fields = (), ()
+
+
+class Const(Record):
+    __slots__, _fields = (), ("name",)
+
+
+class Neg(Record):
+    __slots__, _fields = (), ("operand",)
+
+
+class BinOp(Record):
+    __slots__, _fields = (), ("op", "left", "right")
+
+
+class Func(Record):
+    __slots__, _fields = (), ("name", "arg")
+
+
+Node = Num | Var | Const | Neg | BinOp | Func
 
 
 # --------------------------------------------------------------------------
 # Tokenizer
 # --------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+class _Token(Record):  # kind "num", "ident", "op" or "end"; text; offset
+    __slots__, _fields = (), ("kind", "text", "pos")
 
 
-# kind is "num", "ident", "op" or "end"; text a str, pos an int
-_Token = namedtuple("_Token", "kind text pos")
+def _run(source: str, pos: int, test) -> int:
+    """The end of the run of characters that pass ``test`` from ``pos``."""
+    while test(source[pos:pos + 1]):
+        pos += 1
+    return pos
 
 
 def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            # skip leading whitespace before reporting the bad character
-            stripped = pos + len(source[pos:]) - len(source[pos:].lstrip())
-            if stripped >= len(source):
-                break
-            raise ExprSyntaxError(stripped, ("a token",),
-                                  repr(source[stripped]))
-        kind = match.lastgroup
-        assert kind is not None
-        tokens.append(_Token(kind, match.group(kind),
-                             match.start(kind)))
-        pos = match.end()
-    tokens.append(_Token("end", "", len(source)))
-    return tokens
+    tokens, pos = [], 0
+    while (pos := _run(source, pos, str.isspace)) < len(source):
+        start, char, after = pos, source[pos], source[pos + 1:pos + 2]
+        if char in "-+*/^()":
+            kind, pos = "op", pos + 1
+        elif char.isdecimal() or char == "." and after.isdecimal():
+            kind, pos = "num", _run(source, pos, str.isdecimal)
+            if source[pos:pos + 1] == ".":
+                pos = _run(source, pos + 1, str.isdecimal)
+            digit = pos + 1 + (source[pos + 1:pos + 2] in ("+", "-"))
+            end = _run(source, digit, str.isdecimal)
+            if source[pos:pos + 1] in ("e", "E") and end > digit:
+                pos = end
+        elif char in _NAME_CHARS:  # not a digit: a number took those
+            kind, pos = "ident", _run(source, pos, _NAME_CHARS.__contains__)
+        else:
+            raise ExprSyntaxError(pos, ("a token",), repr(char))
+        tokens.append(_Token(kind, source[start:pos], start))
+    return [*tokens, _Token("end", "", pos)]
 
 
 # --------------------------------------------------------------------------

@@ -30,14 +30,14 @@ import functools
 import itertools
 import math
 import sys
-from collections import namedtuple
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import bounds as _bounds
 from .errors import BadInterval, BelowRoundingFloor, NonConvergence, \
     ToleranceUnreachable, require_f3, require_finite, require_interval
 # eval_jet3 and evaluate stay attributes here for bench/tracer.py to wrap.
 from .expr import Node, compile_jet3, eval_jet3, evaluate  # noqa: F401
+from .record import Record
 
 __all__ = [
     "QuadResult", "CertifyOutcome", "uniform_division",
@@ -103,19 +103,20 @@ def _midpoint_pass(jet: Callable, points: tuple[float, ...],
 
 
 def corrected_midpoint_sum(f: Node, points: Sequence[float]) -> float:
-    return math.fsum(_midpoint_pass(compile_jet3(f), _checked(points))[2])
+    return _finite_sum("corrected_sum",
+                       _midpoint_pass(compile_jet3(f), _checked(points))[2])
 
 
 # --------------------------------------------------------------------------
 # Composite certified bound
 # --------------------------------------------------------------------------
 
-QuadResult = namedtuple("QuadResult", [
-    "midpoint_sum", "corrected_sum",  # floats
-    "certified_bound",  # float: fsum of interval_bounds
-    "f3",               # floats: |f'''| at each division point
-    "interval_bounds",  # floats: one bound per subinterval
-])
+class QuadResult(Record):
+    __slots__, _fields = (), (
+        "midpoint_sum", "corrected_sum",  # floats
+        "certified_bound",  # float: fsum of interval_bounds
+        "f3",               # floats: |f'''| at each division point
+        "interval_bounds")  # floats: one bound per subinterval
 
 
 def composite_bound(f: Node, points: Sequence[float], *,
@@ -324,8 +325,8 @@ def identity_residual(f: Node, a: float, b: float) -> float:
 # Certification loop
 # --------------------------------------------------------------------------
 
-# a QuadResult, and two ints
-CertifyOutcome = namedtuple("CertifyOutcome", "result n_final iterations")
+class CertifyOutcome(Record):  # a QuadResult, and two ints
+    __slots__, _fields = (), ("result", "n_final", "iterations")
 
 
 #: The rounding allowance R of the floor stop in :func:`certify`, in units

@@ -10,16 +10,17 @@ has no Infinity; the schema types those fields number-or-null).  A
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from itertools import islice
-from typing import Any
+
+from .record import Record
 
 __all__ = ["Table", "format_float", "format_float_short", "to_json",
            "to_csv", "to_text", "rows_to_csv"]
 
 
-Table = namedtuple("Table", "keys rows")  # tuple of str, list of tuples
-Table.__doc__ = """Rows of scalars, each row as long as ``keys``."""
+class Table(Record):
+    """Rows of scalars, each row as long as ``keys``."""
+    __slots__, _fields = (), ("keys", "rows")  # tuple of str, list of tuples
 
 
 def format_float(x: float) -> str:
@@ -35,7 +36,7 @@ def format_float_short(x: float) -> str:
     return format(x, ".6g")
 
 
-def _json_scalar(value: Any) -> str:
+def _json_scalar(value: object) -> str:
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -87,7 +88,7 @@ def _literal(text: str) -> str:
     return text.replace("%", "%%")
 
 
-def _emit(value: Any, indent: int) -> str:
+def _emit(value: object, indent: int) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
@@ -115,9 +116,9 @@ def to_json(doc: dict) -> str:
     return _emit(doc, 0) + "\n"
 
 
-def _flatten(doc: dict, prefix: str = "") -> list[tuple[str, Any]]:
+def _flatten(doc: dict, prefix: str = "") -> list[tuple[str, object]]:
     """(dotted key, scalar or Table) pairs, leaving out empty Tables."""
-    rows: list[tuple[str, Any]] = []
+    rows: list[tuple[str, object]] = []
     for key, value in doc.items():
         name = f"{prefix}{key}"
         if isinstance(value, dict):
@@ -138,7 +139,7 @@ def _csv_quote(text: str) -> str:
     return text
 
 
-def _cell(value: Any, fmt=format_float_short) -> str:
+def _cell(value: object, fmt=format_float_short) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -150,7 +151,7 @@ def _cell(value: Any, fmt=format_float_short) -> str:
     raise TypeError(f"cannot render {value!r} in a report")
 
 
-def _csv_cell(value: Any) -> str:
+def _csv_cell(value: object) -> str:
     return _csv_quote(_cell(value, format_float))
 
 

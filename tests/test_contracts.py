@@ -9,8 +9,10 @@ equality callers use, and importing the CLI stays cheap.
 
 from __future__ import annotations
 
+import copy
 import importlib
 import importlib.util
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -94,9 +96,10 @@ def test_every_exported_name_exists(name):
 
 
 # --------------------------------------------------------------------------
-# Start-up cost: records are named tuples, so importing the CLI needs
-# neither ``dataclasses`` nor the code-inspection modules it pulls in, and
-# a run parses its flags without ``argparse`` and renders without ``json``.
+# Start-up cost: records are tuples over one base, so importing the CLI
+# needs neither ``dataclasses`` nor the code-inspection modules it pulls in,
+# nor ``re`` or ``typing``, and runs no ``eval``; a run parses its flags
+# without ``argparse`` and renders without ``json``.
 # --------------------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -105,7 +108,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def test_cli_import_leaves_out_dataclasses_and_inspection_modules():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import hh3.cli; "
             "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', "
-            "'dis') if m in sys.modules))")
+            "'dis', 're', 'typing') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -126,8 +129,24 @@ def test_cli_import_builds_no_record_through_typing_namedtuple():
     done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    # the 17 record types and DerivEndpoints, built on _Endpoints
-    assert done.stdout.split() == ["18"]
+    # the 17 record types; their base has no _fields of its own
+    assert done.stdout.split() == ["17"]
+
+
+def test_cli_import_calls_no_eval_exec_or_compile():
+    # the standard modules hh3 builds on are loaded first; from then on
+    # every exec or compile must be the import of a module's own code
+    code = ("import functools, collections, operator, math, sys; "
+            "sys.path.insert(0, sys.argv[1]); seen = []; "
+            "sys.addaudithook(lambda event, args: seen.append("
+            "args[0].co_filename if event == 'exec' else args[1]) "
+            "if event in ('exec', 'compile') else None); import hh3.cli; "
+            "print(*(f for f in seen if not f.endswith('.py') "
+            "and not f.startswith('<frozen ')))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 def test_a_run_without_config_leaves_out_argparse_and_json():
@@ -237,6 +256,26 @@ def test_record_repr_text_is_pinned():
     assert repr(Num(1.0)) == "Num(value=1.0)"
     assert repr(parse("-x^2")) == (
         "Neg(operand=BinOp(op='^', left=Var(), right=Num(value=2.0)))")
+
+
+@pytest.mark.parametrize("cls, fields", _RECORDS,
+                         ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_records_rebuild_like_named_tuples(cls, fields):
+    record = cls(**fields)
+    assert cls._make(fields.values()) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert type(copy.copy(record)) is cls
+    for name in fields:
+        assert record._replace(**{name: fields[name]}) == record
+    with pytest.raises(ValueError, match="unexpected field names"):
+        record._replace(extra=0.0)
+    wrong = [((*fields.values(), 0.0), {}), ((), {**fields, "extra": 0})]
+    if fields:  # a field left out, or given twice
+        wrong += [((), {}),
+                  (tuple(fields.values()), dict([*fields.items()][:1]))]
+    for args, kwargs in wrong:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
 
 
 def test_run_config_defaults():

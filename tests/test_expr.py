@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hh3.errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from hh3.expr import (BinOp, Const, Func, Neg, Num, Var, compile_jet3,
-                      eval_jet3, evaluate, parse, to_text)
+from hh3.expr import (BinOp, Const, Func, Neg, Num, Var, _tokenize,
+                      compile_jet3, eval_jet3, evaluate, parse, to_text)
 from jet_reference import Jet, _div, _mul, eval_jet3_reference
+from token_reference import tokenize_reference
 
 
 # --------------------------------------------------------------------------
@@ -79,6 +80,39 @@ def test_unknown_identifier():
 def test_trailing_garbage():
     with pytest.raises(ExprSyntaxError):
         parse("x 2")
+
+
+# The characters where the three token classes start, end or differ from a
+# near miss: ASCII and other Unicode decimal digits, digits that are not
+# decimal (superscript two, one half), Unicode blanks, the exponent letters,
+# non-ASCII letters and characters that start no token.
+_TOKEN_ALPHABET = ("0123456789" "\u0663\u06f5\u0967\uff10\U0001d7ce"
+                   "\u00b2\u00bd" " \t\n\x0b\x0c\r\x1c\x85\xa0\u2003\u3000"
+                   ".._eEeE+-*/^()xpi" "\u00e9\u0131\u212a$,!")
+
+
+def _tokens_or_error(tokenize, source):
+    try:
+        return [tuple(token) for token in tokenize(source)]
+    except ExprSyntaxError as exc:
+        return exc.offset, exc.expected, exc.found
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.text(_TOKEN_ALPHABET, max_size=16), st.text(max_size=8)))
+@example("1e")
+@example("1e+")
+@example("2E-")
+@example("1.e5 ")
+@example(" .5e+3x\t")
+@example("1..2")
+@example(". 5")
+@example("\u0663.\u0663e\u0663")
+@example("\u00b2")
+@example("x_1 \u3000")
+def test_tokenize_matches_the_regular_expression(source):
+    assert (_tokens_or_error(_tokenize, source)
+            == _tokens_or_error(tokenize_reference, source))
 
 
 # --------------------------------------------------------------------------

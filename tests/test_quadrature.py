@@ -239,6 +239,13 @@ def test_composite_refuses_a_sum_outside_float_range(source, points, name):
         composite_bound(parse(source), points)
 
 
+def test_corrected_midpoint_sum_refuses_a_sum_outside_float_range():
+    # h^3/24 * f''(m) = 8e9/24 * 2e300 overflows, as in composite_bound
+    with pytest.raises(DomainError,
+                       match="^corrected_sum leaves float range$"):
+        corrected_midpoint_sum(parse("x^3+1e300*x^2"), (-1e3, 1e3))
+
+
 def test_certified_bound_decreases_under_doubling():
     f = parse("exp(2*x)")
     previous = None
