@@ -19,25 +19,31 @@ specific to the route taken:
                       1/p + 1/q = 1   and  hf(K, q) = (2/(q ln K)) (K^(q/2)-1)
   chi3 (power mean, q>=1):  W(K) = (1/4)^(1-1/q) * mu(K^q)^(1/q)
 
-chi3 at q = 1 collapses to chi1 by the same code path.  No q lets chi2 or
-chi3 undercut chi1: on the kernel path |f'''| <= G(t) = |f'''(b)| K^(t/2),
-chi1 integrates t^3 G exactly, and chi2 (Holder) and chi3 (the power mean
-under the weight t^3 dt) are upper bounds for that same integral.  So
-best_bound reports chi2 and chi3 at one exponent q, for the record, and the
-composite bound of :mod:`hh3.quadrature` is chi1 alone.
+No q lets chi2 or chi3 undercut chi1: on the kernel path |f'''| <= G(t) =
+|f'''(b)| K^(t/2), chi1 integrates t^3 G exactly, and chi2 (Holder) and chi3
+(the power mean under the weight t^3 dt) are upper bounds for that same
+integral, which chi3 at q = 1 is.  So best_bound reports chi2 and chi3 at
+one exponent q, for the record, and the composite bound of
+:mod:`hh3.quadrature` is chi1 alone.
 
-Every weight is a function of ln K, formed in one place, ``_log_ratio``:
-as ln of the quotient, or as ln |f'''(a)| - ln |f'''(b)| where the quotient
-leaves float range, so such a K is still bounded.  ``mu`` and the Holder
-factor both degenerate to removable singularities as K -> 1 (mu(1) = 1/4,
-hf(1, q) = 1); both are computed from ln K through a series/closed-form
-split so that no cancellation is possible near that point.  Where q ln(K)/2
-is too large for exp(), chi2 and chi3 take their q-th roots in log space.
+The weights of chi2 and chi3 are functions of ln K, formed in one place,
+``_log_ratio``: as ln of the quotient, or as ln |f'''(a)| - ln |f'''(b)|
+where the quotient leaves float range, so such a K is still bounded.
+``mu`` and the Holder factor both degenerate to removable singularities as
+K -> 1 (mu(1) = 1/4, hf(1, q) = 1); both are computed from ln K through a
+series/closed-form split so that no cancellation is possible near that
+point.  Where q ln(K)/2 is too large for exp(), chi2 and chi3 take their
+q-th roots in log space.
 
-chi1 is written once: interval_chi1, the composite bound, is h * chi1 per
-cell, and chi1 reads mu from one memo, kept for the process and keyed by K.
-DerivEndpoints and the composite pass refuse a subnormal |f'''|, so |ln K|
-<= 1418 and mu <= e^702.5, and chi1 stays in float range.
+chi1 folds its two moments into one even series of positive terms: with
+K = e^(2L), |f'''(b)| mu(K) + |f'''(a)| mu(M) = sqrt(|f'''(a)| |f'''(b)|)
+C(L), C(L) = 2 * integral over [0,1] of t^3 cosh(L (1 - t)) dt =
+12 * (sum over k of L^(2k) / (2k + 4)!).  It sums C / (2 cosh L) in
+tanh(L)^2 <= 1e-4, C in L^2 <= 16 and C's closed form beyond, each cut
+below an ulp, as stated where it is made; rounding is not in the bound.
+interval_chi1, the composite bound, is h * chi1 per cell.  DerivEndpoints
+and the composite pass refuse a subnormal |f'''|, so |ln K| <= 1418 and
+chi1 stays in float range.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ __all__ = [
     "power_mean_bound", "best_bound", "DEFAULT_Q",
 ]
 
-#: |ln K| at or below which the moment series is used instead of the closed
+#: |ln K| at or below which mu (for chi3) takes the series, not the closed
 #: form, which cancels in e^L poly(L) + 6: against mpmath it is off by up to
 #: ~5300 ulps for |ln K| in (0.5, 1] and ~120 in (2, 2.5], but ~12 beyond 4,
 #: where the series (within ~11 ulps below 4, about 30 terms at 4) loses more.
@@ -62,10 +68,6 @@ L_SWITCH = 4.0
 
 _SERIES_RELTOL = 1e-18
 _HALF_LOG_LIMIT = 700.0  # exp() overflows just above exp(709)
-
-#: The most ratios whose moments chi1 keeps at once; past it the memo
-#: starts again empty, so its memory does not grow with the cells.
-_MOMENT_CACHE_SIZE = 1024
 
 #: The exponent of chi2 and chi3 when none is given.
 DEFAULT_Q = 2.0
@@ -141,36 +143,25 @@ def _moment_from_log(lam: float) -> float:
     return _moment_closed(lam)
 
 
+#: C(L)'s coefficients 12 / (2k + 4)! in s = L^2, k = 14 down to 0.
+_SERIES = tuple(12 / math.factorial(2 * k + 4) for k in range(14, -1, -1))
+
+#: ln 2 in two parts: n * _LN2_HI is exact for any two floats' exponent gap n
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+_RATIO_RULE = "derivative ratio must be finite and positive, got {!r}"
+
+
 def _log_ratio(num: float, den: float = 1.0) -> float:
     """ln(num / den) where the quotient is a positive normal float, else
     ln num - ln den where both are finite and positive (so a quotient that
     under- or overflows keeps its log); DomainError otherwise."""
     k = num / den
-    # sys.float_info.min and max, spelled out: looking them up on every
-    # moment memo miss cost ~5% of a miss-heavy interval_chi1 call
-    if 2.2250738585072014e-308 <= k <= 1.7976931348623157e308:
+    if 2.2250738585072014e-308 <= k <= 1.7976931348623157e308:  # min, max
         return math.log(k)
     if 0.0 < num < math.inf and 0.0 < den < math.inf:
         return math.log(num) - math.log(den)
-    raise DomainError(
-        f"derivative ratio must be finite and positive, got {k!r}")
-
-
-_moments: dict[float, float] = {}  # mu by quotient K: chi1's memo
-
-
-def _moment(num: float, den: float) -> float:
-    """mu(num / den) with ln K from _log_ratio, kept in the memo for the
-    life of the process where K is a positive normal float, which alone
-    fixes ln K, so that a hit is bit for bit what this computes.  The memo
-    starts again empty once it holds _MOMENT_CACHE_SIZE moments."""
-    moment = _moment_from_log(_log_ratio(num, den))
-    k = num / den
-    if 2.2250738585072014e-308 <= k < math.inf:  # _log_ratio's range
-        if len(_moments) >= _MOMENT_CACHE_SIZE:
-            _moments.clear()
-        _moments[k] = moment
-    return moment
+    raise DomainError(_RATIO_RULE.format(k))
 
 
 def _require_q(q: float, strict: bool, name: str) -> None:
@@ -235,19 +226,52 @@ def _qth_root(log_k: float, q: float, power_mean: bool) -> float:
 # --------------------------------------------------------------------------
 # The three bounds
 # --------------------------------------------------------------------------
-# Each takes |f'''(a)|, |f'''(b)| (finite, positive) and the width b - a, and
-# forms ln K and ln M with _log_ratio, which checks the magnitudes;
-# holder_bound and power_mean_bound check q.
+# Each takes |f'''(a)| and |f'''(b)|, finite and positive (chi1 checks them,
+# chi2 and chi3 through _log_ratio), and b - a; the *_bound wrappers check q.
 
 def chi1(f3a_abs: float, f3b_abs: float, width: float) -> float:
-    """((b-a)^3/96) * (|f'''(b)| mu(K) + |f'''(a)| mu(M)).
+    """((b-a)^3/96) * (|f'''(b)| mu(K) + |f'''(a)| mu(M)) through C(L) (see
+    the module docstring): the same bits whichever end comes first."""
+    total = f3a_abs + f3b_abs
+    if not (0.0 < f3a_abs and 0.0 < f3b_abs
+            and total <= 1.7976931348623157e308):  # sys.float_info.max
+        if 0.0 < f3a_abs < math.inf and 0.0 < f3b_abs < math.inf:
+            # the sum overflows; chi1 is linear, and halving rounds nothing
+            return 2.0 * chi1(0.5 * f3a_abs, 0.5 * f3b_abs, width)
+        raise DomainError(_RATIO_RULE.format(
+            f3a_abs / f3b_abs if f3b_abs else f3a_abs * math.inf))
+    t = (f3a_abs - f3b_abs) / total
+    t *= t  # tanh(L)^2
+    if t <= 1e-4:  # as on every cell of a fine division
+        # sqrt(f3a f3b) C(L) = total P(t), P = C / (2 cosh L), to t^3: the
+        # rest is below 3.9e-18 of P.  At K = 1 it is total * 0.25 exactly
+        return width ** 3 / 96.0 * (total * (
+            0.25 - t * (7 / 60 + t * (599 / 20160 + t * (253 / 16800)))))
+    lo, hi = (f3a_abs, f3b_abs) if f3a_abs < f3b_abs else (f3b_abs, f3a_abs)
+    k = hi / lo
+    if k > 2980.9579870417283:  # e^8: s = L^2 > 16
+        return width ** 3 * _far_moments(lo, hi)
+    half = 0.5 * math.log(k)
+    s = half * half
+    series = 0.0  # C(L) at s <= 16: the terms left out are below 5.6e-20
+    for coeff in _SERIES:
+        series = series * s + coeff
+    return width ** 3 / 96.0 * (lo * math.sqrt(k) * series)
 
-    Each mu is the memo's, or on a miss (None) the one _moment computes."""
-    return width ** 3 / 96.0 * (
-        f3b_abs * (_moments.get(f3a_abs / f3b_abs)
-                   or _moment(f3a_abs, f3b_abs))
-        + f3a_abs * (_moments.get(f3b_abs / f3a_abs)
-                     or _moment(f3b_abs, f3a_abs)))
+
+def _far_moments(lo: float, hi: float) -> float:
+    """sqrt(lo hi) C(L) / 96 for hi/lo > e^8: hi (1 + q - (2 + lam^2/4)
+    sqrt(q)) / lam^4, lam = ln(hi/lo), q = lo/hi, C's closed form, whose
+    bracket is in (0.67, 1).  lam is summed from exponents and mantissas, its
+    rounding error entering lam^4 to first order, as 1/lam^4 magnifies it."""
+    (m_hi, e_hi), (m_lo, e_lo) = math.frexp(hi), math.frexp(lo)
+    big = (e_hi - e_lo) * _LN2_HI  # exact
+    small = math.log(m_hi) - math.log(m_lo) + (e_hi - e_lo) * _LN2_LO
+    lam = big + small
+    tail = big - lam + small  # exact, as |big| > 7 > |small| (Fast2Sum)
+    q = lo / hi
+    return hi * (1.0 + q - (2.0 + 0.25 * lam * lam) * math.sqrt(q)) / (
+        lam ** 4 + 4.0 * lam ** 3 * tail)
 
 
 def chi2(f3a_abs: float, f3b_abs: float, width: float, q: float) -> float:
@@ -263,9 +287,6 @@ def chi2(f3a_abs: float, f3b_abs: float, width: float, q: float) -> float:
 def chi3(f3a_abs: float, f3b_abs: float, width: float, q: float) -> float:
     """((b-a)^3/96) (1/4)^(1-1/q) (|f'''(b)| mu_q(K,q)^(1/q)
                                   + |f'''(a)| mu_q(M,q)^(1/q)), q >= 1.
-
-    At q = 1 every factor reduces literally to chi1's: the prefactor is
-    (1/4)^0 == 1.0 and x ** 1.0 == x, so the two agree bit for bit.
     """
     return width ** 3 / 96.0 * 0.25 ** (1.0 - 1.0 / q) * (
         f3b_abs * _qth_root(_log_ratio(f3a_abs, f3b_abs), q, True)
@@ -274,11 +295,7 @@ def chi3(f3a_abs: float, f3b_abs: float, width: float, q: float) -> float:
 
 def interval_chi1(f3: Sequence[float],
                   widths: Sequence[float]) -> tuple[float, ...]:
-    """h * chi1(f3[i], f3[i + 1], h) for each cell i of width h = widths[i].
-
-    Where |f'''| is log-affine, as for exp(c x), K = e^(-c h) on every cell
-    of a uniform division up to rounding, so chi1's moment memo serves any
-    number of cells from a few dozen distinct moments."""
+    """h * chi1(f3[i], f3[i + 1], h) for each cell i of width h = widths[i]."""
     return tuple([h * chi1(f3a, f3b, h)
                   for f3a, f3b, h in zip(f3, f3[1:], widths)])
 

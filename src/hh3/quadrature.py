@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
 from collections.abc import Callable, Sequence
 
@@ -72,14 +73,15 @@ def _checked(points: Sequence[float]) -> tuple[float, ...]:
     points = tuple(points)
     if len(points) < 2:
         raise BadInterval("a division needs at least two points")
-    for p in points:
-        if not math.isfinite(p):
-            raise BadInterval(f"division point {p!r} is not finite")
-    for lo, hi in zip(points, points[1:]):
-        if not lo < hi:
-            raise BadInterval(
-                f"division points must be strictly increasing; "
-                f"{lo!r} >= {hi!r}")
+    if not all(map(math.isfinite, points)):
+        p = next(p for p in points if not math.isfinite(p))
+        raise BadInterval(f"division point {p!r} is not finite")
+    if not all(map(operator.lt, points, points[1:])):
+        lo, hi = next(pair for pair in zip(points, points[1:])
+                      if not pair[0] < pair[1])
+        raise BadInterval(
+            f"division points must be strictly increasing; "
+            f"{lo!r} >= {hi!r}")
     return points
 
 
@@ -180,7 +182,8 @@ def _f3_magnitudes(jet: Callable, points: Sequence[float],
 
     ``given`` holds, in step with ``points``, the jet already evaluated at
     a point, or None where the point is still to be evaluated."""
-    return [require_f3(x, abs((j or jet(x))[3]))
+    return [m if 2.2250738585072014e-308 <= (m := abs((j or jet(x))[3]))
+            <= 1.7976931348623157e308 else require_f3(x, m)
             for x, j in zip(points, given or itertools.repeat(None))]
 
 

@@ -59,16 +59,21 @@ def _json_scalar(value: object) -> str:
 def _rows(table: Table, spec: str, cell, template, indexed=False) -> list:
     """One string per row of ``table``, from ``template(specs, digits)``.
 
-    A column of finite floats goes in as it is, under ``spec``; any other
-    goes in under ``%s``, rendered by ``cell`` (once if every row holds one
-    object).  Rows whose indices have equally many ``digits`` share one
-    %-template; ``indexed`` passes the row's index before each value.
+    Finite floats go in under ``spec`` (as text formatted once per value if
+    their column's first 64 cells repeat one); any other column under
+    ``%s``, rendered by ``cell`` (once if every row holds one object).  Rows
+    whose indices have equally many ``digits`` share one %-template;
+    ``indexed`` passes the row's index before each value.
     """
     n, specs, columns = len(table.rows), [], []
     for column in zip(*table.rows):
         if set(map(type, column)) == {float} \
                 and all(map(math.isfinite, column)):
-            specs.append(spec)
+            repeats = len(set(column[:64])) < len(column[:64])
+            if repeats:  # 0.0 == -0.0 as keys: zeros are formatted each time
+                text = {v: spec % v for v in set(column) if v}
+                column = [text.get(v) or spec % v for v in column]
+            specs.append("%s" if repeats else spec)
         else:
             specs.append("%s")
             column = ([cell(column[0])] * n if len(set(map(id, column))) == 1
@@ -88,32 +93,36 @@ def _literal(text: str) -> str:
     return text.replace("%", "%%")
 
 
-def _emit(value: object, indent: int) -> str:
+def _emit(value: object, indent: int, out: list) -> None:
+    """Append the JSON text of ``value`` to ``out``, piece by piece."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [f"{inner}{_json_scalar(k)}: {_emit(v, indent + 1)}"
-                 for k, v in value.items()]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+        for i, (k, v) in enumerate(value.items()):
+            out.append(f"{',' if i else '{'}\n{inner}{_json_scalar(k)}: ")
+            _emit(v, indent + 1, out)
+        out.append(f"\n{pad}}}" if value else "{}")
+        return
     if isinstance(value, Table):
         def item(specs, digits):
             fields = ",\n".join(f"{inner}  {_literal(_json_scalar(k))}: {s}"
                                 for k, s in zip(value.keys, specs))
-            return f"{inner}{{\n{fields}\n{inner}}}" if fields else \
-                f"{inner}{{}}"
+            return (f"{inner}{{\n{fields}\n{inner}}}" if fields else
+                    f"{inner}{{}}") + ",\n"
         parts = _rows(value, "%.17g", _json_scalar, item)
     elif type(value) in (list, tuple):   # a record is a tuple, not a list
-        parts = [f"{inner}{_json_scalar(v)}" for v in value]
+        parts = [f"{inner}{_json_scalar(v)},\n" for v in value]
     else:
-        return _json_scalar(value)
-    text = ",\n".join(parts)
-    return f"[\n{text}\n{pad}]" if text else "[]"
+        out.append(_json_scalar(value))
+        return
+    if parts:
+        parts[-1] = parts[-1][:-2]  # no comma after the last item
+    out += ["[\n", *parts, f"\n{pad}]"] if parts else ["[]"]
 
 
 def to_json(doc: dict) -> str:
-    return _emit(doc, 0) + "\n"
+    _emit(doc, 0, out := [])
+    return "".join([*out, "\n"])
 
 
 def _flatten(doc: dict, prefix: str = "") -> list[tuple[str, object]]:
@@ -164,14 +173,14 @@ def _flat_lines(doc: dict, spec: str, cell, line) -> list:
     lines = []
     for name, value in _flatten(doc):
         if not isinstance(value, Table):
-            lines.append((line(_literal(name), len(name)) + "%s")
+            lines.append((line(_literal(name), len(name)) + "%s\n")
                          % cell(value))
             continue
 
         def row(specs, digits):   # the key name.i.key, i of digits digits
-            return "\n".join(
+            return "".join(
                 line(f"{_literal(name)}.%d.{_literal(key)}",
-                     len(name) + digits + len(key) + 2) + s
+                     len(name) + digits + len(key) + 2) + s + "\n"
                 for key, s in zip(value.keys, specs))
         lines += _rows(value, spec, cell, row, indexed=True)
     return lines
@@ -181,7 +190,7 @@ def to_csv(doc: dict) -> str:
     """Flattened key,value rows (nested keys are dotted)."""
     lines = _flat_lines(doc, "%.17g", _csv_cell,
                         lambda key, length: _csv_quote(key) + ",")
-    return "\n".join(["key,value", *lines]) + "\n"
+    return "".join(["key,value\n", *lines])
 
 
 def to_text(doc: dict) -> str:
@@ -191,11 +200,11 @@ def to_text(doc: dict) -> str:
                  for k, v in _flatten(doc)), default=0)
     lines = _flat_lines(doc, "%.6g", _cell, lambda key, length:
                         key + " " * (width - length) + " = ")
-    return "\n".join(lines) + "\n"
+    return "".join(lines) or "\n"
 
 
 def rows_to_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
     """A real CSV table (used by sweep), floats at full precision."""
     lines = _rows(Table(tuple(header), rows), "%.17g", _csv_cell,
-                  lambda specs, digits: ",".join(specs))
-    return "\n".join([",".join(map(_csv_quote, header)), *lines]) + "\n"
+                  lambda specs, digits: ",".join(specs) + "\n")
+    return "".join([",".join(map(_csv_quote, header)), "\n", *lines])

@@ -11,6 +11,9 @@ may be libm's, not the program's.  After a deliberate change of report
 bytes, or on a new platform, rewrite the file and review its diff:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints each case that changed, with the largest relative change among
+its numbers, or says that more than numbers changed.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import io
 import json
 import pathlib
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 from hh3 import cli
@@ -95,9 +99,37 @@ def test_cli_reports_match_recorded_bytes():
             assert got[key] == want[key], f"{name}: {key} differs"
 
 
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _change(old: str, new: str) -> str:
+    """How ``new`` differs from ``old``: the largest relative change of a
+    number, where nothing but numbers changed."""
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return "more than numbers changed"
+    moved = [(float(a), float(b)) for a, b in zip(_NUMBER.findall(old),
+                                                   _NUMBER.findall(new))
+             if a != b]
+    largest = max(abs(b - a) / (max(abs(a), abs(b)) or 1.0) for a, b in moved)
+    return f"numbers moved: {len(moved)}, largest relative {largest:.2g}"
+
+
 def regenerate() -> None:
+    old = (json.loads(GOLDEN.read_text(encoding="utf-8"))
+           if GOLDEN.exists() else {})
     recorded = {name: {"argv": argv, **run(argv)}
                 for name, argv in CASES.items()}
+    for name, new in recorded.items():
+        before = old.get(name)
+        if before is None:
+            print(f"{name}: new")
+            continue
+        for key in ("exit", "stdout", "stderr"):
+            if before.get(key) != new[key]:
+                change = (f"{before.get(key)!r} -> {new[key]!r}"
+                          if key == "exit" else
+                          _change(before.get(key, ""), new[key]))
+                print(f"{name}: {key}: {change}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(recorded, indent=1) + "\n",
                       encoding="utf-8")

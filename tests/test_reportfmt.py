@@ -150,9 +150,13 @@ def test_records_are_refused_not_printed_as_lists(render, record):
 
 _SCALARS = st.one_of(st.floats(), st.none(), st.integers(), st.booleans(),
                      st.text(max_size=5))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _COLUMN_POOLS = st.one_of(
-    st.lists(st.floats(allow_nan=False, allow_infinity=False),
-             min_size=1, max_size=4),      # the template's own float path
+    st.lists(_FINITE, min_size=1, max_size=4),  # repeats: each value once
+    st.lists(_FINITE, min_size=64, max_size=130,
+             unique=True),                 # the template's own float path
+    st.lists(st.sampled_from([0.0, -0.0, 0.1, -2.5e-300]),
+             min_size=2, max_size=6),      # repeats with zeros of both signs
     st.lists(_SCALARS, min_size=1, max_size=4),
     _SCALARS.map(lambda v: [v]),           # one object in every row
 )
@@ -160,7 +164,7 @@ _COLUMN_POOLS = st.one_of(
 
 @st.composite
 def tables(draw) -> Table:
-    """Up to 4 columns, each cycling through a few drawn values."""
+    """Up to 4 columns, each cycling through a pool of drawn values."""
     keys = draw(st.lists(st.text(max_size=4), max_size=4, unique=True))
     n = draw(st.one_of(st.integers(0, 12), st.integers(95, 120)))
     pools = [draw(_COLUMN_POOLS) for _ in keys]
