@@ -27,6 +27,7 @@ import atexit
 import math
 import os
 import sys
+from operator import truediv
 
 from . import analysis, bounds, quadrature
 from .errors import ExprSyntaxError, Hh3Error, NotConvex, require_finite
@@ -364,12 +365,10 @@ def cmd_integrate(cfg: RunConfig) -> dict:
     })
     if cfg.per_interval:
         f3 = result.f3
-        keys = ("lo", "hi", "bound", "k_ratio", "m_ratio")
-        rows = zip(division, division[1:], f3, f3[1:],
-                   result.interval_bounds)
-        doc["intervals"] = Table(keys, [
-            (lo, hi, bound, f3a / f3b, f3b / f3a)
-            for lo, hi, f3a, f3b, bound in rows])
+        doc["intervals"] = Table(
+            ("lo", "hi", "bound", "k_ratio", "m_ratio"),
+            (division[:-1], division[1:], result.interval_bounds,
+             list(map(truediv, f3, f3[1:])), list(map(truediv, f3[1:], f3))))
     if cfg.oracle:
         truth = quadrature.reference_integral(cfg.ast, cfg.a, cfg.b)
         error = abs(result.corrected_sum - truth)

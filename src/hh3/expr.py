@@ -28,8 +28,10 @@ point, and the rules below propagate all four components exactly (Leibniz
 for products, a triangular back-substitution for quotients, and the order-3
 chain rule for function application).  No finite differencing is done
 anywhere.  :func:`compile_jet3` writes the rules' float operations for one
-tree, in the order a recursive walk would perform them, as a straight-line
-Python function of x, compiled once and cached.
+tree as a straight-line Python function of x, compiled once and cached.
+It leaves out each term that the derivatives of ``x`` and of constants
+(1 and 0) make identically zero, and each factor they make 1, and
+performs the rest in the order a recursive walk of the tree would.
 """
 
 from __future__ import annotations
@@ -285,30 +287,44 @@ def to_text(node: Node) -> str:
 # Jets
 # --------------------------------------------------------------------------
 
-# The jet rules as the float expressions they evaluate.  Every operand put in
-# a brace is the name of a local or the literal 0.0 or 1.0, so Python's own
+# The jet rules as sums of signed products: entry i of a rule is output i,
+# a tuple of terms, each a coefficient and then its factors, with the key of
+# a divisor last where the sum is divided.  A factor is the key of an operand
+# or (key, 3) for its cube.  Written out, a term multiplies left to right
+# from the coefficient (left out at 1.0, its sign put in front), the terms
+# are added left to right and the sum is divided last, so Python's own
 # precedence and association fix the order of every operation.
-_MUL = ("{a0} * {b0}", "{a1} * {b0} + {a0} * {b1}",          # Leibniz
-        "{a2} * {b0} + 2.0 * {a1} * {b1} + {a0} * {b2}",
-        "{a3} * {b0} + 3.0 * {a2} * {b1} + 3.0 * {a1} * {b2} + {a0} * {b3}")
-_DIV = ("{a0} / {b0}", "({a1} - {q0} * {b1}) / {b0}",       # solve q*b = a
-        "({a2} - {q0} * {b2} - 2.0 * {q1} * {b1}) / {b0}",
-        "({a3} - {q0} * {b3} - 3.0 * {q1} * {b2} - 3.0 * {q2} * {b1}) / {b0}")
-_COMPOSE = ("{g0}", "{g1} * {u1}",                  # order-3 chain rule
-            "{g2} * {u1} * {u1} + {g1} * {u2}",
-            "{g3} * {u1} ** 3 + 3.0 * {g2} * {u1} * {u2} + {g1} * {u3}")
-_OUTER = {  # outer derivatives g0..g3 at v = u0
-    "exp": ("{ev}", "{ev}", "{ev}", "{ev}"),
-    "log": ("log({v})", "{iv}", "-{iv} * {iv}", "2.0 * {iv} ** 3"),
-    "sin": ("{s}", "{c}", "-{s}", "-{c}"),
-    "cos": ("{c}", "-{s}", "-{c}", "{s}"),
-    "sqrt": ("{r}", "0.5 / {r}", "-0.25 / ({r} * {v})",
-             "0.375 / ({r} * {v} * {v})"),
-    "pow": ("{v} ** {c}", "{c} * {g0} / {v}",        # u^c, c constant
-            "{c} * ({c} - 1.0) * {g0} / ({v} * {v})",
-            "{c} * ({c} - 1.0) * ({c} - 2.0) * {g0} / ({v} ** 3)"),
+_MUL = (((1.0, "a0", "b0"),),                                    # Leibniz
+        ((1.0, "a1", "b0"), (1.0, "a0", "b1")),
+        ((1.0, "a2", "b0"), (2.0, "a1", "b1"), (1.0, "a0", "b2")),
+        ((1.0, "a3", "b0"), (3.0, "a2", "b1"), (3.0, "a1", "b2"),
+         (1.0, "a0", "b3")))
+_DIV = (((1.0, "a0"), "b0"),                                 # solve q*b = a
+        ((1.0, "a1"), (-1.0, "q0", "b1"), "b0"),
+        ((1.0, "a2"), (-1.0, "q0", "b2"), (-2.0, "q1", "b1"), "b0"),
+        ((1.0, "a3"), (-1.0, "q0", "b3"), (-3.0, "q1", "b2"),
+         (-3.0, "q2", "b1"), "b0"))
+_COMPOSE = (((1.0, "g0"),),                           # order-3 chain rule
+            ((1.0, "g1", "u1"),),
+            ((1.0, "g2", "u1", "u1"), (1.0, "g1", "u2")),
+            ((1.0, "g3", ("u1", 3)), (3.0, "g2", "u1", "u2"),
+             (1.0, "g1", "u3")))
+_ADD = tuple(((1.0, f"a{i}"), (1.0, f"b{i}")) for i in range(4))
+_SUB = tuple(((1.0, f"a{i}"), (-1.0, f"b{i}")) for i in range(4))
+_NEG = tuple(((-1.0, f"a{i}"),) for i in range(4))
+_OUTER = {  # outer derivatives g0..g3 at v = u0, from the values func names
+    "exp": (((1.0, "ev"),),) * 4,
+    "log": (((1.0, "lv"),), ((1.0, "iv"),), ((-1.0, "iv", "iv"),),
+            ((2.0, ("iv", 3)),)),
+    "sin": (((1.0, "s"),), ((1.0, "c"),), ((-1.0, "s"),), ((-1.0, "c"),)),
+    "cos": (((1.0, "c"),), ((-1.0, "s"),), ((-1.0, "c"),), ((1.0, "s"),)),
+    "sqrt": (((1.0, "r"),), ((0.5,), "r"), ((-0.25,), "rv"),
+             ((0.375,), "rvv")),
+    "pow": (((1.0, "p"),), ((1.0, "c", "g0"), "v"),   # u^c, c constant
+            ((1.0, "c", "c1", "g0"), "vv"),
+            ((1.0, "c", "c1", "c2", "g0"), "v3")),
 }
-_ONE = ("1.0", "0.0", "0.0", "0.0")
+_ONE = (1.0, 0.0, 0.0, 0.0)
 _MAX_INT_EXPONENT = 2 ** 16
 
 
@@ -316,10 +332,18 @@ def _domain(node: Node, x: float, why: str) -> DomainError:
     return DomainError(why, expr_text=to_text(node), x=x)
 
 
+def _text(operand) -> str:
+    return operand if isinstance(operand, str) else repr(operand)
+
+
 class _JetCompiler:
-    """Writes the jet of one tree as the body of a Python function.  An
-    operand is source text: a local's name or the literal 0.0 or 1.0; the
-    tree's numbers and nodes appear only as names of globals bound to them.
+    """Writes the jet of one tree as the body of a Python function.
+
+    An operand is the name of a local, or a float where the derivatives of
+    ``x`` and of constants fix it whatever x is: such a literal is folded
+    into the terms it meets, and a term with a literal zero factor is left
+    out.  The tree's numbers and nodes appear only as names of globals bound
+    to them.
     """
 
     def __init__(self):
@@ -343,8 +367,6 @@ class _JetCompiler:
         return f"k{len(self.pool) - 1}"
 
     def assign(self, expr: str) -> str:
-        if expr.isidentifier() or expr in ("0.0", "1.0"):
-            return expr
         t = self.fresh()
         self.emit(f"{t} = {expr}")
         return t
@@ -354,25 +376,75 @@ class _JetCompiler:
         self.emit(test)
         self.emit(f"    raise _domain({ref}, x, {why!r}){chain}")
 
-    def rule(self, templates, out: str = "_", **operands) -> tuple:
-        """Emit the templates in turn; entry i is also bound as out + i."""
+    def rule(self, entries, out: str = "_", **operands) -> tuple:
+        """Emit the entries in turn; entry i is also bound as out + i."""
         env = {}
         for key, v in operands.items():
             env.update({f"{key}{i}": w for i, w in enumerate(v)}
                        if isinstance(v, tuple) else {key: v})
-        for i, text in enumerate(templates):
-            env[f"{out}{i}"] = self.assign(text.format(**env))
+        for i, terms in enumerate(entries):
+            env[f"{out}{i}"] = self.entry(terms, env)
         return tuple(env[f"{out}{i}"] for i in range(4))
+
+    def entry(self, terms: tuple, env: dict):
+        """The operand of one rule entry: a float where no term varies."""
+        divisor = terms[-1] if isinstance(terms[-1], str) else None
+        lead, pieces = 0.0, []  # pieces: (negative, text) of each term
+        for coefficient, *factors in terms[:-1] if divisor else terms:
+            term = self.product(coefficient, factors, env)
+            if isinstance(term, float) and not pieces:
+                lead += term  # the sum's literal lead, added as it runs
+            elif term is not None:
+                pieces.append(term if isinstance(term, tuple)
+                              else (term < 0.0, repr(abs(term))))
+        if lead and (pieces or divisor):
+            pieces.insert(0, (lead < 0.0, repr(abs(lead))))
+        if not pieces:
+            return lead  # 0.0 where every term, and so any quotient, is 0
+        text = ""
+        for negative, body in pieces:
+            text += ((" - " if negative else " + ") if text
+                     else "-" * negative) + body
+        if divisor:
+            text = (f"({text})" if len(pieces) > 1 else text) \
+                + f" / {env[divisor]}"
+        return text if text.isidentifier() else self.assign(text)
+
+    @staticmethod
+    def product(coefficient: float, factors, env):
+        """``coefficient * factors``: None if a factor is a literal zero, a
+        float if every factor is a literal, else (negative, text)."""
+        lead, parts, negative = coefficient, [], False
+        for factor in factors:
+            key, cube = (factor, False) if isinstance(factor, str) \
+                else (factor[0], True)
+            v = env[key]
+            if isinstance(v, str):
+                parts.append(f"{v} ** 3" if cube else v)
+                continue
+            v = v ** 3 if cube else v
+            if v == 0.0:
+                return None
+            if not parts:
+                lead *= v  # what the product computes before its first name
+                continue
+            negative ^= v < 0.0  # t * c is -(t * -c), and t * 1.0 is t
+            if abs(v) != 1.0:
+                parts.append(repr(abs(v)))
+        if not parts:
+            return lead
+        if abs(lead) != 1.0:
+            parts.insert(0, repr(abs(lead)))
+        return negative ^ (lead < 0.0), " * ".join(parts)
 
     def node(self, node: Node) -> tuple:
         if isinstance(node, Var):
-            return ("x", "1.0", "0.0", "0.0")
+            return ("x", 1.0, 0.0, 0.0)
         if isinstance(node, (Num, Const)):
             c = node.value if isinstance(node, Num) else _CONSTANTS[node.name]
-            return (self.name(c), "0.0", "0.0", "0.0")
+            return (self.name(c), 0.0, 0.0, 0.0)
         if isinstance(node, Neg):
-            return tuple(self.assign(f"-{v}")
-                         for v in self.node(node.operand))
+            return self.rule(_NEG, a=self.node(node.operand))
         if isinstance(node, Func):
             return self.func(node.name, node, self.node(node.arg))
         if isinstance(node, BinOp):
@@ -380,11 +452,9 @@ class _JetCompiler:
             if node.op == "^":
                 return self.power(node, a)
             b = self.node(node.right)
-            if node.op in ("+", "-"):
-                return tuple(self.assign(f"{p} {node.op} {q}")
-                             for p, q in zip(a, b))
-            if node.op == "*":
-                return self.rule(_MUL, a=a, b=b)
+            if node.op != "/":
+                rule = {"+": _ADD, "-": _SUB, "*": _MUL}[node.op]
+                return self.rule(rule, a=a, b=b)
             self.fail(f"if {b[0]} == 0.0:", node, "division by zero")
             return self.rule(_DIV, "q", a=a, b=b)
         raise TypeError(f"not an expression node: {node!r}")
@@ -401,44 +471,67 @@ class _JetCompiler:
             self.fail("except OverflowError:", node, "exp overflow",
                       " from None")
         elif name == "log":
-            env["iv"] = self.assign(f"1.0 / {v}")
+            env.update(lv=self.assign(f"log({v})"),
+                       iv=self.assign(f"1.0 / {v}"))
         elif name == "sqrt":
             env["r"] = self.assign(f"sqrt({v})")
+            env["rv"] = self.assign(f"{env['r']} * {v}")
+            env["rvv"] = self.assign(f"{env['rv']} * {v}")
+            self.fail(f"if {env['rvv']} == 0.0:", node,
+                      "sqrt argument too small for its derivatives")
         else:
             env.update(s=self.assign(f"sin({v})"), c=self.assign(f"cos({v})"))
-        return self.rule(_COMPOSE, g=self.rule(_OUTER[name], **env), u=u)
+        return self.rule(_COMPOSE, g=self.rule(_OUTER[name], "g", **env), u=u)
 
     def power(self, node: BinOp, base: tuple) -> tuple:
-        # Only a literal integer exponent is unrolled here; any other takes
-        # its branches when the function runs, as the tree walk did.
+        # Only a literal integer exponent is unrolled here.  Any other takes
+        # the tree walk's branches when the function runs, but for those
+        # that the exponent's literals rule out.
         lit = node.right.operand if isinstance(node.right, Neg) else node.right
         c = (lit.value if lit is node.right else -lit.value) \
             if isinstance(lit, Num) else math.nan
         if math.isfinite(c) and c == int(c) and abs(c) <= _MAX_INT_EXPONENT:
             return self.int_pow(node, base, int(c))
-        e, v = self.node(node.right), base[0]
-        k, out = e[0], ", ".join(f"{self.fresh()}_{i}" for i in range(4))
-        zero = " and ".join(f"{w} == 0.0" for w in e[1:])
-        self.open(f"if {zero} and {k} == int({k}) "
-                  f"and abs({k}) <= {_MAX_INT_EXPONENT}:")
+        e = self.node(node.right)
+        if any(w for w in e[1:] if isinstance(w, float)):  # never constant
+            return self.variable_pow(node, e, base)
+        if math.isfinite(c):
+            return self.constant_pow(node, e, base)
+        k, zero = e[0], [f"{w} == 0.0" for w in e[1:] if isinstance(w, str)]
+        integer = [f"{k} == int({k})", f"abs({k}) <= {_MAX_INT_EXPONENT}"]
+        out = ", ".join(f"{self.fresh()}_{i}" for i in range(4))
+        self.open(f"if {' and '.join(zero + integer)}:")
         self.emit(f"{out} = _int_power(int({k}))"
-                  f"(x, {self.name(node)}, {', '.join(base)})")
+                  f"(x, {self.name(node)}, {', '.join(map(_text, base))})")
         self.close()
-        self.open(f"elif {zero}:")
+        branches = {f"elif {' and '.join(zero)}:": self.constant_pow,
+                    "else:": self.variable_pow} if zero \
+            else {"else:": self.constant_pow}
+        for header, branch in branches.items():
+            self.open(header)
+            jet = branch(node, e, base)
+            self.emit(f"{out} = {', '.join(map(_text, jet))}")
+            self.close()
+        return tuple(out.split(", "))
+
+    def constant_pow(self, node: BinOp, e: tuple, base: tuple) -> tuple:
+        v, k = base[0], e[0]
         self.fail(f"if {v} <= 0.0:", node,
                   "non-integer exponent needs a positive base")
-        g = self.rule(_OUTER["pow"], "g", v=v, c=k)
-        self.emit(f"{out} = {', '.join(self.rule(_COMPOSE, g=g, u=base))}")
-        self.close()
-        self.open("else:")
-        self.fail(f"if {v} <= 0.0:", node,
+        env = dict(v=v, c=k, p=self.assign(f"{v} ** {k}"),
+                   c1=self.assign(f"{k} - 1.0"), c2=self.assign(f"{k} - 2.0"),
+                   vv=self.assign(f"{v} * {v}"), v3=self.assign(f"{v} ** 3"))
+        self.fail(f"if {env['v3']} == 0.0:", node,
+                  "base too small for the power's derivatives")
+        return self.rule(_COMPOSE, g=self.rule(_OUTER["pow"], "g", **env),
+                         u=base)
+
+    def variable_pow(self, node: BinOp, e: tuple, base: tuple) -> tuple:
+        self.fail(f"if {base[0]} <= 0.0:", node,
                   "variable exponent needs a positive base")
         log_base = self.func("log", Func("log", node.left), base)
-        jet = self.func("exp", Func("exp", node),
-                        self.rule(_MUL, a=e, b=log_base))
-        self.emit(f"{out} = {', '.join(jet)}")
-        self.close()
-        return tuple(out.split(", "))
+        return self.func("exp", Func("exp", node),
+                         self.rule(_MUL, a=e, b=log_base))
 
     def int_pow(self, node, u: tuple, n: int) -> tuple:
         """u**n unrolled by repeated squaring; n < 0 needs u0 != 0."""
@@ -456,14 +549,16 @@ class _JetCompiler:
         return result
 
     def build(self, jet: tuple, params: str = "x") -> Callable:
-        self.emit(f"return ({', '.join(jet)})")
+        self.emit(f"return ({', '.join(map(_text, jet))})")
         namespace = {f"k{i}": v for i, v in enumerate(self.pool)}
         namespace.update(_domain=_domain, DomainError=DomainError,
                          _int_power=_int_power, **{f: getattr(math, f) for f in
                          ("exp", "log", "sin", "cos", "sqrt", "isfinite")})
         source = "\n".join([f"def jet({params}):", *self.lines])
         exec(compile(source, "<hh3 jet>", "exec"), namespace)
-        return namespace["jet"]
+        jet = namespace["jet"]
+        jet.source = source
+        return jet
 
 
 @functools.lru_cache(maxsize=256)
@@ -480,8 +575,10 @@ def _compiled(node: Node, text: str) -> Callable:
     c.emit("if not isfinite(x):")
     c.emit("    raise DomainError('evaluation point must be finite', x=x)")
     jet = c.node(node)
-    c.fail(f"if not ({' and '.join(f'isfinite({v})' for v in jet)}):", node,
-           "result is not finite")
+    names = [v for v in jet if isinstance(v, str)]  # x^0 has none
+    if names:
+        c.fail(f"if not ({' and '.join(f'isfinite({v})' for v in names)}):",
+               node, "result is not finite")
     return c.build(jet)
 
 
@@ -489,9 +586,14 @@ def compile_jet3(node: Node) -> Callable[[float], tuple[float, ...]]:
     """The jet of ``node`` as one function of x returning (f, f', f'', f''').
 
     It performs the float operations of the jet rules in the order a
-    recursive walk of the tree would and raises what :func:`eval_jet3`
-    documents.  Compiled once per tree and kept in a bounded cache, keyed
-    on the tree and its text (Num(0.0) == Num(-0.0)).
+    recursive walk of the tree would, but for the terms with a zero factor
+    and the factors of 1 that the derivatives of x and of constants bring:
+    these it leaves out, so f keeps its bits and a derivative that is 0
+    may come out with the other sign.  Where such a zero met an inf, the
+    walk's NaN becomes the true value.  It raises what :func:`eval_jet3`
+    documents.  The function's ``source`` attribute holds its text.
+    Compiled once per tree and kept in a bounded cache, keyed on the tree
+    and its text (Num(0.0) == Num(-0.0)).
     """
     return _compiled(node, to_text(node))
 

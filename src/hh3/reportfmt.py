@@ -10,6 +10,7 @@ has no Infinity; the schema types those fields number-or-null).  A
 from __future__ import annotations
 
 import math
+import operator
 from itertools import islice
 
 from .record import Record
@@ -19,8 +20,12 @@ __all__ = ["Table", "format_float", "format_float_short", "to_json",
 
 
 class Table(Record):
-    """Rows of scalars, each row as long as ``keys``."""
-    __slots__, _fields = (), ("keys", "rows")  # tuple of str, list of tuples
+    """Columns of scalars, one per key, all equally long: a row per index."""
+    __slots__, _fields = (), ("keys", "columns")  # strs; a sequence per key
+
+
+def _height(table: Table) -> int:
+    return len(table.columns[0]) if table.columns else 0
 
 
 def format_float(x: float) -> str:
@@ -59,27 +64,37 @@ def _json_scalar(value: object) -> str:
 def _rows(table: Table, spec: str, cell, template, indexed=False) -> list:
     """One string per row of ``table``, from ``template(specs, digits)``.
 
-    Finite floats go in under ``spec`` (as text formatted once per value if
-    their column's first 64 cells repeat one); any other column under
-    ``%s``, rendered by ``cell`` (once if every row holds one object).  Rows
-    whose indices have equally many ``digits`` share one %-template;
-    ``indexed`` passes the row's index before each value.
+    Finite floats go in under ``spec``, or as text formatted once per value
+    if their column's first 64 cells repeat one, and once per point where
+    the next column holds the same floats one row on (``lo``, ``hi``); any
+    other column under ``%s``, rendered by ``cell`` (once if every row
+    holds one object).  Rows whose indices have equally many ``digits``
+    share one %-template; ``indexed`` passes the row's index before each
+    value.
     """
-    n, specs, columns = len(table.rows), [], []
-    for column in zip(*table.rows):
-        if set(map(type, column)) == {float} \
-                and all(map(math.isfinite, column)):
-            repeats = len(set(column[:64])) < len(column[:64])
-            if repeats:  # 0.0 == -0.0 as keys: zeros are formatted each time
-                text = {v: spec % v for v in set(column) if v}
-                column = [text.get(v) or spec % v for v in column]
-            specs.append("%s" if repeats else spec)
+    n, specs, columns, shared = _height(table), [], [], None
+    floats = [set(map(type, column)) == {float}
+              and all(map(math.isfinite, column)) for column in table.columns]
+    for j, column in enumerate(table.columns):
+        form = "%s"
+        if shared is not None:  # the column before formatted these points
+            column, shared = shared[1:], None
+        elif floats[j] and j + 1 < len(floats) and floats[j + 1] and all(
+                map(operator.is_, table.columns[j + 1][:-1], column[1:])):
+            shared = [*map(spec.__mod__, column),
+                      spec % table.columns[j + 1][-1]]
+            column = shared[:-1]
+        elif floats[j] and len(set(column[:64])) == len(column[:64]):
+            form = spec
+        elif floats[j]:  # 0.0 == -0.0 as keys: zeros are formatted each time
+            text = {v: spec % v for v in set(column) if v}
+            column = [text.get(v) or spec % v for v in column]
         else:
-            specs.append("%s")
             column = ([cell(column[0])] * n if len(set(map(id, column))) == 1
                       else list(map(cell, column)))
+        specs.append(form)
         columns += [range(n), column] if indexed else [column]
-    arguments = zip(*columns) if columns else iter([()] * n)
+    arguments = zip(*columns)
     out, start, digits = [], 0, 1
     while start < n:
         stop = min(n, 10 ** digits)
@@ -133,7 +148,7 @@ def _flatten(doc: dict, prefix: str = "") -> list[tuple[str, object]]:
         if isinstance(value, dict):
             rows.extend(_flatten(value, name + "."))
         elif isinstance(value, Table):
-            if value.rows and value.keys:   # else it prints no line
+            if _height(value):   # else it prints no line
                 rows.append((name, value))
         elif type(value) in (list, tuple):
             rows.extend((f"{name}.{i}", item) for i, item in enumerate(value))
@@ -195,7 +210,7 @@ def to_csv(doc: dict) -> str:
 
 def to_text(doc: dict) -> str:
     """Aligned ``key = value`` lines with 6-significant-digit floats."""
-    width = max((len(f"{k}.{len(v.rows) - 1}.{max(v.keys, key=len)}")
+    width = max((len(f"{k}.{_height(v) - 1}.{max(v.keys, key=len)}")
                  if isinstance(v, Table) else len(k)
                  for k, v in _flatten(doc)), default=0)
     lines = _flat_lines(doc, "%.6g", _cell, lambda key, length:
@@ -205,6 +220,7 @@ def to_text(doc: dict) -> str:
 
 def rows_to_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
     """A real CSV table (used by sweep), floats at full precision."""
-    lines = _rows(Table(tuple(header), rows), "%.17g", _csv_cell,
+    columns = list(zip(*rows)) or [()] * len(header)
+    lines = _rows(Table(tuple(header), columns), "%.17g", _csv_cell,
                   lambda specs, digits: ",".join(specs) + "\n")
     return "".join([",".join(map(_csv_quote, header)), "\n", *lines])

@@ -1,9 +1,11 @@
 """Reference jet evaluator: a recursive walk of the AST, one Jet per node.
 
-This is the tree-walker that :func:`hh3.expr.compile_jet3` replaces.  The
-compiled functions perform the same float operations in the same order, so
-the tests hold them to identical bits and identical errors against
-:func:`eval_jet3_reference`.
+This is the tree-walker that :func:`hh3.expr.compile_jet3` replaces.  It
+performs every float operation of the jet rules; the compiled functions
+leave out the terms with a zero factor that the derivatives of ``x`` and
+of constants make, and perform the rest in the walker's order.  So the
+tests hold them to the walker's errors and the bits of its value, and to
+its derivatives up to the sign of a zero.
 """
 
 from __future__ import annotations
@@ -138,6 +140,8 @@ def _apply_func(node: Func, u: Jet, x: float) -> Jet:
     if v <= 0.0:
         raise _domain(node, x, "sqrt needs a positive argument")
     r = math.sqrt(v)
+    if r * v * v == 0.0:
+        raise _domain(node, x, "sqrt argument too small for its derivatives")
     return _compose(
         (r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)), u
     )
@@ -160,6 +164,9 @@ def _apply_pow(node: BinOp, base: Jet, x: float) -> Jet:
         # u^c = exp(c*log u): compose the closed-form outer derivatives
         v = base.d0
         g0 = v ** c
+        if v ** 3 == 0.0:
+            raise _domain(node, x,
+                          "base too small for the power's derivatives")
         g1 = c * g0 / v
         g2 = c * (c - 1.0) * g0 / (v * v)
         g3 = c * (c - 1.0) * (c - 2.0) * g0 / (v ** 3)

@@ -21,7 +21,8 @@ def as_dicts(doc: dict) -> dict:
     out = {}
     for key, value in doc.items():
         if isinstance(value, Table):
-            value = [dict(zip(value.keys, row)) for row in value.rows]
+            value = [dict(zip(value.keys, row))
+                     for row in zip(*value.columns)]
         elif isinstance(value, dict):
             value = as_dicts(value)
         out[key] = value

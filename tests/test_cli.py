@@ -296,6 +296,21 @@ def test_a_sum_outside_float_range_exits_2(capsys, argv):
                                 "hh3: midpoint_sum leaves float range\n")
 
 
+@pytest.mark.parametrize("argv, why", [
+    (["integrate", "--f", "sqrt(x*1e-320)", "--n", "4"],
+     "sqrt argument too small for its derivatives (in 'sqrt(x*1e-320)'"),
+    (["verify", "--f", "sqrt(x*1e-320)"],
+     "sqrt argument too small for its derivatives (in 'sqrt(x*1e-320)'"),
+    (["integrate", "--f", "(x*1e-200)^2.5", "--n", "4"],
+     "base too small for the power's derivatives (in '(x*1e-200)^2.5'"),
+], ids=["integrate-sqrt", "verify-sqrt", "integrate-power"])
+def test_an_underflowing_derivative_divisor_exits_2(capsys, argv, why):
+    # r*v*v or v^3 underflows to 0 in the outer derivatives' divisors
+    code, out, err = run(capsys, *argv, "--a", "0.5", "--b", "1")
+    assert (code, out, err) == (EXIT_MATH, "",
+                                f"hh3: {why} at x = 0.5)\n")
+
+
 def test_a_midpoint_bound_outside_float_range_exits_2(capsys, monkeypatch):
     # finite sums of opposite signs whose difference overflows
     result = quadrature.QuadResult(-1e308, 1e308, 1.0, (1.0, 1.0), (1.0,))

@@ -80,7 +80,7 @@ def test_traced_names_are_the_bench_tracers_targets():
 @pytest.mark.parametrize("fmt", sorted(cli._RENDERERS))
 def test_renderers_return_str(fmt):
     # the tracer counts rendered bytes with ``text.encode``
-    doc = {"a": 1.0, "t": Table(("x", "y"), [(0.5, None), (1.5, "s")])}
+    doc = {"a": 1.0, "t": Table(("x", "y"), [(0.5, 1.5), (None, "s")])}
     assert type(cli._RENDERERS[fmt](doc)) is str
     assert type(cli.rows_to_csv(("n", "v"), [(1, 0.5)])) is str
 
@@ -239,7 +239,7 @@ _FIELDS = {
                     "n", "tol", "method", "q", "n_list", "grid_points",
                     "n_max", "per_interval", "oracle"),
     cli.Option: ("flag", "kind", "commands", "help"),
-    Table: ("keys", "rows"),
+    Table: ("keys", "columns"),
 }
 
 

@@ -168,8 +168,8 @@ def tables(draw) -> Table:
     keys = draw(st.lists(st.text(max_size=4), max_size=4, unique=True))
     n = draw(st.one_of(st.integers(0, 12), st.integers(95, 120)))
     pools = [draw(_COLUMN_POOLS) for _ in keys]
-    return Table(tuple(keys), [tuple(p[i % len(p)] for p in pools)
-                               for i in range(n)])
+    return Table(tuple(keys), [[p[i % len(p)] for i in range(n)]
+                               for p in pools])
 
 
 def _assert_like_reference(doc: dict) -> None:
@@ -184,8 +184,8 @@ def _assert_like_reference(doc: dict) -> None:
 def test_tables_render_like_the_reference(table, name):
     _assert_like_reference({"head": 0.1, "nested": {name: table},
                             "list": [1, None], "table": table, "z": True})
-    assert rows_to_csv(table.keys, table.rows) == \
-        ref.rows_to_csv(table.keys, table.rows)
+    rows = list(zip(*table.columns))
+    assert rows_to_csv(table.keys, rows) == ref.rows_to_csv(table.keys, rows)
 
 
 _AWKWARD = (math.inf, -math.inf, math.nan, -0.0, None, 7, True, False,
@@ -197,7 +197,22 @@ def test_awkward_values_render_like_the_reference(n):
     rows = [tuple(_AWKWARD[(i + j) % len(_AWKWARD)] for j in range(5))
             + (0.5 + i, "thm1") for i in range(n)]
     keys = ("lo", "x,y", 'q"', "%d", "a\nb", "bound", "method")
-    _assert_like_reference({"a": 1, "intervals": Table(keys, rows),
-                            "empty": Table(keys, []),
-                            "no_keys": Table((), [()] * n)})
+    _assert_like_reference({"a": 1, "intervals": Table(keys, _columns(rows)),
+                            "empty": Table(keys, _columns([])),
+                            "no_keys": Table((), [])})
     assert rows_to_csv(keys, rows) == ref.rows_to_csv(keys, rows)
+
+
+def _columns(rows: list) -> list:
+    return list(zip(*rows)) or [()] * 7
+
+
+@pytest.mark.parametrize("n", [1, 2, 11, 150])
+def test_division_points_render_like_the_reference(n):
+    # lo and hi hold the same floats one row apart, formatted once for both
+    points = [-0.0, 0.0, *(i / 7 for i in range(n - 1))]
+    copies = [float(repr(p)) for p in points]  # equal, but other objects
+    keys = ("lo", "hi", "bound", "k_ratio")
+    _assert_like_reference({"shared": Table(keys, [
+        points[:-1], points[1:], copies[1:], [0.5] * n]), "copied": Table(
+        keys, [points[:-1], copies[1:], points[1:], copies[:-1]])})
