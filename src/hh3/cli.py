@@ -426,15 +426,12 @@ _SWEEP_HEADER = ("n", "midpoint_sum", "corrected_sum", "bound_thm1",
 
 def cmd_sweep(cfg: RunConfig) -> str:
     truth = quadrature.reference_integral(cfg.ast, cfg.a, cfg.b)
-    rows, coarse = [], None
+    rows, result = [], None
     for n in cfg.n_list:
         division = quadrature.uniform_division(cfg.a, cfg.b, n)
         # "best" is thm1, so one bound fills both bound columns.  Given the
         # count before as coarse, a count twice it evaluates only new points.
-        jets: list[tuple] = []
-        result = quadrature.composite_bound(cfg.ast, division, coarse=coarse,
-                                            midpoint_jets=jets)
-        coarse = (division, result.f3, jets)
+        result = quadrature.composite_bound(cfg.ast, division, coarse=result)
         error = abs(result.corrected_sum - truth)
         ratio = result.certified_bound / error if error > 0.0 else math.inf
         rows.append((n, result.midpoint_sum, result.corrected_sum,

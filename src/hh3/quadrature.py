@@ -85,23 +85,19 @@ def _checked(points: Sequence[float]) -> tuple[float, ...]:
     return points
 
 
-def _midpoint_pass(jet: Callable, points: tuple[float, ...],
-                   jets: list | None = None) -> tuple:
-    """One pass over the subintervals, left to right: their widths and the
-    terms of the midpoint and the corrected sums.  ``jets``, if a list,
-    receives the jet at each midpoint."""
-    widths, plain, corrected = [], [], []
+def _midpoint_pass(jet: Callable, points: tuple[float, ...]) -> tuple:
+    """One pass over the subintervals, left to right: their widths, the
+    terms of the midpoint and the corrected sums, and the midpoint jets."""
+    widths, plain, corrected, jets = [], [], [], []
     for lo, hi in zip(points, points[1:]):
         h = hi - lo
-        j = jet(0.5 * (lo + hi))
-        if jets is not None:
-            jets.append(j)
+        jets.append(j := jet(0.5 * (lo + hi)))
         f0, _, f2, _ = j
         widths.append(h)
         hf = h * f0
         plain.append(hf)
         corrected.append(hf + h ** 3 / 24.0 * f2)
-    return widths, plain, corrected
+    return widths, plain, corrected, jets
 
 
 def corrected_midpoint_sum(f: Node, points: Sequence[float]) -> float:
@@ -118,13 +114,13 @@ class QuadResult(Record):
         "midpoint_sum", "corrected_sum",  # floats
         "certified_bound",  # float: fsum of interval_bounds
         "f3",               # floats: |f'''| at each division point
-        "interval_bounds")  # floats: one bound per subinterval
+        "interval_bounds",  # floats: one bound per subinterval
+        "points",           # floats: the division
+        "midpoint_jets")    # jets (f, f', f'', f''') at its midpoints
 
 
 def composite_bound(f: Node, points: Sequence[float], *,
-                    coarse: tuple[Sequence[float], Sequence[float],
-                                  Sequence[tuple]] | None = None,
-                    midpoint_jets: list | None = None) -> QuadResult:
+                    coarse: QuadResult | None = None) -> QuadResult:
     """Corrected-midpoint sums plus a certified bound on the corrected one.
 
     ``points`` is any strictly increasing division of [a, b], such as
@@ -135,26 +131,25 @@ def composite_bound(f: Node, points: Sequence[float], *,
     each subinterval's ratios, then the sums and the bound, which must be
     finite.
 
-    ``coarse`` is a coarser division, |f'''| at its points (the ``f3`` of
-    its result) and the jets at its midpoints, which ``midpoint_jets``
-    receives if it is a list.  Where ``points[::2]`` equals that division
-    bit for bit, as ``uniform_division(a, b, 2 * n)`` does at n, its values
-    are taken as given, and an odd point equal to the midpoint it splits
-    takes |f'''| from the jet there; every other point is evaluated.
+    ``coarse`` is the result of ``f`` at a coarser division.  Where
+    ``points[::2]`` equals its points bit for bit, as
+    ``uniform_division(a, b, 2 * n)`` does at n, its ``f3`` is taken as
+    given, and an odd point equal to the midpoint it splits takes |f'''|
+    from the jet there; every other point is evaluated.
     """
     points = _checked(points)
     jet = compile_jet3(f)
-    if coarse is not None and points[::2] == tuple(coarse[0]):
+    if coarse is not None and points[::2] == coarse.points:
         f3 = [0.0] * len(points)
-        f3[::2] = coarse[1]
+        f3[::2] = coarse.f3
         f3[1::2] = _f3_magnitudes(jet, points[1::2], [
             j if 0.5 * (lo + hi) == x else None
             for lo, x, hi, j in zip(points[::2], points[1::2], points[2::2],
-                                    coarse[2])])
+                                    coarse.midpoint_jets)])
     else:
         f3 = _f3_magnitudes(jet, points)
 
-    widths, plain, corrected = _midpoint_pass(jet, points, midpoint_jets)
+    widths, plain, corrected, jets = _midpoint_pass(jet, points)
     interval_bounds = _bounds.interval_chi1(f3, widths)
 
     return QuadResult(
@@ -163,6 +158,8 @@ def composite_bound(f: Node, points: Sequence[float], *,
         certified_bound=_finite_sum("certified_bound", interval_bounds),
         f3=tuple(f3),
         interval_bounds=interval_bounds,
+        points=points,
+        midpoint_jets=tuple(jets),
     )
 
 
@@ -341,10 +338,11 @@ def certify(f: Node, a: float, b: float, tol: float,
             n_max: int = MAX_SUBINTERVALS) -> CertifyOutcome:
     """Double a uniform division until the certified bound meets ``tol``.
 
-    Starts at one subinterval.  Each level is one :func:`composite_bound`
-    call, given the level before as ``coarse``: point i of n is bit for bit
-    point 2i of 2n, because (b - a)/(2n) is exactly half of (b - a)/n.
-    Each odd point of 2n that equals the midpoint of n it splits, as all do
+    Starts at one subinterval and doubles n, so n is reached at level
+    n.bit_length().  Each level is one :func:`composite_bound` call, given
+    the result before it as ``coarse``: point i of n is bit for bit point
+    2i of 2n, because (b - a)/(2n) is exactly half of (b - a)/n.  Each
+    odd point of 2n that equals the midpoint of n it splits, as all do
     where the points are exact binary fractions (on [0, 1], say), takes
     |f'''| from the jet there.  So a doubling evaluates the jets at its 2n
     midpoints, and |f'''| only at the odd points that differ from the old
@@ -382,40 +380,31 @@ def certify(f: Node, a: float, b: float, tol: float,
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise BadInterval(f"tolerance must be positive, got {tol!r}")
-    coarse = None
-    best_seen = math.inf
-    n = 1
-    iterations = 0
-    last_n = 1
+    result, best_seen, n = None, math.inf, 1
     while n <= n_max:
-        points = uniform_division(a, b, n)
-        jets: list[tuple] = []
-        result = composite_bound(f, points, coarse=coarse, midpoint_jets=jets)
-        coarse = (points, result.f3, jets)
-        iterations += 1
+        result = composite_bound(f, uniform_division(a, b, n), coarse=result)
         best_seen = min(best_seen, result.certified_bound)
 
         lower = abs(result.corrected_sum) - result.certified_bound - tol
         if tol < 0.5 * math.ulp(max(lower, 0.0)):  # R >= 0 only lowers L
             lower -= (_ROUNDING_ULPS * sys.float_info.epsilon
-                      * _rounding_mass(points, jets))
+                      * _rounding_mass(result))
             floor = 0.5 * math.ulp(max(lower, 0.0))
             if tol < floor:
                 raise BelowRoundingFloor(tol, best_seen, n, floor)
 
         if result.certified_bound <= tol:
             return CertifyOutcome(result=result, n_final=n,
-                                  iterations=iterations)
-        last_n = n
+                                  iterations=n.bit_length())
         n *= 2
-    raise ToleranceUnreachable(tol, best_seen, last_n)
+    raise ToleranceUnreachable(tol, best_seen, max(n // 2, 1))
 
 
-def _rounding_mass(points: tuple[float, ...], jets: list[tuple]) -> float:
+def _rounding_mass(result: QuadResult) -> float:
     """A of :func:`certify`: the sum over the midpoints m of
     |h f(m)| + |h^3 f''(m) / 24| + |h m f'(m)|, from the jets there."""
-    mass = 0.0
-    for lo, hi, j in zip(points, points[1:], jets):
+    mass, points = 0.0, result.points
+    for lo, hi, j in zip(points, points[1:], result.midpoint_jets):
         h, m = hi - lo, 0.5 * (lo + hi)
         mass += abs(h * j[0]) + abs(h ** 3 / 24.0 * j[2]) + abs(h * m * j[1])
     return mass

@@ -313,7 +313,8 @@ def test_an_underflowing_derivative_divisor_exits_2(capsys, argv, why):
 
 def test_a_midpoint_bound_outside_float_range_exits_2(capsys, monkeypatch):
     # finite sums of opposite signs whose difference overflows
-    result = quadrature.QuadResult(-1e308, 1e308, 1.0, (1.0, 1.0), (1.0,))
+    result = quadrature.QuadResult(-1e308, 1e308, 1.0, (1.0, 1.0), (1.0,),
+                                   (0.0, 1.0), ((0.0, 0.0, 0.0, 1.0),))
     monkeypatch.setattr(quadrature, "composite_bound", lambda f, d: result)
     code, out, err = run(capsys, "integrate", *EXP01)
     assert (code, out, err) == (EXIT_MATH, "",

@@ -505,11 +505,9 @@ def test_rounding_floor_reads_the_level_jets(monkeypatch):
 def test_an_odd_point_takes_the_jet_of_an_equal_coarse_midpoint(
         monkeypatch, x, evaluated):
     f = parse("exp(x)")
-    jets = []
-    coarse = composite_bound(f, (-1.0, 1.0), midpoint_jets=jets)
+    coarse = composite_bound(f, (-1.0, 1.0))
     calls = _counting_jets(monkeypatch)
-    fine = composite_bound(f, (-1.0, x, 1.0),
-                           coarse=((-1.0, 1.0), coarse.f3, jets))
+    fine = composite_bound(f, (-1.0, x, 1.0), coarse=coarse)
     midpoints = [0.5 * (-1.0 + x), 0.5 * (x + 1.0)]
     assert calls == [x] * evaluated + midpoints
     monkeypatch.undo()
