@@ -430,7 +430,7 @@ def cmd_sweep(cfg: RunConfig) -> str:
     for n in cfg.n_list:
         division = quadrature.uniform_division(cfg.a, cfg.b, n)
         # "best" is thm1, so one bound fills both bound columns.  Given the
-        # count before as coarse, a count twice it evaluates only new points.
+        # result before, a count twice its n evaluates only new points.
         result = quadrature.composite_bound(cfg.ast, division, coarse=result)
         error = abs(result.corrected_sum - truth)
         ratio = result.certified_bound / error if error > 0.0 else math.inf

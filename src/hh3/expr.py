@@ -288,12 +288,12 @@ def to_text(node: Node) -> str:
 # --------------------------------------------------------------------------
 
 # The jet rules as sums of signed products: entry i of a rule is output i,
-# a tuple of terms, each a coefficient and then its factors, with the key of
-# a divisor last where the sum is divided.  A factor is the key of an operand
-# or (key, 3) for its cube.  Written out, a term multiplies left to right
-# from the coefficient (left out at 1.0, its sign put in front), the terms
-# are added left to right and the sum is divided last, so Python's own
-# precedence and association fix the order of every operation.
+# a tuple of terms, each a coefficient and then the keys of its factors,
+# with the key of a divisor last where the sum is divided.  Written out, a
+# term multiplies left to right from the coefficient (left out at 1.0, its
+# sign put in front), the terms are added left to right and the sum is
+# divided last, so Python's own precedence and association fix the order
+# of every operation.
 _MUL = (((1.0, "a0", "b0"),),                                    # Leibniz
         ((1.0, "a1", "b0"), (1.0, "a0", "b1")),
         ((1.0, "a2", "b0"), (2.0, "a1", "b1"), (1.0, "a0", "b2")),
@@ -307,7 +307,7 @@ _DIV = (((1.0, "a0"), "b0"),                                 # solve q*b = a
 _COMPOSE = (((1.0, "g0"),),                           # order-3 chain rule
             ((1.0, "g1", "u1"),),
             ((1.0, "g2", "u1", "u1"), (1.0, "g1", "u2")),
-            ((1.0, "g3", ("u1", 3)), (3.0, "g2", "u1", "u2"),
+            ((1.0, "g3", "cube"), (3.0, "g2", "u1", "u2"),  # cube: u1 ** 3
              (1.0, "g1", "u3")))
 _ADD = tuple(((1.0, f"a{i}"), (1.0, f"b{i}")) for i in range(4))
 _SUB = tuple(((1.0, f"a{i}"), (-1.0, f"b{i}")) for i in range(4))
@@ -315,7 +315,7 @@ _NEG = tuple(((-1.0, f"a{i}"),) for i in range(4))
 _OUTER = {  # outer derivatives g0..g3 at v = u0, from the values func names
     "exp": (((1.0, "ev"),),) * 4,
     "log": (((1.0, "lv"),), ((1.0, "iv"),), ((-1.0, "iv", "iv"),),
-            ((2.0, ("iv", 3)),)),
+            ((2.0, "iv3"),)),
     "sin": (((1.0, "s"),), ((1.0, "c"),), ((-1.0, "s"),), ((-1.0, "c"),)),
     "cos": (((1.0, "c"),), ((-1.0, "s"),), ((-1.0, "c"),), ((1.0, "s"),)),
     "sqrt": (((1.0, "r"),), ((0.5,), "r"), ((-0.25,), "rv"),
@@ -376,6 +376,13 @@ class _JetCompiler:
         self.emit(test)
         self.emit(f"    raise _domain({ref}, x, {why!r}){chain}")
 
+    def guarded(self, expr: str, node, error: str, why: str) -> str:
+        """A local bound to ``expr``, where ``error`` raises DomainError."""
+        t = self.fresh()
+        self.emit(f"try:\n{self.indent}    {t} = {expr}")
+        self.fail(f"except {error}:", node, why, " from None")
+        return t
+
     def rule(self, entries, out: str = "_", **operands) -> tuple:
         """Emit the entries in turn; entry i is also bound as out + i."""
         env = {}
@@ -415,14 +422,10 @@ class _JetCompiler:
         """``coefficient * factors``: None if a factor is a literal zero, a
         float if every factor is a literal, else (negative, text)."""
         lead, parts, negative = coefficient, [], False
-        for factor in factors:
-            key, cube = (factor, False) if isinstance(factor, str) \
-                else (factor[0], True)
-            v = env[key]
+        for v in map(env.__getitem__, factors):
             if isinstance(v, str):
-                parts.append(f"{v} ** 3" if cube else v)
+                parts.append(v)
                 continue
-            v = v ** 3 if cube else v
             if v == 0.0:
                 return None
             if not parts:
@@ -466,22 +469,33 @@ class _JetCompiler:
                       f"{name} needs a positive argument")
         env = {"v": v}
         if name == "exp":
-            env["ev"] = self.fresh()
-            self.emit(f"try:\n{self.indent}    {env['ev']} = exp({v})")
-            self.fail("except OverflowError:", node, "exp overflow",
-                      " from None")
+            env["ev"] = self.guarded(f"exp({v})", node, "OverflowError",
+                                     "exp overflow")
         elif name == "log":
             env.update(lv=self.assign(f"log({v})"),
                        iv=self.assign(f"1.0 / {v}"))
+            env["iv3"] = self.guarded(
+                f"{env['iv']} ** 3", node, "OverflowError",
+                "log argument too small for its derivatives")
         elif name == "sqrt":
             env["r"] = self.assign(f"sqrt({v})")
             env["rv"] = self.assign(f"{env['r']} * {v}")
             env["rvv"] = self.assign(f"{env['rv']} * {v}")
             self.fail(f"if {env['rvv']} == 0.0:", node,
                       "sqrt argument too small for its derivatives")
-        else:
-            env.update(s=self.assign(f"sin({v})"), c=self.assign(f"cos({v})"))
-        return self.rule(_COMPOSE, g=self.rule(_OUTER[name], "g", **env), u=u)
+        else:  # cos raises where sin does, on an inf, so one guard serves
+            env.update(s=self.guarded(f"sin({v})", node, "ValueError",
+                                      f"{name} needs a finite argument"),
+                       c=self.assign(f"cos({v})"))
+        return self.compose(node, self.rule(_OUTER[name], "g", **env), u)
+
+    def compose(self, node: Node, g: tuple, u: tuple) -> tuple:
+        """The chain rule for outer derivatives g along the jet u."""
+        u1 = u[1]
+        cube = u1 ** 3 if isinstance(u1, float) else self.guarded(
+            f"{u1} ** 3", node, "OverflowError",
+            "derivative of the argument overflows when cubed")
+        return self.rule(_COMPOSE, g=g, u=u, cube=cube)
 
     def power(self, node: BinOp, base: tuple) -> tuple:
         # Only a literal integer exponent is unrolled here.  Any other takes
@@ -498,7 +512,8 @@ class _JetCompiler:
         if math.isfinite(c):
             return self.constant_pow(node, e, base)
         k, zero = e[0], [f"{w} == 0.0" for w in e[1:] if isinstance(w, str)]
-        integer = [f"{k} == int({k})", f"abs({k}) <= {_MAX_INT_EXPONENT}"]
+        # int() of an inf or a NaN raises, so the finite test comes first
+        integer = [f"abs({k}) <= {_MAX_INT_EXPONENT}", f"{k} == int({k})"]
         out = ", ".join(f"{self.fresh()}_{i}" for i in range(4))
         self.open(f"if {' and '.join(zero + integer)}:")
         self.emit(f"{out} = _int_power(int({k}))"
@@ -518,13 +533,15 @@ class _JetCompiler:
         v, k = base[0], e[0]
         self.fail(f"if {v} <= 0.0:", node,
                   "non-integer exponent needs a positive base")
-        env = dict(v=v, c=k, p=self.assign(f"{v} ** {k}"),
+        env = dict(v=v, c=k, p=self.guarded(f"{v} ** {k}", node,
+                                            "OverflowError", "power overflow"),
                    c1=self.assign(f"{k} - 1.0"), c2=self.assign(f"{k} - 2.0"),
-                   vv=self.assign(f"{v} * {v}"), v3=self.assign(f"{v} ** 3"))
+                   vv=self.assign(f"{v} * {v}"), v3=self.guarded(
+                       f"{v} ** 3", node, "OverflowError",
+                       "base too large for the power's derivatives"))
         self.fail(f"if {env['v3']} == 0.0:", node,
                   "base too small for the power's derivatives")
-        return self.rule(_COMPOSE, g=self.rule(_OUTER["pow"], "g", **env),
-                         u=base)
+        return self.compose(node, self.rule(_OUTER["pow"], "g", **env), base)
 
     def variable_pow(self, node: BinOp, e: tuple, base: tuple) -> tuple:
         self.fail(f"if {base[0]} <= 0.0:", node,
@@ -602,7 +619,8 @@ def eval_jet3(node: Node, x: float) -> tuple[float, float, float, float]:
     """Evaluate ``(f(x), f'(x), f''(x), f'''(x))`` exactly via jet arithmetic.
 
     Raises :class:`DomainError` naming the offending subexpression when the
-    point leaves a function's domain or the result is not finite.
+    point leaves a function's domain, a power in its rules overflows, or
+    the result is not finite.
     """
     return compile_jet3(node)(x)
 

@@ -34,8 +34,9 @@ import sys
 from collections.abc import Callable, Sequence
 
 from . import bounds as _bounds
-from .errors import BadInterval, BelowRoundingFloor, NonConvergence, \
-    ToleranceUnreachable, require_f3, require_finite, require_interval
+from .errors import BadInterval, BelowRoundingFloor, DomainError, \
+    NonConvergence, ToleranceUnreachable, require_f3, require_finite, \
+    require_interval
 # eval_jet3 and evaluate stay attributes here for bench/tracer.py to wrap.
 from .expr import Node, compile_jet3, eval_jet3, evaluate  # noqa: F401
 from .record import Record
@@ -317,7 +318,10 @@ def identity_residual(f: Node, a: float, b: float) -> float:
 
     i1 = integrate_adaptive(kernel_from_b, 0.0, 1.0, tol)
     i2 = integrate_adaptive(kernel_from_a, 0.0, 1.0, tol)
-    rhs = h ** 3 / 96.0 * (i1 - i2)
+    try:
+        rhs = h ** 3 / 96.0 * (i1 - i2)
+    except OverflowError:  # h ** 3 of a width above 5.6e102
+        raise DomainError("identity_residual leaves float range") from None
     return lhs - rhs
 
 

@@ -62,15 +62,26 @@ def _div(a: Jet, b: Jet) -> Jet:
     return Jet(q0, q1, q2, q3)
 
 
-def _compose(g: tuple[float, float, float, float], u: Jet) -> Jet:
+def _power(node: Node, x: float, v: float, c: float, why: str) -> float:
+    """v ** c, or DomainError ``why`` where it overflows."""
+    try:
+        return v ** c
+    except OverflowError:
+        raise _domain(node, x, why) from None
+
+
+def _compose(node: Node, x: float, g: tuple[float, float, float, float],
+             u: Jet) -> Jet:
     # Order-3 chain rule with outer derivatives g = (g, g', g'', g''') at u.d0.
     g0, g1, g2, g3 = g
     u1, u2, u3 = u.d1, u.d2, u.d3
+    cube = _power(node, x, u1, 3,
+                  "derivative of the argument overflows when cubed")
     return Jet(
         g0,
         g1 * u1,
         g2 * u1 * u1 + g1 * u2,
-        g3 * u1 ** 3 + 3.0 * g2 * u1 * u2 + g1 * u3,
+        g3 * cube + 3.0 * g2 * u1 * u2 + g1 * u3,
     )
 
 
@@ -124,18 +135,20 @@ def _apply_func(node: Func, u: Jet, x: float) -> Jet:
             ev = math.exp(v)
         except OverflowError:
             raise _domain(node, x, "exp overflow") from None
-        return _compose((ev, ev, ev, ev), u)
+        return _compose(node, x, (ev, ev, ev, ev), u)
     if name == "log":
         if v <= 0.0:
             raise _domain(node, x, "log needs a positive argument")
         iv = 1.0 / v
-        return _compose((math.log(v), iv, -iv * iv, 2.0 * iv ** 3), u)
-    if name == "sin":
+        iv3 = _power(node, x, iv, 3,
+                     "log argument too small for its derivatives")
+        return _compose(node, x, (math.log(v), iv, -iv * iv, 2.0 * iv3), u)
+    if name in ("sin", "cos"):
+        if math.isinf(v):
+            raise _domain(node, x, f"{name} needs a finite argument")
         s, c = math.sin(v), math.cos(v)
-        return _compose((s, c, -s, -c), u)
-    if name == "cos":
-        s, c = math.sin(v), math.cos(v)
-        return _compose((c, -s, -c, s), u)
+        g = (s, c, -s, -c) if name == "sin" else (c, -s, -c, s)
+        return _compose(node, x, g, u)
     # sqrt: derivatives blow up at 0, so the open condition v > 0 is required
     if v <= 0.0:
         raise _domain(node, x, "sqrt needs a positive argument")
@@ -143,7 +156,7 @@ def _apply_func(node: Func, u: Jet, x: float) -> Jet:
     if r * v * v == 0.0:
         raise _domain(node, x, "sqrt argument too small for its derivatives")
     return _compose(
-        (r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)), u
+        node, x, (r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)), u
     )
 
 
@@ -151,7 +164,7 @@ def _apply_pow(node: BinOp, base: Jet, x: float) -> Jet:
     exponent = _eval(node.right, x)
     if exponent.d1 == 0.0 and exponent.d2 == 0.0 and exponent.d3 == 0.0:
         c = exponent.d0
-        if c == int(c) and abs(c) <= _MAX_INT_EXPONENT:
+        if abs(c) <= _MAX_INT_EXPONENT and c == int(c):
             n = int(c)
             if n >= 0:
                 return _int_pow(base, n)
@@ -163,14 +176,16 @@ def _apply_pow(node: BinOp, base: Jet, x: float) -> Jet:
                 node, x, "non-integer exponent needs a positive base")
         # u^c = exp(c*log u): compose the closed-form outer derivatives
         v = base.d0
-        g0 = v ** c
-        if v ** 3 == 0.0:
+        g0 = _power(node, x, v, c, "power overflow")
+        v3 = _power(node, x, v, 3,
+                    "base too large for the power's derivatives")
+        if v3 == 0.0:
             raise _domain(node, x,
                           "base too small for the power's derivatives")
         g1 = c * g0 / v
         g2 = c * (c - 1.0) * g0 / (v * v)
-        g3 = c * (c - 1.0) * (c - 2.0) * g0 / (v ** 3)
-        return _compose((g0, g1, g2, g3), base)
+        g3 = c * (c - 1.0) * (c - 2.0) * g0 / v3
+        return _compose(node, x, (g0, g1, g2, g3), base)
     if base.d0 <= 0.0:
         raise _domain(node, x, "variable exponent needs a positive base")
     log_base = _apply_func(Func("log", node.left), base, x)

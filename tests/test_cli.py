@@ -311,6 +311,37 @@ def test_an_underflowing_derivative_divisor_exits_2(capsys, argv, why):
                                 f"hh3: {why} at x = 0.5)\n")
 
 
+@pytest.mark.parametrize("argv, f, why", [
+    ("integrate --a 0.5 --b 1 --n 1", "cos(x/1e-320)",
+     "cos needs a finite argument (in 'cos(x/1e-320)' at x = 0.5)"),
+    ("bounds --a 0 --b 1", "cos(1/1e-320)+exp(x)",
+     "cos needs a finite argument (in 'cos(1.0/1e-320)' at x = 0.0)"),
+    ("integrate --a 0.5 --b 1 --n 4", "log(x*1e-110)",
+     "log argument too small for its derivatives "
+     "(in 'log(x*1e-110)' at x = 0.5)"),
+    ("integrate --a 0.5 --b 1 --n 4", "(x*1e150)^1.5",
+     "base too large for the power's derivatives "
+     "(in '(x*1e+150)^1.5' at x = 0.5)"),
+    ("integrate --a 0.5 --b 1 --n 1", "sin(x*1e150)",
+     "derivative of the argument overflows when cubed "
+     "(in 'sin(x*1e+150)' at x = 0.5)"),
+    ("integrate --a 2 --b 3 --n 1", "x^1.5e300",
+     "power overflow (in 'x^1.5e+300' at x = 2.0)"),
+    ("integrate --a 0.5 --b 1 --n 1", "x^(0*(1/1e-320))",
+     "result is not finite (in 'x^(0.0*(1.0/1e-320))' at x = 0.5)"),
+    ("integrate --a 0.5 --b 1 --n 1", "x^(1/1e-320)",
+     "result is not finite (in 'x^(1.0/1e-320)' at x = 0.5)"),
+    ("verify --a 1e150 --b 1e151", "-x",
+     "identity_residual leaves float range"),
+], ids=["integrate-cos", "bounds-cos", "log-cube", "power-cube",
+        "chain-cube", "power", "exponent-nan", "exponent-inf", "verify"])
+def test_a_float_fault_exits_2_naming_where(capsys, argv, f, why):
+    # sin or cos of an inf, a finite ** that overflows, int() of an inf or
+    # a NaN exponent: each raised a bare ValueError or OverflowError
+    code, out, err = run(capsys, *argv.split(), "--f", f)
+    assert (code, out, err) == (EXIT_MATH, "", f"hh3: {why}\n")
+
+
 def test_a_midpoint_bound_outside_float_range_exits_2(capsys, monkeypatch):
     # finite sums of opposite signs whose difference overflows
     result = quadrature.QuadResult(-1e308, 1e308, 1.0, (1.0, 1.0), (1.0,),

@@ -372,6 +372,8 @@ def test_compiled_jet_matches_tree_walk_on_smooth_cases(source, a, b):
     "x^x", "x^2.5", "x^(x - x + 3)", "x^(x - x - 2)", "(x - 1)^(x - x + 2)",
     "x^-3", "0^-1", "2^(1e999)", "exp(1e200*x)", "log(2)/(x - x)",
     "x^pi", "sqrt(x*1e-320)", "(x*1e-200)^2.5", "(x*1e-200)^(x - x + 2.5)",
+    "cos(x/1e-320)", "sin(1/1e-320)", "log(x*1e-110)", "(x*1e150)^1.5",
+    "sin(x*1e150)", "x^1.5e300", "x^(1/1e-320)", "x^(0*(1/1e-320))",
 ])
 @pytest.mark.parametrize("x", [-2.0, -0.0, 0.0, 0.5, 1.0, 3.0])
 def test_compiled_power_and_error_paths_match_tree_walk(source, x):
