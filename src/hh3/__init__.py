@@ -8,14 +8,16 @@ corrected midpoint rule
 admits a-priori error bounds built only from |f'''| at the division points.
 This package parses an expression for f, evaluates derivatives exactly with
 jet arithmetic, computes three competing bounds (the direct one is never
-beaten, so it alone certifies composite sums), and checks its own hypotheses
-and identities against a high-accuracy reference integrator.  The ``hh3``
+beaten, so it alone certifies composite sums), proves the bounds' hypothesis
+from the expression where it can and samples it elsewhere, and checks its
+identities against a high-accuracy reference integrator.  The ``hh3``
 command line tool exposes all of it.
 """
 
 from .analysis import (CatalogEntry, ConvexityReport, HermiteHadamardReport,
                        catalog, check_hermite_hadamard, check_log_convexity,
-                       check_log_convexity_pow, grid_samples)
+                       check_log_convexity_pow, grid_samples,
+                       log_convexity_verdict)
 from .bounds import (BoundReport, DerivEndpoints, best_bound, chi1, chi2,
                      chi3, direct_bound, holder_bound, holder_factor, mu,
                      power_mean_bound)
@@ -46,7 +48,7 @@ __all__ = [
     # analysis
     "ConvexityReport", "HermiteHadamardReport", "CatalogEntry",
     "grid_samples", "check_log_convexity", "check_log_convexity_pow",
-    "check_hermite_hadamard", "catalog",
+    "log_convexity_verdict", "check_hermite_hadamard", "catalog",
     # errors
     "Hh3Error", "ExprSyntaxError", "UnknownIdentifier", "DomainError",
     "NonPositiveThirdDerivative", "BadInterval", "NonConvergence",

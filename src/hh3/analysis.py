@@ -1,8 +1,12 @@
-"""Hypothesis checking: is |f'''| plausibly log-convex, is f convex?
+"""Hypothesis checking: is |f'''| log-convex, is f convex?
 
 Log-convexity of |f'''| is the standing hypothesis behind every bound in
-:mod:`hh3.bounds`.  It cannot be *proven* by sampling, so the check here is
-explicitly evidence, not certificate: on a uniform grid of an odd number of
+:mod:`hh3.bounds`.  :func:`log_convexity_verdict` first tries to *prove*
+it from the expression tree (:mod:`hh3.monotone`) and samples only where
+that fails.
+
+The sampled check cannot *prove* anything, so its verdict is explicitly
+evidence, not certificate: on a uniform grid of an odd number of
 points, every index pair (i, j) with i + j even has its midpoint on the
 grid, and the midpoint criterion
 
@@ -46,7 +50,7 @@ __all__ = [
     "GRID_POINTS_DEFAULT", "GRID_POINTS_MAX", "PAIR_RELTOL",
     "ConvexityReport", "HermiteHadamardReport", "CatalogEntry",
     "grid_samples", "check_log_convexity", "check_log_convexity_pow",
-    "check_hermite_hadamard", "catalog",
+    "log_convexity_verdict", "check_hermite_hadamard", "catalog",
 ]
 
 #: 2^8 + 1 points: a uniform grid this size is closed under taking midpoints
@@ -141,6 +145,19 @@ def check_log_convexity_pow(f: Node, a: float, b: float, q: float,
     if not (math.isfinite(q) and q >= 1.0):
         raise ValueError(f"q must be >= 1, got {q!r}")
     return _midpoint_pairs(*grid_samples(f, a, b, n), q)
+
+
+def log_convexity_verdict(f: Node, a: float, b: float,
+                          n: int = GRID_POINTS_DEFAULT
+                          ) -> tuple[str, int, int] | ConvexityReport:
+    """The hypothesis verdict for |f'''| on [a, b]: the proof of
+    :func:`hh3.monotone.classify_cm` where its j0 is at most 3, else the
+    sampled report of :func:`check_log_convexity` on n points."""
+    from .monotone import classify_cm  # here: only bounds and verify ask
+    proof = classify_cm(f, a, b)
+    if proof is not None and proof[2] <= 3:
+        return proof
+    return check_log_convexity(f, a, b, n)
 
 
 class HermiteHadamardReport(Record):

@@ -229,9 +229,17 @@ def _qth_root(log_k: float, q: float, power_mean: bool) -> float:
 # Each takes |f'''(a)| and |f'''(b)|, finite and positive (chi1 checks them,
 # chi2 and chi3 through _log_ratio), and b - a; the *_bound wrappers check q.
 
+def _cube_overflow(width: float) -> DomainError:
+    return DomainError(f"(b - a)^3 leaves float range at b - a = {width!r}")
+
+
 def chi1(f3a_abs: float, f3b_abs: float, width: float) -> float:
     """((b-a)^3/96) * (|f'''(b)| mu(K) + |f'''(a)| mu(M)) through C(L) (see
     the module docstring): the same bits whichever end comes first."""
+    try:
+        cube = width ** 3
+    except OverflowError:
+        raise _cube_overflow(width) from None
     total = f3a_abs + f3b_abs
     if not (0.0 < f3a_abs and 0.0 < f3b_abs
             and total <= 1.7976931348623157e308):  # sys.float_info.max
@@ -245,18 +253,18 @@ def chi1(f3a_abs: float, f3b_abs: float, width: float) -> float:
     if t <= 1e-4:  # as on every cell of a fine division
         # sqrt(f3a f3b) C(L) = total P(t), P = C / (2 cosh L), to t^3: the
         # rest is below 3.9e-18 of P.  At K = 1 it is total * 0.25 exactly
-        return width ** 3 / 96.0 * (total * (
+        return cube / 96.0 * (total * (
             0.25 - t * (7 / 60 + t * (599 / 20160 + t * (253 / 16800)))))
     lo, hi = (f3a_abs, f3b_abs) if f3a_abs < f3b_abs else (f3b_abs, f3a_abs)
     k = hi / lo
     if k > 2980.9579870417283:  # e^8: s = L^2 > 16
-        return width ** 3 * _far_moments(lo, hi)
+        return cube * _far_moments(lo, hi)
     half = 0.5 * math.log(k)
     s = half * half
     series = 0.0  # C(L) at s <= 16: the terms left out are below 5.6e-20
     for coeff in _SERIES:
         series = series * s + coeff
-    return width ** 3 / 96.0 * (lo * math.sqrt(k) * series)
+    return cube / 96.0 * (lo * math.sqrt(k) * series)
 
 
 def _far_moments(lo: float, hi: float) -> float:
@@ -279,7 +287,11 @@ def chi2(f3a_abs: float, f3b_abs: float, width: float, q: float) -> float:
                                      + |f'''(a)| hf(M,q)^(1/q)), q > 1.
     """
     p = q / (q - 1.0)
-    return width ** 3 / 96.0 * (1.0 / (3.0 * p + 1.0)) ** (1.0 / p) * (
+    try:
+        cube = width ** 3
+    except OverflowError:
+        raise _cube_overflow(width) from None
+    return cube / 96.0 * (1.0 / (3.0 * p + 1.0)) ** (1.0 / p) * (
         f3b_abs * _qth_root(_log_ratio(f3a_abs, f3b_abs), q, False)
         + f3a_abs * _qth_root(_log_ratio(f3b_abs, f3a_abs), q, False))
 
@@ -288,7 +300,11 @@ def chi3(f3a_abs: float, f3b_abs: float, width: float, q: float) -> float:
     """((b-a)^3/96) (1/4)^(1-1/q) (|f'''(b)| mu_q(K,q)^(1/q)
                                   + |f'''(a)| mu_q(M,q)^(1/q)), q >= 1.
     """
-    return width ** 3 / 96.0 * 0.25 ** (1.0 - 1.0 / q) * (
+    try:
+        cube = width ** 3
+    except OverflowError:
+        raise _cube_overflow(width) from None
+    return cube / 96.0 * 0.25 ** (1.0 - 1.0 / q) * (
         f3b_abs * _qth_root(_log_ratio(f3a_abs, f3b_abs), q, True)
         + f3a_abs * _qth_root(_log_ratio(f3b_abs, f3a_abs), q, True))
 

@@ -1,12 +1,13 @@
 """Command line interface.
 
-Five subcommands: ``bounds`` (single-interval bound report plus log-convexity
-evidence), ``integrate`` (composite sums and certified bound for a fixed n),
-``certify`` (double n until a target tolerance is certified), ``verify``
-(hypothesis checks and the kernel-identity residual) and ``sweep`` (a CSV
-table over a list of n).  ``bounds`` reports the paper's chi1, and chi2 and
-chi3 at the exponent ``--q``; the composite commands certify with chi1
-alone, which no exponent undercuts.
+Five subcommands: ``bounds`` (single-interval bound report plus the
+log-convexity verdict, proved or sampled), ``integrate`` (composite sums
+and certified bound for a fixed n), ``certify`` (double n until a target
+tolerance is certified), ``verify`` (hypothesis checks and the
+kernel-identity residual) and ``sweep`` (a CSV table over a list of n).
+``bounds`` reports the paper's chi1, and chi2 and chi3 at the exponent
+``--q``; the composite commands certify with chi1 alone, which no exponent
+undercuts.
 
 Exit codes: 0 on success, 2 when the mathematics rejects the input (domain
 errors, vanishing third derivative, non-convergence, unreachable tolerance),
@@ -83,7 +84,8 @@ OPTIONS = {
     "format": Option("--format", "string", _ALL[:4],
                      "json (the default), csv or text"),
     "grid_points": Option("--grid-n", "integer", ("bounds", "verify"),
-                          "odd grid of the log-convexity check (default 257)"),
+                          "odd grid of the log-convexity sample, where no "
+                          "proof (default 257)"),
     "n": Option("--n", "integer", ("integrate",), "subintervals (default 1)"),
     "method": Option("--method", "string", _BOUNDED,
                      "thm1 or best, both chi1 (default best)"),
@@ -316,12 +318,19 @@ def _envelope(cfg: RunConfig) -> dict:
             "expression": cfg.expression, "a": cfg.a, "b": cfg.b}
 
 
-def _convexity_doc(report: analysis.ConvexityReport, grid_points: int) -> dict:
+def _convexity_doc(verdict, grid_points: int) -> dict:
+    """The log_convexity block of a proof, (class, sign, j0), or of a
+    sampled :class:`analysis.ConvexityReport`."""
+    if not isinstance(verdict, analysis.ConvexityReport):
+        cls, _, j0 = verdict
+        return {"passed": True, "worst_violation": None, "witness": None,
+                "pairs_tested": 0, "grid_points": None, "kind": "proved",
+                "class": cls, "j0": j0}
     return {
-        "passed": report.passed,
-        "worst_violation": report.worst_violation,
-        "witness": list(report.witness) if report.witness else None,
-        "pairs_tested": report.pairs_tested,
+        "passed": verdict.passed,
+        "worst_violation": verdict.worst_violation,
+        "witness": list(verdict.witness) if verdict.witness else None,
+        "pairs_tested": verdict.pairs_tested,
         "grid_points": grid_points,
         "kind": "sampled-evidence",
     }
@@ -333,8 +342,8 @@ def cmd_bounds(cfg: RunConfig) -> dict:
     e = bounds.DerivEndpoints(f3a_abs=abs(jet_a[3]), f3b_abs=abs(jet_b[3]),
                               a=cfg.a, b=cfg.b)
     report = bounds.best_bound(e, cfg.q)
-    convexity = analysis.check_log_convexity(cfg.ast, cfg.a, cfg.b,
-                                             cfg.grid_points)
+    convexity = _convexity_doc(analysis.log_convexity_verdict(
+        cfg.ast, cfg.a, cfg.b, cfg.grid_points), cfg.grid_points)
     doc = _envelope(cfg)
     doc.update({
         "f3a_abs": e.f3a_abs, "f3b_abs": e.f3b_abs,
@@ -342,8 +351,8 @@ def cmd_bounds(cfg: RunConfig) -> dict:
         "chi1": report.chi1, "chi2": report.chi2, "chi3": report.chi3,
         "q": report.q,
         "min_value": report.min_value, "argmin": report.argmin_label,
-        "log_convexity": _convexity_doc(convexity, cfg.grid_points),
-        "hypothesis_supported": convexity.passed,
+        "log_convexity": convexity,
+        "hypothesis_supported": convexity["passed"],
     })
     return doc
 
@@ -393,8 +402,8 @@ def cmd_certify(cfg: RunConfig) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> dict:
-    convexity = analysis.check_log_convexity(cfg.ast, cfg.a, cfg.b,
-                                             cfg.grid_points)
+    convexity = _convexity_doc(analysis.log_convexity_verdict(
+        cfg.ast, cfg.a, cfg.b, cfg.grid_points), cfg.grid_points)
     try:
         hh = analysis.check_hermite_hadamard(cfg.ast, cfg.a, cfg.b,
                                              cfg.grid_points)
@@ -413,7 +422,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
     doc = _envelope(cfg)
     doc.update({
         "grid_points": cfg.grid_points,
-        "log_convexity": _convexity_doc(convexity, cfg.grid_points),
+        "log_convexity": convexity,
         "hermite_hadamard": hh_doc,
         "identity_residual": residual,
     })

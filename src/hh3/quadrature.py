@@ -90,14 +90,18 @@ def _midpoint_pass(jet: Callable, points: tuple[float, ...]) -> tuple:
     """One pass over the subintervals, left to right: their widths, the
     terms of the midpoint and the corrected sums, and the midpoint jets."""
     widths, plain, corrected, jets = [], [], [], []
-    for lo, hi in zip(points, points[1:]):
-        h = hi - lo
-        jets.append(j := jet(0.5 * (lo + hi)))
-        f0, _, f2, _ = j
-        widths.append(h)
-        hf = h * f0
-        plain.append(hf)
-        corrected.append(hf + h ** 3 / 24.0 * f2)
+    try:
+        for lo, hi in zip(points, points[1:]):
+            h = hi - lo
+            jets.append(j := jet(0.5 * (lo + hi)))
+            f0, _, f2, _ = j
+            widths.append(h)
+            hf = h * f0
+            plain.append(hf)
+            corrected.append(hf + h ** 3 / 24.0 * f2)
+    except OverflowError:  # of h ** 3: a jet raises DomainError instead
+        raise DomainError(f"h^3 of the corrected midpoint term leaves float "
+                          f"range at h = {h!r}") from None
     return widths, plain, corrected, jets
 
 
@@ -384,24 +388,34 @@ def certify(f: Node, a: float, b: float, tol: float,
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise BadInterval(f"tolerance must be positive, got {tol!r}")
-    result, best_seen, n = None, math.inf, 1
-    while n <= n_max:
-        result = composite_bound(f, uniform_division(a, b, n), coarse=result)
-        best_seen = min(best_seen, result.certified_bound)
+    # The levels make no reference cycles, but the cyclic GC would scan
+    # their jets again and again; the caller's setting is restored.
+    import gc  # here, as only certify needs it
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result, best_seen, n = None, math.inf, 1
+        while n <= n_max:
+            result = composite_bound(f, uniform_division(a, b, n),
+                                     coarse=result)
+            best_seen = min(best_seen, result.certified_bound)
 
-        lower = abs(result.corrected_sum) - result.certified_bound - tol
-        if tol < 0.5 * math.ulp(max(lower, 0.0)):  # R >= 0 only lowers L
-            lower -= (_ROUNDING_ULPS * sys.float_info.epsilon
-                      * _rounding_mass(result))
-            floor = 0.5 * math.ulp(max(lower, 0.0))
-            if tol < floor:
-                raise BelowRoundingFloor(tol, best_seen, n, floor)
+            lower = abs(result.corrected_sum) - result.certified_bound - tol
+            if tol < 0.5 * math.ulp(max(lower, 0.0)):  # R >= 0 only lowers L
+                lower -= (_ROUNDING_ULPS * sys.float_info.epsilon
+                          * _rounding_mass(result))
+                floor = 0.5 * math.ulp(max(lower, 0.0))
+                if tol < floor:
+                    raise BelowRoundingFloor(tol, best_seen, n, floor)
 
-        if result.certified_bound <= tol:
-            return CertifyOutcome(result=result, n_final=n,
-                                  iterations=n.bit_length())
-        n *= 2
-    raise ToleranceUnreachable(tol, best_seen, max(n // 2, 1))
+            if result.certified_bound <= tol:
+                return CertifyOutcome(result=result, n_final=n,
+                                      iterations=n.bit_length())
+            n *= 2
+        raise ToleranceUnreachable(tol, best_seen, max(n // 2, 1))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _rounding_mass(result: QuadResult) -> float:

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import hh3
-from hh3 import quadrature
+from hh3 import analysis, quadrature
 from hh3.cli import COMMANDS, EXIT_MATH, EXIT_OK, EXIT_USAGE, OPTIONS, \
     UsageError, main, parse_args, resolve
 from hh3.expr import parse
@@ -154,7 +154,7 @@ def test_command_help_lists_every_flag_of_the_command(capsys, command,
      "--tol", "1e-30", "--n-max", "64"],                   # unreachable tol
     ["verify", "--f", "sqrt(x)", "--a", "-1", "--b", "1"],  # domain error
     ["verify", "--f", "exp(1400*x)", "--a", "-0.5",
-     "--b", "0.49"],                                       # |f'''| range
+     "--b", "0.49"],                   # proved, then the integrator's budget
 ])
 def test_math_errors_are_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -196,6 +196,13 @@ def test_bounds_report_values(capsys):
     assert doc["min_value"] <= doc["chi1"]
     assert doc["argmin"] in ("chi1", "chi2", "chi3")
     assert doc["q"] == 2
+    assert doc["hypothesis_supported"] is True
+    assert doc["log_convexity"]["passed"] is True
+    assert doc["log_convexity"]["kind"] == "proved"
+    # exp of a quadratic is no completely monotone atom, so it is sampled
+    _, out, _ = run(capsys, "bounds", "--f", "exp(x*x)", "--a", "1",
+                    "--b", "2")
+    doc = json.loads(out)
     assert doc["hypothesis_supported"] is True
     assert doc["log_convexity"]["passed"] is True
     assert doc["log_convexity"]["kind"] == "sampled-evidence"
@@ -258,13 +265,15 @@ def test_ratio_outside_float_range_is_certified(capsys, f):
 
 @pytest.mark.parametrize("command", ["bounds", "verify"])
 def test_ratio_outside_float_range_fails_the_pair_test_span(capsys, command):
-    # the pair test's 2^1021 span limit refuses the grid before any report,
-    # so K and M in a bounds report are always floats
-    code, out, err = run(capsys, command, "--f", "exp(690*x)",
+    # the pair test's 2^1021 span limit refuses the grid before any report;
+    # exp(690*x) itself is proved (see
+    # test_bounds_proves_a_ratio_beyond_the_pair_tests_span); its quotient
+    # by x + 2 mixes the two classes and is sampled
+    code, out, err = run(capsys, command, "--f", "exp(690*x)/(x+2)",
                          *_K_OUT_OF_RANGE)
     assert (code, out) == (EXIT_MATH, "")
-    assert err == ("hh3: |f'''| spans [7.1343557108109075e-292, "
-                   "1.5126546454288551e+308] on the grid, too wide a range "
+    assert err == ("hh3: |f'''| spans [7.103426552598369e-292, "
+                   "5.034881698050794e+307] on the grid, too wide a range "
                    "for the midpoint pair test\n")
 
 
@@ -333,11 +342,19 @@ def test_an_underflowing_derivative_divisor_exits_2(capsys, argv, why):
      "result is not finite (in 'x^(1.0/1e-320)' at x = 0.5)"),
     ("verify --a 1e150 --b 1e151", "-x",
      "identity_residual leaves float range"),
+    ("bounds --a 0 --b 1e103", "sqrt(x+1)",
+     "(b - a)^3 leaves float range at b - a = 1e+103"),
+    ("integrate --a 0 --b 1e103 --n 1", "sqrt(x+1)",
+     "h^3 of the corrected midpoint term leaves float range at h = 1e+103"),
+    ("certify --a 0 --b 1e103 --tol 1", "sqrt(x+1)",
+     "h^3 of the corrected midpoint term leaves float range at h = 1e+103"),
 ], ids=["integrate-cos", "bounds-cos", "log-cube", "power-cube",
-        "chain-cube", "power", "exponent-nan", "exponent-inf", "verify"])
+        "chain-cube", "power", "exponent-nan", "exponent-inf", "verify",
+        "bounds-width-cube", "integrate-width-cube", "certify-width-cube"])
 def test_a_float_fault_exits_2_naming_where(capsys, argv, f, why):
     # sin or cos of an inf, a finite ** that overflows, int() of an inf or
-    # a NaN exponent: each raised a bare ValueError or OverflowError
+    # a NaN exponent, the cube of a width above 5.6e102: each raised a bare
+    # ValueError or OverflowError
     code, out, err = run(capsys, *argv.split(), "--f", f)
     assert (code, out, err) == (EXIT_MATH, "", f"hh3: {why}\n")
 
@@ -372,6 +389,50 @@ def test_log_convexity_evidence_does_not_depend_on_scale(capsys, command,
     assert scaled["witness"] == plain["witness"]
     assert scaled["worst_violation"] == pytest.approx(
         plain["worst_violation"], rel=1e-12)
+
+
+class _Sampled(Exception):
+    """Raised by the sampled log-convexity test where a proof should hold."""
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+@pytest.mark.parametrize("f, a, b", [
+    ("exp(x)", "0", "1"), ("exp(-2.5*x)", "0.3", "1.7"),
+    ("exp(x)+exp(3*x)", "0", "2"), ("x^3+exp(1.7*x)", "0.2", "1.1"),
+    ("1/(x+0.7)", "0", "2"), ("log(x+0.4)", "0.5", "2.5"),
+    ("exp(31.5*x)", "0.25", "1.25"), ("x^3", "0", "1")])
+def test_a_proved_hypothesis_skips_the_sampled_test(capsys, monkeypatch,
+                                                    command, f, a, b):
+    def sampled(*args):
+        raise _Sampled
+    monkeypatch.setattr(analysis, "grid_samples", sampled)
+    monkeypatch.setattr(analysis, "_midpoint_pairs", sampled)
+    report = _log_convexity(capsys, command, "--f", f, "--a", a, "--b", b)
+    assert (report["kind"], report["pairs_tested"]) == ("proved", 0)
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+@pytest.mark.parametrize("sampler", ["grid_samples", "_midpoint_pairs"])
+def test_an_unproved_hypothesis_is_sampled(monkeypatch, command, sampler):
+    def sampled(*args):
+        raise _Sampled
+    monkeypatch.setattr(analysis, sampler, sampled)
+    with pytest.raises(_Sampled):
+        main([command, "--f", "x^4", "--a", "1", "--b", "2"])
+
+
+def test_bounds_proves_a_ratio_beyond_the_pair_tests_span(capsys):
+    # |f'''| spans more than 2^1021 on the grid: the pair test exited 2
+    code, out, err = run(capsys, "bounds", "--f", "exp(690*x)",
+                         "--a", "-1", "--b", "1")
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema())
+    assert doc["hypothesis_supported"] is True
+    assert doc["log_convexity"] == {
+        "passed": True, "worst_violation": None, "witness": None,
+        "pairs_tested": 0, "grid_points": None, "kind": "proved",
+        "class": "cm(-x)", "j0": 0}
 
 
 def test_verify_passes_a_log_affine_sample_near_underflow(capsys):
