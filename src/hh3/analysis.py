@@ -82,7 +82,7 @@ def grid_samples(f: Node, a: float, b: float, n: int = GRID_POINTS_DEFAULT
     if n < 3 or n % 2 == 0:
         raise ValueError(f"grid size must be odd and >= 3, got {n}")
     xs = uniform_division(a, b, n - 1)
-    return xs, tuple(abs(jet[3]) for jet in map(compile_jet3(f), xs))
+    return xs, tuple(map(abs, map(compile_jet3(f).f3, xs)))
 
 
 class ConvexityReport(Record):

@@ -49,7 +49,7 @@ chi1 stays in float range.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DomainError, require_f3, require_interval
 from .record import Record
@@ -310,8 +310,8 @@ def chi3(f3a_abs: float, f3b_abs: float, width: float, q: float) -> float:
 
 
 def interval_chi1(f3: Sequence[float],
-                  widths: Sequence[float]) -> tuple[float, ...]:
-    """h * chi1(f3[i], f3[i + 1], h) for each cell i of width h = widths[i]."""
+                  widths: Iterable[float]) -> tuple[float, ...]:
+    """h * chi1(f3[i], f3[i + 1], h) for each cell i, h the i-th width."""
     return tuple([h * chi1(f3a, f3b, h)
                   for f3a, f3b, h in zip(f3, f3[1:], widths)])
 

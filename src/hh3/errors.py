@@ -103,13 +103,16 @@ def require_finite(name: str, value: float) -> float:
 
 
 class NonConvergence(Hh3Error):
-    """The adaptive reference integrator exhausted its evaluation budget."""
+    """The adaptive reference integrator exhausted its evaluation budget, or
+    after ``evals`` evaluations met a ``panel`` (lo, hi) it cannot halve."""
 
-    def __init__(self, evals: int):
-        self.evals = evals
+    def __init__(self, evals: int, panel: tuple[float, float] | None = None):
+        self.evals, self.panel = evals, panel
         super().__init__(
             f"reference integration did not converge within {evals} evaluations"
-        )
+            if panel is None else
+            f"reference integration cannot halve the panel [{panel[0]!r}, "
+            f"{panel[1]!r}]: its nodes are not distinct floats")
 
 
 class ToleranceUnreachable(Hh3Error):

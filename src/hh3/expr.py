@@ -31,7 +31,14 @@ anywhere.  :func:`compile_jet3` writes the rules' float operations for one
 tree as a straight-line Python function of x, compiled once and cached.
 It leaves out each term that the derivatives of ``x`` and of constants
 (1 and 0) make identically zero, and each factor they make 1, and
-performs the rest in the order a recursive walk of the tree would.
+performs the rest in the order a recursive walk of the tree would.  A line
+that reads only the tree's numbers is computed once, at compile time,
+unless it raises; then it stays, so its error names the point.  From the
+same lines and in the same ``compile`` call comes the function's ``f3``
+companion, for callers that read only f''': it keeps the lines that f'''
+reads, every guard, ``try`` and branch, and checks only f''' for
+finiteness, so it raises what the jet raises but "result is not finite"
+for f, f' or f''.
 """
 
 from __future__ import annotations
@@ -336,6 +343,15 @@ def _text(operand) -> str:
     return operand if isinstance(operand, str) else repr(operand)
 
 
+_SEPARATORS = str.maketrans(dict.fromkeys("()*/+-=<>!:,.'\"", " "))
+_FOLDABLE = {f: getattr(math, f) for f in ("exp", "log", "sin", "cos", "sqrt")}
+
+
+def _words(text: str) -> list[str]:
+    """The names in generated text, and the digit runs of its numbers."""
+    return text.translate(_SEPARATORS).split()
+
+
 class _JetCompiler:
     """Writes the jet of one tree as the body of a Python function.
 
@@ -343,14 +359,16 @@ class _JetCompiler:
     ``x`` and of constants fix it whatever x is: such a literal is folded
     into the terms it meets, and a term with a literal zero factor is left
     out.  The tree's numbers and nodes appear only as names of globals bound
-    to them.
+    to them, and so does the value of each line that reads only those
+    numbers, unless computing it raises.  Each line is kept with the locals
+    it assigns: none for a guard, a ``try`` or a branch.
     """
 
     def __init__(self):
-        self.lines, self.pool, self.indent = [], [], "    "
+        self.lines, self.pool, self.indent = [], {}, "    "
 
-    def emit(self, line: str):
-        self.lines.append(self.indent + line)
+    def emit(self, line: str, *assigns: str):
+        self.lines.append((self.indent + line, assigns))
 
     def open(self, header: str):
         self.emit(header)
@@ -363,12 +381,28 @@ class _JetCompiler:
         return f"t{len(self.lines)}"
 
     def name(self, v) -> str:
-        self.pool.append(v)
-        return f"k{len(self.pool) - 1}"
+        k = f"k{len(self.pool)}"
+        self.pool[k] = v
+        return k
+
+    def fold(self, expr: str) -> float | None:
+        """The value of ``expr`` where it reads only the pool's numbers and
+        computing it raises nothing, else None."""
+        if not all(w[0].isdigit() or w in self.pool or w in _FOLDABLE
+                   for w in _words(expr)):
+            return None
+        try:  # generated text, over the pool and math's functions only
+            value = eval(expr, {**_FOLDABLE, **self.pool})
+        except (ArithmeticError, ValueError):
+            return None
+        return value if type(value) is float else None  # (-8.0) ** 0.5
 
     def assign(self, expr: str) -> str:
+        value = self.fold(expr)
+        if value is not None:
+            return self.name(value)
         t = self.fresh()
-        self.emit(f"{t} = {expr}")
+        self.emit(f"{t} = {expr}", t)
         return t
 
     def fail(self, test: str, node, why: str, chain: str = ""):
@@ -378,6 +412,9 @@ class _JetCompiler:
 
     def guarded(self, expr: str, node, error: str, why: str) -> str:
         """A local bound to ``expr``, where ``error`` raises DomainError."""
+        value = self.fold(expr)
+        if value is not None:
+            return self.name(value)
         t = self.fresh()
         self.emit(f"try:\n{self.indent}    {t} = {expr}")
         self.fail(f"except {error}:", node, why, " from None")
@@ -514,9 +551,10 @@ class _JetCompiler:
         k, zero = e[0], [f"{w} == 0.0" for w in e[1:] if isinstance(w, str)]
         # int() of an inf or a NaN raises, so the finite test comes first
         integer = [f"abs({k}) <= {_MAX_INT_EXPONENT}", f"{k} == int({k})"]
-        out = ", ".join(f"{self.fresh()}_{i}" for i in range(4))
+        prefix = self.fresh()
+        out = tuple(f"{prefix}_{i}" for i in range(4))
         self.open(f"if {' and '.join(zero + integer)}:")
-        self.emit(f"{out} = _int_power(int({k}))"
+        self.emit(f"{', '.join(out)} = _int_power(int({k}))"
                   f"(x, {self.name(node)}, {', '.join(map(_text, base))})")
         self.close()
         branches = {f"elif {' and '.join(zero)}:": self.constant_pow,
@@ -524,10 +562,10 @@ class _JetCompiler:
             else {"else:": self.constant_pow}
         for header, branch in branches.items():
             self.open(header)
-            jet = branch(node, e, base)
-            self.emit(f"{out} = {', '.join(map(_text, jet))}")
+            for name, v in zip(out, branch(node, e, base)):
+                self.emit(f"{name} = {_text(v)}", name)
             self.close()
-        return tuple(out.split(", "))
+        return out
 
     def constant_pow(self, node: BinOp, e: tuple, base: tuple) -> tuple:
         v, k = base[0], e[0]
@@ -565,16 +603,44 @@ class _JetCompiler:
                 u = self.rule(_MUL, a=u, b=u)
         return result
 
-    def build(self, jet: tuple, params: str = "x") -> Callable:
-        self.emit(f"return ({', '.join(map(_text, jet))})")
-        namespace = {f"k{i}": v for i, v in enumerate(self.pool)}
-        namespace.update(_domain=_domain, DomainError=DomainError,
-                         _int_power=_int_power, **{f: getattr(math, f) for f in
-                         ("exp", "log", "sin", "cos", "sqrt", "isfinite")})
-        source = "\n".join([f"def jet({params}):", *self.lines])
+    def live(self, result) -> list[str]:
+        """The lines that ``result`` or a kept line reads, and every line
+        that assigns no local: the guards, ``try`` blocks and branches."""
+        needed, kept = set(_words(_text(result))), []
+        for text, assigns in reversed(self.lines):
+            if not assigns or needed.intersection(assigns):
+                kept.append(text)
+                needed.update(_words(text))
+        return kept[::-1]
+
+    def build(self, jet: tuple, params: str = "x", node: str = "") -> Callable:
+        """``def jet(params)`` returning ``jet``.  Given the global ``node``
+        naming the tree, it raises where the result is not finite and
+        carries ``f3``: the lines that f''' and the guards read, returning
+        f''' and checking only it."""
+        functions = {"jet": ([text for text, _ in self.lines], jet)}
+        if node:
+            functions["f3"] = (self.live(jet[3]), jet[3:])
+        source = []
+        for name, (lines, result) in functions.items():
+            names = [v for v in result if isinstance(v, str)]  # x^0 has none
+            if node and names:
+                lines = [*lines, "    if not ("
+                         f"{' and '.join(f'isfinite({v})' for v in names)}):",
+                         f"        raise _domain({node}, x, "
+                         "'result is not finite')"]
+            value = ", ".join(map(_text, result))
+            source += [f"def {name}({params}):", *lines, "    return "
+                       + (f"({value})" if len(result) > 1 else value)]
+        source = "\n".join(source)
+        namespace = dict(self.pool, _domain=_domain, DomainError=DomainError,
+                         _int_power=_int_power, isfinite=math.isfinite,
+                         **_FOLDABLE)
         exec(compile(source, "<hh3 jet>", "exec"), namespace)
         jet = namespace["jet"]
         jet.source = source
+        if node:
+            jet.f3 = namespace["f3"]
         return jet
 
 
@@ -591,12 +657,7 @@ def _compiled(node: Node, text: str) -> Callable:
     c = _JetCompiler()
     c.emit("if not isfinite(x):")
     c.emit("    raise DomainError('evaluation point must be finite', x=x)")
-    jet = c.node(node)
-    names = [v for v in jet if isinstance(v, str)]  # x^0 has none
-    if names:
-        c.fail(f"if not ({' and '.join(f'isfinite({v})' for v in names)}):",
-               node, "result is not finite")
-    return c.build(jet)
+    return c.build(c.node(node), node=c.name(node))
 
 
 def compile_jet3(node: Node) -> Callable[[float], tuple[float, ...]]:
@@ -608,7 +669,8 @@ def compile_jet3(node: Node) -> Callable[[float], tuple[float, ...]]:
     these it leaves out, so f keeps its bits and a derivative that is 0
     may come out with the other sign.  Where such a zero met an inf, the
     walk's NaN becomes the true value.  It raises what :func:`eval_jet3`
-    documents.  The function's ``source`` attribute holds its text.
+    documents.  The function's ``f3`` attribute is its f'''-only companion
+    (see the module docstring), and ``source`` holds the text of both.
     Compiled once per tree and kept in a bounded cache, keyed on the tree
     and its text (Num(0.0) == Num(-0.0)).
     """

@@ -26,8 +26,6 @@ noise when a tight absolute tolerance meets a large integrand.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import operator
 import sys
@@ -87,27 +85,26 @@ def _checked(points: Sequence[float]) -> tuple[float, ...]:
 
 
 def _midpoint_pass(jet: Callable, points: tuple[float, ...]) -> tuple:
-    """One pass over the subintervals, left to right: their widths, the
-    terms of the midpoint and the corrected sums, and the midpoint jets."""
-    widths, plain, corrected, jets = [], [], [], []
+    """One pass over the subintervals, left to right: the terms of the
+    midpoint and the corrected sums, and f''' at the midpoints."""
+    plain, corrected, f3 = [], [], []
     try:
         for lo, hi in zip(points, points[1:]):
             h = hi - lo
-            jets.append(j := jet(0.5 * (lo + hi)))
-            f0, _, f2, _ = j
-            widths.append(h)
+            f0, _, f2, d3 = jet(0.5 * (lo + hi))
             hf = h * f0
             plain.append(hf)
             corrected.append(hf + h ** 3 / 24.0 * f2)
+            f3.append(d3)
     except OverflowError:  # of h ** 3: a jet raises DomainError instead
         raise DomainError(f"h^3 of the corrected midpoint term leaves float "
                           f"range at h = {h!r}") from None
-    return widths, plain, corrected, jets
+    return plain, corrected, f3
 
 
 def corrected_midpoint_sum(f: Node, points: Sequence[float]) -> float:
     return _finite_sum("corrected_sum",
-                       _midpoint_pass(compile_jet3(f), _checked(points))[2])
+                       _midpoint_pass(compile_jet3(f), _checked(points))[1])
 
 
 # --------------------------------------------------------------------------
@@ -121,7 +118,7 @@ class QuadResult(Record):
         "f3",               # floats: |f'''| at each division point
         "interval_bounds",  # floats: one bound per subinterval
         "points",           # floats: the division
-        "midpoint_jets")    # jets (f, f', f'', f''') at its midpoints
+        "midpoint_f3")      # floats: f''' at its midpoints
 
 
 def composite_bound(f: Node, points: Sequence[float], *,
@@ -140,22 +137,25 @@ def composite_bound(f: Node, points: Sequence[float], *,
     ``points[::2]`` equals its points bit for bit, as
     ``uniform_division(a, b, 2 * n)`` does at n, its ``f3`` is taken as
     given, and an odd point equal to the midpoint it splits takes |f'''|
-    from the jet there; every other point is evaluated.
+    from its ``midpoint_f3``; every other point is evaluated.  Division
+    points need only f''', so they run the jet's f'''-only companion.
     """
     points = _checked(points)
     jet = compile_jet3(f)
+    f3_at = _f3_only(jet)
     if coarse is not None and points[::2] == coarse.points:
         f3 = [0.0] * len(points)
         f3[::2] = coarse.f3
-        f3[1::2] = _f3_magnitudes(jet, points[1::2], [
-            j if 0.5 * (lo + hi) == x else None
-            for lo, x, hi, j in zip(points[::2], points[1::2], points[2::2],
-                                    coarse.midpoint_jets)])
+        f3[1::2] = _f3_magnitudes(f3_at, points[1::2], [
+            v if 0.5 * (lo + hi) == x else None
+            for lo, x, hi, v in zip(points[::2], points[1::2], points[2::2],
+                                    coarse.midpoint_f3)])
     else:
-        f3 = _f3_magnitudes(jet, points)
+        f3 = _f3_magnitudes(f3_at, points)
 
-    widths, plain, corrected, jets = _midpoint_pass(jet, points)
-    interval_bounds = _bounds.interval_chi1(f3, widths)
+    plain, corrected, midpoint_f3 = _midpoint_pass(jet, points)
+    interval_bounds = _bounds.interval_chi1(   # the widths h = hi - lo
+        f3, map(operator.sub, points[1:], points))
 
     return QuadResult(
         midpoint_sum=_finite_sum("midpoint_sum", plain),
@@ -164,7 +164,7 @@ def composite_bound(f: Node, points: Sequence[float], *,
         f3=tuple(f3),
         interval_bounds=interval_bounds,
         points=points,
-        midpoint_jets=tuple(jets),
+        midpoint_f3=tuple(midpoint_f3),
     )
 
 
@@ -178,49 +178,70 @@ def _finite_sum(name: str, terms: Sequence[float]) -> float:
     return require_finite(name, total)
 
 
-def _f3_magnitudes(jet: Callable, points: Sequence[float],
-                   given: Sequence[tuple | None] = ()) -> list[float]:
+def _f3_only(jet: Callable) -> Callable[[float], float]:
+    """x -> f''': the compiled jet's companion, or index 3 of the jet where
+    ``jet`` has none (a caller's wrapper)."""
+    return getattr(jet, "f3", None) or (lambda x: jet(x)[3])
+
+
+def _f3_magnitudes(f3: Callable, points: Sequence[float],
+                   given: Sequence[float | None] | None = None
+                   ) -> list[float]:
     """|f'''| at each point, left to right, once each is finite and normal.
 
-    ``given`` holds, in step with ``points``, the jet already evaluated at
-    a point, or None where the point is still to be evaluated."""
-    return [m if 2.2250738585072014e-308 <= (m := abs((j or jet(x))[3]))
+    ``f3`` maps x to f'''.  ``given`` holds, in step with ``points``, f'''
+    already evaluated at a point, or None where it is still to be."""
+    values = map(f3, points) if given is None else (
+        f3(x) if v is None else v for x, v in zip(points, given))
+    return [m if 2.2250738585072014e-308 <= (m := abs(v))
             <= 1.7976931348623157e308 else require_f3(x, m)
-            for x, j in zip(points, given or itertools.repeat(None))]
+            for x, v in zip(points, values)]
 
 
 # --------------------------------------------------------------------------
 # Reference integrator
 # --------------------------------------------------------------------------
 
-def _cc_weights(n: int) -> tuple[float, ...]:
-    """Clenshaw-Curtis weights for the n+1 nodes cos(j*pi/n) on [-1, 1].
+# The panel rule: the nodes cos(j*pi/32) on [-1, 1], and the Clenshaw-Curtis
+# weights of all 33 and of the 17 even-indexed ones, from the exact moments
+# of the Chebyshev interpolant (all positive; tests/test_quadrature.py
+# derives them again).
+_CC_NODES = (
+    1.0, 0.9951847266721969, 0.9807852804032304, 0.9569403357322088,
+    0.9238795325112867, 0.881921264348355, 0.8314696123025452,
+    0.773010453362737, 0.7071067811865476, 0.6343932841636455,
+    0.5555702330196023, 0.4713967368259978, 0.38268343236508984,
+    0.29028467725446233, 0.19509032201612833, 0.09801714032956077,
+    6.123233995736766e-17, -0.09801714032956065, -0.1950903220161282,
+    -0.29028467725446216, -0.3826834323650897, -0.4713967368259977,
+    -0.555570233019602, -0.6343932841636454, -0.7071067811865475,
+    -0.773010453362737, -0.8314696123025453, -0.8819212643483549,
+    -0.9238795325112867, -0.9569403357322088, -0.9807852804032304,
+    -0.9951847266721968, -1.0)
+_CC_FINE = (
+    0.000977517106549366, 0.009393197962955013, 0.01923424513268115,
+    0.02845791667723369, 0.03759434191404721, 0.04626276283775175,
+    0.054555016303980325, 0.06227210954529399, 0.06942757563043547,
+    0.07588380044138848, 0.0816348176549385, 0.08657753844182742,
+    0.09070611286772098, 0.09394324443876872, 0.09629232594548819,
+    0.09769818820805556, 0.0981785777817683, 0.09769818820805558,
+    0.09629232594548819, 0.09394324443876871, 0.09070611286772098,
+    0.08657753844182745, 0.08163481765493853, 0.07588380044138851,
+    0.06942757563043547, 0.062272109545294, 0.054555016303980304,
+    0.046262762837751756, 0.037594341914047216, 0.0284579166772337,
+    0.019234245132681176, 0.009393197962955048, 0.000977517106549366)
+_CC_COARSE = (
+    0.003921568627450983, 0.037368702837205614, 0.07548233154315184,
+    0.10890555258189094, 0.13895646836823308, 0.16317266428170332,
+    0.18147378423649335, 0.19251386461292566, 0.1964101258218905,
+    0.19251386461292566, 0.18147378423649335, 0.16317266428170335,
+    0.13895646836823308, 0.10890555258189091, 0.07548233154315184,
+    0.03736870283720567, 0.003921568627450983)
 
-    Interpolatory weights from Chebyshev moments: expand the interpolant in
-    T_k via the discrete cosine transform of type I and integrate it with
-    the exact moments (integral of T_k over [-1,1] is 2/(1-k^2) for even k,
-    zero for odd k).  n must be even.  All weights come out positive.
-    """
-    weights = []
-    for j in range(n + 1):
-        acc = 0.0
-        for k in range(0, n + 1, 2):
-            moment = 2.0 if k == 0 else 2.0 / (1.0 - k * k)
-            edge = 0.5 if (k == 0 or k == n) else 1.0
-            acc += edge * moment * math.cos(math.pi * k * j / n)
-        w = 2.0 / n * acc
-        if j == 0 or j == n:
-            w *= 0.5
-        weights.append(w)
-    return tuple(weights)
 
-
-@functools.cache
 def _cc_rule() -> tuple[tuple[float, ...], ...]:
-    """Nodes cos(j*pi/32) on [-1, 1], weights of all 33 and of the even 17;
-    built on first use, as bounds and certify never integrate."""
-    nodes = tuple(math.cos(math.pi * j / 32) for j in range(33))
-    return nodes, _cc_weights(32), _cc_weights(16)
+    """The nodes, the weights of all 33 and the weights of the even 17."""
+    return _CC_NODES, _CC_FINE, _CC_COARSE
 
 
 _ROUNDOFF_ULPS = 10.0 * sys.float_info.epsilon
@@ -240,7 +261,9 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
     processed left to right and the accepted values are fsum-ed in that
     order, so results are bitwise deterministic.  Raises
     :class:`NonConvergence` once more than DEFAULT_EVAL_BUDGET evaluations
-    would be needed.
+    would be needed, or as soon as a panel to bisect has nodes that are not
+    distinct floats: its rule difference is then rounding, which no halving
+    shrinks.
     """
     require_interval(a, b)
     nodes, w_fine, w_coarse = _cc_rule()
@@ -260,16 +283,18 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
             raise NonConvergence(DEFAULT_EVAL_BUDGET)
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        values = [fn(mid + half * t) for t in nodes]
-        fine = half * math.fsum(w * v for w, v in zip(w_fine, values))
-        coarse = half * math.fsum(w * v for w, v in
-                                  zip(w_coarse, values[::2]))
+        xs = [mid + half * t for t in nodes]
+        values = list(map(fn, xs))
+        fine = half * math.fsum(map(operator.mul, w_fine, values))
+        coarse = half * math.fsum(map(operator.mul, w_coarse, values[::2]))
         err = abs(fine - coarse)
-        magnitude = half * math.fsum(w * abs(v) for w, v in
-                                     zip(w_fine, values))
+        magnitude = half * math.fsum(map(operator.mul, w_fine,
+                                         map(abs, values)))
         floor = _ROUNDOFF_ULPS * magnitude
         if err <= tol * (hi - lo) / span or err <= floor:
             pieces.append(fine)
+        elif len(set(xs)) < len(xs):
+            raise NonConvergence(evals, (lo, hi))
         else:
             stack.append((mid, hi, depth + 1))
             stack.append((lo, mid, depth + 1))
@@ -314,11 +339,13 @@ def identity_residual(f: Node, a: float, b: float) -> float:
     f0, _, f2, _ = jet(m)
     lhs = mean - f0 - h * h / 24.0 * f2
 
+    f3 = _f3_only(jet)
+
     def kernel_from_b(t: float) -> float:
-        return t ** 3 * jet(b - 0.5 * t * h)[3]
+        return t ** 3 * f3(b - 0.5 * t * h)
 
     def kernel_from_a(t: float) -> float:
-        return t ** 3 * jet(a + 0.5 * t * h)[3]
+        return t ** 3 * f3(a + 0.5 * t * h)
 
     i1 = integrate_adaptive(kernel_from_b, 0.0, 1.0, tol)
     i2 = integrate_adaptive(kernel_from_a, 0.0, 1.0, tol)
@@ -352,10 +379,11 @@ def certify(f: Node, a: float, b: float, tol: float,
     2i of 2n, because (b - a)/(2n) is exactly half of (b - a)/n.  Each
     odd point of 2n that equals the midpoint of n it splits, as all do
     where the points are exact binary fractions (on [0, 1], say), takes
-    |f'''| from the jet there.  So a doubling evaluates the jets at its 2n
-    midpoints, and |f'''| only at the odd points that differ from the old
-    midpoints.  Where halving is inexact (a subnormal width) the old points
-    no longer match, and the level evaluates every point.
+    |f'''| from the level before's ``midpoint_f3``.  So a doubling
+    evaluates the jets at its 2n midpoints, and f''' alone only at the odd
+    points that differ from the old midpoints.  Where halving is inexact (a
+    subnormal width) the old points no longer match, and the level
+    evaluates every point.
 
     Raises :class:`ToleranceUnreachable` (carrying the best bound achieved)
     if n exceeds ``n_max`` first, and its subclass
@@ -366,7 +394,10 @@ def certify(f: Node, a: float, b: float, tol: float,
 
     with eps the machine epsilon and A the sum over the level's midpoints m
     of |h f(m)| + |h^3 f''(m) / 24| + |h m f'(m)|.  The run stops once
-    tol < ulp(max(L, 0)) / 2.
+    tol < ulp(max(L, 0)) / 2.  As R >= 0 only lowers L, A is needed only
+    where tol < ulp(max(L + R, 0)) / 2 already; only then are the jets at
+    the level's midpoints evaluated again, as the level evaluated them, to
+    sum it.
 
     The argument, granted R: B bounds |I - S| for the exact corrected sum
     S at the level's points, and the printed s is within r of S, so
@@ -388,8 +419,9 @@ def certify(f: Node, a: float, b: float, tol: float,
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise BadInterval(f"tolerance must be positive, got {tol!r}")
-    # The levels make no reference cycles, but the cyclic GC would scan
-    # their jets again and again; the caller's setting is restored.
+    # The levels make no reference cycles, but every jet allocates a tuple,
+    # and the collections that sets off would scan the levels' lists again
+    # and again; the caller's setting is restored.
     import gc  # here, as only certify needs it
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -403,7 +435,7 @@ def certify(f: Node, a: float, b: float, tol: float,
             lower = abs(result.corrected_sum) - result.certified_bound - tol
             if tol < 0.5 * math.ulp(max(lower, 0.0)):  # R >= 0 only lowers L
                 lower -= (_ROUNDING_ULPS * sys.float_info.epsilon
-                          * _rounding_mass(result))
+                          * _rounding_mass(f, result.points))
                 floor = 0.5 * math.ulp(max(lower, 0.0))
                 if tol < floor:
                     raise BelowRoundingFloor(tol, best_seen, n, floor)
@@ -418,11 +450,13 @@ def certify(f: Node, a: float, b: float, tol: float,
             gc.enable()
 
 
-def _rounding_mass(result: QuadResult) -> float:
+def _rounding_mass(f: Node, points: tuple[float, ...]) -> float:
     """A of :func:`certify`: the sum over the midpoints m of
-    |h f(m)| + |h^3 f''(m) / 24| + |h m f'(m)|, from the jets there."""
-    mass, points = 0.0, result.points
-    for lo, hi, j in zip(points, points[1:], result.midpoint_jets):
+    |h f(m)| + |h^3 f''(m) / 24| + |h m f'(m)|, from the jets there,
+    evaluated again as :func:`composite_bound` evaluated them."""
+    mass, jet = 0.0, compile_jet3(f)
+    for lo, hi in zip(points, points[1:]):
         h, m = hi - lo, 0.5 * (lo + hi)
-        mass += abs(h * j[0]) + abs(h ** 3 / 24.0 * j[2]) + abs(h * m * j[1])
+        f0, f1, f2, _ = jet(m)
+        mass += abs(h * f0) + abs(h ** 3 / 24.0 * f2) + abs(h * m * f1)
     return mass

@@ -4,14 +4,15 @@ The JSON emitter is hand-rolled on purpose: report bytes are part of the
 interface (same inputs => identical bytes), so float formatting is pinned to
 %.17g, keys keep insertion order, and non-finite floats become null (JSON
 has no Infinity; the schema types those fields number-or-null).  A
-:class:`Table` renders as a list of objects, from one %-template per format.
+:class:`Table` renders as a list of objects: each column is formatted once,
+and each run of rows is one join of those texts and the constant text
+between them.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import islice
 
 from .record import Record
 
@@ -61,51 +62,69 @@ def _json_scalar(value: object) -> str:
     raise TypeError(f"cannot render {value!r} in a report")
 
 
-def _rows(table: Table, spec: str, cell, template, indexed=False) -> list:
-    """One string per row of ``table``, from ``template(specs, digits)``.
+def _formatted(spec: str, values) -> list[str]:
+    """``spec % v`` for each v, from one %-operation: no float's text holds
+    a comma."""
+    return ((spec + ",") * len(values) % tuple(values)).split(",")[:-1]
 
-    Finite floats go in under ``spec``, or as text formatted once per value
-    if their column's first 64 cells repeat one, and once per point where
-    the next column holds the same floats one row on (``lo``, ``hi``); any
-    other column under ``%s``, rendered by ``cell`` (once if every row
-    holds one object).  Rows whose indices have equally many ``digits``
-    share one %-template; ``indexed`` passes the row's index before each
-    value.
+
+def _texts(table: Table, spec: str, cell) -> list[list[str]]:
+    """The text of each cell of ``table``, column by column.
+
+    Finite floats are formatted under ``spec``: once per value if their
+    column's first 64 cells repeat one, and once per point where the next
+    column holds the same floats one row on (``lo``, ``hi``).  Any other
+    column is rendered by ``cell``, once if every row holds one object.
     """
-    n, specs, columns, shared = _height(table), [], [], None
+    n, texts, shared = _height(table), [], None
     floats = [set(map(type, column)) == {float}
               and all(map(math.isfinite, column)) for column in table.columns]
     for j, column in enumerate(table.columns):
-        form = "%s"
         if shared is not None:  # the column before formatted these points
-            column, shared = shared[1:], None
+            text, shared = shared[1:], None
         elif floats[j] and j + 1 < len(floats) and floats[j + 1] and all(
                 map(operator.is_, table.columns[j + 1][:-1], column[1:])):
-            shared = [*map(spec.__mod__, column),
-                      spec % table.columns[j + 1][-1]]
-            column = shared[:-1]
+            shared = _formatted(spec, (*column, table.columns[j + 1][-1]))
+            text = shared[:-1]
         elif floats[j] and len(set(column[:64])) == len(column[:64]):
-            form = spec
+            text = _formatted(spec, column)
         elif floats[j]:  # 0.0 == -0.0 as keys: zeros are formatted each time
-            text = {v: spec % v for v in set(column) if v}
-            column = [text.get(v) or spec % v for v in column]
+            once = {v: spec % v for v in set(column) if v}
+            text = [once.get(v) or spec % v for v in column]
+        elif len(set(map(id, column))) == 1:
+            text = [cell(column[0])] * n
         else:
-            column = ([cell(column[0])] * n if len(set(map(id, column))) == 1
-                      else list(map(cell, column)))
-        specs.append(form)
-        columns += [range(n), column] if indexed else [column]
-    arguments = zip(*columns)
+            text = list(map(cell, column))
+        texts.append(text)
+    return texts
+
+
+def _rows(table: Table, spec: str, cell, layout) -> list[str]:
+    """The text of ``table``'s rows: one string per run of rows whose
+    indices have equally many digits.
+
+    ``layout(digits)`` lists the pieces of one such row: constant text, the
+    number of a column, or None for the row's index.  Each run is one join
+    of those pieces, the columns' texts (see :func:`_texts`) in their
+    places.
+    """
+    n, texts = _height(table), _texts(table, spec, cell)
     out, start, digits = [], 0, 1
     while start < n:
         stop = min(n, 10 ** digits)
-        out += map(template(specs, digits).__mod__,
-                   islice(arguments, stop - start))
+        pieces, index = layout(digits), None
+        flat = [""] * ((stop - start) * len(pieces))
+        for i, piece in enumerate(pieces):
+            if isinstance(piece, str):
+                flat[i::len(pieces)] = [piece] * (stop - start)
+            elif piece is None:
+                index = index or list(map(str, range(start, stop)))
+                flat[i::len(pieces)] = index
+            else:
+                flat[i::len(pieces)] = texts[piece][start:stop]
+        out.append("".join(flat))
         start, digits = stop, digits + 1
     return out
-
-
-def _literal(text: str) -> str:
-    return text.replace("%", "%%")
 
 
 def _emit(value: object, indent: int, out: list) -> None:
@@ -119,19 +138,19 @@ def _emit(value: object, indent: int, out: list) -> None:
         out.append(f"\n{pad}}}" if value else "{}")
         return
     if isinstance(value, Table):
-        def item(specs, digits):
-            fields = ",\n".join(f"{inner}  {_literal(_json_scalar(k))}: {s}"
-                                for k, s in zip(value.keys, specs))
-            return (f"{inner}{{\n{fields}\n{inner}}}" if fields else
-                    f"{inner}{{}}") + ",\n"
-        parts = _rows(value, "%.17g", _json_scalar, item)
+        item = [f",\n{inner}{{"]
+        for j, key in enumerate(value.keys):
+            item[-1] += f"{',' if j else ''}\n{inner}  {_json_scalar(key)}: "
+            item += [j, ""]
+        item[-1] += f"\n{inner}}}"
+        parts = _rows(value, "%.17g", _json_scalar, lambda digits: item)
     elif type(value) in (list, tuple):   # a record is a tuple, not a list
-        parts = [f"{inner}{_json_scalar(v)},\n" for v in value]
+        parts = [f",\n{inner}{_json_scalar(v)}" for v in value]
     else:
         out.append(_json_scalar(value))
         return
     if parts:
-        parts[-1] = parts[-1][:-2]  # no comma after the last item
+        parts[0] = parts[0][2:]  # no comma before the first item
     out += ["[\n", *parts, f"\n{pad}]"] if parts else ["[]"]
 
 
@@ -163,6 +182,14 @@ def _csv_quote(text: str) -> str:
     return text
 
 
+def _csv_key(head: str, tail: str, digits: int) -> tuple[str, str]:
+    """``_csv_quote(head + tail)`` and a comma, cut where the row index goes
+    between head and tail (digits need no quoting)."""
+    quoted = _csv_quote(head + tail)
+    cut = len(head) + (quoted != head + tail) * (1 + head.count('"'))
+    return quoted[:cut], quoted[cut:] + ","
+
+
 def _cell(value: object, fmt=format_float_short) -> str:
     if value is None:
         return ""
@@ -180,31 +207,32 @@ def _csv_cell(value: object) -> str:
 
 
 def _flat_lines(doc: dict, spec: str, cell, line) -> list:
-    """A line per scalar and a string of lines per table row of ``doc``.
+    """A line per scalar and a string of lines per run of table rows.
 
-    ``line(key, length)`` is the template text that starts a line, given the
-    key as template text and the length that the key prints at.
+    ``line(head, tail, digits)`` is the text that starts a line whose key
+    is head, a row index of ``digits`` digits, then tail, as the text
+    before the index and the text after it.
     """
     lines = []
     for name, value in _flatten(doc):
         if not isinstance(value, Table):
-            lines.append((line(_literal(name), len(name)) + "%s\n")
-                         % cell(value))
+            lines.append("".join([*line(name, "", 0), cell(value), "\n"]))
             continue
 
-        def row(specs, digits):   # the key name.i.key, i of digits digits
-            return "".join(
-                line(f"{_literal(name)}.%d.{_literal(key)}",
-                     len(name) + digits + len(key) + 2) + s + "\n"
-                for key, s in zip(value.keys, specs))
-        lines += _rows(value, spec, cell, row, indexed=True)
+        def row(digits):   # the lines name.i.key, i of digits digits
+            pieces = [""]
+            for j, key in enumerate(value.keys):
+                head, tail = line(f"{name}.", f".{key}", digits)
+                pieces[-1] += head
+                pieces += [None, tail, j, "\n"]
+            return pieces
+        lines += _rows(value, spec, cell, row)
     return lines
 
 
 def to_csv(doc: dict) -> str:
     """Flattened key,value rows (nested keys are dotted)."""
-    lines = _flat_lines(doc, "%.17g", _csv_cell,
-                        lambda key, length: _csv_quote(key) + ",")
+    lines = _flat_lines(doc, "%.17g", _csv_cell, _csv_key)
     return "".join(["key,value\n", *lines])
 
 
@@ -213,14 +241,18 @@ def to_text(doc: dict) -> str:
     width = max((len(f"{k}.{_height(v) - 1}.{max(v.keys, key=len)}")
                  if isinstance(v, Table) else len(k)
                  for k, v in _flatten(doc)), default=0)
-    lines = _flat_lines(doc, "%.6g", _cell, lambda key, length:
-                        key + " " * (width - length) + " = ")
+    lines = _flat_lines(doc, "%.6g", _cell, lambda head, tail, digits: (
+        head, tail + " " * (width - len(head) - digits - len(tail)) + " = "))
     return "".join(lines) or "\n"
 
 
 def rows_to_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
     """A real CSV table (used by sweep), floats at full precision."""
     columns = list(zip(*rows)) or [()] * len(header)
+    row = [""]
+    for j in range(len(header)):
+        row += [j, ","]
+    row[-1] = "\n"   # in place of the last comma
     lines = _rows(Table(tuple(header), columns), "%.17g", _csv_cell,
-                  lambda specs, digits: ",".join(specs) + "\n")
+                  lambda digits: row)
     return "".join([",".join(map(_csv_quote, header)), "\n", *lines])

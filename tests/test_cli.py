@@ -154,13 +154,26 @@ def test_command_help_lists_every_flag_of_the_command(capsys, command,
      "--tol", "1e-30", "--n-max", "64"],                   # unreachable tol
     ["verify", "--f", "sqrt(x)", "--a", "-1", "--b", "1"],  # domain error
     ["verify", "--f", "exp(1400*x)", "--a", "-0.5",
-     "--b", "0.49"],                   # proved, then the integrator's budget
+     "--b", "0.49"],                   # proved, then a panel it cannot halve
 ])
 def test_math_errors_are_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_MATH
     assert out == ""
     assert err
+
+
+def test_reference_integration_stops_at_a_panel_it_cannot_halve(capsys):
+    # exp's rounding makes the rule difference ~1.1x the 10-ulp floor near
+    # x = 0.3658, and halving never shrinks it: once a failing panel's 33
+    # nodes are no longer distinct floats, the run stops there instead of
+    # spending the 1,000,000-evaluation budget
+    code, out, err = run(capsys, "verify", "--f", "exp(1400*x)",
+                         "--a", "-0.5", "--b", "0.49")
+    assert (code, out) == (EXIT_MATH, "")
+    assert err == ("hh3: reference integration cannot halve the panel "
+                   "[0.3657670820320444, 0.36576708203205843]: its nodes are "
+                   "not distinct floats\n")
 
 
 # --------------------------------------------------------------------------

@@ -184,10 +184,9 @@ _RECORDS = [
     (QuadResult, {"midpoint_sum": 1.0, "corrected_sum": 1.5,
                   "certified_bound": 0.01, "f3": (1.0, 2.0),
                   "interval_bounds": (0.01,), "points": (0.0, 1.0),
-                  "midpoint_jets": ((1.0, 1.0, 1.0, 1.5),)}),
+                  "midpoint_f3": (1.5,)}),
     (CertifyOutcome, {"result": QuadResult(1.0, 1.5, 0.01, (1.0, 2.0),
-                                           (0.01,), (0.0, 1.0),
-                                           ((1.0, 1.0, 1.0, 1.5),)),
+                                           (0.01,), (0.0, 1.0), (1.5,)),
                       "n_final": 1, "iterations": 1}),
     (ConvexityReport, {"passed": False, "worst_violation": 0.5,
                        "witness": (0.0, 1.0), "pairs_tested": 3}),
@@ -229,7 +228,7 @@ _FIELDS = {
     DerivEndpoints: ("f3a_abs", "f3b_abs", "a", "b"),
     BoundReport: ("chi1", "chi2", "chi3", "q", "min_value", "argmin_label"),
     QuadResult: ("midpoint_sum", "corrected_sum", "certified_bound", "f3",
-                 "interval_bounds", "points", "midpoint_jets"),
+                 "interval_bounds", "points", "midpoint_f3"),
     CertifyOutcome: ("result", "n_final", "iterations"),
     ConvexityReport: ("passed", "worst_violation", "witness",
                       "pairs_tested"),

@@ -368,16 +368,69 @@ def test_compiled_jet_matches_tree_walk_on_smooth_cases(source, a, b):
         _assert_like_tree_walk(ast, x)
 
 
-@pytest.mark.parametrize("source", [
+_GUARD_SOURCES = [
     "x^x", "x^2.5", "x^(x - x + 3)", "x^(x - x - 2)", "(x - 1)^(x - x + 2)",
     "x^-3", "0^-1", "2^(1e999)", "exp(1e200*x)", "log(2)/(x - x)",
     "x^pi", "sqrt(x*1e-320)", "(x*1e-200)^2.5", "(x*1e-200)^(x - x + 2.5)",
     "cos(x/1e-320)", "sin(1/1e-320)", "log(x*1e-110)", "(x*1e150)^1.5",
     "sin(x*1e150)", "x^1.5e300", "x^(1/1e-320)", "x^(0*(1/1e-320))",
-])
-@pytest.mark.parametrize("x", [-2.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+]
+_GUARD_POINTS = [-2.0, -0.0, 0.0, 0.5, 1.0, 3.0]
+
+
+@pytest.mark.parametrize("source", _GUARD_SOURCES)
+@pytest.mark.parametrize("x", _GUARD_POINTS)
 def test_compiled_power_and_error_paths_match_tree_walk(source, x):
     _assert_like_tree_walk(parse(source), x)
+
+
+def _assert_companion_like_jet(ast, x):
+    """Where the f'''-only companion returns v, the jet returns v's bits at
+    index 3, or raises only "result is not finite"; where the companion
+    raises, the jet raises the same."""
+    jet = compile_jet3(ast)
+    full = _outcome(lambda _, x: jet(x), ast, x)
+    only = _outcome(lambda _, x: (jet.f3(x),), ast, x)
+    if isinstance(only[0], type):
+        assert full == only
+    elif isinstance(full[0], type):
+        assert full[0] is DomainError and full[2] == (to_text(ast), x)
+        assert full[1].startswith("result is not finite (in ")
+    else:
+        assert only[0].hex() == full[3].hex()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_ast_strategy(), st.floats(min_value=-5.0, max_value=5.0))
+@example(parse("1e999 + x^3"), 0.5)  # f is inf, f''' is 6.0
+@example(Neg(Var()), 0.0)
+def test_f3_companion_matches_the_jet(ast, x):
+    _assert_companion_like_jet(ast, x)
+
+
+@pytest.mark.parametrize("source", _GUARD_SOURCES)
+@pytest.mark.parametrize("x", _GUARD_POINTS)
+def test_f3_companion_keeps_every_guard(source, x):
+    _assert_companion_like_jet(parse(source), x)
+
+
+def test_constant_lines_are_folded_unless_they_raise():
+    # -k and the chain rule's k ** 3 of exp(-c*x) read only the tree's
+    # numbers: their values are globals, and no line computes them
+    source = compile_jet3(parse("exp(-1.7*x)")).source
+    assert "= -k" not in source and "** 3" not in source
+    # 1e150 ** 3 overflows: that line stays, so its error names the point
+    ast = parse("sin(x*1e150)")
+    assert "** 3" in compile_jet3(ast).source
+    with pytest.raises(DomainError) as info:
+        compile_jet3(ast).f3(0.5)
+    assert (info.value.expr_text, info.value.x) == ("sin(x*1e+150)", 0.5)
+
+
+def test_f3_companion_drops_what_only_f_to_f2_read():
+    jet = compile_jet3(parse("exp(11.18*x)"))
+    assert jet.f3.__code__.co_nlocals < jet.__code__.co_nlocals
+    assert jet.f3(0.5) == jet(0.5)[3]
 
 
 def test_zero_derivatives_do_not_meet_an_inf():

@@ -123,6 +123,35 @@ def test_panel_rule_weights_are_consistent():
             math.cos(math.pi * (j // 2) / 16), abs=1e-15)
 
 
+def _cc_weights(n: int) -> tuple[float, ...]:
+    """Clenshaw-Curtis weights for the n+1 nodes cos(j*pi/n) on [-1, 1].
+
+    Interpolatory weights from Chebyshev moments: expand the interpolant in
+    T_k via the discrete cosine transform of type I and integrate it with
+    the exact moments (integral of T_k over [-1,1] is 2/(1-k^2) for even k,
+    zero for odd k).  n must be even.
+    """
+    weights = []
+    for j in range(n + 1):
+        acc = 0.0
+        for k in range(0, n + 1, 2):
+            moment = 2.0 if k == 0 else 2.0 / (1.0 - k * k)
+            edge = 0.5 if (k == 0 or k == n) else 1.0
+            acc += edge * moment * math.cos(math.pi * k * j / n)
+        w = 2.0 / n * acc
+        if j == 0 or j == n:
+            w *= 0.5
+        weights.append(w)
+    return tuple(weights)
+
+
+def test_panel_rule_literals_are_their_derivation_bit_for_bit():
+    derived = (tuple(math.cos(math.pi * j / 32) for j in range(33)),
+               _cc_weights(32), _cc_weights(16))
+    assert [[v.hex() for v in table] for table in _cc_rule()] == [
+        [v.hex() for v in table] for table in derived]
+
+
 def test_panel_rule_polynomial_exactness():
     # one panel integrates x^k exactly for k well past the coarse rule's 17
     nodes, w_fine, _ = _cc_rule()
@@ -494,8 +523,12 @@ def test_rounding_floor_reads_the_level_jets(monkeypatch):
     calls = _counting_jets(monkeypatch)
     with pytest.raises(BelowRoundingFloor) as info:
         certify(parse("exp(50*x)"), 0.0, 1.0, 1e-6)
-    # the points and midpoints of the last level, each once
-    assert len(calls) == len(set(calls)) == 2 * info.value.n_final + 1
+    # the points and midpoints of the last level, each once, then that
+    # level's midpoints again for the rounding mass A, which no level holds
+    n = info.value.n_final
+    first, again = calls[:2 * n + 1], calls[2 * n + 1:]
+    assert len(set(first)) == len(first) == 2 * n + 1
+    assert again == [(i + 0.5) / n for i in range(n)]
 
 
 @pytest.mark.parametrize("x, evaluated", [

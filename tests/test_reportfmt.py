@@ -172,6 +172,17 @@ def tables(draw) -> Table:
                                for p in pools])
 
 
+def _edge_table(n: int) -> Table:
+    """n rows whose lo and hi share their points, with a column of three
+    repeated values, zeros of both signs and an inf among unique bounds."""
+    points = [-0.0, 0.0, *(i / 7 for i in range(1, n))]
+    bound = [1.0 / (i + 3) for i in range(n)]
+    bound[n // 2] = math.inf
+    return Table(("lo", "hi", "bound", "ratio"), [
+        points[:-1], points[1:], bound,
+        [(0.5, 2.0, -0.0)[i % 3] for i in range(n)]])
+
+
 def _assert_like_reference(doc: dict) -> None:
     old = ref.as_dicts(doc)
     assert to_json(doc) == ref.to_json(old)
@@ -181,6 +192,12 @@ def _assert_like_reference(doc: dict) -> None:
 
 @settings(deadline=None)
 @given(tables(), st.text(max_size=4))
+@example(_edge_table(9), "intervals")
+@example(_edge_table(10), "i,\"j")
+@example(_edge_table(99), "intervals")
+@example(_edge_table(100), "")
+@example(_edge_table(1000), "intervals")
+@example(_edge_table(10001), "intervals")
 def test_tables_render_like_the_reference(table, name):
     _assert_like_reference({"head": 0.1, "nested": {name: table},
                             "list": [1, None], "table": table, "z": True})
