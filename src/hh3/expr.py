@@ -31,14 +31,15 @@ anywhere.  :func:`compile_jet3` writes the rules' float operations for one
 tree as a straight-line Python function of x, compiled once and cached.
 It leaves out each term that the derivatives of ``x`` and of constants
 (1 and 0) make identically zero, and each factor they make 1, and
-performs the rest in the order a recursive walk of the tree would.  A line
-that reads only the tree's numbers is computed once, at compile time,
-unless it raises; then it stays, so its error names the point.  From the
-same lines and in the same ``compile`` call comes the function's ``f3``
-companion, for callers that read only f''': it keeps the lines that f'''
-reads, every guard, ``try`` and branch, and checks only f''' for
-finiteness, so it raises what the jet raises but "result is not finite"
-for f, f' or f''.
+performs the rest in the order a recursive walk of the tree would.  What
+reads only the tree's numbers is settled at compile time: a line's value,
+unless computing it raises (then the line stays, so its error names the
+point), a guard's test, which is left out where it is False, a power's
+choice of rule, and whether an output is finite.  From the same lines and
+in the same ``compile`` call comes the function's ``f3`` companion, for
+callers that read only f''': it keeps the lines that f''' reads, every
+guard, ``try`` and branch, and checks only f''' for finiteness, so it
+raises what the jet raises but "result is not finite" for f, f' or f''.
 """
 
 from __future__ import annotations
@@ -360,8 +361,9 @@ class _JetCompiler:
     into the terms it meets, and a term with a literal zero factor is left
     out.  The tree's numbers and nodes appear only as names of globals bound
     to them, and so does the value of each line that reads only those
-    numbers, unless computing it raises.  Each line is kept with the locals
-    it assigns: none for a guard, a ``try`` or a branch.
+    numbers, unless computing it raises; a test that reads only them is
+    settled too.  Each line is kept with the locals it assigns: none for a
+    guard, a ``try`` or a branch.
     """
 
     def __init__(self):
@@ -385,9 +387,9 @@ class _JetCompiler:
         self.pool[k] = v
         return k
 
-    def fold(self, expr: str) -> float | None:
-        """The value of ``expr`` where it reads only the pool's numbers and
-        computing it raises nothing, else None."""
+    def fold(self, expr: str) -> float | bool | None:
+        """The value of ``expr``, a number or a test, where it reads only
+        the pool's numbers and computing it raises nothing, else None."""
         if not all(w[0].isdigit() or w in self.pool or w in _FOLDABLE
                    for w in _words(expr)):
             return None
@@ -395,7 +397,7 @@ class _JetCompiler:
             value = eval(expr, {**_FOLDABLE, **self.pool})
         except (ArithmeticError, ValueError):
             return None
-        return value if type(value) is float else None  # (-8.0) ** 0.5
+        return value if type(value) in (float, bool) else None  # (-8.0) ** 0.5
 
     def assign(self, expr: str) -> str:
         value = self.fold(expr)
@@ -405,19 +407,26 @@ class _JetCompiler:
         self.emit(f"{t} = {expr}", t)
         return t
 
-    def fail(self, test: str, node, why: str, chain: str = ""):
+    def fail(self, test: str, node, why: str):
+        """``if test:`` raise DomainError ``why``, unless the tree's numbers
+        make ``test`` False or the guard just before tests it (``x^x``)."""
+        header = f"if {test}:"
+        if self.fold(test) is False or [(self.indent + header, ())] \
+                == self.lines[-2:-1]:
+            return
         ref = node if isinstance(node, str) else self.name(node)
-        self.emit(test)
-        self.emit(f"    raise _domain({ref}, x, {why!r}){chain}")
+        self.emit(header)
+        self.emit(f"    raise _domain({ref}, x, {why!r})")
 
     def guarded(self, expr: str, node, error: str, why: str) -> str:
         """A local bound to ``expr``, where ``error`` raises DomainError."""
         value = self.fold(expr)
         if value is not None:
             return self.name(value)
-        t = self.fresh()
+        t, ref = self.fresh(), self.name(node)
         self.emit(f"try:\n{self.indent}    {t} = {expr}")
-        self.fail(f"except {error}:", node, why, " from None")
+        self.emit(f"except {error}:")
+        self.emit(f"    raise _domain({ref}, x, {why!r}) from None")
         return t
 
     def rule(self, entries, out: str = "_", **operands) -> tuple:
@@ -495,15 +504,14 @@ class _JetCompiler:
             if node.op != "/":
                 rule = {"+": _ADD, "-": _SUB, "*": _MUL}[node.op]
                 return self.rule(rule, a=a, b=b)
-            self.fail(f"if {b[0]} == 0.0:", node, "division by zero")
+            self.fail(f"{b[0]} == 0.0", node, "division by zero")
             return self.rule(_DIV, "q", a=a, b=b)
         raise TypeError(f"not an expression node: {node!r}")
 
     def func(self, name: str, node: Node, u: tuple) -> tuple:
         v = u[0]
         if name in ("log", "sqrt"):  # derivatives blow up at 0: need v > 0
-            self.fail(f"if {v} <= 0.0:", node,
-                      f"{name} needs a positive argument")
+            self.fail(f"{v} <= 0.0", node, f"{name} needs a positive argument")
         env = {"v": v}
         if name == "exp":
             env["ev"] = self.guarded(f"exp({v})", node, "OverflowError",
@@ -518,7 +526,7 @@ class _JetCompiler:
             env["r"] = self.assign(f"sqrt({v})")
             env["rv"] = self.assign(f"{env['r']} * {v}")
             env["rvv"] = self.assign(f"{env['rv']} * {v}")
-            self.fail(f"if {env['rvv']} == 0.0:", node,
+            self.fail(f"{env['rvv']} == 0.0", node,
                       "sqrt argument too small for its derivatives")
         else:  # cos raises where sin does, on an inf, so one guard serves
             env.update(s=self.guarded(f"sin({v})", node, "ValueError",
@@ -535,20 +543,18 @@ class _JetCompiler:
         return self.rule(_COMPOSE, g=g, u=u, cube=cube)
 
     def power(self, node: BinOp, base: tuple) -> tuple:
-        # Only a literal integer exponent is unrolled here.  Any other takes
-        # the tree walk's branches when the function runs, but for those
-        # that the exponent's literals rule out.
-        lit = node.right.operand if isinstance(node.right, Neg) else node.right
-        c = (lit.value if lit is node.right else -lit.value) \
-            if isinstance(lit, Num) else math.nan
-        if math.isfinite(c) and c == int(c) and abs(c) <= _MAX_INT_EXPONENT:
-            return self.int_pow(node, base, int(c))
+        # Where the tree's numbers fix the exponent's components they pick the
+        # rule now; else the walk's branches test, at run time, those x moves.
         e = self.node(node.right)
-        if any(w for w in e[1:] if isinstance(w, float)):  # never constant
+        is_zero = [self.fold(f"{w} == 0.0") for w in e[1:]]
+        if False in is_zero:  # a derivative that is never 0: never constant
             return self.variable_pow(node, e, base)
-        if math.isfinite(c):
+        k = str(e[0])
+        if (c := self.fold(k)) is not None and None not in is_zero:
+            if abs(c) <= _MAX_INT_EXPONENT and c == int(c):
+                return self.int_pow(node, base, int(c))
             return self.constant_pow(node, e, base)
-        k, zero = e[0], [f"{w} == 0.0" for w in e[1:] if isinstance(w, str)]
+        zero = [f"{w} == 0.0" for w, z in zip(e[1:], is_zero) if z is None]
         # int() of an inf or a NaN raises, so the finite test comes first
         integer = [f"abs({k}) <= {_MAX_INT_EXPONENT}", f"{k} == int({k})"]
         prefix = self.fresh()
@@ -569,7 +575,7 @@ class _JetCompiler:
 
     def constant_pow(self, node: BinOp, e: tuple, base: tuple) -> tuple:
         v, k = base[0], e[0]
-        self.fail(f"if {v} <= 0.0:", node,
+        self.fail(f"{v} <= 0.0", node,
                   "non-integer exponent needs a positive base")
         env = dict(v=v, c=k, p=self.guarded(f"{v} ** {k}", node,
                                             "OverflowError", "power overflow"),
@@ -577,23 +583,26 @@ class _JetCompiler:
                    vv=self.assign(f"{v} * {v}"), v3=self.guarded(
                        f"{v} ** 3", node, "OverflowError",
                        "base too large for the power's derivatives"))
-        self.fail(f"if {env['v3']} == 0.0:", node,
+        self.fail(f"{env['v3']} == 0.0", node,
                   "base too small for the power's derivatives")
         return self.compose(node, self.rule(_OUTER["pow"], "g", **env), base)
 
     def variable_pow(self, node: BinOp, e: tuple, base: tuple) -> tuple:
-        self.fail(f"if {base[0]} <= 0.0:", node,
+        self.fail(f"{base[0]} <= 0.0", node,
                   "variable exponent needs a positive base")
         log_base = self.func("log", Func("log", node.left), base)
         return self.func("exp", Func("exp", node),
                          self.rule(_MUL, a=e, b=log_base))
 
     def int_pow(self, node, u: tuple, n: int) -> tuple:
-        """u**n unrolled by repeated squaring; n < 0 needs u0 != 0."""
+        """u**n unrolled by repeated squaring; n < 0 needs u0**-n != 0."""
         if n < 0:
-            self.fail(f"if {u[0]} == 0.0:", node,
+            self.fail(f"{u[0]} == 0.0", node,
                       "zero raised to a negative power")
-            return self.rule(_DIV, "q", a=_ONE, b=self.int_pow(node, u, -n))
+            p = self.int_pow(node, u, -n)  # may underflow where u0 does not
+            self.fail(f"{p[0]} == 0.0", node,
+                      "base too small for a negative power")
+            return self.rule(_DIV, "q", a=_ONE, b=p)
         result = _ONE
         while n:
             if n & 1:
@@ -623,7 +632,8 @@ class _JetCompiler:
             functions["f3"] = (self.live(jet[3]), jet[3:])
         source = []
         for name, (lines, result) in functions.items():
-            names = [v for v in result if isinstance(v, str)]  # x^0 has none
+            names = [v for v in result if isinstance(v, str) and not
+                     math.isfinite(self.pool.get(v, math.nan))]
             if node and names:
                 lines = [*lines, "    if not ("
                          f"{' and '.join(f'isfinite({v})' for v in names)}):",
@@ -668,11 +678,13 @@ def compile_jet3(node: Node) -> Callable[[float], tuple[float, ...]]:
     and the factors of 1 that the derivatives of x and of constants bring:
     these it leaves out, so f keeps its bits and a derivative that is 0
     may come out with the other sign.  Where such a zero met an inf, the
-    walk's NaN becomes the true value.  It raises what :func:`eval_jet3`
-    documents.  The function's ``f3`` attribute is its f'''-only companion
-    (see the module docstring), and ``source`` holds the text of both.
-    Compiled once per tree and kept in a bounded cache, keyed on the tree
-    and its text (Num(0.0) == Num(-0.0)).
+    walk's NaN becomes the true value.  A guard, a power's choice of rule
+    or a finiteness check that reads only the tree's numbers is decided as
+    it compiles; one that always raises stays, so its error names x.  It
+    raises what :func:`eval_jet3` documents.  The function's ``f3``
+    attribute is its f'''-only companion (see the module docstring), and
+    ``source`` holds the text of both.  Compiled once per tree and kept in
+    a bounded cache, keyed on the tree and its text (Num(0.0) == Num(-0.0)).
     """
     return _compiled(node, to_text(node))
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 
-from .expr import _CONSTANTS, BinOp, Const, Func, Neg, Node, Num, Var
+from .expr import _CONSTANTS, _FOLDABLE, BinOp, Const, Func, Neg, Node, \
+    Num, Var
 
 __all__ = ["CM_X", "CM_NEG_X", "classify_cm"]
 
@@ -34,8 +35,6 @@ __all__ = ["CM_X", "CM_NEG_X", "classify_cm"]
 #: The classes: f^(j0) is completely monotone in x, or in -x.
 CM_X, CM_NEG_X = "cm(x)", "cm(-x)"
 
-_FOLD = {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos,
-         "sqrt": math.sqrt}
 _MINUS = (-1, 1)
 
 
@@ -184,7 +183,7 @@ def _cm(node: Node, ends):
     if isinstance(node, Func):
         u = _cm(node.arg, ends)
         if _is_const(u):
-            return _const(_FOLD[node.name](_float(u[0])))
+            return _const(_FOLDABLE[node.name](_float(u[0])))
         if _degree(u) != 1:
             return None
         if node.name == "exp":

@@ -142,16 +142,15 @@ def composite_bound(f: Node, points: Sequence[float], *,
     """
     points = _checked(points)
     jet = compile_jet3(f)
-    f3_at = _f3_only(jet)
     if coarse is not None and points[::2] == coarse.points:
         f3 = [0.0] * len(points)
         f3[::2] = coarse.f3
-        f3[1::2] = _f3_magnitudes(f3_at, points[1::2], [
+        f3[1::2] = _f3_magnitudes(jet.f3, points[1::2], [
             v if 0.5 * (lo + hi) == x else None
             for lo, x, hi, v in zip(points[::2], points[1::2], points[2::2],
                                     coarse.midpoint_f3)])
     else:
-        f3 = _f3_magnitudes(f3_at, points)
+        f3 = _f3_magnitudes(jet.f3, points)
 
     plain, corrected, midpoint_f3 = _midpoint_pass(jet, points)
     interval_bounds = _bounds.interval_chi1(   # the widths h = hi - lo
@@ -176,12 +175,6 @@ def _finite_sum(name: str, terms: Sequence[float]) -> float:
     except (OverflowError, ValueError):  # a partial sum overflows, inf - inf
         total = math.nan
     return require_finite(name, total)
-
-
-def _f3_only(jet: Callable) -> Callable[[float], float]:
-    """x -> f''': the compiled jet's companion, or index 3 of the jet where
-    ``jet`` has none (a caller's wrapper)."""
-    return getattr(jet, "f3", None) or (lambda x: jet(x)[3])
 
 
 def _f3_magnitudes(f3: Callable, points: Sequence[float],
@@ -239,11 +232,6 @@ _CC_COARSE = (
     0.03736870283720567, 0.003921568627450983)
 
 
-def _cc_rule() -> tuple[tuple[float, ...], ...]:
-    """The nodes, the weights of all 33 and the weights of the even 17."""
-    return _CC_NODES, _CC_FINE, _CC_COARSE
-
-
 _ROUNDOFF_ULPS = 10.0 * sys.float_info.epsilon
 
 #: No panel is accepted above this bisection depth, so every integral sees
@@ -266,7 +254,6 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
     shrinks.
     """
     require_interval(a, b)
-    nodes, w_fine, w_coarse = _cc_rule()
     span = b - a
     stack = [(a, b, 0)]
     pieces: list[float] = []
@@ -278,17 +265,17 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
             stack.append((mid, hi, depth + 1))  # pushed first, popped second
             stack.append((lo, mid, depth + 1))
             continue
-        evals += len(nodes)
+        evals += len(_CC_NODES)
         if evals > DEFAULT_EVAL_BUDGET:
             raise NonConvergence(DEFAULT_EVAL_BUDGET)
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        xs = [mid + half * t for t in nodes]
+        xs = [mid + half * t for t in _CC_NODES]
         values = list(map(fn, xs))
-        fine = half * math.fsum(map(operator.mul, w_fine, values))
-        coarse = half * math.fsum(map(operator.mul, w_coarse, values[::2]))
+        fine = half * math.fsum(map(operator.mul, _CC_FINE, values))
+        coarse = half * math.fsum(map(operator.mul, _CC_COARSE, values[::2]))
         err = abs(fine - coarse)
-        magnitude = half * math.fsum(map(operator.mul, w_fine,
+        magnitude = half * math.fsum(map(operator.mul, _CC_FINE,
                                          map(abs, values)))
         floor = _ROUNDOFF_ULPS * magnitude
         if err <= tol * (hi - lo) / span or err <= floor:
@@ -338,8 +325,7 @@ def identity_residual(f: Node, a: float, b: float) -> float:
     mean = integrate_adaptive(lambda x: jet(x)[0], a, b, tol) / h
     f0, _, f2, _ = jet(m)
     lhs = mean - f0 - h * h / 24.0 * f2
-
-    f3 = _f3_only(jet)
+    f3 = jet.f3
 
     def kernel_from_b(t: float) -> float:
         return t ** 3 * f3(b - 0.5 * t * h)

@@ -170,7 +170,10 @@ def _apply_pow(node: BinOp, base: Jet, x: float) -> Jet:
                 return _int_pow(base, n)
             if base.d0 == 0.0:
                 raise _domain(node, x, "zero raised to a negative power")
-            return _div(_const_jet(1.0), _int_pow(base, -n))
+            power = _int_pow(base, -n)
+            if power.d0 == 0.0:  # base ** -n underflowed
+                raise _domain(node, x, "base too small for a negative power")
+            return _div(_const_jet(1.0), power)
         if base.d0 <= 0.0:
             raise _domain(
                 node, x, "non-integer exponent needs a positive base")

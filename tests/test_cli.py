@@ -361,13 +361,17 @@ def test_an_underflowing_derivative_divisor_exits_2(capsys, argv, why):
      "h^3 of the corrected midpoint term leaves float range at h = 1e+103"),
     ("certify --a 0 --b 1e103 --tol 1", "sqrt(x+1)",
      "h^3 of the corrected midpoint term leaves float range at h = 1e+103"),
+    ("bounds --a 0.1 --b 1", "x^-400",
+     "base too small for a negative power (in 'x^-400.0' at x = 0.1)"),
 ], ids=["integrate-cos", "bounds-cos", "log-cube", "power-cube",
         "chain-cube", "power", "exponent-nan", "exponent-inf", "verify",
-        "bounds-width-cube", "integrate-width-cube", "certify-width-cube"])
+        "bounds-width-cube", "integrate-width-cube", "certify-width-cube",
+        "bounds-negative-power"])
 def test_a_float_fault_exits_2_naming_where(capsys, argv, f, why):
     # sin or cos of an inf, a finite ** that overflows, int() of an inf or
     # a NaN exponent, the cube of a width above 5.6e102: each raised a bare
-    # ValueError or OverflowError
+    # ValueError or OverflowError; 0.1^400, the divisor of 0.1^-400,
+    # underflows to 0, which raised ZeroDivisionError
     code, out, err = run(capsys, *argv.split(), "--f", f)
     assert (code, out, err) == (EXIT_MATH, "", f"hh3: {why}\n")
 
@@ -562,6 +566,11 @@ def test_sweep_evaluates_only_new_points_of_doubled_counts(
         def counted(x):
             calls.append(x)
             return jet(x)
+
+        def counted_f3(x):
+            calls.append(x)
+            return jet.f3(x)
+        counted.f3 = counted_f3
         return counted
     # the reference integral's evaluations are not the sweep's to count
     reference = quadrature.reference_integral(parse("exp(x)"), 0.0, 1.0)

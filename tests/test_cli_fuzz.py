@@ -1,0 +1,60 @@
+"""A grammar fuzzer for the command line's exit-code contract.
+
+Random expression trees run through :func:`hh3.cli.main` in process, each
+on one of a few intervals that reach the edges of float range and under
+one of the commands.  Whatever the input, no exception escapes, the exit
+code is 0, 2 or 64, an exit 2 names its reason and not a bare errno tuple,
+and an exit 0 prints JSON that ``schema.json`` accepts.
+"""
+
+import contextlib
+import io
+import json
+import re
+
+import jsonschema
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hh3.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, main
+from hh3.expr import parse, to_text
+from test_cli import schema
+from test_expr import _ast_strategy
+
+_INTERVALS = [
+    ("0", "1"), ("0.1", "1"), ("-1", "1"),
+    ("1e-300", "1e-299"), ("0", "5e-324"),             # tiny
+    ("1e150", "1e151"), ("-1e300", "1e300"),           # huge, wide
+    ("1", "1.0000000000000002"), ("-2", "-1.9999999999999998"),
+]
+_COMMANDS = [
+    ("bounds",),
+    ("integrate", "--n", "4"),
+    ("integrate", "--n", "4", "--per-interval"),
+    ("integrate", "--n", "4", "--oracle"),
+    ("certify", "--tol", "1e-6", "--n-max", "64"),
+    ("verify",),
+    ("sweep", "--n-list", "1,2,4"),                    # CSV, not JSON
+]
+_SCHEMA = schema()
+_ERRNO = re.compile(r"\(\d+, '")  # str() of a bare OverflowError of **
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ast_strategy(), st.sampled_from(_INTERVALS),
+       st.sampled_from(_COMMANDS))
+# x^400 underflows to 0, and 1/x^400 raised ZeroDivisionError (exit 1)
+@example(parse("x^-400"), ("0.1", "1"), ("bounds",))
+@example(parse("x^-400"), ("0.1", "1"), ("integrate", "--n", "4"))
+@example(parse("1.2842606408325774e-07^-47"), ("0", "1"), ("bounds",))
+def test_every_run_exits_0_2_or_64_and_names_why(tree, interval, command):
+    argv = [*command, "--f", to_text(tree), "--a", interval[0],
+            "--b", interval[1]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_MATH, EXIT_USAGE), argv
+    if code == EXIT_MATH:
+        assert not _ERRNO.search(err.getvalue()), (argv, err.getvalue())
+    elif code == EXIT_OK and command[0] != "sweep":
+        jsonschema.validate(json.loads(out.getvalue()), _SCHEMA)

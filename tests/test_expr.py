@@ -374,6 +374,7 @@ _GUARD_SOURCES = [
     "x^pi", "sqrt(x*1e-320)", "(x*1e-200)^2.5", "(x*1e-200)^(x - x + 2.5)",
     "cos(x/1e-320)", "sin(1/1e-320)", "log(x*1e-110)", "(x*1e150)^1.5",
     "sin(x*1e150)", "x^1.5e300", "x^(1/1e-320)", "x^(0*(1/1e-320))",
+    "x^-400", "1.2842606408325774e-07^-47",
 ]
 _GUARD_POINTS = [-2.0, -0.0, 0.0, 0.5, 1.0, 3.0]
 
@@ -425,6 +426,63 @@ def test_constant_lines_are_folded_unless_they_raise():
     with pytest.raises(DomainError) as info:
         compile_jet3(ast).f3(0.5)
     assert (info.value.expr_text, info.value.x) == ("sin(x*1e+150)", 0.5)
+
+
+# The bench families at one constant and integrands as users write them:
+# constant exponents written as expressions, constant factors, powers
+# whose exponent reads x.
+_CORPUS = [
+    "exp(1.7*x)", "exp(-2.5*x)", "exp(x)+exp(3.7*x)", "x^3+exp(1.7*x)",
+    "1/(x+2.679)", "log(x+0.5)", "x^4", "sqrt(x+0.1)", "x^(3/2)", "x^(1/3)",
+    "(x+1)^(-1/2)", "x^pi", "(x+2)^(2^0.5)", "2^x", "sqrt(2)*exp(x)",
+    "exp(x/3)", "log(2)*x^3", "exp(-x^2/2)/sqrt(2*pi)", "x^(2*2)",
+    "1/(1+400*(x-0.5)^2)", "sqrt(x+0.1)*exp(-x)", "(x+0.5)^-2.5+exp(-3*x)",
+    "exp(x)/(x+1)", "x^(2*x)", "(x+1)^(x/2)", "x^x", "2*x+1",
+]
+_TEST = re.compile(r"^ *(?:el)?if (.*):$", re.M)
+
+
+def _assert_x_decides_every_test(ast):
+    """Each ``if`` or ``elif`` of the compiled source reads x or a local,
+    or else holds on every call: a guard that always raises, or the
+    finiteness check of a constant that is not finite."""
+    jet = compile_jet3(ast)
+    local = {*jet.__code__.co_varnames, *jet.f3.__code__.co_varnames}
+    for test in _TEST.findall(jet.source):
+        if local.isdisjoint(re.findall(r"[A-Za-z_]\w*", test)):
+            assert eval(test, jet.__globals__) is True, test
+
+
+@pytest.mark.parametrize("source", _GUARD_SOURCES + _CORPUS)
+def test_the_tree_numbers_decide_no_test_at_run_time(source):
+    _assert_x_decides_every_test(parse(source))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ast_strategy())
+@example(parse("log(2)/(x - x) + 0^-1 + exp(1e999)"))
+def test_the_tree_numbers_decide_no_test_at_run_time_property(ast):
+    _assert_x_decides_every_test(ast)
+
+
+@pytest.mark.parametrize("source", ["x^(3/2)", "x^(2*2)", "x^(2*x)",
+                                    "(x+1)^pi"])
+def test_an_exponent_the_tree_fixes_or_that_moves_needs_no_int_power(source):
+    assert "_int_power" not in compile_jet3(parse(source)).source
+
+
+def _with_values(source: str) -> str:
+    """The compiled source with each global number written as its value,
+    and each tree named in an error as ``node``."""
+    jet = compile_jet3(parse(source))
+    value = {k: repr(v) if isinstance(v, float) else "node"
+             for k, v in jet.__globals__.items()}
+    return re.sub(r"\bk\d+\b", lambda m: value[m[0]], jet.source)
+
+
+def test_a_constant_exponent_compiles_as_its_literal():
+    assert _with_values("x^(2*2)") == _with_values("x^4")
+    assert _with_values("x^-(3-1)") == _with_values("x^-2")
 
 
 def test_f3_companion_drops_what_only_f_to_f2_read():

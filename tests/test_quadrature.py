@@ -14,8 +14,8 @@ from hh3.errors import (BadInterval, BelowRoundingFloor, DomainError,
                         NonConvergence, NonPositiveThirdDerivative,
                         ToleranceUnreachable)
 from hh3.expr import parse
-from hh3.quadrature import (_cc_rule, CertifyOutcome, certify,
-                            composite_bound, corrected_midpoint_sum,
+from hh3.quadrature import (_CC_COARSE, _CC_FINE, _CC_NODES, CertifyOutcome,
+                            certify, composite_bound, corrected_midpoint_sum,
                             identity_residual, integrate_adaptive,
                             reference_integral, uniform_division)
 
@@ -112,7 +112,7 @@ def test_corrected_sum_exp_single_interval():
 # --------------------------------------------------------------------------
 
 def test_panel_rule_weights_are_consistent():
-    nodes, w_fine, w_coarse = _cc_rule()
+    nodes, w_fine, w_coarse = _CC_NODES, _CC_FINE, _CC_COARSE
     assert len(nodes) == 33
     assert math.fsum(w_fine) == pytest.approx(2.0, abs=1e-14)
     assert math.fsum(w_coarse) == pytest.approx(2.0, abs=1e-14)
@@ -148,13 +148,14 @@ def _cc_weights(n: int) -> tuple[float, ...]:
 def test_panel_rule_literals_are_their_derivation_bit_for_bit():
     derived = (tuple(math.cos(math.pi * j / 32) for j in range(33)),
                _cc_weights(32), _cc_weights(16))
-    assert [[v.hex() for v in table] for table in _cc_rule()] == [
+    rule = _CC_NODES, _CC_FINE, _CC_COARSE
+    assert [[v.hex() for v in table] for table in rule] == [
         [v.hex() for v in table] for table in derived]
 
 
 def test_panel_rule_polynomial_exactness():
     # one panel integrates x^k exactly for k well past the coarse rule's 17
-    nodes, w_fine, _ = _cc_rule()
+    nodes, w_fine = _CC_NODES, _CC_FINE
     for k in range(0, 30):
         exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
         fine = math.fsum(w * t ** k for w, t in zip(w_fine, nodes))
@@ -488,6 +489,11 @@ def _counting_jets(monkeypatch) -> list[float]:
         def counted(x):
             calls.append(x)
             return jet(x)
+
+        def counted_f3(x):
+            calls.append(x)
+            return jet.f3(x)
+        counted.f3 = counted_f3
         return counted
     monkeypatch.setattr(quadrature, "compile_jet3", compile_counted)
     return calls
