@@ -16,8 +16,7 @@ command line tool exposes all of it.
 
 from .analysis import (CatalogEntry, ConvexityReport, HermiteHadamardReport,
                        catalog, check_hermite_hadamard, check_log_convexity,
-                       check_log_convexity_pow, grid_samples,
-                       log_convexity_verdict)
+                       grid_samples, log_convexity_verdict)
 from .bounds import (BoundReport, DerivEndpoints, best_bound, chi1, chi2,
                      chi3, direct_bound, holder_bound, holder_factor, mu,
                      power_mean_bound)
@@ -47,8 +46,8 @@ __all__ = [
     "integrate_adaptive", "identity_residual", "certify",
     # analysis
     "ConvexityReport", "HermiteHadamardReport", "CatalogEntry",
-    "grid_samples", "check_log_convexity", "check_log_convexity_pow",
-    "log_convexity_verdict", "check_hermite_hadamard", "catalog",
+    "grid_samples", "check_log_convexity", "log_convexity_verdict",
+    "check_hermite_hadamard", "catalog",
     # errors
     "Hh3Error", "ExprSyntaxError", "UnknownIdentifier", "DomainError",
     "NonPositiveThirdDerivative", "BadInterval", "NonConvergence",

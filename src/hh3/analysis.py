@@ -29,12 +29,10 @@ product overflows or underflows.  Samples whose binary exponents differ by
 more than 1021 cannot all be brought into range; the check then raises
 :class:`DomainError` with the range (exit 2 on the command line).
 
-The same criterion applied to g^q is mathematically equivalent for every
-q >= 1 (log g^q = q log g); ``check_log_convexity_pow`` exists so that the
-equivalence can be exercised rather than assumed.
+The paper's Theorems 2-3 assume |f'''|^q log-convex for a q >= 1, which
+holds exactly when |f'''| is (log g^q = q log g), so this one test serves
+every q.
 """
-
-from __future__ import annotations
 
 import math
 from itertools import repeat
@@ -43,14 +41,16 @@ from operator import mul, sub, truediv
 from .errors import DomainError, NotConvex
 # eval_jet3 stays an attribute here for bench/tracer.py to wrap.
 from .expr import Node, compile_jet3, eval_jet3, parse  # noqa: F401
-from .quadrature import integrate_adaptive, uniform_division
+# integrate_adaptive stays an attribute here for bench/tracer.py to wrap.
+from .quadrature import (integrate_adaptive,  # noqa: F401
+                         reference_integral, uniform_division)
 from .record import Record
 
 __all__ = [
     "GRID_POINTS_DEFAULT", "GRID_POINTS_MAX", "PAIR_RELTOL",
     "ConvexityReport", "HermiteHadamardReport", "CatalogEntry",
-    "grid_samples", "check_log_convexity", "check_log_convexity_pow",
-    "log_convexity_verdict", "check_hermite_hadamard", "catalog",
+    "grid_samples", "check_log_convexity", "log_convexity_verdict",
+    "check_hermite_hadamard", "catalog",
 ]
 
 #: 2^8 + 1 points: a uniform grid this size is closed under taking midpoints
@@ -100,8 +100,8 @@ class ConvexityReport(Record):
         "pairs_tested")     # int
 
 
-def _midpoint_pairs(xs: tuple[float, ...], gs: tuple[float, ...],
-                    power: float) -> ConvexityReport:
+def _midpoint_pairs(xs: tuple[float, ...], gs: tuple[float, ...]
+                    ) -> ConvexityReport:
     n = len(xs)
     for x, g in zip(xs, gs):
         if not (math.isfinite(g) and g > 0.0):
@@ -117,8 +117,7 @@ def _midpoint_pairs(xs: tuple[float, ...], gs: tuple[float, ...],
     sq = list(map(mul, gs, gs))
 
     def ratios(d: int):  # of the pairs (i, i + 2d), i ascending
-        r = map(truediv, sq[d:n - d], map(mul, gs[:n - 2 * d], gs[2 * d:]))
-        return r if power == 1.0 else map(pow, r, repeat(power))
+        return map(truediv, sq[d:n - d], map(mul, gs[:n - 2 * d], gs[2 * d:]))
 
     tops = [max(ratios(d)) for d in range(1, (n + 1) // 2)]
     worst = max(tops, default=-math.inf) - 1.0
@@ -136,15 +135,7 @@ def _midpoint_pairs(xs: tuple[float, ...], gs: tuple[float, ...],
 def check_log_convexity(f: Node, a: float, b: float,
                         n: int = GRID_POINTS_DEFAULT) -> ConvexityReport:
     """Midpoint log-convexity evidence for |f'''| on [a, b]."""
-    return _midpoint_pairs(*grid_samples(f, a, b, n), 1.0)
-
-
-def check_log_convexity_pow(f: Node, a: float, b: float, q: float,
-                            n: int = GRID_POINTS_DEFAULT) -> ConvexityReport:
-    """The same criterion applied to |f'''|^q; equivalent for any q >= 1."""
-    if not (math.isfinite(q) and q >= 1.0):
-        raise ValueError(f"q must be >= 1, got {q!r}")
-    return _midpoint_pairs(*grid_samples(f, a, b, n), q)
+    return _midpoint_pairs(*grid_samples(f, a, b, n))
 
 
 def log_convexity_verdict(f: Node, a: float, b: float,
@@ -180,7 +171,7 @@ def check_hermite_hadamard(f: Node, a: float, b: float,
     Convexity itself is only sampled: f'' is required to clear
     -1e-12 * max(1, max |f''|) on the grid, and a dip below that raises
     :class:`NotConvex` with the witness point.  The two inequalities are then
-    checked against the reference integral at tolerance 1e-12.
+    checked against :func:`hh3.quadrature.reference_integral`.
     """
     if n < 3:
         raise ValueError(f"grid size must be >= 3, got {n}")
@@ -192,7 +183,7 @@ def check_hermite_hadamard(f: Node, a: float, b: float,
         if j[2] < -_CONVEXITY_TOL * second_scale:
             raise NotConvex(x, j[2])
 
-    mean = integrate_adaptive(lambda x: jet(x)[0], a, b, 1e-12) / (b - a)
+    mean = reference_integral(f, a, b) / (b - a)
     mid_value = jet(0.5 * (a + b))[0]
     end_mean = 0.5 * (jets[0][0] + jets[-1][0])
     lower = mean - mid_value

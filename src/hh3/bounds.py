@@ -46,8 +46,6 @@ and the composite pass refuse a subnormal |f'''|, so |ln K| <= 1418 and
 chi1 stays in float range.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable, Sequence
 

@@ -22,8 +22,6 @@ win when both supply a value.  ``OPTIONS`` defines both: a flag is its exact
 long name, as ``--flag VALUE`` or ``--flag=VALUE``.
 """
 
-from __future__ import annotations
-
 import atexit
 import math
 import os

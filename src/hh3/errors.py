@@ -8,8 +8,6 @@ finite.  Overflow inside the moment helpers uses the builtin
 ``OverflowError`` (it is an overflow, and the builtin name says so).
 """
 
-from __future__ import annotations
-
 import math
 import sys
 

@@ -42,8 +42,6 @@ guard, ``try`` and branch, and checks only f''' for finiteness, so it
 raises what the jet raises but "result is not finite" for f, f' or f''.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from collections.abc import Callable

@@ -16,8 +16,6 @@ imports this module on first use, so commands that never ask for the
 verdict do not load it.
 """
 
-from __future__ import annotations
-
 import math
 
 from .expr import _CONSTANTS, _FOLDABLE, BinOp, Const, Func, Neg, Node, \

@@ -24,8 +24,6 @@ absolute integral; the floor stops the bisection from chasing rounding
 noise when a tight absolute tolerance meets a large integrand.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import sys
@@ -288,17 +286,16 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
     return math.fsum(pieces)
 
 
-def reference_integral(f: Node, a: float, b: float,
-                       tol: float = 1e-13) -> float:
-    """High-accuracy integral of an expression, used as ground truth.
+#: The tolerance of every reference integral, near the scheme's trust limit
+#: in double precision (1e-14).
+_REFERENCE_TOL = 1e-13
 
-    ``tol`` below 1e-14 is rejected: that is the scheme's trust limit in
-    double precision.
-    """
-    if not (tol >= 1e-14):
-        raise ValueError(f"tol must be at least 1e-14, got {tol!r}")
+
+def reference_integral(f: Node, a: float, b: float) -> float:
+    """High-accuracy integral of an expression, used as ground truth: the
+    one integral of f behind every true error, mean and residual."""
     jet = compile_jet3(f)
-    return integrate_adaptive(lambda x: jet(x)[0], a, b, tol)
+    return integrate_adaptive(lambda x: jet(x)[0], a, b, _REFERENCE_TOL)
 
 
 # --------------------------------------------------------------------------
@@ -320,9 +317,8 @@ def identity_residual(f: Node, a: float, b: float) -> float:
     """
     h = b - a
     m = 0.5 * (a + b)
+    mean = reference_integral(f, a, b) / h
     jet = compile_jet3(f)
-    tol = 1e-13
-    mean = integrate_adaptive(lambda x: jet(x)[0], a, b, tol) / h
     f0, _, f2, _ = jet(m)
     lhs = mean - f0 - h * h / 24.0 * f2
     f3 = jet.f3
@@ -333,8 +329,8 @@ def identity_residual(f: Node, a: float, b: float) -> float:
     def kernel_from_a(t: float) -> float:
         return t ** 3 * f3(a + 0.5 * t * h)
 
-    i1 = integrate_adaptive(kernel_from_b, 0.0, 1.0, tol)
-    i2 = integrate_adaptive(kernel_from_a, 0.0, 1.0, tol)
+    i1 = integrate_adaptive(kernel_from_b, 0.0, 1.0, _REFERENCE_TOL)
+    i2 = integrate_adaptive(kernel_from_a, 0.0, 1.0, _REFERENCE_TOL)
     try:
         rhs = h ** 3 / 96.0 * (i1 - i2)
     except OverflowError:  # h ** 3 of a width above 5.6e102
@@ -371,8 +367,9 @@ def certify(f: Node, a: float, b: float, tol: float,
     subnormal width) the old points no longer match, and the level
     evaluates every point.
 
-    Raises :class:`ToleranceUnreachable` (carrying the best bound achieved)
-    if n exceeds ``n_max`` first, and its subclass
+    Raises :class:`BadInterval` for a ``tol`` that is not positive or an
+    ``n_max`` below 1, :class:`ToleranceUnreachable` (carrying the best
+    bound achieved) if n exceeds ``n_max`` first, and its subclass
     :class:`BelowRoundingFloor` as soon as ``tol`` is below the rounding
     floor.  After each level, with corrected sum s and bound B, let
 
@@ -405,6 +402,9 @@ def certify(f: Node, a: float, b: float, tol: float,
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise BadInterval(f"tolerance must be positive, got {tol!r}")
+    if n_max < 1:
+        raise BadInterval(f"need at least one subinterval, got n_max = "
+                          f"{n_max}")
     # The levels make no reference cycles, but every jet allocates a tuple,
     # and the collections that sets off would scan the levels' lists again
     # and again; the caller's setting is restored.
@@ -430,7 +430,7 @@ def certify(f: Node, a: float, b: float, tol: float,
                 return CertifyOutcome(result=result, n_final=n,
                                       iterations=n.bit_length())
             n *= 2
-        raise ToleranceUnreachable(tol, best_seen, max(n // 2, 1))
+        raise ToleranceUnreachable(tol, best_seen, n // 2)
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -9,8 +9,6 @@ and each run of rows is one join of those texts and the constant text
 between them.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 

@@ -15,8 +15,8 @@ import math
 from hh3.analysis import PAIR_RELTOL, ConvexityReport
 
 
-def midpoint_pairs_reference(xs: tuple[float, ...], gs: tuple[float, ...],
-                             power: float) -> ConvexityReport:
+def midpoint_pairs_reference(xs: tuple[float, ...], gs: tuple[float, ...]
+                             ) -> ConvexityReport:
     n = len(xs)
     for x, g in zip(xs, gs):
         if not (math.isfinite(g) and g > 0.0):
@@ -29,10 +29,7 @@ def midpoint_pairs_reference(xs: tuple[float, ...], gs: tuple[float, ...],
         gi = gs[i]
         for j in range(i + 2, n, 2):
             mid = (i + j) // 2
-            ratio = gs[mid] * gs[mid] / (gi * gs[j])
-            if power != 1.0:
-                ratio = ratio ** power
-            violation = ratio - 1.0
+            violation = gs[mid] * gs[mid] / (gi * gs[j]) - 1.0
             pairs += 1
             if violation > worst:
                 worst = violation

@@ -6,6 +6,7 @@ import sys
 from importlib import resources
 
 import jsonschema
+import mpmath
 import pytest
 
 import hh3
@@ -489,6 +490,32 @@ def test_certify_below_rounding_floor_exits_2(capsys):
     assert err == ("hh3: tol 1e-16 is below the rounding floor "
                    "1.1102230246251565e-16 of the corrected sum at n = 1; "
                    "no certified bound can reach it\n")
+
+
+# The integrals, at 30 digits: sqrt(pi) erf(5) / 10 and atan(10) / 10.
+with mpmath.workdps(30):
+    _GAUSSIAN = mpmath.sqrt(mpmath.pi) * mpmath.erf(5) / 10
+    _LORENTZIAN = mpmath.atan(10) / 10
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 1 and 14: integrate "
+                   "and certify do not check that |f'''| is log-convex")
+@pytest.mark.parametrize("argv, integral", [
+    (["certify", "--f", "exp(-100*(x-0.5)^2)", "--a", "0", "--b", "1",
+      "--tol", "1e-6"], _GAUSSIAN),
+    (["integrate", "--f", "1/(1+400*(x-0.5)^2)", "--a", "0", "--b", "1",
+      "--n", "7", "--oracle"], _LORENTZIAN),
+], ids=["certify-gaussian", "integrate-lorentzian"])
+def test_a_certificate_off_the_hypothesis_is_refused_or_true(capsys, argv,
+                                                             integral):
+    # both exit 0 today with a bound below the error (n_final 1, bound
+    # 6.8e-8, error 7.5; bound 0.0102, error 0.0514)
+    code, out, _ = run(capsys, *argv)
+    if code != EXIT_MATH:
+        doc = json.loads(out)
+        with mpmath.workdps(30):
+            error = abs(integral - mpmath.mpf(doc["corrected_sum"]))
+        assert error <= doc["certified_bound"]
 
 
 def test_verify_report(capsys):
