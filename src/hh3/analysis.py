@@ -41,6 +41,7 @@ from operator import mul, sub, truediv
 from .errors import DomainError, NotConvex
 # eval_jet3 stays an attribute here for bench/tracer.py to wrap.
 from .expr import Node, compile_jet3, eval_jet3, parse  # noqa: F401
+from .monotone import classify_cm
 # integrate_adaptive stays an attribute here for bench/tracer.py to wrap.
 from .quadrature import (integrate_adaptive,  # noqa: F401
                          reference_integral, uniform_division)
@@ -144,7 +145,6 @@ def log_convexity_verdict(f: Node, a: float, b: float,
     """The hypothesis verdict for |f'''| on [a, b]: the proof of
     :func:`hh3.monotone.classify_cm` where its j0 is at most 3, else the
     sampled report of :func:`check_log_convexity` on n points."""
-    from .monotone import classify_cm  # here: only bounds and verify ask
     proof = classify_cm(f, a, b)
     if proof is not None and proof[2] <= 3:
         return proof

@@ -10,8 +10,12 @@ kernel-identity residual) and ``sweep`` (a CSV table over a list of n).
 undercuts.
 
 Exit codes: 0 on success, 2 when the mathematics rejects the input (domain
-errors, vanishing third derivative, non-convergence, unreachable tolerance),
+errors, vanishing third derivative, a hypothesis the sampled pair test
+refutes, non-convergence, unreachable tolerance, a bound below the rounding
+floor),
 64 for usage errors (bad flags, malformed expressions, invalid intervals).
+``integrate``, ``certify`` and ``sweep`` ask for the hypothesis verdict
+before they compute a bound, as ``bounds`` and ``verify`` report it.
 Diagnostics go to stderr; stdout carries only the report, whose bytes are
 deterministic for identical inputs.  ``hh3`` and ``python -m hh3`` call
 ``run()``: ``main()``, the exit handlers, a flush and an exit that skips
@@ -29,7 +33,8 @@ import sys
 from operator import truediv
 
 from . import analysis, bounds, quadrature
-from .errors import ExprSyntaxError, Hh3Error, NotConvex, require_finite
+from .errors import (DomainError, ExprSyntaxError, Hh3Error, NotConvex,
+                     NotLogConvex, require_f3, require_finite)
 from .expr import eval_jet3, parse
 from .record import Record
 from .reportfmt import Table, rows_to_csv, to_csv, to_json, to_text
@@ -355,7 +360,21 @@ def cmd_bounds(cfg: RunConfig) -> dict:
     return doc
 
 
+def _require_hypothesis(cfg: RunConfig) -> None:
+    """Refuse a run whose |f'''| the sampled pair test finds not log-convex,
+    where the classifier proves nothing.  A witness whose sample is 0 (then
+    x = y) or subnormal, too few bits to test, is refused as the bounds
+    refuse it."""
+    verdict = analysis.log_convexity_verdict(cfg.ast, cfg.a, cfg.b)
+    if isinstance(verdict, analysis.ConvexityReport) and not verdict.passed:
+        x, y = verdict.witness
+        for t in (x, y):
+            require_f3(t, abs(eval_jet3(cfg.ast, t)[3]))
+        raise NotLogConvex(x, y, verdict.worst_violation)
+
+
 def cmd_integrate(cfg: RunConfig) -> dict:
+    _require_hypothesis(cfg)
     division = quadrature.uniform_division(cfg.a, cfg.b, cfg.n)
     result = quadrature.composite_bound(cfg.ast, division)
     # |I - midpoint_sum| <= certified_bound + |corrected_sum - midpoint_sum|;
@@ -370,6 +389,12 @@ def cmd_integrate(cfg: RunConfig) -> dict:
         "midpoint_bound": require_finite("midpoint_bound", math.nextafter(
             result.certified_bound + gap, math.inf)),
     })
+    # the printed sum stands for every real within half an ulp of it
+    floor = 0.5 * math.ulp(result.corrected_sum)
+    if result.certified_bound < floor:
+        raise DomainError(f"certified_bound {result.certified_bound!r} is "
+                          f"below the rounding floor {floor!r} of "
+                          "corrected_sum, so no float sum is certified")
     if cfg.per_interval:
         f3 = result.f3
         doc["intervals"] = Table(
@@ -386,6 +411,7 @@ def cmd_integrate(cfg: RunConfig) -> dict:
 
 
 def cmd_certify(cfg: RunConfig) -> dict:
+    _require_hypothesis(cfg)
     outcome = quadrature.certify(cfg.ast, cfg.a, cfg.b, cfg.tol,
                                  n_max=cfg.n_max)
     doc = _envelope(cfg)
@@ -432,6 +458,7 @@ _SWEEP_HEADER = ("n", "midpoint_sum", "corrected_sum", "bound_thm1",
 
 
 def cmd_sweep(cfg: RunConfig) -> str:
+    _require_hypothesis(cfg)
     truth = quadrature.reference_integral(cfg.ast, cfg.a, cfg.b)
     rows, result = [], None
     for n in cfg.n_list:

@@ -24,22 +24,23 @@ one level up the chain, so ``x^-2`` and ``x^2^3`` (= ``x^(2^3)``) both parse.
 package needs three derivatives, and |.| does not supply them.
 
 Evaluation is done on jets: a jet is the tuple ``(f, f', f'', f''')`` at a
-point, and the rules below propagate all four components exactly (Leibniz
-for products, a triangular back-substitution for quotients, and the order-3
-chain rule for function application).  No finite differencing is done
-anywhere.  :func:`compile_jet3` writes the rules' float operations for one
-tree as a straight-line Python function of x, compiled once and cached.
-It leaves out each term that the derivatives of ``x`` and of constants
-(1 and 0) make identically zero, and each factor they make 1, and
-performs the rest in the order a recursive walk of the tree would.  What
-reads only the tree's numbers is settled at compile time: a line's value,
-unless computing it raises (then the line stays, so its error names the
-point), a guard's test, which is left out where it is False, a power's
-choice of rule, and whether an output is finite.  From the same lines and
-in the same ``compile`` call comes the function's ``f3`` companion, for
-callers that read only f''': it keeps the lines that f''' reads, every
-guard, ``try`` and branch, and checks only f''' for finiteness, so it
-raises what the jet raises but "result is not finite" for f, f' or f''.
+point, and the rules below propagate all four components exactly: Leibniz
+for products, back-substitution for quotients, and for each function the
+recurrence of its ODE (Griewank and Walther, *Evaluating Derivatives*, 2nd
+ed., SIAM 2008, ch. 13).  No finite differencing is done anywhere.
+:func:`compile_jet3` writes the rules' float operations for one tree as a
+straight-line Python function of x, compiled once and cached.  It leaves
+out each term that the derivatives of ``x`` and of constants (1 and 0)
+make identically zero, and each factor they make 1, and performs the rest
+in the order a recursive walk of the tree would.  What reads only the
+tree's numbers is settled at compile time: a line's value, unless
+computing it raises (then the line stays, so its error names the point),
+a guard's test, which is left out where it is False, a power's choice of
+rule, and whether an output is finite.  From the same lines and in the
+same ``compile`` call comes the function's ``f3`` companion, for callers
+that read only f''': it keeps the lines that f''' reads, every guard,
+``try`` and branch, and checks only f''' for finiteness, so it raises what
+the jet raises but "result is not finite" for f, f' or f''.
 """
 
 import functools
@@ -293,45 +294,53 @@ def to_text(node: Node) -> str:
 # Jets
 # --------------------------------------------------------------------------
 
-# The jet rules as sums of signed products: entry i of a rule is output i,
-# a tuple of terms, each a coefficient and then the keys of its factors,
-# with the key of a divisor last where the sum is divided.  Written out, a
-# term multiplies left to right from the coefficient (left out at 1.0, its
-# sign put in front), the terms are added left to right and the sum is
-# divided last, so Python's own precedence and association fix the order
-# of every operation.
-_MUL = (((1.0, "a0", "b0"),),                                    # Leibniz
-        ((1.0, "a1", "b0"), (1.0, "a0", "b1")),
-        ((1.0, "a2", "b0"), (2.0, "a1", "b1"), (1.0, "a0", "b2")),
-        ((1.0, "a3", "b0"), (3.0, "a2", "b1"), (3.0, "a1", "b2"),
-         (1.0, "a0", "b3")))
-_DIV = (((1.0, "a0"), "b0"),                                 # solve q*b = a
-        ((1.0, "a1"), (-1.0, "q0", "b1"), "b0"),
-        ((1.0, "a2"), (-1.0, "q0", "b2"), (-2.0, "q1", "b1"), "b0"),
-        ((1.0, "a3"), (-1.0, "q0", "b3"), (-3.0, "q1", "b2"),
-         (-3.0, "q2", "b1"), "b0"))
-_COMPOSE = (((1.0, "g0"),),                           # order-3 chain rule
-            ((1.0, "g1", "u1"),),
-            ((1.0, "g2", "u1", "u1"), (1.0, "g1", "u2")),
-            ((1.0, "g3", "cube"), (3.0, "g2", "u1", "u2"),  # cube: u1 ** 3
-             (1.0, "g1", "u3")))
-_ADD = tuple(((1.0, f"a{i}"), (1.0, f"b{i}")) for i in range(4))
-_SUB = tuple(((1.0, f"a{i}"), (-1.0, f"b{i}")) for i in range(4))
-_NEG = tuple(((-1.0, f"a{i}"),) for i in range(4))
-_OUTER = {  # outer derivatives g0..g3 at v = u0, from the values func names
-    "exp": (((1.0, "ev"),),) * 4,
-    "log": (((1.0, "lv"),), ((1.0, "iv"),), ((-1.0, "iv", "iv"),),
-            ((2.0, "iv3"),)),
-    "sin": (((1.0, "s"),), ((1.0, "c"),), ((-1.0, "s"),), ((-1.0, "c"),)),
-    "cos": (((1.0, "c"),), ((-1.0, "s"),), ((-1.0, "c"),), ((1.0, "s"),)),
-    "sqrt": (((1.0, "r"),), ((0.5,), "r"), ((-0.25,), "rv"),
-             ((0.375,), "rvv")),
-    "pow": (((1.0, "p"),), ((1.0, "c", "g0"), "v"),   # u^c, c constant
-            ((1.0, "c", "c1", "g0"), "vv"),
-            ((1.0, "c", "c1", "c2", "g0"), "v3")),
+# The jet rules, one table per operation: each entry binds its key to a sum
+# of terms, each a coefficient and the keys of its factors, with the key of
+# a divisor last where the sum is divided.  A term multiplies left to right
+# from the coefficient (left out at 1.0, its sign put in front), the terms
+# add left to right and the sum is divided last, so Python's precedence and
+# association fix the order of every operation.  A key is a letter and an
+# order: a, b and u are operands, d is u', and p is the result, whose
+# entries read those bound before them.
+_ORDER = 3  # f, f', f'', f''': every table is a loop up to it
+_KS, _STEPS = range(_ORDER + 1), range(_ORDER)
+_C = [[float(math.comb(k, j)) for j in range(k + 2)] for k in _KS]  # binomial
+
+
+def _leibniz(k: int, a: str, b: str, sign: float = 1.0) -> tuple:
+    """The terms of the k-th derivative of sign * a * b, j = 0..k."""
+    return tuple((sign * _C[k][j], f"{a}{k - j}", f"{b}{j}")
+                 for j in range(k + 1))
+
+
+_ADD = {f"p{k}": ((1.0, f"a{k}"), (1.0, f"b{k}")) for k in _KS}
+_SUB = {f"p{k}": ((1.0, f"a{k}"), (-1.0, f"b{k}")) for k in _KS}
+_NEG = {f"p{k}": ((-1.0, f"a{k}"),) for k in _KS}
+_MUL = {f"p{k}": _leibniz(k, "a", "b") for k in _KS}
+_DIV = {f"p{k}": ((1.0, f"a{k}"), *_leibniz(k, "p", "b", -1.0)[:0:-1], "b0")
+        for k in _KS}                          # solve p*b = a, from j = k to 1
+# u^c, c constant: u p' = c p d, with like terms gathered, so that each
+# coefficient c C(k, j) - C(k, j + 1), m_kj, keeps c - 1 exact near c = 1
+_POW = {**{f"m{k}{j}": ((_C[k][j], "c"), (-_C[k][j + 1],))
+           for k in _STEPS for j in range(k)},
+        **{f"p{k + 1}": (*((1.0, f"m{k}{j}" if j < k else "c", f"p{k - j}",
+                            f"d{j}") for j in range(k + 1)), "u0")
+           for k in _STEPS}}
+# Each function p = F(u) but log (p' = d / u, a quotient) solves an ODE in
+# u that, differentiated k times, gives p_(k+1) from p_0..p_k.  sqrt is
+# u^0.5: 2 p p' = d, solved by p0, lost up to 7 ulps in f''' where this 3.
+_FUNCS = {
+    "exp": {f"p{k + 1}": _leibniz(k, "p", "d") for k in _STEPS},  # p' = p d
+    "sqrt": _POW,
+    # sin, sign 1, and cos, sign -1: p' = sign h d and h' = -sign p d
+    **{name: {f"{key}{k + 1}": _leibniz(k, y, "d", s) for k in _STEPS
+              for key, y, s in (("p", "h", sign), ("h", "p", -sign))
+              if key == "p" or k + 1 < _ORDER}  # no h that no p reads
+       for name, sign in (("sin", 1.0), ("cos", -1.0))},
 }
-_ONE = (1.0, 0.0, 0.0, 0.0)
+_ONE = (1.0, *(0.0 for _ in _STEPS))
 _MAX_INT_EXPONENT = 2 ** 16
+_NORMAL_MIN = 2.2250738585072014e-308  # sys.float_info.min
 
 
 def _domain(node: Node, x: float, why: str) -> DomainError:
@@ -427,15 +436,16 @@ class _JetCompiler:
         self.emit(f"    raise _domain({ref}, x, {why!r}) from None")
         return t
 
-    def rule(self, entries, out: str = "_", **operands) -> tuple:
-        """Emit the entries in turn; entry i is also bound as out + i."""
+    def rule(self, entries: dict, **operands) -> tuple:
+        """Emit the entries in turn, each bound to its key, and return the
+        jet p: a tuple operand binds its components as key + order."""
         env = {}
         for key, v in operands.items():
             env.update({f"{key}{i}": w for i, w in enumerate(v)}
                        if isinstance(v, tuple) else {key: v})
-        for i, terms in enumerate(entries):
-            env[f"{out}{i}"] = self.entry(terms, env)
-        return tuple(env[f"{out}{i}"] for i in range(4))
+        for key, terms in entries.items():
+            env[key] = self.entry(terms, env)
+        return tuple(env[f"p{k}"] for k in _KS)
 
     def entry(self, terms: tuple, env: dict):
         """The operand of one rule entry: a float where no term varies."""
@@ -486,10 +496,10 @@ class _JetCompiler:
 
     def node(self, node: Node) -> tuple:
         if isinstance(node, Var):
-            return ("x", 1.0, 0.0, 0.0)
+            return ("x", 1.0, *_ONE[2:])
         if isinstance(node, (Num, Const)):
             c = node.value if isinstance(node, Num) else _CONSTANTS[node.name]
-            return (self.name(c), 0.0, 0.0, 0.0)
+            return (self.name(c), *_ONE[1:])
         if isinstance(node, Neg):
             return self.rule(_NEG, a=self.node(node.operand))
         if isinstance(node, Func):
@@ -503,42 +513,36 @@ class _JetCompiler:
                 rule = {"+": _ADD, "-": _SUB, "*": _MUL}[node.op]
                 return self.rule(rule, a=a, b=b)
             self.fail(f"{b[0]} == 0.0", node, "division by zero")
-            return self.rule(_DIV, "q", a=a, b=b)
+            return self.rule(_DIV, a=a, b=b)
         raise TypeError(f"not an expression node: {node!r}")
 
     def func(self, name: str, node: Node, u: tuple) -> tuple:
-        v = u[0]
+        v, partner = u[0], ()
         if name in ("log", "sqrt"):  # derivatives blow up at 0: need v > 0
             self.fail(f"{v} <= 0.0", node, f"{name} needs a positive argument")
-        env = {"v": v}
-        if name == "exp":
-            env["ev"] = self.guarded(f"exp({v})", node, "OverflowError",
-                                     "exp overflow")
-        elif name == "log":
-            env.update(lv=self.assign(f"log({v})"),
-                       iv=self.assign(f"1.0 / {v}"))
-            env["iv3"] = self.guarded(
-                f"{env['iv']} ** 3", node, "OverflowError",
-                "log argument too small for its derivatives")
-        elif name == "sqrt":
-            env["r"] = self.assign(f"sqrt({v})")
-            env["rv"] = self.assign(f"{env['r']} * {v}")
-            env["rvv"] = self.assign(f"{env['rv']} * {v}")
-            self.fail(f"{env['rvv']} == 0.0", node,
-                      "sqrt argument too small for its derivatives")
+            self.normal(node, u, f"{name} argument")
+            value = self.assign(f"{name}({v})")
+        elif name == "exp":
+            value = self.guarded(f"exp({v})", node, "OverflowError",
+                                 "exp overflow")
         else:  # cos raises where sin does, on an inf, so one guard serves
-            env.update(s=self.guarded(f"sin({v})", node, "ValueError",
-                                      f"{name} needs a finite argument"),
-                       c=self.assign(f"cos({v})"))
-        return self.compose(node, self.rule(_OUTER[name], "g", **env), u)
+            s = self.guarded(f"sin({v})", node, "ValueError",
+                             f"{name} needs a finite argument")
+            c = self.assign(f"cos({v})")
+            value, partner = (s, (c,)) if name == "sin" else (c, (s,))
+        if name == "log":  # the quotient's last order is never read
+            return (value, *self.rule(_DIV, a=(*u[1:], 0.0), b=u)[:-1])
+        return self.rule(_FUNCS[name], u=u, d=u[1:], p=(value,), h=partner,
+                         c=0.5)  # the exponent of sqrt
 
-    def compose(self, node: Node, g: tuple, u: tuple) -> tuple:
-        """The chain rule for outer derivatives g along the jet u."""
-        u1 = u[1]
-        cube = u1 ** 3 if isinstance(u1, float) else self.guarded(
-            f"{u1} ** 3", node, "OverflowError",
-            "derivative of the argument overflows when cubed")
-        return self.rule(_COMPOSE, g=g, u=u, cube=cube)
+    def normal(self, node: Node, u: tuple, what: str):
+        """Refuse a subnormal u0, too few bits for the rules that divide by
+        it, where u moves with x: where u1 is not 0, as the tree decides."""
+        moves = self.fold(_text(u[1]))
+        if moves is None or moves:
+            test = f"{u[0]} < {_NORMAL_MIN!r}"
+            self.fail(test if moves else f"{test} and {u[1]}", node,
+                      f"{what} is subnormal, too few bits for its derivatives")
 
     def power(self, node: BinOp, base: tuple) -> tuple:
         # Where the tree's numbers fix the exponent's components they pick the
@@ -556,7 +560,7 @@ class _JetCompiler:
         # int() of an inf or a NaN raises, so the finite test comes first
         integer = [f"abs({k}) <= {_MAX_INT_EXPONENT}", f"{k} == int({k})"]
         prefix = self.fresh()
-        out = tuple(f"{prefix}_{i}" for i in range(4))
+        out = tuple(f"{prefix}_{k}" for k in _KS)
         self.open(f"if {' and '.join(zero + integer)}:")
         self.emit(f"{', '.join(out)} = _int_power(int({k}))"
                   f"(x, {self.name(node)}, {', '.join(map(_text, base))})")
@@ -575,15 +579,10 @@ class _JetCompiler:
         v, k = base[0], e[0]
         self.fail(f"{v} <= 0.0", node,
                   "non-integer exponent needs a positive base")
-        env = dict(v=v, c=k, p=self.guarded(f"{v} ** {k}", node,
-                                            "OverflowError", "power overflow"),
-                   c1=self.assign(f"{k} - 1.0"), c2=self.assign(f"{k} - 2.0"),
-                   vv=self.assign(f"{v} * {v}"), v3=self.guarded(
-                       f"{v} ** 3", node, "OverflowError",
-                       "base too large for the power's derivatives"))
-        self.fail(f"{env['v3']} == 0.0", node,
-                  "base too small for the power's derivatives")
-        return self.compose(node, self.rule(_OUTER["pow"], "g", **env), base)
+        self.normal(node, base, "base")
+        value = self.guarded(f"{v} ** {k}", node, "OverflowError",
+                             "power overflow")
+        return self.rule(_POW, u=base, d=base[1:], c=k, p=(value,))
 
     def variable_pow(self, node: BinOp, e: tuple, base: tuple) -> tuple:
         self.fail(f"{base[0]} <= 0.0", node,
@@ -600,7 +599,7 @@ class _JetCompiler:
             p = self.int_pow(node, u, -n)  # may underflow where u0 does not
             self.fail(f"{p[0]} == 0.0", node,
                       "base too small for a negative power")
-            return self.rule(_DIV, "q", a=_ONE, b=p)
+            return self.rule(_DIV, a=_ONE, b=p)
         result = _ONE
         while n:
             if n & 1:
@@ -621,13 +620,13 @@ class _JetCompiler:
         return kept[::-1]
 
     def build(self, jet: tuple, params: str = "x", node: str = "") -> Callable:
-        """``def jet(params)`` returning ``jet``.  Given the global ``node``
-        naming the tree, it raises where the result is not finite and
-        carries ``f3``: the lines that f''' and the guards read, returning
-        f''' and checking only it."""
-        functions = {"jet": ([text for text, _ in self.lines], jet)}
+        """``def jet(params)``: the lines that ``jet`` and the guards read,
+        returning ``jet``.  Given the global ``node`` naming the tree, it
+        raises where the result is not finite and carries ``f3``: the lines
+        that f''' and the guards read, returning f''' and checking only it."""
+        functions = {"jet": (self.live(jet), jet)}
         if node:
-            functions["f3"] = (self.live(jet[3]), jet[3:])
+            functions["f3"] = (self.live(jet[3]), jet[3:4])
         source = []
         for name, (lines, result) in functions.items():
             names = [v for v in result if isinstance(v, str) and not
@@ -655,9 +654,8 @@ class _JetCompiler:
 @functools.lru_cache(maxsize=256)
 def _int_power(n: int) -> Callable:
     """base**n for an n known at run time: (x, ^ node, base jet) -> jet."""
-    c = _JetCompiler()
-    return c.build(c.int_pow("node", ("b0", "b1", "b2", "b3"), n),
-                   "x, node, b0, b1, b2, b3")
+    c, base = _JetCompiler(), tuple(f"b{k}" for k in _KS)
+    return c.build(c.int_pow("node", base, n), f"x, node, {', '.join(base)}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -691,8 +689,9 @@ def eval_jet3(node: Node, x: float) -> tuple[float, float, float, float]:
     """Evaluate ``(f(x), f'(x), f''(x), f'''(x))`` exactly via jet arithmetic.
 
     Raises :class:`DomainError` naming the offending subexpression when the
-    point leaves a function's domain, a power in its rules overflows, or
-    the result is not finite.
+    point leaves a function's domain, a power or ``exp`` overflows, the
+    argument of ``log``, ``sqrt`` or a non-integer power is subnormal where
+    it moves with x, or the result is not finite.
     """
     return compile_jet3(node)(x)
 

@@ -11,9 +11,7 @@ Schilling, Song & Vondracek, *Bernstein Functions*, 2nd ed., de Gruyter
 2012, ch. 1.
 
 :func:`classify_cm` finds such a j0 by one walk of the tree: it compiles
-no jet and evaluates f nowhere.  :func:`hh3.analysis.log_convexity_verdict`
-imports this module on first use, so commands that never ask for the
-verdict do not load it.
+no jet and evaluates f nowhere.
 """
 
 import math

@@ -6,16 +6,24 @@ leave out the terms with a zero factor that the derivatives of ``x`` and
 of constants make, and perform the rest in the walker's order.  So the
 tests hold them to the walker's errors and the bits of its value, and to
 its derivatives up to the sign of a zero.
+
+Each function's derivatives come from the ODE it solves, differentiated k
+times and solved for the (k+1)-th derivative p_(k+1) of the result p; d is
+the argument's derivative u'.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add, neg, sub
 from typing import NamedTuple
 
 from hh3.errors import DomainError
 from hh3.expr import (_CONSTANTS, _MAX_INT_EXPONENT, BinOp, Const, Func, Neg,
                       Node, Num, Var, _domain)
+
+_NORMAL_MIN = 2.2250738585072014e-308  # sys.float_info.min
 
 
 class Jet(NamedTuple):
@@ -27,74 +35,62 @@ class Jet(NamedTuple):
     d3: float
 
 
+_K = range(len(Jet._fields))
+
+
+def _sum(terms) -> float:
+    """The terms added left to right, as the compiled jets add them."""
+    return reduce(add, terms)
+
+
 def _const_jet(c: float) -> Jet:
     return Jet(c, 0.0, 0.0, 0.0)
 
 
-def _add(a: Jet, b: Jet) -> Jet:
-    return Jet(a.d0 + b.d0, a.d1 + b.d1, a.d2 + b.d2, a.d3 + b.d3)
-
-
-def _sub(a: Jet, b: Jet) -> Jet:
-    return Jet(a.d0 - b.d0, a.d1 - b.d1, a.d2 - b.d2, a.d3 - b.d3)
-
-
-def _neg(a: Jet) -> Jet:
-    return Jet(-a.d0, -a.d1, -a.d2, -a.d3)
+def _leibniz(k: int, a, b, sign: int = 1) -> list[float]:
+    """The terms of the k-th derivative of sign * a * b, j = 0..k."""
+    return [sign * math.comb(k, j) * a[k - j] * b[j] for j in range(k + 1)]
 
 
 def _mul(a: Jet, b: Jet) -> Jet:
-    # Leibniz: (fg)''' = f'''g + 3 f''g' + 3 f'g'' + f g'''
-    return Jet(
-        a.d0 * b.d0,
-        a.d1 * b.d0 + a.d0 * b.d1,
-        a.d2 * b.d0 + 2.0 * a.d1 * b.d1 + a.d0 * b.d2,
-        a.d3 * b.d0 + 3.0 * a.d2 * b.d1 + 3.0 * a.d1 * b.d2 + a.d0 * b.d3,
-    )
+    return Jet(*(_sum(_leibniz(k, a, b)) for k in _K))
 
 
 def _div(a: Jet, b: Jet) -> Jet:
     # Solve q*b = a order by order (b.d0 != 0 is checked by the caller).
-    q0 = a.d0 / b.d0
-    q1 = (a.d1 - q0 * b.d1) / b.d0
-    q2 = (a.d2 - q0 * b.d2 - 2.0 * q1 * b.d1) / b.d0
-    q3 = (a.d3 - q0 * b.d3 - 3.0 * q1 * b.d2 - 3.0 * q2 * b.d1) / b.d0
-    return Jet(q0, q1, q2, q3)
+    q = []
+    for k in _K:
+        terms = (-math.comb(k, j) * q[k - j] * b[j] for j in range(k, 0, -1))
+        q.append(_sum([a[k], *terms]) / b[0])
+    return Jet(*q)
 
 
-def _power(node: Node, x: float, v: float, c: float, why: str) -> float:
-    """v ** c, or DomainError ``why`` where it overflows."""
-    try:
-        return v ** c
-    except OverflowError:
-        raise _domain(node, x, why) from None
+def _ode(value: float, step) -> Jet:
+    """The jet whose p_(k+1) is step(k, p) from p = p_0..p_k."""
+    p = [value]
+    for k in _K[:-1]:
+        p.append(step(k, p))
+    return Jet(*p)
 
 
-def _compose(node: Node, x: float, g: tuple[float, float, float, float],
-             u: Jet) -> Jet:
-    # Order-3 chain rule with outer derivatives g = (g, g', g'', g''') at u.d0.
-    g0, g1, g2, g3 = g
-    u1, u2, u3 = u.d1, u.d2, u.d3
-    cube = _power(node, x, u1, 3,
-                  "derivative of the argument overflows when cubed")
-    return Jet(
-        g0,
-        g1 * u1,
-        g2 * u1 * u1 + g1 * u2,
-        g3 * cube + 3.0 * g2 * u1 * u2 + g1 * u3,
-    )
+def _power_step(c: float, u: Jet):
+    """p_(k+1) of p = u^c from u p' = c p d, each coefficient of a term
+    gathered: m_kj = c C(k, j) - C(k, j + 1)."""
+    def step(k, p):
+        m = [math.comb(k, j) * c - math.comb(k, j + 1) if j < k else c
+             for j in range(k + 1)]
+        return _sum(m[j] * p[k - j] * u[j + 1] for j in range(k + 1)) / u[0]
+    return step
 
 
 def _int_pow(u: Jet, n: int) -> Jet:
     """u**n for integer n >= 0 by repeated jet multiplication."""
     result = _const_jet(1.0)
-    base = u
-    k = n
-    while k:
-        if k & 1:
-            result = _mul(result, base)
-        base = _mul(base, base)
-        k >>= 1
+    while n:
+        if n & 1:
+            result = _mul(result, u)
+        u = _mul(u, u)
+        n >>= 1
     return result
 
 
@@ -106,7 +102,7 @@ def _eval(node: Node, x: float) -> Jet:
     if isinstance(node, Const):
         return _const_jet(_CONSTANTS[node.name])
     if isinstance(node, Neg):
-        return _neg(_eval(node.operand, x))
+        return Jet(*map(neg, _eval(node.operand, x)))
     if isinstance(node, Func):
         u = _eval(node.arg, x)
         return _apply_func(node, u, x)
@@ -115,10 +111,8 @@ def _eval(node: Node, x: float) -> Jet:
         if node.op == "^":
             return _apply_pow(node, a, x)
         b = _eval(node.right, x)
-        if node.op == "+":
-            return _add(a, b)
-        if node.op == "-":
-            return _sub(a, b)
+        if node.op in "+-":
+            return Jet(*map(add if node.op == "+" else sub, a, b))
         if node.op == "*":
             return _mul(a, b)
         if b.d0 == 0.0:
@@ -127,37 +121,39 @@ def _eval(node: Node, x: float) -> Jet:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _require_normal(node: Node, u: Jet, x: float, what: str) -> None:
+    """A subnormal u.d0 where u moves with x (u.d1 != 0) carries too few
+    bits for the rules that divide by it."""
+    if u.d0 < _NORMAL_MIN and u.d1 != 0.0:
+        raise _domain(node, x,
+                      f"{what} is subnormal, too few bits for its derivatives")
+
+
 def _apply_func(node: Func, u: Jet, x: float) -> Jet:
-    v = u.d0
+    v, d = u.d0, u[1:]
     name = node.name
-    if name == "exp":
+    if name == "exp":  # p' = p d
         try:
-            ev = math.exp(v)
+            value = math.exp(v)
         except OverflowError:
             raise _domain(node, x, "exp overflow") from None
-        return _compose(node, x, (ev, ev, ev, ev), u)
-    if name == "log":
-        if v <= 0.0:
-            raise _domain(node, x, "log needs a positive argument")
-        iv = 1.0 / v
-        iv3 = _power(node, x, iv, 3,
-                     "log argument too small for its derivatives")
-        return _compose(node, x, (math.log(v), iv, -iv * iv, 2.0 * iv3), u)
-    if name in ("sin", "cos"):
+        return _ode(value, lambda k, p: _sum(_leibniz(k, p, d)))
+    if name in ("sin", "cos"):  # p' = sign h d and h' = -sign p d
         if math.isinf(v):
             raise _domain(node, x, f"{name} needs a finite argument")
         s, c = math.sin(v), math.cos(v)
-        g = (s, c, -s, -c) if name == "sin" else (c, -s, -c, s)
-        return _compose(node, x, g, u)
-    # sqrt: derivatives blow up at 0, so the open condition v > 0 is required
+        sign, p, h = (1, [s], [c]) if name == "sin" else (-1, [c], [s])
+        for k in _K[:-1]:
+            p.append(_sum(_leibniz(k, h, d, sign)))
+            h.append(_sum(_leibniz(k, p, d, -sign)))
+        return Jet(*p)
+    # log and sqrt: derivatives blow up at 0, so v > 0 is required
     if v <= 0.0:
-        raise _domain(node, x, "sqrt needs a positive argument")
-    r = math.sqrt(v)
-    if r * v * v == 0.0:
-        raise _domain(node, x, "sqrt argument too small for its derivatives")
-    return _compose(
-        node, x, (r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)), u
-    )
+        raise _domain(node, x, f"{name} needs a positive argument")
+    _require_normal(node, u, x, f"{name} argument")
+    if name == "sqrt":
+        return _ode(math.sqrt(v), _power_step(0.5, u))
+    return Jet(math.log(v), *_div(Jet(*d, 0.0), u)[:-1])  # p' = d / u
 
 
 def _apply_pow(node: BinOp, base: Jet, x: float) -> Jet:
@@ -177,18 +173,12 @@ def _apply_pow(node: BinOp, base: Jet, x: float) -> Jet:
         if base.d0 <= 0.0:
             raise _domain(
                 node, x, "non-integer exponent needs a positive base")
-        # u^c = exp(c*log u): compose the closed-form outer derivatives
-        v = base.d0
-        g0 = _power(node, x, v, c, "power overflow")
-        v3 = _power(node, x, v, 3,
-                    "base too large for the power's derivatives")
-        if v3 == 0.0:
-            raise _domain(node, x,
-                          "base too small for the power's derivatives")
-        g1 = c * g0 / v
-        g2 = c * (c - 1.0) * g0 / (v * v)
-        g3 = c * (c - 1.0) * (c - 2.0) * g0 / v3
-        return _compose(node, x, (g0, g1, g2, g3), base)
+        _require_normal(node, base, x, "base")
+        try:
+            value = base.d0 ** c
+        except OverflowError:
+            raise _domain(node, x, "power overflow") from None
+        return _ode(value, _power_step(c, base))
     if base.d0 <= 0.0:
         raise _domain(node, x, "variable exponent needs a positive base")
     log_base = _apply_func(Func("log", node.left), base, x)
