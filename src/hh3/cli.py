@@ -33,7 +33,7 @@ import sys
 from operator import truediv
 
 from . import analysis, bounds, quadrature
-from .errors import (DomainError, ExprSyntaxError, Hh3Error, NotConvex,
+from .errors import (ExprSyntaxError, Hh3Error, NotConvex,
                      NotLogConvex, require_f3, require_finite)
 from .expr import eval_jet3, parse
 from .record import Record
@@ -180,10 +180,6 @@ class RunConfig(Record):
         "n_list",                 # tuple of ints
         "grid_points", "n_max",   # int
         "per_interval", "oracle")  # bool
-    _field_defaults = dict(
-        n=1, tol=None, method="best", q=bounds.DEFAULT_Q, n_list=(),
-        grid_points=analysis.GRID_POINTS_DEFAULT,
-        n_max=quadrature.MAX_SUBINTERVALS, per_interval=False, oracle=False)
 
 
 def _load_config(path: str) -> dict:
@@ -389,12 +385,7 @@ def cmd_integrate(cfg: RunConfig) -> dict:
         "midpoint_bound": require_finite("midpoint_bound", math.nextafter(
             result.certified_bound + gap, math.inf)),
     })
-    # the printed sum stands for every real within half an ulp of it
-    floor = 0.5 * math.ulp(result.corrected_sum)
-    if result.certified_bound < floor:
-        raise DomainError(f"certified_bound {result.certified_bound!r} is "
-                          f"below the rounding floor {floor!r} of "
-                          "corrected_sum, so no float sum is certified")
+    quadrature.require_above_floor(result)
     if cfg.per_interval:
         f3 = result.f3
         doc["intervals"] = Table(
@@ -465,7 +456,8 @@ def cmd_sweep(cfg: RunConfig) -> str:
         division = quadrature.uniform_division(cfg.a, cfg.b, n)
         # "best" is thm1, so one bound fills both bound columns.  Given the
         # result before, a count twice its n evaluates only new points.
-        result = quadrature.composite_bound(cfg.ast, division, coarse=result)
+        result = quadrature.require_above_floor(
+            quadrature.composite_bound(cfg.ast, division, coarse=result))
         error = abs(result.corrected_sum - truth)
         ratio = result.certified_bound / error if error > 0.0 else math.inf
         rows.append((n, result.midpoint_sum, result.corrected_sum,

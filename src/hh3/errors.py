@@ -117,13 +117,9 @@ class ToleranceUnreachable(Hh3Error):
     """Refinement hit its cap before the certified bound met the tolerance."""
 
     def __init__(self, tol: float, best_bound: float, n_final: int):
-        self.tol = tol
-        self.best_bound = best_bound
-        self.n_final = n_final
-        super().__init__(
-            f"certified bound {best_bound!r} did not reach tol {tol!r} "
-            f"by n = {n_final}"
-        )
+        self.tol, self.best_bound, self.n_final = tol, best_bound, n_final
+        super().__init__(f"certified bound {best_bound!r} did not reach tol "
+                         f"{tol!r} by n = {n_final}")
 
 
 class BelowRoundingFloor(ToleranceUnreachable):
@@ -133,14 +129,11 @@ class BelowRoundingFloor(ToleranceUnreachable):
 
     def __init__(self, tol: float, best_bound: float, n_final: int,
                  floor: float):
-        self.tol = tol
-        self.best_bound = best_bound
-        self.n_final = n_final
+        super().__init__(tol, best_bound, n_final)
         self.floor = floor
-        Hh3Error.__init__(
-            self, f"tol {tol!r} is below the rounding floor {floor!r} of "
-                  f"the corrected sum at n = {n_final}; no certified bound "
-                  f"can reach it")
+        self.args = (f"tol {tol!r} is below the rounding floor {floor!r} of "
+                     f"the corrected sum at n = {n_final}; no certified "
+                     "bound can reach it",)
 
 
 class NotLogConvex(Hh3Error):

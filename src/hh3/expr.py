@@ -587,9 +587,8 @@ class _JetCompiler:
     def variable_pow(self, node: BinOp, e: tuple, base: tuple) -> tuple:
         self.fail(f"{base[0]} <= 0.0", node,
                   "variable exponent needs a positive base")
-        log_base = self.func("log", Func("log", node.left), base)
-        return self.func("exp", Func("exp", node),
-                         self.rule(_MUL, a=e, b=log_base))
+        log_base = self.func("log", node, base)  # the guards name the ^
+        return self.func("exp", node, self.rule(_MUL, a=e, b=log_base))
 
     def int_pow(self, node, u: tuple, n: int) -> tuple:
         """u**n unrolled by repeated squaring; n < 0 needs u0**-n != 0."""

@@ -41,7 +41,7 @@ __all__ = [
     "QuadResult", "CertifyOutcome", "uniform_division",
     "corrected_midpoint_sum", "composite_bound", "reference_integral",
     "integrate_adaptive", "identity_residual", "certify",
-    "DEFAULT_EVAL_BUDGET", "MAX_SUBINTERVALS",
+    "require_above_floor", "DEFAULT_EVAL_BUDGET", "MAX_SUBINTERVALS",
 ]
 
 DEFAULT_EVAL_BUDGET = 1_000_000
@@ -163,6 +163,25 @@ def composite_bound(f: Node, points: Sequence[float], *,
         points=points,
         midpoint_f3=tuple(midpoint_f3),
     )
+
+
+def _below_floor(bound: float, value: float) -> bool:
+    """Whether ``bound`` is below half an ulp of the double ``value``, which
+    stands for every real that close; exact where half an ulp is 0.0."""
+    return 2.0 * bound < math.ulp(value)
+
+
+def require_above_floor(result: QuadResult) -> QuadResult:
+    """``result`` once its bound is not below the rounding floor of its
+    corrected sum, else DomainError: the one test that a result may be
+    printed, which :func:`composite_bound` leaves to its callers."""
+    bound, ulp = result.certified_bound, math.ulp(result.corrected_sum)
+    if not _below_floor(bound, result.corrected_sum):
+        return result
+    floor = repr(ulp / 2) if ulp / 2 else f"{ulp!r}/2"  # 5e-324 / 2 is 0.0
+    raise DomainError(f"certified_bound {bound!r} is below the rounding "
+                      f"floor {floor} of corrected_sum, so no float sum is "
+                      "certified")
 
 
 def _finite_sum(name: str, terms: Sequence[float]) -> float:
@@ -369,18 +388,18 @@ def certify(f: Node, a: float, b: float, tol: float,
 
     Raises :class:`BadInterval` for a ``tol`` that is not positive or an
     ``n_max`` below 1, :class:`ToleranceUnreachable` (carrying the best
-    bound achieved) if n exceeds ``n_max`` first, and its subclass
+    bound achieved) if n exceeds ``n_max`` first, its subclass
     :class:`BelowRoundingFloor` as soon as ``tol`` is below the rounding
-    floor.  After each level, with corrected sum s and bound B, let
+    floor, and what :func:`require_above_floor` raises for the level it
+    would return.  After each level, with corrected sum s and bound B, let
 
         L = |s| - B - tol - R,    R = 2048 eps A,
 
     with eps the machine epsilon and A the sum over the level's midpoints m
-    of |h f(m)| + |h^3 f''(m) / 24| + |h m f'(m)|.  The run stops once
-    tol < ulp(max(L, 0)) / 2.  As R >= 0 only lowers L, A is needed only
-    where tol < ulp(max(L + R, 0)) / 2 already; only then are the jets at
-    the level's midpoints evaluated again, as the level evaluated them, to
-    sum it.
+    of |h f(m)| + |h^3 f''(m) / 24| + |h m f'(m)|.  The run stops once tol
+    is below the floor of max(L, 0).  As R >= 0 only lowers L, A is summed,
+    from the jets at the midpoints evaluated again as the level evaluated
+    them, only where tol is below the floor of max(L + R, 0) already.
 
     The argument, granted R: B bounds |I - S| for the exact corrected sum
     S at the level's points, and the printed s is within r of S, so
@@ -419,16 +438,16 @@ def certify(f: Node, a: float, b: float, tol: float,
             best_seen = min(best_seen, result.certified_bound)
 
             lower = abs(result.corrected_sum) - result.certified_bound - tol
-            if tol < 0.5 * math.ulp(max(lower, 0.0)):  # R >= 0 only lowers L
-                lower -= (_ROUNDING_ULPS * sys.float_info.epsilon
-                          * _rounding_mass(f, result.points))
-                floor = 0.5 * math.ulp(max(lower, 0.0))
-                if tol < floor:
-                    raise BelowRoundingFloor(tol, best_seen, n, floor)
+            if _below_floor(tol, max(lower, 0.0)):  # R >= 0 only lowers L
+                lower = max(lower - _ROUNDING_ULPS * sys.float_info.epsilon
+                            * _rounding_mass(f, result.points), 0.0)
+                if _below_floor(tol, lower):   # so ulp(lower) / 2 is exact
+                    raise BelowRoundingFloor(tol, best_seen, n,
+                                             math.ulp(lower) / 2)
 
             if result.certified_bound <= tol:
-                return CertifyOutcome(result=result, n_final=n,
-                                      iterations=n.bit_length())
+                return CertifyOutcome(result=require_above_floor(result),
+                                      n_final=n, iterations=n.bit_length())
             n *= 2
         raise ToleranceUnreachable(tol, best_seen, n // 2)
     finally:

@@ -105,7 +105,7 @@ def _eval(node: Node, x: float) -> Jet:
         return Jet(*map(neg, _eval(node.operand, x)))
     if isinstance(node, Func):
         u = _eval(node.arg, x)
-        return _apply_func(node, u, x)
+        return _apply_func(node.name, node, u, x)
     if isinstance(node, BinOp):
         a = _eval(node.left, x)
         if node.op == "^":
@@ -129,9 +129,9 @@ def _require_normal(node: Node, u: Jet, x: float, what: str) -> None:
                       f"{what} is subnormal, too few bits for its derivatives")
 
 
-def _apply_func(node: Func, u: Jet, x: float) -> Jet:
+def _apply_func(name: str, node: Node, u: Jet, x: float) -> Jet:
+    """The jet of the function ``name`` of u; errors name ``node``."""
     v, d = u.d0, u[1:]
-    name = node.name
     if name == "exp":  # p' = p d
         try:
             value = math.exp(v)
@@ -181,9 +181,9 @@ def _apply_pow(node: BinOp, base: Jet, x: float) -> Jet:
         return _ode(value, _power_step(c, base))
     if base.d0 <= 0.0:
         raise _domain(node, x, "variable exponent needs a positive base")
-    log_base = _apply_func(Func("log", node.left), base, x)
+    log_base = _apply_func("log", node, base, x)
     product = _mul(exponent, log_base)
-    return _apply_func(Func("exp", node), product, x)
+    return _apply_func("exp", node, product, x)
 
 
 def eval_jet3_reference(node: Node, x: float) -> Jet:

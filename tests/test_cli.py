@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import mpmath
@@ -386,16 +388,22 @@ def test_log_refuses_a_subnormal_moving_argument_and_certifies_a_tiny_one(
      "h^3 of the corrected midpoint term leaves float range at h = 1e+103"),
     ("bounds --a 0.1 --b 1", "x^-400",
      "base too small for a negative power (in 'x^-400.0' at x = 0.1)"),
+    ("integrate --a 1e-320 --b 2e-320 --n 1", "x^x",
+     f"log argument {_SUBNORMAL} (in 'x^x' at x = 1e-320)"),
+    ("bounds --a 1 --b 2", "x^(800*x)",
+     "exp overflow (in 'x^(800.0*x)' at x = 2.0)"),
 ], ids=["integrate-cos", "bounds-cos", "power-cube", "chain-cube", "power",
         "exponent-nan", "exponent-inf", "verify", "bounds-width-cube",
         "integrate-width-cube", "certify-width-cube",
-        "bounds-negative-power"])
+        "bounds-negative-power", "variable-power-log", "variable-power-exp"])
 def test_a_float_fault_exits_2_naming_where(capsys, argv, f, why):
     # sin or cos of an inf, a finite ** that overflows, int() of an inf or
     # a NaN exponent, the cube of a width above 5.6e102: each raised a bare
     # ValueError or OverflowError; 0.1^400, the divisor of 0.1^-400,
     # underflows to 0, which raised ZeroDivisionError; derivatives that
-    # overflow (power-cube, chain-cube) leave the result not finite
+    # overflow (power-cube, chain-cube) leave the result not finite.  The
+    # guards of u^v, v moving, name the ^ as written, not the exp(v log u)
+    # it is computed as ('log(x)' and 'exp(x^(800.0*x))')
     code, out, err = run(capsys, *argv.split(), "--f", f)
     assert (code, out, err) == (EXIT_MATH, "", f"hh3: {why}\n")
 
@@ -574,15 +582,36 @@ def test_a_refuting_pair_of_subnormal_samples_is_refused_as_subnormal(
                    "5.277e-321 at x = 0.95703125\n")
 
 
-def test_integrate_refuses_a_bound_below_the_rounding_floor(capsys):
+@pytest.mark.parametrize("argv, bound, floor", [
     # x + 1e60 rounds to 1e60, so |f'''| and the bound are tiny while the
-    # printed sum is off by 1e133 (mpmath)
-    code, out, err = run(capsys, "integrate", "--f", "(x+1e60)^2.5",
-                         "--a", "1.227", "--b", "2.497", "--n", "1")
+    # printed sum is off by 1e133
+    ("integrate --f (x+1e60)^2.5 --a 1.227 --b 2.497 --n 1",
+     "2.5404750097656233e-32", "9.085484053695086e+133"),
+    # the sum 2.0000000000001998 at n = 65536 is 1.88e-16 off; the stop
+    # let tol through, as its L is just below 2.0
+    ("certify --f 1.1639534137387693*exp(x) --a 0 --b 1 --tol 1.5e-16",
+     "3.700743415388837e-17", "2.220446049250313e-16"),
+    # h^3 underflows, so the bound is 0; rounding the width alone puts the
+    # sum 1.66e-316 off
+    ("certify --f exp(x) --a 1e-300 --b 1e-299 --tol 1e-6",
+     "0.0", "6.63123685e-316"),
+    # the row of n = 65536 is 7.75e-17 off
+    ("sweep --f exp(x) --a 0 --b 1 --n-list 1,65536",
+     "3.179460081225733e-17", "1.1102230246251565e-16"),
+    # the subnormal sum 1.0000000000499964e-310 is 3.7e-325 off; half its
+    # ulp rounds to 0.0
+    ("integrate --f 1e-300*exp(x) --a 0 --b 1e-10", "0.0", "5e-324/2"),
+], ids=["integrate-huge-sum", "certify-stop-let-through",
+        "certify-h-cubed-underflow", "sweep-row", "integrate-subnormal-sum"])
+def test_a_bound_below_the_rounding_floor_is_refused(capsys, argv, bound,
+                                                     floor):
+    # each but the first printed a certificate below the error of its sum
+    # (mpmath), and the first did before integrate refused it
+    code, out, err = run(capsys, *argv.split())
     assert (code, out) == (EXIT_MATH, "")
-    assert err == ("hh3: certified_bound 2.5404750097656233e-32 is below "
-                   "the rounding floor 9.085484053695086e+133 of "
-                   "corrected_sum, so no float sum is certified\n")
+    assert err == (f"hh3: certified_bound {bound} is below the rounding "
+                   f"floor {floor} of corrected_sum, so no float sum is "
+                   "certified\n")
 
 
 def test_verify_report(capsys):
@@ -613,6 +642,17 @@ def test_reports_are_byte_deterministic(capsys):
     _, second, _ = run(capsys, "integrate", *EXP01, "--n", "16",
                        "--per-interval", "--oracle")
     assert first == second
+
+
+def test_readme_sample_outputs_replay(capsys):
+    # the bounds JSON and the sweep CSV that README.md shows, byte for byte
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```$", readme, re.M | re.S)
+    json_block = next(b for b in blocks if '"command": "bounds"' in b)
+    csv_block = next(b for b in blocks if b.startswith("n,midpoint_sum"))
+    assert run(capsys, "bounds", *EXP01) == (EXIT_OK, json_block, "")
+    assert run(capsys, "sweep", *EXP01, "--n-list", "1,2,4,8") == (
+        EXIT_OK, csv_block, "")
 
 
 def test_json_ends_with_single_newline(capsys):

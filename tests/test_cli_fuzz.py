@@ -4,12 +4,15 @@ Random expression trees run through :func:`hh3.cli.main` in process, each
 on one of a few intervals that reach the edges of float range and under
 one of the commands.  Whatever the input, no exception escapes, the exit
 code is 0, 2 or 64, an exit 2 names its reason and not a bare errno tuple,
-and an exit 0 prints JSON that ``schema.json`` accepts.
+and an exit 0 prints JSON that ``schema.json`` accepts.  Every certificate
+an exit 0 prints, a sweep's on each row, is at least the rounding floor of
+its sum: half an ulp of ``corrected_sum``.
 """
 
 import contextlib
 import io
 import json
+import math
 import re
 
 import jsonschema
@@ -56,5 +59,14 @@ def test_every_run_exits_0_2_or_64_and_names_why(tree, interval, command):
     assert code in (EXIT_OK, EXIT_MATH, EXIT_USAGE), argv
     if code == EXIT_MATH:
         assert not _ERRNO.search(err.getvalue()), (argv, err.getvalue())
-    elif code == EXIT_OK and command[0] != "sweep":
-        jsonschema.validate(json.loads(out.getvalue()), _SCHEMA)
+    elif code == EXIT_OK and command[0] == "sweep":
+        # n, midpoint_sum, corrected_sum, bound_thm1, ...
+        for row in out.getvalue().splitlines()[1:]:
+            _, _, corrected_sum, bound, *_ = map(float, row.split(","))
+            assert 2 * bound >= math.ulp(corrected_sum), (argv, row)
+    elif code == EXIT_OK:
+        doc = json.loads(out.getvalue())
+        jsonschema.validate(doc, _SCHEMA)
+        if "certified_bound" in doc:   # integrate and certify
+            assert 2 * doc["certified_bound"] >= math.ulp(
+                doc["corrected_sum"]), argv

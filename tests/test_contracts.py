@@ -247,10 +247,7 @@ _FIELDS = {
 @pytest.mark.parametrize("cls", _FIELDS, ids=lambda cls: cls.__name__)
 def test_record_fields_and_defaults_are_pinned(cls):
     assert cls._fields == _FIELDS[cls]
-    assert cls._field_defaults == ({
-        "n": 1, "tol": None, "method": "best", "q": 2.0, "n_list": (),
-        "grid_points": 257, "n_max": 2 ** 20, "per_interval": False,
-        "oracle": False} if cls is cli.RunConfig else {})
+    assert cls._field_defaults == {}
 
 
 def test_record_repr_text_is_pinned():
@@ -277,13 +274,6 @@ def test_records_rebuild_like_named_tuples(cls, fields):
     for args, kwargs in wrong:
         with pytest.raises(TypeError):
             cls(*args, **kwargs)
-
-
-def test_run_config_defaults():
-    cfg = cli.RunConfig("bounds", "x", _X, 0.0, 1.0, "json", None)
-    assert (cfg.n, cfg.tol, cfg.method, cfg.q, cfg.n_list, cfg.grid_points,
-            cfg.n_max, cfg.per_interval, cfg.oracle) == (
-        1, None, "best", 2.0, (), 257, 2 ** 20, False, False)
 
 
 def test_ast_nodes_key_the_jet_cache():
