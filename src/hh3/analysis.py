@@ -19,15 +19,12 @@ strong evidence while any failure comes with a concrete witness pair.
 
 The pairs are tested one diagonal at a time: for each offset d, the ratios
 g(x_{i+d})^2 / (g(x_i) g(x_{i+2d})) of all pairs (i, i + 2d) come from one
-C-level pass, each by the same float operations a loop over i, then j,
-would do.  The witness is the first pair in that (i, j) order whose
-violation equals the worst.  Before the passes, every sample is multiplied
-by the power of two that brings the smallest and the largest near 1.  That
-is exact, and the criterion does not depend on scale, so each ratio keeps
-the bits it has unscaled wherever the products are normal floats, and no
-product overflows or underflows.  Samples whose binary exponents differ by
-more than 1021 cannot all be brought into range; the check then raises
-:class:`DomainError` with the range (exit 2 on the command line).
+C-level pass.  The witness is the first pair, by i and then j, whose
+violation equals the worst.  Each sample is split once as g = m 2^e with
+m in [1/2, 1); a ratio is formed from the mantissas and scaled by its own
+power of two, so no product leaves the float range, and each ratio is
+the float a loop over i, then j, would give wherever that loop's products
+are normal.  A ratio beyond the float range reads as inf.
 
 The paper's Theorems 2-3 assume |f'''|^q log-convex for a q >= 1, which
 holds exactly when |f'''| is (log g^q = q log g), so this one test serves
@@ -35,10 +32,9 @@ every q.
 """
 
 import math
-from itertools import repeat
-from operator import mul, sub, truediv
+from operator import add, mul, sub, truediv
 
-from .errors import DomainError, NotConvex
+from .errors import NotConvex
 # eval_jet3 stays an attribute here for bench/tracer.py to wrap.
 from .expr import Node, compile_jet3, eval_jet3, parse  # noqa: F401
 from .monotone import classify_cm
@@ -64,11 +60,6 @@ GRID_POINTS_MAX = 4097
 
 #: Multiplicative slack in the midpoint criterion.
 PAIR_RELTOL = 1e-9
-
-#: The widest spread of binary exponents among the samples that the pair
-#: test accepts: rescaled into [2^-511, 2^511), every product of two
-#: samples is a normal float.
-_SPAN_MAX = 1021
 
 _CONVEXITY_TOL = 1e-12
 _HH_TOL = 1e-12
@@ -101,6 +92,13 @@ class ConvexityReport(Record):
         "pairs_tested")     # int
 
 
+def _scaled(m: float, e: int) -> float:
+    try:  # math.ldexp raises where m 2^e passes the float range
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.inf
+
+
 def _midpoint_pairs(xs: tuple[float, ...], gs: tuple[float, ...]
                     ) -> ConvexityReport:
     n = len(xs)
@@ -108,24 +106,21 @@ def _midpoint_pairs(xs: tuple[float, ...], gs: tuple[float, ...]
         if not (math.isfinite(g) and g > 0.0):
             return ConvexityReport(passed=False, worst_violation=math.inf,
                                    witness=(x, x), pairs_tested=0)
-    lo, hi = min(gs), max(gs)
-    e_lo, e_hi = math.frexp(lo)[1], math.frexp(hi)[1]
-    if e_hi - e_lo > _SPAN_MAX:
-        raise DomainError(f"|f'''| spans [{lo!r}, {hi!r}] on the grid, too "
-                          f"wide a range for the midpoint pair test")
-    # exact: a power of two changes no product that stays a normal float
-    gs = list(map(math.ldexp, gs, repeat(-((e_lo + e_hi) // 2), n)))
-    sq = list(map(mul, gs, gs))
+    ms, es = zip(*map(math.frexp, gs))
+    sq, e2 = list(map(mul, ms, ms)), list(map(add, es, es))
 
     def ratios(d: int):  # of the pairs (i, i + 2d), i ascending
-        return map(truediv, sq[d:n - d], map(mul, gs[:n - 2 * d], gs[2 * d:]))
+        return map(_scaled,
+                   map(truediv, sq[d:n - d],
+                       map(mul, ms[:n - 2 * d], ms[2 * d:])),
+                   map(sub, e2[d:n - d], map(add, es[:n - 2 * d], es[2 * d:])))
 
     tops = [max(ratios(d)) for d in range(1, (n + 1) // 2)]
     worst = max(tops, default=-math.inf) - 1.0
     passed = worst <= PAIR_RELTOL
     witness = None
     if not passed:  # the first pair in (i, j) order at the worst violation
-        i, d = min((list(map(sub, ratios(d), repeat(1.0))).index(worst), d)
+        i, d = min(([r - 1.0 for r in ratios(d)].index(worst), d)
                    for d, top in enumerate(tops, 1) if top - 1.0 == worst)
         witness = (xs[i], xs[i + 2 * d])
     m = len(tops)

@@ -15,6 +15,9 @@ import sys
 class Hh3Error(Exception):
     """Base class for errors raised by this package."""
 
+    def __reduce__(self):  # skips __init__: its parameters are not args
+        return Exception.__new__, (type(self), *self.args), vars(self)
+
 
 class ExprSyntaxError(Hh3Error):
     """Raised when expression text cannot be parsed.

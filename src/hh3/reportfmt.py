@@ -72,9 +72,9 @@ def _texts(table: Table, spec: str, cell) -> list[list[str]]:
     Finite floats are formatted under ``spec``: once per value if their
     column's first 64 cells repeat one, and once per point where the next
     column holds the same floats one row on (``lo``, ``hi``).  Any other
-    column is rendered by ``cell``, once if every row holds one object.
+    column is rendered by ``cell``.
     """
-    n, texts, shared = _height(table), [], None
+    texts, shared = [], None
     floats = [set(map(type, column)) == {float}
               and all(map(math.isfinite, column)) for column in table.columns]
     for j, column in enumerate(table.columns):
@@ -89,8 +89,6 @@ def _texts(table: Table, spec: str, cell) -> list[list[str]]:
         elif floats[j]:  # 0.0 == -0.0 as keys: zeros are formatted each time
             once = {v: spec % v for v in set(column) if v}
             text = [once.get(v) or spec % v for v in column]
-        elif len(set(map(id, column))) == 1:
-            text = [cell(column[0])] * n
         else:
             text = list(map(cell, column))
         texts.append(text)

@@ -1,11 +1,12 @@
 """Reference midpoint pair test: the double loop over index pairs.
 
 This is the loop that :func:`hh3.analysis._midpoint_pairs` replaces with one
-pass per diagonal over exactly rescaled samples.  Where every product of two
-samples is a normal float, both perform the same float operations on each
-pair, so the tests hold the report of the one to that of the other: the
-worst violation to its bits, the witness (the first pair, i then j, that
-attains it) and the number of pairs.
+pass per diagonal, which forms each ratio from the samples' mantissas and
+adds their binary exponents, with no common rescale.  Where the loop's
+products and ratio are normal floats, both round each ratio alike, so the
+tests hold the report of the one to that of the other: the worst violation
+to its bits, the witness (the first pair, i then j, that attains it) and
+the number of pairs.
 """
 
 from __future__ import annotations

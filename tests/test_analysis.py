@@ -1,6 +1,8 @@
 import math
 import struct
+import sys
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from hh3.analysis import (GRID_POINTS_DEFAULT, CatalogEntry,
                           _midpoint_pairs, catalog, check_hermite_hadamard,
                           check_log_convexity, grid_samples)
-from hh3.errors import BadInterval, DomainError, NotConvex
+from hh3.errors import BadInterval, NotConvex
 from hh3.expr import parse
 from pair_reference import midpoint_pairs_reference
 
@@ -211,7 +213,8 @@ def test_pair_test_witness_is_first_in_loop_order():
 @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
 def test_pair_test_at_extreme_magnitudes_matches_the_unscaled_one(scale):
     # |f'''| = 24 c x: every product of two samples leaves the float range
-    # at c = 1e200 (inf/inf) and at c = 1e-200 (0/0) unless rescaled
+    # at c = 1e200 (inf/inf) and at c = 1e-200 (0/0), so each ratio is
+    # formed from the mantissas and scaled by its own power of two
     plain = check_log_convexity(parse("x^4"), 1.0, 2.0)
     report = check_log_convexity(parse(f"{scale}*x^4"), 1.0, 2.0)
     assert not report.passed
@@ -224,34 +227,81 @@ def test_pair_test_at_extreme_magnitudes_matches_the_unscaled_one(scale):
 @pytest.mark.parametrize("a", [0.9, 0.0])
 def test_pair_test_on_underflowing_products_passes_a_log_affine_sample(a):
     # |f'''| = 700^3 exp(-700 x) is about 1e-296 at x = 1; from x = 0 the
-    # samples span 1010 binary orders, close to the most the test takes
+    # samples span 1010 binary orders
     report = check_log_convexity(parse("exp(-700*x)"), a, 1.0)
     assert report.passed
     assert report.pairs_tested == 16384
 
 
-def test_pair_test_refuses_samples_beyond_any_common_scale():
+def test_pair_test_passes_samples_beyond_any_common_scale():
     # |f'''| runs from about 2.7e-295 to 2.3e307: no power of two brings
-    # every product of two samples into the float range
-    with pytest.raises(DomainError, match=r"\[2\.70.*e-295, 2\.31.*e\+307\]"):
-        check_log_convexity(parse("exp(1400*x)"), -0.5, 0.49)
+    # every product of two samples into the float range, but each ratio is
+    # formed at its own scale, and this log-affine sample passes
+    report = check_log_convexity(parse("exp(1400*x)"), -0.5, 0.49)
+    assert report.passed
+    assert 0.0 <= report.worst_violation <= 1e-12
+    assert report.pairs_tested == 16384
 
 
-@pytest.mark.parametrize("span", [1021, 1022])
-def test_pair_test_takes_binary_exponent_spans_up_to_1021(span):
-    # frexp exponents -600 and span - 600.  At 1021 the rescale puts lo just
-    # above 2^-511, so the products in the worst pair, (0, 2), made of the
-    # smallest samples, are normal floats rounded once; one power of two
-    # less and they would lose bits as subnormals
+@pytest.mark.parametrize("span", [1021, 1022, 1023])
+def test_pair_test_takes_any_binary_exponent_span(span):
+    # frexp exponents -600 and span - 600.  The products in the worst pair,
+    # (0, 2), made of the smallest samples, underflow as they stand; shifted
+    # by 2^600, every product is a normal float rounded once, and the
+    # report is the double loop's on the shifted samples
     lo = math.ldexp(0.5 + 2.0 ** -53, -600)
     hi = math.ldexp(1.0 - 2.0 ** -53, span - 600)
     xs = (0.0, 0.25, 0.5, 0.75, 1.0)
     gs = (lo, 1.5 * lo, lo, math.sqrt(lo) * math.sqrt(hi), hi)
-    if span > 1021:
-        with pytest.raises(DomainError):
-            _midpoint_pairs(xs, gs)
-        return
-    centred = tuple(math.ldexp(g, 90) for g in gs)
+    shifted = tuple(math.ldexp(g, 600) for g in gs)
     report = _midpoint_pairs(xs, gs)
     assert report.witness == (0.0, 0.5)
-    _same_report(report, midpoint_pairs_reference(xs, centred))
+    _same_report(report, midpoint_pairs_reference(xs, shifted))
+
+
+def _normal(x: float) -> bool:
+    return sys.float_info.min <= x <= sys.float_info.max
+
+
+@st.composite
+def _samples(draw):
+    """An odd number from 3 to 33 of normal floats whose binary exponents
+    span up to 8, 120, 1200 or every one there is."""
+    n = 2 * draw(st.integers(min_value=1, max_value=16)) + 1
+    centre = draw(st.integers(min_value=-1021, max_value=1024))
+    spread = draw(st.sampled_from([4, 60, 600, 2045]))
+    exponents = st.integers(min_value=max(-1021, centre - spread),
+                            max_value=min(1024, centre + spread))
+    mantissas = st.floats(min_value=0.5, max_value=1.0, exclude_max=True)
+    return tuple(math.ldexp(draw(mantissas), draw(exponents))
+                 for _ in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_samples())
+@example((2.0 ** -1022, 2.0 ** 1023, 2.0 ** -1022))     # 2^4090: inf
+@example((2.0 ** 1023, 2.0 ** -1022, 2.0 ** 1023))      # 2^-4090: 0
+@example((2.0 ** 600, 1.5 * 2.0 ** 600, 2.0 ** 600))   # 2.25 from inf/inf
+def test_each_pair_ratio_is_the_double_loops_or_within_ulps_of_mpmath(gs):
+    # each pair on its own, as a three-point grid whose one violation is
+    # its ratio less 1
+    for i in range(len(gs)):
+        for j in range(i + 2, len(gs), 2):
+            trio = (gs[i], gs[(i + j) // 2], gs[j])
+            got = _midpoint_pairs((0.0, 0.5, 1.0), trio).worst_violation
+            square, product = trio[1] * trio[1], trio[0] * trio[2]
+            if _normal(square) and _normal(product) and (
+                    _normal(square / product) or square / product == math.inf):
+                want = midpoint_pairs_reference((0.0, 0.5, 1.0), trio)
+                assert _bits(got) == _bits(want.worst_violation), (i, j)
+                continue
+            with mpmath.workdps(40):
+                exact = mpmath.mpf(trio[1]) ** 2 / (mpmath.mpf(trio[0])
+                                                    * trio[2])
+                if exact > sys.float_info.max * (1 - 2.0 ** -51):
+                    assert got in (math.inf, sys.float_info.max), (i, j)
+                    continue
+                # rounded: the mantissas' square, product and quotient, the
+                # ratio where it is subnormal, and the violation
+                assert abs(got - (exact - 1)) <= 2.0 ** -50 * (exact + 1), (
+                    i, j)

@@ -280,17 +280,52 @@ def test_ratio_outside_float_range_is_certified(capsys, f):
 
 
 @pytest.mark.parametrize("command", ["bounds", "verify"])
-def test_ratio_outside_float_range_fails_the_pair_test_span(capsys, command):
-    # the pair test's 2^1021 span limit refuses the grid before any report;
-    # exp(690*x) itself is proved (see
-    # test_bounds_proves_a_ratio_beyond_the_pair_tests_span); its quotient
-    # by x + 2 mixes the two classes and is sampled
-    code, out, err = run(capsys, command, "--f", "exp(690*x)/(x+2)",
-                         *_K_OUT_OF_RANGE)
-    assert (code, out) == (EXIT_MATH, "")
-    assert err == ("hh3: |f'''| spans [7.103426552598369e-292, "
-                   "5.034881698050794e+307] on the grid, too wide a range "
-                   "for the midpoint pair test\n")
+def test_ratio_outside_float_range_passes_the_pair_test(capsys, command):
+    # |f'''| spans [7.103426552598369e-292, 5.034881698050794e+307] on the
+    # grid, beyond any common scale of its samples.  exp(690*x) itself is
+    # proved (see test_bounds_proves_a_ratio_beyond_the_pair_tests_span); its
+    # quotient by x + 2 mixes the two classes and is sampled.  The worst
+    # violation is within 1e-16 of the one mpmath finds at 50 digits on the
+    # same samples, -6.797346745697909e-06
+    report = _log_convexity(capsys, command, "--f", "exp(690*x)/(x+2)",
+                            *_K_OUT_OF_RANGE)
+    assert report == {
+        "passed": True, "worst_violation": -6.7973467456905468e-06,
+        "witness": None, "pairs_tested": 16384, "grid_points": 257,
+        "kind": "sampled-evidence"}
+    assert report["worst_violation"] == pytest.approx(
+        -6.797346745697909e-06, abs=1e-16)
+
+
+# The integral of exp(690 x)/(x + 2) over [-1, 1], by u = x + 2, at 60 digits
+with mpmath.workdps(60):
+    _STEEP_QUOTIENT = mpmath.exp(-1380) * (mpmath.ei(2070) - mpmath.ei(690))
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate"], ["integrate", "--n", "8"], ["certify", "--tol", "1e293"],
+    ["sweep", "--n-list", "16,64"]], ids=["integrate", "integrate-8",
+                                          "certify", "sweep"])
+def test_a_sampled_hypothesis_beyond_any_common_scale_is_certified(capsys,
+                                                                   argv):
+    # the pair test passes the samples above, so the bound is printed, and
+    # it holds: certify stops at n = 4096 with 4.41e292 for an error of
+    # 1.48e291
+    code, out, err = run(capsys, argv[0], "--f", "exp(690*x)/(x+2)",
+                         *_K_OUT_OF_RANGE, *argv[1:])
+    assert (code, err) == (EXIT_OK, "")
+    if argv[0] == "sweep":  # n, midpoint_sum, corrected_sum, bound_thm1, ...
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        certificates = [(row[2], float(row[k])) for row in rows
+                        for k in (3, 4)]
+        assert [row[0] for row in rows] == ["16", "64"]
+    else:
+        doc = json.loads(out)
+        certificates = [(repr(doc["corrected_sum"]), doc["certified_bound"])]
+        assert argv[0] == "integrate" or doc["certified_bound"] <= 1e293
+    with mpmath.workdps(60):
+        for corrected_sum, bound in certificates:
+            assert abs(_STEEP_QUOTIENT - mpmath.mpf(corrected_sum)) <= bound
 
 
 @pytest.mark.parametrize("command", ["integrate", "bounds"])
@@ -471,7 +506,8 @@ def test_an_unproved_hypothesis_is_sampled(monkeypatch, command, sampler):
 
 
 def test_bounds_proves_a_ratio_beyond_the_pair_tests_span(capsys):
-    # |f'''| spans more than 2^1021 on the grid: the pair test exited 2
+    # |f'''| spans more than 2^1021 on the grid; the classifier proves it,
+    # so no pair is tested
     code, out, err = run(capsys, "bounds", "--f", "exp(690*x)",
                          "--a", "-1", "--b", "1")
     assert (code, err) == (EXIT_OK, "")

@@ -4,7 +4,8 @@
 lists what ``from ... import *`` hands out.  A rename or deletion that
 misses either fails here, not halfway through a traced benchmark run.
 The records are named tuples with the fields, repr, immutability and
-equality callers use, and importing the CLI stays cheap.
+equality callers use, every error survives ``pickle`` and ``copy``, and
+importing the CLI stays cheap.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import pytest
 
 import hh3
 import hh3.quadrature
-from hh3 import cli
+from hh3 import cli, errors
 from hh3.analysis import CatalogEntry, ConvexityReport, HermiteHadamardReport
 from hh3.bounds import BoundReport, DerivEndpoints
 from hh3.expr import (BinOp, Const, Func, Neg, Num, Var, compile_jet3,
@@ -274,6 +275,41 @@ def test_records_rebuild_like_named_tuples(cls, fields):
     for args, kwargs in wrong:
         with pytest.raises(TypeError):
             cls(*args, **kwargs)
+
+
+#: One instance of each error, from the arguments its ``__init__`` takes.
+_ERRORS = (
+    errors.Hh3Error("plain"),
+    errors.ExprSyntaxError(4, ("number", "'('"), "')'"),
+    errors.UnknownIdentifier(0, "foo", ("x", "pi", "exp")),
+    errors.DomainError("log needs a positive argument", expr_text="log(x)",
+                       x=-1.0),
+    errors.NonPositiveThirdDerivative(0.5, 1e-310),
+    errors.BadInterval("need finite a < b, got [1.0, 0.0]"),
+    errors.NonConvergence(200000),
+    errors.NonConvergence(64, (1.0, 1.0000000000000002)),
+    errors.ToleranceUnreachable(1e-30, 2.5e-12, 64),
+    errors.BelowRoundingFloor(1e-20, 3.1e-18, 4096, 1.1e-16),
+    errors.NotLogConvex(1.0, 2.0, 0.125),
+    errors.NotConvex(-1.0, -6.0),
+)
+
+
+def test_every_error_class_has_an_instance_here():
+    classes = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.Hh3Error)}
+    assert classes == set(map(type, _ERRORS))
+
+
+@pytest.mark.parametrize("error", _ERRORS,
+                         ids=lambda error: type(error).__name__)
+def test_errors_survive_pickle_and_copy(error):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for twin in (pickle.loads(pickle.dumps(error, protocol)),
+                     copy.copy(error), copy.deepcopy(error)):
+            assert type(twin) is type(error)
+            assert (str(twin), twin.args) == (str(error), error.args)
+            assert vars(twin) == vars(error)
 
 
 def test_ast_nodes_key_the_jet_cache():
