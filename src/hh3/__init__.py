@@ -14,16 +14,17 @@ identities against a high-accuracy reference integrator.  The ``hh3``
 command line tool exposes all of it.
 """
 
-from .analysis import (CatalogEntry, ConvexityReport, HermiteHadamardReport,
-                       catalog, check_hermite_hadamard, check_log_convexity,
-                       grid_samples, log_convexity_verdict)
+from .analysis import (CatalogEntry, ConvexityReport, catalog,
+                       check_hermite_hadamard, check_log_convexity,
+                       grid_samples, log_convexity_verdict,
+                       require_log_convex)
 from .bounds import (BoundReport, DerivEndpoints, best_bound, chi1, chi2,
                      chi3, direct_bound, holder_bound, holder_factor, mu,
                      power_mean_bound)
 from .errors import (BadInterval, BelowRoundingFloor, DomainError,
                      ExprSyntaxError, Hh3Error, NonConvergence,
-                     NonPositiveThirdDerivative, NotConvex,
-                     ToleranceUnreachable, UnknownIdentifier)
+                     NonPositiveThirdDerivative, ToleranceUnreachable,
+                     UnknownIdentifier)
 from .expr import Node, eval_jet3, evaluate, parse, to_text
 from .quadrature import (CertifyOutcome, QuadResult, certify, composite_bound,
                          corrected_midpoint_sum, identity_residual,
@@ -45,11 +46,11 @@ __all__ = [
     "corrected_midpoint_sum", "composite_bound", "reference_integral",
     "integrate_adaptive", "identity_residual", "certify",
     # analysis
-    "ConvexityReport", "HermiteHadamardReport", "CatalogEntry",
-    "grid_samples", "check_log_convexity", "log_convexity_verdict",
+    "ConvexityReport", "CatalogEntry", "grid_samples",
+    "check_log_convexity", "log_convexity_verdict", "require_log_convex",
     "check_hermite_hadamard", "catalog",
     # errors
     "Hh3Error", "ExprSyntaxError", "UnknownIdentifier", "DomainError",
     "NonPositiveThirdDerivative", "BadInterval", "NonConvergence",
-    "ToleranceUnreachable", "BelowRoundingFloor", "NotConvex",
+    "ToleranceUnreachable", "BelowRoundingFloor",
 ]

@@ -14,8 +14,9 @@ errors, vanishing third derivative, a hypothesis the sampled pair test
 refutes, non-convergence, unreachable tolerance, a bound below the rounding
 floor),
 64 for usage errors (bad flags, malformed expressions, invalid intervals).
-``integrate``, ``certify`` and ``sweep`` ask for the hypothesis verdict
-before they compute a bound, as ``bounds`` and ``verify`` report it.
+``bounds`` and ``verify`` print the hypothesis blocks that
+:mod:`hh3.analysis` returns, and ``integrate``, ``certify`` and ``sweep``
+ask its one refusal, ``analysis.require_log_convex``, before any bound.
 Diagnostics go to stderr; stdout carries only the report, whose bytes are
 deterministic for identical inputs.  ``hh3`` and ``python -m hh3`` call
 ``run()``: ``main()``, the exit handlers, a flush and an exit that skips
@@ -33,8 +34,7 @@ import sys
 from operator import truediv
 
 from . import analysis, bounds, quadrature
-from .errors import (ExprSyntaxError, Hh3Error, NotConvex,
-                     NotLogConvex, require_f3, require_finite)
+from .errors import ExprSyntaxError, Hh3Error, require_finite
 from .expr import eval_jet3, parse
 from .record import Record
 from .reportfmt import Table, rows_to_csv, to_csv, to_json, to_text
@@ -317,32 +317,14 @@ def _envelope(cfg: RunConfig) -> dict:
             "expression": cfg.expression, "a": cfg.a, "b": cfg.b}
 
 
-def _convexity_doc(verdict, grid_points: int) -> dict:
-    """The log_convexity block of a proof, (class, sign, j0), or of a
-    sampled :class:`analysis.ConvexityReport`."""
-    if not isinstance(verdict, analysis.ConvexityReport):
-        cls, _, j0 = verdict
-        return {"passed": True, "worst_violation": None, "witness": None,
-                "pairs_tested": 0, "grid_points": None, "kind": "proved",
-                "class": cls, "j0": j0}
-    return {
-        "passed": verdict.passed,
-        "worst_violation": verdict.worst_violation,
-        "witness": list(verdict.witness) if verdict.witness else None,
-        "pairs_tested": verdict.pairs_tested,
-        "grid_points": grid_points,
-        "kind": "sampled-evidence",
-    }
-
-
 def cmd_bounds(cfg: RunConfig) -> dict:
     jet_a = eval_jet3(cfg.ast, cfg.a)
     jet_b = eval_jet3(cfg.ast, cfg.b)
     e = bounds.DerivEndpoints(f3a_abs=abs(jet_a[3]), f3b_abs=abs(jet_b[3]),
                               a=cfg.a, b=cfg.b)
     report = bounds.best_bound(e, cfg.q)
-    convexity = _convexity_doc(analysis.log_convexity_verdict(
-        cfg.ast, cfg.a, cfg.b, cfg.grid_points), cfg.grid_points)
+    convexity = analysis.log_convexity_verdict(cfg.ast, cfg.a, cfg.b,
+                                               cfg.grid_points)
     doc = _envelope(cfg)
     doc.update({
         "f3a_abs": e.f3a_abs, "f3b_abs": e.f3b_abs,
@@ -356,21 +338,8 @@ def cmd_bounds(cfg: RunConfig) -> dict:
     return doc
 
 
-def _require_hypothesis(cfg: RunConfig) -> None:
-    """Refuse a run whose |f'''| the sampled pair test finds not log-convex,
-    where the classifier proves nothing.  A witness whose sample is 0 (then
-    x = y) or subnormal, too few bits to test, is refused as the bounds
-    refuse it."""
-    verdict = analysis.log_convexity_verdict(cfg.ast, cfg.a, cfg.b)
-    if isinstance(verdict, analysis.ConvexityReport) and not verdict.passed:
-        x, y = verdict.witness
-        for t in (x, y):
-            require_f3(t, abs(eval_jet3(cfg.ast, t)[3]))
-        raise NotLogConvex(x, y, verdict.worst_violation)
-
-
 def cmd_integrate(cfg: RunConfig) -> dict:
-    _require_hypothesis(cfg)
+    analysis.require_log_convex(cfg.ast, cfg.a, cfg.b)
     division = quadrature.uniform_division(cfg.a, cfg.b, cfg.n)
     result = quadrature.composite_bound(cfg.ast, division)
     # |I - midpoint_sum| <= certified_bound + |corrected_sum - midpoint_sum|;
@@ -402,7 +371,7 @@ def cmd_integrate(cfg: RunConfig) -> dict:
 
 
 def cmd_certify(cfg: RunConfig) -> dict:
-    _require_hypothesis(cfg)
+    analysis.require_log_convex(cfg.ast, cfg.a, cfg.b)
     outcome = quadrature.certify(cfg.ast, cfg.a, cfg.b, cfg.tol,
                                  n_max=cfg.n_max)
     doc = _envelope(cfg)
@@ -417,29 +386,13 @@ def cmd_certify(cfg: RunConfig) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> dict:
-    convexity = _convexity_doc(analysis.log_convexity_verdict(
-        cfg.ast, cfg.a, cfg.b, cfg.grid_points), cfg.grid_points)
-    try:
-        hh = analysis.check_hermite_hadamard(cfg.ast, cfg.a, cfg.b,
-                                             cfg.grid_points)
-        hh_doc = {
-            "convex": True, "passed": hh.passed,
-            "midpoint_value": hh.midpoint_value,
-            "integral_mean": hh.integral_mean,
-            "endpoint_mean": hh.endpoint_mean,
-            "lower_slack": hh.lower_slack,
-            "upper_slack": hh.upper_slack,
-        }
-    except NotConvex as exc:
-        hh_doc = {"convex": False, "witness_x": exc.x,
-                  "witness_second_derivative": exc.value}
-    residual = quadrature.identity_residual(cfg.ast, cfg.a, cfg.b)
+    f, a, b, n = cfg.ast, cfg.a, cfg.b, cfg.grid_points
     doc = _envelope(cfg)
     doc.update({
-        "grid_points": cfg.grid_points,
-        "log_convexity": convexity,
-        "hermite_hadamard": hh_doc,
-        "identity_residual": residual,
+        "grid_points": n,
+        "log_convexity": analysis.log_convexity_verdict(f, a, b, n),
+        "hermite_hadamard": analysis.check_hermite_hadamard(f, a, b, n),
+        "identity_residual": quadrature.identity_residual(f, a, b),
     })
     return doc
 
@@ -449,7 +402,7 @@ _SWEEP_HEADER = ("n", "midpoint_sum", "corrected_sum", "bound_thm1",
 
 
 def cmd_sweep(cfg: RunConfig) -> str:
-    _require_hypothesis(cfg)
+    analysis.require_log_convex(cfg.ast, cfg.a, cfg.b)
     truth = quadrature.reference_integral(cfg.ast, cfg.a, cfg.b)
     rows, result = [], None
     for n in cfg.n_list:

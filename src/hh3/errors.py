@@ -151,11 +151,3 @@ class NotLogConvex(Hh3Error):
             f"of |f'''| at their midpoint exceeds |f'''(x) f'''(y)| by "
             f"{violation:.3g} relative, so the paper's bounds do not apply")
 
-
-class NotConvex(Hh3Error):
-    """Sampled convexity check failed; carries a witness point."""
-
-    def __init__(self, x: float, value: float):
-        self.x = x
-        self.value = value
-        super().__init__(f"f'' = {value!r} < 0 at x = {x!r}; f is not convex there")

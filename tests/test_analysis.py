@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hh3.analysis import (GRID_POINTS_DEFAULT, CatalogEntry,
                           _midpoint_pairs, catalog, check_hermite_hadamard,
                           check_log_convexity, grid_samples)
-from hh3.errors import BadInterval, NotConvex
+from hh3.errors import BadInterval
 from hh3.expr import parse
 from pair_reference import midpoint_pairs_reference
 
@@ -88,23 +88,26 @@ def test_log_convexity_power_invariance():
 
 
 def test_hermite_hadamard_exponential():
-    report = check_hermite_hadamard(parse("exp(x)"), 0.0, 1.0)
-    assert report.passed
-    assert report.integral_mean == pytest.approx(math.e - 1.0, rel=1e-12)
-    assert report.midpoint_value == pytest.approx(math.sqrt(math.e),
-                                                  rel=1e-15)
-    assert report.endpoint_mean == pytest.approx((1.0 + math.e) / 2.0,
-                                                 rel=1e-15)
-    assert report.lower_slack > 0.0
-    assert report.upper_slack > 0.0
+    block = check_hermite_hadamard(parse("exp(x)"), 0.0, 1.0)
+    assert list(block) == ["convex", "passed", "midpoint_value",
+                           "integral_mean", "endpoint_mean", "lower_slack",
+                           "upper_slack"]
+    assert block["convex"] is block["passed"] is True
+    assert block["integral_mean"] == pytest.approx(math.e - 1.0, rel=1e-12)
+    assert block["midpoint_value"] == pytest.approx(math.sqrt(math.e),
+                                                    rel=1e-15)
+    assert block["endpoint_mean"] == pytest.approx((1.0 + math.e) / 2.0,
+                                                   rel=1e-15)
+    assert block["lower_slack"] > 0.0
+    assert block["upper_slack"] > 0.0
 
 
 def test_hermite_hadamard_flat_function_passes_on_slack():
     # f(x) = x is convex with zero slack on both sides
-    report = check_hermite_hadamard(parse("x"), 0.0, 2.0)
-    assert report.passed
-    assert report.lower_slack == pytest.approx(0.0, abs=1e-12)
-    assert report.upper_slack == pytest.approx(0.0, abs=1e-12)
+    block = check_hermite_hadamard(parse("x"), 0.0, 2.0)
+    assert block["passed"] is True
+    assert block["lower_slack"] == pytest.approx(0.0, abs=1e-12)
+    assert block["upper_slack"] == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("source,a,b,where", [
@@ -113,18 +116,20 @@ def test_hermite_hadamard_flat_function_passes_on_slack():
     ("log(x)", 1.0, 2.0, 1.0),      # strictly concave
 ])
 def test_hermite_hadamard_rejects_nonconvex(source, a, b, where):
-    with pytest.raises(NotConvex) as info:
-        check_hermite_hadamard(parse(source), a, b)
-    assert info.value.value < 0.0
+    block = check_hermite_hadamard(parse(source), a, b)
+    assert list(block) == ["convex", "witness_x",
+                           "witness_second_derivative"]
+    assert block["convex"] is False
+    assert block["witness_second_derivative"] < 0.0
     if where is not None:
-        assert info.value.x == pytest.approx(where, abs=1e-12)
+        assert block["witness_x"] == pytest.approx(where, abs=1e-12)
 
 
 def test_hermite_hadamard_convex_without_log_convexity():
     # x^4 on [1, 2] fails the log-convexity evidence but is convex, so the
     # mean inequalities still hold
-    report = check_hermite_hadamard(parse("x^4"), 1.0, 2.0)
-    assert report.passed
+    block = check_hermite_hadamard(parse("x^4"), 1.0, 2.0)
+    assert block["convex"] is block["passed"] is True
 
 
 def test_catalog_contents():

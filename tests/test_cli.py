@@ -505,6 +505,46 @@ def test_an_unproved_hypothesis_is_sampled(monkeypatch, command, sampler):
         main([command, "--f", "x^4", "--a", "1", "--b", "2"])
 
 
+@pytest.mark.parametrize("f, a, b", [
+    ("exp(x)", 0.0, 1.0),      # proved
+    ("x^4", 1.0, 2.0),         # convex, sampled and refuted
+    ("sin(x)", 0.1, 3.0),      # not convex, sampled and refuted
+])
+def test_the_printed_blocks_are_the_librarys(capsys, f, a, b):
+    # key for key and in order, the blocks come from hh3.analysis as printed
+    ast, argv = parse(f), ["--f", f, "--a", repr(a), "--b", repr(b)]
+    log_convexity = analysis.log_convexity_verdict(ast, a, b)
+    for command in ("bounds", "verify"):
+        code, out, err = run(capsys, command, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert list(doc["log_convexity"].items()) == list(
+            log_convexity.items())
+    assert list(doc["hermite_hadamard"].items()) == list(
+        analysis.check_hermite_hadamard(ast, a, b).items())
+
+
+class _Refused(Exception):
+    """Raised by the one refusal where a command asks it."""
+
+
+@pytest.mark.parametrize("command, extra, asks", [
+    ("integrate", [], True), ("certify", ["--tol", "1e-6"], True),
+    ("sweep", ["--n-list", "1,2"], True), ("bounds", [], False),
+    ("verify", [], False)])
+def test_the_bounded_commands_refuse_through_one_function(
+        capsys, monkeypatch, command, extra, asks):
+    def refuse(f, a, b):
+        raise _Refused
+    monkeypatch.setattr(analysis, "require_log_convex", refuse)
+    argv = [command, "--f", "x^4", "--a", "1", "--b", "2", *extra]
+    if asks:
+        with pytest.raises(_Refused):
+            main(argv)
+    else:  # they print the refuted hypothesis instead
+        assert run(capsys, *argv)[0] == EXIT_OK
+
+
 def test_bounds_proves_a_ratio_beyond_the_pair_tests_span(capsys):
     # |f'''| spans more than 2^1021 on the grid; the classifier proves it,
     # so no pair is tested

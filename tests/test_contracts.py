@@ -24,7 +24,7 @@ import pytest
 import hh3
 import hh3.quadrature
 from hh3 import cli, errors
-from hh3.analysis import CatalogEntry, ConvexityReport, HermiteHadamardReport
+from hh3.analysis import CatalogEntry, ConvexityReport
 from hh3.bounds import BoundReport, DerivEndpoints
 from hh3.expr import (BinOp, Const, Func, Neg, Num, Var, compile_jet3,
                       parse)
@@ -130,8 +130,8 @@ def test_cli_import_builds_no_record_through_typing_namedtuple():
     done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    # the 17 record types; their base has no _fields of its own
-    assert done.stdout.split() == ["17"]
+    # the 16 record types; their base has no _fields of its own
+    assert done.stdout.split() == ["16"]
 
 
 def test_cli_import_calls_no_eval_exec_or_compile():
@@ -191,9 +191,6 @@ _RECORDS = [
                       "n_final": 1, "iterations": 1}),
     (ConvexityReport, {"passed": False, "worst_violation": 0.5,
                        "witness": (0.0, 1.0), "pairs_tested": 3}),
-    (HermiteHadamardReport, {"midpoint_value": 1.0, "integral_mean": 1.1,
-                             "endpoint_mean": 1.2, "lower_slack": 0.1,
-                             "upper_slack": 0.1, "passed": True}),
     (CatalogEntry, {"expression": "exp(x)", "a": 0.0, "b": 1.0,
                     "log_convex": True}),
     (cli.RunConfig, {"command": "integrate", "expression": "x", "ast": _X,
@@ -233,9 +230,6 @@ _FIELDS = {
     CertifyOutcome: ("result", "n_final", "iterations"),
     ConvexityReport: ("passed", "worst_violation", "witness",
                       "pairs_tested"),
-    HermiteHadamardReport: ("midpoint_value", "integral_mean",
-                            "endpoint_mean", "lower_slack", "upper_slack",
-                            "passed"),
     CatalogEntry: ("expression", "a", "b", "log_convex"),
     cli.RunConfig: ("command", "expression", "ast", "a", "b", "fmt", "out",
                     "n", "tol", "method", "q", "n_list", "grid_points",
@@ -291,7 +285,6 @@ _ERRORS = (
     errors.ToleranceUnreachable(1e-30, 2.5e-12, 64),
     errors.BelowRoundingFloor(1e-20, 3.1e-18, 4096, 1.1e-16),
     errors.NotLogConvex(1.0, 2.0, 0.125),
-    errors.NotConvex(-1.0, -6.0),
 )
 
 
