@@ -14,10 +14,9 @@ identities against a high-accuracy reference integrator.  The ``hh3``
 command line tool exposes all of it.
 """
 
-from .analysis import (CatalogEntry, ConvexityReport, catalog,
-                       check_hermite_hadamard, check_log_convexity,
-                       grid_samples, log_convexity_verdict,
-                       require_log_convex)
+from .analysis import (CatalogEntry, catalog, check_hermite_hadamard,
+                       check_log_convexity, grid_samples,
+                       log_convexity_verdict, require_log_convex)
 from .bounds import (BoundReport, DerivEndpoints, best_bound, chi1, chi2,
                      chi3, direct_bound, holder_bound, holder_factor, mu,
                      power_mean_bound)
@@ -46,7 +45,7 @@ __all__ = [
     "corrected_midpoint_sum", "composite_bound", "reference_integral",
     "integrate_adaptive", "identity_residual", "certify",
     # analysis
-    "ConvexityReport", "CatalogEntry", "grid_samples",
+    "CatalogEntry", "grid_samples",
     "check_log_convexity", "log_convexity_verdict", "require_log_convex",
     "check_hermite_hadamard", "catalog",
     # errors

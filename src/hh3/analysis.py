@@ -6,7 +6,7 @@ it from the expression tree (:mod:`hh3.monotone`) and samples only where
 that fails.  It and :func:`check_hermite_hadamard` return the blocks the
 command line prints, each whatever the verdict, and
 :func:`require_log_convex` is the one refusal that every command computing
-a bound asks first.
+a bound asks first.  All of them sample one grid, :data:`GRID_POINTS`.
 
 The sampled check cannot *prove* anything, so its verdict is explicitly
 evidence, not certificate: on a uniform grid of an odd number of
@@ -46,20 +46,14 @@ from .quadrature import (integrate_adaptive,  # noqa: F401
 from .record import Record
 
 __all__ = [
-    "GRID_POINTS_DEFAULT", "GRID_POINTS_MAX", "PAIR_RELTOL",
-    "ConvexityReport", "CatalogEntry", "grid_samples",
+    "GRID_POINTS", "PAIR_RELTOL", "CatalogEntry", "grid_samples",
     "check_log_convexity", "log_convexity_verdict", "require_log_convex",
     "check_hermite_hadamard", "catalog",
 ]
 
-#: 2^8 + 1 points: a uniform grid this size is closed under taking midpoints
-#: of same-parity index pairs, which is what the pair test needs.
-GRID_POINTS_DEFAULT = 257
-
-#: The largest grid the command line accepts.  The pair test is quadratic:
-#: 4097 points are about 4.2 million pairs, 0.70-0.76 s of work in process on
-#: one core of an Intel Xeon server (x^4 on [1, 2] and exp(x) on [0, 1]).
-GRID_POINTS_MAX = 4097
+#: 2^8 + 1 points, the one grid of every sampled verdict: a uniform grid this
+#: size is closed under taking midpoints of same-parity index pairs.
+GRID_POINTS = 257
 
 #: Multiplicative slack in the midpoint criterion.
 PAIR_RELTOL = 1e-9
@@ -68,31 +62,14 @@ _CONVEXITY_TOL = 1e-12
 _HH_TOL = 1e-12
 
 
-def grid_samples(f: Node, a: float, b: float, n: int = GRID_POINTS_DEFAULT
+def grid_samples(f: Node, a: float, b: float
                  ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The n points xs of ``uniform_division(a, b, n - 1)`` and |f'''| there.
+    """The GRID_POINTS uniform points xs of [a, b] and |f'''| there.
 
     Returns ``(xs, gs)``.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"grid size must be odd and >= 3, got {n}")
-    xs = uniform_division(a, b, n - 1)
+    xs = uniform_division(a, b, GRID_POINTS - 1)
     return xs, tuple(map(abs, map(compile_jet3(f).f3, xs)))
-
-
-class ConvexityReport(Record):
-    """Outcome of the sampled midpoint criterion.
-
-    ``worst_violation`` is max over tested pairs of g(m)^2/(g(x)g(y)) - 1,
-    so ``passed`` holds exactly when it is at most :data:`PAIR_RELTOL`.  A
-    zero or non-finite sample fails immediately with that point as its own
-    witness and an infinite violation.
-    """
-    __slots__, _fields = (), (
-        "passed",           # bool
-        "worst_violation",  # float
-        "witness",          # (x, y) floats, or None
-        "pairs_tested")     # int
 
 
 def _scaled(m: float, e: int) -> float:
@@ -102,13 +79,20 @@ def _scaled(m: float, e: int) -> float:
         return math.inf
 
 
-def _midpoint_pairs(xs: tuple[float, ...], gs: tuple[float, ...]
-                    ) -> ConvexityReport:
+def _midpoint_pairs(xs: tuple[float, ...], gs: tuple[float, ...]) -> dict:
+    """The ``sampled-evidence`` block of the pair test on an odd grid.
+
+    ``worst_violation`` is max over tested pairs of g(m)^2/(g(x)g(y)) - 1,
+    so ``passed`` holds exactly when it is at most :data:`PAIR_RELTOL`.  A
+    zero or non-finite sample fails at once with that point as its own
+    witness and an infinite violation.
+    """
     n = len(xs)
     for x, g in zip(xs, gs):
         if not (math.isfinite(g) and g > 0.0):
-            return ConvexityReport(passed=False, worst_violation=math.inf,
-                                   witness=(x, x), pairs_tested=0)
+            return {"passed": False, "worst_violation": math.inf,
+                    "witness": [x, x], "pairs_tested": 0, "grid_points": n,
+                    "kind": "sampled-evidence"}
     ms, es = zip(*map(math.frexp, gs))
     sq, e2 = list(map(mul, ms, ms)), list(map(add, es, es))
 
@@ -131,42 +115,37 @@ def _midpoint_pairs(xs: tuple[float, ...], gs: tuple[float, ...]
     if not passed:  # the first pair in (i, j) order at the worst violation
         i, d = min(([r - 1.0 for r in ratios(d, _scaled)].index(worst), d)
                    for d, top in enumerate(tops, 1) if top - 1.0 == worst)
-        witness = (xs[i], xs[i + 2 * d])
+        witness = [xs[i], xs[i + 2 * d]]
     m = len(tops)
-    return ConvexityReport(passed=passed, worst_violation=worst,
-                           witness=witness, pairs_tested=m * (n - m - 1))
+    return {"passed": passed, "worst_violation": worst, "witness": witness,
+            "pairs_tested": m * (n - m - 1), "grid_points": n,
+            "kind": "sampled-evidence"}
 
 
-def check_log_convexity(f: Node, a: float, b: float,
-                        n: int = GRID_POINTS_DEFAULT) -> ConvexityReport:
-    """Midpoint log-convexity evidence for |f'''| on [a, b]."""
-    return _midpoint_pairs(*grid_samples(f, a, b, n))
+def check_log_convexity(f: Node, a: float, b: float) -> dict:
+    """Midpoint log-convexity evidence for |f'''| on [a, b]: the
+    ``sampled-evidence`` block on the GRID_POINTS grid."""
+    return _midpoint_pairs(*grid_samples(f, a, b))
 
 
-def log_convexity_verdict(f: Node, a: float, b: float,
-                          n: int = GRID_POINTS_DEFAULT) -> dict:
+def log_convexity_verdict(f: Node, a: float, b: float) -> dict:
     """The ``log_convexity`` block that ``bounds`` and ``verify`` print for
     |f'''| on [a, b]: ``"kind": "proved"`` with the class and j0 of
-    :func:`hh3.monotone.classify_cm` where its j0 is at most 3, else
-    ``"sampled-evidence"`` from :func:`check_log_convexity` on n points."""
+    :func:`hh3.monotone.classify_cm` where its j0 is at most 3, else the
+    block of :func:`check_log_convexity`."""
     proof = classify_cm(f, a, b)
     if proof is not None and proof[2] <= 3:
         return {"passed": True, "worst_violation": None, "witness": None,
                 "pairs_tested": 0, "grid_points": None, "kind": "proved",
                 "class": proof[0], "j0": proof[2]}
-    report = check_log_convexity(f, a, b, n)
-    return {"passed": report.passed,
-            "worst_violation": report.worst_violation,
-            "witness": list(report.witness) if report.witness else None,
-            "pairs_tested": report.pairs_tested, "grid_points": n,
-            "kind": "sampled-evidence"}
+    return check_log_convexity(f, a, b)
 
 
 def require_log_convex(f: Node, a: float, b: float) -> None:
-    """Refuse an |f'''| that no proof covers and the pair test on the
-    default grid finds not log-convex: :class:`NotLogConvex` with the
-    witness pair.  A witness whose sample is 0 (then x = y) or subnormal,
-    too few bits to test, is refused as the bounds refuse it."""
+    """Refuse an |f'''| whose :func:`log_convexity_verdict` fails, which
+    no proof covers and the pair test finds not log-convex: NotLogConvex
+    with the witness pair.  A witness whose sample is 0 (then x = y) or
+    subnormal, too few bits to test, is refused as the bounds refuse it."""
     verdict = log_convexity_verdict(f, a, b)
     if not verdict["passed"]:
         x, y = verdict["witness"]
@@ -175,21 +154,18 @@ def require_log_convex(f: Node, a: float, b: float) -> None:
         raise NotLogConvex(x, y, verdict["worst_violation"])
 
 
-def check_hermite_hadamard(f: Node, a: float, b: float,
-                           n: int = GRID_POINTS_DEFAULT) -> dict:
+def check_hermite_hadamard(f: Node, a: float, b: float) -> dict:
     """The ``hermite_hadamard`` block that ``verify`` prints: does
     f(m) <= mean of f <= (f(a)+f(b))/2 hold for a convex f?
 
     Convexity itself is only sampled: f'' must clear
-    -1e-12 * max(1, max |f''|) on the grid, and the first point below that
-    gives ``"convex": False`` with that point and f'' there.  Else the mean
-    comes from :func:`hh3.quadrature.reference_integral`, and
+    -1e-12 * max(1, max |f''|) on the GRID_POINTS grid, and the first point
+    below that gives ``"convex": False`` with that point and f'' there.
+    Else the mean comes from :func:`hh3.quadrature.reference_integral`, and
     lower_slack = mean - f(midpoint) and upper_slack = endpoint average -
     mean must both be >= -1e-12 * max(1, |mean|) to pass.
     """
-    if n < 3:
-        raise ValueError(f"grid size must be >= 3, got {n}")
-    xs = uniform_division(a, b, n - 1)
+    xs = uniform_division(a, b, GRID_POINTS - 1)
     jet = compile_jet3(f)
     jets = [jet(x) for x in xs]
     second_scale = max(1.0, max(abs(j[2]) for j in jets))

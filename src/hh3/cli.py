@@ -17,6 +17,8 @@ floor),
 ``bounds`` and ``verify`` print the hypothesis blocks that
 :mod:`hh3.analysis` returns, and ``integrate``, ``certify`` and ``sweep``
 ask its one refusal, ``analysis.require_log_convex``, before any bound.
+Both sample on the one grid ``analysis.GRID_POINTS``, so a printed verdict
+fails exactly where those commands refuse.
 Diagnostics go to stderr; stdout carries only the report, whose bytes are
 deterministic for identical inputs.  ``hh3`` and ``python -m hh3`` call
 ``run()``: ``main()``, the exit handlers, a flush and an exit that skips
@@ -86,9 +88,6 @@ OPTIONS = {
     "out": Option("--out", "string", _ALL, "write the report to this file"),
     "format": Option("--format", "string", _ALL[:4],
                      "json (the default), csv or text"),
-    "grid_points": Option("--grid-n", "integer", ("bounds", "verify"),
-                          "odd grid of the log-convexity sample, where no "
-                          "proof (default 257)"),
     "n": Option("--n", "integer", ("integrate",), "subintervals (default 1)"),
     "method": Option("--method", "string", _BOUNDED,
                      "thm1 or best, both chi1 (default best)"),
@@ -178,7 +177,7 @@ class RunConfig(Record):
         "method",                 # str
         "q",                      # float > 1
         "n_list",                 # tuple of ints
-        "grid_points", "n_max",   # int
+        "n_max",                  # int
         "per_interval", "oracle")  # bool
 
 
@@ -270,11 +269,6 @@ def resolve(command: str, flags: dict) -> RunConfig:
     if not q > 1.0:
         raise UsageError(f"--q: must be > 1, got {q!r}")
 
-    grid_points = values.get("grid_points", analysis.GRID_POINTS_DEFAULT)
-    if grid_points < 3 or grid_points % 2 == 0:
-        raise UsageError(f"--grid-n: must be odd and >= 3, got {grid_points}")
-    _require_at_most("--grid-n", grid_points, analysis.GRID_POINTS_MAX)
-
     n = values.get("n", 1)
     if n < 1:
         raise UsageError(f"--n: need at least one subinterval, got {n}")
@@ -302,7 +296,7 @@ def resolve(command: str, flags: dict) -> RunConfig:
     return RunConfig(
         command=command, expression=expression, ast=ast,
         a=a, b=b, fmt=fmt, out=out, n=n, tol=tol, method=method, q=q,
-        n_list=n_list, grid_points=grid_points, n_max=n_max,
+        n_list=n_list, n_max=n_max,
         per_interval=values.get("per_interval", False),
         oracle=values.get("oracle", False),
     )
@@ -323,8 +317,7 @@ def cmd_bounds(cfg: RunConfig) -> dict:
     e = bounds.DerivEndpoints(f3a_abs=abs(jet_a[3]), f3b_abs=abs(jet_b[3]),
                               a=cfg.a, b=cfg.b)
     report = bounds.best_bound(e, cfg.q)
-    convexity = analysis.log_convexity_verdict(cfg.ast, cfg.a, cfg.b,
-                                               cfg.grid_points)
+    convexity = analysis.log_convexity_verdict(cfg.ast, cfg.a, cfg.b)
     doc = _envelope(cfg)
     doc.update({
         "f3a_abs": e.f3a_abs, "f3b_abs": e.f3b_abs,
@@ -386,12 +379,12 @@ def cmd_certify(cfg: RunConfig) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> dict:
-    f, a, b, n = cfg.ast, cfg.a, cfg.b, cfg.grid_points
+    f, a, b = cfg.ast, cfg.a, cfg.b
     doc = _envelope(cfg)
     doc.update({
-        "grid_points": n,
-        "log_convexity": analysis.log_convexity_verdict(f, a, b, n),
-        "hermite_hadamard": analysis.check_hermite_hadamard(f, a, b, n),
+        "grid_points": analysis.GRID_POINTS,
+        "log_convexity": analysis.log_convexity_verdict(f, a, b),
+        "hermite_hadamard": analysis.check_hermite_hadamard(f, a, b),
         "identity_residual": quadrature.identity_residual(f, a, b),
     })
     return doc

@@ -268,7 +268,7 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
     :class:`NonConvergence` once more than DEFAULT_EVAL_BUDGET evaluations
     would be needed, or as soon as a panel to bisect has nodes that are not
     distinct floats: its rule difference is then rounding, which no halving
-    shrinks.
+    shrinks.  A panel or total sum beyond float range is a DomainError.
     """
     require_interval(a, b)
     span = b - a
@@ -289,11 +289,16 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
         half = 0.5 * (hi - lo)
         xs = [mid + half * t for t in _CC_NODES]
         values = list(map(fn, xs))
-        fine = half * math.fsum(map(operator.mul, _CC_FINE, values))
-        coarse = half * math.fsum(map(operator.mul, _CC_COARSE, values[::2]))
+        try:
+            fine = half * math.fsum(map(operator.mul, _CC_FINE, values))
+            coarse = half * math.fsum(map(operator.mul, _CC_COARSE,
+                                          values[::2]))
+            magnitude = half * math.fsum(map(operator.mul, _CC_FINE,
+                                             map(abs, values)))
+        except OverflowError:  # a partial sum, before the halving
+            raise DomainError("reference integral leaves float range") \
+                from None
         err = abs(fine - coarse)
-        magnitude = half * math.fsum(map(operator.mul, _CC_FINE,
-                                         map(abs, values)))
         floor = _ROUNDOFF_ULPS * magnitude
         if err <= tol * (hi - lo) / span or err <= floor:
             pieces.append(fine)
@@ -302,7 +307,7 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
         else:
             stack.append((mid, hi, depth + 1))
             stack.append((lo, mid, depth + 1))
-    return math.fsum(pieces)
+    return _finite_sum("reference integral", pieces)
 
 
 #: The tolerance of every reference integral, near the scheme's trust limit

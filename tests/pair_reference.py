@@ -4,7 +4,7 @@ This is the loop that :func:`hh3.analysis._midpoint_pairs` replaces with one
 pass per diagonal, which forms each ratio from the samples' mantissas and
 adds their binary exponents, with no common rescale.  Where the loop's
 products and ratio are normal floats, both round each ratio alike, so the
-tests hold the report of the one to that of the other: the worst violation
+tests hold the block of the one to that of the other: the worst violation
 to its bits, the witness (the first pair, i then j, that attains it) and
 the number of pairs.
 """
@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import math
 
-from hh3.analysis import PAIR_RELTOL, ConvexityReport
+from hh3.analysis import PAIR_RELTOL
 
 
 def midpoint_pairs_reference(xs: tuple[float, ...], gs: tuple[float, ...]
-                             ) -> ConvexityReport:
+                             ) -> dict:
     n = len(xs)
     for x, g in zip(xs, gs):
         if not (math.isfinite(g) and g > 0.0):
-            return ConvexityReport(passed=False, worst_violation=math.inf,
-                                   witness=(x, x), pairs_tested=0)
+            return {"passed": False, "worst_violation": math.inf,
+                    "witness": [x, x], "pairs_tested": 0, "grid_points": n,
+                    "kind": "sampled-evidence"}
     worst = -math.inf
     witness = None
     pairs = 0
@@ -34,8 +35,8 @@ def midpoint_pairs_reference(xs: tuple[float, ...], gs: tuple[float, ...]
             pairs += 1
             if violation > worst:
                 worst = violation
-                witness = (xs[i], xs[j])
+                witness = [xs[i], xs[j]]
     passed = worst <= PAIR_RELTOL
-    return ConvexityReport(passed=passed, worst_violation=worst,
-                           witness=None if passed else witness,
-                           pairs_tested=pairs)
+    return {"passed": passed, "worst_violation": worst,
+            "witness": None if passed else witness, "pairs_tested": pairs,
+            "grid_points": n, "kind": "sampled-evidence"}

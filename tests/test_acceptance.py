@@ -169,13 +169,13 @@ def test_criterion_08_log_convexity_verdicts_and_power_invariance():
     for entry in analysis.catalog():
         ast = entry.ast()
         report = analysis.check_log_convexity(ast, entry.a, entry.b)
-        if report.passed != entry.log_convex:
-            failures.append(f"{entry.expression}: verdict {report.passed}, "
+        if report["passed"] != entry.log_convex:
+            failures.append(f"{entry.expression}: verdict {report['passed']}, "
                             f"catalog says {entry.log_convex}")
         xs, gs = analysis.grid_samples(ast, entry.a, entry.b)
         for q in (1.0, 2.0, 5.0):  # ln g^q = q ln g
             powered = analysis._midpoint_pairs(xs, tuple(g ** q for g in gs))
-            if powered.passed != report.passed:
+            if powered["passed"] != report["passed"]:
                 failures.append(f"{entry.expression} q={q}: verdict flipped")
     check(8, "sampled log-convexity verdicts match the catalog and are "
              "invariant under q in {1, 2, 5}", failures)

@@ -74,7 +74,7 @@ def test_the_classifier_refuses_what_its_rules_do_not_cover(source, a, b):
 
 def _sample_agrees(source: str, a: float, b: float) -> None:
     """The 257-point pair test passes."""
-    assert check_log_convexity(parse(source), a, b).passed, source
+    assert check_log_convexity(parse(source), a, b)["passed"], source
 
 
 def test_every_catalog_proof_is_sampled_as_log_convex():

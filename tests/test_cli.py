@@ -49,7 +49,7 @@ def test_success_is_zero(capsys):
     ["bounds", "--f", "exp(x)", "--a", "1", "--b", "0"],  # empty interval
     ["bounds", "--f", "exp(x)", "--a", "0", "--b", "0"],
     ["bounds", "--f", "exp(x)", "--a", "nan", "--b", "1"],
-    ["bounds", *EXP01, "--grid-n", "4"],                  # even grid
+    ["bounds", *EXP01, "--format", "xml"],                # unknown format
     ["integrate", *EXP01, "--n", "0"],
     ["integrate", *EXP01, "--method", "simpson"],         # unknown choice
     ["integrate", *EXP01, "--method", "thm2"],            # chi1 only
@@ -177,6 +177,19 @@ def test_reference_integration_stops_at_a_panel_it_cannot_halve(capsys):
     assert err == ("hh3: reference integration cannot halve the panel "
                    "[0.3657670820320444, 0.36576708203205843]: its nodes are "
                    "not distinct floats\n")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("integrate", ["--oracle"]), ("sweep", ["--n-list", "1"]),
+    ("verify", [])])
+def test_a_reference_integral_outside_float_range_is_named(capsys, command,
+                                                           extra):
+    # the integral, 5.0e307, is a float, but a panel's weighted sum reaches
+    # about 2e308 before the halving that scales it to the panel
+    code, out, err = run(capsys, command, "--f", "1e308*exp(x/1000)",
+                         "--a", "0", "--b", "0.5", *extra)
+    assert (code, out, err) == (
+        EXIT_MATH, "", "hh3: reference integral leaves float range\n")
 
 
 # --------------------------------------------------------------------------
@@ -545,6 +558,46 @@ def test_the_bounded_commands_refuse_through_one_function(
         assert run(capsys, *argv)[0] == EXIT_OK
 
 
+@pytest.mark.parametrize("f, a, b", [
+    *((entry.expression, repr(entry.a), repr(entry.b))
+      for entry in analysis.catalog()),
+    ("sqrt(x+0.1)*exp(-x)", "0", "1"),
+    ("1/(1+25*(x-0.5)^2)", "0.1", "0.7"),
+    ("x^4+exp(4*x)", "0.1", "0.7")])
+def test_the_printed_verdict_is_the_gates(capsys, f, a, b):
+    # bounds and verify print a failed hypothesis exactly where integrate
+    # refuses it, all on one 257-point grid
+    argv = ["--f", f, "--a", a, "--b", b]
+    code, _, err = run(capsys, "integrate", *argv)
+    refused = code == EXIT_MATH and err.startswith(
+        "hh3: |f'''| is not log-convex")
+    assert refused or (code, err) == (EXIT_OK, "")
+    code, out, err = run(capsys, "bounds", *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["hypothesis_supported"] is not refused
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert doc["log_convexity"]["passed"] is not refused
+    assert doc["grid_points"] == analysis.GRID_POINTS == 257
+    assert doc["log_convexity"]["grid_points"] in (None, 257)
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_the_grid_is_neither_a_flag_nor_a_config_key(capsys, tmp_path,
+                                                     command):
+    code, out, err = run(capsys, command, "--f", "sqrt(x+0.1)*exp(-x)",
+                         "--a", "0", "--b", "1", "--grid-n", "17")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"hh3: error: {command}: unrecognized argument "
+                   "'--grid-n'\n")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"grid_points": 257}))
+    code, out, err = run(capsys, command, *EXP01, "--config", str(path))
+    assert (code, out, err) == (
+        EXIT_USAGE, "", "hh3: error: --config: unknown key 'grid_points'\n")
+
+
 def test_bounds_proves_a_ratio_beyond_the_pair_tests_span(capsys):
     # |f'''| spans more than 2^1021 on the grid; the classifier proves it,
     # so no pair is tested
@@ -834,7 +887,7 @@ def test_flags_set_to_zero_override_config(capsys, tmp_path):
 
 # A valid value of each key, under a run on [0, 1] with the flags of BASE
 VALID = {"f": "exp(2*x)", "a": 0.25, "b": 0.75, "out": "report.txt",
-         "format": "csv", "grid_points": 5, "n": 3, "method": "thm1",
+         "format": "csv", "n": 3, "method": "thm1",
          "q": 3.0, "per_interval": True, "oracle": True, "tol": 1e-3,
          "n_max": 8, "n_list": "1,2"}
 BASE = {"certify": {"tol": 1e-2}, "sweep": {"n_list": "4"}}
@@ -893,7 +946,7 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     ("a", True),             # numbers reject booleans
     ("q", "3"),
     ("n_max", 64.0),
-    ("grid_points", None),
+    ("n", None),
     ("n_list", [1, 2.0]),
     ("per_interval", 1),
     ("f", 3),
@@ -936,14 +989,10 @@ def resolved(*argv):
     (["integrate", "--n", "10000000000000000"], "--n", 2 ** 20),
     (["sweep", "--n-list", "1,1048577"], "--n-list", 2 ** 20),
     (["certify", "--tol", "1e-6", "--n-max", "1048577"], "--n-max", 2 ** 20),
-    (["bounds", "--grid-n", "4099"], "--grid-n", 4097),
-    (["verify", "--grid-n", "1000001"], "--grid-n", 4097),
 ])
 def test_counts_above_their_caps_are_refused_before_any_work(argv, flag,
                                                              limit):
-    # a per-interval run at 2^20 subintervals needs more than a gigabyte;
-    # the pair test on a 4097-point grid takes about a second, and it grows
-    # as the square of the grid
+    # a per-interval run at 2^20 subintervals needs more than a gigabyte
     with pytest.raises(UsageError) as info:
         resolved(argv[0], *EXP01, *argv[1:])
     assert str(info.value).startswith(f"{flag}: must be <= {limit}, got ")
@@ -951,15 +1000,12 @@ def test_counts_above_their_caps_are_refused_before_any_work(argv, flag,
 
 def test_counts_at_their_caps_are_accepted(tmp_path):
     assert resolved("integrate", *EXP01, "--n", "1048576").n == 2 ** 20
-    assert resolved("verify", *EXP01, "--grid-n", "4097").grid_points == 4097
     assert resolved("sweep", *EXP01, "--n-list", "1048576").n_list == (2 ** 20,)
     # config keys meet the same caps, under any command
-    for key, value, flag in (("grid_points", 4099, "--grid-n"),
-                             ("n_max", 2 ** 20 + 1, "--n-max")):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({key: value}))
-        with pytest.raises(UsageError, match=f"^{flag}: must be <= "):
-            resolved("integrate", *EXP01, "--config", str(path))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"n_max": 2 ** 20 + 1}))
+    with pytest.raises(UsageError, match="^--n-max: must be <= "):
+        resolved("integrate", *EXP01, "--config", str(path))
 
 
 def test_config_rejects_non_object(capsys, tmp_path):

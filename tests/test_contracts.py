@@ -24,7 +24,7 @@ import pytest
 import hh3
 import hh3.quadrature
 from hh3 import cli, errors
-from hh3.analysis import CatalogEntry, ConvexityReport
+from hh3.analysis import CatalogEntry
 from hh3.bounds import BoundReport, DerivEndpoints
 from hh3.expr import (BinOp, Const, Func, Neg, Num, Var, compile_jet3,
                       parse)
@@ -130,8 +130,8 @@ def test_cli_import_builds_no_record_through_typing_namedtuple():
     done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    # the 16 record types; their base has no _fields of its own
-    assert done.stdout.split() == ["16"]
+    # the 15 record types; their base has no _fields of its own
+    assert done.stdout.split() == ["15"]
 
 
 def test_cli_import_calls_no_eval_exec_or_compile():
@@ -189,14 +189,12 @@ _RECORDS = [
     (CertifyOutcome, {"result": QuadResult(1.0, 1.5, 0.01, (1.0, 2.0),
                                            (0.01,), (0.0, 1.0), (1.5,)),
                       "n_final": 1, "iterations": 1}),
-    (ConvexityReport, {"passed": False, "worst_violation": 0.5,
-                       "witness": (0.0, 1.0), "pairs_tested": 3}),
     (CatalogEntry, {"expression": "exp(x)", "a": 0.0, "b": 1.0,
                     "log_convex": True}),
     (cli.RunConfig, {"command": "integrate", "expression": "x", "ast": _X,
                      "a": 0.0, "b": 1.0, "fmt": "json", "out": None, "n": 4,
                      "tol": None, "method": "best", "q": None, "n_list": (),
-                     "grid_points": 257, "n_max": 2 ** 20,
+                     "n_max": 2 ** 20,
                      "per_interval": False, "oracle": False}),
 ]
 
@@ -228,12 +226,10 @@ _FIELDS = {
     QuadResult: ("midpoint_sum", "corrected_sum", "certified_bound", "f3",
                  "interval_bounds", "points", "midpoint_f3"),
     CertifyOutcome: ("result", "n_final", "iterations"),
-    ConvexityReport: ("passed", "worst_violation", "witness",
-                      "pairs_tested"),
     CatalogEntry: ("expression", "a", "b", "log_convex"),
     cli.RunConfig: ("command", "expression", "ast", "a", "b", "fmt", "out",
-                    "n", "tol", "method", "q", "n_list", "grid_points",
-                    "n_max", "per_interval", "oracle"),
+                    "n", "tol", "method", "q", "n_list", "n_max",
+                    "per_interval", "oracle"),
     cli.Option: ("flag", "kind", "commands", "help"),
     Table: ("keys", "columns"),
 }
