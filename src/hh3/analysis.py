@@ -177,6 +177,8 @@ def check_hermite_hadamard(f: Node, a: float, b: float) -> dict:
     mean = reference_integral(f, a, b) / (b - a)
     mid_value = jet(0.5 * (a + b))[0]
     end_mean = 0.5 * (jets[0][0] + jets[-1][0])
+    if not math.isfinite(end_mean):  # f(a) + f(b) overflows, their halves not
+        end_mean = 0.5 * jets[0][0] + 0.5 * jets[-1][0]
     lower = mean - mid_value
     upper = end_mean - mean
     slack_scale = max(1.0, abs(mean))

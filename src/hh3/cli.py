@@ -397,13 +397,12 @@ _SWEEP_HEADER = ("n", "midpoint_sum", "corrected_sum", "bound_thm1",
 def cmd_sweep(cfg: RunConfig) -> str:
     analysis.require_log_convex(cfg.ast, cfg.a, cfg.b)
     truth = quadrature.reference_integral(cfg.ast, cfg.a, cfg.b)
-    rows, result = [], None
+    rows = []
     for n in cfg.n_list:
         division = quadrature.uniform_division(cfg.a, cfg.b, n)
-        # "best" is thm1, so one bound fills both bound columns.  Given the
-        # result before, a count twice its n evaluates only new points.
+        # "best" is thm1, so one bound fills both bound columns
         result = quadrature.require_above_floor(
-            quadrature.composite_bound(cfg.ast, division, coarse=result))
+            quadrature.composite_bound(cfg.ast, division))
         error = abs(result.corrected_sum - truth)
         ratio = result.certified_bound / error if error > 0.0 else math.inf
         rows.append((n, result.midpoint_sum, result.corrected_sum,

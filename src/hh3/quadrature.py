@@ -84,20 +84,19 @@ def _checked(points: Sequence[float]) -> tuple[float, ...]:
 
 def _midpoint_pass(jet: Callable, points: tuple[float, ...]) -> tuple:
     """One pass over the subintervals, left to right: the terms of the
-    midpoint and the corrected sums, and f''' at the midpoints."""
-    plain, corrected, f3 = [], [], []
+    midpoint and the corrected sums."""
+    plain, corrected = [], []
     try:
         for lo, hi in zip(points, points[1:]):
             h = hi - lo
-            f0, _, f2, d3 = jet(0.5 * (lo + hi))
+            f0, _, f2, _ = jet(0.5 * (lo + hi))
             hf = h * f0
             plain.append(hf)
             corrected.append(hf + h ** 3 / 24.0 * f2)
-            f3.append(d3)
     except OverflowError:  # of h ** 3: a jet raises DomainError instead
         raise DomainError(f"h^3 of the corrected midpoint term leaves float "
                           f"range at h = {h!r}") from None
-    return plain, corrected, f3
+    return plain, corrected
 
 
 def corrected_midpoint_sum(f: Node, points: Sequence[float]) -> float:
@@ -115,42 +114,27 @@ class QuadResult(Record):
         "certified_bound",  # float: fsum of interval_bounds
         "f3",               # floats: |f'''| at each division point
         "interval_bounds",  # floats: one bound per subinterval
-        "points",           # floats: the division
-        "midpoint_f3")      # floats: f''' at its midpoints
+        "points")           # floats: the division
 
 
-def composite_bound(f: Node, points: Sequence[float], *,
-                    coarse: QuadResult | None = None) -> QuadResult:
+def composite_bound(f: Node, points: Sequence[float]) -> QuadResult:
     """Corrected-midpoint sums plus a certified bound on the corrected one.
 
     ``points`` is any strictly increasing division of [a, b], such as
     :func:`uniform_division` returns.  Each subinterval's bound is chi1: no
-    exponent lets chi2 or chi3 beat it (see :mod:`hh3.bounds`).  Requires
-    |f'''| positive and normal at every division point.  Errors surface in
-    this order: the points, |f'''| at each point, the jet at each midpoint,
-    each subinterval's ratios, then the sums and the bound, which must be
-    finite.
-
-    ``coarse`` is the result of ``f`` at a coarser division.  Where
-    ``points[::2]`` equals its points bit for bit, as
-    ``uniform_division(a, b, 2 * n)`` does at n, its ``f3`` is taken as
-    given, and an odd point equal to the midpoint it splits takes |f'''|
-    from its ``midpoint_f3``; every other point is evaluated.  Division
-    points need only f''', so they run the jet's f'''-only companion.
+    exponent lets chi2 or chi3 beat it (see :mod:`hh3.bounds`).  Each call
+    evaluates its own points: f''' alone at each division point, where
+    |f'''| must be positive and normal, and the whole jet at each midpoint.
+    Errors surface in this order: the points, |f'''| at each point, the jet
+    at each midpoint, each subinterval's ratios, then the sums and the
+    bound, which must be finite.
     """
     points = _checked(points)
     jet = compile_jet3(f)
-    if coarse is not None and points[::2] == coarse.points:
-        f3 = [0.0] * len(points)
-        f3[::2] = coarse.f3
-        f3[1::2] = _f3_magnitudes(jet.f3, points[1::2], [
-            v if 0.5 * (lo + hi) == x else None
-            for lo, x, hi, v in zip(points[::2], points[1::2], points[2::2],
-                                    coarse.midpoint_f3)])
-    else:
-        f3 = _f3_magnitudes(jet.f3, points)
-
-    plain, corrected, midpoint_f3 = _midpoint_pass(jet, points)
+    f3_of = jet.f3   # require_f3's test, inline: a call per point is slow
+    f3 = [m if 2.2250738585072014e-308 <= (m := abs(f3_of(x)))
+          <= 1.7976931348623157e308 else require_f3(x, m) for x in points]
+    plain, corrected = _midpoint_pass(jet, points)
     interval_bounds = _bounds.interval_chi1(   # the widths h = hi - lo
         f3, map(operator.sub, points[1:], points))
 
@@ -161,7 +145,6 @@ def composite_bound(f: Node, points: Sequence[float], *,
         f3=tuple(f3),
         interval_bounds=interval_bounds,
         points=points,
-        midpoint_f3=tuple(midpoint_f3),
     )
 
 
@@ -192,20 +175,6 @@ def _finite_sum(name: str, terms: Sequence[float]) -> float:
     except (OverflowError, ValueError):  # a partial sum overflows, inf - inf
         total = math.nan
     return require_finite(name, total)
-
-
-def _f3_magnitudes(f3: Callable, points: Sequence[float],
-                   given: Sequence[float | None] | None = None
-                   ) -> list[float]:
-    """|f'''| at each point, left to right, once each is finite and normal.
-
-    ``f3`` maps x to f'''.  ``given`` holds, in step with ``points``, f'''
-    already evaluated at a point, or None where it is still to be."""
-    values = map(f3, points) if given is None else (
-        f3(x) if v is None else v for x, v in zip(points, given))
-    return [m if 2.2250738585072014e-308 <= (m := abs(v))
-            <= 1.7976931348623157e308 else require_f3(x, m)
-            for x, v in zip(points, values)]
 
 
 # --------------------------------------------------------------------------
@@ -268,7 +237,8 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
     :class:`NonConvergence` once more than DEFAULT_EVAL_BUDGET evaluations
     would be needed, or as soon as a panel to bisect has nodes that are not
     distinct floats: its rule difference is then rounding, which no halving
-    shrinks.  A panel or total sum beyond float range is a DomainError.
+    shrinks.  A sum beyond float range, of a panel as
+    :func:`_panel_rules` forms it or of the panels, is a DomainError.
     """
     require_interval(a, b)
     span = b - a
@@ -289,15 +259,7 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
         half = 0.5 * (hi - lo)
         xs = [mid + half * t for t in _CC_NODES]
         values = list(map(fn, xs))
-        try:
-            fine = half * math.fsum(map(operator.mul, _CC_FINE, values))
-            coarse = half * math.fsum(map(operator.mul, _CC_COARSE,
-                                          values[::2]))
-            magnitude = half * math.fsum(map(operator.mul, _CC_FINE,
-                                             map(abs, values)))
-        except OverflowError:  # a partial sum, before the halving
-            raise DomainError("reference integral leaves float range") \
-                from None
+        fine, coarse, magnitude = _panel_rules(half, values)
         err = abs(fine - coarse)
         floor = _ROUNDOFF_ULPS * magnitude
         if err <= tol * (hi - lo) / span or err <= floor:
@@ -308,6 +270,22 @@ def integrate_adaptive(fn: Callable[[float], float], a: float, b: float,
             stack.append((mid, hi, depth + 1))
             stack.append((lo, mid, depth + 1))
     return _finite_sum("reference integral", pieces)
+
+
+def _panel_rules(half: float, values: list[float]) -> tuple[float, ...]:
+    """The fine rule, the coarse rule and the fine rule of |f| on a panel of
+    half-width ``half`` from its node ``values``: each sum on [-1, 1], then
+    halved.  Where a sum overflows, and half < 1, all are formed again from
+    the halved values; DomainError where they overflow too."""
+    try:
+        return (half * math.fsum(map(operator.mul, _CC_FINE, values)),
+                half * math.fsum(map(operator.mul, _CC_COARSE, values[::2])),
+                half * math.fsum(map(operator.mul, _CC_FINE,
+                                     map(abs, values))))
+    except OverflowError:
+        if half < 1.0:
+            return _panel_rules(1.0, [half * v for v in values])
+        raise DomainError("reference integral leaves float range") from None
 
 
 #: The tolerance of every reference integral, near the scheme's trust limit
@@ -380,16 +358,8 @@ def certify(f: Node, a: float, b: float, tol: float,
     """Double a uniform division until the certified bound meets ``tol``.
 
     Starts at one subinterval and doubles n, so n is reached at level
-    n.bit_length().  Each level is one :func:`composite_bound` call, given
-    the result before it as ``coarse``: point i of n is bit for bit point
-    2i of 2n, because (b - a)/(2n) is exactly half of (b - a)/n.  Each
-    odd point of 2n that equals the midpoint of n it splits, as all do
-    where the points are exact binary fractions (on [0, 1], say), takes
-    |f'''| from the level before's ``midpoint_f3``.  So a doubling
-    evaluates the jets at its 2n midpoints, and f''' alone only at the odd
-    points that differ from the old midpoints.  Where halving is inexact (a
-    subnormal width) the old points no longer match, and the level
-    evaluates every point.
+    n.bit_length().  Each level is one :func:`composite_bound` call, which
+    evaluates its own n + 1 points and n midpoints.
 
     Raises :class:`BadInterval` for a ``tol`` that is not positive or an
     ``n_max`` below 1, :class:`ToleranceUnreachable` (carrying the best
@@ -429,35 +399,24 @@ def certify(f: Node, a: float, b: float, tol: float,
     if n_max < 1:
         raise BadInterval(f"need at least one subinterval, got n_max = "
                           f"{n_max}")
-    # The levels make no reference cycles, but every jet allocates a tuple,
-    # and the collections that sets off would scan the levels' lists again
-    # and again; the caller's setting is restored.
-    import gc  # here, as only certify needs it
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        result, best_seen, n = None, math.inf, 1
-        while n <= n_max:
-            result = composite_bound(f, uniform_division(a, b, n),
-                                     coarse=result)
-            best_seen = min(best_seen, result.certified_bound)
+    best_seen, n = math.inf, 1
+    while n <= n_max:
+        result = composite_bound(f, uniform_division(a, b, n))
+        best_seen = min(best_seen, result.certified_bound)
 
-            lower = abs(result.corrected_sum) - result.certified_bound - tol
-            if _below_floor(tol, max(lower, 0.0)):  # R >= 0 only lowers L
-                lower = max(lower - _ROUNDING_ULPS * sys.float_info.epsilon
-                            * _rounding_mass(f, result.points), 0.0)
-                if _below_floor(tol, lower):   # so ulp(lower) / 2 is exact
-                    raise BelowRoundingFloor(tol, best_seen, n,
-                                             math.ulp(lower) / 2)
+        lower = abs(result.corrected_sum) - result.certified_bound - tol
+        if _below_floor(tol, max(lower, 0.0)):  # R >= 0 only lowers L
+            lower = max(lower - _ROUNDING_ULPS * sys.float_info.epsilon
+                        * _rounding_mass(f, result.points), 0.0)
+            if _below_floor(tol, lower):   # so ulp(lower) / 2 is exact
+                raise BelowRoundingFloor(tol, best_seen, n,
+                                         math.ulp(lower) / 2)
 
-            if result.certified_bound <= tol:
-                return CertifyOutcome(result=require_above_floor(result),
-                                      n_final=n, iterations=n.bit_length())
-            n *= 2
-        raise ToleranceUnreachable(tol, best_seen, n // 2)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+        if result.certified_bound <= tol:
+            return CertifyOutcome(result=require_above_floor(result),
+                                  n_final=n, iterations=n.bit_length())
+        n *= 2
+    raise ToleranceUnreachable(tol, best_seen, n // 2)
 
 
 def _rounding_mass(f: Node, points: tuple[float, ...]) -> float:

@@ -95,6 +95,17 @@ def test_hermite_hadamard_exponential():
     assert block["upper_slack"] > 0.0
 
 
+def test_hermite_hadamard_endpoint_mean_near_the_top_of_float_range():
+    # f(a) + f(b) overflows, but their mean, 1.00025e308, is a float: it
+    # printed null for endpoint_mean and upper_slack beside "passed": true
+    block = check_hermite_hadamard(parse("1e308*exp(x/1000)"), 0.0, 0.5)
+    assert block["convex"] is block["passed"] is True
+    assert block["endpoint_mean"] == pytest.approx(
+        1e308 * ((1.0 + math.exp(0.0005)) / 2.0), rel=1e-15)
+    assert 0.0 < block["upper_slack"] < math.inf
+    assert 0.0 < block["lower_slack"] < math.inf
+
+
 def test_hermite_hadamard_flat_function_passes_on_slack():
     # f(x) = x is convex with zero slack on both sides
     block = check_hermite_hadamard(parse("x"), 0.0, 2.0)

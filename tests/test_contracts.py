@@ -184,10 +184,9 @@ _RECORDS = [
                    "min_value": 0.1, "argmin_label": "chi1"}),
     (QuadResult, {"midpoint_sum": 1.0, "corrected_sum": 1.5,
                   "certified_bound": 0.01, "f3": (1.0, 2.0),
-                  "interval_bounds": (0.01,), "points": (0.0, 1.0),
-                  "midpoint_f3": (1.5,)}),
+                  "interval_bounds": (0.01,), "points": (0.0, 1.0)}),
     (CertifyOutcome, {"result": QuadResult(1.0, 1.5, 0.01, (1.0, 2.0),
-                                           (0.01,), (0.0, 1.0), (1.5,)),
+                                           (0.01,), (0.0, 1.0)),
                       "n_final": 1, "iterations": 1}),
     (CatalogEntry, {"expression": "exp(x)", "a": 0.0, "b": 1.0,
                     "log_convex": True}),
@@ -224,7 +223,7 @@ _FIELDS = {
     DerivEndpoints: ("f3a_abs", "f3b_abs", "a", "b"),
     BoundReport: ("chi1", "chi2", "chi3", "q", "min_value", "argmin_label"),
     QuadResult: ("midpoint_sum", "corrected_sum", "certified_bound", "f3",
-                 "interval_bounds", "points", "midpoint_f3"),
+                 "interval_bounds", "points"),
     CertifyOutcome: ("result", "n_final", "iterations"),
     CatalogEntry: ("expression", "a", "b", "log_convex"),
     cli.RunConfig: ("command", "expression", "ast", "a", "b", "fmt", "out",

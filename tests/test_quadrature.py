@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -187,6 +188,28 @@ def test_integrate_adaptive_handles_large_magnitudes():
     # floor must accept panels instead of bisecting forever
     got = integrate_adaptive(lambda x: 1e8 * math.exp(x), 0.0, 1.0, 1e-13)
     assert got == pytest.approx(1e8 * (math.e - 1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("source, b, exact", [
+    ("1e308*exp(x/1000)", 0.5,
+     lambda: mpmath.mpf(1e308) * 1000 * mpmath.expm1(mpmath.mpf(0.5) / 1000)),
+    ("1e308+x", 1.5,
+     lambda: mpmath.mpf(1e308) * 1.5 + mpmath.mpf(1.5) ** 2 / 2),
+], ids=["exp", "affine"])
+def test_reference_integral_near_the_top_of_float_range(source, b, exact):
+    # each panel's weighted sum on [-1, 1] overflows before the halving that
+    # scales it to the panel, so the sums are formed from halved values
+    with mpmath.workdps(40):
+        expected = float(exact())
+    assert reference_integral(parse(source), 0.0, b) == pytest.approx(
+        expected, rel=2 * sys.float_info.epsilon)
+
+
+def test_reference_integral_beyond_float_range_is_a_domain_error():
+    # the integral is 1.6e309; the panels of width 4 cannot halve first
+    with pytest.raises(DomainError,
+                       match="^reference integral leaves float range$"):
+        reference_integral(parse("1e308+x"), 0.0, 16.0)
 
 
 def test_integrate_adaptive_needle():
@@ -462,7 +485,7 @@ def test_certify_refuses_n_max_below_one(n_max):
 
 
 # --------------------------------------------------------------------------
-# certify: the rounding floor, nested divisions and jet reuse
+# certify: the rounding floor, the jets of each level, nested divisions
 # --------------------------------------------------------------------------
 
 def test_certify_stops_at_the_rounding_floor():
@@ -501,58 +524,29 @@ def _counting_jets(monkeypatch) -> list[float]:
     return calls
 
 
-def test_certify_evaluates_each_division_point_once(monkeypatch):
-    # levels n = 1, 2, 4, 8: the odd points of each level are the midpoints
-    # of the one before, so the jets are the 9 points of n = 8 and its 8
-    # midpoints, each once; evaluating every point and midpoint of every
-    # level took 3 + 5 + 9 + 17 = 34 jets
+def test_certify_evaluates_each_level_s_points_and_midpoints_once(
+        monkeypatch):
+    # levels n = 1, 2, 4, 8, each its n + 1 points and n midpoints
     calls = _counting_jets(monkeypatch)
     outcome = certify(parse("8*x^3"), 0.0, 1.0, 1e-3)
     assert (outcome.n_final, outcome.iterations) == (8, 4)
-    assert len(calls) == 17
-    assert len(set(calls)) == len(calls)
-
-
-def test_certify_reuses_matching_midpoints_on_a_non_dyadic_interval(
-        monkeypatch):
-    f = parse("exp(x)+exp(2*x)")
-    calls = _counting_jets(monkeypatch)
-    outcome = certify(f, 0.1, 0.8, 1e-9)
-    levels = [2 ** i for i in range(outcome.iterations)]
-    # evaluating every odd point again, as certify once did
-    every_odd_point = 3 + sum(n // 2 + n for n in levels[1:])
-    assert len(set(calls)) == len(calls) < every_odd_point
-    monkeypatch.undo()
-    expected = composite_bound(f, uniform_division(0.1, 0.8, outcome.n_final))
-    assert repr(outcome.result) == repr(expected)
+    levels = [uniform_division(0.0, 1.0, n) for n in (1, 2, 4, 8)]
+    assert calls == [x for points in levels for x in (
+        *points, *(0.5 * (lo + hi) for lo, hi in zip(points, points[1:])))]
 
 
 def test_rounding_floor_reads_the_level_jets(monkeypatch):
     calls = _counting_jets(monkeypatch)
     with pytest.raises(BelowRoundingFloor) as info:
         certify(parse("exp(50*x)"), 0.0, 1.0, 1e-6)
-    # the points and midpoints of the last level, each once, then that
-    # level's midpoints again for the rounding mass A, which no level holds
+    # each level's points and midpoints, once each, then the last level's
+    # midpoints again for the rounding mass A, which no level holds
     n = info.value.n_final
-    first, again = calls[:2 * n + 1], calls[2 * n + 1:]
-    assert len(set(first)) == len(first) == 2 * n + 1
+    levels = [2 ** i for i in range(n.bit_length())]
+    assert len(calls) == sum(2 * k + 1 for k in levels) + n
+    last, again = calls[-3 * n - 1:-n], calls[-n:]
+    assert len(set(last)) == len(last) == 2 * n + 1
     assert again == [(i + 0.5) / n for i in range(n)]
-
-
-@pytest.mark.parametrize("x, evaluated", [
-    (0.0, False), (-0.0, False),   # the midpoint 0.0 of [-1, 1]: one real
-    (0.25, True),
-])
-def test_an_odd_point_takes_the_jet_of_an_equal_coarse_midpoint(
-        monkeypatch, x, evaluated):
-    f = parse("exp(x)")
-    coarse = composite_bound(f, (-1.0, 1.0))
-    calls = _counting_jets(monkeypatch)
-    fine = composite_bound(f, (-1.0, x, 1.0), coarse=coarse)
-    midpoints = [0.5 * (-1.0 + x), 0.5 * (x + 1.0)]
-    assert calls == [x] * evaluated + midpoints
-    monkeypatch.undo()
-    assert fine == composite_bound(f, (-1.0, x, 1.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -610,9 +604,9 @@ def test_certify_evaluates_every_point_when_levels_do_not_nest(monkeypatch):
     calls = _counting_jets(monkeypatch)
     f = parse("exp(x)+exp(2*x)")
     outcome = certify(f, 0.1, 0.8, 1e-9)
-    # n = 2 still nests n = 1, whose only points are the endpoints
+    # every level evaluates its n + 1 points and n midpoints once
     levels = [2 ** i for i in range(outcome.iterations)]
-    assert len(calls) == sum(2 * n + 1 for n in levels) - 2
+    assert len(calls) == sum(2 * n + 1 for n in levels)
     expected = composite_bound(f, _jittered_division(0.1, 0.8,
                                                      outcome.n_final))
     assert repr(outcome.result) == repr(expected)
