@@ -25,7 +25,7 @@ from .errors import (BadInterval, BelowRoundingFloor, DomainError,
                      NonPositiveThirdDerivative, ToleranceUnreachable,
                      UnknownIdentifier)
 from .expr import Node, eval_jet3, evaluate, parse, to_text
-from .quadrature import (CertifyOutcome, QuadResult, certify, composite_bound,
+from .quadrature import (QuadResult, certify, composite_bound,
                          corrected_midpoint_sum, identity_residual,
                          integrate_adaptive, reference_integral,
                          uniform_division)
@@ -41,7 +41,7 @@ __all__ = [
     "holder_bound", "power_mean_bound", "best_bound", "DerivEndpoints",
     "BoundReport",
     # quadrature
-    "QuadResult", "CertifyOutcome", "uniform_division",
+    "QuadResult", "uniform_division",
     "corrected_midpoint_sum", "composite_bound", "reference_integral",
     "integrate_adaptive", "identity_residual", "certify",
     # analysis

@@ -4,9 +4,9 @@ Log-convexity of |f'''| is the standing hypothesis behind every bound in
 :mod:`hh3.bounds`.  :func:`log_convexity_verdict` first tries to *prove*
 it from the expression tree (:mod:`hh3.monotone`) and samples only where
 that fails.  It and :func:`check_hermite_hadamard` return the blocks the
-command line prints, each whatever the verdict, and
-:func:`require_log_convex` is the one refusal that every command computing
-a bound asks first.  All of them sample one grid, :data:`GRID_POINTS`.
+command line prints, whatever the verdict; :func:`require_log_convex`,
+the one refusal that every command computing a bound asks first, returns
+the block it passed.  All of them sample one grid, :data:`GRID_POINTS`.
 
 The sampled check cannot *prove* anything, so its verdict is explicitly
 evidence, not certificate: on a uniform grid of an odd number of
@@ -141,17 +141,17 @@ def log_convexity_verdict(f: Node, a: float, b: float) -> dict:
     return check_log_convexity(f, a, b)
 
 
-def require_log_convex(f: Node, a: float, b: float) -> None:
-    """Refuse an |f'''| whose :func:`log_convexity_verdict` fails, which
-    no proof covers and the pair test finds not log-convex: NotLogConvex
-    with the witness pair.  A witness whose sample is 0 (then x = y) or
-    subnormal, too few bits to test, is refused as the bounds refuse it."""
+def require_log_convex(f: Node, a: float, b: float) -> dict:
+    """The :func:`log_convexity_verdict` block where it passes; else
+    NotLogConvex with the witness pair or, where a witness sample is 0
+    (then x = y) or subnormal, too few bits to test, the bounds' refusal."""
     verdict = log_convexity_verdict(f, a, b)
-    if not verdict["passed"]:
-        x, y = verdict["witness"]
-        for t in (x, y):
-            require_f3(t, abs(eval_jet3(f, t)[3]))
-        raise NotLogConvex(x, y, verdict["worst_violation"])
+    if verdict["passed"]:
+        return verdict
+    x, y = verdict["witness"]
+    for t in (x, y):
+        require_f3(t, abs(eval_jet3(f, t)[3]))
+    raise NotLogConvex(x, y, verdict["worst_violation"])
 
 
 def check_hermite_hadamard(f: Node, a: float, b: float) -> dict:

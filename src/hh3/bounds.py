@@ -32,8 +32,8 @@ where the quotient leaves float range, so such a K is still bounded.
 ``mu`` and the Holder factor both degenerate to removable singularities as
 K -> 1 (mu(1) = 1/4, hf(1, q) = 1); both are computed from ln K through a
 series/closed-form split so that no cancellation is possible near that
-point.  Where q ln(K)/2 is too large for exp(), chi2 and chi3 take their
-q-th roots in log space.
+point.  Where |q ln(K)/2| is too large for exp(), chi2 and chi3 take
+their q-th roots in log space, so every finite q gives a finite bound.
 
 chi1 folds its two moments into one even series of positive terms: with
 K = e^(2L), |f'''(b)| mu(K) + |f'''(a)| mu(M) = sqrt(|f'''(a)| |f'''(b)|)
@@ -66,6 +66,7 @@ L_SWITCH = 4.0
 
 _SERIES_RELTOL = 1e-18
 _HALF_LOG_LIMIT = 700.0  # exp() overflows just above exp(709)
+_LN6 = math.log(6.0)
 
 #: The exponent of chi2 and chi3 when none is given.
 DEFAULT_Q = 2.0
@@ -201,21 +202,26 @@ def _qth_root(log_k: float, q: float, power_mean: bool) -> float:
     """mu_q(K, q) ** (1/q) if ``power_mean``, else holder_factor(K, q) ** (1/q).
 
     mu_q(K, q) = mu(K^q) is the paper's notation, taken as the moment at
-    q ln K.  Where u = q ln(K)/2 exceeds the exp() limit the weight itself
-    may not fit in a float, so the root is taken in log space from
+    q ln K.  Where |u| = |q ln(K)/2| exceeds the exp() limit, the weight
+    or its power may leave float range, so the root is taken in log space:
 
-        ln holder_factor(K, q) = u - ln u
-        ln mu_q(K, q)          = u - ln u + ln(1 - 3/u + 6/u^2 - 6/u^3)
+        ln holder_factor(K, q) = u - ln u,  or -ln |u| where u < 0
+        ln mu_q(K, q)          = u - ln u + ln(1 - 3/u + 6/u^2 - 6/u^3),
+                                 or ln 6 - 4 ln |u| where u < 0
 
-    which drop only terms of relative size e^-u < 1e-304.  Elsewhere the
-    power is taken directly.
+    dropping terms of relative size e^-|u| < 1e-304, with ln |u| formed as
+    ln q + ln |ln(K)/2|, finite where u overflows.  Elsewhere the power is
+    taken directly.
     """
     u = q * log_k / 2.0
-    if u <= _HALF_LOG_LIMIT:
+    if abs(u) <= _HALF_LOG_LIMIT:
         weight = _moment_from_log(q * log_k) if power_mean else _expm1_mean(u)
         return weight ** (1.0 / q)
     half = log_k / 2.0
-    log_root = half - (math.log(q) + math.log(half)) / q
+    log_u = math.log(q) + math.log(abs(half))
+    if u < 0.0:
+        return math.exp((_LN6 - 4.0 * log_u if power_mean else -log_u) / q)
+    log_root = half - log_u / q
     if power_mean:
         log_root += math.log1p((-3.0 + (6.0 - 6.0 / u) / u) / u) / q
     return math.exp(log_root)
@@ -227,17 +233,18 @@ def _qth_root(log_k: float, q: float, power_mean: bool) -> float:
 # Each takes |f'''(a)| and |f'''(b)|, finite and positive (chi1 checks them,
 # chi2 and chi3 through _log_ratio), and b - a; the *_bound wrappers check q.
 
-def _cube_overflow(width: float) -> DomainError:
-    return DomainError(f"(b - a)^3 leaves float range at b - a = {width!r}")
+def _cube(width: float) -> float:
+    try:
+        return width ** 3
+    except OverflowError:
+        raise DomainError(f"(b - a)^3 leaves float range at b - a = "
+                          f"{width!r}") from None
 
 
 def chi1(f3a_abs: float, f3b_abs: float, width: float) -> float:
     """((b-a)^3/96) * (|f'''(b)| mu(K) + |f'''(a)| mu(M)) through C(L) (see
     the module docstring): the same bits whichever end comes first."""
-    try:
-        cube = width ** 3
-    except OverflowError:
-        raise _cube_overflow(width) from None
+    cube = _cube(width)
     total = f3a_abs + f3b_abs
     if not (0.0 < f3a_abs and 0.0 < f3b_abs
             and total <= 1.7976931348623157e308):  # sys.float_info.max
@@ -281,30 +288,29 @@ def _far_moments(lo: float, hi: float) -> float:
 
 
 def chi2(f3a_abs: float, f3b_abs: float, width: float, q: float) -> float:
-    """((b-a)^3/96) (1/(3p+1))^(1/p) (|f'''(b)| hf(K,q)^(1/q)
-                                     + |f'''(a)| hf(M,q)^(1/q)), q > 1.
-    """
+    """Theorem 2 (Holder), q > 1: factor (1/(3p+1))^(1/p), W = hf^(1/q)."""
     p = q / (q - 1.0)
-    try:
-        cube = width ** 3
-    except OverflowError:
-        raise _cube_overflow(width) from None
-    return cube / 96.0 * (1.0 / (3.0 * p + 1.0)) ** (1.0 / p) * (
-        f3b_abs * _qth_root(_log_ratio(f3a_abs, f3b_abs), q, False)
-        + f3a_abs * _qth_root(_log_ratio(f3b_abs, f3a_abs), q, False))
+    return _weighted_bound(f3a_abs, f3b_abs, width, q,
+                           (1.0 / (3.0 * p + 1.0)) ** (1.0 / p), False)
 
 
 def chi3(f3a_abs: float, f3b_abs: float, width: float, q: float) -> float:
-    """((b-a)^3/96) (1/4)^(1-1/q) (|f'''(b)| mu_q(K,q)^(1/q)
-                                  + |f'''(a)| mu_q(M,q)^(1/q)), q >= 1.
-    """
-    try:
-        cube = width ** 3
-    except OverflowError:
-        raise _cube_overflow(width) from None
-    return cube / 96.0 * 0.25 ** (1.0 - 1.0 / q) * (
-        f3b_abs * _qth_root(_log_ratio(f3a_abs, f3b_abs), q, True)
-        + f3a_abs * _qth_root(_log_ratio(f3b_abs, f3a_abs), q, True))
+    """Theorem 3 (power mean), q >= 1: factor (1/4)^(1-1/q), W = mu_q^(1/q)."""
+    return _weighted_bound(f3a_abs, f3b_abs, width, q,
+                           0.25 ** (1.0 - 1.0 / q), True)
+
+
+def _weighted_bound(f3a_abs: float, f3b_abs: float, width: float, q: float,
+                    factor: float, power_mean: bool) -> float:
+    """((b-a)^3/96) factor (|f'''(b)| W(K) + |f'''(a)| W(M)): chi2 and chi3."""
+    scale = _cube(width) / 96.0 * factor
+    w_k = _qth_root(_log_ratio(f3a_abs, f3b_abs), q, power_mean)
+    w_m = _qth_root(_log_ratio(f3b_abs, f3a_abs), q, power_mean)
+    total = f3b_abs * w_k + f3a_abs * w_m
+    if total < math.inf:
+        return scale * total
+    # the sum overflows; the bound is linear, and halving rounds nothing
+    return 2.0 * (scale * (0.5 * f3b_abs * w_k + 0.5 * f3a_abs * w_m))
 
 
 def interval_chi1(f3: Sequence[float],

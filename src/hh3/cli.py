@@ -14,9 +14,9 @@ errors, vanishing third derivative, a hypothesis the sampled pair test
 refutes, non-convergence, unreachable tolerance, a bound below the rounding
 floor),
 64 for usage errors (bad flags, malformed expressions, invalid intervals).
-``bounds`` and ``verify`` print the hypothesis blocks that
-:mod:`hh3.analysis` returns, and ``integrate``, ``certify`` and ``sweep``
-ask its one refusal, ``analysis.require_log_convex``, before any bound.
+All but ``sweep`` print the hypothesis blocks that :mod:`hh3.analysis`
+returns.  ``integrate``, ``certify`` and ``sweep`` ask its one refusal,
+``analysis.require_log_convex``, before any bound, so print no failed one.
 Both sample on the one grid ``analysis.GRID_POINTS``, so a printed verdict
 fails exactly where those commands refuse.
 Diagnostics go to stderr; stdout carries only the report, whose bytes are
@@ -256,6 +256,8 @@ def resolve(command: str, flags: dict) -> RunConfig:
     b = _require_finite("--b", values["b"])
     if not a < b:
         raise UsageError(f"--a/--b: need a < b, got [{a!r}, {b!r}]")
+    if b - a == math.inf:
+        raise UsageError(f"--a/--b: need a finite b - a, got [{a!r}, {b!r}]")
 
     fmt = values.get("format") or "json"
     if fmt not in ("json", "csv", "text"):
@@ -332,7 +334,7 @@ def cmd_bounds(cfg: RunConfig) -> dict:
 
 
 def cmd_integrate(cfg: RunConfig) -> dict:
-    analysis.require_log_convex(cfg.ast, cfg.a, cfg.b)
+    convexity = analysis.require_log_convex(cfg.ast, cfg.a, cfg.b)
     division = quadrature.uniform_division(cfg.a, cfg.b, cfg.n)
     result = quadrature.composite_bound(cfg.ast, division)
     # |I - midpoint_sum| <= certified_bound + |corrected_sum - midpoint_sum|;
@@ -346,6 +348,7 @@ def cmd_integrate(cfg: RunConfig) -> dict:
         "certified_bound": result.certified_bound,
         "midpoint_bound": require_finite("midpoint_bound", math.nextafter(
             result.certified_bound + gap, math.inf)),
+        "log_convexity": convexity,
     })
     quadrature.require_above_floor(result)
     if cfg.per_interval:
@@ -364,16 +367,18 @@ def cmd_integrate(cfg: RunConfig) -> dict:
 
 
 def cmd_certify(cfg: RunConfig) -> dict:
-    analysis.require_log_convex(cfg.ast, cfg.a, cfg.b)
-    outcome = quadrature.certify(cfg.ast, cfg.a, cfg.b, cfg.tol,
-                                 n_max=cfg.n_max)
+    convexity = analysis.require_log_convex(cfg.ast, cfg.a, cfg.b)
+    result = quadrature.certify(cfg.ast, cfg.a, cfg.b, cfg.tol,
+                                n_max=cfg.n_max)
+    n_final = len(result.points) - 1
     doc = _envelope(cfg)
     doc.update({
         "tol": cfg.tol, "method": cfg.method,
-        "n_final": outcome.n_final, "iterations": outcome.iterations,
-        "midpoint_sum": outcome.result.midpoint_sum,
-        "corrected_sum": outcome.result.corrected_sum,
-        "certified_bound": outcome.result.certified_bound,
+        "n_final": n_final, "iterations": n_final.bit_length(),
+        "midpoint_sum": result.midpoint_sum,
+        "corrected_sum": result.corrected_sum,
+        "certified_bound": result.certified_bound,
+        "log_convexity": convexity,
     })
     return doc
 

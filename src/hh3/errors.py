@@ -2,7 +2,7 @@
 
 Everything raised deliberately by this library derives from ``Hh3Error``,
 so callers can catch one type.  ``require_interval`` is the one check that
-an interval is finite with a < b, ``require_f3`` that a sample of |f'''| is
+a < b and b - a are finite, ``require_f3`` that a sample of |f'''| is
 finite and normal, and ``require_finite`` that a printed sum or bound is
 finite.  Overflow inside the moment helpers uses the builtin
 ``OverflowError`` (it is an overflow, and the builtin name says so).
@@ -91,9 +91,11 @@ class BadInterval(Hh3Error):
 
 
 def require_interval(a: float, b: float) -> None:
-    """Raise :class:`BadInterval` unless a and b are finite with a < b."""
+    """Raise :class:`BadInterval` unless a < b and b - a are finite."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise BadInterval(f"need finite a < b, got [{a!r}, {b!r}]")
+    if b - a == math.inf:
+        raise BadInterval(f"need a finite b - a, got [{a!r}, {b!r}]")
 
 
 def require_finite(name: str, value: float) -> float:

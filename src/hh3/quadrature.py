@@ -38,7 +38,7 @@ from .expr import Node, compile_jet3, eval_jet3, evaluate  # noqa: F401
 from .record import Record
 
 __all__ = [
-    "QuadResult", "CertifyOutcome", "uniform_division",
+    "QuadResult", "uniform_division",
     "corrected_midpoint_sum", "composite_bound", "reference_integral",
     "integrate_adaptive", "identity_residual", "certify",
     "require_above_floor", "DEFAULT_EVAL_BUDGET", "MAX_SUBINTERVALS",
@@ -344,22 +344,19 @@ def identity_residual(f: Node, a: float, b: float) -> float:
 # Certification loop
 # --------------------------------------------------------------------------
 
-class CertifyOutcome(Record):  # a QuadResult, and two ints
-    __slots__, _fields = (), ("result", "n_final", "iterations")
-
-
 #: The rounding allowance R of the floor stop in :func:`certify`, in units
 #: of eps times the absolute mass of a level's midpoint terms.
 _ROUNDING_ULPS = 2048.0
 
 
 def certify(f: Node, a: float, b: float, tol: float,
-            n_max: int = MAX_SUBINTERVALS) -> CertifyOutcome:
+            n_max: int = MAX_SUBINTERVALS) -> QuadResult:
     """Double a uniform division until the certified bound meets ``tol``.
 
     Starts at one subinterval and doubles n, so n is reached at level
     n.bit_length().  Each level is one :func:`composite_bound` call, which
-    evaluates its own n + 1 points and n midpoints.
+    evaluates its own n + 1 points and n midpoints; the first whose bound
+    meets ``tol`` is returned, its n being ``len(points) - 1``.
 
     Raises :class:`BadInterval` for a ``tol`` that is not positive or an
     ``n_max`` below 1, :class:`ToleranceUnreachable` (carrying the best
@@ -413,8 +410,7 @@ def certify(f: Node, a: float, b: float, tol: float,
                                          math.ulp(lower) / 2)
 
         if result.certified_bound <= tol:
-            return CertifyOutcome(result=require_above_floor(result),
-                                  n_final=n, iterations=n.bit_length())
+            return require_above_floor(result)
         n *= 2
     raise ToleranceUnreachable(tol, best_seen, n // 2)
 

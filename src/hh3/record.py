@@ -11,7 +11,6 @@ from operator import itemgetter
 
 class Record(tuple):
     __slots__ = ()
-    _field_defaults = {}   # as on a named tuple; no record has defaults
 
     def __init_subclass__(cls):
         for i, name in enumerate(cls._fields):
@@ -26,16 +25,6 @@ class Record(tuple):
     def __repr__(self):
         pairs = map("{}={!r}".format, self._fields, self)
         return f"{type(self).__name__}({', '.join(pairs)})"
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def _replace(self, **kwargs):
-        record = self._make(map(kwargs.pop, self._fields, self))
-        if kwargs:
-            raise ValueError(f"Got unexpected field names: {list(kwargs)!r}")
-        return record
 
     def __getnewargs__(self):
         return tuple(self)

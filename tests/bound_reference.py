@@ -11,7 +11,7 @@ series/closed-form split, unchanged) is shared with the package.
 
 :func:`chi1_mpmath` is chi1 as the paper writes it, two moments each by
 its closed form, in mpmath with enough digits to be exact to the last bit
-of a float.
+of a float; :func:`weighted_bound_mpmath` is chi2 or chi3 the same way.
 """
 
 from __future__ import annotations
@@ -81,10 +81,14 @@ def holder_factor(k: float, q: float) -> float:
 def _qth_root(weight, k: float, q: float) -> float:
     log_k = math.log(_require_ratio(k))
     u = q * log_k / 2.0
-    if u <= _HALF_LOG_LIMIT:
+    if abs(u) <= _HALF_LOG_LIMIT:
         return weight(k, q) ** (1.0 / q)
     half = log_k / 2.0
-    log_root = half - (math.log(q) + math.log(half)) / q
+    log_u = math.log(q) + math.log(abs(half))
+    if u < 0.0:
+        log_weight = math.log(6.0) - 4.0 * log_u if weight is mu_q else -log_u
+        return math.exp(log_weight / q)
+    log_root = half - log_u / q
     if weight is mu_q:
         log_root += math.log1p((-3.0 + (6.0 - 6.0 / u) / u) / u) / q
     return math.exp(log_root)
@@ -133,3 +137,30 @@ def chi1_mpmath(f3a: float, f3b: float, width: float) -> float:
         lam = mpmath.log(a) - mpmath.log(b)
         return float(mpmath.mpf(width) ** 3 / 96
                      * (b * moment_mpmath(lam) + a * moment_mpmath(-lam)))
+
+
+def weighted_bound_mpmath(f3a: float, f3b: float, width: float, q: float,
+                          power_mean: bool) -> float:
+    """chi3 if ``power_mean``, else chi2, for these floats: each weight
+    as the paper writes it, mu by :func:`moment_mpmath` and the Holder
+    factor as expm1(u)/u, its q-th root taken as exp(ln(weight) / q), in
+    60 digits, rounded once.  q ln K / 2 may be far outside float range."""
+    with mpmath.workdps(60):
+        a, b, q = mpmath.mpf(f3a), mpmath.mpf(f3b), mpmath.mpf(q)
+        lam = mpmath.log(a) - mpmath.log(b)
+
+        def root(lam):
+            if power_mean:
+                weight = moment_mpmath(q * lam)
+            else:
+                u = q * lam / 2
+                weight = mpmath.expm1(u) / u if u else mpmath.mpf(1)
+            return mpmath.exp(mpmath.log(weight) / q)
+
+        if power_mean:
+            factor = (mpmath.mpf(1) / 4) ** (1 - 1 / q)
+        else:
+            p = q / (q - 1)
+            factor = (1 / (3 * p + 1)) ** (1 / p)
+        return float(mpmath.mpf(width) ** 3 / 96 * factor
+                     * (b * root(lam) + a * root(-lam)))

@@ -137,8 +137,6 @@ def test_deriv_endpoints_validation():
     assert caught.value.x == 2.0
     with pytest.raises(NonPositiveThirdDerivative):
         DerivEndpoints(f3a_abs=1.0, f3b_abs=0.0, a=0.0, b=1.0)
-    with pytest.raises(BadInterval):
-        DerivEndpoints(1.0, 1.0, 0.0, 1.0)._replace(a=2.0)
 
 
 def test_deriv_endpoints_refuses_a_subnormal_magnitude():
@@ -513,3 +511,53 @@ def test_power_mean_weight_past_the_overflow_of_the_closed_form_numerator():
         for lam in (1381.0, 1400.0, 1432.0):
             assert _moment_closed(lam) == pytest.approx(
                 float(reference.moment_mpmath(lam)), rel=1e-12)
+
+
+# chi2 and chi3 against mpmath where q ln K / 2 is far below -700: the
+# shallow side's root is taken in log space there, and q ln K itself may
+# overflow to -inf.  |ln K| is log-uniform on [1e-3, 1418] and q on
+# [1e3, 1.7e308]; the pair sits anywhere in the normal range.
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-3.0, max_value=math.log10(1418.0)),
+       st.booleans(),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=3.0, max_value=math.log10(1.7e308)))
+@example(decades=math.log10(4.0), steep_at_a=False, where=0.5,
+         q_decades=308.0)
+@example(decades=math.log10(1418.0), steep_at_a=True, where=0.5,
+         q_decades=math.log10(1.7e308))
+@example(decades=-3.0, steep_at_a=False, where=1.0,
+         q_decades=math.log10(1.7e308))
+@example(decades=0.0, steep_at_a=True, where=0.2, q_decades=80.0)
+@example(decades=0.0, steep_at_a=True, where=0.2, q_decades=150.0)
+def test_chi2_chi3_are_within_4_ulps_of_mpmath_at_large_q(
+        decades, steep_at_a, where, q_decades):
+    log_k = 10.0 ** decades
+    low = _LN_MIN + where * (_LN_MAX - _LN_MIN - log_k)
+    f3 = [math.exp(low + log_k), math.exp(low)]
+    if not steep_at_a:
+        f3.reverse()
+    q = 10.0 ** q_decades
+    floor = chi1(*f3, 1.0) * (1.0 - 4.0 * sys.float_info.epsilon)
+    for power_mean, bound in ((False, chi2), (True, chi3)):
+        got = bound(*f3, 1.0, q)
+        assert got >= floor
+        assert _ulps(got, reference.weighted_bound_mpmath(
+            *f3, 1.0, q, power_mean)) <= 4
+
+
+def test_chi2_keeps_both_terms_where_q_ln_k_overflows():
+    # q ln K = -4e308 is -inf; chi2 = 0.01924 at the parent lost the
+    # |f'''(b)| term and fell below chi1 = 0.04400
+    got = chi2(1.0, math.exp(4.0), 1.0, 1e308)
+    assert got == pytest.approx(reference.weighted_bound_mpmath(
+        1.0, math.exp(4.0), 1.0, 1e308, False), rel=1e-15)
+    assert got > chi1(1.0, math.exp(4.0), 1.0)
+
+
+def test_chi2_chi3_near_the_top_of_float_range_are_finite():
+    # |f'''(b)| W(K) + |f'''(a)| W(M) overflows although the bound does not
+    f3 = 1.68e308
+    for power_mean, bound in ((False, chi2), (True, chi3)):
+        assert _ulps(bound(f3, f3, 1.0, 2.0), reference.weighted_bound_mpmath(
+            f3, f3, 1.0, 2.0, power_mean)) <= 4

@@ -75,6 +75,20 @@ def test_usage_errors_are_64(capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("bounds", []), ("integrate", []), ("certify", ["--tol", "1e-6"]),
+    ("verify", []), ("sweep", ["--n-list", "1,2"])])
+def test_an_interval_whose_width_overflows_is_refused(capsys, command,
+                                                       extra):
+    # b - a = inf: integrate and certify exited 2 naming a division point
+    # nan, verify an evaluation point, bounds the cube of b - a
+    code, out, err = run(capsys, command, "--f", "x^3", "--a", "-1e308",
+                         "--b", "1e308", *extra)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("hh3: error: --a/--b: need a finite b - a, "
+                   "got [-1e+308, 1e+308]\n")
+
+
 # --------------------------------------------------------------------------
 # Flag parsing
 # --------------------------------------------------------------------------
@@ -272,6 +286,20 @@ def test_large_q_on_steep_ratio_does_not_overflow(capsys, method):
     doc = json.loads(out)
     chi = doc["chi2" if method == "thm2" else "chi3"]
     assert math.isfinite(chi) and chi >= doc["chi1"]
+
+
+@pytest.mark.parametrize("q", ["1e80", "1e150", "1.7e308"])
+@pytest.mark.parametrize("f", ["exp(x)", "exp(-3*x)", "1/(x+0.5)"])
+def test_any_finite_q_gives_finite_bounds_above_chi1(capsys, f, q):
+    # q ln K / 2 far below -700: the parent exited 2 with a bare errno tuple
+    # at 1e80, crashed at 1e150, and lost a term of chi2 where q ln K = -inf
+    code, out, err = run(capsys, "bounds", "--f", f, "--a", "0", "--b", "1",
+                         "--q", q)
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    floor = doc["chi1"] * (1.0 - 4.0 * sys.float_info.epsilon)
+    for key in ("chi2", "chi3"):
+        assert math.isfinite(doc[key]) and doc[key] >= floor
 
 
 # The single-interval bounds that integrate --n 1 --per-interval printed
@@ -537,21 +565,32 @@ def test_an_unproved_hypothesis_is_sampled(monkeypatch, command, sampler):
 
 @pytest.mark.parametrize("f, a, b", [
     ("exp(x)", 0.0, 1.0),      # proved
+    ("exp(x^2)", 2.0, 3.0),    # sampled and passed
     ("x^4", 1.0, 2.0),         # convex, sampled and refuted
     ("sin(x)", 0.1, 3.0),      # not convex, sampled and refuted
 ])
 def test_the_printed_blocks_are_the_librarys(capsys, f, a, b):
-    # key for key and in order, the blocks come from hh3.analysis as printed
+    # key for key and in order, the blocks come from hh3.analysis as printed;
+    # integrate and certify print the log_convexity block after their bound,
+    # where it passed, so a certificate on sampled evidence says so
     ast, argv = parse(f), ["--f", f, "--a", repr(a), "--b", repr(b)]
     log_convexity = analysis.log_convexity_verdict(ast, a, b)
-    for command in ("bounds", "verify"):
-        code, out, err = run(capsys, command, *argv)
-        assert (code, err) == (EXIT_OK, "")
+    commands = {"bounds": [], "verify": []}
+    if log_convexity["passed"]:
+        commands.update(integrate=["--n", "4"], certify=["--tol", "1e-6"])
+    after = {"integrate": "midpoint_bound", "certify": "certified_bound"}
+    for command, extra in commands.items():
+        code, out, err = run(capsys, command, *argv, *extra)
+        assert (code, err) == (EXIT_OK, ""), command
         doc = json.loads(out)
         assert list(doc["log_convexity"].items()) == list(
             log_convexity.items())
-    assert list(doc["hermite_hadamard"].items()) == list(
-        analysis.check_hermite_hadamard(ast, a, b).items())
+        keys = list(doc)
+        if command in after:
+            assert keys[keys.index("log_convexity") - 1] == after[command]
+        if command == "verify":
+            assert list(doc["hermite_hadamard"].items()) == list(
+                analysis.check_hermite_hadamard(ast, a, b).items())
 
 
 class _Refused(Exception):
@@ -791,12 +830,20 @@ def test_reports_are_byte_deterministic(capsys):
 
 
 def test_readme_sample_outputs_replay(capsys):
-    # the bounds JSON and the sweep CSV that README.md shows, byte for byte
+    # the bounds and certify JSON, integrate's sampled block and the sweep
+    # CSV that README.md shows, byte for byte
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```[a-z]*\n(.*?)^```$", readme, re.M | re.S)
     json_block = next(b for b in blocks if '"command": "bounds"' in b)
+    certify_block = next(b for b in blocks if '"command": "certify"' in b)
+    sampled = next(b for b in blocks if b.startswith('  "log_convexity"'))
     csv_block = next(b for b in blocks if b.startswith("n,midpoint_sum"))
     assert run(capsys, "bounds", *EXP01) == (EXIT_OK, json_block, "")
+    assert run(capsys, "certify", *EXP01, "--tol", "1e-6") == (
+        EXIT_OK, certify_block, "")
+    code, out, _ = run(capsys, "integrate", "--f", "exp(x^2)", "--a", "2",
+                       "--b", "3", "--n", "4")
+    assert code == EXIT_OK and out.endswith(sampled + "}\n")
     assert run(capsys, "sweep", *EXP01, "--n-list", "1,2,4,8") == (
         EXIT_OK, csv_block, "")
 

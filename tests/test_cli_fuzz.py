@@ -50,6 +50,9 @@ _ERRNO = re.compile(r"\(\d+, '")  # str() of a bare OverflowError of **
 @example(parse("x^-400"), ("0.1", "1"), ("bounds",))
 @example(parse("x^-400"), ("0.1", "1"), ("integrate", "--n", "4"))
 @example(parse("1.2842606408325774e-07^-47"), ("0", "1"), ("bounds",))
+# q ln K / 2 far below -700 overflowed mu's L^4 (a bare errno tuple)
+@example(parse("exp(x)"), ("0", "1"), ("bounds", "--q", "1e80"))
+@example(parse("exp(-3*x)"), ("0", "1"), ("bounds", "--q", "1e300"))
 def test_every_run_exits_0_2_or_64_and_names_why(tree, interval, command):
     argv = [*command, "--f", to_text(tree), "--a", interval[0],
             "--b", interval[1]]

@@ -15,7 +15,7 @@ from hh3.errors import (BadInterval, BelowRoundingFloor, DomainError,
                         NonConvergence, NonPositiveThirdDerivative,
                         ToleranceUnreachable)
 from hh3.expr import parse
-from hh3.quadrature import (_CC_COARSE, _CC_FINE, _CC_NODES, CertifyOutcome,
+from hh3.quadrature import (_CC_COARSE, _CC_FINE, _CC_NODES, QuadResult,
                             certify, composite_bound, corrected_midpoint_sum,
                             identity_residual, integrate_adaptive,
                             reference_integral, uniform_division)
@@ -52,6 +52,17 @@ def test_division_validation():
                     (math.nan, 1.0, 4), (0.0, 1.0, 0)):
         with pytest.raises(BadInterval):
             uniform_division(a, b, n)
+
+
+def test_an_interval_whose_width_overflows_is_refused():
+    # b - a = inf made the points a + i * inf: nan and inf
+    for use in (lambda a, b: uniform_division(a, b, 4),
+                lambda a, b: DerivEndpoints(1.0, 1.0, a, b),
+                lambda a, b: integrate_adaptive(math.exp, a, b, 1e-9)):
+        with pytest.raises(BadInterval, match=r"need a finite b - a, got "
+                           r"\[-1e\+308, 1e\+308\]$"):
+            use(-1e308, 1e308)
+    assert uniform_division(-8e307, 8e307, 2) == (-8e307, 0.0, 8e307)
 
 
 def test_non_uniform_points_are_accepted():
@@ -442,22 +453,19 @@ def test_identity_residual_quartic_sides_frozen():
 def test_certify_doubles_until_tolerance():
     # f''' == 48 makes the n-interval bound 0.25/n^3 (= (b-a)^3 c/192 per
     # interval summed); the first doubling below 1e-3 is n = 8
-    outcome = certify(parse("8*x^3"), 0.0, 1.0, 1e-3)
-    assert isinstance(outcome, CertifyOutcome)
-    assert outcome.n_final == 8
-    assert outcome.iterations == 4
-    assert outcome.result.certified_bound == pytest.approx(0.25 / 512.0,
-                                                           rel=1e-12)
-    assert outcome.result.certified_bound <= 1e-3
+    result = certify(parse("8*x^3"), 0.0, 1.0, 1e-3)
+    assert isinstance(result, QuadResult)
+    assert result.points == uniform_division(0.0, 1.0, 8)
+    assert result.certified_bound == pytest.approx(0.25 / 512.0, rel=1e-12)
+    assert result.certified_bound <= 1e-3
 
 
 def test_certify_exp_to_microtolerance():
-    outcome = certify(parse("exp(x)"), 0.0, 1.0, 1e-6)
-    assert outcome.n_final == 32
-    assert outcome.result.certified_bound <= 1e-6
+    result = certify(parse("exp(x)"), 0.0, 1.0, 1e-6)
+    assert len(result.points) - 1 == 32
+    assert result.certified_bound <= 1e-6
     truth = math.e - 1.0
-    assert abs(outcome.result.corrected_sum - truth) <= \
-        outcome.result.certified_bound
+    assert abs(result.corrected_sum - truth) <= result.certified_bound
 
 
 def test_certify_tolerance_unreachable():
@@ -528,8 +536,8 @@ def test_certify_evaluates_each_level_s_points_and_midpoints_once(
         monkeypatch):
     # levels n = 1, 2, 4, 8, each its n + 1 points and n midpoints
     calls = _counting_jets(monkeypatch)
-    outcome = certify(parse("8*x^3"), 0.0, 1.0, 1e-3)
-    assert (outcome.n_final, outcome.iterations) == (8, 4)
+    result = certify(parse("8*x^3"), 0.0, 1.0, 1e-3)
+    assert len(result.points) - 1 == 8
     levels = [uniform_division(0.0, 1.0, n) for n in (1, 2, 4, 8)]
     assert calls == [x for points in levels for x in (
         *points, *(0.5 * (lo + hi) for lo, hi in zip(points, points[1:])))]
@@ -585,9 +593,10 @@ def test_certify_result_is_composite_bound_at_n_final(family, c, d, a, width,
     b = a + width
     tol = 10.0 ** log_rel * abs(composite_bound(
         f, uniform_division(a, b, 64)).corrected_sum)
-    outcome = certify(f, a, b, tol, n_max=2 ** 14)
-    expected = composite_bound(f, uniform_division(a, b, outcome.n_final))
-    assert repr(outcome.result) == repr(expected)
+    result = certify(f, a, b, tol, n_max=2 ** 14)
+    expected = composite_bound(f, uniform_division(a, b,
+                                                   len(result.points) - 1))
+    assert repr(result) == repr(expected)
 
 
 def _jittered_division(a, b, n):
@@ -603,10 +612,10 @@ def test_certify_evaluates_every_point_when_levels_do_not_nest(monkeypatch):
     monkeypatch.setattr(quadrature, "uniform_division", _jittered_division)
     calls = _counting_jets(monkeypatch)
     f = parse("exp(x)+exp(2*x)")
-    outcome = certify(f, 0.1, 0.8, 1e-9)
+    result = certify(f, 0.1, 0.8, 1e-9)
+    n_final = len(result.points) - 1
     # every level evaluates its n + 1 points and n midpoints once
-    levels = [2 ** i for i in range(outcome.iterations)]
+    levels = [2 ** i for i in range(n_final.bit_length())]
     assert len(calls) == sum(2 * n + 1 for n in levels)
-    expected = composite_bound(f, _jittered_division(0.1, 0.8,
-                                                     outcome.n_final))
-    assert repr(outcome.result) == repr(expected)
+    expected = composite_bound(f, _jittered_division(0.1, 0.8, n_final))
+    assert repr(result) == repr(expected)
