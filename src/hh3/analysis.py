@@ -38,7 +38,7 @@ import math
 from operator import add, mul, sub, truediv
 
 from .errors import NotLogConvex, require_f3
-from .expr import Node, compile_jet3, eval_jet3, parse
+from .expr import Node, compile_f3, compile_jet3, eval_jet3, parse
 from .monotone import classify_cm
 # integrate_adaptive stays an attribute here for bench/tracer.py to wrap.
 from .quadrature import (integrate_adaptive,  # noqa: F401
@@ -69,7 +69,7 @@ def grid_samples(f: Node, a: float, b: float
     Returns ``(xs, gs)``.
     """
     xs = uniform_division(a, b, GRID_POINTS - 1)
-    return xs, tuple(map(abs, map(compile_jet3(f).f3, xs)))
+    return xs, tuple(map(abs, map(compile_f3(f), xs)))
 
 
 def _scaled(m: float, e: int) -> float:

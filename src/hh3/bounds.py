@@ -23,8 +23,8 @@ No q lets chi2 or chi3 undercut chi1: on the kernel path |f'''| <= G(t) =
 |f'''(b)| K^(t/2), chi1 integrates t^3 G exactly, and chi2 (Holder) and chi3
 (the power mean under the weight t^3 dt) are upper bounds for that same
 integral, which chi3 at q = 1 is.  So best_bound reports chi2 and chi3 at
-one exponent q, for the record, and the composite bound of
-:mod:`hh3.quadrature` is chi1 alone.
+one exponent q, for the record, and names chi1 the least without comparing
+rounded values; the composite bound of :mod:`hh3.quadrature` is chi1 alone.
 
 The weights of chi2 and chi3 are functions of ln K, formed in one place,
 ``_log_ratio``: as ln of the quotient, or as ln |f'''(a)| - ln |f'''(b)|
@@ -342,22 +342,17 @@ def power_mean_bound(e: DerivEndpoints, q: float) -> float:
 # --------------------------------------------------------------------------
 
 class BoundReport(Record):
-    """The three bounds, chi2 and chi3 at exponent ``q``, and the winner."""
+    """The three bounds, chi2 and chi3 at exponent ``q``, and the least."""
     __slots__, _fields = (), (
         "chi1", "chi2", "chi3", "q", "min_value",  # floats
-        "argmin_label")                            # "chi1" | "chi2" | "chi3"
+        "argmin_label")                            # "chi1"
 
 
 def best_bound(e: DerivEndpoints, q: float = DEFAULT_Q) -> BoundReport:
-    """chi1, plus chi2 and chi3 at exponent q > 1, and the least of them.
-
-    The minimum is chi1 up to rounding for every q (see the module
-    docstring); ties resolve toward chi1, then chi2.
-    """
+    """chi1, plus chi2 and chi3 at exponent q > 1, and the least of them:
+    chi1 by theorem for every q (see the module docstring), whatever the
+    rounding of chi2 and chi3."""
     chi1 = direct_bound(e)
-    chi2 = holder_bound(e, q)
-    chi3 = power_mean_bound(e, q)
-    min_value, argmin_label = min((chi1, "chi1"), (chi2, "chi2"),
-                                  (chi3, "chi3"), key=lambda c: c[0])
-    return BoundReport(chi1=chi1, chi2=chi2, chi3=chi3, q=q,
-                       min_value=min_value, argmin_label=argmin_label)
+    return BoundReport(chi1=chi1, chi2=holder_bound(e, q),
+                       chi3=power_mean_bound(e, q), q=q,
+                       min_value=chi1, argmin_label="chi1")

@@ -7,12 +7,13 @@ tolerance is certified), ``verify`` (hypothesis checks and the
 kernel-identity residual) and ``sweep`` (a CSV table over a list of n).
 ``bounds`` reports the paper's chi1, and chi2 and chi3 at the exponent
 ``--q``; the composite commands certify with chi1 alone, which no exponent
-undercuts.
+undercuts, so their ``--method`` is checked and then ignored.
 
 Exit codes: 0 on success, 2 when the mathematics rejects the input (domain
 errors, vanishing third derivative, a hypothesis the sampled pair test
 refutes, non-convergence, unreachable tolerance, a bound below the rounding
-floor),
+floor, a single-interval chi1 or a factor of it below the normal float
+range),
 64 for usage errors (bad flags, malformed expressions, invalid intervals).
 All but ``sweep`` print the hypothesis blocks that :mod:`hh3.analysis`
 returns.  ``integrate``, ``certify`` and ``sweep`` ask its one refusal,
@@ -36,7 +37,7 @@ import sys
 from operator import truediv
 
 from . import analysis, bounds, quadrature
-from .errors import ExprSyntaxError, Hh3Error, require_finite
+from .errors import DomainError, ExprSyntaxError, Hh3Error, require_finite
 from .expr import eval_jet3, parse
 from .record import Record
 from .reportfmt import Table, rows_to_csv, to_csv, to_json, to_text
@@ -90,7 +91,7 @@ OPTIONS = {
                      "json (the default), csv or text"),
     "n": Option("--n", "integer", ("integrate",), "subintervals (default 1)"),
     "method": Option("--method", "string", _BOUNDED,
-                     "thm1 or best, both chi1 (default best)"),
+                     "thm1 or best, accepted and ignored: both are chi1"),
     "q": Option("--q", "number", ("bounds",),
                 "chi2/chi3 exponent, > 1 (default 2)"),
     "per_interval": Option("--per-interval", "switch", ("integrate",),
@@ -174,7 +175,6 @@ class RunConfig(Record):
         "out",                    # str or None
         "n",                      # int
         "tol",                    # float or None
-        "method",                 # str
         "q",                      # float > 1
         "n_list",                 # tuple of ints
         "n_max",                  # int
@@ -264,7 +264,7 @@ def resolve(command: str, flags: dict) -> RunConfig:
         raise UsageError(f"--format: unknown format {fmt!r}")
     out = values.get("out")
 
-    method = values.get("method") or "best"
+    method = values.get("method") or "best"   # checked, then ignored
     if method not in ("thm1", "best"):
         raise UsageError(f"--method: expected thm1 or best, got {method!r}")
     q = _require_finite("--q", values.get("q", bounds.DEFAULT_Q))
@@ -297,7 +297,7 @@ def resolve(command: str, flags: dict) -> RunConfig:
 
     return RunConfig(
         command=command, expression=expression, ast=ast,
-        a=a, b=b, fmt=fmt, out=out, n=n, tol=tol, method=method, q=q,
+        a=a, b=b, fmt=fmt, out=out, n=n, tol=tol, q=q,
         n_list=n_list, n_max=n_max,
         per_interval=values.get("per_interval", False),
         oracle=values.get("oracle", False),
@@ -319,9 +319,15 @@ def cmd_bounds(cfg: RunConfig) -> dict:
     e = bounds.DerivEndpoints(f3a_abs=abs(jet_a[3]), f3b_abs=abs(jet_b[3]),
                               a=cfg.a, b=cfg.b)
     report = bounds.best_bound(e, cfg.q)
+    # chi1 is (b - a)^3/96 times a weighted |f'''|, 0.0 where it underflowed;
+    # where it or either factor is subnormal, the product has lost bits
+    cube, tiny = e.width ** 3, sys.float_info.min
+    if not (cube / 96.0 >= tiny and report.chi1 / cube >= tiny
+            and report.chi1 >= tiny):
+        raise DomainError(f"chi1 {report.chi1!r}: it or a factor is below the "
+                          "normal range, too few bits to bound the error")
     convexity = analysis.log_convexity_verdict(cfg.ast, cfg.a, cfg.b)
-    doc = _envelope(cfg)
-    doc.update({
+    return _envelope(cfg) | {
         "f3a_abs": e.f3a_abs, "f3b_abs": e.f3b_abs,
         "K": e.f3a_abs / e.f3b_abs, "M": e.f3b_abs / e.f3a_abs,
         "chi1": report.chi1, "chi2": report.chi2, "chi3": report.chi3,
@@ -329,8 +335,7 @@ def cmd_bounds(cfg: RunConfig) -> dict:
         "min_value": report.min_value, "argmin": report.argmin_label,
         "log_convexity": convexity,
         "hypothesis_supported": convexity["passed"],
-    })
-    return doc
+    }
 
 
 def cmd_integrate(cfg: RunConfig) -> dict:
@@ -342,7 +347,7 @@ def cmd_integrate(cfg: RunConfig) -> dict:
     gap = abs(result.corrected_sum - result.midpoint_sum)
     doc = _envelope(cfg)
     doc.update({
-        "n": cfg.n, "method": cfg.method,
+        "n": cfg.n,
         "midpoint_sum": result.midpoint_sum,
         "corrected_sum": result.corrected_sum,
         "certified_bound": result.certified_bound,
@@ -371,28 +376,24 @@ def cmd_certify(cfg: RunConfig) -> dict:
     result = quadrature.certify(cfg.ast, cfg.a, cfg.b, cfg.tol,
                                 n_max=cfg.n_max)
     n_final = len(result.points) - 1
-    doc = _envelope(cfg)
-    doc.update({
-        "tol": cfg.tol, "method": cfg.method,
+    return _envelope(cfg) | {
+        "tol": cfg.tol,
         "n_final": n_final, "iterations": n_final.bit_length(),
         "midpoint_sum": result.midpoint_sum,
         "corrected_sum": result.corrected_sum,
         "certified_bound": result.certified_bound,
         "log_convexity": convexity,
-    })
-    return doc
+    }
 
 
 def cmd_verify(cfg: RunConfig) -> dict:
     f, a, b = cfg.ast, cfg.a, cfg.b
-    doc = _envelope(cfg)
-    doc.update({
+    return _envelope(cfg) | {
         "grid_points": analysis.GRID_POINTS,
         "log_convexity": analysis.log_convexity_verdict(f, a, b),
         "hermite_hadamard": analysis.check_hermite_hadamard(f, a, b),
         "identity_residual": quadrature.identity_residual(f, a, b),
-    })
-    return doc
+    }
 
 
 _SWEEP_HEADER = ("n", "midpoint_sum", "corrected_sum", "bound_thm1",

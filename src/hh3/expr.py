@@ -36,11 +36,11 @@ in the order a recursive walk of the tree would.  What reads only the
 tree's numbers is settled at compile time: a line's value, unless
 computing it raises (then the line stays, so its error names the point),
 a guard's test, which is left out where it is False, a power's choice of
-rule, and whether an output is finite.  From the same lines and in the
-same ``compile`` call comes the function's ``f3`` companion, for callers
-that read only f''': it keeps the lines that f''' reads, every guard,
-``try`` and branch, and checks only f''' for finiteness, so it raises what
-the jet raises but "result is not finite" for f, f' or f''.
+rule, and whether an output is finite.  :func:`compile_f3` compiles, from the
+same lines and on first use, a function of x that returns f''' alone, for
+callers that read nothing else: it keeps the lines that f''' reads, every
+guard, ``try`` and branch, and checks only f''' for finiteness, so it
+raises what the jet raises but "result is not finite" for f, f' or f''.
 """
 
 import functools
@@ -51,8 +51,8 @@ from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from .record import Record
 
 __all__ = [
-    "Num", "Var", "Const", "Neg", "BinOp", "Func", "Node",
-    "parse", "to_text", "compile_jet3", "evaluate", "eval_jet3",
+    "Num", "Var", "Const", "Neg", "BinOp", "Func", "Node", "parse",
+    "to_text", "compile_jet3", "compile_f3", "evaluate", "eval_jet3",
 ]
 
 _FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
@@ -618,35 +618,27 @@ class _JetCompiler:
                 needed.update(_words(text))
         return kept[::-1]
 
-    def build(self, jet: tuple, params: str = "x", node: str = "") -> Callable:
-        """``def jet(params)``: the lines that ``jet`` and the guards read,
-        returning ``jet``.  Given the global ``node`` naming the tree, it
-        raises where the result is not finite and carries ``f3``: the lines
-        that f''' and the guards read, returning f''' and checking only it."""
-        functions = {"jet": (self.live(jet), jet)}
-        if node:
-            functions["f3"] = (self.live(jet[3]), jet[3:4])
-        source = []
-        for name, (lines, result) in functions.items():
-            names = [v for v in result if isinstance(v, str) and not
-                     math.isfinite(self.pool.get(v, math.nan))]
-            if node and names:
-                lines = [*lines, "    if not ("
-                         f"{' and '.join(f'isfinite({v})' for v in names)}):",
-                         f"        raise _domain({node}, x, "
-                         "'result is not finite')"]
-            value = ", ".join(map(_text, result))
-            source += [f"def {name}({params}):", *lines, "    return "
-                       + (f"({value})" if len(result) > 1 else value)]
-        source = "\n".join(source)
+    def build(self, out: tuple, params: str = "x", node: str = "") -> Callable:
+        """``def jet(params)``: the lines that ``out`` and the guards read,
+        returning ``out``, or its one item alone.  Given the global ``node``
+        naming the tree, it raises where the result is not finite."""
+        lines = self.live(out)
+        names = [v for v in out if isinstance(v, str) and not
+                 math.isfinite(self.pool.get(v, math.nan))]
+        if node and names:
+            lines += ["    if not ("
+                      f"{' and '.join(f'isfinite({v})' for v in names)}):",
+                      f"        raise _domain({node}, x, "
+                      "'result is not finite')"]
+        value = ", ".join(map(_text, out))
+        source = "\n".join([f"def jet({params}):", *lines, "    return "
+                            + (f"({value})" if len(out) > 1 else value)])
         namespace = dict(self.pool, _domain=_domain, DomainError=DomainError,
                          _int_power=_int_power, isfinite=math.isfinite,
                          **_FOLDABLE)
         exec(compile(source, "<hh3 jet>", "exec"), namespace)
         jet = namespace["jet"]
         jet.source = source
-        if node:
-            jet.f3 = namespace["f3"]
         return jet
 
 
@@ -658,11 +650,14 @@ def _int_power(n: int) -> Callable:
 
 
 @functools.lru_cache(maxsize=256)
-def _compiled(node: Node, text: str) -> Callable:
+def _lowered(node: Node, text: str) -> Callable[[bool], Callable]:
+    """The tree's lines, written once; f3_only -> its function, built once."""
     c = _JetCompiler()
     c.emit("if not isfinite(x):")
     c.emit("    raise DomainError('evaluation point must be finite', x=x)")
-    return c.build(c.node(node), node=c.name(node))
+    jet, name = c.node(node), c.name(node)
+    return functools.cache(
+        lambda f3_only: c.build(jet[3:] if f3_only else jet, node=name))
 
 
 def compile_jet3(node: Node) -> Callable[[float], tuple[float, ...]]:
@@ -676,12 +671,19 @@ def compile_jet3(node: Node) -> Callable[[float], tuple[float, ...]]:
     walk's NaN becomes the true value.  A guard, a power's choice of rule
     or a finiteness check that reads only the tree's numbers is decided as
     it compiles; one that always raises stays, so its error names x.  It
-    raises what :func:`eval_jet3` documents.  The function's ``f3``
-    attribute is its f'''-only companion (see the module docstring), and
-    ``source`` holds the text of both.  Compiled once per tree and kept in
-    a bounded cache, keyed on the tree and its text (Num(0.0) == Num(-0.0)).
+    raises what :func:`eval_jet3` documents.  Its ``source`` attribute
+    holds its text.  Compiled on first use from the tree's lines, written
+    once and shared with :func:`compile_f3` in a bounded cache keyed on the
+    tree and its text (Num(0.0) == Num(-0.0)).
     """
-    return _compiled(node, to_text(node))
+    return _lowered(node, to_text(node))(False)
+
+
+def compile_f3(node: Node) -> Callable[[float], float]:
+    """f''' of ``node`` alone as a function of x, compiled on first use from
+    the lines :func:`compile_jet3` reads: the jet's f''' bit for bit, raising
+    what the jet raises but "result is not finite" for f, f' or f''."""
+    return _lowered(node, to_text(node))(True)
 
 
 def eval_jet3(node: Node, x: float) -> tuple[float, float, float, float]:

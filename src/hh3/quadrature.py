@@ -34,7 +34,8 @@ from .errors import BadInterval, BelowRoundingFloor, DomainError, \
     NonConvergence, ToleranceUnreachable, require_f3, require_finite, \
     require_interval
 # eval_jet3 and evaluate stay attributes here for bench/tracer.py to wrap.
-from .expr import Node, compile_jet3, eval_jet3, evaluate  # noqa: F401
+from .expr import (Node, compile_f3, compile_jet3, eval_jet3,  # noqa: F401
+                   evaluate)
 from .record import Record
 
 __all__ = [
@@ -130,11 +131,10 @@ def composite_bound(f: Node, points: Sequence[float]) -> QuadResult:
     bound, which must be finite.
     """
     points = _checked(points)
-    jet = compile_jet3(f)
-    f3_of = jet.f3   # require_f3's test, inline: a call per point is slow
+    f3_of = compile_f3(f)  # require_f3's test inline: a call per point is slow
     f3 = [m if 2.2250738585072014e-308 <= (m := abs(f3_of(x)))
           <= 1.7976931348623157e308 else require_f3(x, m) for x in points]
-    plain, corrected = _midpoint_pass(jet, points)
+    plain, corrected = _midpoint_pass(compile_jet3(f), points)
     interval_bounds = _bounds.interval_chi1(   # the widths h = hi - lo
         f3, map(operator.sub, points[1:], points))
 
@@ -323,7 +323,7 @@ def identity_residual(f: Node, a: float, b: float) -> float:
     jet = compile_jet3(f)
     f0, _, f2, _ = jet(m)
     lhs = mean - f0 - h * h / 24.0 * f2
-    f3 = jet.f3
+    f3 = compile_f3(f)
 
     def kernel_from_b(t: float) -> float:
         return t ** 3 * f3(b - 0.5 * t * h)

@@ -12,7 +12,7 @@ import mpmath
 import pytest
 
 import hh3
-from hh3 import analysis, quadrature
+from hh3 import analysis, expr, quadrature
 from hh3.cli import COMMANDS, EXIT_MATH, EXIT_OK, EXIT_USAGE, OPTIONS, \
     UsageError, main, parse_args, resolve
 from hh3.expr import parse
@@ -253,8 +253,7 @@ def test_bounds_report_values(capsys):
     assert doc["schema"] == 1
     assert doc["f3a_abs"] == 1.0
     assert doc["chi1"] == pytest.approx(0.008658969383756087, rel=1e-15)
-    assert doc["min_value"] <= doc["chi1"]
-    assert doc["argmin"] in ("chi1", "chi2", "chi3")
+    assert (doc["min_value"], doc["argmin"]) == (doc["chi1"], "chi1")
     assert doc["q"] == 2
     assert doc["hypothesis_supported"] is True
     assert doc["log_convexity"]["passed"] is True
@@ -317,6 +316,64 @@ def test_bounds_q_gives_the_old_composite_thm2_thm3_bits(capsys, q, key,
     doc = json.loads(out)
     assert doc["q"] == float(q)
     assert (doc[key] * (doc["b"] - doc["a"])).hex() == bits
+
+
+def test_bounds_names_chi1_the_least_by_theorem(capsys):
+    # chi3 rounds 2 ulps below chi1 at this q; min_value took it, "chi3"
+    code, out, _ = run(capsys, "bounds", *EXP01, "--q", "1.0000000000000002")
+    doc = json.loads(out)
+    assert code == EXIT_OK and doc["chi3"] < doc["chi1"]
+    assert (doc["min_value"], doc["argmin"]) == (doc["chi1"], "chi1")
+
+
+@pytest.mark.parametrize("f, b", [
+    ("exp(x)", "1e-110"), ("1e-300*exp(x)", "1e-10"),   # chi1 = 0.0
+    ("exp(x)", "1e-103"),                                # 5.2e-312
+    # chi1 normal, but (b - a)^3/96 or the weighted |f'''| subnormal: about
+    # 5% low, 2e-7 low, and |f'''| 2.4e-308 summed and weighted by 1/4
+    ("1e300*exp(x)", "1e-107"), ("1e20*exp(x)", "1e-105"),
+    ("4e-309*x^3", "100")])
+def test_bounds_refuses_a_chi1_below_the_normal_range(capsys, f, b):
+    # these printed chi1, chi2, chi3 and min_value as bounds on a positive
+    # error: zero, or a value with too few bits
+    code, out, err = run(capsys, "bounds", "--f", f, "--a", "0", "--b", b)
+    assert (code, out) == (EXIT_MATH, "")
+    assert err.startswith("hh3: chi1 ") and err.endswith(
+        ": it or a factor is below the normal range, too few bits to bound "
+        "the error\n")
+
+
+def test_bounds_prints_a_tiny_normal_chi1(capsys):
+    code, out, _ = run(capsys, "bounds", "--f", "exp(x)", "--a", "0",
+                       "--b", "1e-100")
+    assert code == EXIT_OK
+    assert json.loads(out)["chi1"] == pytest.approx(1e-300 / 192, rel=1e-15)
+
+
+def test_a_proved_bounds_run_compiles_one_jet_function(capsys, monkeypatch):
+    # the f'''-only function is compiled on first use, and bounds needs none
+    sources = []
+
+    def counted(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+    monkeypatch.setattr(expr, "compile", counted, raising=False)
+    expr._lowered.cache_clear()
+    code, out, _ = run(capsys, "bounds", *EXP01)
+    assert code == EXIT_OK
+    assert json.loads(out)["log_convexity"]["kind"] == "proved"
+    assert len(sources) == 1 and sources[0].count("def ") == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv", [
+    ["integrate", *EXP01, "--n", "4", "--per-interval"],
+    ["certify", *EXP01, "--tol", "1e-6"]], ids=["integrate", "certify"])
+def test_method_is_checked_and_ignored(capsys, argv, fmt):
+    reports = {run(capsys, *argv, "--format", fmt, *method)
+               for method in ([], ["--method", "thm1"], ["--method", "best"])}
+    (code, out, err), = reports
+    assert (code, err) == (EXIT_OK, "") and "method" not in out
 
 
 _K_OUT_OF_RANGE = ["--a", "-1", "--b", "1"]   # |ln K| = 1380 for exp(690*x)
@@ -949,8 +1006,10 @@ def test_config_keys_match_flags(tmp_path):
             path.write_text(json.dumps(values))
             from_flags = resolve(*parse_args([command, *flag_argv(values)]))
             from_config = resolve(command, {"config": str(path)})
-            assert from_flags == from_config != resolve(command, unset), \
-                (key, command)
+            assert from_flags == from_config, (key, command)
+            # every key sets the run but --method, checked and then ignored
+            assert (from_flags == resolve(command, unset)) == (
+                key == "method"), (key, command)
 
 
 def test_config_rejects_unknown_keys(capsys, tmp_path):

@@ -189,7 +189,7 @@ _RECORDS = [
                     "log_convex": True}),
     (cli.RunConfig, {"command": "integrate", "expression": "x", "ast": _X,
                      "a": 0.0, "b": 1.0, "fmt": "json", "out": None, "n": 4,
-                     "tol": None, "method": "best", "q": None, "n_list": (),
+                     "tol": None, "q": None, "n_list": (),
                      "n_max": 2 ** 20,
                      "per_interval": False, "oracle": False}),
 ]
@@ -223,7 +223,7 @@ _FIELDS = {
                  "interval_bounds", "points"),
     CatalogEntry: ("expression", "a", "b", "log_convex"),
     cli.RunConfig: ("command", "expression", "ast", "a", "b", "fmt", "out",
-                    "n", "tol", "method", "q", "n_list", "n_max",
+                    "n", "tol", "q", "n_list", "n_max",
                     "per_interval", "oracle"),
     cli.Option: ("flag", "kind", "commands", "help"),
     Table: ("keys", "columns"),

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hh3 import expr
 from hh3.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from hh3.expr import (BinOp, Const, Func, Neg, Num, Var, _tokenize,
-                      compile_jet3, eval_jet3, evaluate, parse, to_text)
+                      compile_f3, compile_jet3, eval_jet3, evaluate, parse,
+                      to_text)
 from jet_reference import Jet, _div, _eval, _mul, eval_jet3_reference
 from token_reference import tokenize_reference
 
@@ -447,12 +449,11 @@ def test_compiled_power_and_error_paths_match_tree_walk(source, x):
 
 
 def _assert_companion_like_jet(ast, x):
-    """Where the f'''-only companion returns v, the jet returns v's bits at
-    index 3, or raises only "result is not finite"; where the companion
-    raises, the jet raises the same."""
-    jet = compile_jet3(ast)
-    full = _outcome(lambda _, x: jet(x), ast, x)
-    only = _outcome(lambda _, x: (jet.f3(x),), ast, x)
+    """Where the f'''-only function returns v, the jet returns v's bits at
+    index 3, or raises only "result is not finite"; where the f'''-only
+    function raises, the jet raises the same."""
+    full = _outcome(lambda _, x: compile_jet3(ast)(x), ast, x)
+    only = _outcome(lambda _, x: (compile_f3(ast)(x),), ast, x)
     if isinstance(only[0], type):
         assert full == only
     elif isinstance(full[0], type):
@@ -484,7 +485,7 @@ def test_constant_lines_are_folded_unless_they_raise():
     ast = parse("x + exp(1000)")
     assert "exp(k" in compile_jet3(ast).source
     with pytest.raises(DomainError) as info:
-        compile_jet3(ast).f3(0.5)
+        compile_f3(ast)(0.5)
     assert (info.value.expr_text, info.value.x) == ("exp(1000.0)", 0.5)
 
 
@@ -503,14 +504,14 @@ _TEST = re.compile(r"^ *(?:el)?if (.*):$", re.M)
 
 
 def _assert_x_decides_every_test(ast):
-    """Each ``if`` or ``elif`` of the compiled source reads x or a local,
+    """Each ``if`` or ``elif`` of the compiled sources reads x or a local,
     or else holds on every call: a guard that always raises, or the
     finiteness check of a constant that is not finite."""
-    jet = compile_jet3(ast)
-    local = {*jet.__code__.co_varnames, *jet.f3.__code__.co_varnames}
-    for test in _TEST.findall(jet.source):
-        if local.isdisjoint(re.findall(r"[A-Za-z_]\w*", test)):
-            assert eval(test, jet.__globals__) is True, test
+    for fn in (compile_jet3(ast), compile_f3(ast)):
+        local = set(fn.__code__.co_varnames)
+        for test in _TEST.findall(fn.source):
+            if local.isdisjoint(re.findall(r"[A-Za-z_]\w*", test)):
+                assert eval(test, fn.__globals__) is True, test
 
 
 @pytest.mark.parametrize("source", _GUARD_SOURCES + _CORPUS)
@@ -546,9 +547,22 @@ def test_a_constant_exponent_compiles_as_its_literal():
 
 
 def test_f3_companion_drops_what_only_f_to_f2_read():
-    jet = compile_jet3(parse("log(x+0.5)"))  # log's value feeds no p_k
-    assert jet.f3.__code__.co_nlocals < jet.__code__.co_nlocals
-    assert jet.f3(0.5) == jet(0.5)[3]
+    ast = parse("log(x+0.5)")  # log's value feeds no p_k
+    jet, f3 = compile_jet3(ast), compile_f3(ast)
+    assert f3.__code__.co_nlocals < jet.__code__.co_nlocals
+    assert f3(0.5) == jet(0.5)[3]
+
+
+def test_the_jet_and_f3_functions_share_one_walk(monkeypatch):
+    # the tree's lines are written once, and each function built once
+    made, init = [], expr._JetCompiler.__init__
+    monkeypatch.setattr(expr._JetCompiler, "__init__",
+                        lambda self: made.append(init(self)))
+    expr._lowered.cache_clear()
+    ast = parse("exp(1.7*x) + 1/(x + 0.3)")
+    assert compile_f3(ast) is compile_f3(ast)
+    assert compile_jet3(ast) is compile_jet3(ast)
+    assert len(made) == 1
 
 
 def test_zero_derivatives_do_not_meet_an_inf():

@@ -514,21 +514,19 @@ def test_certify_stops_at_the_rounding_floor():
 def _counting_jets(monkeypatch) -> list[float]:
     """Every point at which certify or composite_bound evaluates a jet."""
     calls = []
-    compile_real = quadrature.compile_jet3
 
-    def compile_counted(f):
-        jet = compile_real(f)
+    def counting(compile_real):
+        def compile_counted(f):
+            fn = compile_real(f)
 
-        def counted(x):
-            calls.append(x)
-            return jet(x)
-
-        def counted_f3(x):
-            calls.append(x)
-            return jet.f3(x)
-        counted.f3 = counted_f3
-        return counted
-    monkeypatch.setattr(quadrature, "compile_jet3", compile_counted)
+            def counted(x):
+                calls.append(x)
+                return fn(x)
+            return counted
+        return compile_counted
+    for name in ("compile_jet3", "compile_f3"):
+        monkeypatch.setattr(quadrature, name,
+                            counting(getattr(quadrature, name)))
     return calls
 
 
