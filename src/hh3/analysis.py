@@ -38,7 +38,7 @@ import math
 from operator import add, mul, sub, truediv
 
 from .errors import NotLogConvex, require_f3
-from .expr import Node, compile_f3, compile_jet3, eval_jet3, parse
+from .expr import Node, compile_f3, compile_jet, eval_jet3, parse
 from .monotone import classify_cm
 # integrate_adaptive stays an attribute here for bench/tracer.py to wrap.
 from .quadrature import (integrate_adaptive,  # noqa: F401
@@ -166,7 +166,7 @@ def check_hermite_hadamard(f: Node, a: float, b: float) -> dict:
     mean must both be >= -1e-12 * max(1, |mean|) to pass.
     """
     xs = uniform_division(a, b, GRID_POINTS - 1)
-    jet = compile_jet3(f)
+    jet = compile_jet(f, 3)
     jets = [jet(x) for x in xs]
     second_scale = max(1.0, max(abs(j[2]) for j in jets))
     for x, j in zip(xs, jets):

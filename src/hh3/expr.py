@@ -1,4 +1,4 @@
-"""Expression front end: parsing, printing, and third-order jet evaluation.
+"""Expression front end: parsing, printing, and jet evaluation.
 
 The accepted language is a small calculator grammar over one variable ``x``.
 In EBNF, lowest precedence first:
@@ -23,24 +23,20 @@ one level up the chain, so ``x^-2`` and ``x^2^3`` (= ``x^(2^3)``) both parse.
 ``log`` is the natural logarithm.  There is no ``abs``: every bound in this
 package needs three derivatives, and |.| does not supply them.
 
-Evaluation is done on jets: a jet is the tuple ``(f, f', f'', f''')`` at a
-point, and the rules below propagate all four components exactly: Leibniz
-for products, back-substitution for quotients, and for each function the
-recurrence of its ODE (Griewank and Walther, *Evaluating Derivatives*, 2nd
-ed., SIAM 2008, ch. 13).  No finite differencing is done anywhere.
-:func:`compile_jet3` writes the rules' float operations for one tree as a
-straight-line Python function of x, compiled once and cached.  It leaves
-out each term that the derivatives of ``x`` and of constants (1 and 0)
-make identically zero, and each factor they make 1, and performs the rest
-in the order a recursive walk of the tree would.  What reads only the
-tree's numbers is settled at compile time: a line's value, unless
-computing it raises (then the line stays, so its error names the point),
-a guard's test, which is left out where it is False, a power's choice of
-rule, and whether an output is finite.  :func:`compile_f3` compiles, from the
-same lines and on first use, a function of x that returns f''' alone, for
-callers that read nothing else: it keeps the lines that f''' reads, every
-guard, ``try`` and branch, and checks only f''' for finiteness, so it
-raises what the jet raises but "result is not finite" for f, f' or f''.
+Evaluation is done on jets: the jet of order k is the tuple ``(f, f', ...,
+f^(k))`` at a point, and the rules below propagate every component
+exactly: Leibniz for products, back-substitution for quotients, and for
+each function the recurrence of its ODE (Griewank and Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008, ch. 13).  No finite differencing is done
+anywhere.  :func:`compile_jet` lowers one tree, at one order, to the
+rules' float operations, the straight-line body of a Python function of
+x, written once and cached.  Each function of a tree is a pick of outputs
+from those lines, compiled on first use: the whole jet,
+``compile_jet(node, 3)``, for the sums, the bounds, the checks and the
+reference integral; and f''' alone, :func:`compile_f3`, for |f'''| at
+division and grid points.  A pick keeps the lines its outputs read and
+every guard, ``try`` and branch, so it raises what the jet raises but
+"result is not finite" for a derivative it drops.
 """
 
 import functools
@@ -51,8 +47,8 @@ from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from .record import Record
 
 __all__ = [
-    "Num", "Var", "Const", "Neg", "BinOp", "Func", "Node", "parse",
-    "to_text", "compile_jet3", "compile_f3", "evaluate", "eval_jet3",
+    "Num", "Var", "Const", "Neg", "BinOp", "Func", "Node", "parse", "to_text",
+    "compile_jet", "compile_f3", "evaluate", "eval_jet3",
 ]
 
 _FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
@@ -295,50 +291,49 @@ def to_text(node: Node) -> str:
 # --------------------------------------------------------------------------
 
 # The jet rules, one table per operation: each entry binds its key to a sum
-# of terms, each a coefficient and the keys of its factors, with the key of
-# a divisor last where the sum is divided.  A term multiplies left to right
+# of terms, each a coefficient and the keys of its factors, with the key of a
+# divisor last where the sum is divided.  A term multiplies left to right
 # from the coefficient (left out at 1.0, its sign put in front), the terms
 # add left to right and the sum is divided last, so Python's precedence and
 # association fix the order of every operation.  A key is a letter and an
-# order: a, b and u are operands, d is u', and p is the result, whose
-# entries read those bound before them.
-_ORDER = 3  # f, f', f'', f''': every table is a loop up to it
-_KS, _STEPS = range(_ORDER + 1), range(_ORDER)
-_C = [[float(math.comb(k, j)) for j in range(k + 2)] for k in _KS]  # binomial
+# order: a, b and u are operands, d is u', and p is the result, whose entries
+# read those bound before them.  Each order's tables are built on first use.
+@functools.cache
+def _rules(order: int) -> dict:
+    ks, steps = range(order + 1), range(order)
+    comb = [[float(math.comb(k, j)) for j in range(k + 2)] for k in ks]
+
+    def leibniz(k: int, a: str, b: str, sign: float = 1.0) -> tuple:
+        # the terms of the k-th derivative of sign * a * b, j = 0..k
+        return tuple((sign * comb[k][j], f"{a}{k - j}", f"{b}{j}")
+                     for j in range(k + 1))
+    # u^c, c constant: u p' = c p d, with like terms gathered, so that each
+    # coefficient c C(k, j) - C(k, j + 1), m_kj, keeps c - 1 exact near c = 1
+    power = {**{f"m{k}{j}": ((comb[k][j], "c"), (-comb[k][j + 1],))
+                for k in steps for j in range(k)},
+             **{f"p{k + 1}": (*((1.0, f"m{k}{j}" if j < k else "c",
+                                 f"p{k - j}", f"d{j}") for j in range(k + 1)),
+                              "u0") for k in steps}}
+    # Each function p = F(u) but log (p' = d / u, a quotient) solves an ODE
+    # in u that, differentiated k times, gives p_(k+1) from p_0..p_k.  sqrt
+    # is u^0.5: 2 p p' = d, solved by p0, lost up to 7 ulps in f''' where
+    # this 3.  sin, sign 1, and cos, sign -1: p' = sign h d, h' = -sign p d.
+    return {
+        "+": {f"p{k}": ((1.0, f"a{k}"), (1.0, f"b{k}")) for k in ks},
+        "-": {f"p{k}": ((1.0, f"a{k}"), (-1.0, f"b{k}")) for k in ks},
+        "neg": {f"p{k}": ((-1.0, f"a{k}"),) for k in ks},
+        "*": {f"p{k}": leibniz(k, "a", "b") for k in ks},
+        "/": {f"p{k}": ((1.0, f"a{k}"), *leibniz(k, "p", "b", -1.0)[:0:-1],
+                        "b0") for k in ks},  # solve p*b = a, from j = k to 1
+        "^": power, "sqrt": power,
+        "exp": {f"p{k + 1}": leibniz(k, "p", "d") for k in steps},  # p' = p d
+        **{name: {f"{key}{k + 1}": leibniz(k, y, "d", s) for k in steps
+                  for key, y, s in (("p", "h", sign), ("h", "p", -sign))
+                  if key == "p" or k + 1 < order}  # no h that no p reads
+           for name, sign in (("sin", 1.0), ("cos", -1.0))},
+    }
 
 
-def _leibniz(k: int, a: str, b: str, sign: float = 1.0) -> tuple:
-    """The terms of the k-th derivative of sign * a * b, j = 0..k."""
-    return tuple((sign * _C[k][j], f"{a}{k - j}", f"{b}{j}")
-                 for j in range(k + 1))
-
-
-_ADD = {f"p{k}": ((1.0, f"a{k}"), (1.0, f"b{k}")) for k in _KS}
-_SUB = {f"p{k}": ((1.0, f"a{k}"), (-1.0, f"b{k}")) for k in _KS}
-_NEG = {f"p{k}": ((-1.0, f"a{k}"),) for k in _KS}
-_MUL = {f"p{k}": _leibniz(k, "a", "b") for k in _KS}
-_DIV = {f"p{k}": ((1.0, f"a{k}"), *_leibniz(k, "p", "b", -1.0)[:0:-1], "b0")
-        for k in _KS}                          # solve p*b = a, from j = k to 1
-# u^c, c constant: u p' = c p d, with like terms gathered, so that each
-# coefficient c C(k, j) - C(k, j + 1), m_kj, keeps c - 1 exact near c = 1
-_POW = {**{f"m{k}{j}": ((_C[k][j], "c"), (-_C[k][j + 1],))
-           for k in _STEPS for j in range(k)},
-        **{f"p{k + 1}": (*((1.0, f"m{k}{j}" if j < k else "c", f"p{k - j}",
-                            f"d{j}") for j in range(k + 1)), "u0")
-           for k in _STEPS}}
-# Each function p = F(u) but log (p' = d / u, a quotient) solves an ODE in
-# u that, differentiated k times, gives p_(k+1) from p_0..p_k.  sqrt is
-# u^0.5: 2 p p' = d, solved by p0, lost up to 7 ulps in f''' where this 3.
-_FUNCS = {
-    "exp": {f"p{k + 1}": _leibniz(k, "p", "d") for k in _STEPS},  # p' = p d
-    "sqrt": _POW,
-    # sin, sign 1, and cos, sign -1: p' = sign h d and h' = -sign p d
-    **{name: {f"{key}{k + 1}": _leibniz(k, y, "d", s) for k in _STEPS
-              for key, y, s in (("p", "h", sign), ("h", "p", -sign))
-              if key == "p" or k + 1 < _ORDER}  # no h that no p reads
-       for name, sign in (("sin", 1.0), ("cos", -1.0))},
-}
-_ONE = (1.0, *(0.0 for _ in _STEPS))
 _MAX_INT_EXPONENT = 2 ** 16
 _NORMAL_MIN = 2.2250738585072014e-308  # sys.float_info.min
 
@@ -373,8 +368,10 @@ class _JetCompiler:
     guard, a ``try`` or a branch.
     """
 
-    def __init__(self):
+    def __init__(self, order: int):
         self.lines, self.pool, self.indent = [], {}, "    "
+        self.ks, self.rules = range(order + 1), _rules(order)
+        self.one = (1.0, *[0.0] * order)  # the jet of 1
 
     def emit(self, line: str, *assigns: str):
         self.lines.append((self.indent + line, assigns))
@@ -436,16 +433,16 @@ class _JetCompiler:
         self.emit(f"    raise _domain({ref}, x, {why!r}) from None")
         return t
 
-    def rule(self, entries: dict, **operands) -> tuple:
-        """Emit the entries in turn, each bound to its key, and return the
-        jet p: a tuple operand binds its components as key + order."""
+    def rule(self, op: str, **operands) -> tuple:
+        """Emit the entries of op's table in turn, each bound to its key, and
+        return the jet p: a tuple operand binds its components as key + k."""
         env = {}
         for key, v in operands.items():
             env.update({f"{key}{i}": w for i, w in enumerate(v)}
                        if isinstance(v, tuple) else {key: v})
-        for key, terms in entries.items():
+        for key, terms in self.rules[op].items():
             env[key] = self.entry(terms, env)
-        return tuple(env[f"p{k}"] for k in _KS)
+        return tuple(env[f"p{k}"] for k in self.ks)
 
     def entry(self, terms: tuple, env: dict):
         """The operand of one rule entry: a float where no term varies."""
@@ -496,12 +493,12 @@ class _JetCompiler:
 
     def node(self, node: Node) -> tuple:
         if isinstance(node, Var):
-            return ("x", 1.0, *_ONE[2:])
+            return ("x", 1.0, *self.one[2:])
         if isinstance(node, (Num, Const)):
             c = node.value if isinstance(node, Num) else _CONSTANTS[node.name]
-            return (self.name(c), *_ONE[1:])
+            return (self.name(c), *self.one[1:])
         if isinstance(node, Neg):
-            return self.rule(_NEG, a=self.node(node.operand))
+            return self.rule("neg", a=self.node(node.operand))
         if isinstance(node, Func):
             return self.func(node.name, node, self.node(node.arg))
         if isinstance(node, BinOp):
@@ -509,11 +506,9 @@ class _JetCompiler:
             if node.op == "^":
                 return self.power(node, a)
             b = self.node(node.right)
-            if node.op != "/":
-                rule = {"+": _ADD, "-": _SUB, "*": _MUL}[node.op]
-                return self.rule(rule, a=a, b=b)
-            self.fail(f"{b[0]} == 0.0", node, "division by zero")
-            return self.rule(_DIV, a=a, b=b)
+            if node.op == "/":
+                self.fail(f"{b[0]} == 0.0", node, "division by zero")
+            return self.rule(node.op, a=a, b=b)
         raise TypeError(f"not an expression node: {node!r}")
 
     def func(self, name: str, node: Node, u: tuple) -> tuple:
@@ -531,8 +526,8 @@ class _JetCompiler:
             c = self.assign(f"cos({v})")
             value, partner = (s, (c,)) if name == "sin" else (c, (s,))
         if name == "log":  # the quotient's last order is never read
-            return (value, *self.rule(_DIV, a=(*u[1:], 0.0), b=u)[:-1])
-        return self.rule(_FUNCS[name], u=u, d=u[1:], p=(value,), h=partner,
+            return (value, *self.rule("/", a=(*u[1:], 0.0), b=u)[:-1])
+        return self.rule(name, u=u, d=u[1:], p=(value,), h=partner,
                          c=0.5)  # the exponent of sqrt
 
     def normal(self, node: Node, u: tuple, what: str):
@@ -560,7 +555,7 @@ class _JetCompiler:
         # int() of an inf or a NaN raises, so the finite test comes first
         integer = [f"abs({k}) <= {_MAX_INT_EXPONENT}", f"{k} == int({k})"]
         prefix = self.fresh()
-        out = tuple(f"{prefix}_{k}" for k in _KS)
+        out = tuple(f"{prefix}_{k}" for k in self.ks)
         self.open(f"if {' and '.join(zero + integer)}:")
         self.emit(f"{', '.join(out)} = _int_power(int({k}))"
                   f"(x, {self.name(node)}, {', '.join(map(_text, base))})")
@@ -582,13 +577,13 @@ class _JetCompiler:
         self.normal(node, base, "base")
         value = self.guarded(f"{v} ** {k}", node, "OverflowError",
                              "power overflow")
-        return self.rule(_POW, u=base, d=base[1:], c=k, p=(value,))
+        return self.rule("^", u=base, d=base[1:], c=k, p=(value,))
 
     def variable_pow(self, node: BinOp, e: tuple, base: tuple) -> tuple:
         self.fail(f"{base[0]} <= 0.0", node,
                   "variable exponent needs a positive base")
         log_base = self.func("log", node, base)  # the guards name the ^
-        return self.func("exp", node, self.rule(_MUL, a=e, b=log_base))
+        return self.func("exp", node, self.rule("*", a=e, b=log_base))
 
     def int_pow(self, node, u: tuple, n: int) -> tuple:
         """u**n unrolled by repeated squaring; n < 0 needs u0**-n != 0."""
@@ -598,14 +593,14 @@ class _JetCompiler:
             p = self.int_pow(node, u, -n)  # may underflow where u0 does not
             self.fail(f"{p[0]} == 0.0", node,
                       "base too small for a negative power")
-            return self.rule(_DIV, a=_ONE, b=p)
-        result = _ONE
+            return self.rule("/", a=self.one, b=p)
+        result = self.one
         while n:
             if n & 1:
-                result = self.rule(_MUL, a=result, b=u)
+                result = self.rule("*", a=result, b=u)
             n >>= 1
             if n:
-                u = self.rule(_MUL, a=u, b=u)
+                u = self.rule("*", a=u, b=u)
         return result
 
     def live(self, result) -> list[str]:
@@ -634,8 +629,8 @@ class _JetCompiler:
         source = "\n".join([f"def jet({params}):", *lines, "    return "
                             + (f"({value})" if len(out) > 1 else value)])
         namespace = dict(self.pool, _domain=_domain, DomainError=DomainError,
-                         _int_power=_int_power, isfinite=math.isfinite,
-                         **_FOLDABLE)
+                         _int_power=functools.partial(_int_power, self.ks[-1]),
+                         isfinite=math.isfinite, **_FOLDABLE)
         exec(compile(source, "<hh3 jet>", "exec"), namespace)
         jet = namespace["jet"]
         jet.source = source
@@ -643,47 +638,44 @@ class _JetCompiler:
 
 
 @functools.lru_cache(maxsize=256)
-def _int_power(n: int) -> Callable:
+def _int_power(order: int, n: int) -> Callable:
     """base**n for an n known at run time: (x, ^ node, base jet) -> jet."""
-    c, base = _JetCompiler(), tuple(f"b{k}" for k in _KS)
+    c, base = _JetCompiler(order), tuple(f"b{k}" for k in range(order + 1))
     return c.build(c.int_pow("node", base, n), f"x, node, {', '.join(base)}")
 
 
 @functools.lru_cache(maxsize=256)
-def _lowered(node: Node, text: str) -> Callable[[bool], Callable]:
-    """The tree's lines, written once; f3_only -> its function, built once."""
-    c = _JetCompiler()
+def _lowered(node: Node, text: str, order: int) -> Callable[..., Callable]:
+    """The tree's lines, written once; a pick (start, stop) of the jet's
+    outputs -> its function, built once."""
+    c = _JetCompiler(order)
     c.emit("if not isfinite(x):")
     c.emit("    raise DomainError('evaluation point must be finite', x=x)")
     jet, name = c.node(node), c.name(node)
-    return functools.cache(
-        lambda f3_only: c.build(jet[3:] if f3_only else jet, node=name))
+    return functools.cache(lambda pick: c.build(jet[slice(*pick)], node=name))
 
 
-def compile_jet3(node: Node) -> Callable[[float], tuple[float, ...]]:
-    """The jet of ``node`` as one function of x returning (f, f', f'', f''').
+def compile_jet(node: Node, order: int) -> Callable[[float], tuple]:
+    """The jet (f, f', ...) of ``node`` to ``order`` >= 3, a function of x.
 
-    It performs the float operations of the jet rules in the order a
-    recursive walk of the tree would, but for the terms with a zero factor
-    and the factors of 1 that the derivatives of x and of constants bring:
-    these it leaves out, so f keeps its bits and a derivative that is 0
-    may come out with the other sign.  Where such a zero met an inf, the
-    walk's NaN becomes the true value.  A guard, a power's choice of rule
-    or a finiteness check that reads only the tree's numbers is decided as
-    it compiles; one that always raises stays, so its error names x.  It
-    raises what :func:`eval_jet3` documents.  Its ``source`` attribute
-    holds its text.  Compiled on first use from the tree's lines, written
-    once and shared with :func:`compile_f3` in a bounded cache keyed on the
-    tree and its text (Num(0.0) == Num(-0.0)).
+    It performs the float operations of the jet rules in the order a recursive
+    walk of the tree would, but for the terms with a zero factor and the
+    factors of 1 that the derivatives of x and of constants bring: these it
+    leaves out, so f keeps its bits and a derivative that is 0 may come out
+    with the other sign.  Where such a zero met an inf, the walk's NaN becomes
+    the true value.  A guard, a power's choice of rule or a finiteness check
+    that reads only the tree's numbers is decided as it compiles; one that
+    always raises stays, so its error names x.  It raises what
+    :func:`eval_jet3` documents, and holds its text in ``source``.  Cached with
+    its picks on the tree, its text (Num(0.0) == Num(-0.0)) and the order.
     """
-    return _lowered(node, to_text(node))(False)
+    return _lowered(node, to_text(node), order)((0, None))
 
 
 def compile_f3(node: Node) -> Callable[[float], float]:
-    """f''' of ``node`` alone as a function of x, compiled on first use from
-    the lines :func:`compile_jet3` reads: the jet's f''' bit for bit, raising
-    what the jet raises but "result is not finite" for f, f' or f''."""
-    return _lowered(node, to_text(node))(True)
+    """f''' alone, the pick from ``compile_jet(node, 3)``: its f''' bit for
+    bit, raising what it raises but "result is not finite" for f to f''."""
+    return _lowered(node, to_text(node), 3)((3, 4))
 
 
 def eval_jet3(node: Node, x: float) -> tuple[float, float, float, float]:
@@ -694,9 +686,9 @@ def eval_jet3(node: Node, x: float) -> tuple[float, float, float, float]:
     argument of ``log``, ``sqrt`` or a non-integer power is subnormal where
     it moves with x, or the result is not finite.
     """
-    return compile_jet3(node)(x)
+    return compile_jet(node, 3)(x)
 
 
 def evaluate(node: Node, x: float) -> float:
     """The value component of :func:`eval_jet3`; errors are identical."""
-    return compile_jet3(node)(x)[0]
+    return compile_jet(node, 3)(x)[0]

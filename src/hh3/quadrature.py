@@ -34,7 +34,7 @@ from .errors import BadInterval, BelowRoundingFloor, DomainError, \
     NonConvergence, ToleranceUnreachable, require_f3, require_finite, \
     require_interval
 # eval_jet3 and evaluate stay attributes here for bench/tracer.py to wrap.
-from .expr import (Node, compile_f3, compile_jet3, eval_jet3,  # noqa: F401
+from .expr import (Node, compile_f3, compile_jet, eval_jet3,  # noqa: F401
                    evaluate)
 from .record import Record
 
@@ -102,7 +102,7 @@ def _midpoint_pass(jet: Callable, points: tuple[float, ...]) -> tuple:
 
 def corrected_midpoint_sum(f: Node, points: Sequence[float]) -> float:
     return _finite_sum("corrected_sum",
-                       _midpoint_pass(compile_jet3(f), _checked(points))[1])
+                       _midpoint_pass(compile_jet(f, 3), _checked(points))[1])
 
 
 # --------------------------------------------------------------------------
@@ -134,7 +134,7 @@ def composite_bound(f: Node, points: Sequence[float]) -> QuadResult:
     f3_of = compile_f3(f)  # require_f3's test inline: a call per point is slow
     f3 = [m if 2.2250738585072014e-308 <= (m := abs(f3_of(x)))
           <= 1.7976931348623157e308 else require_f3(x, m) for x in points]
-    plain, corrected = _midpoint_pass(compile_jet3(f), points)
+    plain, corrected = _midpoint_pass(compile_jet(f, 3), points)
     interval_bounds = _bounds.interval_chi1(   # the widths h = hi - lo
         f3, map(operator.sub, points[1:], points))
 
@@ -296,7 +296,7 @@ _REFERENCE_TOL = 1e-13
 def reference_integral(f: Node, a: float, b: float) -> float:
     """High-accuracy integral of an expression, used as ground truth: the
     one integral of f behind every true error, mean and residual."""
-    jet = compile_jet3(f)
+    jet = compile_jet(f, 3)
     return integrate_adaptive(lambda x: jet(x)[0], a, b, _REFERENCE_TOL)
 
 
@@ -320,7 +320,7 @@ def identity_residual(f: Node, a: float, b: float) -> float:
     h = b - a
     m = 0.5 * (a + b)
     mean = reference_integral(f, a, b) / h
-    jet = compile_jet3(f)
+    jet = compile_jet(f, 3)
     f0, _, f2, _ = jet(m)
     lhs = mean - f0 - h * h / 24.0 * f2
     f3 = compile_f3(f)
@@ -419,7 +419,7 @@ def _rounding_mass(f: Node, points: tuple[float, ...]) -> float:
     """A of :func:`certify`: the sum over the midpoints m of
     |h f(m)| + |h^3 f''(m) / 24| + |h m f'(m)|, from the jets there,
     evaluated again as :func:`composite_bound` evaluated them."""
-    mass, jet = 0.0, compile_jet3(f)
+    mass, jet = 0.0, compile_jet(f, 3)
     for lo, hi in zip(points, points[1:]):
         h, m = hi - lo, 0.5 * (lo + hi)
         f0, f1, f2, _ = jet(m)

@@ -1,6 +1,6 @@
 """Reference jet evaluator: a recursive walk of the AST, one Jet per node.
 
-This is the tree-walker that :func:`hh3.expr.compile_jet3` replaces.  It
+This is the tree-walker that :func:`hh3.expr.compile_jet` replaces.  It
 performs every float operation of the jet rules; the compiled functions
 leave out the terms with a zero factor that the derivatives of ``x`` and
 of constants make, and perform the rest in the walker's order.  So the

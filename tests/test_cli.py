@@ -351,7 +351,7 @@ def test_bounds_prints_a_tiny_normal_chi1(capsys):
 
 
 def test_a_proved_bounds_run_compiles_one_jet_function(capsys, monkeypatch):
-    # the f'''-only function is compiled on first use, and bounds needs none
+    # the f''' pick is compiled on first use, and bounds needs none
     sources = []
 
     def counted(source, *args):
@@ -1234,7 +1234,8 @@ def test_command_and_dash_m_end_through_the_same_function():
     module_name, _, name = target.partition(":")
     script = getattr(importlib.import_module(module_name), name)
     main_module = importlib.import_module("hh3.__main__")
-    tree = ast.parse(open(main_module.__file__, encoding="utf-8").read())
+    with open(main_module.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
     exits = [node.args[0].func.id for node in ast.walk(tree)
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", None) == "SystemExit"]

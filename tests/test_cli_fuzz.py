@@ -22,14 +22,8 @@ from hypothesis import strategies as st
 from hh3.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, main
 from hh3.expr import parse, to_text
 from test_cli import schema
-from test_expr import _ast_strategy
+from test_expr import _INTERVALS, _ast_strategy
 
-_INTERVALS = [
-    ("0", "1"), ("0.1", "1"), ("-1", "1"),
-    ("1e-300", "1e-299"), ("0", "5e-324"),             # tiny
-    ("1e150", "1e151"), ("-1e300", "1e300"),           # huge, wide
-    ("1", "1.0000000000000002"), ("-2", "-1.9999999999999998"),
-]
 _COMMANDS = [
     ("bounds",),
     ("integrate", "--n", "4"),

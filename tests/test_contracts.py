@@ -26,7 +26,7 @@ import hh3.quadrature
 from hh3 import cli, errors
 from hh3.analysis import CatalogEntry
 from hh3.bounds import BoundReport, DerivEndpoints
-from hh3.expr import (BinOp, Const, Func, Neg, Num, Var, compile_jet3,
+from hh3.expr import (BinOp, Const, Func, Neg, Num, Var, compile_jet,
                       parse)
 from hh3.quadrature import QuadResult
 from hh3.reportfmt import Table
@@ -291,9 +291,11 @@ def test_errors_survive_pickle_and_copy(error):
 
 
 def test_ast_nodes_key_the_jet_cache():
-    assert compile_jet3(parse("exp(x)")) is compile_jet3(parse("exp(x)"))
+    assert compile_jet(parse("exp(x)"), 3) is compile_jet(parse("exp(x)"), 3)
+    assert compile_jet(parse("exp(x)"), 4) is not compile_jet(
+        parse("exp(x)"), 3)
     # equal trees, but their text tells the zeros apart
     zero, minus_zero = BinOp("*", Num(0.0), _X), BinOp("*", Num(-0.0), _X)
     assert zero == minus_zero
-    assert compile_jet3(zero) is not compile_jet3(minus_zero)
+    assert compile_jet(zero, 3) is not compile_jet(minus_zero, 3)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hh3 import expr
 from hh3.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from hh3.expr import (BinOp, Const, Func, Neg, Num, Var, _tokenize,
-                      compile_f3, compile_jet3, eval_jet3, evaluate, parse,
+                      compile_f3, compile_jet, eval_jet3, evaluate, parse,
                       to_text)
 from jet_reference import Jet, _div, _eval, _mul, eval_jet3_reference
 from token_reference import tokenize_reference
@@ -165,6 +165,16 @@ def _ast_strategy():
     return st.recursive(leaf, extend, max_leaves=25)
 
 
+# The intervals of the command-line fuzz test, which draws its trees from
+# the strategy above.
+_INTERVALS = [
+    ("0", "1"), ("0.1", "1"), ("-1", "1"),
+    ("1e-300", "1e-299"), ("0", "5e-324"),             # tiny
+    ("1e150", "1e151"), ("-1e300", "1e300"),           # huge, wide
+    ("1", "1.0000000000000002"), ("-2", "-1.9999999999999998"),
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_ast_strategy())
 def test_round_trip_property(ast):
@@ -188,6 +198,9 @@ def test_evaluate_is_jet_value_component():
     ast = parse("exp(x)*sin(x)")
     for x in (0.1, 1.0, 2.5):
         assert evaluate(ast, x) == eval_jet3(ast, x)[0]
+    # f is 1e-150, but f'' overflows: evaluate raises what the jet raises
+    with pytest.raises(DomainError, match="result is not finite"):
+        evaluate(parse("sqrt(x)"), 1e-300)
 
 
 _SMOOTH_CASES = [
@@ -297,7 +310,7 @@ def test_jets_match_closed_forms_to_8_ulps(family):
     rng = random.Random(family)
     with mpmath.workdps(50):
         for c in constants:
-            jet = compile_jet3(parse(family.format(c=c)))
+            jet = compile_jet(parse(family.format(c=c)), 3)
             for x in (rng.uniform(0.0, 2.0) for _ in range(300)):
                 got = jet(x)
                 w = mpmath.mpf(argument(c, x))
@@ -311,11 +324,65 @@ def test_jets_match_closed_forms_to_8_ulps(family):
                         family, c, x, k, got[k], want)
 
 
+# The same closed forms at orders 4 to 9, and a sum, a product and a
+# quotient of them: each family its text, its parts as (argument, k-th
+# derivative) pairs, how the parts combine and a few values of c.  The
+# quotient's second part is the closed form of its divisor's reciprocal.
+_EXP, _LOG, _SQRT, _SIN = (_CLOSED_FORMS[f][:2] for f in (
+    "exp({c}*x)", "log(x+{c})", "sqrt(x+{c})", "sin({c}*x)"))
+_RECIP = (lambda c, x: x + c, _power_rule(-1))
+_ANY_ORDER = {
+    "exp({c}*x)": ((_EXP,), None, (0.37, -2.5, 6.144)),
+    "1/(x+{c})": ((_RECIP,), None, (0.5, 2.679, 1e-3)),
+    "log(x+{c})": ((_LOG,), None, (0.5, 2.679, 1e-3)),
+    "sqrt(x+{c})": ((_SQRT,), None, (0.1, 1.0, 7.3)),
+    "sin({c}*x)": ((_SIN,), None, (1.0, 3.7, 25.0)),
+    "x^5": (((lambda c, x: x, _power_rule(5)),), None, (1.0,)),
+    "exp({c}*x)+log(x+{c})": ((_EXP, _LOG), "+", (0.7, 2.5)),
+    "sin({c}*x)*sqrt(x+{c})": ((_SIN, _SQRT), "*", (1.3, 3.7)),
+    "exp({c}*x)/(x+{c})": ((_EXP, _RECIP), "*", (0.5, 2.679)),
+}
+# The tolerance of each order, in ulps of the sum of the magnitudes of the
+# terms that make the derivative, which a sum or a product may cancel.
+_ORDER_ULPS = {4: 32, 5: 40, 6: 48, 7: 56, 8: 64, 9: 72}
+
+
+def _terms(parts, combine, c, x, k) -> list:
+    """The terms, in mpmath, whose sum is the k-th derivative at x."""
+    c = mpmath.mpf(c)
+    d = [[derivative(c, mpmath.mpf(argument(float(c), x)), j)
+          for j in range(k + 1)] for argument, derivative in parts]
+    if combine is None:
+        return [d[0][k]]
+    if combine == "+":
+        return [d[0][k], d[1][k]]
+    return [mpmath.binomial(k, j) * d[0][k - j] * d[1][j]
+            for j in range(k + 1)]
+
+
+@pytest.mark.parametrize("family", _ANY_ORDER)
+def test_jets_of_orders_4_to_9_match_closed_forms(family):
+    parts, combine, constants = _ANY_ORDER[family]
+    rng = random.Random(family)
+    with mpmath.workdps(40):
+        for c in constants:
+            ast = parse(family.format(c=c))
+            for x in (rng.uniform(0.0, 2.0) for _ in range(60)):
+                terms = [_terms(parts, combine, c, x, k) for k in range(10)]
+                for order, ulps in _ORDER_ULPS.items():
+                    got = compile_jet(ast, order)(x)
+                    assert len(got) == order + 1
+                    for k, t in enumerate(terms[:order + 1]):
+                        scale = float(sum(map(abs, t)))
+                        assert float(abs(got[k] - sum(t))) \
+                            <= ulps * math.ulp(scale), (c, x, order, k)
+
+
 def test_a_power_near_1_keeps_the_bits_of_its_small_derivatives():
     # c*p - p would cancel to a few bits of (c - 1)*p: the power's rule
     # forms c - 1 first, where it is exact
     c = 1.000000000001
-    jet = compile_jet3(parse(f"x^{c!r}"))
+    jet = compile_jet(parse(f"x^{c!r}"), 3)
     with mpmath.workdps(50):
         for x in (0.3, 0.7, 1.3, 2.9):
             for k, got in enumerate(jet(x)):
@@ -448,17 +515,21 @@ def test_compiled_power_and_error_paths_match_tree_walk(source, x):
     _assert_like_tree_walk(parse(source), x)
 
 
+def _not_finite(outcome, ast, x) -> bool:
+    return outcome[0] is DomainError and outcome[2] == (to_text(ast), x) \
+        and outcome[1].startswith("result is not finite (in ")
+
+
 def _assert_companion_like_jet(ast, x):
-    """Where the f'''-only function returns v, the jet returns v's bits at
-    index 3, or raises only "result is not finite"; where the f'''-only
-    function raises, the jet raises the same."""
-    full = _outcome(lambda _, x: compile_jet3(ast)(x), ast, x)
+    """Where the f'''-only function returns v, v is finite, and the jet
+    returns v's bits at index 3 or raises only "result is not finite";
+    where the f'''-only function raises, the jet raises the same."""
+    full = _outcome(lambda _, x: compile_jet(ast, 3)(x), ast, x)
     only = _outcome(lambda _, x: (compile_f3(ast)(x),), ast, x)
     if isinstance(only[0], type):
         assert full == only
     elif isinstance(full[0], type):
-        assert full[0] is DomainError and full[2] == (to_text(ast), x)
-        assert full[1].startswith("result is not finite (in ")
+        assert _not_finite(full, ast, x) and math.isfinite(only[0])
     else:
         assert only[0].hex() == full[3].hex()
 
@@ -477,13 +548,52 @@ def test_f3_companion_keeps_every_guard(source, x):
     _assert_companion_like_jet(parse(source), x)
 
 
+# The fuzz test's trees: its strategy, intervals and settings.  The
+# intervals' ends and midpoints reach the edges of float range.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ast_strategy(), st.sampled_from(_INTERVALS))
+def test_f3_companion_matches_the_jet_on_the_fuzzed_trees(ast, interval):
+    a, b = map(float, interval)
+    for x in (a, 0.5 * a + 0.5 * b, b):
+        _assert_companion_like_jet(ast, x)
+
+
+def _assert_begins_like_jet3(ast, x, order):
+    """The order-k jet's f to f''' are the order-3 jet's as floats, so
+    only a zero's sign may differ.  It raises what that jet raises, and
+    else only "result is not finite", for a derivative above f'''."""
+    low = _outcome(lambda _, x: compile_jet(ast, 3)(x), ast, x)
+    high = _outcome(lambda _, x: compile_jet(ast, order)(x), ast, x)
+    if isinstance(low[0], type):
+        assert high == low
+    elif isinstance(high[0], type):
+        assert _not_finite(high, ast, x)
+    else:
+        assert len(high) == order + 1 and high[:4] == low
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ast_strategy(), st.floats(min_value=-5.0, max_value=5.0),
+       st.integers(min_value=4, max_value=9))
+@example(parse("x^(x - x + 3) + sin(x)"), 0.5, 9)  # _int_power at order 9
+def test_every_order_begins_with_the_order_3_jet(ast, x, order):
+    _assert_begins_like_jet3(ast, x, order)
+
+
+@pytest.mark.parametrize("source", _GUARD_SOURCES)
+def test_every_order_keeps_every_guard(source):
+    for x in _GUARD_POINTS:
+        for order in range(4, 10):
+            _assert_begins_like_jet3(parse(source), x, order)
+
+
 def test_constant_lines_are_folded_unless_they_raise():
     # -k of exp(-c*x) reads only the tree's numbers: its value is a global,
     # and no line computes it
-    assert "= -k" not in compile_jet3(parse("exp(-1.7*x)")).source
+    assert "= -k" not in compile_jet(parse("exp(-1.7*x)"), 3).source
     # exp(1000.0) overflows: that line stays, so its error names the point
     ast = parse("x + exp(1000)")
-    assert "exp(k" in compile_jet3(ast).source
+    assert "exp(k" in compile_jet(ast, 3).source
     with pytest.raises(DomainError) as info:
         compile_f3(ast)(0.5)
     assert (info.value.expr_text, info.value.x) == ("exp(1000.0)", 0.5)
@@ -507,7 +617,7 @@ def _assert_x_decides_every_test(ast):
     """Each ``if`` or ``elif`` of the compiled sources reads x or a local,
     or else holds on every call: a guard that always raises, or the
     finiteness check of a constant that is not finite."""
-    for fn in (compile_jet3(ast), compile_f3(ast)):
+    for fn in (compile_jet(ast, 3), compile_f3(ast)):
         local = set(fn.__code__.co_varnames)
         for test in _TEST.findall(fn.source):
             if local.isdisjoint(re.findall(r"[A-Za-z_]\w*", test)):
@@ -529,13 +639,13 @@ def test_the_tree_numbers_decide_no_test_at_run_time_property(ast):
 @pytest.mark.parametrize("source", ["x^(3/2)", "x^(2*2)", "x^(2*x)",
                                     "(x+1)^pi"])
 def test_an_exponent_the_tree_fixes_or_that_moves_needs_no_int_power(source):
-    assert "_int_power" not in compile_jet3(parse(source)).source
+    assert "_int_power" not in compile_jet(parse(source), 3).source
 
 
 def _with_values(source: str) -> str:
     """The compiled source with each global number written as its value,
     and each tree named in an error as ``node``."""
-    jet = compile_jet3(parse(source))
+    jet = compile_jet(parse(source), 3)
     value = {k: repr(v) if isinstance(v, float) else "node"
              for k, v in jet.__globals__.items()}
     return re.sub(r"\bk\d+\b", lambda m: value[m[0]], jet.source)
@@ -548,7 +658,7 @@ def test_a_constant_exponent_compiles_as_its_literal():
 
 def test_f3_companion_drops_what_only_f_to_f2_read():
     ast = parse("log(x+0.5)")  # log's value feeds no p_k
-    jet, f3 = compile_jet3(ast), compile_f3(ast)
+    jet, f3 = compile_jet(ast, 3), compile_f3(ast)
     assert f3.__code__.co_nlocals < jet.__code__.co_nlocals
     assert f3(0.5) == jet(0.5)[3]
 
@@ -557,11 +667,11 @@ def test_the_jet_and_f3_functions_share_one_walk(monkeypatch):
     # the tree's lines are written once, and each function built once
     made, init = [], expr._JetCompiler.__init__
     monkeypatch.setattr(expr._JetCompiler, "__init__",
-                        lambda self: made.append(init(self)))
+                        lambda self, order: made.append(init(self, order)))
     expr._lowered.cache_clear()
     ast = parse("exp(1.7*x) + 1/(x + 0.3)")
     assert compile_f3(ast) is compile_f3(ast)
-    assert compile_jet3(ast) is compile_jet3(ast)
+    assert compile_jet(ast, 3) is compile_jet(ast, 3)
     assert len(made) == 1
 
 
@@ -580,19 +690,20 @@ def test_zero_derivatives_do_not_meet_an_inf():
                                     for f in _oracle.FAMILIES.values()])
 def test_jets_multiply_by_no_literal_zero_or_one(source):
     # 0.0 stays only in the guards' comparisons
-    body = re.sub(r"[=<]= 0\.0\b", "", compile_jet3(parse(source)).source)
+    source = compile_jet(parse(source), 3).source
+    body = re.sub(r"[=<]= 0\.0\b", "", source)
     assert not re.search(r"(?<![\w.])0\.0\b|\* 1\.0\b|\b1\.0 \*", body)
 
 
 def test_compile_is_cached_and_keeps_signed_zero_constants():
-    assert compile_jet3(parse("x*2")) is compile_jet3(parse("x*2"))
+    assert compile_jet(parse("x*2"), 3) is compile_jet(parse("x*2"), 3)
     plus, minus = BinOp("*", Var(), Num(0.0)), BinOp("*", Var(), Num(-0.0))
-    assert math.copysign(1.0, compile_jet3(minus)(1.0)[0]) == -1.0
-    assert math.copysign(1.0, compile_jet3(plus)(1.0)[0]) == 1.0
+    assert math.copysign(1.0, compile_jet(minus, 3)(1.0)[0]) == -1.0
+    assert math.copysign(1.0, compile_jet(plus, 3)(1.0)[0]) == 1.0
 
 
 def test_expression_constants_are_not_compiled_as_source():
-    code = compile_jet3(parse("x*12345.678 + 0.125")).__code__
+    code = compile_jet(parse("x*12345.678 + 0.125"), 3).__code__
     assert 12345.678 not in code.co_consts and 0.125 not in code.co_consts
 
 

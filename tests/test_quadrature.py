@@ -516,15 +516,15 @@ def _counting_jets(monkeypatch) -> list[float]:
     calls = []
 
     def counting(compile_real):
-        def compile_counted(f):
-            fn = compile_real(f)
+        def compile_counted(f, *order):
+            fn = compile_real(f, *order)
 
             def counted(x):
                 calls.append(x)
                 return fn(x)
             return counted
         return compile_counted
-    for name in ("compile_jet3", "compile_f3"):
+    for name in ("compile_jet", "compile_f3"):
         monkeypatch.setattr(quadrature, name,
                             counting(getattr(quadrature, name)))
     return calls
