@@ -21,11 +21,11 @@ from .bounds import (BoundReport, DerivEndpoints, best_bound, chi1, chi2,
                      chi3, direct_bound, holder_bound, holder_factor, mu,
                      power_mean_bound)
 from .errors import (BadInterval, BelowRoundingFloor, DomainError,
-                     ExprSyntaxError, Hh3Error, NonConvergence,
-                     NonPositiveThirdDerivative, ToleranceUnreachable,
-                     UnknownIdentifier)
+                     ExprSyntaxError, Hh3Error, HypothesisNotProved,
+                     NonConvergence, NonPositiveThirdDerivative,
+                     ToleranceUnreachable, UnknownIdentifier)
 from .expr import Node, eval_jet3, evaluate, parse, to_text
-from .quadrature import (QuadResult, certify, composite_bound,
+from .quadrature import (Certificate, QuadResult, certify, composite_bound,
                          corrected_midpoint_sum, identity_residual,
                          integrate_adaptive, reference_integral,
                          uniform_division)
@@ -41,7 +41,7 @@ __all__ = [
     "holder_bound", "power_mean_bound", "best_bound", "DerivEndpoints",
     "BoundReport",
     # quadrature
-    "QuadResult", "uniform_division",
+    "QuadResult", "Certificate", "uniform_division",
     "corrected_midpoint_sum", "composite_bound", "reference_integral",
     "integrate_adaptive", "identity_residual", "certify",
     # analysis
@@ -51,5 +51,5 @@ __all__ = [
     # errors
     "Hh3Error", "ExprSyntaxError", "UnknownIdentifier", "DomainError",
     "NonPositiveThirdDerivative", "BadInterval", "NonConvergence",
-    "ToleranceUnreachable", "BelowRoundingFloor",
+    "ToleranceUnreachable", "BelowRoundingFloor", "HypothesisNotProved",
 ]

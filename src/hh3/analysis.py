@@ -39,7 +39,7 @@ from operator import add, mul, sub, truediv
 
 from .errors import NotLogConvex, require_f3
 from .expr import Node, compile_f3, compile_jet, eval_jet3, parse
-from .monotone import classify_cm
+from .monotone import proved_block
 # integrate_adaptive stays an attribute here for bench/tracer.py to wrap.
 from .quadrature import (integrate_adaptive,  # noqa: F401
                          reference_integral, uniform_division)
@@ -130,15 +130,8 @@ def check_log_convexity(f: Node, a: float, b: float) -> dict:
 
 def log_convexity_verdict(f: Node, a: float, b: float) -> dict:
     """The ``log_convexity`` block that ``bounds`` and ``verify`` print for
-    |f'''| on [a, b]: ``"kind": "proved"`` with the class and j0 of
-    :func:`hh3.monotone.classify_cm` where its j0 is at most 3, else the
-    block of :func:`check_log_convexity`."""
-    proof = classify_cm(f, a, b)
-    if proof is not None and proof[2] <= 3:
-        return {"passed": True, "worst_violation": None, "witness": None,
-                "pairs_tested": 0, "grid_points": None, "kind": "proved",
-                "class": proof[0], "j0": proof[2]}
-    return check_log_convexity(f, a, b)
+    |f'''| on [a, b]: monotone.proved_block's, else check_log_convexity's."""
+    return proved_block(f, a, b) or check_log_convexity(f, a, b)
 
 
 def require_log_convex(f: Node, a: float, b: float) -> dict:

@@ -2,21 +2,21 @@
 
 Five subcommands: ``bounds`` (single-interval bound report plus the
 log-convexity verdict, proved or sampled), ``integrate`` (composite sums
-and certified bound for a fixed n), ``certify`` (double n until a target
-tolerance is certified), ``verify`` (hypothesis checks and the
-kernel-identity residual) and ``sweep`` (a CSV table over a list of n).
-``bounds`` reports the paper's chi1, and chi2 and chi3 at the exponent
-``--q``; the composite commands certify with chi1 alone, which no exponent
-undercuts, so their ``--method`` is checked and then ignored.
+and certified bound for a fixed n), ``certify`` (one Euler-Maclaurin pass
+at the n that meets a tolerance, on a proved hypothesis), ``verify``
+(hypothesis checks and the kernel-identity residual) and ``sweep`` (a CSV
+table over a list of n).  ``bounds`` reports the paper's chi1, and chi2
+and chi3 at ``--q``; ``integrate`` and ``sweep`` certify with chi1 alone,
+which no exponent undercuts, so ``--method`` is checked and ignored.
 
 Exit codes: 0 on success, 2 when the mathematics rejects the input (domain
 errors, vanishing third derivative, a hypothesis the sampled pair test
-refutes, non-convergence, unreachable tolerance, a bound below the rounding
-floor, a single-interval chi1 or a factor of it below the normal float
-range),
+refutes or, for ``certify``, the tree does not prove, non-convergence,
+unreachable tolerance, a bound below the rounding floor, a single-interval
+chi1 or a factor of it below the normal float range),
 64 for usage errors (bad flags, malformed expressions, invalid intervals).
-All but ``sweep`` print the hypothesis blocks that :mod:`hh3.analysis`
-returns.  ``integrate``, ``certify`` and ``sweep`` ask its one refusal,
+All but ``sweep`` print a hypothesis block, ``certify`` its proof's
+(``monotone.proved_block``).  ``integrate`` and ``sweep`` ask the one refusal,
 ``analysis.require_log_convex``, before any bound, so print no failed one.
 Both sample on the one grid ``analysis.GRID_POINTS``, so a printed verdict
 fails exactly where those commands refuse.
@@ -58,7 +58,7 @@ class UsageError(Exception):
 COMMANDS = {
     "bounds": "single-interval error bound report",
     "integrate": "composite sums and certified bound at fixed n",
-    "certify": "refine until the certified bound meets --tol",
+    "certify": "one pass at the n whose certified bound meets --tol",
     "verify": "hypothesis checks and the identity residual",
     "sweep": "CSV table of sums/bounds over many n",
 }
@@ -372,17 +372,12 @@ def cmd_integrate(cfg: RunConfig) -> dict:
 
 
 def cmd_certify(cfg: RunConfig) -> dict:
-    convexity = analysis.require_log_convex(cfg.ast, cfg.a, cfg.b)
-    result = quadrature.certify(cfg.ast, cfg.a, cfg.b, cfg.tol,
-                                n_max=cfg.n_max)
-    n_final = len(result.points) - 1
+    r = quadrature.certify(cfg.ast, cfg.a, cfg.b, cfg.tol, n_max=cfg.n_max)
     return _envelope(cfg) | {
-        "tol": cfg.tol,
-        "n_final": n_final, "iterations": n_final.bit_length(),
-        "midpoint_sum": result.midpoint_sum,
-        "corrected_sum": result.corrected_sum,
-        "certified_bound": result.certified_bound,
-        "log_convexity": convexity,
+        "tol": cfg.tol, "rule": "euler-maclaurin", "order": r.order,
+        "n_final": r.n, "iterations": r.n.bit_length(),
+        "midpoint_sum": r.midpoint_sum, "corrected_sum": r.corrected_sum,
+        "certified_bound": r.certified_bound, "log_convexity": r.log_convexity,
     }
 
 

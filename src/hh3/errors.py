@@ -119,7 +119,7 @@ class NonConvergence(Hh3Error):
 
 
 class ToleranceUnreachable(Hh3Error):
-    """Refinement hit its cap before the certified bound met the tolerance."""
+    """No n up to the cap meets tol; best_bound is the bound at n_final."""
 
     def __init__(self, tol: float, best_bound: float, n_final: int):
         self.tol, self.best_bound, self.n_final = tol, best_bound, n_final
@@ -128,9 +128,8 @@ class ToleranceUnreachable(Hh3Error):
 
 
 class BelowRoundingFloor(ToleranceUnreachable):
-    """The tolerance is below half an ulp of every corrected sum that this
-    or a later level could print with a bound that meets it, so no
-    refinement can certify it; ``floor`` is that half ulp."""
+    """The tolerance is below ``floor``, half an ulp of the corrected sum at
+    ``n_final`` (the least n whose bound meets it): no double carries it."""
 
     def __init__(self, tol: float, best_bound: float, n_final: int,
                  floor: float):
@@ -139,6 +138,10 @@ class BelowRoundingFloor(ToleranceUnreachable):
         self.args = (f"tol {tol!r} is below the rounding floor {floor!r} of "
                      f"the corrected sum at n = {n_final}; no certified "
                      "bound can reach it",)
+
+
+class HypothesisNotProved(Hh3Error):
+    """``certify`` found no proof of its hypothesis from the tree."""
 
 
 class NotLogConvex(Hh3Error):

@@ -665,10 +665,12 @@ def compile_jet(node: Node, order: int) -> Callable[[float], tuple]:
     with the other sign.  Where such a zero met an inf, the walk's NaN becomes
     the true value.  A guard, a power's choice of rule or a finiteness check
     that reads only the tree's numbers is decided as it compiles; one that
-    always raises stays, so its error names x.  It raises what
-    :func:`eval_jet3` documents, and holds its text in ``source``.  Cached with
+    always raises stays, so its error names x.  It raises what eval_jet3
+    documents or ValueError, and holds its text in ``source``.  Cached with
     its picks on the tree, its text (Num(0.0) == Num(-0.0)) and the order.
     """
+    if not (type(order) is int and order >= 3):   # before the cache: 3.0 == 3
+        raise ValueError(f"jet order must be an integer >= 3, got {order!r}")
     return _lowered(node, to_text(node), order)((0, None))
 
 

@@ -19,7 +19,7 @@ import math
 from .expr import _CONSTANTS, _FOLDABLE, BinOp, Const, Func, Neg, Node, \
     Num, Var
 
-__all__ = ["CM_X", "CM_NEG_X", "classify_cm"]
+__all__ = ["CM_X", "CM_NEG_X", "classify_cm", "proved_block"]
 
 # A number is an exact rational (numerator, denominator > 0), so each sign
 # below is that of the expression with its literals read as the doubles
@@ -233,3 +233,13 @@ def classify_cm(f: Node, a: float, b: float) -> tuple[str, int, int] | None:
     if isinstance(v, list):  # f''' = 6 c3
         return (CM_X, _sign(v[3]), 3) if v[3][0] else None
     return v
+
+
+def proved_block(f: Node, a: float, b: float) -> dict | None:
+    """The ``log_convexity`` block of a :func:`classify_cm` proof with j0 <= 3
+    (|f'''| log-convex, f'' and f'''' monotone on [a, b]), else None."""
+    if (proof := classify_cm(f, a, b)) is None or proof[2] > 3:
+        return None
+    return {"passed": True, "worst_violation": None, "witness": None,
+            "pairs_tested": 0, "grid_points": None, "kind": "proved",
+            "class": proof[0], "j0": proof[2]}

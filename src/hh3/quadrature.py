@@ -13,6 +13,12 @@ an integral one), and their sum certifies the corrected sum:
 
     | integral - corrected_sum |  <=  certified_bound.
 
+``certify`` sums the rule in Euler-Maclaurin form, an extension that does
+not rest on the paper's theorem: with M the midpoint sum on n cells of
+width h, S_4 = M + h^2/24 (f'(b) - f'(a)) - 7 h^4/5760 (f'''(b) - f'''(a))
+and S_2 without its last term, |I - S_p| <= A_p h^(p+1) TV(f^(p)) (Davis
+and Rabinowitz, *Methods of Numerical Integration*, 1984, 2.9).
+
 The reference integrator used for truth values and residual checks is an
 adaptive bisection scheme whose panel rule is a nested Clenshaw-Curtis pair
 (17 and 33 points; the coarse nodes are the even-indexed fine ones, so a
@@ -31,15 +37,16 @@ from collections.abc import Callable, Sequence
 
 from . import bounds as _bounds
 from .errors import BadInterval, BelowRoundingFloor, DomainError, \
-    NonConvergence, ToleranceUnreachable, require_f3, require_finite, \
-    require_interval
+    HypothesisNotProved, NonConvergence, ToleranceUnreachable, require_f3, \
+    require_finite, require_interval
 # eval_jet3 and evaluate stay attributes here for bench/tracer.py to wrap.
 from .expr import (Node, compile_f3, compile_jet, eval_jet3,  # noqa: F401
                    evaluate)
+from .monotone import proved_block
 from .record import Record
 
 __all__ = [
-    "QuadResult", "uniform_division",
+    "QuadResult", "Certificate", "uniform_division",
     "corrected_midpoint_sum", "composite_bound", "reference_integral",
     "integrate_adaptive", "identity_residual", "certify",
     "require_above_floor", "DEFAULT_EVAL_BUDGET", "MAX_SUBINTERVALS",
@@ -47,9 +54,8 @@ __all__ = [
 
 DEFAULT_EVAL_BUDGET = 1_000_000
 
-#: The most subintervals the command line accepts and ``certify`` refines
-#: to by default.  A per-interval report takes about 85 MiB at 2^16
-#: subintervals, so more than 1 GB at this size.
+#: The most subintervals the command line accepts, and certify's default
+#: cap: a per-interval report takes 85 MiB at 2^16, so over 1 GB at 2^20.
 MAX_SUBINTERVALS = 2 ** 20
 
 
@@ -341,87 +347,77 @@ def identity_residual(f: Node, a: float, b: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Certification loop
+# Certification: the corrected midpoint rule in Euler-Maclaurin form
 # --------------------------------------------------------------------------
 
-#: The rounding allowance R of the floor stop in :func:`certify`, in units
-#: of eps times the absolute mass of a level's midpoint terms.
-_ROUNDING_ULPS = 2048.0
+#: (1/p!) * integral over [0, 1] of |B_p(t)|, B_p the Bernoulli polynomial
+_A = {2: 0.032075014954979206, 4: 8.152730289899203e-4}
+
+
+class Certificate(Record):  # floats, p (4 or 2), n (a power of 2), the proof
+    __slots__, _fields = (), ("midpoint_sum", "corrected_sum",
+                              "certified_bound", "order", "n", "log_convexity")
+
+
+def _em_bound(p: int, width: float, n: int, tv: float) -> float:
+    """A_p h^(p+1) TV, h = width / n: 1 + 16 eps outweighs 11 roundings."""
+    m, e = math.frexp(width / n)   # so only ldexp underflows, by half an ulp
+    try:
+        w = math.ldexp(_A[p] * tv * m ** (p + 1)
+                       * (1.0 + 16.0 * sys.float_info.epsilon), e * (p + 1))
+    except OverflowError:
+        return math.inf
+    return w if w >= sys.float_info.min else math.nextafter(w, math.inf)
 
 
 def certify(f: Node, a: float, b: float, tol: float,
-            n_max: int = MAX_SUBINTERVALS) -> QuadResult:
-    """Double a uniform division until the certified bound meets ``tol``.
+            n_max: int = MAX_SUBINTERVALS) -> Certificate:
+    """S_p on the least power of two n of cells whose bound meets ``tol``,
+    given monotone.proved_block (else HypothesisNotProved): then f'' and
+    f'''' are monotone, TV the endpoint difference plus 4 ulps of the larger
+    end.  p is 4, or 2 where f'''' is 0 at both ends or not finite at one.
+    Before f is evaluated at any midpoint, n > ``n_max`` is
+    ToleranceUnreachable and a midpoint not inside its cell BadInterval;
+    tol < ulp(S)/2 is BelowRoundingFloor, after the sum.  The bound omits
+    the rounding of jets, points and sum, as composite_bound's does."""
+    if not (math.isfinite(tol) and tol > 0.0 and n_max >= 1):
+        raise BadInterval(f"need a positive tolerance and at least one "
+                          f"subinterval, got tol = {tol!r}, n_max = {n_max}")
+    require_interval(a, b)
+    if (proof := proved_block(f, a, b)) is None:
+        raise HypothesisNotProved(
+            f"certify needs a proof that f^(j), j <= 3, is plus or minus a "
+            f"completely monotone function on [{a!r}, {b!r}]; none was "
+            "found, and sampling proves nothing")
+    try:   # p = 2 where f'''' is 0 at both ends (a cubic)
+        ja, jb = map(compile_jet(f, 4), (a, b))
+        p = 4 if ja[4] or jb[4] else 2
+    except DomainError:   # or not finite at one; if f fails, order 3 says so
+        p, (ja, jb) = 2, map(compile_jet(f, 3), (a, b))
+    tv = require_finite(f"the variation of f^({p})", abs(jb[p] - ja[p])
+                        + 4.0 * math.ulp(max(abs(ja[p]), abs(jb[p]))))
 
-    Starts at one subinterval and doubles n, so n is reached at level
-    n.bit_length().  Each level is one :func:`composite_bound` call, which
-    evaluates its own n + 1 points and n midpoints; the first whose bound
-    meets ``tol`` is returned, its n being ``len(points) - 1``.
-
-    Raises :class:`BadInterval` for a ``tol`` that is not positive or an
-    ``n_max`` below 1, :class:`ToleranceUnreachable` (carrying the best
-    bound achieved) if n exceeds ``n_max`` first, its subclass
-    :class:`BelowRoundingFloor` as soon as ``tol`` is below the rounding
-    floor, and what :func:`require_above_floor` raises for the level it
-    would return.  After each level, with corrected sum s and bound B, let
-
-        L = |s| - B - tol - R,    R = 2048 eps A,
-
-    with eps the machine epsilon and A the sum over the level's midpoints m
-    of |h f(m)| + |h^3 f''(m) / 24| + |h m f'(m)|.  The run stops once tol
-    is below the floor of max(L, 0).  As R >= 0 only lowers L, A is summed,
-    from the jets at the midpoints evaluated again as the level evaluated
-    them, only where tol is below the floor of max(L + R, 0) already.
-
-    The argument, granted R: B bounds |I - S| for the exact corrected sum
-    S at the level's points, and the printed s is within r of S, so
-    |I - s| <= B + r.  A level n' >= n whose bound meets tol prints an s'
-    with |I - s'| <= tol + r', so |s'| >= |s| - B - tol - (r + r') >= L
-    whenever R >= r + r'.  A double is guaranteed no closer than half its
-    ulp to the real it stands for, so a certificate for the printed s'
-    needs tol >= ulp(s')/2, and ulp(s')/2 >= ulp(L)/2.
-
-    R >= r + r' is assumed, not proved, so the stop is a heuristic.  Each
-    term takes six roundings and fsum one half-ulp; rounding the midpoint m
-    moves h f(m) by up to |h m f'(m)| eps/2, the last part of A.  But the
-    jets come from arbitrary expression code, whose rounding has no bound
-    known in advance.  R grants each sum 512 ulps of its mass, the later
-    level a mass of at most 2A (both are midpoint sums for the integral of
-    |f|), and 512 more to forming L.  Enclosing each term in an interval
-    (ROADMAP item 4) would make the stop a guarantee; a larger R only
-    delays it.
-    """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise BadInterval(f"tolerance must be positive, got {tol!r}")
-    if n_max < 1:
-        raise BadInterval(f"need at least one subinterval, got n_max = "
-                          f"{n_max}")
-    best_seen, n = math.inf, 1
-    while n <= n_max:
-        result = composite_bound(f, uniform_division(a, b, n))
-        best_seen = min(best_seen, result.certified_bound)
-
-        lower = abs(result.corrected_sum) - result.certified_bound - tol
-        if _below_floor(tol, max(lower, 0.0)):  # R >= 0 only lowers L
-            lower = max(lower - _ROUNDING_ULPS * sys.float_info.epsilon
-                        * _rounding_mass(f, result.points), 0.0)
-            if _below_floor(tol, lower):   # so ulp(lower) / 2 is exact
-                raise BelowRoundingFloor(tol, best_seen, n,
-                                         math.ulp(lower) / 2)
-
-        if result.certified_bound <= tol:
-            return require_above_floor(result)
+    width, n = b - a, 1
+    while n <= n_max and _em_bound(p, width, n, tv) > tol:
         n *= 2
-    raise ToleranceUnreachable(tol, best_seen, n // 2)
+    if n > n_max:   # n // 2 is the largest power of two allowed
+        raise ToleranceUnreachable(tol, _em_bound(p, width, n // 2, tv),
+                                   n // 2)
 
-
-def _rounding_mass(f: Node, points: tuple[float, ...]) -> float:
-    """A of :func:`certify`: the sum over the midpoints m of
-    |h f(m)| + |h^3 f''(m) / 24| + |h m f'(m)|, from the jets there,
-    evaluated again as :func:`composite_bound` evaluated them."""
-    mass, jet = 0.0, compile_jet(f, 3)
-    for lo, hi in zip(points, points[1:]):
-        h, m = hi - lo, 0.5 * (lo + hi)
-        f0, f1, f2, _ = jet(m)
-        mass += abs(h * f0) + abs(h ** 3 / 24.0 * f2) + abs(h * m * f1)
-    return mass
+    h = width / n   # h * h is inf, not OverflowError, beyond float range
+    points, jet = uniform_division(a, b, n), compile_jet(f, max(p, 3))
+    mids = [0.5 * (lo + hi) for lo, hi in zip(points, points[1:])]
+    if not (all(map(operator.lt, points, mids))  # where points coincide,
+            and all(map(operator.lt, mids, points[1:]))):  # or cells of 1 ulp
+        raise BadInterval(f"[{a!r}, {b!r}] is too narrow for {n} cells")
+    plain = [(hi - lo) * jet(m)[0]
+             for lo, m, hi in zip(points, mids, points[1:])]
+    c1, c3 = h * h / 24.0, 7.0 * (h * h) * (h * h) / 5760.0 if p == 4 else 0.0
+    ends = [c1 * jb[1], -c1 * ja[1], -c3 * jb[3], c3 * ja[3]]
+    result = Certificate(_finite_sum("midpoint_sum", plain),
+                         _finite_sum("corrected_sum", plain + ends),
+                         _em_bound(p, width, n, tv), p, n, proof)
+    if _below_floor(tol, result.corrected_sum):
+        raise BelowRoundingFloor(tol, result.certified_bound, n,
+                                 math.ulp(result.corrected_sum) / 2)
+    return require_above_floor(result)

@@ -388,10 +388,17 @@ def test_ratio_outside_float_range_is_certified(capsys, f):
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out)["certified_bound"] == pytest.approx(
         6.6733426156275212e296, rel=1e-12)
+    # certify's order-4 jet is not finite at one end, so p = 2; mpmath's
+    # error of the printed sum is 0.086 of its bound
     code, out, err = run(capsys, "certify", "--f", f, *_K_OUT_OF_RANGE,
                          "--tol", "1e297")
     assert (code, err) == (EXIT_OK, "")
-    assert json.loads(out)["n_final"] == 1
+    doc = json.loads(out)
+    assert (doc["order"], doc["n_final"]) == (2, 512)
+    with mpmath.workdps(50):
+        exact = (mpmath.exp(690) - mpmath.exp(-690)) / 690
+        assert abs(exact - mpmath.mpf(repr(doc["corrected_sum"]))) <= \
+            doc["certified_bound"] <= 1e297
 
 
 @pytest.mark.parametrize("command", ["bounds", "verify"])
@@ -418,14 +425,14 @@ with mpmath.workdps(60):
 
 
 @pytest.mark.parametrize("argv", [
-    ["integrate"], ["integrate", "--n", "8"], ["certify", "--tol", "1e293"],
+    ["integrate"], ["integrate", "--n", "8"],
     ["sweep", "--n-list", "16,64"]], ids=["integrate", "integrate-8",
-                                          "certify", "sweep"])
+                                          "sweep"])
 def test_a_sampled_hypothesis_beyond_any_common_scale_is_certified(capsys,
                                                                    argv):
     # the pair test passes the samples above, so the bound is printed, and
-    # it holds: certify stops at n = 4096 with 4.41e292 for an error of
-    # 1.48e291
+    # it holds; certify, which needs a proof, refuses (see
+    # test_certify_names_the_missing_proof)
     code, out, err = run(capsys, argv[0], "--f", "exp(690*x)/(x+2)",
                          *_K_OUT_OF_RANGE, *argv[1:])
     assert (code, err) == (EXIT_OK, "")
@@ -437,7 +444,6 @@ def test_a_sampled_hypothesis_beyond_any_common_scale_is_certified(capsys,
     else:
         doc = json.loads(out)
         certificates = [(repr(doc["corrected_sum"]), doc["certified_bound"])]
-        assert argv[0] == "integrate" or doc["certified_bound"] <= 1e293
     with mpmath.workdps(60):
         for corrected_sum, bound in certificates:
             assert abs(_STEEP_QUOTIENT - mpmath.mpf(corrected_sum)) <= bound
@@ -535,7 +541,7 @@ def test_log_refuses_a_subnormal_moving_argument_and_certifies_a_tiny_one(
     ("integrate --a 0 --b 1e103 --n 1", "sqrt(x+1)",
      "h^3 of the corrected midpoint term leaves float range at h = 1e+103"),
     ("certify --a 0 --b 1e103 --tol 1", "sqrt(x+1)",
-     "h^3 of the corrected midpoint term leaves float range at h = 1e+103"),
+     "certified bound inf did not reach tol 1.0 by n = 1048576"),
     ("bounds --a 0.1 --b 1", "x^-400",
      "base too small for a negative power (in 'x^-400.0' at x = 0.1)"),
     ("integrate --a 1e-320 --b 2e-320 --n 1", "x^x",
@@ -553,7 +559,9 @@ def test_a_float_fault_exits_2_naming_where(capsys, argv, f, why):
     # underflows to 0, which raised ZeroDivisionError; derivatives that
     # overflow (power-cube, chain-cube) leave the result not finite.  The
     # guards of u^v, v moving, name the ^ as written, not the exp(v log u)
-    # it is computed as ('log(x)' and 'exp(x^(800.0*x))')
+    # it is computed as ('log(x)' and 'exp(x^(800.0*x))').  certify's bound
+    # A_4 h^5 TV leaves float range at every n up to n_max: exit 2 before
+    # any midpoint is evaluated
     code, out, err = run(capsys, *argv.split(), "--f", f)
     assert (code, out, err) == (EXIT_MATH, "", f"hh3: {why}\n")
 
@@ -629,12 +637,15 @@ def test_an_unproved_hypothesis_is_sampled(monkeypatch, command, sampler):
 def test_the_printed_blocks_are_the_librarys(capsys, f, a, b):
     # key for key and in order, the blocks come from hh3.analysis as printed;
     # integrate and certify print the log_convexity block after their bound,
-    # where it passed, so a certificate on sampled evidence says so
+    # where it passed, so a certificate on sampled evidence says so; certify
+    # prints only a proof
     ast, argv = parse(f), ["--f", f, "--a", repr(a), "--b", repr(b)]
     log_convexity = analysis.log_convexity_verdict(ast, a, b)
     commands = {"bounds": [], "verify": []}
     if log_convexity["passed"]:
-        commands.update(integrate=["--n", "4"], certify=["--tol", "1e-6"])
+        commands.update(integrate=["--n", "4"])
+    if log_convexity["kind"] == "proved":
+        commands.update(certify=["--tol", "1e-6"])
     after = {"integrate": "midpoint_bound", "certify": "certified_bound"}
     for command, extra in commands.items():
         code, out, err = run(capsys, command, *argv, *extra)
@@ -660,9 +671,12 @@ class _Refused(Exception):
     ("verify", [], False)])
 def test_the_bounded_commands_refuse_through_one_function(
         capsys, monkeypatch, command, extra, asks):
+    # integrate and sweep ask analysis.require_log_convex, certify the proof
+    # alone, through quadrature's proved_block
     def refuse(f, a, b):
         raise _Refused
     monkeypatch.setattr(analysis, "require_log_convex", refuse)
+    monkeypatch.setattr(quadrature, "proved_block", refuse)
     argv = [command, "--f", "x^4", "--a", "1", "--b", "2", *extra]
     if asks:
         with pytest.raises(_Refused):
@@ -748,21 +762,104 @@ def test_integrate_oracle_soundness(capsys):
 def test_certify_report(capsys):
     _, out, _ = run(capsys, "certify", *EXP01, "--tol", "1e-6")
     doc = json.loads(out)
-    assert doc["n_final"] == 32
+    assert (doc["rule"], doc["order"]) == ("euler-maclaurin", 4)
+    assert doc["n_final"] == 8
     assert doc["certified_bound"] <= 1e-6
-    assert doc["iterations"] == 6
+    assert doc["iterations"] == 4
 
 
 def test_certify_below_rounding_floor_exits_2(capsys):
     # ulp(e - 1)/2 = 1.11e-16 > tol: no printed double can carry 1e-16.
-    # Doubling used to "certify" at n = 65536 with a bound of 3.2e-17,
-    # below the 7.7e-17 error of the printed corrected_sum.
+    # Doubling once "certified" at n = 65536 with a bound of 3.2e-17,
+    # below the 7.7e-17 error of the printed corrected_sum; the bound meets
+    # tol at n = 512, whose sum shows the floor.
     code, out, err = run(capsys, "certify", *EXP01, "--tol", "1e-16")
     assert code == EXIT_MATH
     assert out == ""
     assert err == ("hh3: tol 1e-16 is below the rounding floor "
-                   "1.1102230246251565e-16 of the corrected sum at n = 1; "
+                   "1.1102230246251565e-16 of the corrected sum at n = 512; "
                    "no certified bound can reach it\n")
+
+
+@pytest.mark.parametrize("f, a, b", [
+    ("exp(x^2)", "2", "3"),             # sampled evidence, which passes
+    ("exp(690*x)/(x+2)", "-1", "1"),    # two classes: sampled, and passes
+    ("x^4", "1", "2"),                  # sampled and refuted
+    ("(x+1)^3.5", "0", "1"),            # proved, but with j0 = 4
+])
+def test_certify_names_the_missing_proof(capsys, f, a, b):
+    # integrate prints the first two on sampled evidence; certify needs
+    # classify_cm's proof and says so
+    code, out, err = run(capsys, "certify", "--f", f, "--a", a, "--b", b,
+                         "--tol", "1e-6")
+    assert (code, out) == (EXIT_MATH, "")
+    assert err == (f"hh3: certify needs a proof that f^(j), j <= 3, is plus "
+                   f"or minus a completely monotone function on "
+                   f"[{float(a)!r}, {float(b)!r}]; none was found, and "
+                   "sampling proves nothing\n")
+
+
+def test_certify_takes_a_cubic_at_order_2(capsys):
+    # f'''' is 0 at both ends, so p = 2, and S_2 is exact for a cubic
+    code, out, err = run(capsys, "certify", "--f", "8*x^3", "--a", "0",
+                         "--b", "1", "--tol", "1e-6")
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert (doc["order"], doc["n_final"], doc["corrected_sum"]) == (2, 128,
+                                                                    2.0)
+    assert doc["log_convexity"]["kind"] == "proved"
+
+
+def test_certify_exits_2_before_any_midpoint(capsys, monkeypatch):
+    # n = 1.9e6 would meet 1e-6 on exp(50x), above n_max = 2^20: only the
+    # jets at the two ends, which size n, are evaluated
+    points = []
+
+    def compile_counted(f, order, compile_jet=quadrature.compile_jet):
+        jet = compile_jet(f, order)
+        return lambda x: points.append(x) or jet(x)
+    monkeypatch.setattr(quadrature, "compile_jet", compile_counted)
+    code, out, err = run(capsys, "certify", "--f", "exp(50*x)", "--a", "0",
+                         "--b", "1", "--tol", "1e-6")
+    assert (code, out, points) == (EXIT_MATH, "", [0.0, 1.0])
+    assert err == ("hh3: certified bound 2.084047538390587e-05 did not "
+                   "reach tol 1e-06 by n = 1048576\n")
+
+
+@pytest.mark.parametrize("tol, n", [
+    ("1e-6", 8192),   # h = 2^-53: division points coincide
+    ("2e-5", 4096),   # h = 2^-52: every midpoint rounds onto an end
+])
+def test_certify_refuses_cells_too_narrow_for_their_midpoints(
+        capsys, monkeypatch, tol, n):
+    # [1, 1 + 2^-40] holds 2^12 cells of one ulp.  Summed as given, both
+    # runs print a sum 0.017 off, with bounds 3.3e-7 and 1.1e-5
+    points = []
+
+    def compile_counted(f, order, compile_jet=quadrature.compile_jet):
+        jet = compile_jet(f, order)
+        return lambda x: points.append(x) or jet(x)
+    monkeypatch.setattr(quadrature, "compile_jet", compile_counted)
+    code, out, err = run(capsys, "certify", "--f", "1/(x-0.999999999999999)",
+                         "--a", "1", "--b", "1.0000000000009095", "--tol", tol)
+    assert (code, out, points) == (EXIT_MATH, "", [1.0, 1 + 2 ** -40])
+    assert err == (f"hh3: [1.0, 1.0000000000009095] is too narrow for {n} "
+                   "cells\n")
+
+
+def test_certify_on_cells_two_ulps_wide_holds_against_mpmath(capsys):
+    # the same integrand at n = 2048: each midpoint is a float inside its cell
+    code, out, err = run(capsys, "certify", "--f", "1/(x-0.999999999999999)",
+                         "--a", "1", "--b", "1.0000000000009095", "--tol",
+                         "5e-4")
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert (doc["n_final"], doc["order"]) == (2048, 4)
+    with mpmath.workdps(50):
+        c = mpmath.mpf(0.999999999999999)
+        exact = mpmath.log((mpmath.mpf(1 + 2 ** -40) - c) / (1 - c))
+        assert abs(exact - mpmath.mpf(doc["corrected_sum"])) <= \
+            doc["certified_bound"]
 
 
 # The integrals, at 30 digits: sqrt(pi) erf(5) / 10 and atan(10) / 10.
@@ -799,11 +896,11 @@ def test_a_certificate_off_the_hypothesis_is_refused_or_true(capsys, argv,
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("integrate", "--n=4"), ("certify", "--tol=1e-3"),
-    ("sweep", "--n-list=1,2")])
+    ("integrate", "--n=4"), ("sweep", "--n-list=1,2")])
 def test_a_refuted_hypothesis_exits_2_naming_the_pair(capsys, command, flag):
     # |f'''| = 24x has a concave logarithm: every pair fails, the widest
-    # most; the classifier proves nothing of x^4
+    # most; the classifier proves nothing of x^4, which certify names (see
+    # test_certify_names_the_missing_proof)
     code, out, err = run(capsys, command, "--f", "x^4", "--a", "1",
                          "--b", "2", flag)
     assert (code, out) == (EXIT_MATH, "")
@@ -829,14 +926,14 @@ def test_a_refuting_pair_of_subnormal_samples_is_refused_as_subnormal(
     # printed sum is off by 1e133
     ("integrate --f (x+1e60)^2.5 --a 1.227 --b 2.497 --n 1",
      "2.5404750097656233e-32", "9.085484053695086e+133"),
-    # the sum 2.0000000000001998 at n = 65536 is 1.88e-16 off; the stop
-    # let tol through, as its L is just below 2.0
-    ("certify --f 1.1639534137387693*exp(x) --a 0 --b 1 --tol 1.5e-16",
-     "3.700743415388837e-17", "2.220446049250313e-16"),
-    # h^3 underflows, so the bound is 0; rounding the width alone puts the
-    # sum 1.66e-316 off
+    # tol is above the floor of the sum, but the bound that meets it at
+    # n = 512 is below it
+    ("certify --f exp(x) --a 0 --b 1 --tol 1.2e-16",
+     "3.981508686326125e-17", "1.1102230246251565e-16"),
+    # h^5 underflows, so the bound is the least subnormal; rounding the
+    # width alone puts the sum 1.66e-316 off
     ("certify --f exp(x) --a 1e-300 --b 1e-299 --tol 1e-6",
-     "0.0", "6.63123685e-316"),
+     "5e-324", "6.63123685e-316"),
     # the row of n = 65536 is 7.75e-17 off
     ("sweep --f exp(x) --a 0 --b 1 --n-list 1,65536",
      "3.179460081225733e-17", "1.1102230246251565e-16"),

@@ -28,7 +28,7 @@ from hh3.analysis import CatalogEntry
 from hh3.bounds import BoundReport, DerivEndpoints
 from hh3.expr import (BinOp, Const, Func, Neg, Num, Var, compile_jet,
                       parse)
-from hh3.quadrature import QuadResult
+from hh3.quadrature import Certificate, QuadResult
 from hh3.reportfmt import Table
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -130,8 +130,8 @@ def test_cli_import_builds_no_record_through_typing_namedtuple():
     done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    # the 14 record types; their base has no _fields of its own
-    assert done.stdout.split() == ["14"]
+    # the 15 record types; their base has no _fields of its own
+    assert done.stdout.split() == ["15"]
 
 
 def test_cli_import_calls_no_eval_exec_or_compile():
@@ -221,6 +221,8 @@ _FIELDS = {
     BoundReport: ("chi1", "chi2", "chi3", "q", "min_value", "argmin_label"),
     QuadResult: ("midpoint_sum", "corrected_sum", "certified_bound", "f3",
                  "interval_bounds", "points"),
+    Certificate: ("midpoint_sum", "corrected_sum", "certified_bound",
+                  "order", "n", "log_convexity"),
     CatalogEntry: ("expression", "a", "b", "log_convex"),
     cli.RunConfig: ("command", "expression", "ast", "a", "b", "fmt", "out",
                     "n", "tol", "q", "n_list", "n_max",
@@ -270,6 +272,7 @@ _ERRORS = (
     errors.ToleranceUnreachable(1e-30, 2.5e-12, 64),
     errors.BelowRoundingFloor(1e-20, 3.1e-18, 4096, 1.1e-16),
     errors.NotLogConvex(1.0, 2.0, 0.125),
+    errors.HypothesisNotProved("certify needs a proof"),
 )
 
 

@@ -587,6 +587,17 @@ def test_every_order_keeps_every_guard(source):
             _assert_begins_like_jet3(parse(source), x, order)
 
 
+@pytest.mark.parametrize("source", ["log(x+1)", "x^(x-x+3)", "x"])
+def test_a_jet_order_below_3_is_refused(source):
+    # order 0 once failed deep in the compiler, with an IndexError or a
+    # TypeError; orders 1 and 2 compiled
+    for order in (0, 1, 2, 3.0, True):
+        with pytest.raises(ValueError, match=f"got {order!r}$"):
+            compile_jet(parse(source), order)
+    for order in range(3, 10):
+        assert len(compile_jet(parse(source), order)(0.5)) == order + 1
+
+
 def test_constant_lines_are_folded_unless_they_raise():
     # -k of exp(-c*x) reads only the tree's numbers: its value is a global,
     # and no line computes it

@@ -14,8 +14,8 @@ from hh3.cli import cmd_integrate, main, resolve
 from hh3.errors import (BadInterval, BelowRoundingFloor, DomainError,
                         NonConvergence, NonPositiveThirdDerivative,
                         ToleranceUnreachable)
-from hh3.expr import parse
-from hh3.quadrature import (_CC_COARSE, _CC_FINE, _CC_NODES, QuadResult,
+from hh3.expr import compile_jet, parse
+from hh3.quadrature import (_CC_COARSE, _CC_FINE, _CC_NODES, Certificate,
                             certify, composite_bound, corrected_midpoint_sum,
                             identity_residual, integrate_adaptive,
                             reference_integral, uniform_division)
@@ -446,38 +446,64 @@ def test_identity_residual_quartic_sides_frozen():
     assert abs(identity_residual(parse("x^4"), 0.0, 1.0)) <= 1e-14
 
 
+
+
 # --------------------------------------------------------------------------
-# certify
+# certify: the corrected midpoint rule in Euler-Maclaurin form
 # --------------------------------------------------------------------------
 
+@pytest.mark.parametrize("p", [2, 4])
+def test_the_constants_are_the_bernoulli_integrals(p):
+    # A_p = (1/p!) * integral over [0, 1] of |B_p(t)|, split at B_p's roots
+    with mpmath.workdps(40):
+        coefficients = mpmath.taylor(lambda t: mpmath.bernpoly(p, t), 0, p)
+        roots = sorted(mpmath.re(r) for r in mpmath.polyroots(
+            coefficients[::-1], maxsteps=100, extraprec=100)
+            if abs(mpmath.im(r)) < 1e-30 and 0 < mpmath.re(r) < 1)
+        exact = mpmath.quad(lambda t: abs(mpmath.bernpoly(p, t)),
+                            [0, *roots, 1]) / mpmath.factorial(p)
+        assert quadrature._A[p] == float(exact)
+    assert quadrature._A[2] == math.sqrt(3) / 54
+
+
 def test_certify_doubles_until_tolerance():
-    # f''' == 48 makes the n-interval bound 0.25/n^3 (= (b-a)^3 c/192 per
-    # interval summed); the first doubling below 1e-3 is n = 8
-    result = certify(parse("8*x^3"), 0.0, 1.0, 1e-3)
-    assert isinstance(result, QuadResult)
-    assert result.points == uniform_division(0.0, 1.0, 8)
-    assert result.certified_bound == pytest.approx(0.25 / 512.0, rel=1e-12)
-    assert result.certified_bound <= 1e-3
+    # n is the least power of two whose bound meets tol, where a doubling
+    # would stop.  8x^3 has f'''' = 0, so p = 2, TV = |f''(1) - f''(0)| = 48
+    # and w_2(n) = A_2 48 / n^3: 3.0e-3 at n = 8 and 3.8e-4 at n = 16
+    f = parse("8*x^3")
+    result = certify(f, 0.0, 1.0, 1e-3)
+    assert isinstance(result, Certificate)
+    assert (result.n, result.order) == (16, 2)
+    assert result.corrected_sum == 2.0   # S_2 is exact for a cubic
+    with mpmath.workdps(40):   # rounding only raised the bound
+        exact = mpmath.sqrt(3) / 54 * 48 / 16 ** 3
+        assert exact <= result.certified_bound <= exact * (1 + 1e-14)
+    with pytest.raises(ToleranceUnreachable) as info:
+        certify(f, 0.0, 1.0, 1e-3, n_max=15)
+    assert info.value.n_final == 8 and info.value.best_bound > 1e-3
 
 
 def test_certify_exp_to_microtolerance():
     result = certify(parse("exp(x)"), 0.0, 1.0, 1e-6)
-    assert len(result.points) - 1 == 32
+    assert (result.n, result.order) == (8, 4)
     assert result.certified_bound <= 1e-6
-    truth = math.e - 1.0
-    assert abs(result.corrected_sum - truth) <= result.certified_bound
+    with mpmath.workdps(40):
+        error = abs(mpmath.e - 1 - mpmath.mpf(result.corrected_sum))
+        assert error <= result.certified_bound
 
 
 def test_certify_tolerance_unreachable():
-    with pytest.raises(ToleranceUnreachable) as info:
-        certify(parse("exp(x)"), 0.0, 1.0, 1e-12, n_max=16)
-    err = info.value
-    assert err.n_final == 16
-    assert 0.0 < err.best_bound
-    assert err.best_bound == pytest.approx(
-        composite_bound(parse("exp(x)"),
-                        uniform_division(0, 1, 16)).certified_bound,
-        rel=1e-15)
+    # the bound at the largest power of two up to n_max, which certify
+    # prints where tol is that bound
+    f = parse("exp(x)")
+    for n_max in (16, 31):
+        with pytest.raises(ToleranceUnreachable) as info:
+            certify(f, 0.0, 1.0, 1e-12, n_max=n_max)
+        err = info.value
+        assert type(err) is ToleranceUnreachable and err.n_final == 16
+        result = certify(f, 0.0, 1.0, err.best_bound)
+        assert (result.n, result.certified_bound) == (16, err.best_bound)
+        assert err.best_bound > 1e-12
 
 
 def test_certify_rejects_bad_tolerance():
@@ -487,28 +513,28 @@ def test_certify_rejects_bad_tolerance():
 
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_certify_refuses_n_max_below_one(n_max):
-    # no level could run, so there is no best bound to report
+    # no n could run, so there is no bound to report
     with pytest.raises(BadInterval, match=f"n_max = {n_max}"):
         certify(parse("exp(x)"), 0.0, 1.0, 1e-3, n_max=n_max)
 
 
 # --------------------------------------------------------------------------
-# certify: the rounding floor, the jets of each level, nested divisions
+# certify: the rounding floor, the jets it evaluates, divisions
 # --------------------------------------------------------------------------
 
 def test_certify_stops_at_the_rounding_floor():
-    # ulp(|I|) = 16384 for exp(50x) on [0, 1], so no n reaches 1e-6; the
-    # doubling used to run to n = 2^20 before it gave up
+    # ulp(|I|) = 16384 for exp(50x) on [0, 1]: the bound meets tol = 1000
+    # at n = 32768, below n_max, but no double near |I| carries it
     with pytest.raises(BelowRoundingFloor) as info:
-        certify(parse("exp(50*x)"), 0.0, 1.0, 1e-6)
+        certify(parse("exp(50*x)"), 0.0, 1.0, 1000.0)
     err = info.value
     assert isinstance(err, ToleranceUnreachable)   # the CLI's exit 2
-    assert err.n_final <= 64
-    assert err.tol == 1e-6 < err.floor <= 8192.0
-    assert math.isfinite(err.best_bound)
-    assert str(err) == (f"tol 1e-06 is below the rounding floor "
-                        f"{err.floor!r} of the corrected sum at "
-                        f"n = {err.n_final}; no certified bound can reach it")
+    assert (err.n_final, err.floor) == (32768, 8192.0)
+    assert err.tol == 1000.0 < err.floor
+    assert 1000.0 / 32 < err.best_bound <= 1000.0
+    assert str(err) == ("tol 1000.0 is below the rounding floor 8192.0 of "
+                        "the corrected sum at n = 32768; no certified bound "
+                        "can reach it")
 
 
 def _counting_jets(monkeypatch) -> list[float]:
@@ -530,29 +556,34 @@ def _counting_jets(monkeypatch) -> list[float]:
     return calls
 
 
+def _midpoints(points):
+    return [0.5 * (lo + hi) for lo, hi in zip(points, points[1:])]
+
+
 def test_certify_evaluates_each_level_s_points_and_midpoints_once(
         monkeypatch):
-    # levels n = 1, 2, 4, 8, each its n + 1 points and n midpoints
+    # one level: the jets at a and b, at order 4 (again at 3 where f'''' is
+    # not finite at one; 8x^3, whose f'''' is 0 at both, keeps its order-4
+    # ends), then f once at each of its n midpoints
     calls = _counting_jets(monkeypatch)
-    result = certify(parse("8*x^3"), 0.0, 1.0, 1e-3)
-    assert len(result.points) - 1 == 8
-    levels = [uniform_division(0.0, 1.0, n) for n in (1, 2, 4, 8)]
-    assert calls == [x for points in levels for x in (
-        *points, *(0.5 * (lo + hi) for lo, hi in zip(points, points[1:])))]
+    for f, a, b, tol, ends in (
+            ("8*x^3", 0.0, 1.0, 1e-6, [0.0, 1.0]),
+            ("exp(x)", 0.0, 1.0, 1e-6, [0.0, 1.0]),
+            ("exp(690*x)", -1.0, 1.0, 1e297, [-1.0, 1.0] * 2)):
+        calls.clear()
+        result = certify(parse(f), a, b, tol)
+        assert result.order == (4 if f == "exp(x)" else 2)
+        assert calls == [*ends, *_midpoints(uniform_division(a, b,
+                                                             result.n))]
 
 
 def test_rounding_floor_reads_the_level_jets(monkeypatch):
+    # the floor is decided on the one sum: no midpoint is evaluated again
     calls = _counting_jets(monkeypatch)
     with pytest.raises(BelowRoundingFloor) as info:
-        certify(parse("exp(50*x)"), 0.0, 1.0, 1e-6)
-    # each level's points and midpoints, once each, then the last level's
-    # midpoints again for the rounding mass A, which no level holds
+        certify(parse("exp(50*x)"), 0.0, 1.0, 1000.0)
     n = info.value.n_final
-    levels = [2 ** i for i in range(n.bit_length())]
-    assert len(calls) == sum(2 * k + 1 for k in levels) + n
-    last, again = calls[-3 * n - 1:-n], calls[-n:]
-    assert len(set(last)) == len(last) == 2 * n + 1
-    assert again == [(i + 0.5) / n for i in range(n)]
+    assert calls == [0.0, 1.0, *_midpoints(uniform_division(0.0, 1.0, n))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -576,6 +607,18 @@ def test_subnormal_width_breaks_nesting():
 _FAMILIES = ("exp({c}*x)", "exp({c}*x)+exp({d}*x)", "1/(x+{s})")
 
 
+def _em_sums(f, points):
+    """The midpoint sum and S_4 on ``points``, formed as certify forms
+    them, from the order-4 jets."""
+    jet, h = compile_jet(f, 4), (points[-1] - points[0]) / (len(points) - 1)
+    ja, jb = jet(points[0]), jet(points[-1])
+    cells = [(hi - lo) * jet(m)[0]
+             for lo, hi, m in zip(points, points[1:], _midpoints(points))]
+    c1, c3 = h * h / 24.0, 7.0 * (h * h) * (h * h) / 5760.0
+    ends = [c1 * jb[1], -c1 * ja[1], -c3 * jb[3], c3 * ja[3]]
+    return math.fsum(cells), math.fsum(cells + ends)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(_FAMILIES),
        st.floats(min_value=-6.0, max_value=6.0).filter(lambda c: abs(c) > 0.1),
@@ -584,17 +627,27 @@ _FAMILIES = ("exp({c}*x)", "exp({c}*x)+exp({d}*x)", "1/(x+{s})")
        st.floats(min_value=0.05, max_value=1.0),
        st.floats(min_value=-9.0, max_value=-4.0))
 @example(family="exp({c}*x)", c=1.0, d=1.0, a=0.0, width=1.0, log_rel=-9.0)
-def test_certify_result_is_composite_bound_at_n_final(family, c, d, a, width,
-                                                      log_rel):
+def test_certify_result_is_the_euler_maclaurin_sum_at_n_final(
+        family, c, d, a, width, log_rel):
+    # the two exponentials share a sign, so one class proves their sum;
     # tolerances of 1e-9 of |I| and up sit far above the rounding floor
-    f = parse(family.format(c=c, d=d, s=1.0 + d))
+    f = parse(family.format(c=c, d=math.copysign(d, c), s=1.0 + d))
     b = a + width
-    tol = 10.0 ** log_rel * abs(composite_bound(
-        f, uniform_division(a, b, 64)).corrected_sum)
+    tol = 10.0 ** log_rel * abs(reference_integral(f, a, b))
     result = certify(f, a, b, tol, n_max=2 ** 14)
-    expected = composite_bound(f, uniform_division(a, b,
-                                                   len(result.points) - 1))
-    assert repr(result) == repr(expected)
+    n = result.n
+    assert n & (n - 1) == 0 and result.order == 4
+    assert result.certified_bound <= tol
+    if n > 1:   # n is the least power of two that meets tol
+        with pytest.raises(ToleranceUnreachable):
+            certify(f, a, b, tol, n_max=n - 1)
+    points = uniform_division(a, b, n)
+    assert (result.midpoint_sum, result.corrected_sum) == _em_sums(f, points)
+    jet = compile_jet(f, 4)
+    with mpmath.workdps(40):   # rounding only raised the bound
+        tv = abs(mpmath.mpf(jet(b)[4]) - jet(a)[4])
+        assert result.certified_bound >= (quadrature._A[4] * tv
+                                          * mpmath.mpf(width / n) ** 5)
 
 
 def _jittered_division(a, b, n):
@@ -607,13 +660,81 @@ def _jittered_division(a, b, n):
 
 
 def test_certify_evaluates_every_point_when_levels_do_not_nest(monkeypatch):
+    # certify sums the one division that uniform_division returns: where
+    # its points are jittered off every other level's, it evaluates each of
+    # its midpoints once, and its midpoint_sum is theirs
     monkeypatch.setattr(quadrature, "uniform_division", _jittered_division)
     calls = _counting_jets(monkeypatch)
     f = parse("exp(x)+exp(2*x)")
-    result = certify(f, 0.1, 0.8, 1e-9)
-    n_final = len(result.points) - 1
-    # every level evaluates its n + 1 points and n midpoints once
-    levels = [2 ** i for i in range(n_final.bit_length())]
-    assert len(calls) == sum(2 * n + 1 for n in levels)
-    expected = composite_bound(f, _jittered_division(0.1, 0.8, n_final))
-    assert repr(result) == repr(expected)
+    result = certify(f, 0.1, 0.8, 3e-10)   # n = 32
+    points = _jittered_division(0.1, 0.8, result.n)
+    assert points != uniform_division(0.1, 0.8, result.n)
+    assert calls == [0.1, 0.8, *_midpoints(points)]
+    assert (result.midpoint_sum, result.corrected_sum) == _em_sums(f, points)
+
+
+# Antiderivatives of families that classify_cm proves, in mpmath
+_PROVED = {
+    "exp({c}*x)": (lambda c, x: mpmath.exp(c * x) / c, (4.0, 40.0)),
+    "exp(-{c}*x)": (lambda c, x: -mpmath.exp(-c * x) / c, (4.0, 40.0)),
+    "1/(x+{c})": (lambda c, x: mpmath.log(x + c), (0.01, 0.5)),
+    "log(x+{c})": (lambda c, x: (x + c) * mpmath.log(x + c) - x,
+                   (0.001, 0.1)),
+    "sqrt(x+{c})": (lambda c, x: 2 * (x + c) ** 1.5 / 3, (0.001, 0.1)),
+    "(x+{c})^-2.5": (lambda c, x: -2 * (x + c) ** -1.5 / 3, (0.05, 0.5)),
+    "x^3+exp({c}*x)": (lambda c, x: x ** 4 / 4 + mpmath.exp(c * x) / c,
+                       (4.0, 12.0)),
+    "exp(x)+exp(40*x)": (lambda c, x: mpmath.exp(x) + mpmath.exp(40 * x) / 40,
+                         (1.0, 1.0)),
+}
+
+
+def _order_4_fails(compile_jet):
+    """compile_jet, but an order-4 jet that is never finite: certify then
+    falls back to p = 2."""
+    def compile_without_order_4(f, order):
+        def not_finite(x):
+            raise DomainError("result is not finite", expr_text="f", x=x)
+        return not_finite if order == 4 else compile_jet(f, order)
+    return compile_without_order_4
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_PROVED)), st.floats(0.0, 1.0),
+       st.sampled_from([2, 4]))
+def test_the_bound_holds_against_mpmath_at_every_n(family, t, p):
+    # |I - S_p| <= w_p for p = 2 and 4 at n = 1 to 1024; the tolerance
+    # w_p(1) / 2^(k (p + 1)) is exactly the bound at n = 2^k
+    antiderivative, (lo, hi) = _PROVED[family]
+    c = lo * (hi / lo) ** t
+    f = parse(family.format(c=repr(c)))
+    a, b = 0.0, 1.0
+    with mpmath.workdps(40):
+        exact = antiderivative(mpmath.mpf(c), b) - antiderivative(
+            mpmath.mpf(c), a)
+    with pytest.MonkeyPatch.context() as patch:
+        if p == 2:
+            patch.setattr(quadrature, "compile_jet",
+                          _order_4_fails(quadrature.compile_jet))
+        first = certify(f, a, b, sys.float_info.max)
+        assert (first.n, first.order) == (1, p)
+        for k in range(11):
+            result = certify(f, a, b, math.ldexp(first.certified_bound,
+                                                 -k * (p + 1)))
+            assert (result.n, result.order) == (2 ** k, p)
+            with mpmath.workdps(40):
+                error = abs(exact - mpmath.mpf(result.corrected_sum))
+                assert error <= result.certified_bound, (k, error)
+
+
+def test_the_baseline_job_is_one_short_pass():
+    # the job that took 19 doublings to n = 262144 with chi1
+    f, a, b = parse("exp(10*x)"), 0.1, 1.3
+    result = certify(f, a, b, 1e-10)
+    assert (result.n, result.order) == (4096, 4)
+    assert result.certified_bound <= 1e-10
+    with mpmath.workdps(50):
+        exact = (mpmath.exp(10 * mpmath.mpf(b))
+                 - mpmath.exp(10 * mpmath.mpf(a))) / 10
+        assert abs(exact - mpmath.mpf(result.corrected_sum)) <= \
+            result.certified_bound
