@@ -129,7 +129,7 @@ class ToleranceUnreachable(Hh3Error):
 
 class BelowRoundingFloor(ToleranceUnreachable):
     """The tolerance is below ``floor``, half an ulp of the corrected sum at
-    ``n_final`` (the least n whose bound meets it): no double carries it."""
+    ``n_final`` or of a lower bound on its size: no double carries it."""
 
     def __init__(self, tol: float, best_bound: float, n_final: int,
                  floor: float):

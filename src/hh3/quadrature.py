@@ -33,7 +33,7 @@ noise when a tight absolute tolerance meets a large integrand.
 import math
 import operator
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from . import bounds as _bounds
 from .errors import BadInterval, BelowRoundingFloor, DomainError, \
@@ -60,7 +60,7 @@ MAX_SUBINTERVALS = 2 ** 20
 
 
 # --------------------------------------------------------------------------
-# Divisions: strictly increasing tuples of points
+# Divisions: tuples of points, each cell holding its float midpoint
 # --------------------------------------------------------------------------
 
 def uniform_division(a: float, b: float, n: int) -> tuple[float, ...]:
@@ -72,43 +72,42 @@ def uniform_division(a: float, b: float, n: int) -> tuple[float, ...]:
     return (*(a + i * h for i in range(n)), b)
 
 
-def _checked(points: Sequence[float]) -> tuple[float, ...]:
-    """The points, once they are at least two, finite, strictly increasing."""
+def _cells(points: Iterable[float]) -> tuple[tuple[float, ...], list[float]]:
+    """The points of a division and its cells' midpoints 0.5 * (lo + hi),
+    once each is a float strictly inside its cell (so the points are finite
+    and strictly increasing), else BadInterval, before any value of f."""
     points = tuple(points)
-    if len(points) < 2:
+    mids = [0.5 * (lo + hi) for lo, hi in zip(points, points[1:])]
+    if not mids:
         raise BadInterval("a division needs at least two points")
-    if not all(map(math.isfinite, points)):
-        p = next(p for p in points if not math.isfinite(p))
-        raise BadInterval(f"division point {p!r} is not finite")
-    if not all(map(operator.lt, points, points[1:])):
-        lo, hi = next(pair for pair in zip(points, points[1:])
-                      if not pair[0] < pair[1])
+    if not (all(map(operator.lt, points, mids))
+            and all(map(operator.lt, mids, points[1:]))):
+        lo, m, hi = next(c for c in zip(points, mids, points[1:])
+                         if not c[0] < c[1] < c[2])
         raise BadInterval(
-            f"division points must be strictly increasing; "
-            f"{lo!r} >= {hi!r}")
-    return points
+            f"[{points[0]!r}, {points[-1]!r}] is too narrow for {len(mids)} "
+            "cells" if lo <= hi and math.isfinite(m) else  # m is lo or hi
+            f"the cell [{lo!r}, {hi!r}] has no float midpoint inside it")
+    return points, mids
 
 
-def _midpoint_pass(jet: Callable, points: tuple[float, ...]) -> tuple:
-    """One pass over the subintervals, left to right: the terms of the
-    midpoint and the corrected sums."""
+def _midpoint_pass(jet: Callable, points: tuple, mids: list) -> tuple:
+    """One pass over the cells, left to right: the terms of both sums."""
     plain, corrected = [], []
     try:
-        for lo, hi in zip(points, points[1:]):
-            h = hi - lo
-            f0, _, f2, _ = jet(0.5 * (lo + hi))
-            hf = h * f0
-            plain.append(hf)
-            corrected.append(hf + h ** 3 / 24.0 * f2)
+        for lo, m, hi in zip(points, mids, points[1:]):
+            h, v = hi - lo, jet(m)
+            plain.append(hf := h * v[0])
+            corrected.append(hf + h ** 3 / 24.0 * v[2])
     except OverflowError:  # of h ** 3: a jet raises DomainError instead
         raise DomainError(f"h^3 of the corrected midpoint term leaves float "
                           f"range at h = {h!r}") from None
     return plain, corrected
 
 
-def corrected_midpoint_sum(f: Node, points: Sequence[float]) -> float:
+def corrected_midpoint_sum(f: Node, points: Iterable[float]) -> float:
     return _finite_sum("corrected_sum",
-                       _midpoint_pass(compile_jet(f, 3), _checked(points))[1])
+                       _midpoint_pass(compile_jet(f, 3), *_cells(points))[1])
 
 
 # --------------------------------------------------------------------------
@@ -124,23 +123,23 @@ class QuadResult(Record):
         "points")           # floats: the division
 
 
-def composite_bound(f: Node, points: Sequence[float]) -> QuadResult:
+def composite_bound(f: Node, points: Iterable[float]) -> QuadResult:
     """Corrected-midpoint sums plus a certified bound on the corrected one.
 
-    ``points`` is any strictly increasing division of [a, b], such as
-    :func:`uniform_division` returns.  Each subinterval's bound is chi1: no
-    exponent lets chi2 or chi3 beat it (see :mod:`hh3.bounds`).  Each call
-    evaluates its own points: f''' alone at each division point, where
-    |f'''| must be positive and normal, and the whole jet at each midpoint.
-    Errors surface in this order: the points, |f'''| at each point, the jet
-    at each midpoint, each subinterval's ratios, then the sums and the
-    bound, which must be finite.
+    ``points`` is any division of [a, b] whose cells hold their midpoints,
+    such as :func:`uniform_division` returns.  Each subinterval's bound is
+    chi1: no exponent lets chi2 or chi3 beat it (see :mod:`hh3.bounds`).
+    Each call evaluates its own points: f''' alone at each division point,
+    where |f'''| must be positive and normal, and the jet at each midpoint.
+    Errors surface in this order: the points and midpoints, |f'''| at each
+    point, the jet at each midpoint, each subinterval's ratios, then the
+    sums and the bound, which must be finite.
     """
-    points = _checked(points)
+    points, mids = _cells(points)
     f3_of = compile_f3(f)  # require_f3's test inline: a call per point is slow
     f3 = [m if 2.2250738585072014e-308 <= (m := abs(f3_of(x)))
           <= 1.7976931348623157e308 else require_f3(x, m) for x in points]
-    plain, corrected = _midpoint_pass(compile_jet(f, 3), points)
+    plain, corrected = _midpoint_pass(compile_jet(f, 3), points, mids)
     interval_bounds = _bounds.interval_chi1(   # the widths h = hi - lo
         f3, map(operator.sub, points[1:], points))
 
@@ -376,10 +375,10 @@ def certify(f: Node, a: float, b: float, tol: float,
     given monotone.proved_block (else HypothesisNotProved): then f'' and
     f'''' are monotone, TV the endpoint difference plus 4 ulps of the larger
     end.  p is 4, or 2 where f'''' is 0 at both ends or not finite at one.
-    Before f is evaluated at any midpoint, n > ``n_max`` is
-    ToleranceUnreachable and a midpoint not inside its cell BadInterval;
-    tol < ulp(S)/2 is BelowRoundingFloor, after the sum.  The bound omits
-    the rounding of jets, points and sum, as composite_bound's does."""
+    Before any of the n midpoints, n > ``n_max`` is ToleranceUnreachable,
+    tol below a floor that S_1 and w_1 show BelowRoundingFloor, a midpoint
+    off its cell BadInterval; after the sum, tol < ulp(S)/2 is too.  The
+    bound omits the rounding of jets, points and sum, as composite_bound's."""
     if not (math.isfinite(tol) and tol > 0.0 and n_max >= 1):
         raise BadInterval(f"need a positive tolerance and at least one "
                           f"subinterval, got tol = {tol!r}, n_max = {n_max}")
@@ -390,34 +389,35 @@ def certify(f: Node, a: float, b: float, tol: float,
             f"completely monotone function on [{a!r}, {b!r}]; none was "
             "found, and sampling proves nothing")
     try:   # p = 2 where f'''' is 0 at both ends (a cubic)
-        ja, jb = map(compile_jet(f, 4), (a, b))
+        ja, jb = map(jet := compile_jet(f, 4), (a, b))
         p = 4 if ja[4] or jb[4] else 2
     except DomainError:   # or not finite at one; if f fails, order 3 says so
-        p, (ja, jb) = 2, map(compile_jet(f, 3), (a, b))
+        p, (ja, jb) = 2, map(jet := compile_jet(f, 3), (a, b))
     tv = require_finite(f"the variation of f^({p})", abs(jb[p] - ja[p])
                         + 4.0 * math.ulp(max(abs(ja[p]), abs(jb[p]))))
 
     width, n = b - a, 1
-    while n <= n_max and _em_bound(p, width, n, tv) > tol:
+    while n <= n_max and (w := _em_bound(p, width, n, tv)) > tol:
         n *= 2
-    if n > n_max:   # n // 2 is the largest power of two allowed
-        raise ToleranceUnreachable(tol, _em_bound(p, width, n // 2, tv),
-                                   n // 2)
+    if n > n_max:   # n // 2 is the largest power of two allowed, w its bound
+        require_finite(f"the error bound at every n up to {n // 2}", w)
+        raise ToleranceUnreachable(tol, w, n // 2)
 
-    h = width / n   # h * h is inf, not OverflowError, beyond float range
-    points, jet = uniform_division(a, b, n), compile_jet(f, max(p, 3))
-    mids = [0.5 * (lo + hi) for lo, hi in zip(points, points[1:])]
-    if not (all(map(operator.lt, points, mids))  # where points coincide,
-            and all(map(operator.lt, mids, points[1:]))):  # or cells of 1 ulp
-        raise BadInterval(f"[{a!r}, {b!r}] is too narrow for {n} cells")
-    plain = [(hi - lo) * jet(m)[0]
-             for lo, m, hi in zip(points, mids, points[1:])]
-    c1, c3 = h * h / 24.0, 7.0 * (h * h) * (h * h) / 5760.0 if p == 4 else 0.0
-    ends = [c1 * jb[1], -c1 * ja[1], -c3 * jb[3], c3 * ja[3]]
-    result = Certificate(_finite_sum("midpoint_sum", plain),
-                         _finite_sum("corrected_sum", plain + ends),
-                         _em_bound(p, width, n, tv), p, n, proof)
-    if _below_floor(tol, result.corrected_sum):
-        raise BelowRoundingFloor(tol, result.certified_bound, n,
-                                 math.ulp(result.corrected_sum) / 2)
-    return require_above_floor(result)
+    def sums(points: tuple, mids: list) -> tuple:   # midpoint sum and S_p
+        h, plain = width / len(mids), _midpoint_pass(jet, points, mids)[0]
+        c1 = h * h / 24.0   # h * h is inf, not OverflowError
+        c3 = 7.0 * (h * h) * (h * h) / 5760.0 if p == 4 else 0.0
+        ends = [c1 * jb[1], -c1 * ja[1], -c3 * jb[3], c3 * ja[3]]
+        return (_finite_sum("midpoint_sum", plain),
+                _finite_sum("corrected_sum", plain + ends))
+    try:   # |S| >= low if |I - S| <= tol; S_1 rounds by < 2^-10 of itself
+        low = (abs(sums((a, b), [0.5 * (a + b)])[1]) * (1.0 - 2.0 ** -10)
+               - _em_bound(p, width, 1, tv) - tol)
+    except DomainError:   # S_1, or a value in it, leaves float range
+        low = 0.0
+    if _below_floor(tol, max(low, 0.0)):
+        raise BelowRoundingFloor(tol, w, n, math.ulp(low) / 2)
+    midpoint_sum, s = sums(*_cells(uniform_division(a, b, n)))
+    if _below_floor(tol, s):
+        raise BelowRoundingFloor(tol, w, n, math.ulp(s) / 2)
+    return require_above_floor(Certificate(midpoint_sum, s, w, p, n, proof))

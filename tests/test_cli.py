@@ -541,7 +541,7 @@ def test_log_refuses_a_subnormal_moving_argument_and_certifies_a_tiny_one(
     ("integrate --a 0 --b 1e103 --n 1", "sqrt(x+1)",
      "h^3 of the corrected midpoint term leaves float range at h = 1e+103"),
     ("certify --a 0 --b 1e103 --tol 1", "sqrt(x+1)",
-     "certified bound inf did not reach tol 1.0 by n = 1048576"),
+     "the error bound at every n up to 1048576 leaves float range"),
     ("bounds --a 0.1 --b 1", "x^-400",
      "base too small for a negative power (in 'x^-400.0' at x = 0.1)"),
     ("integrate --a 1e-320 --b 2e-320 --n 1", "x^x",
@@ -826,39 +826,66 @@ def test_certify_exits_2_before_any_midpoint(capsys, monkeypatch):
                    "reach tol 1e-06 by n = 1048576\n")
 
 
-@pytest.mark.parametrize("tol, n", [
-    ("1e-6", 8192),   # h = 2^-53: division points coincide
-    ("2e-5", 4096),   # h = 2^-52: every midpoint rounds onto an end
+# [1, 1 + 2^-40] holds 2^12 cells of one ulp, and 1/(x - c) on it, with
+# c = 0.999999999999999, is log(1 + 2^-40 / (1 - c)) at 50 digits
+_NARROW = ("--f", "1/(x-0.999999999999999)", "--a", "1",
+           "--b", "1.0000000000009095")
+with mpmath.workdps(50):
+    _NARROW_INTEGRAL = mpmath.log(1 + mpmath.mpf(2) ** -40
+                                  / (1 - mpmath.mpf(0.999999999999999)))
+
+
+@pytest.mark.parametrize("argv, n, values", [
+    # h = 2^-53: division points coincide
+    pytest.param(("certify", "--tol", "1e-6"), 8192,
+                 [1.0, 1 + 2 ** -40, 1 + 2 ** -41], id="1e-6-8192"),
+    # h = 2^-52: every midpoint rounds onto an end
+    pytest.param(("certify", "--tol", "2e-5"), 4096,
+                 [1.0, 1 + 2 ** -40, 1 + 2 ** -41], id="2e-5-4096"),
+    pytest.param(("integrate", "--n", "8192"), 8192, [], id="integrate-8192"),
+    pytest.param(("integrate", "--n", "4096"), 4096, [], id="integrate-4096"),
 ])
 def test_certify_refuses_cells_too_narrow_for_their_midpoints(
-        capsys, monkeypatch, tol, n):
-    # [1, 1 + 2^-40] holds 2^12 cells of one ulp.  Summed as given, both
-    # runs print a sum 0.017 off, with bounds 3.3e-7 and 1.1e-5
+        capsys, monkeypatch, argv, n, values):
+    # Summed as given, the certify runs print a sum 0.017 off, with bounds
+    # 3.3e-7 and 1.1e-5, and integrate at n = 4096 one 0.019 off, with a
+    # bound of 1.1e-4.  No cell's midpoint is evaluated: certify evaluates
+    # f at its ends, which size n, and at (a + b)/2, which shows the
+    # rounding floor before the sum; integrate evaluates nothing
     points = []
 
-    def compile_counted(f, order, compile_jet=quadrature.compile_jet):
-        jet = compile_jet(f, order)
-        return lambda x: points.append(x) or jet(x)
-    monkeypatch.setattr(quadrature, "compile_jet", compile_counted)
-    code, out, err = run(capsys, "certify", "--f", "1/(x-0.999999999999999)",
-                         "--a", "1", "--b", "1.0000000000009095", "--tol", tol)
-    assert (code, out, points) == (EXIT_MATH, "", [1.0, 1 + 2 ** -40])
+    def counting(compile_real):
+        def compile_counted(f, *order):
+            fn = compile_real(f, *order)
+            return lambda x: points.append(x) or fn(x)
+        return compile_counted
+    for name in ("compile_jet", "compile_f3"):
+        monkeypatch.setattr(quadrature, name,
+                            counting(getattr(quadrature, name)))
+    code, out, err = run(capsys, *argv, *_NARROW)
+    assert (code, out, points) == (EXIT_MATH, "", values)
     assert err == (f"hh3: [1.0, 1.0000000000009095] is too narrow for {n} "
                    "cells\n")
 
 
 def test_certify_on_cells_two_ulps_wide_holds_against_mpmath(capsys):
     # the same integrand at n = 2048: each midpoint is a float inside its cell
-    code, out, err = run(capsys, "certify", "--f", "1/(x-0.999999999999999)",
-                         "--a", "1", "--b", "1.0000000000009095", "--tol",
-                         "5e-4")
+    code, out, err = run(capsys, "certify", "--tol", "5e-4", *_NARROW)
     assert (code, err) == (EXIT_OK, "")
     doc = json.loads(out)
     assert (doc["n_final"], doc["order"]) == (2048, 4)
     with mpmath.workdps(50):
-        c = mpmath.mpf(0.999999999999999)
-        exact = mpmath.log((mpmath.mpf(1 + 2 ** -40) - c) / (1 - c))
-        assert abs(exact - mpmath.mpf(doc["corrected_sum"])) <= \
+        assert abs(_NARROW_INTEGRAL - mpmath.mpf(doc["corrected_sum"])) <= \
+            doc["certified_bound"]
+
+
+def test_integrate_on_cells_two_ulps_wide_holds_against_mpmath(capsys):
+    # the paper's rule on the same cells: error 6.9e-4, bound 9.0e-4
+    code, out, err = run(capsys, "integrate", "--n", "2048", *_NARROW)
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    with mpmath.workdps(50):
+        assert abs(_NARROW_INTEGRAL - mpmath.mpf(doc["corrected_sum"])) <= \
             doc["certified_bound"]
 
 

@@ -54,6 +54,21 @@ def test_division_validation():
             uniform_division(a, b, n)
 
 
+def test_a_one_ulp_cell_is_refused_before_any_value_of_f(monkeypatch):
+    # among wide cells, one of one ulp: its midpoint rounds onto an end, so
+    # both sums refuse the division before f''' or any midpoint jet
+    calls = _counting_jets(monkeypatch)
+    f = parse("exp(x)")
+    for use in (composite_bound, corrected_midpoint_sum):
+        with pytest.raises(BadInterval, match=r"^\[0\.0, 1\.0\] is too narrow "
+                           r"for 3 cells$"):
+            use(f, (0.0, 0.5, math.nextafter(0.5, 1.0), 1.0))
+        with pytest.raises(BadInterval, match=r"^the cell \[1\.0, 0\.5\] has "
+                           r"no float midpoint inside it$"):
+            use(f, (0.0, 1.0, 0.5))
+    assert calls == []
+
+
 def test_an_interval_whose_width_overflows_is_refused():
     # b - a = inf made the points a + i * inf: nan and inf
     for use in (lambda a, b: uniform_division(a, b, 4),
@@ -564,7 +579,8 @@ def test_certify_evaluates_each_level_s_points_and_midpoints_once(
         monkeypatch):
     # one level: the jets at a and b, at order 4 (again at 3 where f'''' is
     # not finite at one; 8x^3, whose f'''' is 0 at both, keeps its order-4
-    # ends), then f once at each of its n midpoints
+    # ends), f at (a + b)/2 for the rounding floor, then f once at each of
+    # its n midpoints
     calls = _counting_jets(monkeypatch)
     for f, a, b, tol, ends in (
             ("8*x^3", 0.0, 1.0, 1e-6, [0.0, 1.0]),
@@ -573,17 +589,19 @@ def test_certify_evaluates_each_level_s_points_and_midpoints_once(
         calls.clear()
         result = certify(parse(f), a, b, tol)
         assert result.order == (4 if f == "exp(x)" else 2)
-        assert calls == [*ends, *_midpoints(uniform_division(a, b,
-                                                             result.n))]
+        assert calls == [*ends, 0.5 * (a + b),
+                         *_midpoints(uniform_division(a, b, result.n))]
 
 
 def test_rounding_floor_reads_the_level_jets(monkeypatch):
-    # the floor is decided on the one sum: no midpoint is evaluated again
+    # where S_1 and w_1 leave it open, the floor is decided on the one sum:
+    # no midpoint is evaluated again
     calls = _counting_jets(monkeypatch)
     with pytest.raises(BelowRoundingFloor) as info:
         certify(parse("exp(50*x)"), 0.0, 1.0, 1000.0)
     n = info.value.n_final
-    assert calls == [0.0, 1.0, *_midpoints(uniform_division(0.0, 1.0, n))]
+    assert calls == [0.0, 1.0, 0.5,
+                     *_midpoints(uniform_division(0.0, 1.0, n))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -669,7 +687,7 @@ def test_certify_evaluates_every_point_when_levels_do_not_nest(monkeypatch):
     result = certify(f, 0.1, 0.8, 3e-10)   # n = 32
     points = _jittered_division(0.1, 0.8, result.n)
     assert points != uniform_division(0.1, 0.8, result.n)
-    assert calls == [0.1, 0.8, *_midpoints(points)]
+    assert calls == [0.1, 0.8, 0.5 * (0.1 + 0.8), *_midpoints(points)]
     assert (result.midpoint_sum, result.corrected_sum) == _em_sums(f, points)
 
 
@@ -725,6 +743,36 @@ def test_the_bound_holds_against_mpmath_at_every_n(family, t, p):
             with mpmath.workdps(40):
                 error = abs(exact - mpmath.mpf(result.corrected_sum))
                 assert error <= result.certified_bound, (k, error)
+
+
+def test_a_tol_far_below_the_floor_is_refused_before_the_sum(monkeypatch):
+    # n = 524288 meets 1e-30 on exp(x), but S_1 and w_1 = 1.4e-3 show every
+    # sum within tol of e - 1 to be above 1.7, whose half ulp is 2^-53: the
+    # ends, f at 0.5, and no sum
+    calls = _counting_jets(monkeypatch)
+    with pytest.raises(BelowRoundingFloor) as info:
+        certify(parse("exp(x)"), 0.0, 1.0, 1e-30)
+    assert calls == [0.0, 1.0, 0.5]
+    assert (info.value.n_final, info.value.floor) == (524288, 2.0 ** -53)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(_PROVED)), st.floats(0.0, 1.0),
+       st.floats(-1.5, 1.0))
+def test_a_floor_refusal_is_one_the_sum_would_make(family, t, log_ulps):
+    # tol from 1/30 to 10 ulps of |I|: wherever certify refuses, before
+    # the sum or after it, the sum at n_final is below its rounding floor
+    lo, hi = _PROVED[family][1]
+    f = parse(family.format(c=repr(lo * (hi / lo) ** t)))
+    tol = math.ulp(reference_integral(f, 0.0, 1.0)) * 10.0 ** log_ulps
+    try:
+        certify(f, 0.0, 1.0, tol)
+    except DomainError:   # the bound below the floor, as sums are refused
+        pass
+    except BelowRoundingFloor as err:
+        corrected = _em_sums(f, uniform_division(0.0, 1.0, err.n_final))[1]
+        assert 2.0 * tol < math.ulp(corrected)
+        assert err.floor <= math.ulp(corrected) / 2
 
 
 def test_the_baseline_job_is_one_short_pass():
