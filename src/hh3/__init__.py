@@ -8,15 +8,16 @@ corrected midpoint rule
 admits a-priori error bounds built only from |f'''| at the division points.
 This package parses an expression for f, evaluates derivatives exactly with
 jet arithmetic, computes three competing bounds (the direct one is never
-beaten, so it alone certifies composite sums), proves the bounds' hypothesis
-from the expression where it can and samples it elsewhere, and checks its
+beaten, so it alone certifies composite sums), certifies only where it
+proves the bounds' hypothesis from the expression (elsewhere it samples the
+hypothesis as a diagnostic, which certifies nothing), and checks its
 identities against a high-accuracy reference integrator.  The ``hh3``
 command line tool exposes all of it.
 """
 
 from .analysis import (CatalogEntry, catalog, check_hermite_hadamard,
                        check_log_convexity, grid_samples,
-                       log_convexity_verdict, require_log_convex)
+                       log_convexity_verdict)
 from .bounds import (BoundReport, DerivEndpoints, best_bound, chi1, chi2,
                      chi3, direct_bound, holder_bound, holder_factor, mu,
                      power_mean_bound)
@@ -28,7 +29,7 @@ from .expr import Node, eval_jet3, evaluate, parse, to_text
 from .quadrature import (Certificate, QuadResult, certify, composite_bound,
                          corrected_midpoint_sum, identity_residual,
                          integrate_adaptive, reference_integral,
-                         uniform_division)
+                         require_proof, uniform_division)
 
 __version__ = "0.1.0"
 
@@ -43,10 +44,10 @@ __all__ = [
     # quadrature
     "QuadResult", "Certificate", "uniform_division",
     "corrected_midpoint_sum", "composite_bound", "reference_integral",
-    "integrate_adaptive", "identity_residual", "certify",
+    "integrate_adaptive", "identity_residual", "certify", "require_proof",
     # analysis
     "CatalogEntry", "grid_samples",
-    "check_log_convexity", "log_convexity_verdict", "require_log_convex",
+    "check_log_convexity", "log_convexity_verdict",
     "check_hermite_hadamard", "catalog",
     # errors
     "Hh3Error", "ExprSyntaxError", "UnknownIdentifier", "DomainError",

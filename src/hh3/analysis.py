@@ -3,10 +3,11 @@
 Log-convexity of |f'''| is the standing hypothesis behind every bound in
 :mod:`hh3.bounds`.  :func:`log_convexity_verdict` first tries to *prove*
 it from the expression tree (:mod:`hh3.monotone`) and samples only where
-that fails.  It and :func:`check_hermite_hadamard` return the blocks the
-command line prints, whatever the verdict; :func:`require_log_convex`,
-the one refusal that every command computing a bound asks first, returns
-the block it passed.  All of them sample one grid, :data:`GRID_POINTS`.
+that fails.  It and :func:`check_hermite_hadamard` return the blocks that
+``bounds`` and ``verify`` print, whatever the verdict, and both sample one
+grid, :data:`GRID_POINTS`.  Those blocks are diagnostics: a command that
+certifies a bound asks :func:`hh3.quadrature.require_proof` instead, and
+refuses where the tree proves nothing, whatever the samples say.
 
 The sampled check cannot *prove* anything, so its verdict is explicitly
 evidence, not certificate: on a uniform grid of an odd number of
@@ -37,8 +38,9 @@ every q.
 import math
 from operator import add, mul, sub, truediv
 
-from .errors import NotLogConvex, require_f3
-from .expr import Node, compile_f3, compile_jet, eval_jet3, parse
+# eval_jet3 stays an attribute here for bench/tracer.py to wrap.
+from .expr import (Node, compile_f3, compile_jet, eval_jet3,  # noqa: F401
+                   parse)
 from .monotone import proved_block
 # integrate_adaptive stays an attribute here for bench/tracer.py to wrap.
 from .quadrature import (integrate_adaptive,  # noqa: F401
@@ -47,7 +49,7 @@ from .record import Record
 
 __all__ = [
     "GRID_POINTS", "PAIR_RELTOL", "CatalogEntry", "grid_samples",
-    "check_log_convexity", "log_convexity_verdict", "require_log_convex",
+    "check_log_convexity", "log_convexity_verdict",
     "check_hermite_hadamard", "catalog",
 ]
 
@@ -132,19 +134,6 @@ def log_convexity_verdict(f: Node, a: float, b: float) -> dict:
     """The ``log_convexity`` block that ``bounds`` and ``verify`` print for
     |f'''| on [a, b]: monotone.proved_block's, else check_log_convexity's."""
     return proved_block(f, a, b) or check_log_convexity(f, a, b)
-
-
-def require_log_convex(f: Node, a: float, b: float) -> dict:
-    """The :func:`log_convexity_verdict` block where it passes; else
-    NotLogConvex with the witness pair or, where a witness sample is 0
-    (then x = y) or subnormal, too few bits to test, the bounds' refusal."""
-    verdict = log_convexity_verdict(f, a, b)
-    if verdict["passed"]:
-        return verdict
-    x, y = verdict["witness"]
-    for t in (x, y):
-        require_f3(t, abs(eval_jet3(f, t)[3]))
-    raise NotLogConvex(x, y, verdict["worst_violation"])
 
 
 def check_hermite_hadamard(f: Node, a: float, b: float) -> dict:

@@ -10,16 +10,16 @@ and chi3 at ``--q``; ``integrate`` and ``sweep`` certify with chi1 alone,
 which no exponent undercuts, so ``--method`` is checked and ignored.
 
 Exit codes: 0 on success, 2 when the mathematics rejects the input (domain
-errors, vanishing third derivative, a hypothesis the sampled pair test
-refutes or, for ``certify``, the tree does not prove, non-convergence,
-unreachable tolerance, a bound below the rounding floor, a single-interval
-chi1 or a factor of it below the normal float range),
+errors, vanishing third derivative, a hypothesis that ``integrate``,
+``certify`` and ``sweep`` find no proof of, non-convergence, unreachable
+tolerance, a bound below the rounding floor, a single-interval chi1 or a
+factor of it below the normal float range),
 64 for usage errors (bad flags, malformed expressions, invalid intervals).
-All but ``sweep`` print a hypothesis block, ``certify`` its proof's
-(``monotone.proved_block``).  ``integrate`` and ``sweep`` ask the one refusal,
-``analysis.require_log_convex``, before any bound, so print no failed one.
-Both sample on the one grid ``analysis.GRID_POINTS``, so a printed verdict
-fails exactly where those commands refuse.
+All but ``sweep`` print a hypothesis block.  The three commands that certify
+ask the one gate, ``quadrature.require_proof``, before any division, so
+print only a proof and refuse with one message.  ``bounds`` and ``verify``
+certify nothing: they print ``analysis.log_convexity_verdict``, the proof
+or else the sampled pair test on ``analysis.GRID_POINTS``, as a diagnostic.
 Diagnostics go to stderr; stdout carries only the report, whose bytes are
 deterministic for identical inputs.  ``hh3`` and ``python -m hh3`` call
 ``run()``: ``main()``, the exit handlers, a flush and an exit that skips
@@ -339,7 +339,7 @@ def cmd_bounds(cfg: RunConfig) -> dict:
 
 
 def cmd_integrate(cfg: RunConfig) -> dict:
-    convexity = analysis.require_log_convex(cfg.ast, cfg.a, cfg.b)
+    convexity = quadrature.require_proof(cfg.ast, cfg.a, cfg.b)
     division = quadrature.uniform_division(cfg.a, cfg.b, cfg.n)
     result = quadrature.composite_bound(cfg.ast, division)
     # |I - midpoint_sum| <= certified_bound + |corrected_sum - midpoint_sum|;
@@ -396,7 +396,7 @@ _SWEEP_HEADER = ("n", "midpoint_sum", "corrected_sum", "bound_thm1",
 
 
 def cmd_sweep(cfg: RunConfig) -> str:
-    analysis.require_log_convex(cfg.ast, cfg.a, cfg.b)
+    quadrature.require_proof(cfg.ast, cfg.a, cfg.b)
     truth = quadrature.reference_integral(cfg.ast, cfg.a, cfg.b)
     rows = []
     for n in cfg.n_list:

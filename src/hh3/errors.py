@@ -141,18 +141,6 @@ class BelowRoundingFloor(ToleranceUnreachable):
 
 
 class HypothesisNotProved(Hh3Error):
-    """``certify`` found no proof of its hypothesis from the tree."""
-
-
-class NotLogConvex(Hh3Error):
-    """The sampled midpoint test refutes that |f'''| is log-convex, the
-    hypothesis of every bound: at the pair (x, y), |f'''| at the midpoint,
-    squared, exceeds |f'''(x) f'''(y)| by ``violation`` relative."""
-
-    def __init__(self, x: float, y: float, violation: float):
-        self.x, self.y, self.violation = x, y, violation
-        super().__init__(
-            f"|f'''| is not log-convex: at x = {x!r}, y = {y!r} the square "
-            f"of |f'''| at their midpoint exceeds |f'''(x) f'''(y)| by "
-            f"{violation:.3g} relative, so the paper's bounds do not apply")
+    """No proof from the tree that |f'''| is log-convex, the hypothesis of
+    every certified bound."""
 

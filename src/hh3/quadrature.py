@@ -7,6 +7,7 @@ points, induces the two sums
     corrected:  sum_i h_i f(m_i) + (h_i^3 / 24) f''(m_i)
 
 with h_i = x_{i+1} - x_i and m_i the subinterval midpoints.  When |f'''| is
+log-convex on [a, b], which :func:`require_proof` asks of the tree, and
 positive at every division point, each subinterval contributes the bound
 chi1 of :mod:`hh3.bounds` (scaled by h_i, turning the mean-value bound into
 an integral one), and their sum certifies the corrected sum:
@@ -48,7 +49,7 @@ from .record import Record
 __all__ = [
     "QuadResult", "Certificate", "uniform_division",
     "corrected_midpoint_sum", "composite_bound", "reference_integral",
-    "integrate_adaptive", "identity_residual", "certify",
+    "integrate_adaptive", "identity_residual", "certify", "require_proof",
     "require_above_floor", "DEFAULT_EVAL_BUDGET", "MAX_SUBINTERVALS",
 ]
 
@@ -151,6 +152,18 @@ def composite_bound(f: Node, points: Iterable[float]) -> QuadResult:
         interval_bounds=interval_bounds,
         points=points,
     )
+
+
+def require_proof(f: Node, a: float, b: float) -> dict:
+    """monotone.proved_block's proof that |f'''| is log-convex on [a, b],
+    else HypothesisNotProved: the one test that a bound may be certified,
+    which :func:`composite_bound` leaves to its callers."""
+    if (proof := proved_block(f, a, b)) is None:
+        raise HypothesisNotProved(
+            f"no proof was found that f^(j), j <= 3, is plus or minus a "
+            f"completely monotone function on [{a!r}, {b!r}], so no bound "
+            "is certified there; sampling proves nothing")
+    return proof
 
 
 def _below_floor(bound: float, value: float) -> bool:
@@ -372,7 +385,7 @@ def _em_bound(p: int, width: float, n: int, tv: float) -> float:
 def certify(f: Node, a: float, b: float, tol: float,
             n_max: int = MAX_SUBINTERVALS) -> Certificate:
     """S_p on the least power of two n of cells whose bound meets ``tol``,
-    given monotone.proved_block (else HypothesisNotProved): then f'' and
+    given :func:`require_proof`'s (else HypothesisNotProved): then f'' and
     f'''' are monotone, TV the endpoint difference plus 4 ulps of the larger
     end.  p is 4, or 2 where f'''' is 0 at both ends or not finite at one.
     Before any of the n midpoints, n > ``n_max`` is ToleranceUnreachable,
@@ -383,11 +396,7 @@ def certify(f: Node, a: float, b: float, tol: float,
         raise BadInterval(f"need a positive tolerance and at least one "
                           f"subinterval, got tol = {tol!r}, n_max = {n_max}")
     require_interval(a, b)
-    if (proof := proved_block(f, a, b)) is None:
-        raise HypothesisNotProved(
-            f"certify needs a proof that f^(j), j <= 3, is plus or minus a "
-            f"completely monotone function on [{a!r}, {b!r}]; none was "
-            "found, and sampling proves nothing")
+    proof = require_proof(f, a, b)
     try:   # p = 2 where f'''' is 0 at both ends (a cubic)
         ja, jb = map(jet := compile_jet(f, 4), (a, b))
         p = 4 if ja[4] or jb[4] else 2
@@ -404,7 +413,8 @@ def certify(f: Node, a: float, b: float, tol: float,
         raise ToleranceUnreachable(tol, w, n // 2)
 
     def sums(points: tuple, mids: list) -> tuple:   # midpoint sum and S_p
-        h, plain = width / len(mids), _midpoint_pass(jet, points, mids)[0]
+        h, plain = width / len(mids), [(hi - lo) * jet(m)[0] for lo, m, hi
+                                       in zip(points, mids, points[1:])]
         c1 = h * h / 24.0   # h * h is inf, not OverflowError
         c3 = 7.0 * (h * h) * (h * h) / 5760.0 if p == 4 else 0.0
         ends = [c1 * jb[1], -c1 * ja[1], -c3 * jb[3], c3 * ja[3]]

@@ -271,8 +271,7 @@ _ERRORS = (
     errors.NonConvergence(64, (1.0, 1.0000000000000002)),
     errors.ToleranceUnreachable(1e-30, 2.5e-12, 64),
     errors.BelowRoundingFloor(1e-20, 3.1e-18, 4096, 1.1e-16),
-    errors.NotLogConvex(1.0, 2.0, 0.125),
-    errors.HypothesisNotProved("certify needs a proof"),
+    errors.HypothesisNotProved("no proof was found"),
 )
 
 
