@@ -19,16 +19,11 @@ grid, and the midpoint criterion
 is tested for all such pairs (g = |f'''|).  Midpoint log-convexity of a
 continuous function is equivalent to log-convexity, and the grid family of
 pairs covers every scale and location the grid can express, so a pass is
-strong evidence while any failure comes with a concrete witness pair.
-
-The pairs are tested one diagonal at a time: for each offset d, the ratios
-g(x_{i+d})^2 / (g(x_i) g(x_{i+2d})) of all pairs (i, i + 2d) come from one
-C-level pass.  The witness is the first pair, by i and then j, whose
-violation equals the worst.  Each sample is split once as g = m 2^e with
-m in [1/2, 1); a ratio is formed from the mantissas and scaled by its own
-power of two, so no product leaves the float range, and each ratio is
-the float a loop over i, then j, would give wherever that loop's products
-are normal.  A ratio beyond the float range reads as inf.
+strong evidence while any failure comes with a concrete witness pair: the
+first, by i and then j, at the worst violation.  Each sample is split once
+as g = m 2^e, m in [1/2, 1), and each ratio is formed from the mantissas
+and scaled by its own power of two, so no product leaves the float range;
+a ratio beyond it reads as inf.
 
 The paper's Theorems 2-3 assume |f'''|^q log-convex for a q >= 1, which
 holds exactly when |f'''| is (log g^q = q log g), so this one test serves
@@ -36,7 +31,6 @@ every q.
 """
 
 import math
-from operator import add, mul, sub, truediv
 
 # eval_jet3 stays an attribute here for bench/tracer.py to wrap.
 from .expr import (Node, compile_f3, compile_jet, eval_jet3,  # noqa: F401
@@ -74,13 +68,6 @@ def grid_samples(f: Node, a: float, b: float
     return xs, tuple(map(abs, map(compile_f3(f), xs)))
 
 
-def _scaled(m: float, e: int) -> float:
-    try:  # math.ldexp raises where m 2^e passes the float range
-        return math.ldexp(m, e)
-    except OverflowError:
-        return math.inf
-
-
 def _midpoint_pairs(xs: tuple[float, ...], gs: tuple[float, ...]) -> dict:
     """The ``sampled-evidence`` block of the pair test on an odd grid.
 
@@ -96,30 +83,22 @@ def _midpoint_pairs(xs: tuple[float, ...], gs: tuple[float, ...]) -> dict:
                     "witness": [x, x], "pairs_tested": 0, "grid_points": n,
                     "kind": "sampled-evidence"}
     ms, es = zip(*map(math.frexp, gs))
-    sq, e2 = list(map(mul, ms, ms)), list(map(add, es, es))
-
-    def ratios(d: int, scale=math.ldexp):  # of the pairs (i, i + 2d)
-        return map(scale,
-                   map(truediv, sq[d:n - d],
-                       map(mul, ms[:n - 2 * d], ms[2 * d:])),
-                   map(sub, e2[d:n - d], map(add, es[:n - 2 * d], es[2 * d:])))
-
-    def diagonal_top(d: int) -> float:
-        try:
-            return max(ratios(d))
-        except OverflowError:  # a ratio beyond the float range
-            return math.inf
-
-    tops = list(map(diagonal_top, range(1, (n + 1) // 2)))
-    worst = max(tops, default=-math.inf) - 1.0
+    worst, pair, ldexp = -math.inf, None, math.ldexp
+    for i in range(n):
+        mi, ei, k = ms[i], es[i], i
+        for j in range(i + 2, n, 2):
+            k += 1  # (i + j) / 2
+            try:
+                violation = ldexp(ms[k] * ms[k] / (mi * ms[j]),
+                                  2 * es[k] - ei - es[j]) - 1.0
+            except OverflowError:  # a ratio beyond the float range
+                violation = math.inf
+            if violation > worst:
+                worst, pair = violation, (i, j)
     passed = worst <= PAIR_RELTOL
-    witness = None
-    if not passed:  # the first pair in (i, j) order at the worst violation
-        i, d = min(([r - 1.0 for r in ratios(d, _scaled)].index(worst), d)
-                   for d, top in enumerate(tops, 1) if top - 1.0 == worst)
-        witness = [xs[i], xs[i + 2 * d]]
-    m = len(tops)
-    return {"passed": passed, "worst_violation": worst, "witness": witness,
+    m = (n - 1) // 2  # pairs (i, i + 2d) for d = 1..m: n - 2d of each
+    return {"passed": passed, "worst_violation": worst,
+            "witness": None if passed else [xs[pair[0]], xs[pair[1]]],
             "pairs_tested": m * (n - m - 1), "grid_points": n,
             "kind": "sampled-evidence"}
 

@@ -76,19 +76,19 @@ def uniform_division(a: float, b: float, n: int) -> tuple[float, ...]:
 def _cells(points: Iterable[float]) -> tuple[tuple[float, ...], list[float]]:
     """The points of a division and its cells' midpoints 0.5 * (lo + hi),
     once each is a float strictly inside its cell (so the points are finite
-    and strictly increasing), else BadInterval, before any value of f."""
-    points = tuple(points)
-    mids = [0.5 * (lo + hi) for lo, hi in zip(points, points[1:])]
+    and strictly increasing), else BadInterval at the first cell that fails,
+    before any value of f."""
+    points, mids = tuple(points), []
+    for lo, hi in zip(points, points[1:]):
+        if not lo < (m := 0.5 * (lo + hi)) < hi:
+            raise BadInterval(  # where m is lo or hi, the cells are too narrow
+                f"[{points[0]!r}, {points[-1]!r}] is too narrow for "
+                f"{len(points) - 1} cells" if lo <= hi and math.isfinite(m)
+                else f"the cell [{lo!r}, {hi!r}] has no float midpoint "
+                "inside it")
+        mids.append(m)
     if not mids:
         raise BadInterval("a division needs at least two points")
-    if not (all(map(operator.lt, points, mids))
-            and all(map(operator.lt, mids, points[1:]))):
-        lo, m, hi = next(c for c in zip(points, mids, points[1:])
-                         if not c[0] < c[1] < c[2])
-        raise BadInterval(
-            f"[{points[0]!r}, {points[-1]!r}] is too narrow for {len(mids)} "
-            "cells" if lo <= hi and math.isfinite(m) else  # m is lo or hi
-            f"the cell [{lo!r}, {hi!r}] has no float midpoint inside it")
     return points, mids
 
 

@@ -153,7 +153,7 @@ def test_catalog_verdicts_match_checker():
 
 
 # --------------------------------------------------------------------------
-# The pair test by diagonals against the double loop it replaces
+# The pair test against the double loop that spells it, in unscaled floats
 # --------------------------------------------------------------------------
 
 def _bits(x: float) -> bytes:
@@ -268,6 +268,29 @@ def test_pair_test_takes_any_binary_exponent_span(span):
     report = _midpoint_pairs(xs, gs)
     assert report["witness"] == [0.0, 0.5]
     _same_report(report, midpoint_pairs_reference(xs, shifted))
+
+
+def test_the_first_of_several_overflowing_ratios_is_the_witness():
+    # (0, 2), (1, 3) and (2, 4) all overflow: 2^2046 / 2^-2044 and back.
+    # The unscaled double loop raises ZeroDivisionError on 2^-2044 here
+    xs = (0.0, 0.25, 0.5, 0.75, 1.0)
+    tiny, huge = 2.0 ** -1022, 2.0 ** 1023
+    report = _midpoint_pairs(xs, (tiny, huge, tiny, huge, tiny))
+    assert report["witness"] == [0.0, 0.5]
+    assert report["worst_violation"] == math.inf
+    assert report["pairs_tested"] == 4
+    assert not report["passed"]
+
+
+@pytest.mark.parametrize("n", range(1, 66, 2))
+def test_pairs_tested_counts_every_same_parity_pair(n):
+    # d = 1..m, with n - 2d pairs (i, i + 2d) each
+    m = (n - 1) // 2
+    xs = tuple(i / max(n - 1, 1) for i in range(n))
+    gs = tuple(1.0 + i * i for i in range(n))
+    report = _midpoint_pairs(xs, gs)
+    assert report["pairs_tested"] == m * (n - m - 1)
+    _same_report(report, midpoint_pairs_reference(xs, gs))
 
 
 def _normal(x: float) -> bool:

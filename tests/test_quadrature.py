@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -12,13 +13,15 @@ from hh3 import quadrature
 from hh3.bounds import DerivEndpoints, direct_bound, mu
 from hh3.cli import cmd_integrate, main, resolve
 from hh3.errors import (BadInterval, BelowRoundingFloor, DomainError,
-                        NonConvergence, NonPositiveThirdDerivative,
-                        ToleranceUnreachable)
+                        Hh3Error, NonConvergence,
+                        NonPositiveThirdDerivative, ToleranceUnreachable)
 from hh3.expr import compile_jet, parse
+from hh3.monotone import proved_block
 from hh3.quadrature import (_CC_COARSE, _CC_FINE, _CC_NODES, Certificate,
                             certify, composite_bound, corrected_midpoint_sum,
                             identity_residual, integrate_adaptive,
                             reference_integral, uniform_division)
+from test_classify import accepted
 
 
 # --------------------------------------------------------------------------
@@ -645,6 +648,9 @@ def _em_sums(f, points):
        st.floats(min_value=0.05, max_value=1.0),
        st.floats(min_value=-9.0, max_value=-4.0))
 @example(family="exp({c}*x)", c=1.0, d=1.0, a=0.0, width=1.0, log_rel=-9.0)
+# b - a is 0.06249999999999989, below width = 0.0625
+@example(family="exp({c}*x)", c=3.0, d=1.0, a=0.99999, width=0.0625,
+         log_rel=-4.0)
 def test_certify_result_is_the_euler_maclaurin_sum_at_n_final(
         family, c, d, a, width, log_rel):
     # the two exponentials share a sign, so one class proves their sum;
@@ -663,9 +669,11 @@ def test_certify_result_is_the_euler_maclaurin_sum_at_n_final(
     assert (result.midpoint_sum, result.corrected_sum) == _em_sums(f, points)
     jet = compile_jet(f, 4)
     with mpmath.workdps(40):   # rounding only raised the bound
+        # the cells of [a, b] are (b - a)/n wide: a + width rounds, so b - a
+        # may sit ulps below width
         tv = abs(mpmath.mpf(jet(b)[4]) - jet(a)[4])
-        assert result.certified_bound >= (quadrature._A[4] * tv
-                                          * mpmath.mpf(width / n) ** 5)
+        h = (mpmath.mpf(b) - a) / n
+        assert result.certified_bound >= quadrature._A[4] * tv * h ** 5
 
 
 def _jittered_division(a, b, n):
@@ -786,3 +794,22 @@ def test_the_baseline_job_is_one_short_pass():
                  - mpmath.exp(10 * mpmath.mpf(a))) / 10
         assert abs(exact - mpmath.mpf(result.corrected_sum)) <= \
             result.certified_bound
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(accepted(), st.sampled_from([1, 4, 64]), st.floats(-10.0, -2.0))
+def test_the_papers_certificate_and_certifys_intersect(case, n, u):
+    # both hold the integral wherever the hypothesis is proved, so
+    # [S - B, S + B] and [S_p - w, S_p + w] share it; exact rationals, so
+    # no float subtraction rounds a gap away
+    source, a, b = case
+    f = parse(source)
+    assume(proved_block(f, a, b) is not None)
+    try:
+        paper = composite_bound(f, uniform_division(a, b, n))
+        result = certify(f, a, b, 10.0 ** u * abs(paper.corrected_sum))
+    except Hh3Error:
+        assume(False)
+    s, w = Fraction(paper.corrected_sum), Fraction(paper.certified_bound)
+    sp, wp = Fraction(result.corrected_sum), Fraction(result.certified_bound)
+    assert max(s - w, sp - wp) <= min(s + w, sp + wp), (source, a, b, n, u)
