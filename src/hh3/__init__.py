@@ -27,9 +27,8 @@ from .errors import (BadInterval, BelowRoundingFloor, DomainError,
                      ToleranceUnreachable, UnknownIdentifier)
 from .expr import Node, eval_jet3, evaluate, parse, to_text
 from .quadrature import (Certificate, QuadResult, certify, composite_bound,
-                         corrected_midpoint_sum, identity_residual,
-                         integrate_adaptive, reference_integral,
-                         require_proof, uniform_division)
+                         identity_residual, integrate_adaptive,
+                         reference_integral, require_proof, uniform_division)
 
 __version__ = "0.1.0"
 
@@ -42,9 +41,9 @@ __all__ = [
     "holder_bound", "power_mean_bound", "best_bound", "DerivEndpoints",
     "BoundReport",
     # quadrature
-    "QuadResult", "Certificate", "uniform_division",
-    "corrected_midpoint_sum", "composite_bound", "reference_integral",
-    "integrate_adaptive", "identity_residual", "certify", "require_proof",
+    "QuadResult", "Certificate", "uniform_division", "composite_bound",
+    "reference_integral", "integrate_adaptive", "identity_residual",
+    "certify", "require_proof",
     # analysis
     "CatalogEntry", "grid_samples",
     "check_log_convexity", "log_convexity_verdict",

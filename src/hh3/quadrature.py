@@ -47,10 +47,10 @@ from .monotone import proved_block
 from .record import Record
 
 __all__ = [
-    "QuadResult", "Certificate", "uniform_division",
-    "corrected_midpoint_sum", "composite_bound", "reference_integral",
-    "integrate_adaptive", "identity_residual", "certify", "require_proof",
-    "require_above_floor", "DEFAULT_EVAL_BUDGET", "MAX_SUBINTERVALS",
+    "QuadResult", "Certificate", "uniform_division", "composite_bound",
+    "reference_integral", "integrate_adaptive", "identity_residual",
+    "certify", "require_proof", "require_above_floor", "DEFAULT_EVAL_BUDGET",
+    "MAX_SUBINTERVALS",
 ]
 
 DEFAULT_EVAL_BUDGET = 1_000_000
@@ -92,25 +92,6 @@ def _cells(points: Iterable[float]) -> tuple[tuple[float, ...], list[float]]:
     return points, mids
 
 
-def _midpoint_pass(jet: Callable, points: tuple, mids: list) -> tuple:
-    """One pass over the cells, left to right: the terms of both sums."""
-    plain, corrected = [], []
-    try:
-        for lo, m, hi in zip(points, mids, points[1:]):
-            h, v = hi - lo, jet(m)
-            plain.append(hf := h * v[0])
-            corrected.append(hf + h ** 3 / 24.0 * v[2])
-    except OverflowError:  # of h ** 3: a jet raises DomainError instead
-        raise DomainError(f"h^3 of the corrected midpoint term leaves float "
-                          f"range at h = {h!r}") from None
-    return plain, corrected
-
-
-def corrected_midpoint_sum(f: Node, points: Iterable[float]) -> float:
-    return _finite_sum("corrected_sum",
-                       _midpoint_pass(compile_jet(f, 3), *_cells(points))[1])
-
-
 # --------------------------------------------------------------------------
 # Composite certified bound
 # --------------------------------------------------------------------------
@@ -120,8 +101,7 @@ class QuadResult(Record):
         "midpoint_sum", "corrected_sum",  # floats
         "certified_bound",  # float: fsum of interval_bounds
         "f3",               # floats: |f'''| at each division point
-        "interval_bounds",  # floats: one bound per subinterval
-        "points")           # floats: the division
+        "interval_bounds")  # floats: one bound per subinterval
 
 
 def composite_bound(f: Node, points: Iterable[float]) -> QuadResult:
@@ -137,10 +117,17 @@ def composite_bound(f: Node, points: Iterable[float]) -> QuadResult:
     sums and the bound, which must be finite.
     """
     points, mids = _cells(points)
-    f3_of = compile_f3(f)  # require_f3's test inline: a call per point is slow
-    f3 = [m if 2.2250738585072014e-308 <= (m := abs(f3_of(x)))
-          <= 1.7976931348623157e308 else require_f3(x, m) for x in points]
-    plain, corrected = _midpoint_pass(compile_jet(f, 3), points, mids)
+    f3_of = compile_f3(f)
+    f3 = [require_f3(x, abs(f3_of(x))) for x in points]
+    jet, plain, corrected = compile_jet(f, 3), [], []
+    try:   # one pass over the cells, left to right: the terms of both sums
+        for lo, m, hi in zip(points, mids, points[1:]):
+            h, v = hi - lo, jet(m)
+            plain.append(hf := h * v[0])
+            corrected.append(hf + h ** 3 / 24.0 * v[2])
+    except OverflowError:  # of h ** 3: a jet raises DomainError instead
+        raise DomainError(f"h^3 of the corrected midpoint term leaves float "
+                          f"range at h = {h!r}") from None
     interval_bounds = _bounds.interval_chi1(   # the widths h = hi - lo
         f3, map(operator.sub, points[1:], points))
 
@@ -150,7 +137,6 @@ def composite_bound(f: Node, points: Iterable[float]) -> QuadResult:
         certified_bound=_finite_sum("certified_bound", interval_bounds),
         f3=tuple(f3),
         interval_bounds=interval_bounds,
-        points=points,
     )
 
 
@@ -388,10 +374,13 @@ def certify(f: Node, a: float, b: float, tol: float,
     given :func:`require_proof`'s (else HypothesisNotProved): then f'' and
     f'''' are monotone, TV the endpoint difference plus 4 ulps of the larger
     end.  p is 4, or 2 where f'''' is 0 at both ends or not finite at one.
-    Before any of the n midpoints, n > ``n_max`` is ToleranceUnreachable,
-    tol below a floor that S_1 and w_1 show BelowRoundingFloor, a midpoint
-    off its cell BadInterval; after the sum, tol < ulp(S)/2 is too.  The
-    bound omits the rounding of jets, points and sum, as composite_bound's."""
+    Before any of the n midpoints, tol below a floor that S_1 and w_1 show
+    is BelowRoundingFloor whatever ``n_max``, then n > ``n_max`` is
+    ToleranceUnreachable, a midpoint off its cell BadInterval; after the
+    sum, tol < ulp(S)/2 is BelowRoundingFloor too.  Where w_1 dwarfs |S_1|
+    no floor shows before the sum, so a tol below it may meet the cap
+    first.  The bound omits the rounding of jets, points and sum, as
+    composite_bound's."""
     if not (math.isfinite(tol) and tol > 0.0 and n_max >= 1):
         raise BadInterval(f"need a positive tolerance and at least one "
                           f"subinterval, got tol = {tol!r}, n_max = {n_max}")
@@ -408,9 +397,7 @@ def certify(f: Node, a: float, b: float, tol: float,
     width, n = b - a, 1
     while n <= n_max and (w := _em_bound(p, width, n, tv)) > tol:
         n *= 2
-    if n > n_max:   # n // 2 is the largest power of two allowed, w its bound
-        require_finite(f"the error bound at every n up to {n // 2}", w)
-        raise ToleranceUnreachable(tol, w, n // 2)
+    n_final = n if n <= n_max else n // 2   # above the cap: the largest below
 
     def sums(points: tuple, mids: list) -> tuple:   # midpoint sum and S_p
         h, plain = width / len(mids), [(hi - lo) * jet(m)[0] for lo, m, hi
@@ -425,8 +412,11 @@ def certify(f: Node, a: float, b: float, tol: float,
                - _em_bound(p, width, 1, tv) - tol)
     except DomainError:   # S_1, or a value in it, leaves float range
         low = 0.0
-    if _below_floor(tol, max(low, 0.0)):
-        raise BelowRoundingFloor(tol, w, n, math.ulp(low) / 2)
+    if _below_floor(tol, max(low, 0.0)):   # no n helps, so before the cap
+        raise BelowRoundingFloor(tol, w, n_final, math.ulp(low) / 2)
+    if n > n_max:
+        require_finite(f"the error bound at every n up to {n_final}", w)
+        raise ToleranceUnreachable(tol, w, n_final)
     midpoint_sum, s = sums(*_cells(uniform_division(a, b, n)))
     if _below_floor(tol, s):
         raise BelowRoundingFloor(tol, w, n, math.ulp(s) / 2)

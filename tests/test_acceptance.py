@@ -183,14 +183,17 @@ def test_criterion_08_log_convexity_verdicts_and_power_invariance():
 
 def test_criterion_09_corrected_rule_exact_through_degree_3():
     failures = []
+    # composite_bound needs f''' != 0, so each monomial m rides on x^3: the
+    # rule is linear, so sum(x^3 + m) - 1/4 is the rule's sum of m
     exact = {"1": 1.0, "x": 0.5, "x^2": 1.0 / 3.0, "x^3": 0.25}
     for source, integral in exact.items():
-        ast = parse(source)
+        ast = parse(f"x^3 + {source}")
         for n in (1, 2, 5):
             division = quadrature.uniform_division(0.0, 1.0, n)
-            got = quadrature.corrected_midpoint_sum(ast, division)
-            if abs(got - integral) > 1e-12:
-                failures.append(f"{source} n={n}: {got!r} vs {integral!r}")
+            got = quadrature.composite_bound(ast, division).corrected_sum
+            if abs(got - 0.25 - integral) > 1e-12:
+                failures.append(f"{source} n={n}: {got - 0.25!r} vs "
+                                f"{integral!r}")
     check(9, "corrected midpoint sum integrates monomials of degree <= 3 "
              "exactly (1e-12)", failures)
 

@@ -591,8 +591,7 @@ def test_a_float_fault_exits_2_naming_where(capsys, argv, f, why):
 
 def test_a_midpoint_bound_outside_float_range_exits_2(capsys, monkeypatch):
     # finite sums of opposite signs whose difference overflows
-    result = quadrature.QuadResult(-1e308, 1e308, 1.0, (1.0, 1.0), (1.0,),
-                                   (0.0, 1.0))
+    result = quadrature.QuadResult(-1e308, 1e308, 1.0, (1.0, 1.0), (1.0,))
     monkeypatch.setattr(quadrature, "composite_bound", lambda f, d: result)
     code, out, err = run(capsys, "integrate", *EXP01)
     assert (code, out, err) == (EXIT_MATH, "",
@@ -851,7 +850,8 @@ def test_certify_takes_a_cell_whose_cube_leaves_float_range(capsys):
 
 def test_certify_exits_2_before_any_midpoint(capsys, monkeypatch):
     # n = 1.9e6 would meet 1e-6 on exp(50x), above n_max = 2^20: only the
-    # jets at the two ends, which size n, are evaluated
+    # jets at the two ends, which size n, and S_1's at (a + b)/2, which
+    # shows no rounding floor, are evaluated
     points = []
 
     def compile_counted(f, order, compile_jet=quadrature.compile_jet):
@@ -860,7 +860,7 @@ def test_certify_exits_2_before_any_midpoint(capsys, monkeypatch):
     monkeypatch.setattr(quadrature, "compile_jet", compile_counted)
     code, out, err = run(capsys, "certify", "--f", "exp(50*x)", "--a", "0",
                          "--b", "1", "--tol", "1e-6")
-    assert (code, out, points) == (EXIT_MATH, "", [0.0, 1.0])
+    assert (code, out, points) == (EXIT_MATH, "", [0.0, 1.0, 0.5])
     assert err == ("hh3: certified bound 2.084047538390587e-05 did not "
                    "reach tol 1e-06 by n = 1048576\n")
 

@@ -184,7 +184,7 @@ _RECORDS = [
                    "min_value": 0.1, "argmin_label": "chi1"}),
     (QuadResult, {"midpoint_sum": 1.0, "corrected_sum": 1.5,
                   "certified_bound": 0.01, "f3": (1.0, 2.0),
-                  "interval_bounds": (0.01,), "points": (0.0, 1.0)}),
+                  "interval_bounds": (0.01,)}),
     (CatalogEntry, {"expression": "exp(x)", "a": 0.0, "b": 1.0,
                     "log_convex": True}),
     (cli.RunConfig, {"command": "integrate", "expression": "x", "ast": _X,
@@ -220,7 +220,7 @@ _FIELDS = {
     DerivEndpoints: ("f3a_abs", "f3b_abs", "a", "b"),
     BoundReport: ("chi1", "chi2", "chi3", "q", "min_value", "argmin_label"),
     QuadResult: ("midpoint_sum", "corrected_sum", "certified_bound", "f3",
-                 "interval_bounds", "points"),
+                 "interval_bounds"),
     Certificate: ("midpoint_sum", "corrected_sum", "certified_bound",
                   "order", "n", "log_convexity"),
     CatalogEntry: ("expression", "a", "b", "log_convex"),

@@ -18,9 +18,9 @@ from hh3.errors import (BadInterval, BelowRoundingFloor, DomainError,
 from hh3.expr import compile_jet, parse
 from hh3.monotone import proved_block
 from hh3.quadrature import (_CC_COARSE, _CC_FINE, _CC_NODES, Certificate,
-                            certify, composite_bound, corrected_midpoint_sum,
-                            identity_residual, integrate_adaptive,
-                            reference_integral, uniform_division)
+                            certify, composite_bound, identity_residual,
+                            integrate_adaptive, reference_integral,
+                            uniform_division)
 from test_classify import accepted
 
 
@@ -44,13 +44,11 @@ def test_uniform_division_hits_endpoints_exactly():
 
 
 def test_division_validation():
-    # every entry point that takes points checks them the same way
     f = parse("exp(x)")
     for points in ((0.0,), (), (0.0, 1.0, 0.5), (0.0, 0.0, 1.0), (1.0, 0.0),
                    (0.0, math.inf), (math.nan, 1.0), (0.0, 0.5, math.nan)):
-        for use in (corrected_midpoint_sum, composite_bound):
-            with pytest.raises(BadInterval):
-                use(f, points)
+        with pytest.raises(BadInterval):
+            composite_bound(f, points)
     for a, b, n in ((1.0, 0.0, 4), (1.0, 1.0, 4), (0.0, math.inf, 4),
                     (math.nan, 1.0, 4), (0.0, 1.0, 0)):
         with pytest.raises(BadInterval):
@@ -59,16 +57,15 @@ def test_division_validation():
 
 def test_a_one_ulp_cell_is_refused_before_any_value_of_f(monkeypatch):
     # among wide cells, one of one ulp: its midpoint rounds onto an end, so
-    # both sums refuse the division before f''' or any midpoint jet
+    # the division is refused before f''' or any midpoint jet
     calls = _counting_jets(monkeypatch)
     f = parse("exp(x)")
-    for use in (composite_bound, corrected_midpoint_sum):
-        with pytest.raises(BadInterval, match=r"^\[0\.0, 1\.0\] is too narrow "
-                           r"for 3 cells$"):
-            use(f, (0.0, 0.5, math.nextafter(0.5, 1.0), 1.0))
-        with pytest.raises(BadInterval, match=r"^the cell \[1\.0, 0\.5\] has "
-                           r"no float midpoint inside it$"):
-            use(f, (0.0, 1.0, 0.5))
+    with pytest.raises(BadInterval, match=r"^\[0\.0, 1\.0\] is too narrow "
+                       r"for 3 cells$"):
+        composite_bound(f, (0.0, 0.5, math.nextafter(0.5, 1.0), 1.0))
+    with pytest.raises(BadInterval, match=r"^the cell \[1\.0, 0\.5\] has "
+                       r"no float midpoint inside it$"):
+        composite_bound(f, (0.0, 1.0, 0.5))
     assert calls == []
 
 
@@ -93,7 +90,7 @@ def test_non_uniform_points_are_accepted():
                                       rel=1e-15)
     want = 0.5 * math.exp(0.25) + 1.5 * math.exp(1.25)
     assert result.midpoint_sum == pytest.approx(want, rel=1e-15)
-    assert corrected_midpoint_sum(f, iter(points)) == result.corrected_sum
+    assert composite_bound(f, iter(points)) == result
 
 
 # --------------------------------------------------------------------------
@@ -108,9 +105,9 @@ def test_midpoint_sum_single_interval():
 
 def test_corrected_sum_is_exact_on_cubics():
     # the correction (h^3/24) f''(m) integrates cubics exactly
-    assert corrected_midpoint_sum(
-        parse("x^3/6"), uniform_division(0, 1, 1)) == pytest.approx(
-            1.0 / 24.0, abs=1e-16)
+    assert composite_bound(
+        parse("x^3/6"), uniform_division(0, 1, 1)).corrected_sum == \
+        pytest.approx(1.0 / 24.0, abs=1e-16)
     rng = random.Random(5)
     for _ in range(20):
         c3, c2, c1, c0 = (rng.uniform(-3, 3) for _ in range(4))
@@ -120,7 +117,8 @@ def test_corrected_sum_is_exact_on_cubics():
         exact = sum(c / k * (b ** k - a ** k) for c, k in
                     ((c3, 4), (c2, 3), (c1, 2), (c0, 1)))
         for n in (1, 3, 5):
-            got = corrected_midpoint_sum(parse(src), uniform_division(a, b, n))
+            got = composite_bound(parse(src),
+                                  uniform_division(a, b, n)).corrected_sum
             assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
@@ -133,7 +131,8 @@ def test_midpoint_sum_exp_two_intervals():
 
 def test_corrected_sum_exp_single_interval():
     want = 25.0 / 24.0 * math.sqrt(math.e)
-    got = corrected_midpoint_sum(parse("exp(x)"), uniform_division(0, 1, 1))
+    got = composite_bound(parse("exp(x)"),
+                          uniform_division(0, 1, 1)).corrected_sum
     assert got == pytest.approx(want, rel=1e-15)
 
 
@@ -316,11 +315,15 @@ def test_composite_refuses_a_sum_outside_float_range(source, points, name):
         composite_bound(parse(source), points)
 
 
-def test_corrected_midpoint_sum_refuses_a_sum_outside_float_range():
-    # h^3/24 * f''(m) = 8e9/24 * 2e300 overflows, as in composite_bound
+def test_composite_bound_refuses_a_corrected_term_outside_float_range():
+    # h^3/24 * f''(m) = 8e9/24 * 2e300 overflows to inf in the sum, while
+    # h ** 3 of h = 1e103 raises, named with its h
     with pytest.raises(DomainError,
                        match="^corrected_sum leaves float range$"):
-        corrected_midpoint_sum(parse("x^3+1e300*x^2"), (-1e3, 1e3))
+        composite_bound(parse("x^3+1e300*x^2"), (-1e3, 1e3))
+    with pytest.raises(DomainError, match=r"^h\^3 of the corrected midpoint "
+                       r"term leaves float range at h = 1e\+103$"):
+        composite_bound(parse("x^3"), (0.0, 1e103))
 
 
 def test_certified_bound_decreases_under_doubling():
@@ -762,6 +765,23 @@ def test_a_tol_far_below_the_floor_is_refused_before_the_sum(monkeypatch):
         certify(parse("exp(x)"), 0.0, 1.0, 1e-30)
     assert calls == [0.0, 1.0, 0.5]
     assert (info.value.n_final, info.value.floor) == (524288, 2.0 ** -53)
+
+
+@pytest.mark.parametrize("n_max", [1, 16, 4096, 2 ** 20])
+def test_the_floor_is_named_before_the_cap(n_max):
+    # no n reaches 1e-30 on exp(x), so the refusal names the floor whatever
+    # the cap, with the bound at the largest power of two allowed; 1e-12 is
+    # above the floor, and n = 16 too few cells for it
+    f = parse("exp(x)")
+    with pytest.raises(BelowRoundingFloor) as info:
+        certify(f, 0.0, 1.0, 1e-30, n_max)
+    err = info.value
+    assert err.floor == 1.1102230246251565e-16
+    assert err.n_final == min(n_max, 524288)
+    with pytest.raises(ToleranceUnreachable) as info:
+        certify(f, 0.0, 1.0, 1e-12, 16)
+    assert type(info.value) is ToleranceUnreachable
+    assert info.value.n_final == 16
 
 
 @settings(max_examples=25, deadline=None)
