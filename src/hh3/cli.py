@@ -14,7 +14,8 @@ errors, vanishing third derivative, a hypothesis that ``integrate``,
 ``certify`` and ``sweep`` find no proof of, non-convergence, unreachable
 tolerance, a bound below the rounding floor, a single-interval chi1 or a
 factor of it below the normal float range),
-64 for usage errors (bad flags, malformed expressions, invalid intervals).
+64 for usage errors (bad flags, malformed or too deeply nested
+expressions, invalid intervals).
 All but ``sweep`` print a hypothesis block.  The three commands that certify
 ask the one gate, ``quadrature.require_proof``, before any division, so
 print only a proof and refuse with one message.  ``bounds`` and ``verify``
@@ -45,6 +46,7 @@ from .reportfmt import Table, rows_to_csv, to_csv, to_json, to_text
 EXIT_OK = 0
 EXIT_MATH = 2
 EXIT_USAGE = 64
+_TOO_DEEP = "--f: the expression nests too deeply to evaluate"
 
 
 class UsageError(Exception):
@@ -249,6 +251,8 @@ def resolve(command: str, flags: dict) -> RunConfig:
         ast = parse(expression)
     except ExprSyntaxError as exc:
         raise UsageError(f"--f: {exc}") from None
+    except RecursionError:
+        raise UsageError(_TOO_DEEP) from None
 
     if "a" not in values or "b" not in values:
         raise UsageError("--a and --b are required")
@@ -439,6 +443,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         text = _run(cfg)
+    except RecursionError:  # in to_text, the compiler or classify_cm
+        print(f"hh3: error: {_TOO_DEEP}", file=sys.stderr)
+        return EXIT_USAGE
     except (Hh3Error, OverflowError) as exc:   # the mathematics said no
         print(f"hh3: {exc}", file=sys.stderr)
         return EXIT_MATH

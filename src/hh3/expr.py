@@ -35,8 +35,8 @@ from those lines, compiled on first use: the whole jet,
 ``compile_jet(node, 3)``, for the sums, the bounds, the checks and the
 reference integral; and f''' alone, :func:`compile_f3`, for |f'''| at
 division and grid points.  A pick keeps the lines its outputs read and
-every guard, ``try`` and branch, so it raises what the jet raises but
-"result is not finite" for a derivative it drops.
+every guard and ``try``, so it raises what the jet raises but "result is
+not finite" for a derivative it drops.
 """
 
 import functools
@@ -338,6 +338,12 @@ _MAX_INT_EXPONENT = 2 ** 16
 _NORMAL_MIN = 2.2250738585072014e-308  # sys.float_info.min
 
 
+def _reads_x(node: Node) -> bool:
+    """Whether the tree holds a ``Var``, so that its value may move with x."""
+    return isinstance(node, Var) or any(
+        isinstance(child, tuple) and _reads_x(child) for child in node)
+
+
 def _domain(node: Node, x: float, why: str) -> DomainError:
     return DomainError(why, expr_text=to_text(node), x=x)
 
@@ -365,23 +371,16 @@ class _JetCompiler:
     to them, and so does the value of each line that reads only those
     numbers, unless computing it raises; a test that reads only them is
     settled too.  Each line is kept with the locals it assigns: none for a
-    guard, a ``try`` or a branch.
+    guard or a ``try``.
     """
 
     def __init__(self, order: int):
-        self.lines, self.pool, self.indent = [], {}, "    "
+        self.lines, self.pool = [], {}
         self.ks, self.rules = range(order + 1), _rules(order)
         self.one = (1.0, *[0.0] * order)  # the jet of 1
 
     def emit(self, line: str, *assigns: str):
-        self.lines.append((self.indent + line, assigns))
-
-    def open(self, header: str):
-        self.emit(header)
-        self.indent += "    "
-
-    def close(self):
-        self.indent = self.indent[:-4]
+        self.lines.append(("    " + line, assigns))
 
     def fresh(self) -> str:  # unique, as a line is emitted before the next
         return f"t{len(self.lines)}"
@@ -415,12 +414,11 @@ class _JetCompiler:
         """``if test:`` raise DomainError ``why``, unless the tree's numbers
         make ``test`` False or the guard just before tests it (``x^x``)."""
         header = f"if {test}:"
-        if self.fold(test) is False or [(self.indent + header, ())] \
+        if self.fold(test) is False or [("    " + header, ())] \
                 == self.lines[-2:-1]:
             return
-        ref = node if isinstance(node, str) else self.name(node)
         self.emit(header)
-        self.emit(f"    raise _domain({ref}, x, {why!r})")
+        self.emit(f"    raise _domain({self.name(node)}, x, {why!r})")
 
     def guarded(self, expr: str, node, error: str, why: str) -> str:
         """A local bound to ``expr``, where ``error`` raises DomainError."""
@@ -428,7 +426,7 @@ class _JetCompiler:
         if value is not None:
             return self.name(value)
         t, ref = self.fresh(), self.name(node)
-        self.emit(f"try:\n{self.indent}    {t} = {expr}")
+        self.emit(f"try:\n        {t} = {expr}")
         self.emit(f"except {error}:")
         self.emit(f"    raise _domain({ref}, x, {why!r}) from None")
         return t
@@ -540,35 +538,15 @@ class _JetCompiler:
                       f"{what} is subnormal, too few bits for its derivatives")
 
     def power(self, node: BinOp, base: tuple) -> tuple:
-        # Where the tree's numbers fix the exponent's components they pick the
-        # rule now; else the walk's branches test, at run time, those x moves.
+        # The tree picks the rule: an exponent that reads x takes exp(w log u),
+        # and an integer the tree's numbers fix is unrolled.
         e = self.node(node.right)
-        is_zero = [self.fold(f"{w} == 0.0") for w in e[1:]]
-        if False in is_zero:  # a derivative that is never 0: never constant
+        if _reads_x(node.right):
             return self.variable_pow(node, e, base)
-        k = str(e[0])
-        if (c := self.fold(k)) is not None and None not in is_zero:
-            if abs(c) <= _MAX_INT_EXPONENT and c == int(c):
-                return self.int_pow(node, base, int(c))
-            return self.constant_pow(node, e, base)
-        zero = [f"{w} == 0.0" for w, z in zip(e[1:], is_zero) if z is None]
-        # int() of an inf or a NaN raises, so the finite test comes first
-        integer = [f"abs({k}) <= {_MAX_INT_EXPONENT}", f"{k} == int({k})"]
-        prefix = self.fresh()
-        out = tuple(f"{prefix}_{k}" for k in self.ks)
-        self.open(f"if {' and '.join(zero + integer)}:")
-        self.emit(f"{', '.join(out)} = _int_power(int({k}))"
-                  f"(x, {self.name(node)}, {', '.join(map(_text, base))})")
-        self.close()
-        branches = {f"elif {' and '.join(zero)}:": self.constant_pow,
-                    "else:": self.variable_pow} if zero \
-            else {"else:": self.constant_pow}
-        for header, branch in branches.items():
-            self.open(header)
-            for name, v in zip(out, branch(node, e, base)):
-                self.emit(f"{name} = {_text(v)}", name)
-            self.close()
-        return out
+        c = self.fold(str(e[0]))  # None where computing it always raises
+        if c is not None and abs(c) <= _MAX_INT_EXPONENT and c == int(c):
+            return self.int_pow(node, base, int(c))
+        return self.constant_pow(node, e, base)
 
     def constant_pow(self, node: BinOp, e: tuple, base: tuple) -> tuple:
         v, k = base[0], e[0]
@@ -585,7 +563,7 @@ class _JetCompiler:
         log_base = self.func("log", node, base)  # the guards name the ^
         return self.func("exp", node, self.rule("*", a=e, b=log_base))
 
-    def int_pow(self, node, u: tuple, n: int) -> tuple:
+    def int_pow(self, node: BinOp, u: tuple, n: int) -> tuple:
         """u**n unrolled by repeated squaring; n < 0 needs u0**-n != 0."""
         if n < 0:
             self.fail(f"{u[0]} == 0.0", node,
@@ -605,7 +583,7 @@ class _JetCompiler:
 
     def live(self, result) -> list[str]:
         """The lines that ``result`` or a kept line reads, and every line
-        that assigns no local: the guards, ``try`` blocks and branches."""
+        that assigns no local: the guards and ``try`` blocks."""
         needed, kept = set(_words(_text(result))), []
         for text, assigns in reversed(self.lines):
             if not assigns or needed.intersection(assigns):
@@ -613,35 +591,27 @@ class _JetCompiler:
                 needed.update(_words(text))
         return kept[::-1]
 
-    def build(self, out: tuple, params: str = "x", node: str = "") -> Callable:
-        """``def jet(params)``: the lines that ``out`` and the guards read,
-        returning ``out``, or its one item alone.  Given the global ``node``
-        naming the tree, it raises where the result is not finite."""
+    def build(self, out: tuple, node: str) -> Callable:
+        """``def jet(x)``: the lines that ``out`` and the guards read,
+        returning ``out``, or its one item alone; it raises, naming the
+        global ``node``, where the result is not finite."""
         lines = self.live(out)
         names = [v for v in out if isinstance(v, str) and not
                  math.isfinite(self.pool.get(v, math.nan))]
-        if node and names:
+        if names:
             lines += ["    if not ("
                       f"{' and '.join(f'isfinite({v})' for v in names)}):",
                       f"        raise _domain({node}, x, "
                       "'result is not finite')"]
         value = ", ".join(map(_text, out))
-        source = "\n".join([f"def jet({params}):", *lines, "    return "
+        source = "\n".join(["def jet(x):", *lines, "    return "
                             + (f"({value})" if len(out) > 1 else value)])
         namespace = dict(self.pool, _domain=_domain, DomainError=DomainError,
-                         _int_power=functools.partial(_int_power, self.ks[-1]),
                          isfinite=math.isfinite, **_FOLDABLE)
         exec(compile(source, "<hh3 jet>", "exec"), namespace)
         jet = namespace["jet"]
         jet.source = source
         return jet
-
-
-@functools.lru_cache(maxsize=256)
-def _int_power(order: int, n: int) -> Callable:
-    """base**n for an n known at run time: (x, ^ node, base jet) -> jet."""
-    c, base = _JetCompiler(order), tuple(f"b{k}" for k in range(order + 1))
-    return c.build(c.int_pow("node", base, n), f"x, node, {', '.join(base)}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -652,7 +622,7 @@ def _lowered(node: Node, text: str, order: int) -> Callable[..., Callable]:
     c.emit("if not isfinite(x):")
     c.emit("    raise DomainError('evaluation point must be finite', x=x)")
     jet, name = c.node(node), c.name(node)
-    return functools.cache(lambda pick: c.build(jet[slice(*pick)], node=name))
+    return functools.cache(lambda pick: c.build(jet[slice(*pick)], name))
 
 
 def compile_jet(node: Node, order: int) -> Callable[[float], tuple]:
@@ -663,11 +633,14 @@ def compile_jet(node: Node, order: int) -> Callable[[float], tuple]:
     factors of 1 that the derivatives of x and of constants bring: these it
     leaves out, so f keeps its bits and a derivative that is 0 may come out
     with the other sign.  Where such a zero met an inf, the walk's NaN becomes
-    the true value.  A guard, a power's choice of rule or a finiteness check
-    that reads only the tree's numbers is decided as it compiles; one that
-    always raises stays, so its error names x.  It raises what eval_jet3
-    documents or ValueError, and holds its text in ``source``.  Cached with
-    its picks on the tree, its text (Num(0.0) == Num(-0.0)) and the order.
+    the true value.  A power's rule is the tree's: exp(w log u), for a base
+    u > 0, where the exponent w reads x, even if its value is constant; else
+    u^c, unrolled where c is an integer of at most 2^16.  A guard or a
+    finiteness check that reads only the tree's numbers is decided as it
+    compiles; one that always raises stays, so its error names x.  It
+    raises what eval_jet3 documents or ValueError, and holds its text in
+    ``source``.  Cached with its picks on the tree, its text (Num(0.0) ==
+    Num(-0.0)) and the order.
     """
     if not (type(order) is int and order >= 3):   # before the cache: 3.0 == 3
         raise ValueError(f"jet order must be an integer >= 3, got {order!r}")

@@ -17,7 +17,7 @@ no jet and evaluates f nowhere.
 import math
 
 from .expr import _CONSTANTS, _FOLDABLE, BinOp, Const, Func, Neg, Node, \
-    Num, Var
+    Num, Var, _reads_x
 
 __all__ = ["CM_X", "CM_NEG_X", "classify_cm", "proved_block"]
 
@@ -149,11 +149,11 @@ def _power(u: list, p: float, ends):
 
 def _as_power(node: Node, ends):
     """(u, p) where node is u^p, sqrt(u) (p = 0.5) or u (p = 1) with a
-    constant p; None where its exponent varies."""
+    constant p; None where its exponent reads x, even at a constant value."""
     if isinstance(node, Func) and node.name == "sqrt":
         return _cm(node.arg, ends), 0.5
     if isinstance(node, BinOp) and node.op == "^":
-        e = _cm(node.right, ends)
+        e = None if _reads_x(node.right) else _cm(node.right, ends)
         return (_cm(node.left, ends), _float(e[0])) if _is_const(e) else None
     return _cm(node, ends), 1.0
 
@@ -219,12 +219,12 @@ def classify_cm(f: Node, a: float, b: float) -> tuple[str, int, int] | None:
     0) or not an integer (j0 the first integer above p), ``sqrt`` and
     ``k/(affine)`` among them; ``log`` of a positive affine argument (j0 =
     1); and polynomials of degree <= 3 (j0 = 3, class cm(x), as a constant
-    is completely monotone in both).  An integer power >= 4 is no atom.
-    The rules: sums whose terms agree in class and sign at the higher j0,
-    products of two j0 = 0 terms of one class (a quotient by ``exp(u)``,
-    ``u^p`` or ``sqrt(u)`` is the product with its reciprocal), and
-    scaling by a nonzero constant.  It compiles no jet and evaluates f
-    nowhere.
+    is completely monotone in both).  No atom is an integer power >= 4, or
+    a power whose exponent reads x, as ``x^(x - x + 3)`` does.  The rules:
+    sums whose terms agree in class and sign at the higher j0, products of
+    two j0 = 0 terms of one class (a quotient by ``exp(u)``, ``u^p`` or
+    ``sqrt(u)`` is the product with its reciprocal), and scaling by a
+    nonzero constant.  It compiles no jet and evaluates f nowhere.
     """
     try:
         v = _cm(f, (a.as_integer_ratio(), b.as_integer_ratio()))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from hh3.errors import DomainError
 from hh3.expr import (_CONSTANTS, _MAX_INT_EXPONENT, BinOp, Const, Func, Neg,
-                      Node, Num, Var, _domain)
+                      Node, Num, Var, _domain, _reads_x)
 
 _NORMAL_MIN = 2.2250738585072014e-308  # sys.float_info.min
 
@@ -158,7 +158,7 @@ def _apply_func(name: str, node: Node, u: Jet, x: float) -> Jet:
 
 def _apply_pow(node: BinOp, base: Jet, x: float) -> Jet:
     exponent = _eval(node.right, x)
-    if exponent.d1 == 0.0 and exponent.d2 == 0.0 and exponent.d3 == 0.0:
+    if not _reads_x(node.right):  # else exp(w log u), even at a constant w
         c = exponent.d0
         if abs(c) <= _MAX_INT_EXPONENT and c == int(c):
             n = int(c)

@@ -72,6 +72,19 @@ def test_the_classifier_refuses_what_its_rules_do_not_cover(source, a, b):
     assert classify_cm(parse(source), a, b) is None
 
 
+@pytest.mark.parametrize("source, a, b, proof", [
+    ("x^(x - x + 3)", 1.0, 2.0, None),          # x^3 in value, not in rule
+    ("(x+1)^(x - x + 3.5)", 0.0, 1.0, None),    # (x+1)^3.5 in value
+    ("x^3", 1.0, 2.0, (CM_X, 1, 3)),
+    ("(x+1)^3.5", 0.0, 1.0, (CM_X, 1, 4)),
+    ("(x+1)^-2", 0.0, 1.0, (CM_X, 1, 0)),
+])
+def test_a_power_whose_exponent_reads_x_is_no_atom(source, a, b, proof):
+    # the jets take u^w as exp(w log u) wherever w reads x, so the proof
+    # does not read w's constant value either
+    assert classify_cm(parse(source), a, b) == proof
+
+
 def _sample_agrees(source: str, a: float, b: float) -> None:
     """The 257-point pair test passes."""
     assert check_log_convexity(parse(source), a, b)["passed"], source

@@ -187,6 +187,24 @@ def test_math_errors_are_2(capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize("command", ["bounds", "integrate", "verify"])
+@pytest.mark.parametrize("source, expected", [
+    ("(" * 2000 + "x^3" + ")" * 2000, EXIT_USAGE),   # the parser recursed
+    ("+".join(["exp(x)"] * 3000), EXIT_USAGE),       # to_text recursed
+    ("(" * 50 + "x^3" + ")" * 50, EXIT_OK),
+], ids=["nest-2000", "sum-3000", "nest-50"])
+def test_an_expression_too_deep_to_evaluate_is_a_usage_error(
+        capsys, command, source, expected):
+    # the RecursionError's traceback once exited 1
+    code, out, err = run(capsys, command, "--f", source, "--a", "0",
+                         "--b", "1")
+    assert code == expected
+    if expected == EXIT_USAGE:
+        assert out == ""
+        assert err == ("hh3: error: --f: the expression nests too deeply "
+                       "to evaluate\n")
+
+
 def test_reference_integration_stops_at_a_panel_it_cannot_halve(capsys):
     # exp's rounding makes the rule difference ~1.1x the 10-ulp floor near
     # x = 0.3658, and halving never shrinks it: once a failing panel's 33

@@ -466,9 +466,8 @@ def _assert_like_tree_walk(ast, x):
 
     Where the walker made a NaN, a zero factor met an inf, which the
     compiled jet never multiplies, so the two may part there: the NaN fails
-    the walker's jet, or it takes a power's variable-exponent branch that
-    the compiled jet knows not to.  test_zero_derivatives_do_not_meet_an_inf
-    pins such a case.
+    the walker's jet.  test_zero_derivatives_do_not_meet_an_inf pins such a
+    case.
     """
     got = _outcome(eval_jet3, ast, x)
     want = _outcome(eval_jet3_reference, ast, x)
@@ -575,7 +574,7 @@ def _assert_begins_like_jet3(ast, x, order):
 @settings(max_examples=300, deadline=None)
 @given(_ast_strategy(), st.floats(min_value=-5.0, max_value=5.0),
        st.integers(min_value=4, max_value=9))
-@example(parse("x^(x - x + 3) + sin(x)"), 0.5, 9)  # _int_power at order 9
+@example(parse("x^(x - x + 3) + sin(x)"), 0.5, 9)  # exp(w log u), order 9
 def test_every_order_begins_with_the_order_3_jet(ast, x, order):
     _assert_begins_like_jet3(ast, x, order)
 
@@ -619,13 +618,13 @@ _CORPUS = [
     "(x+1)^(-1/2)", "x^pi", "(x+2)^(2^0.5)", "2^x", "sqrt(2)*exp(x)",
     "exp(x/3)", "log(2)*x^3", "exp(-x^2/2)/sqrt(2*pi)", "x^(2*2)",
     "1/(1+400*(x-0.5)^2)", "sqrt(x+0.1)*exp(-x)", "(x+0.5)^-2.5+exp(-3*x)",
-    "exp(x)/(x+1)", "x^(2*x)", "(x+1)^(x/2)", "x^x", "2*x+1",
+    "exp(x)/(x+1)", "x^(2*x)", "(x+1)^(x/2)", "x^x", "2*x+1", "(x+1)^pi",
 ]
-_TEST = re.compile(r"^ *(?:el)?if (.*):$", re.M)
+_TEST = re.compile(r"^ *if (.*):$", re.M)
 
 
 def _assert_x_decides_every_test(ast):
-    """Each ``if`` or ``elif`` of the compiled sources reads x or a local,
+    """Each ``if`` of the compiled sources reads x or a local,
     or else holds on every call: a guard that always raises, or the
     finiteness check of a constant that is not finite."""
     for fn in (compile_jet(ast, 3), compile_f3(ast)):
@@ -647,10 +646,36 @@ def test_the_tree_numbers_decide_no_test_at_run_time_property(ast):
     _assert_x_decides_every_test(ast)
 
 
-@pytest.mark.parametrize("source", ["x^(3/2)", "x^(2*2)", "x^(2*x)",
-                                    "(x+1)^pi"])
-def test_an_exponent_the_tree_fixes_or_that_moves_needs_no_int_power(source):
-    assert "_int_power" not in compile_jet(parse(source), 3).source
+def _assert_straight_line(ast):
+    """The tree picks each power's rule, so no source branches at run time:
+    its every ``if`` is a guard that raises."""
+    for fn in (compile_jet(ast, 3), compile_jet(ast, 4), compile_f3(ast)):
+        assert "elif" not in fn.source and "else:" not in fn.source
+
+
+@pytest.mark.parametrize("source", _GUARD_SOURCES + _CORPUS)
+def test_generated_source_is_straight_line(source):
+    _assert_straight_line(parse(source))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ast_strategy())
+def test_generated_source_is_straight_line_property(ast):
+    _assert_straight_line(ast)
+
+
+def test_an_exponent_that_reads_x_takes_exp_w_log_u_even_where_constant():
+    # x - x + 3 is 3 at every x, yet it reads x: x^(x - x + 3) is
+    # exp((x - x + 3)*log(x)), bit for bit, and needs x > 0
+    power = compile_jet(parse("x^(x - x + 3)"), 4)
+    general = compile_jet(parse("exp((x - x + 3)*log(x))"), 4)
+    with pytest.raises(DomainError) as info:
+        power(-2.0)
+    assert str(info.value) == ("variable exponent needs a positive base "
+                               "(in 'x^(x - x + 3.0)' at x = -2.0)")
+    for x in (0.5, 1.7, 3.0):
+        assert list(map(float.hex, power(x))) == \
+            list(map(float.hex, general(x)))
 
 
 def _with_values(source: str) -> str:
