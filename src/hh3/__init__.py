@@ -15,12 +15,10 @@ identities against a high-accuracy reference integrator.  The ``hh3``
 command line tool exposes all of it.
 """
 
-from .analysis import (CatalogEntry, catalog, check_hermite_hadamard,
-                       check_log_convexity, grid_samples,
-                       log_convexity_verdict)
+from .analysis import (check_hermite_hadamard, check_log_convexity,
+                       grid_samples, log_convexity_verdict)
 from .bounds import (BoundReport, DerivEndpoints, best_bound, chi1, chi2,
-                     chi3, direct_bound, holder_bound, holder_factor, mu,
-                     power_mean_bound)
+                     chi3, direct_bound, holder_bound, power_mean_bound)
 from .errors import (BadInterval, BelowRoundingFloor, DomainError,
                      ExprSyntaxError, Hh3Error, HypothesisNotProved,
                      NonConvergence, NonPositiveThirdDerivative,
@@ -37,17 +35,15 @@ __all__ = [
     # expr
     "parse", "to_text", "evaluate", "eval_jet3", "Node",
     # bounds
-    "mu", "holder_factor", "chi1", "chi2", "chi3", "direct_bound",
-    "holder_bound", "power_mean_bound", "best_bound", "DerivEndpoints",
-    "BoundReport",
+    "chi1", "chi2", "chi3", "direct_bound", "holder_bound",
+    "power_mean_bound", "best_bound", "DerivEndpoints", "BoundReport",
     # quadrature
     "QuadResult", "Certificate", "uniform_division", "composite_bound",
     "reference_integral", "integrate_adaptive", "identity_residual",
     "certify", "require_proof",
     # analysis
-    "CatalogEntry", "grid_samples",
-    "check_log_convexity", "log_convexity_verdict",
-    "check_hermite_hadamard", "catalog",
+    "grid_samples", "check_log_convexity", "log_convexity_verdict",
+    "check_hermite_hadamard",
     # errors
     "Hh3Error", "ExprSyntaxError", "UnknownIdentifier", "DomainError",
     "NonPositiveThirdDerivative", "BadInterval", "NonConvergence",

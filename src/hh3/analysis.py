@@ -32,19 +32,17 @@ every q.
 
 import math
 
-# eval_jet3 stays an attribute here for bench/tracer.py to wrap.
+# eval_jet3 and parse stay attributes here for bench/tracer.py to wrap.
 from .expr import (Node, compile_f3, compile_jet, eval_jet3,  # noqa: F401
                    parse)
 from .monotone import proved_block
 # integrate_adaptive stays an attribute here for bench/tracer.py to wrap.
 from .quadrature import (integrate_adaptive,  # noqa: F401
                          reference_integral, uniform_division)
-from .record import Record
 
 __all__ = [
-    "GRID_POINTS", "PAIR_RELTOL", "CatalogEntry", "grid_samples",
-    "check_log_convexity", "log_convexity_verdict",
-    "check_hermite_hadamard", "catalog",
+    "GRID_POINTS", "PAIR_RELTOL", "grid_samples", "check_log_convexity",
+    "log_convexity_verdict", "check_hermite_hadamard",
 ]
 
 #: 2^8 + 1 points, the one grid of every sampled verdict: a uniform grid this
@@ -150,35 +148,3 @@ def check_hermite_hadamard(f: Node, a: float, b: float) -> dict:
             "endpoint_mean": end_mean,
             "lower_slack": lower, "upper_slack": upper}
 
-
-# --------------------------------------------------------------------------
-# Worked examples with known log-convexity status
-# --------------------------------------------------------------------------
-
-class CatalogEntry(Record):
-    """An integrand's text (str) and interval (floats), and whether its
-    |f'''| is log-convex there (bool)."""
-    __slots__, _fields = (), ("expression", "a", "b", "log_convex")
-
-    def ast(self) -> Node:
-        return parse(self.expression)
-
-
-def catalog() -> tuple[CatalogEntry, ...]:
-    """Reference integrands with known |f'''| log-convexity status.
-
-    The expected verdicts are analytic facts: exponentials have log-affine
-    (hence log-convex) |f'''|, sums of exponentials keep it (log-convexity
-    is closed under addition), |(1/x)'''| = 6/x^4 is log-convex on x > 0,
-    and a constant |f'''| (from x^3) is trivially log-convex.  x^4 fails:
-    its |f'''| = 24x has strictly concave logarithm on [1, 2], so by AM-GM
-    every off-diagonal midpoint pair violates the criterion.
-    """
-    return (
-        CatalogEntry("exp(x)", 0.0, 1.0, True),
-        CatalogEntry("exp(2*x)", -1.0, 1.0, True),
-        CatalogEntry("exp(x) + exp(2*x)", 0.0, 1.0, True),
-        CatalogEntry("1/x", 1.0, 2.0, True),
-        CatalogEntry("x^3", 0.0, 1.0, True),
-        CatalogEntry("x^4", 1.0, 2.0, False),
-    )

@@ -11,7 +11,8 @@ quantities, all of the shape
     ((b - a)^3 / 96) * ( |f'''(b)| * W(K) + |f'''(a)| * W(M) )
 
 with ratio arguments K = |f'''(a)| / |f'''(b)| and M = 1/K, and a weight W
-specific to the route taken:
+specific to the route taken (mu and hf are notation for these weights, not
+functions of this module):
 
   chi1 (direct):      W(K) = mu(K)                 with  mu(K) = integral of
                       t^3 * K^(t/2) over t in [0, 1]
@@ -29,10 +30,10 @@ rounded values; the composite bound of :mod:`hh3.quadrature` is chi1 alone.
 The weights of chi2 and chi3 are functions of ln K, formed in one place,
 ``_log_ratio``: as ln of the quotient, or as ln |f'''(a)| - ln |f'''(b)|
 where the quotient leaves float range, so such a K is still bounded.
-``mu`` and the Holder factor both degenerate to removable singularities as
-K -> 1 (mu(1) = 1/4, hf(1, q) = 1); both are computed from ln K through a
-series/closed-form split so that no cancellation is possible near that
-point.  Where |q ln(K)/2| is too large for exp(), chi2 and chi3 take
+mu and hf both degenerate to removable singularities as K -> 1 (mu(1) =
+1/4, hf(1, q) = 1); mu is computed from ln K through a series/closed-form
+split and hf as expm1(u)/u, u = q ln(K)/2, so no cancellation is possible
+near that point.  Where |u| is too large for exp(), chi2 and chi3 take
 their q-th roots in log space, so every finite q gives a finite bound.
 
 chi1 folds its two moments into one even series of positive terms: with
@@ -53,9 +54,9 @@ from .errors import DomainError, require_f3, require_interval
 from .record import Record
 
 __all__ = [
-    "L_SWITCH", "DerivEndpoints", "BoundReport", "mu", "holder_factor",
-    "chi1", "chi2", "chi3", "interval_chi1", "direct_bound", "holder_bound",
-    "power_mean_bound", "best_bound", "DEFAULT_Q",
+    "L_SWITCH", "DerivEndpoints", "BoundReport", "chi1", "chi2", "chi3",
+    "interval_chi1", "direct_bound", "holder_bound", "power_mean_bound",
+    "best_bound", "DEFAULT_Q",
 ]
 
 #: |ln K| at or below which mu (for chi3) takes the series, not the closed
@@ -151,11 +152,11 @@ _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 _RATIO_RULE = "derivative ratio must be finite and positive, got {!r}"
 
 
-def _log_ratio(num: float, den: float = 1.0) -> float:
+def _log_ratio(num: float, den: float) -> float:
     """ln(num / den) where the quotient is a positive normal float, else
     ln num - ln den where both are finite and positive (so a quotient that
     under- or overflows keeps its log); DomainError otherwise."""
-    k = num / den
+    k = num / den if den else num * math.inf  # as chi1 names it
     if 2.2250738585072014e-308 <= k <= 1.7976931348623157e308:  # min, max
         return math.log(k)
     if 0.0 < num < math.inf and 0.0 < den < math.inf:
@@ -170,44 +171,17 @@ def _require_q(q: float, strict: bool, name: str) -> None:
             f"{name} needs q {'>' if strict else '>='} 1, got {q!r}")
 
 
-def mu(k: float) -> float:
-    """The weight in the direct bound: integral of t^3 k^(t/2), t in [0,1].
-
-    mu(1) = 1/4 exactly; mu is increasing and positive.
-    """
-    return _moment_from_log(_log_ratio(k))
-
-
-def _expm1_mean(u: float) -> float:
-    return 1.0 if u == 0.0 else math.expm1(u) / u
-
-
-def holder_factor(k: float, q: float) -> float:
-    """(2 / (q ln k)) * (k^(q/2) - 1), the Holder route's ratio weight.
-
-    Equals expm1(u)/u at u = q*ln(k)/2, which tends to 1 as k -> 1; expm1
-    keeps that limit exact to machine precision.  Needs q >= 1, and raises
-    the builtin OverflowError when u > 700, where expm1 would overflow.
-    """
-    log_k = _log_ratio(k)
-    _require_q(q, False, "holder_factor")
-    u = q * log_k / 2.0
-    if u > _HALF_LOG_LIMIT:
-        raise OverflowError(f"q*ln(K)/2 = {u!r} exceeds {_HALF_LOG_LIMIT}; "
-                            "the ratio is too extreme for this q")
-    return _expm1_mean(u)
-
-
 def _qth_root(log_k: float, q: float, power_mean: bool) -> float:
-    """mu_q(K, q) ** (1/q) if ``power_mean``, else holder_factor(K, q) ** (1/q).
+    """mu_q(K, q) ** (1/q) if ``power_mean``, else hf(K, q) ** (1/q).
 
     mu_q(K, q) = mu(K^q) is the paper's notation, taken as the moment at
-    q ln K.  Where |u| = |q ln(K)/2| exceeds the exp() limit, the weight
-    or its power may leave float range, so the root is taken in log space:
+    q ln K, and hf is expm1(u)/u at u = q ln(K)/2.  Where |u| exceeds the
+    exp() limit, the weight or its power may leave float range, so the
+    root is taken in log space:
 
-        ln holder_factor(K, q) = u - ln u,  or -ln |u| where u < 0
-        ln mu_q(K, q)          = u - ln u + ln(1 - 3/u + 6/u^2 - 6/u^3),
-                                 or ln 6 - 4 ln |u| where u < 0
+        ln hf(K, q)   = u - ln u,  or -ln |u| where u < 0
+        ln mu_q(K, q) = u - ln u + ln(1 - 3/u + 6/u^2 - 6/u^3),
+                        or ln 6 - 4 ln |u| where u < 0
 
     dropping terms of relative size e^-|u| < 1e-304, with ln |u| formed as
     ln q + ln |ln(K)/2|, finite where u overflows.  Elsewhere the power is
@@ -215,7 +189,8 @@ def _qth_root(log_k: float, q: float, power_mean: bool) -> float:
     """
     u = q * log_k / 2.0
     if abs(u) <= _HALF_LOG_LIMIT:
-        weight = _moment_from_log(q * log_k) if power_mean else _expm1_mean(u)
+        weight = (_moment_from_log(q * log_k) if power_mean
+                  else math.expm1(u) / u if u else 1.0)
         return weight ** (1.0 / q)
     half = log_k / 2.0
     log_u = math.log(q) + math.log(abs(half))

@@ -194,6 +194,8 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"--config: {exc}") from None
     except ValueError as exc:
         raise UsageError(f"--config: {path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise UsageError(f"--config: {path}: nests too deeply") from None
     if not isinstance(data, dict):
         raise UsageError(f"--config: {path}: must hold a JSON object")
     for key, value in data.items():

@@ -4,8 +4,9 @@ Everything raised deliberately by this library derives from ``Hh3Error``,
 so callers can catch one type.  ``require_interval`` is the one check that
 a < b and b - a are finite, ``require_f3`` that a sample of |f'''| is
 finite and normal, and ``require_finite`` that a printed sum or bound is
-finite.  Overflow inside the moment helpers uses the builtin
-``OverflowError`` (it is an overflow, and the builtin name says so).
+finite.  No function of the package raises the builtin ``OverflowError``
+on purpose: the bounds take their weights in log space where exp() would
+overflow, and the jets turn an overflow into a :class:`DomainError`.
 """
 
 import math
@@ -49,8 +50,8 @@ class DomainError(Hh3Error):
     """A value left the mathematical domain of an operation.
 
     Carries the offending (sub)expression text and the evaluation point when
-    they are known; both stay ``None`` for scalar helpers such as the moment
-    functions.
+    they are known; both stay ``None`` for scalar helpers such as the bounds
+    chi1 to chi3.
     """
 
     def __init__(self, message: str, *, expr_text: str | None = None,

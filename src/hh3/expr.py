@@ -260,8 +260,9 @@ def _wrap(node: Node, minimum: int) -> str:
 
 def to_text(node: Node) -> str:
     """Render an AST back to source text with minimal parentheses."""
-    if isinstance(node, Num):
-        return repr(node.value)
+    if isinstance(node, Num):  # an overflowed literal as one that parses
+        return {math.inf: "1e999", -math.inf: "-1e999"}.get(node.value,
+                                                           repr(node.value))
     if isinstance(node, Var):
         return "x"
     if isinstance(node, Const):

@@ -159,7 +159,7 @@ def _as_power(node: Node, ends):
 
 
 def _reciprocal(node: Node, ends):
-    """1/node for node = exp(u), u^p, sqrt(u) or u, with u affine."""
+    """1/node for node = exp(u), or u^p, sqrt(u) or u with u affine."""
     if isinstance(node, Func) and node.name == "exp":
         return _cm(Func("exp", Neg(node.arg)), ends)
     u, p = _as_power(node, ends) or (None, 0.0)
@@ -180,6 +180,9 @@ def _cm(node: Node, ends):
         u = _cm(node.arg, ends)
         if _is_const(u):
             return _const(_FOLDABLE[node.name](_float(u[0])))
+        if node.name == "exp" and isinstance(u, tuple) and u[2] <= 1:
+            s = _sign_at(u, 1)  # exp(u) is CM where u' is -CM (Feller XIII.4)
+            return (u[0], 1, 0) if (s < 0) == (u[0] == CM_X) else None
         if _degree(u) != 1:
             return None
         if node.name == "exp":
@@ -213,13 +216,15 @@ def classify_cm(f: Node, a: float, b: float) -> tuple[str, int, int] | None:
     a half-line holding [a, b], and is never 0 there; else None.
 
     So |f^(k)| is log-convex on [a, b] for every k >= j0 where it is not
-    identically 0.  The atoms are constants; ``exp`` of an affine argument
-    (j0 = 0); ``(x + c)^p`` and ``(c - x)^p`` with a base of one sign on
-    [a, b] (positive unless p is a negative integer) and p negative (j0 =
-    0) or not an integer (j0 the first integer above p), ``sqrt`` and
-    ``k/(affine)`` among them; ``log`` of a positive affine argument (j0 =
-    1); and polynomials of degree <= 3 (j0 = 3, class cm(x), as a constant
-    is completely monotone in both).  No atom is an integer power >= 4, or
+    identically 0.  The atoms are constants; ``exp`` of an affine argument,
+    or of a proved u with j0 <= 1 whose u' is -(CM in x) or +(CM in -x),
+    as ``exp(-sqrt(x+1))`` (j0 = 0; Feller, vol. II, XIII.4); ``(x + c)^p``
+    and ``(c - x)^p`` with a base of one sign on [a, b] (positive unless p
+    is a negative integer) and p negative (j0 = 0) or not an integer (j0
+    the first integer above p), ``sqrt`` and ``k/(affine)`` among them;
+    ``log`` of a positive affine argument (j0 = 1); and polynomials of
+    degree <= 3 (j0 = 3, class cm(x), as a constant is completely
+    monotone in both).  No atom is an integer power >= 4, or
     a power whose exponent reads x, as ``x^(x - x + 3)`` does.  The rules:
     sums whose terms agree in class and sign at the higher j0, products of
     two j0 = 0 terms of one class (a quotient by ``exp(u)``, ``u^p`` or

@@ -18,6 +18,7 @@ import pytest
 
 from hh3 import analysis, bounds, cli, quadrature
 from hh3.expr import parse
+from test_analysis import CATALOG
 
 
 def check(num: int, description: str, failures: list[str]):
@@ -44,25 +45,27 @@ def test_criterion_01_moment_matches_adaptive_quadrature():
         half_log = 0.5 * math.log(k)
         numeric = quadrature.integrate_adaptive(
             lambda t: t ** 3 * math.exp(half_log * t), 0.0, 1.0, 1e-13)
-        closed = bounds.mu(k)
+        closed = bounds._moment_from_log(math.log(k))
         rel = abs(closed - numeric) / abs(numeric)
         if rel > 1e-10:
             failures.append(f"K={k:.3e}: rel={rel:.2e}")
     elapsed = time.perf_counter() - start
     if elapsed >= 5.0:
         failures.append(f"runtime {elapsed:.2f}s >= 5s")
-    check(1, "moment function matches adaptive quadrature at 1000 ratios "
-             "(rel 1e-10, under 5s)", failures)
+    check(1, "moment mu, as chi3 takes it from ln K, matches adaptive "
+             "quadrature at 1000 ratios (rel 1e-10, under 5s)", failures)
 
 
 def test_criterion_02_closed_form_constants():
     failures = []
+    mu = bounds._moment_from_log   # of ln K
     cases = [
-        ("mu(e^2)", bounds.mu(math.e ** 2), 6.0 - 2.0 * math.e),
-        ("mu(1/e)", bounds.mu(math.exp(-1.0)),
+        ("mu(e^2)", mu(math.log(math.e ** 2)), 6.0 - 2.0 * math.e),
+        ("mu(1/e)", mu(math.log(math.exp(-1.0))),
          96.0 - 158.0 * math.exp(-0.5)),
-        ("holder_factor(1/e, 2)", bounds.holder_factor(math.exp(-1.0), 2.0),
-         1.0 - math.exp(-1.0)),
+        ("hf(1/e, 2)^(1/2)",
+         bounds._qth_root(math.log(math.exp(-1.0)), 2.0, False),
+         math.sqrt(1.0 - math.exp(-1.0))),
     ]
     for label, got, want in cases:
         if abs(got - want) > 1e-12:
@@ -90,30 +93,29 @@ def test_criterion_03_power_mean_at_q1_degenerates_to_direct():
 def test_criterion_04_certified_bounds_are_sound():
     failures = []
     start = time.perf_counter()
-    for entry in analysis.catalog():
-        if not entry.log_convex:
+    for source, a, b, log_convex in CATALOG:
+        if not log_convex:
             continue
-        ast = entry.ast()
-        truth = quadrature.reference_integral(ast, entry.a, entry.b)
+        truth = quadrature.reference_integral(parse(source), a, b)
         for n in (1, 2, 4, 8, 16, 32, 64):
             error = None
             for method in ("thm1", "best"):
                 cfg = cli.resolve("integrate", {
-                    "f": entry.expression, "a": entry.a, "b": entry.b,
-                    "n": n, "method": method})
+                    "f": source, "a": a, "b": b, "n": n, "method": method})
                 result = cli.cmd_integrate(cfg)
                 if error is None:
                     error = abs(result["corrected_sum"] - truth)
                 if result["certified_bound"] < error - 1e-12:
                     failures.append(
-                        f"{entry.expression} n={n} {method}: bound "
+                        f"{source} n={n} {method}: bound "
                         f"{result['certified_bound']:.3e} < error "
                         f"{error:.3e}")
     elapsed = time.perf_counter() - start
     if elapsed >= 30.0:
         failures.append(f"runtime {elapsed:.2f}s >= 30s")
     check(4, "certified bound covers the true corrected-sum error for every "
-             "catalog function, n in 1..64, both methods (under 30s)",
+             "log-convex worked integrand, n in 1..64, both methods "
+             "(under 30s)",
           failures)
 
 
@@ -166,19 +168,19 @@ def test_criterion_07_kernel_identity_residual():
 
 def test_criterion_08_log_convexity_verdicts_and_power_invariance():
     failures = []
-    for entry in analysis.catalog():
-        ast = entry.ast()
-        report = analysis.check_log_convexity(ast, entry.a, entry.b)
-        if report["passed"] != entry.log_convex:
-            failures.append(f"{entry.expression}: verdict {report['passed']}, "
-                            f"catalog says {entry.log_convex}")
-        xs, gs = analysis.grid_samples(ast, entry.a, entry.b)
+    for source, a, b, log_convex in CATALOG:
+        ast = parse(source)
+        report = analysis.check_log_convexity(ast, a, b)
+        if report["passed"] != log_convex:
+            failures.append(f"{source}: verdict {report['passed']}, "
+                            f"worked verdict {log_convex}")
+        xs, gs = analysis.grid_samples(ast, a, b)
         for q in (1.0, 2.0, 5.0):  # ln g^q = q ln g
             powered = analysis._midpoint_pairs(xs, tuple(g ** q for g in gs))
             if powered["passed"] != report["passed"]:
-                failures.append(f"{entry.expression} q={q}: verdict flipped")
-    check(8, "sampled log-convexity verdicts match the catalog and are "
-             "invariant under q in {1, 2, 5}", failures)
+                failures.append(f"{source} q={q}: verdict flipped")
+    check(8, "sampled log-convexity verdicts match the worked integrands' "
+             "and are invariant under q in {1, 2, 5}", failures)
 
 
 def test_criterion_09_corrected_rule_exact_through_degree_3():

@@ -11,9 +11,9 @@ import bound_reference as reference
 from bound_reference import (holder_bound_reference,
                              power_mean_bound_reference)
 from hh3.bounds import (DEFAULT_Q, L_SWITCH, BoundReport, DerivEndpoints,
-                        _moment_closed, _moment_series, _qth_root, best_bound,
-                        chi1, chi2, chi3, direct_bound, holder_bound,
-                        holder_factor, interval_chi1, mu, power_mean_bound)
+                        _moment_closed, _moment_from_log, _moment_series,
+                        _qth_root, best_bound, chi1, chi2, chi3, direct_bound,
+                        holder_bound, interval_chi1, power_mean_bound)
 from hh3.cli import cmd_integrate, resolve
 from hh3.errors import (BadInterval, DomainError,
                         NonPositiveThirdDerivative)
@@ -22,8 +22,12 @@ from hh3.quadrature import composite_bound, integrate_adaptive
 
 
 # --------------------------------------------------------------------------
-# mu: frozen values and oracles
+# mu: frozen values and oracles, through the moment chi3 takes from ln K
 # --------------------------------------------------------------------------
+
+def mu(k: float) -> float:
+    return _moment_from_log(math.log(k))
+
 
 def test_mu_at_one_is_exact():
     assert mu(1.0) == 0.25
@@ -82,25 +86,33 @@ def test_mu_monotone_increasing(k, factor):
         assert mu(k) < mu(k * factor)
 
 
+# The ratio reaches mu (and hf) through chi2 and chi3, which refuse it
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_mu_rejects_bad_ratio(bad):
-    with pytest.raises(DomainError):
-        mu(bad)
+    message = "^derivative ratio must be finite and positive, got "
+    for bound in (chi2, chi3):
+        for f3a, f3b in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(DomainError, match=message):
+                bound(f3a, f3b, 1.0, 2.0)
 
 
 # --------------------------------------------------------------------------
-# Holder factor
+# Holder factor hf(K, q), through its q-th root, which chi2 takes
 # --------------------------------------------------------------------------
+
+def _hf_root(k: float, q: float) -> float:
+    return _qth_root(math.log(k), q, False)
+
 
 def test_holder_factor_frozen_values():
-    assert holder_factor(math.e ** 2, 1.0) == pytest.approx(math.e - 1.0,
-                                                            rel=1e-14)
-    assert holder_factor(math.exp(-1.0), 2.0) == pytest.approx(
-        1.0 - math.exp(-1.0), rel=1e-14)
+    assert _hf_root(math.e ** 2, 1.0) == pytest.approx(math.e - 1.0,
+                                                       rel=1e-14)
+    assert _hf_root(math.exp(-1.0), 2.0) == pytest.approx(
+        math.sqrt(1.0 - math.exp(-1.0)), rel=1e-14)
 
 
 def test_holder_factor_at_one():
-    assert holder_factor(1.0, 3.0) == 1.0
+    assert _hf_root(1.0, 3.0) == 1.0
 
 
 def _holder_factor_by_quadrature(k: float, q: float) -> float:
@@ -114,8 +126,8 @@ def _holder_factor_by_quadrature(k: float, q: float) -> float:
 @pytest.mark.parametrize("k,q", [(0.2, 1.0), (0.9, 2.0), (1.0, 5.0),
                                  (3.7, 1.5), (40.0, 3.0)])
 def test_holder_factor_is_exponential_mean(k, q):
-    assert holder_factor(k, q) == pytest.approx(
-        _holder_factor_by_quadrature(k, q), rel=1e-12)
+    assert _hf_root(k, q) == pytest.approx(
+        _holder_factor_by_quadrature(k, q) ** (1.0 / q), rel=1e-12)
 
 
 # --------------------------------------------------------------------------

@@ -16,9 +16,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hh3.analysis import catalog, check_log_convexity
+from hh3.analysis import check_log_convexity
 from hh3.expr import Const, Func, Neg, Num, Var, parse
 from hh3.monotone import CM_NEG_X, CM_X, classify_cm
+from hh3.quadrature import certify
+from test_analysis import CATALOG
 
 #: Each fails the hypothesis somewhere: ln|f'''| is concave for sin, cos
 #: and x^4, and mpmath finds (ln|f'''|)'' < 0 for the rest (ROADMAP).
@@ -30,6 +32,18 @@ REFUSED = ("sin(x)", "cos(x)", "exp(-100*(x-0.5)^2)", "exp(x)/(x+1)",
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 2.0), (0.1, 0.7)])
 def test_the_classifier_refuses_what_fails_the_hypothesis(source, a, b):
     assert classify_cm(parse(source), a, b) is None
+
+
+#: exp of a proved argument u: exp(u) is CM in x where u' is -(CM in x),
+#: and in -x where u' is +(CM in -x) (Feller, vol. II, XIII.4).
+COMPOSITIONS = (
+    ("exp(-sqrt(x+1))", 0.0, 2.0, (CM_X, 1, 0)),
+    ("exp(1/(x+1))", 0.0, 1.0, (CM_X, 1, 0)),
+    ("exp(exp(-x))", 0.0, 1.0, (CM_X, 1, 0)),
+    ("exp(-sqrt(x))", 0.1, 1.0, (CM_X, 1, 0)),
+    ("exp(-sqrt(x+1))/sqrt(x+1)", 0.0, 2.0, (CM_X, 1, 0)),
+    ("exp(x+exp(x))", -1.0, 0.5, (CM_NEG_X, 1, 0)),
+)
 
 
 @pytest.mark.parametrize("source, a, b, proof", [
@@ -54,6 +68,7 @@ def test_the_classifier_refuses_what_fails_the_hypothesis(source, a, b):
     ("(x+1)*(x+2)*(x+3)", 0.0, 1.0, (CM_X, 1, 3)),
     ("-x^3", 0.0, 1.0, (CM_X, -1, 3)),
     ("(x+1)^3.5", 0.0, 1.0, (CM_X, 1, 4)),
+    *COMPOSITIONS,
 ])
 def test_the_classifier_names_class_sign_and_j0(source, a, b, proof):
     assert classify_cm(parse(source), a, b) == proof
@@ -67,6 +82,9 @@ def test_the_classifier_names_class_sign_and_j0(source, a, b, proof):
     ("exp(x)-exp(2*x)", 0.0, 1.0),         # two signs
     ("x*exp(x)", 0.0, 1.0), ("exp(x)^2", 0.0, 1.0), ("x^x", 1.0, 2.0),
     ("exp(x)+cos(1/1e-320)", 0.0, 1.0),    # a constant beyond float range
+    ("exp(-exp(x))", 0.0, 1.0),    # u' = -e^x is -(CM in -x), not in x
+    ("exp(sqrt(x+1))", 0.0, 1.0),  # u' is +(CM in x)
+    ("exp(-log(x+2)^2)", 0.0, 1.0),    # u is no proved term
 ])
 def test_the_classifier_refuses_what_its_rules_do_not_cover(source, a, b):
     assert classify_cm(parse(source), a, b) is None
@@ -85,6 +103,17 @@ def test_a_power_whose_exponent_reads_x_is_no_atom(source, a, b, proof):
     assert classify_cm(parse(source), a, b) == proof
 
 
+@pytest.mark.parametrize("source, a, b, proof", COMPOSITIONS)
+def test_the_compositions_certify_against_mpmath(source, a, b, proof):
+    cert = certify(parse(source), a, b, 1e-10)
+    with mpmath.workdps(40):
+        node = parse(source)
+        exact = mpmath.quad(lambda t: _mp_value(node, t), [a, b])
+        error = abs(mpmath.mpf(cert.corrected_sum) - exact)
+    assert cert.certified_bound <= 1e-10
+    assert error <= cert.certified_bound, (source, float(error))
+
+
 def _sample_agrees(source: str, a: float, b: float) -> None:
     """The 257-point pair test passes."""
     assert check_log_convexity(parse(source), a, b)["passed"], source
@@ -92,12 +121,12 @@ def _sample_agrees(source: str, a: float, b: float) -> None:
 
 def test_every_catalog_proof_is_sampled_as_log_convex():
     proved = 0
-    for entry in catalog():
-        proof = classify_cm(entry.ast(), entry.a, entry.b)
+    for source, a, b, log_convex in CATALOG:
+        proof = classify_cm(parse(source), a, b)
         if proof is not None and proof[2] <= 3:
             proved += 1
-            assert entry.log_convex, entry.expression
-            _sample_agrees(entry.expression, entry.a, entry.b)
+            assert log_convex, source
+            _sample_agrees(source, a, b)
     assert proved == 5   # all but x^4
 
 
@@ -143,21 +172,26 @@ def _num(draw, lo: float, hi: float) -> str:
 @st.composite
 def accepted(draw) -> tuple[str, float, float]:
     """A sum of one to three scaled atoms or products of two, of one class,
-    perhaps with a polynomial; the tests assume the classifier accepts."""
+    perhaps with a polynomial; the tests assume the classifier accepts.
+    exp of a proved argument is an atom."""
     a = round(draw(st.floats(0.0, 1.0)), 3)
     b = round(a + draw(st.floats(0.25, 1.5)), 3)
     neg = draw(st.booleans())   # atoms completely monotone in -x
     base = "({d}-x)" if neg else "(x+{c})"
 
     def atom(j0_zero: bool) -> str:
-        shapes = ["exp({s}{l}*x)", base + "^-{p}", "1/" + base]
+        shapes = ["exp({s}{l}*x)", base + "^-{p}", "1/" + base,
+                  "exp(-{k}*sqrt" + base + ")", "exp({k}/" + base + ")",
+                  "exp({k}*exp({s}{m}*x))", "exp(-{k}*log" + base + ")",
+                  "exp({l}*exp({s}{m}*x)-{k}*sqrt" + base + ")"]
         if not j0_zero:
             shapes += [base + "^{q}", "log" + base, "sqrt" + base]
         shape = draw(st.sampled_from(shapes))
         return shape.format(
             s="" if neg else "-", l=_num(draw, 0.2, 4.0),
             c=_num(draw, 0.1, 2.0), d=f"{b + draw(st.floats(0.1, 2.0)):.3g}",
-            p=_num(draw, 0.2, 3.0),
+            p=_num(draw, 0.2, 3.0), k=_num(draw, 0.2, 2.0),
+            m=_num(draw, 0.2, 1.0),
             q=f"{draw(st.integers(0, 3)) + draw(st.floats(0.1, 0.9)):.3g}")
 
     terms = []

@@ -16,6 +16,7 @@ from hh3 import analysis, expr, quadrature
 from hh3.cli import COMMANDS, EXIT_MATH, EXIT_OK, EXIT_USAGE, OPTIONS, \
     UsageError, main, parse_args, resolve
 from hh3.expr import parse
+from test_analysis import CATALOG
 
 EXP01 = ["--f", "exp(x)", "--a", "0", "--b", "1"]
 STEEP = ["--f", "exp(30*x)", "--a", "0", "--b", "1"]   # |ln K| = 30
@@ -203,6 +204,36 @@ def test_an_expression_too_deep_to_evaluate_is_a_usage_error(
         assert out == ""
         assert err == ("hh3: error: --f: the expression nests too deeply "
                        "to evaluate\n")
+
+
+@pytest.mark.parametrize("command", ["bounds", "integrate"])
+def test_a_config_nested_too_deeply_is_a_usage_error(capsys, tmp_path,
+                                                      command):
+    # json's RecursionError once exited 1 with a traceback
+    path = tmp_path / "deep.json"
+    path.write_text('{"f": ' + "[" * 100000 + "]" * 100000 + "}")
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"hh3: error: --config: {path}: nests too deeply\n"
+
+
+def test_an_overflowed_literal_is_named_as_text_that_parses(capsys):
+    code, out, err = run(capsys, "bounds", "--f", "x^3+2^(1e999)",
+                         "--a", "0", "--b", "1")
+    assert (code, out) == (EXIT_MATH, "")
+    assert err == ("hh3: result is not finite (in 'x^3.0 + 2.0^1e999' at "
+                   "x = 0.0)\n")
+    # a literal that overflows is still valid input
+    code, _, err = run(capsys, "bounds", "--f", "x^3+exp(-1e999)+exp(x)",
+                       "--a", "0", "--b", "1")
+    assert (code, err) == (EXIT_OK, "")
+
+
+def test_integrate_certifies_exp_of_a_proved_argument(capsys):
+    code, out, err = run(capsys, "integrate", "--f", "exp(-sqrt(x+1))",
+                         "--a", "0", "--b", "2", "--n", "8")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["log_convexity"]["kind"] == "proved"
 
 
 def test_reference_integration_stops_at_a_panel_it_cannot_halve(capsys):
@@ -727,8 +758,7 @@ def test_the_bounded_commands_refuse_through_one_function(
 
 
 @pytest.mark.parametrize("f, a, b", [
-    *((entry.expression, repr(entry.a), repr(entry.b))
-      for entry in analysis.catalog()),
+    *((source, repr(a), repr(b)) for source, a, b, _ in CATALOG),
     ("sqrt(x+0.1)*exp(-x)", "0", "1"),
     ("1/(1+25*(x-0.5)^2)", "0.1", "0.7"),
     ("x^4+exp(4*x)", "0.1", "0.7")])

@@ -24,7 +24,6 @@ import pytest
 import hh3
 import hh3.quadrature
 from hh3 import cli, errors
-from hh3.analysis import CatalogEntry
 from hh3.bounds import BoundReport, DerivEndpoints
 from hh3.expr import (BinOp, Const, Func, Neg, Num, Var, compile_jet,
                       parse)
@@ -130,8 +129,8 @@ def test_cli_import_builds_no_record_through_typing_namedtuple():
     done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    # the 15 record types; their base has no _fields of its own
-    assert done.stdout.split() == ["15"]
+    # the 14 record types; their base has no _fields of its own
+    assert done.stdout.split() == ["14"]
 
 
 def test_cli_import_calls_no_eval_exec_or_compile():
@@ -185,8 +184,6 @@ _RECORDS = [
     (QuadResult, {"midpoint_sum": 1.0, "corrected_sum": 1.5,
                   "certified_bound": 0.01, "f3": (1.0, 2.0),
                   "interval_bounds": (0.01,)}),
-    (CatalogEntry, {"expression": "exp(x)", "a": 0.0, "b": 1.0,
-                    "log_convex": True}),
     (cli.RunConfig, {"command": "integrate", "expression": "x", "ast": _X,
                      "a": 0.0, "b": 1.0, "fmt": "json", "out": None, "n": 4,
                      "tol": None, "q": None, "n_list": (),
@@ -223,7 +220,6 @@ _FIELDS = {
                  "interval_bounds"),
     Certificate: ("midpoint_sum", "corrected_sum", "certified_bound",
                   "order", "n", "log_convexity"),
-    CatalogEntry: ("expression", "a", "b", "log_convex"),
     cli.RunConfig: ("command", "expression", "ast", "a", "b", "fmt", "out",
                     "n", "tol", "q", "n_list", "n_max",
                     "per_interval", "oracle"),

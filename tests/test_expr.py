@@ -134,11 +134,17 @@ def test_tokenize_matches_the_regular_expression(source):
 @pytest.mark.parametrize("source", [
     "x", "-x^2", "x^-2", "x^2^3", "(x^2)^3", "1 - (x - 1)",
     "x/(x + 1)", "exp(x) + exp(2*x)", "-(x*x)", "2*x^3 - 1",
-    "sqrt(x + 4)", "pi*x + e",
+    "sqrt(x + 4)", "pi*x + e", "2^(1e999)",
 ])
 def test_round_trip_examples(source):
     ast = parse(source)
     assert parse(to_text(ast)) == ast
+
+
+def test_an_overflowed_literal_prints_as_text_that_parses_back():
+    # float("1e999") is inf, which printed as the unknown identifier inf
+    assert to_text(parse("x^3+2^(1e999)")) == "x^3.0 + 2.0^1e999"
+    assert to_text(Num(-math.inf)) == "-1e999"
 
 
 def _ast_strategy():

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hh3 import quadrature
-from hh3.bounds import DerivEndpoints, direct_bound, mu
+from hh3.bounds import DerivEndpoints, direct_bound
 from hh3.cli import cmd_integrate, main, resolve
 from hh3.errors import (BadInterval, BelowRoundingFloor, DomainError,
                         Hh3Error, NonConvergence,

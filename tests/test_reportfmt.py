@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import report_reference as ref
 from hh3 import reportfmt
-from hh3.analysis import CatalogEntry
+from hh3.bounds import DerivEndpoints
 from hh3.reportfmt import (Table, format_float, format_float_short,
                            rows_to_csv, to_csv, to_json, to_text)
 
@@ -135,7 +135,7 @@ class _Pair(NamedTuple):
 
 @pytest.mark.parametrize("render", [to_json, to_csv, to_text])
 @pytest.mark.parametrize("record", [
-    _Pair(0.0, 1.0), CatalogEntry("exp(x)", 0.0, 1.0, True),
+    _Pair(0.0, 1.0), DerivEndpoints(1.0, 2.0, 0.0, 1.0),
     {"nested": _Pair(0.0, 1.0)}])
 def test_records_are_refused_not_printed_as_lists(render, record):
     # a named tuple is a tuple, but only a plain list or tuple is a list
